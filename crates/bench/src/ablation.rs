@@ -3,89 +3,40 @@
 //! expansion patterns contribute?
 //!
 //! §5.5.1 motivates the three patterns and ranks their priorities but
-//! never isolates their effect. A thin client of the `msn-scenario`
-//! engine (bundled specs `scenarios/ablation-open.toml` /
-//! `ablation-obstacle.toml`): the four switch combinations are a
-//! parameter-variant sweep over the Figure 8 environments, so every
-//! variant starts from the identical scatter.
+//! never isolates their effect. The sweeps are the bundled
+//! `scenarios/ablation-open.toml` and `ablation-obstacle.toml`: the
+//! switch combinations are parameter variants over the Figure 8
+//! panels, so every variant starts from the identical scatter; this
+//! module only formats a table per panel.
 
-use crate::{fig3, pct, Profile};
-use msn_deploy::{FloorOverrides, SchemeKind, SchemeOverrides};
+use crate::{fig3, pct};
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, RadioSpec, ScenarioSpec};
+use msn_scenario::{BatchResult, ScenarioSpec};
 
-/// The ablation variants: label, BLG enabled, IFLG enabled.
-pub const VARIANTS: [(&str, bool, bool); 4] = [
-    ("full FLOOR", true, true),
-    ("no BLG", false, true),
-    ("no IFLG", true, false),
-    ("FLG only", false, false),
-];
-
-fn with_variants(spec: ScenarioSpec) -> ScenarioSpec {
-    VARIANTS.iter().fold(spec, |spec, &(label, blg, iflg)| {
-        spec.with_variant(
-            label,
-            SchemeOverrides {
-                floor: FloorOverrides {
-                    enable_blg: Some(blg),
-                    enable_iflg: Some(iflg),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-    })
+/// The bundled ablation specs: the open field, then the two-obstacle
+/// field.
+pub fn specs() -> Vec<ScenarioSpec> {
+    vec![
+        crate::bundled(include_str!("../../../scenarios/ablation-open.toml")),
+        crate::bundled(include_str!("../../../scenarios/ablation-obstacle.toml")),
+    ]
 }
 
-/// The obstacle-free half of the ablation as a declarative spec.
-pub fn open_spec(profile: &Profile) -> ScenarioSpec {
-    with_variants(
-        fig3::open_spec(profile)
-            .with_schemes(vec![SchemeKind::Floor])
-            .with_description("Ablation (open field): FLOOR expansion-pattern switches"),
-    )
-    .with_name("ablation-open")
-}
-
-/// The two-obstacle half of the ablation as a declarative spec.
-pub fn obstacle_spec(profile: &Profile) -> ScenarioSpec {
-    with_variants(
-        fig3::obstacle_spec(profile)
-            .with_schemes(vec![SchemeKind::Floor])
-            .with_description("Ablation (two-obstacle): FLOOR expansion-pattern switches"),
-    )
-    .with_name("ablation-obstacle")
-}
-
-/// Runs the ablation (via the scenario engine) and formats the report.
-pub fn run(profile: &Profile) -> String {
+/// Renders the ablation from the `ablation-open` and
+/// `ablation-obstacle` results.
+pub fn report(open: &BatchResult, obstacle: &BatchResult) -> String {
     let mut out =
         String::from("Ablation — contribution of FLOOR's expansion patterns (extension)\n\n");
-    let open = BatchRunner::new()
-        .run(&open_spec(profile))
-        .expect("ablation-open is valid");
-    let obstacle = BatchRunner::new()
-        .run(&obstacle_spec(profile))
-        .expect("ablation-obstacle is valid");
-    for (name, result, radio) in [
-        ("(a) rc=60 rs=40 open", &open, RadioSpec::new(60.0, 40.0)),
-        ("(b) rc=30 rs=40 open", &open, RadioSpec::new(30.0, 40.0)),
-        (
-            "(c) rc=60 rs=40 two-obstacle",
-            &obstacle,
-            RadioSpec::new(60.0, 40.0),
-        ),
-    ] {
+    for (name, result, radio) in fig3::panels(open, obstacle) {
         let stats = result.cell_stats();
         let mut table = Table::new(vec!["variant", "coverage", "avg move (m)", "connected"]);
-        for &(label, _, _) in &VARIANTS {
+        for variant in &result.spec.variants {
             let cell = stats
                 .iter()
-                .find(|s| s.radio == radio && s.variant_label == label)
+                .find(|s| s.radio == radio && s.variant_label == variant.label)
                 .expect("matrix covers every (radio, variant)");
             table.row(vec![
-                label.to_string(),
+                variant.label.clone(),
                 pct(cell.coverage.mean()),
                 format!("{:.0}", cell.avg_move.mean()),
                 (cell.connected_runs == cell.runs.len()).to_string(),

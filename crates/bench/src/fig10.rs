@@ -2,10 +2,9 @@
 //! rc/rs from 0.8 to 4, with the paper's `Disconn.` and
 //! `Incorrect VD` annotations.
 //!
-//! A thin client of the `msn-scenario` engine (bundled spec
-//! `scenarios/fig10.toml`): the ratio sweep is the spec's radio axis
-//! and the annotations surface through the per-cell flag union; this
-//! module only formats the paper's table.
+//! The ratio sweep is the radio axis of the bundled
+//! `scenarios/fig10.toml` and the annotations surface through the
+//! per-cell flag union; this module only formats the paper's table.
 //!
 //! Findings to reproduce in shape: VOR/Minimax lose connectivity for
 //! `rc/rs ≤ 2` and compute incorrect Voronoi cells until `rc/rs`
@@ -13,44 +12,23 @@
 //! below `rc/rs = 1`; with large `rc/rs` both can edge past FLOOR
 //! because they ignore connectivity.
 
-use crate::{pct, Profile};
+use crate::pct;
 use msn_deploy::SchemeKind;
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, RadioSpec, ScenarioSpec};
+use msn_scenario::{BatchResult, ScenarioSpec};
 
-/// The rc/rs ratios swept (rs is fixed at 60 m).
-pub const RATIOS: [f64; 7] = [0.8, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0];
-
-/// Sensing range of the sweep (m).
-pub const RS: f64 = 60.0;
-
-/// The experiment as a declarative scenario spec.
-pub fn spec(profile: &Profile) -> ScenarioSpec {
-    ScenarioSpec::new("fig10")
-        .with_description("Figure 10: FLOOR vs VOR vs Minimax over rc/rs ratios (rs = 60 m)")
-        .with_schemes(vec![
-            SchemeKind::Floor,
-            SchemeKind::Vor,
-            SchemeKind::Minimax,
-        ])
-        .with_sensor_counts(vec![profile.n_base])
-        .with_radios(RATIOS.iter().map(|r| (r * RS, RS)).collect())
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed)
+/// The bundled Figure 10 sweep (`scenarios/fig10.toml`).
+pub fn spec() -> ScenarioSpec {
+    crate::bundled(include_str!("../../../scenarios/fig10.toml"))
 }
 
-/// Runs Figure 10 (via the scenario engine) and formats the report.
-pub fn run(profile: &Profile) -> String {
+/// Renders Figure 10 from the `fig10` result, one row per radio.
+pub fn report(result: &BatchResult) -> String {
     let mut out =
         String::from("Figure 10 — coverage of FLOOR, VOR and Minimax vs rc/rs (rs = 60 m)\n\n");
-    let result = BatchRunner::new()
-        .run(&spec(profile))
-        .expect("fig10 spec is valid");
     let stats = result.cell_stats();
     let mut table = Table::new(vec!["rc/rs", "FLOOR", "VOR", "flags", "Minimax", "flags"]);
-    for ratio in RATIOS {
-        let radio = RadioSpec::new(ratio * RS, RS);
+    for &radio in &result.spec.radios {
         let find = |scheme| {
             stats
                 .iter()
@@ -61,7 +39,7 @@ pub fn run(profile: &Profile) -> String {
         let vor = find(SchemeKind::Vor);
         let mm = find(SchemeKind::Minimax);
         table.row(vec![
-            format!("{ratio:.1}"),
+            format!("{:.1}", radio.rc / radio.rs),
             pct(fl.coverage.mean()),
             pct(vor.coverage.mean()),
             vor.flags.join("+"),

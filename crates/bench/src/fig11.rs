@@ -5,46 +5,31 @@
 //! OPT strip pattern ("OPT(pattern)") and to reach FLOOR's *own* final
 //! layout ("OPT(FLOOR)").
 //!
-//! A thin client of the `msn-scenario` engine (bundled spec
-//! `scenarios/fig11.toml`): the five schemes ride the engine's run
-//! matrix; OPT(FLOOR) is computed after the fact from FLOOR's final
-//! positions (kept on each [`msn_scenario::RunRecord`]) and the
-//! cell's reconstructed initial scatter.
+//! The five schemes ride the run matrix of the bundled
+//! `scenarios/fig11.toml`; OPT(FLOOR) is computed after the fact from
+//! FLOOR's final positions (kept on each
+//! [`msn_scenario::RunRecord`]) and the cell's reconstructed initial
+//! scatter.
 //!
 //! Findings to reproduce in shape: VOR/Minimax pay a large explosion
 //! cost; CPVF more than doubles FLOOR's distance through oscillation;
 //! FLOOR lands between the two optima — below the cost of the strict
 //! OPT pattern but 15–40 % above the optimum for its own layout.
 
-use crate::Profile;
 use msn_assign::{hungarian, CostMatrix};
 use msn_deploy::SchemeKind;
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, ScenarioSpec};
+use msn_scenario::{BatchResult, ScenarioSpec};
 
-/// The experiment as a declarative scenario spec.
-pub fn spec(profile: &Profile) -> ScenarioSpec {
-    ScenarioSpec::new("fig11")
-        .with_description("Figure 11: average moving distance of all schemes vs sensor count")
-        .with_schemes(vec![
-            SchemeKind::Cpvf,
-            SchemeKind::Floor,
-            SchemeKind::Vor,
-            SchemeKind::Minimax,
-            SchemeKind::Opt,
-        ])
-        .with_sensor_counts(profile.n_sweep.clone())
-        .with_radios(vec![(60.0, 40.0)])
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed)
+/// The bundled Figure 11 sweep (`scenarios/fig11.toml`).
+pub fn spec() -> ScenarioSpec {
+    crate::bundled(include_str!("../../../scenarios/fig11.toml"))
 }
 
-/// Runs Figure 11 (via the scenario engine) and formats the report.
-pub fn run(profile: &Profile) -> String {
+/// Renders Figure 11 from the `fig11` result, one row per sensor
+/// count.
+pub fn report(result: &BatchResult) -> String {
     let mut out = String::from("Figure 11 — average moving distance (m), rc = 60 m, rs = 40 m\n\n");
-    let spec = spec(profile);
-    let result = BatchRunner::new().run(&spec).expect("fig11 spec is valid");
     let mut table = Table::new(vec![
         "n",
         "CPVF",
@@ -54,7 +39,7 @@ pub fn run(profile: &Profile) -> String {
         "OPT(pattern)",
         "OPT(FLOOR)",
     ]);
-    for &n in &profile.n_sweep {
+    for &n in &result.spec.sensor_counts {
         let find = |scheme| {
             result
                 .records
@@ -71,7 +56,7 @@ pub fn run(profile: &Profile) -> String {
             .require_positions()
             .unwrap_or_else(|e| panic!("cannot compute OPT(FLOOR) lower bound: {e}"));
         let floor_lb = {
-            let (_, initial) = r_floor.cell.build_environment(&spec);
+            let (_, initial) = r_floor.cell.build_environment(&result.spec);
             let costs = CostMatrix::euclidean(&initial, floor_positions);
             hungarian(&costs).total_cost / n as f64
         };

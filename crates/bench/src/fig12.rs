@@ -1,90 +1,47 @@
 //! Figure 12: effect of the oscillation-avoidance factor δ on CPVF's
 //! moving distance and coverage.
 //!
-//! A thin client of the `msn-scenario` engine (bundled spec
-//! `scenarios/fig12.toml`): the eleven oscillation settings are a
-//! parameter-variant sweep — every variant faces the same initial
-//! scatter — and this module only formats the table.
+//! The oscillation settings are the parameter variants of the bundled
+//! `scenarios/fig12.toml` — every variant faces the same initial
+//! scatter — and this module only formats the table, naming each row
+//! after its variant's `oscillation` override.
 //!
 //! Both one-step and two-step avoidance trade coverage for moving
 //! distance: a small δ (aggressive cancellation) cuts distance sharply
 //! but freezes sensors before the layout spreads; large δ approaches
 //! plain CPVF.
 
-use crate::{pct, Profile};
+use crate::pct;
 use msn_deploy::cpvf::OscillationAvoidance;
-use msn_deploy::{CpvfOverrides, SchemeKind, SchemeOverrides};
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, ScenarioSpec};
+use msn_scenario::{BatchResult, ScenarioSpec};
 
-/// The δ values swept.
-pub const DELTAS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
-
-/// The variant rows in table order: label, human variant name and δ
-/// column text.
-fn variant_rows() -> Vec<(String, &'static str, String, OscillationAvoidance)> {
-    let mut rows = vec![(
-        "off".to_string(),
-        "off",
-        "-".to_string(),
-        OscillationAvoidance::Off,
-    )];
-    for delta in DELTAS {
-        rows.push((
-            format!("one-step-{delta}"),
-            "one-step",
-            format!("{delta}"),
-            OscillationAvoidance::OneStep { delta },
-        ));
-        rows.push((
-            format!("two-step-{delta}"),
-            "two-step",
-            format!("{delta}"),
-            OscillationAvoidance::TwoStep { delta },
-        ));
-    }
-    rows
+/// The bundled Figure 12 sweep (`scenarios/fig12.toml`).
+pub fn spec() -> ScenarioSpec {
+    crate::bundled(include_str!("../../../scenarios/fig12.toml"))
 }
 
-/// The experiment as a declarative scenario spec.
-pub fn spec(profile: &Profile) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::new("fig12")
-        .with_description("Figure 12: CPVF oscillation avoidance sweep (one-/two-step x delta)")
-        .with_schemes(vec![SchemeKind::Cpvf])
-        .with_sensor_counts(vec![profile.n_base])
-        .with_radios(vec![(60.0, 40.0)])
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed);
-    for (label, _, _, osc) in variant_rows() {
-        spec = spec.with_variant(
-            label,
-            SchemeOverrides {
-                cpvf: CpvfOverrides {
-                    oscillation: Some(osc),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
+/// The variant and δ columns for an oscillation setting.
+fn columns(osc: Option<OscillationAvoidance>) -> (&'static str, String) {
+    match osc {
+        None | Some(OscillationAvoidance::Off) => ("off", "-".to_string()),
+        Some(OscillationAvoidance::OneStep { delta }) => ("one-step", format!("{delta}")),
+        Some(OscillationAvoidance::TwoStep { delta }) => ("two-step", format!("{delta}")),
     }
-    spec
 }
 
-/// Runs Figure 12 (via the scenario engine) and formats the report.
-pub fn run(profile: &Profile) -> String {
+/// Renders Figure 12 from the `fig12` result, one row per variant.
+pub fn report(result: &BatchResult) -> String {
     let mut out =
         String::from("Figure 12 — oscillation avoidance for CPVF (rc = 60 m, rs = 40 m)\n\n");
-    let result = BatchRunner::new()
-        .run(&spec(profile))
-        .expect("fig12 spec is valid");
     let stats = result.cell_stats();
     let mut table = Table::new(vec!["variant", "delta", "avg move (m)", "coverage"]);
-    for (label, name, delta, _) in variant_rows() {
+    for variant in &result.spec.variants {
         let cell = stats
             .iter()
-            .find(|s| s.variant_label == label)
+            .find(|s| s.variant_label == variant.label)
             .expect("matrix covers every variant");
+        let (name, delta) = columns(variant.overrides.cpvf.oscillation);
         table.row(vec![
             name.to_string(),
             delta,

@@ -1,22 +1,20 @@
 //! Figure 13: CDFs of coverage and average moving distance for CPVF
 //! vs FLOOR over repeated runs with 1–4 random rectangular obstacles.
 //!
-//! Implemented as a thin client of the `msn-scenario` engine: the
-//! repeated random-obstacle workload is a [`ScenarioSpec`] with a
-//! `random-obstacles` field and N repetitions, executed in parallel
-//! by the [`BatchRunner`]; both schemes face identical environments
-//! in every repetition (shared per-rep environment seed). This module
+//! The repeated random-obstacle workload is the bundled
+//! `scenarios/random-obstacle-sweep.toml` (a `random-obstacles` field
+//! and N repetitions); both schemes face identical environments in
+//! every repetition (shared per-rep environment seed). This module
 //! only builds the CDF tables from the per-run records.
 //!
 //! Findings to reproduce in shape: FLOOR's mean coverage exceeds
 //! CPVF's by 20+ percentage points, at less than half the mean moving
 //! distance.
 
-use crate::{pct, Profile};
+use crate::pct;
 use msn_deploy::SchemeKind;
-use msn_field::RandomObstacleParams;
 use msn_metrics::{Cdf, Table};
-use msn_scenario::{BatchRunner, FieldSpec, ScenarioSpec};
+use msn_scenario::{BatchResult, ScenarioSpec};
 
 /// One scheme's samples across the random-obstacle runs.
 #[derive(Debug, Clone)]
@@ -29,46 +27,34 @@ pub struct SchemeSamples {
     pub avg_move: Vec<f64>,
 }
 
-/// The experiment as a declarative scenario spec.
-pub fn spec(profile: &Profile) -> ScenarioSpec {
-    ScenarioSpec::new("fig13")
-        .with_description("Figure 13: CPVF vs FLOOR CDFs over random-obstacle fields")
-        .with_field(FieldSpec::RandomObstacles(RandomObstacleParams::default()))
-        .with_schemes(vec![SchemeKind::Cpvf, SchemeKind::Floor])
-        .with_sensor_counts(vec![profile.n_base])
-        .with_radios(vec![(60.0, 40.0)])
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_repetitions(profile.fig13_runs)
-        .with_seed(profile.seed)
+/// The bundled Figure 13 workload
+/// (`scenarios/random-obstacle-sweep.toml`).
+pub fn spec() -> ScenarioSpec {
+    crate::bundled(include_str!(
+        "../../../scenarios/random-obstacle-sweep.toml"
+    ))
 }
 
-/// Executes the experiment (in parallel, via the scenario engine),
-/// returning raw samples for both schemes.
-pub fn samples(profile: &Profile) -> (SchemeSamples, SchemeSamples) {
-    let result = BatchRunner::new()
-        .run(&spec(profile))
-        .expect("fig13 spec is valid");
-    let collect = |kind: SchemeKind, name: &'static str| {
+/// The raw CPVF and FLOOR samples of a `random-obstacle-sweep` result.
+pub fn samples(result: &BatchResult) -> (SchemeSamples, SchemeSamples) {
+    let collect = |kind: SchemeKind| {
         let records = result.scheme_records(kind);
         SchemeSamples {
-            name,
+            name: kind.name(),
             coverage: records.iter().map(|r| r.coverage).collect(),
             avg_move: records.iter().map(|r| r.avg_move).collect(),
         }
     };
-    (
-        collect(SchemeKind::Cpvf, "CPVF"),
-        collect(SchemeKind::Floor, "FLOOR"),
-    )
+    (collect(SchemeKind::Cpvf), collect(SchemeKind::Floor))
 }
 
-/// Runs Figure 13 and formats the CDF report.
-pub fn run(profile: &Profile) -> String {
-    let (c, f) = samples(profile);
+/// Renders Figure 13's CDF report from the `random-obstacle-sweep`
+/// result.
+pub fn report(result: &BatchResult) -> String {
+    let (c, f) = samples(result);
     let mut out = format!(
         "Figure 13 — CDFs over {} random-obstacle runs (1-4 rectangles)\n\n",
-        profile.fig13_runs
+        result.spec.repetitions
     );
 
     let mut summary = Table::new(vec![

@@ -4,96 +4,53 @@
 //! (b) rc = 30 m, rs = 40 m, obstacle-free — paper: 26.4 %;
 //! (c) rc = 60 m, rs = 40 m, two obstacles — paper: 37.1 %.
 //!
-//! Implemented as a thin client of the `msn-scenario` engine: the
-//! three panels are the CPVF slices of the two `fig38-*` bundled
-//! specs (shared with Figure 8, which runs FLOOR on the same
-//! environments); this module only formats the paper's table and
-//! layout snapshots from the per-run records.
+//! The panels are the radios of the two bundled `fig38-*` specs (the
+//! open field's, then the two-obstacle field's), shared with Figure 8,
+//! which renders FLOOR from the same runs; this module only formats
+//! the paper's table and layout snapshots from the per-run records.
 
-use crate::{pct, Profile};
+use crate::pct;
 use msn_deploy::SchemeKind;
 use msn_field::{ascii_layout, AsciiOptions};
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, FieldSpec, RadioSpec, RunRecord, ScenarioSpec};
+use msn_scenario::{BatchResult, RadioSpec, ScenarioSpec};
 
 /// Paper-reported coverages for Figure 3's three panels.
 pub const PAPER: [f64; 3] = [0.745, 0.264, 0.371];
 
-/// The obstacle-free half of the Figure 3/8 panels (panels a and b),
-/// bundled as `scenarios/fig38-open.toml`.
-pub fn open_spec(profile: &Profile) -> ScenarioSpec {
-    ScenarioSpec::new("fig38-open")
-        .with_description(
-            "Figures 3/8 panels (a)+(b): CPVF and FLOOR layouts on the open paper field",
-        )
-        .with_schemes(vec![SchemeKind::Cpvf, SchemeKind::Floor])
-        .with_sensor_counts(vec![profile.n_base])
-        .with_radios(vec![(60.0, 40.0), (30.0, 40.0)])
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed)
-}
-
-/// The two-obstacle half of the Figure 3/8 panels (panel c), bundled
-/// as `scenarios/fig38-obstacle.toml`.
-pub fn obstacle_spec(profile: &Profile) -> ScenarioSpec {
-    ScenarioSpec::new("fig38-obstacle")
-        .with_description("Figures 3/8 panel (c): CPVF and FLOOR layouts in the two-obstacle field")
-        .with_field(FieldSpec::TwoObstacle)
-        .with_schemes(vec![SchemeKind::Cpvf, SchemeKind::Floor])
-        .with_sensor_counts(vec![profile.n_base])
-        .with_radios(vec![(60.0, 40.0)])
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed)
-}
-
-/// The three panels of Figures 3 and 8 for one scheme, in paper
-/// order: each entry is the panel name, its spec and the matching
-/// run record.
-pub fn panels(profile: &Profile, scheme: SchemeKind) -> Vec<(String, ScenarioSpec, RunRecord)> {
-    // Restricting the scheme set leaves environment seeds untouched
-    // (they derive from radio/count/rep coordinates only), so these
-    // slices are identical to the bundled specs' matching cells.
-    let open = open_spec(profile).with_schemes(vec![scheme]);
-    let obstacle = obstacle_spec(profile).with_schemes(vec![scheme]);
-    let open_result = BatchRunner::new().run(&open).expect("fig38-open is valid");
-    let obstacle_result = BatchRunner::new()
-        .run(&obstacle)
-        .expect("fig38-obstacle is valid");
-    let find = |result: &msn_scenario::BatchResult, radio: RadioSpec| -> RunRecord {
-        result
-            .records
-            .iter()
-            .find(|r| r.cell.radio == radio)
-            .expect("matrix covers the panel radio")
-            .clone()
-    };
+/// The bundled specs of the Figure 3/8 panels: the open field
+/// (`scenarios/fig38-open.toml`, panels a and b) and the two-obstacle
+/// field (`scenarios/fig38-obstacle.toml`, panel c).
+pub fn specs() -> Vec<ScenarioSpec> {
     vec![
-        (
-            "(a) rc=60 rs=40 open".into(),
-            open.clone(),
-            find(&open_result, RadioSpec::new(60.0, 40.0)),
-        ),
-        (
-            "(b) rc=30 rs=40 open".into(),
-            open,
-            find(&open_result, RadioSpec::new(30.0, 40.0)),
-        ),
-        (
-            "(c) rc=60 rs=40 two-obstacle".into(),
-            obstacle,
-            find(&obstacle_result, RadioSpec::new(60.0, 40.0)),
-        ),
+        crate::bundled(include_str!("../../../scenarios/fig38-open.toml")),
+        crate::bundled(include_str!("../../../scenarios/fig38-obstacle.toml")),
     ]
 }
 
-/// Formats the shared Figure 3/8 report body for one scheme.
+/// The panels of an open/obstacle result pair, in paper order: each
+/// entry is the panel name, its result and its radio. Shared with the
+/// ablation, which runs the same panels.
+pub fn panels<'a>(
+    open: &'a BatchResult,
+    obstacle: &'a BatchResult,
+) -> Vec<(String, &'a BatchResult, RadioSpec)> {
+    [(open, "open"), (obstacle, "two-obstacle")]
+        .into_iter()
+        .flat_map(|(result, env)| result.spec.radios.iter().map(move |&r| (result, env, r)))
+        .zip('a'..)
+        .map(|((result, env, radio), letter)| (format!("({letter}) {radio} {env}"), result, radio))
+        .collect()
+}
+
+/// Formats the shared Figure 3/8 report for one scheme: a layout
+/// snapshot per panel, then the coverage table against `paper`.
 pub fn layout_report(
     title: &str,
-    profile: &Profile,
+    open: &BatchResult,
+    obstacle: &BatchResult,
     scheme: SchemeKind,
-    paper: &[f64; 3],
+    paper: &[f64],
 ) -> String {
     let mut out = format!("{title}\n");
     let mut table = Table::new(vec![
@@ -103,41 +60,45 @@ pub fn layout_report(
         "avg move (m)",
         "connected",
     ]);
-    for (i, (name, spec, record)) in panels(profile, scheme).into_iter().enumerate() {
+    for (i, (name, result, radio)) in panels(open, obstacle).into_iter().enumerate() {
+        let record = result
+            .records
+            .iter()
+            .find(|r| r.cell.radio == radio && r.cell.scheme == scheme)
+            .expect("matrix covers every (panel radio, scheme)");
         table.row(vec![
             name.clone(),
             pct(record.coverage),
-            pct(paper[i]),
+            paper.get(i).map_or_else(|| "-".to_string(), |&p| pct(p)),
             format!("{:.0}", record.avg_move),
             record.connected.to_string(),
         ]);
-        if profile.layouts {
-            // restored (resumed) records carry no layouts; rendering
-            // them would silently print a blank field
-            let positions = record
-                .require_positions()
-                .unwrap_or_else(|e| panic!("cannot render layout snapshot: {e}"));
-            let (field, _) = record.cell.build_environment(&spec);
-            out.push_str(&format!("\n{name}: coverage {}\n", pct(record.coverage)));
-            out.push_str(&ascii_layout(
-                &field,
-                positions,
-                record.cell.radio.rs,
-                &AsciiOptions::default(),
-            ));
-            out.push('\n');
-        }
+        // restored (resumed) records carry no layouts; rendering
+        // them would silently print a blank field
+        let positions = record
+            .require_positions()
+            .unwrap_or_else(|e| panic!("cannot render layout snapshot: {e}"));
+        let (field, _) = record.cell.build_environment(&result.spec);
+        out.push_str(&format!("\n{name}: coverage {}\n", pct(record.coverage)));
+        out.push_str(&ascii_layout(
+            &field,
+            positions,
+            record.cell.radio.rs,
+            &AsciiOptions::default(),
+        ));
+        out.push('\n');
     }
     out.push_str(&table.to_string());
     out.push('\n');
     out
 }
 
-/// Runs Figure 3 (via the scenario engine) and formats the report.
-pub fn run(profile: &Profile) -> String {
+/// Renders Figure 3 from the `fig38-open` and `fig38-obstacle` results.
+pub fn report(open: &BatchResult, obstacle: &BatchResult) -> String {
     layout_report(
         "Figure 3 — CPVF sensor layouts and coverage",
-        profile,
+        open,
+        obstacle,
         SchemeKind::Cpvf,
         &PAPER,
     )

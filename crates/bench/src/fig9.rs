@@ -1,10 +1,9 @@
 //! Figure 9: coverage of CPVF, FLOOR and OPT for varying numbers of
 //! sensors and three (rc, rs) combinations.
 //!
-//! Implemented as a thin client of the `msn-scenario` engine: the
-//! sweep is declared as a [`ScenarioSpec`] and executed by the
-//! parallel [`BatchRunner`]; this module only formats the paper's
-//! tables from the aggregated result.
+//! The sweep is the bundled `scenarios/paper-field.toml`; this module
+//! only formats one table per radio, a row per sensor count and a
+//! column per scheme.
 //!
 //! The paper's findings this experiment should reproduce in shape:
 //! FLOOR beats CPVF everywhere, with the largest margin at small
@@ -12,43 +11,27 @@
 //! sensors); FLOOR approaches OPT as `rc` and `n` grow (within ~4 % at
 //! rc = rs = 60 and n ≥ 200).
 
-use crate::{pct, Profile};
-use msn_deploy::SchemeKind;
+use crate::pct;
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, RadioSpec, ScenarioSpec};
+use msn_scenario::{BatchResult, ScenarioSpec};
 
-/// The (rc, rs) combinations the paper's Figure 9 sweeps.
-pub const COMBOS: [(f64, f64); 3] = [(20.0, 60.0), (40.0, 60.0), (60.0, 60.0)];
-
-/// The schemes Figure 9 compares, in column order.
-const SCHEMES: [SchemeKind; 3] = [SchemeKind::Cpvf, SchemeKind::Floor, SchemeKind::Opt];
-
-/// The experiment as a declarative scenario spec.
-pub fn spec(profile: &Profile) -> ScenarioSpec {
-    ScenarioSpec::new("fig9")
-        .with_description("Figure 9: coverage vs sensor count for three (rc, rs) combos")
-        .with_schemes(SCHEMES.to_vec())
-        .with_sensor_counts(profile.n_sweep.clone())
-        .with_radios(COMBOS.to_vec())
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed)
+/// The bundled Figure 9 sweep (`scenarios/paper-field.toml`).
+pub fn spec() -> ScenarioSpec {
+    crate::bundled(include_str!("../../../scenarios/paper-field.toml"))
 }
 
-/// Runs Figure 9 (in parallel, via the scenario engine) and formats
-/// the report.
-pub fn run(profile: &Profile) -> String {
-    let result = BatchRunner::new()
-        .run(&spec(profile))
-        .expect("fig9 spec is valid");
+/// Renders Figure 9 from the `paper-field` result.
+pub fn report(result: &BatchResult) -> String {
+    let spec = &result.spec;
     let stats = result.cell_stats();
     let mut out = String::from("Figure 9 — coverage of CPVF, FLOOR and OPT vs sensor count\n");
-    for (rc, rs) in COMBOS {
-        let radio = RadioSpec::new(rc, rs);
-        let mut table = Table::new(vec!["n", "CPVF", "FLOOR", "OPT"]);
-        for &n in &profile.n_sweep {
+    for &radio in &spec.radios {
+        let mut header = vec!["n"];
+        header.extend(spec.schemes.iter().map(|s| s.name()));
+        let mut table = Table::new(header);
+        for &n in &spec.sensor_counts {
             let mut cells = vec![n.to_string()];
-            for scheme in SCHEMES {
+            for &scheme in &spec.schemes {
                 let cell = stats
                     .iter()
                     .find(|s| s.radio == radio && s.n == n && s.scheme == scheme)
@@ -57,7 +40,10 @@ pub fn run(profile: &Profile) -> String {
             }
             table.row(cells);
         }
-        out.push_str(&format!("\nrc = {rc} m, rs = {rs} m\n{table}\n"));
+        out.push_str(&format!(
+            "\nrc = {} m, rs = {} m\n{table}\n",
+            radio.rc, radio.rs
+        ));
     }
     out
 }

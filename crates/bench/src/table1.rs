@@ -2,112 +2,59 @@
 //! varying network size N and invitation TTL, in the obstacle-free and
 //! two-obstacle environments.
 //!
-//! A thin client of the `msn-scenario` engine (bundled specs
-//! `scenarios/table1-open.toml` / `table1-obstacle.toml`): the TTL
-//! columns are a parameter-variant sweep using the `floor.ttl_frac`
-//! override, so the TTL scales with each run's sensor count exactly as
-//! the paper's `TTL = 0.1N ... 0.4N`.
+//! The sweeps are the bundled `scenarios/table1-open.toml` and
+//! `table1-obstacle.toml`: the TTL columns are their parameter
+//! variants, using the `floor.ttl_frac` override so the TTL scales
+//! with each run's sensor count exactly as the paper's
+//! `TTL = 0.1N ... 0.4N`; this module only formats the tables.
 //!
 //! The paper reports totals on the order of 200–1250 thousand messages
 //! over the 750 s deployment — a few messages per node per second —
 //! growing roughly linearly in the TTL.
 
-use crate::Profile;
-use msn_deploy::{FloorOverrides, SchemeKind, SchemeOverrides};
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, FieldSpec, ScenarioSpec};
+use msn_scenario::{BatchResult, ScenarioSpec};
 
-/// Network sizes of Table 1.
-pub const SIZES: [usize; 4] = [120, 160, 200, 240];
-
-/// TTL values as fractions of N.
-pub const TTL_FRACS: [f64; 4] = [0.1, 0.2, 0.3, 0.4];
-
-/// The variant label of a TTL fraction.
-fn ttl_label(frac: f64) -> String {
-    format!("TTL={frac}N")
+/// The bundled Table 1 specs: the obstacle-free half, then the
+/// two-obstacle half.
+pub fn specs() -> Vec<ScenarioSpec> {
+    vec![
+        crate::bundled(include_str!("../../../scenarios/table1-open.toml")),
+        crate::bundled(include_str!("../../../scenarios/table1-obstacle.toml")),
+    ]
 }
 
-fn base_spec(name: &str, description: &str, profile: &Profile) -> ScenarioSpec {
-    // Scale sensor counts down in quick profiles, dropping duplicates.
-    let mut sizes: Vec<usize> = SIZES
-        .iter()
-        .map(|&s| s.min(profile.n_base.max(SIZES[0])))
-        .collect();
-    sizes.dedup();
-    let mut spec = ScenarioSpec::new(name)
-        .with_description(description)
-        .with_schemes(vec![SchemeKind::Floor])
-        .with_sensor_counts(sizes)
-        .with_radios(vec![(60.0, 40.0)])
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed);
-    for frac in TTL_FRACS {
-        spec = spec.with_variant(
-            ttl_label(frac),
-            SchemeOverrides {
-                floor: FloorOverrides {
-                    ttl_frac: Some(frac),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-    }
-    spec
-}
-
-/// The obstacle-free half of Table 1 as a declarative spec.
-pub fn open_spec(profile: &Profile) -> ScenarioSpec {
-    base_spec(
-        "table1-open",
-        "Table 1 (non-obstacle): FLOOR message totals over N x invitation-TTL",
-        profile,
-    )
-}
-
-/// The two-obstacle half of Table 1 as a declarative spec.
-pub fn obstacle_spec(profile: &Profile) -> ScenarioSpec {
-    base_spec(
-        "table1-obstacle",
-        "Table 1 (two-obstacle): FLOOR message totals over N x invitation-TTL",
-        profile,
-    )
-    .with_field(FieldSpec::TwoObstacle)
-}
-
-/// Runs Table 1 (via the scenario engine) and formats the report.
-pub fn run(profile: &Profile) -> String {
+/// Renders Table 1 from the `table1-open` and `table1-obstacle`
+/// results.
+pub fn report(open: &BatchResult, obstacle: &BatchResult) -> String {
     let mut out = String::from(
         "Table 1 — total (and per-node) FLOOR protocol messages x1000 during deployment\n",
     );
-    for (env_name, spec) in [
-        ("non-obstacle environment", open_spec(profile)),
-        ("two-obstacle environment", obstacle_spec(profile)),
+    for (env_name, result) in [
+        ("non-obstacle environment", open),
+        ("two-obstacle environment", obstacle),
     ] {
         out.push_str(&format!("\n{env_name}\n"));
-        out.push_str(&run_env(&spec).to_string());
+        out.push_str(&env_table(result).to_string());
         out.push('\n');
     }
     out
 }
 
-fn run_env(spec: &ScenarioSpec) -> Table {
-    let result = BatchRunner::new().run(spec).expect("table1 spec is valid");
+/// One environment's table: a row per sensor count, a column per TTL
+/// variant.
+fn env_table(result: &BatchResult) -> Table {
+    let spec = &result.spec;
     let stats = result.cell_stats();
     let mut header = vec!["N".to_string()];
-    for frac in TTL_FRACS {
-        header.push(ttl_label(frac));
-    }
+    header.extend(spec.variants.iter().map(|v| v.label.clone()));
     let mut table = Table::new(header);
     for &n in &spec.sensor_counts {
         let mut row = vec![n.to_string()];
-        for frac in TTL_FRACS {
-            let label = ttl_label(frac);
+        for variant in &spec.variants {
             let cell = stats
                 .iter()
-                .find(|s| s.n == n && s.variant_label == label)
+                .find(|s| s.n == n && s.variant_label == variant.label)
                 .expect("matrix covers every (n, TTL)");
             let total_k = cell.messages.mean() / 1000.0;
             let per_node_k = total_k / n as f64;

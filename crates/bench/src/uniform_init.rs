@@ -8,40 +8,30 @@
 //! schemes moving *less* than from the clustered start (sensors begin
 //! closer to their final spots).
 //!
-//! A thin client of the `msn-scenario` engine: the uniform half is
-//! the bundled `scenarios/uniform-init.toml`; the clustered
-//! comparison run is the same spec with the paper's clustered-quarter
-//! scatter swapped in.
+//! The uniform half is the bundled `scenarios/uniform-init.toml`; the
+//! clustered comparison run is the same spec with the paper's
+//! clustered-quarter scatter swapped in.
 
-use crate::{pct, Profile};
-use msn_deploy::SchemeKind;
+use crate::pct;
 use msn_metrics::Table;
-use msn_scenario::{BatchRunner, ScatterSpec, ScenarioSpec};
+use msn_scenario::{BatchResult, ScatterSpec, ScenarioSpec};
 
-/// The uniform-scatter experiment as a declarative spec.
-pub fn spec(profile: &Profile) -> ScenarioSpec {
-    ScenarioSpec::new("uniform-init")
-        .with_description("Uniform initial scatter: CPVF vs FLOOR (extension of Figures 9/11)")
-        .with_scatter(ScatterSpec::Uniform)
-        .with_schemes(vec![SchemeKind::Cpvf, SchemeKind::Floor])
-        .with_sensor_counts(vec![profile.n_base])
-        .with_radios(vec![(60.0, 40.0)])
-        .with_duration(profile.duration)
-        .with_coverage_cell(profile.coverage_cell)
-        .with_seed(profile.seed)
-}
-
-/// Runs the comparison (via the scenario engine) and formats the
-/// report.
-pub fn run(profile: &Profile) -> String {
-    let mut out = String::from(
-        "Uniform vs clustered initial distribution (extension; rc = 60 m, rs = 40 m)\n\n",
-    );
-    let uniform = spec(profile);
+/// The bundled uniform-scatter spec, then its clustered twin.
+pub fn specs() -> Vec<ScenarioSpec> {
+    let uniform = crate::bundled(include_str!("../../../scenarios/uniform-init.toml"));
     let clustered = uniform
         .clone()
         .with_name("uniform-init-clustered")
         .with_scatter(ScatterSpec::ClusteredQuarter);
+    vec![uniform, clustered]
+}
+
+/// Renders the comparison from the `uniform-init` result and its
+/// clustered twin's.
+pub fn report(uniform: &BatchResult, clustered: &BatchResult) -> String {
+    let mut out = String::from(
+        "Uniform vs clustered initial distribution (extension; rc = 60 m, rs = 40 m)\n\n",
+    );
     let mut table = Table::new(vec![
         "initial",
         "scheme",
@@ -49,8 +39,7 @@ pub fn run(profile: &Profile) -> String {
         "avg move (m)",
         "connected",
     ]);
-    for (dist_name, spec) in [("clustered", clustered), ("uniform", uniform)] {
-        let result = BatchRunner::new().run(&spec).expect("spec is valid");
+    for (dist_name, result) in [("clustered", clustered), ("uniform", uniform)] {
         for record in &result.records {
             table.row(vec![
                 dist_name.to_string(),

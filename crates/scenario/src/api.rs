@@ -439,87 +439,6 @@ impl SpecEntry {
     }
 }
 
-/// The submission-burst statistics `scenario load-test` reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadTestReport {
-    /// Specs submitted in the burst.
-    pub specs: usize,
-    /// Concurrent submitter threads.
-    pub concurrency: usize,
-    /// Submissions the daemon accepted as new jobs.
-    pub accepted: usize,
-    /// Submissions deduplicated onto an existing job.
-    pub deduped: usize,
-    /// Submissions rejected with `queue-full`.
-    pub rejected: usize,
-    /// Submissions that failed for any other reason.
-    pub errors: usize,
-    /// Median submission latency in milliseconds.
-    pub p50_ms: f64,
-    /// 99th-percentile submission latency in milliseconds.
-    pub p99_ms: f64,
-    /// Worst submission latency in milliseconds.
-    pub max_ms: f64,
-    /// Deepest queue depth observed in `submitted` responses.
-    pub max_queue_depth: usize,
-    /// Wall-clock seconds for the whole burst.
-    pub wall_s: f64,
-}
-
-impl LoadTestReport {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("specs", self.specs)
-            .field("concurrency", self.concurrency)
-            .field("accepted", self.accepted)
-            .field("deduped", self.deduped)
-            .field("rejected", self.rejected)
-            .field("errors", self.errors)
-            .field("p50_ms", self.p50_ms)
-            .field("p99_ms", self.p99_ms)
-            .field("max_ms", self.max_ms)
-            .field("max_queue_depth", self.max_queue_depth)
-            .field("wall_s", self.wall_s)
-    }
-
-    fn from_json(value: &Json) -> Result<LoadTestReport, ApiError> {
-        Ok(LoadTestReport {
-            specs: need_usize(value, "specs", "load-test")?,
-            concurrency: need_usize(value, "concurrency", "load-test")?,
-            accepted: need_usize(value, "accepted", "load-test")?,
-            deduped: need_usize(value, "deduped", "load-test")?,
-            rejected: need_usize(value, "rejected", "load-test")?,
-            errors: need_usize(value, "errors", "load-test")?,
-            p50_ms: need_f64(value, "p50_ms", "load-test")?,
-            p99_ms: need_f64(value, "p99_ms", "load-test")?,
-            max_ms: need_f64(value, "max_ms", "load-test")?,
-            max_queue_depth: need_usize(value, "max_queue_depth", "load-test")?,
-            wall_s: need_f64(value, "wall_s", "load-test")?,
-        })
-    }
-
-    /// Renders the human report table.
-    pub fn render(&self) -> String {
-        format!(
-            "load-test: {} specs x {} submitters in {:.2}s\n\
-             accepted {} | deduped {} | rejected {} | errors {}\n\
-             submission latency p50 {:.2} ms | p99 {:.2} ms | max {:.2} ms\n\
-             max queue depth {}\n",
-            self.specs,
-            self.concurrency,
-            self.wall_s,
-            self.accepted,
-            self.deduped,
-            self.rejected,
-            self.errors,
-            self.p50_ms,
-            self.p99_ms,
-            self.max_ms,
-            self.max_queue_depth
-        )
-    }
-}
-
 /// One answer from the service (or from a CLI subcommand in `--json`
 /// mode — both speak the same vocabulary).
 #[derive(Debug, Clone, PartialEq)]
@@ -614,11 +533,6 @@ pub enum Response {
         total_runs: usize,
         /// Canonical TOML of the spec.
         spec_toml: String,
-    },
-    /// `scenario load-test` statistics (CLI-only).
-    LoadTest {
-        /// The burst report.
-        report: LoadTestReport,
     },
     /// The operation failed.
     Error {
@@ -717,9 +631,6 @@ impl Response {
                 .field("resume_digest", resume_digest.as_str())
                 .field("total_runs", *total_runs)
                 .field("spec_toml", spec_toml.as_str()),
-            Response::LoadTest { report } => Json::obj()
-                .field("response", "load-test")
-                .field("report", report.to_json()),
             Response::Error { error } => {
                 let mut obj = Json::obj()
                     .field("response", "error")
@@ -814,9 +725,6 @@ impl Response {
                 resume_digest: need_str(value, "resume_digest", "spec")?,
                 total_runs: need_usize(value, "total_runs", "spec")?,
                 spec_toml: need_str(value, "spec_toml", "spec")?,
-            }),
-            "load-test" => Ok(Response::LoadTest {
-                report: LoadTestReport::from_json(need(value, "report", "load-test")?)?,
             }),
             "error" => Ok(Response::Error {
                 error: ApiError::from_code(
@@ -1023,21 +931,6 @@ mod tests {
             resume_digest: "ee".into(),
             total_runs: 8,
             spec_toml: "name = \"smoke\"\n".into(),
-        });
-        roundtrip_response(Response::LoadTest {
-            report: LoadTestReport {
-                specs: 50,
-                concurrency: 8,
-                accepted: 48,
-                deduped: 1,
-                rejected: 1,
-                errors: 0,
-                p50_ms: 0.8,
-                p99_ms: 4.5,
-                max_ms: 9.25,
-                max_queue_depth: 12,
-                wall_s: 1.5,
-            },
         });
         for error in [
             ApiError::Usage("bad flag".into()),

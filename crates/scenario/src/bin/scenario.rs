@@ -12,18 +12,18 @@
 //! Local execution (`run`, `diff`, `bench-diff`, `profile-*`, `list`,
 //! `describe`) and daemon interaction (`serve`, `submit`, `job`,
 //! `jobs`, `fetch`, `subscribe`, `diff --socket`, `profile-report
-//! --socket`, `profile-diff --socket`, `load-test`, `ping`,
-//! `shutdown`) speak the same Request/Response vocabulary; the daemon
-//! path goes through [`msn_scenario::Client`], the local path calls
-//! the library directly. `run` takes a pid-stamped lock next to
+//! --socket`, `profile-diff --socket`, `ping`, `shutdown`) speak the
+//! same Request/Response vocabulary; the daemon path goes through
+//! [`msn_scenario::Client`], the local path calls the library
+//! directly. `run` takes a pid-stamped lock next to
 //! `batch.json` so two invocations can't interleave checkpoints, and
 //! its output is byte-identical to what a served job stores for the
 //! same spec.
 
 use msn_scenario::{
-    diff_batches, diff_bench, junit_xml, load_test, serve, ApiError, BatchFile, BatchLock,
-    BenchRecord, Client, JobInfo, JobState, Json, LoadTestConfig, ProfileRecord, ProgressEvent,
-    ProgressSink, Request, Response, RunConfig, ScenarioSpec, ServeConfig,
+    diff_batches, diff_bench, junit_xml, serve, ApiError, BatchFile, BatchLock, BenchRecord,
+    Client, JobInfo, JobState, Json, ProfileRecord, ProgressEvent, ProgressSink, Request, Response,
+    RunConfig, ScenarioSpec, ServeConfig,
 };
 use std::io::IsTerminal;
 use std::path::{Path, PathBuf};
@@ -41,7 +41,6 @@ fn main() -> ExitCode {
         Some("jobs") => cmd_jobs(&args[1..]),
         Some("fetch") => cmd_fetch(&args[1..]),
         Some("subscribe") => cmd_subscribe(&args[1..]),
-        Some("load-test") => cmd_load_test(&args[1..]),
         Some("ping") => cmd_ping(&args[1..]),
         Some("shutdown") => cmd_shutdown(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
@@ -174,7 +173,6 @@ fn render_human(response: &Response) {
             println!("job digest:    {digest}");
             println!("resume digest: {resume_digest}");
         }
-        Response::LoadTest { report } => print!("{}", report.render()),
         Response::Error { error } => eprintln!("error: {error}"),
     }
 }
@@ -215,8 +213,6 @@ USAGE (service):
     scenario diff <digest-a> <digest-b> --socket PATH [--tol T]
     scenario profile-report <digest> --socket PATH
     scenario profile-diff <digest-a> <digest-b> --socket PATH [--tol T]
-    scenario load-test <spec.toml> [--socket PATH] [--count N]
-                       [--concurrency N] [--quick]
     scenario ping [--socket PATH]
     scenario shutdown [--socket PATH]
 
@@ -243,9 +239,7 @@ results/serve/jobs/<digest>/). Identical specs dedup onto the same
 job; a SIGKILL'd daemon recovers queued/running jobs on restart and
 resumes from the last checkpoint. `submit --wait` streams progress
 until the job finishes; `fetch` prints a stored artifact to stdout;
-`subscribe` streams a job's NDJSON events. `load-test` replays a
-burst of distinct-seed submissions and reports p50/p99 submission
-latency and the deepest queue observed.
+`subscribe` streams a job's NDJSON events.
 
 `diff` compares two batch.json files (or, with --socket, two stored
 jobs) cell-by-cell within relative tolerance T (default 0 = exact);
@@ -279,16 +273,6 @@ fn load_spec(path: &str) -> Result<ScenarioSpec, ApiError> {
         }
     })?;
     ScenarioSpec::from_toml_str(&text).map_err(|e| ApiError::InvalidSpec(format!("{path}: {e}")))
-}
-
-/// The `--quick` shrink: capped duration/repetitions and a coarse
-/// coverage raster for fast smoke passes. Shared by `run`, `submit`
-/// and `load-test`.
-fn quick_spec(spec: &ScenarioSpec) -> ScenarioSpec {
-    spec.clone()
-        .with_duration(spec.duration.min(100.0))
-        .with_repetitions(spec.repetitions.min(2))
-        .with_coverage_cell(spec.coverage_cell.max(5.0))
 }
 
 fn parse_count(v: &str, what: &str) -> Result<usize, ApiError> {
@@ -363,7 +347,7 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
     let spec_path = spec_path.ok_or_else(|| usage("run needs a spec file"))?;
     let mut spec = load_spec(spec_path)?;
     if quick {
-        spec = quick_spec(&spec);
+        spec = spec.quick();
     }
     let dir = out_dir.unwrap_or_else(|| Path::new("results/scenario").join(&spec.name));
     // refuse a second concurrent run against the same batch.json — a
@@ -859,7 +843,7 @@ fn cmd_submit(args: &[String]) -> Result<Response, ApiError> {
     let spec_path = spec_path.ok_or_else(|| usage("submit needs a spec file"))?;
     let mut spec = load_spec(spec_path)?;
     if quick {
-        spec = quick_spec(&spec);
+        spec = spec.quick();
     }
     let client = Client::new(socket);
     let submitted = client.request(&Request::Submit {
@@ -942,47 +926,6 @@ fn cmd_fetch(args: &[String]) -> Result<Response, ApiError> {
         job: digest.to_string(),
         name: name.to_string(),
     })
-}
-
-fn cmd_load_test(args: &[String]) -> Result<Response, ApiError> {
-    let mut spec_path: Option<&str> = None;
-    let mut socket = default_socket();
-    let mut count = 50usize;
-    let mut concurrency = 8usize;
-    let mut quick = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => {
-                socket = PathBuf::from(it.next().ok_or_else(|| usage("--socket needs a path"))?);
-            }
-            "--count" => {
-                let v = it.next().ok_or_else(|| usage("--count needs a number"))?;
-                count = parse_count(v, "count")?.max(1);
-            }
-            "--concurrency" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--concurrency needs a number"))?;
-                concurrency = parse_count(v, "concurrency")?.max(1);
-            }
-            "--quick" => quick = true,
-            other if !other.starts_with('-') && spec_path.is_none() => spec_path = Some(other),
-            other => return Err(usage(format!("unexpected load-test argument '{other}'"))),
-        }
-    }
-    let spec_path = spec_path.ok_or_else(|| usage("load-test needs a spec file"))?;
-    let mut spec = load_spec(spec_path)?;
-    if quick {
-        spec = quick_spec(&spec);
-    }
-    let report = load_test(&LoadTestConfig {
-        socket,
-        spec,
-        count,
-        concurrency,
-    })?;
-    Ok(Response::LoadTest { report })
 }
 
 fn cmd_ping(args: &[String]) -> Result<Response, ApiError> {

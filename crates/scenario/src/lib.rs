@@ -16,8 +16,8 @@
 //!   `msn-metrics`, exported as JSON, CSV and ASCII report tables.
 //!
 //! The `scenario` binary (`run` / `list` / `describe`) drives specs
-//! from the bundled `scenarios/` directory, and `msn-bench`'s `fig9` /
-//! `fig13` are thin clients of this engine.
+//! from the bundled `scenarios/` directory; `msn-bench` renders the
+//! paper's figures from batches of the same bundled specs.
 //!
 //! # Quickstart
 //!
@@ -44,7 +44,6 @@ mod diff;
 mod jobstore;
 mod json;
 mod junit;
-mod loadtest;
 mod profile;
 mod progress;
 mod runner;
@@ -54,15 +53,14 @@ mod toml;
 mod wire;
 
 pub use api::{
-    job_event_line, job_state_line, ApiError, JobInfo, JobState, LoadTestReport, Request, Response,
-    SpecEntry, API_VERSION,
+    job_event_line, job_state_line, ApiError, JobInfo, JobState, Request, Response, SpecEntry,
+    API_VERSION,
 };
 pub use bench::{diff_bench, BenchDiffReport, BenchKernel, BenchRecord, DeltaStatus, KernelDelta};
 pub use diff::{diff_batches, BatchFile, CellDiff, CellKey, DiffReport, FileRun, MetricSummary};
 pub use jobstore::{write_atomic, BatchLock, JobStore, ARTIFACTS};
 pub use json::{Json, JsonError};
 pub use junit::junit_xml;
-pub use loadtest::{load_test, LoadTestConfig};
 pub use profile::{ProfileCell, ProfileRecord};
 pub use progress::{eta_seconds, ProgressEvent, ProgressSink};
 pub use runner::{BatchResult, BatchRunner, CellStats, RunConfig, RunRecord, ScenarioError};

@@ -180,8 +180,7 @@ struct CheckpointPolicy {
 /// builder: thread pinning, checkpointing, profiling and progress
 /// streaming. The CLI, the test suites and the `scenario serve`
 /// daemon all assemble a `RunConfig` and turn it into a runner with
-/// [`RunConfig::runner`] — the former per-knob `BatchRunner::with_*`
-/// constructors survive only as deprecated shims.
+/// [`RunConfig::runner`].
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     threads: Option<usize>,
@@ -266,47 +265,6 @@ impl BatchRunner {
     /// (or `RAYON_NUM_THREADS`).
     pub fn new() -> Self {
         BatchRunner::default()
-    }
-
-    /// Deprecated shim for [`RunConfig::threads`].
-    #[deprecated(since = "0.9.0", note = "build a RunConfig and use RunConfig::threads")]
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.cfg = self.cfg.threads(threads);
-        self
-    }
-
-    /// Deprecated shim for [`RunConfig::checkpoint`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "build a RunConfig and use RunConfig::checkpoint"
-    )]
-    #[must_use]
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: usize) -> Self {
-        self.cfg = self.cfg.checkpoint(path, every);
-        self
-    }
-
-    /// Deprecated shim for [`RunConfig::profiling`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "build a RunConfig and use RunConfig::profiling"
-    )]
-    #[must_use]
-    pub fn with_profiling(mut self, enabled: bool) -> Self {
-        self.cfg = self.cfg.profiling(enabled);
-        self
-    }
-
-    /// Deprecated shim for [`RunConfig::progress`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "build a RunConfig and use RunConfig::progress"
-    )]
-    #[must_use]
-    pub fn with_progress(mut self, sink: ProgressSink) -> Self {
-        self.cfg = self.cfg.progress(sink);
-        self
     }
 
     /// The number of workers a run will actually use.
@@ -761,7 +719,7 @@ pub struct BatchResult {
     /// One record per matrix cell, in matrix order.
     pub records: Vec<RunRecord>,
     /// One observation report per matrix cell, in matrix order, when
-    /// the batch ran with [`BatchRunner::with_profiling`] — `None`
+    /// the batch ran with [`RunConfig::profiling`] — `None`
     /// for cells restored by resume (never executed) and under the
     /// `obs-off` feature. Empty when profiling was off. Not part of
     /// any serialized batch output; aggregate it with
@@ -1203,19 +1161,6 @@ mod tests {
         let sequential = RunConfig::new().threads(1).runner().run(&spec).unwrap();
         let pinned = RunConfig::new().threads(3).runner().run(&spec).unwrap();
         assert_eq!(sequential.to_json(), pinned.to_json());
-    }
-
-    #[test]
-    #[allow(deprecated)] // the shims must keep working for one PR
-    fn deprecated_with_shims_match_run_config() {
-        let spec = tiny_spec().with_repetitions(1);
-        let via_config = RunConfig::new().threads(2).runner().run(&spec).unwrap();
-        let via_shims = BatchRunner::new()
-            .with_threads(2)
-            .with_profiling(false)
-            .run(&spec)
-            .unwrap();
-        assert_eq!(via_config.to_json(), via_shims.to_json());
     }
 
     #[test]

@@ -374,6 +374,18 @@ impl ScenarioSpec {
         self
     }
 
+    /// The `--quick` shrink for fast smoke passes: duration capped at
+    /// 100 s, repetitions at 2 and the coverage raster coarsened to at
+    /// least 5 m. Every other field — the sweep axes included — is
+    /// kept, and an already-small spec comes back unchanged.
+    #[must_use]
+    pub fn quick(self) -> Self {
+        let (duration, repetitions, cell) = (self.duration, self.repetitions, self.coverage_cell);
+        self.with_duration(duration.min(100.0))
+            .with_repetitions(repetitions.min(2))
+            .with_coverage_cell(cell.max(5.0))
+    }
+
     /// Number of variant slots in the matrix (at least 1: a spec
     /// without explicit variants has one unlabeled default).
     pub fn variant_count(&self) -> usize {
@@ -1495,6 +1507,30 @@ mod tests {
         }
         // different reps get different environments
         assert_ne!(cells[0].env_seed, cells[2].env_seed);
+    }
+
+    #[test]
+    fn quick_caps_duration_reps_and_raster_only() {
+        let full = ScenarioSpec::new("t")
+            .with_sensor_counts(vec![120, 240])
+            .with_radios(vec![(60.0, 40.0), (30.0, 40.0)])
+            .with_repetitions(300)
+            .with_variant("v", SchemeOverrides::default());
+        let quick = full.clone().quick();
+        assert_eq!(quick.duration, 100.0);
+        assert_eq!(quick.repetitions, 2);
+        assert_eq!(quick.coverage_cell, 5.0);
+        let restored = quick
+            .clone()
+            .with_duration(full.duration)
+            .with_repetitions(full.repetitions)
+            .with_coverage_cell(full.coverage_cell);
+        assert_eq!(restored, full, "quick touches nothing else");
+        let small = full
+            .with_duration(40.0)
+            .with_repetitions(1)
+            .with_coverage_cell(10.0);
+        assert_eq!(small.clone().quick(), small, "no-op on a small spec");
     }
 
     #[test]

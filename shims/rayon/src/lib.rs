@@ -152,7 +152,12 @@ mod pool {
     fn participate(state: &BatchState, slot: usize) {
         let p = state.queues.len();
         loop {
-            let chunk = state.queues[slot].lock().unwrap().pop_front().or_else(|| {
+            // Pop the own deque in its own statement: the guard must be
+            // dropped before stealing, or two participants running dry
+            // together would each hold their deque while locking the
+            // other's (ABBA deadlock).
+            let own = state.queues[slot].lock().unwrap().pop_front();
+            let chunk = own.or_else(|| {
                 (1..p).find_map(|off| state.queues[(slot + off) % p].lock().unwrap().pop_back())
             });
             let Some(r) = chunk else { break };
@@ -413,6 +418,27 @@ mod tests {
             let out: Vec<u64> = v.clone().into_par_iter().map(|x| x + round).collect();
             assert_eq!(out, v.iter().map(|x| x + round).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn back_to_back_tiny_batches_never_deadlock() {
+        // Many batches of single-item chunks make participants run dry
+        // at the same instant and steal from each other; the stealing
+        // path must never hold one deque's lock while taking another's.
+        // The batches run on a helper thread so a deadlock fails the
+        // test instead of hanging the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let batches = std::thread::spawn(move || {
+            for round in 0..20_000u64 {
+                let v: Vec<u64> = (0..8).collect();
+                let out = super::run_indexed(v, &|x| x ^ round, 4);
+                assert_eq!(out.len(), 8);
+            }
+            tx.send(()).expect("test thread waits for completion");
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("20k tiny batches must complete without deadlocking the pool");
+        batches.join().expect("batch thread finished cleanly");
     }
 
     #[test]

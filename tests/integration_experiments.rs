@@ -1,23 +1,41 @@
-//! Smoke tests for the experiment harness: every figure/table module
-//! must run end to end at a tiny scale and produce a plausible report.
+//! Smoke tests for the experiment harness: every figure/table must run
+//! end to end from a shrunken copy of its bundled spec(s) and render a
+//! plausible report.
 
-use msn_bench::Profile;
+use msn_bench::FIGURES;
+use msn_scenario::{BatchResult, BatchRunner, ScenarioSpec};
 
-fn tiny() -> Profile {
-    Profile {
-        n_base: 40,
-        n_sweep: vec![30, 40],
-        duration: 80.0,
-        coverage_cell: 10.0,
-        fig13_runs: 2,
-        seed: 42,
-        layouts: false,
-    }
+/// A tiny version of a bundled spec: 30/40 sensors (40 for a single
+/// count), 80 s, a 10 m raster and at most two repetitions.
+fn shrink(spec: ScenarioSpec) -> ScenarioSpec {
+    let counts = if spec.sensor_counts.len() > 1 {
+        vec![30, 40]
+    } else {
+        vec![40]
+    };
+    let reps = spec.repetitions.min(2);
+    spec.with_sensor_counts(counts)
+        .with_duration(80.0)
+        .with_coverage_cell(10.0)
+        .with_repetitions(reps)
+}
+
+/// Runs the shrunken specs of figure `name` and renders its report.
+fn report(name: &str) -> String {
+    let figure = FIGURES
+        .iter()
+        .find(|f| f.name == name)
+        .unwrap_or_else(|| panic!("{name} is in FIGURES"));
+    let results: Vec<BatchResult> = (figure.specs)()
+        .into_iter()
+        .map(|spec| BatchRunner::new().run(&shrink(spec)).expect("valid spec"))
+        .collect();
+    (figure.render)(&results.iter().collect::<Vec<_>>())
 }
 
 #[test]
 fn fig3_report_contains_all_scenarios() {
-    let report = msn_bench::fig3::run(&tiny());
+    let report = report("fig3");
     assert!(report.contains("Figure 3"));
     assert!(report.contains("(a) rc=60 rs=40 open"));
     assert!(report.contains("(b) rc=30 rs=40 open"));
@@ -27,7 +45,7 @@ fn fig3_report_contains_all_scenarios() {
 
 #[test]
 fn fig8_report_contains_all_scenarios() {
-    let report = msn_bench::fig8::run(&tiny());
+    let report = report("fig8");
     assert!(report.contains("Figure 8"));
     assert!(report.contains("FLOOR"));
     assert!(
@@ -38,25 +56,25 @@ fn fig8_report_contains_all_scenarios() {
 
 #[test]
 fn fig9_sweeps_all_combos() {
-    let report = msn_bench::fig9::run(&tiny());
-    for (rc, rs) in msn_bench::fig9::COMBOS {
-        assert!(report.contains(&format!("rc = {rc} m, rs = {rs} m")));
+    let report = report("fig9");
+    for radio in msn_bench::fig9::spec().radios {
+        assert!(report.contains(&format!("rc = {} m, rs = {} m", radio.rc, radio.rs)));
     }
     assert!(report.contains("OPT"));
 }
 
 #[test]
 fn fig10_lists_every_ratio_with_flags() {
-    let report = msn_bench::fig10::run(&tiny());
-    for ratio in msn_bench::fig10::RATIOS {
-        assert!(report.contains(&format!("{ratio:.1}")));
+    let report = report("fig10");
+    for radio in msn_bench::fig10::spec().radios {
+        assert!(report.contains(&format!("{:.1}", radio.rc / radio.rs)));
     }
     assert!(report.contains("Disconn."), "small rc/rs must disconnect");
 }
 
 #[test]
 fn fig11_reports_six_schemes() {
-    let report = msn_bench::fig11::run(&tiny());
+    let report = report("fig11");
     for name in [
         "CPVF",
         "FLOOR",
@@ -71,7 +89,7 @@ fn fig11_reports_six_schemes() {
 
 #[test]
 fn fig12_sweeps_deltas() {
-    let report = msn_bench::fig12::run(&tiny());
+    let report = report("fig12");
     assert!(report.contains("one-step"));
     assert!(report.contains("two-step"));
     assert!(report.contains("off"));
@@ -79,7 +97,7 @@ fn fig12_sweeps_deltas() {
 
 #[test]
 fn fig13_produces_cdfs() {
-    let report = msn_bench::fig13::run(&tiny());
+    let report = report("fig13");
     assert!(report.contains("CDF of coverage"));
     assert!(report.contains("CDF of average moving distance"));
     assert!(report.contains("F_CPVF(x)"));
@@ -87,7 +105,7 @@ fn fig13_produces_cdfs() {
 
 #[test]
 fn ablation_reports_all_variants() {
-    let report = msn_bench::ablation::run(&tiny());
+    let report = report("ablation");
     for name in ["full FLOOR", "no BLG", "no IFLG", "FLG only"] {
         assert!(report.contains(name), "missing variant {name}");
     }
@@ -95,7 +113,7 @@ fn ablation_reports_all_variants() {
 
 #[test]
 fn uniform_init_compares_both_distributions() {
-    let report = msn_bench::uniform_init::run(&tiny());
+    let report = report("uniform_init");
     assert!(report.contains("clustered"));
     assert!(report.contains("uniform"));
     assert!(report.contains("FLOOR"));
@@ -103,7 +121,7 @@ fn uniform_init_compares_both_distributions() {
 
 #[test]
 fn table1_covers_both_environments() {
-    let report = msn_bench::table1::run(&tiny());
+    let report = report("table1");
     assert!(report.contains("non-obstacle environment"));
     assert!(report.contains("two-obstacle environment"));
     assert!(report.contains("TTL=0.1N"));

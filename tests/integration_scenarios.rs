@@ -66,46 +66,6 @@ fn bundled_specs_cover_the_advertised_field_kinds() {
     }
 }
 
-/// Every figure/table binary must execute the exact sweep its bundled
-/// spec declares: the in-code full-scale specs and the TOML files may
-/// not drift apart (`cargo run -p msn-bench --bin gen_specs`
-/// regenerates the files from the modules).
-#[test]
-fn figure_modules_and_bundled_specs_agree() {
-    use msn_bench::{ablation, fig10, fig11, fig12, fig13, fig3, fig9, table1, uniform_init};
-    let profile = msn_bench::Profile::full();
-    let bundled: std::collections::BTreeMap<String, ScenarioSpec> = bundled_specs()
-        .into_iter()
-        .map(|(_, s)| (s.name.clone(), s))
-        .collect();
-    let expect = |module_spec: ScenarioSpec, bundled_name: &str| {
-        let file_spec = bundled
-            .get(bundled_name)
-            .unwrap_or_else(|| panic!("scenarios/{bundled_name}.toml is bundled"));
-        // fig9/fig13 predate the figN file naming; compare their sweep
-        // content under the bundled name and description.
-        let module_spec = module_spec
-            .with_name(file_spec.name.clone())
-            .with_description(file_spec.description.clone());
-        assert_eq!(
-            &module_spec, file_spec,
-            "module vs scenarios/{bundled_name}.toml"
-        );
-    };
-    expect(fig3::open_spec(&profile), "fig38-open");
-    expect(fig3::obstacle_spec(&profile), "fig38-obstacle");
-    expect(fig9::spec(&profile), "paper-field");
-    expect(fig10::spec(&profile), "fig10");
-    expect(fig11::spec(&profile), "fig11");
-    expect(fig12::spec(&profile), "fig12");
-    expect(fig13::spec(&profile), "random-obstacle-sweep");
-    expect(table1::open_spec(&profile), "table1-open");
-    expect(table1::obstacle_spec(&profile), "table1-obstacle");
-    expect(ablation::open_spec(&profile), "ablation-open");
-    expect(ablation::obstacle_spec(&profile), "ablation-obstacle");
-    expect(uniform_init::spec(&profile), "uniform-init");
-}
-
 #[test]
 fn a_shrunken_bundled_spec_executes_end_to_end() {
     let (_, spec) = bundled_specs()
