@@ -58,7 +58,9 @@ pub mod vd;
 
 pub use dynamic::{run_scheme_dynamic, DynamicOutcome, EventRecord};
 pub use lazy::ConnectOutcome;
-pub use overrides::{CpvfOverrides, FloorOverrides, OptOverrides, SchemeOverrides, VdOverrides};
+pub use overrides::{
+    CpvfOverrides, FloorOverrides, OptOverrides, SchemeOverrides, Slot, VdOverrides,
+};
 
 use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;

@@ -15,107 +15,130 @@ use crate::opt::OptParams;
 use crate::vd::VdParams;
 use msn_sim::SimConfig;
 
-/// Picks the override (`over`) when present, else the base override.
-fn or<T: Clone>(over: &Option<T>, base: &Option<T>) -> Option<T> {
-    over.clone().or_else(|| base.clone())
+/// A typed view of one override knob, as handed out by each override
+/// table's `slots`. Codecs (the scenario TOML reader and writer) walk
+/// these `(key, slot)` pairs instead of naming fields, so a knob is
+/// declared once, in its table beside the structs, and nowhere else.
+#[derive(Debug)]
+pub enum Slot<'a> {
+    /// A real-valued knob.
+    F64(&'a mut Option<f64>),
+    /// A count knob.
+    Usize(&'a mut Option<usize>),
+    /// A 32-bit count knob.
+    U32(&'a mut Option<u32>),
+    /// A switch.
+    Bool(&'a mut Option<bool>),
 }
 
-/// FLOOR knob overrides (see [`FloorParams`] for semantics).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FloorOverrides {
-    /// Absolute invitation TTL (hops). Mutually exclusive with
-    /// [`FloorOverrides::ttl_frac`].
-    pub ttl: Option<usize>,
-    /// Invitation TTL as a fraction of the sensor count: the run uses
-    /// `max(1, round(frac * n))` (Table 1's `TTL = 0.1N ... 0.4N`).
-    pub ttl_frac: Option<f64>,
-    /// Invitations a movable sensor collects before committing.
-    pub quorum: Option<usize>,
-    /// Periods a movable waits with a non-empty inbox.
-    pub patience: Option<u32>,
-    /// Movable-classification exclusive-coverage threshold.
-    pub movable_threshold: Option<f64>,
-    /// Phase 2 start as a fraction of the run duration.
-    pub phase1_timeout_frac: Option<f64>,
-    /// Unanswered invitations per EP before giving up.
-    pub max_invites_per_ep: Option<u32>,
-    /// Concurrent expansion points per fixed node.
-    pub max_concurrent_eps: Option<usize>,
-    /// Consecutive idle periods before a fixed node stops checking.
-    pub idle_stop_periods: Option<u32>,
-    /// Boundary-guided expansion (ablation switch).
-    pub enable_blg: Option<bool>,
-    /// Inter-floor-line-guided expansion (ablation switch).
-    pub enable_iflg: Option<bool>,
-}
-
-impl FloorOverrides {
-    fn merged_over(&self, base: &FloorOverrides) -> FloorOverrides {
-        // ttl and ttl_frac are one logical knob: a variant that sets
-        // either supersedes the base's TTL choice entirely, so a base
-        // `ttl = 8` cannot shadow a variant's `ttl_frac` sweep.
-        let (ttl, ttl_frac) = if self.ttl.is_some() || self.ttl_frac.is_some() {
-            (self.ttl, self.ttl_frac)
-        } else {
-            (base.ttl, base.ttl_frac)
-        };
-        FloorOverrides {
-            ttl,
-            ttl_frac,
-            quorum: or(&self.quorum, &base.quorum),
-            patience: or(&self.patience, &base.patience),
-            movable_threshold: or(&self.movable_threshold, &base.movable_threshold),
-            phase1_timeout_frac: or(&self.phase1_timeout_frac, &base.phase1_timeout_frac),
-            max_invites_per_ep: or(&self.max_invites_per_ep, &base.max_invites_per_ep),
-            max_concurrent_eps: or(&self.max_concurrent_eps, &base.max_concurrent_eps),
-            idle_stop_periods: or(&self.idle_stop_periods, &base.idle_stop_periods),
-            enable_blg: or(&self.enable_blg, &base.enable_blg),
-            enable_iflg: or(&self.enable_iflg, &base.enable_iflg),
+macro_rules! slot_from {
+    ($($variant:ident($ty:ty)),*) => {$(
+        impl<'a> From<&'a mut Option<$ty>> for Slot<'a> {
+            fn from(slot: &'a mut Option<$ty>) -> Self {
+                Slot::$variant(slot)
+            }
         }
+    )*};
+}
+slot_from!(F64(f64), Usize(usize), U32(u32), Bool(bool));
+
+/// Declares an override table: the struct (every field an `Option`,
+/// unset = scheme default), its field-wise `merged_over` and its
+/// `slots` view. Knobs before the optional `by_hand` block are plain
+/// [`Slot`]s; `by_hand` fields merge like the others but are left out
+/// of `slots`, so their codec is written by hand.
+macro_rules! overrides {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$kmeta:meta])* $knob:ident: $kty:ty,)*
+        }
+        $(by_hand { $($(#[$xmeta:meta])* $extra:ident: $xty:ty,)* })?
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct $name {
+            $($(#[$kmeta])* pub $knob: Option<$kty>,)*
+            $($($(#[$xmeta])* pub $extra: Option<$xty>,)*)?
+        }
+
+        impl $name {
+            /// Field-wise merge: fields set in `self` win.
+            fn merged_over(&self, base: &$name) -> $name {
+                $name {
+                    $($knob: self.$knob.or(base.$knob),)*
+                    $($($extra: self.$extra.or(base.$extra),)*)?
+                }
+            }
+
+            /// Every plain knob as `(key, slot)`, in declaration order.
+            pub fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+                vec![$((stringify!($knob), Slot::from(&mut self.$knob)),)*]
+            }
+        }
+    };
+}
+
+overrides! {
+    /// FLOOR knob overrides (see [`FloorParams`] for semantics).
+    pub struct FloorOverrides {
+        /// Absolute invitation TTL (hops). Mutually exclusive with
+        /// [`FloorOverrides::ttl_frac`].
+        ttl: usize,
+        /// Invitation TTL as a fraction of the sensor count: the run uses
+        /// `max(1, round(frac * n))` (Table 1's `TTL = 0.1N ... 0.4N`).
+        ttl_frac: f64,
+        /// Invitations a movable sensor collects before committing.
+        quorum: usize,
+        /// Periods a movable waits with a non-empty inbox.
+        patience: u32,
+        /// Movable-classification exclusive-coverage threshold.
+        movable_threshold: f64,
+        /// Phase 2 start as a fraction of the run duration.
+        phase1_timeout_frac: f64,
+        /// Unanswered invitations per EP before giving up.
+        max_invites_per_ep: u32,
+        /// Concurrent expansion points per fixed node.
+        max_concurrent_eps: usize,
+        /// Consecutive idle periods before a fixed node stops checking.
+        idle_stop_periods: u32,
+        /// Boundary-guided expansion (ablation switch).
+        enable_blg: bool,
+        /// Inter-floor-line-guided expansion (ablation switch).
+        enable_iflg: bool,
     }
 }
 
-/// CPVF knob overrides (see [`CpvfParams`] / [`ForceParams`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CpvfOverrides {
-    /// Upper bound of the random start delay (s).
-    pub backoff_max: Option<f64>,
-    /// Allow parent switching when a sensor cannot move.
-    pub allow_parent_change: Option<bool>,
-    /// Oscillation-avoidance technique (§6.3).
-    pub oscillation: Option<OscillationAvoidance>,
-    /// Neighbor repulsion threshold (m); default `min(rc, 2·rs)`.
-    pub neighbor_threshold: Option<f64>,
-    /// Gain of neighbor repulsion.
-    pub neighbor_gain: Option<f64>,
-    /// Obstacle repulsion range (m); default `min(rs, rc)`.
-    pub obstacle_range: Option<f64>,
-    /// Gain of obstacle repulsion.
-    pub obstacle_gain: Option<f64>,
-    /// Boundary repulsion range (m).
-    pub boundary_range: Option<f64>,
-    /// Gain of boundary repulsion.
-    pub boundary_gain: Option<f64>,
-    /// Equilibrium force threshold.
-    pub min_force: Option<f64>,
+overrides! {
+    /// CPVF knob overrides (see [`CpvfParams`] / [`ForceParams`]).
+    pub struct CpvfOverrides {
+        /// Upper bound of the random start delay (s).
+        backoff_max: f64,
+        /// Allow parent switching when a sensor cannot move.
+        allow_parent_change: bool,
+        /// Neighbor repulsion threshold (m); default `min(rc, 2·rs)`.
+        neighbor_threshold: f64,
+        /// Gain of neighbor repulsion.
+        neighbor_gain: f64,
+        /// Obstacle repulsion range (m); default `min(rs, rc)`.
+        obstacle_range: f64,
+        /// Gain of obstacle repulsion.
+        obstacle_gain: f64,
+        /// Boundary repulsion range (m).
+        boundary_range: f64,
+        /// Gain of boundary repulsion.
+        boundary_gain: f64,
+        /// Equilibrium force threshold.
+        min_force: f64,
+    }
+    by_hand {
+        /// Oscillation-avoidance technique (§6.3); in TOML a kind plus
+        /// its `delta`.
+        oscillation: OscillationAvoidance,
+    }
 }
 
 impl CpvfOverrides {
-    fn merged_over(&self, base: &CpvfOverrides) -> CpvfOverrides {
-        CpvfOverrides {
-            backoff_max: or(&self.backoff_max, &base.backoff_max),
-            allow_parent_change: or(&self.allow_parent_change, &base.allow_parent_change),
-            oscillation: or(&self.oscillation, &base.oscillation),
-            neighbor_threshold: or(&self.neighbor_threshold, &base.neighbor_threshold),
-            neighbor_gain: or(&self.neighbor_gain, &base.neighbor_gain),
-            obstacle_range: or(&self.obstacle_range, &base.obstacle_range),
-            obstacle_gain: or(&self.obstacle_gain, &base.obstacle_gain),
-            boundary_range: or(&self.boundary_range, &base.boundary_range),
-            boundary_gain: or(&self.boundary_gain, &base.boundary_gain),
-            min_force: or(&self.min_force, &base.min_force),
-        }
-    }
-
     fn touches_force(&self) -> bool {
         self.neighbor_threshold.is_some()
             || self.neighbor_gain.is_some()
@@ -127,39 +150,23 @@ impl CpvfOverrides {
     }
 }
 
-/// VOR/Minimax knob overrides (see [`VdParams`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct VdOverrides {
-    /// Movement rounds after the explosion.
-    pub rounds: Option<usize>,
-    /// VOR's per-round movement cap as a fraction of `rc`.
-    pub step_cap_frac: Option<f64>,
-    /// Run the explosion phase.
-    pub explode: Option<bool>,
-}
-
-impl VdOverrides {
-    fn merged_over(&self, base: &VdOverrides) -> VdOverrides {
-        VdOverrides {
-            rounds: or(&self.rounds, &base.rounds),
-            step_cap_frac: or(&self.step_cap_frac, &base.step_cap_frac),
-            explode: or(&self.explode, &base.explode),
-        }
+overrides! {
+    /// VOR/Minimax knob overrides (see [`VdParams`]).
+    pub struct VdOverrides {
+        /// Movement rounds after the explosion.
+        rounds: usize,
+        /// VOR's per-round movement cap as a fraction of `rc`.
+        step_cap_frac: f64,
+        /// Run the explosion phase.
+        explode: bool,
     }
 }
 
-/// OPT knob overrides (see [`OptParams`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct OptOverrides {
-    /// Safety factor applied to connector spacing.
-    pub connector_slack: Option<f64>,
-}
-
-impl OptOverrides {
-    fn merged_over(&self, base: &OptOverrides) -> OptOverrides {
-        OptOverrides {
-            connector_slack: or(&self.connector_slack, &base.connector_slack),
-        }
+overrides! {
+    /// OPT knob overrides (see [`OptParams`]).
+    pub struct OptOverrides {
+        /// Safety factor applied to connector spacing.
+        connector_slack: f64,
     }
 }
 
@@ -183,12 +190,30 @@ impl SchemeOverrides {
     /// fields unset in `self` fall through to `base`.
     #[must_use]
     pub fn merged_over(&self, base: &SchemeOverrides) -> SchemeOverrides {
+        let mut floor = self.floor.merged_over(&base.floor);
+        // ttl and ttl_frac are one logical knob: a variant that sets
+        // either supersedes the base's TTL choice entirely, so a base
+        // `ttl = 8` cannot shadow a variant's `ttl_frac` sweep.
+        if self.floor.ttl.is_some() || self.floor.ttl_frac.is_some() {
+            (floor.ttl, floor.ttl_frac) = (self.floor.ttl, self.floor.ttl_frac);
+        }
         SchemeOverrides {
-            floor: self.floor.merged_over(&base.floor),
+            floor,
             cpvf: self.cpvf.merged_over(&base.cpvf),
             vd: self.vd.merged_over(&base.vd),
             opt: self.opt.merged_over(&base.opt),
         }
+    }
+
+    /// The plain knobs of every scheme's table, keyed by the table's
+    /// name (`floor`, `cpvf`, `vd`, `opt` — the `[params.*]` sections).
+    pub fn knob_tables(&mut self) -> [(&'static str, Vec<(&'static str, Slot<'_>)>); 4] {
+        [
+            ("floor", self.floor.slots()),
+            ("cpvf", self.cpvf.slots()),
+            ("vd", self.vd.slots()),
+            ("opt", self.opt.slots()),
+        ]
     }
 
     /// Whether no field is overridden.
@@ -212,23 +237,13 @@ impl SchemeOverrides {
         if self.floor.quorum == Some(0) {
             return Err("floor.quorum must be at least 1".into());
         }
-        for (name, v) in [
-            ("floor.movable_threshold", self.floor.movable_threshold),
-            ("floor.phase1_timeout_frac", self.floor.phase1_timeout_frac),
-            ("cpvf.backoff_max", self.cpvf.backoff_max),
-            ("cpvf.neighbor_threshold", self.cpvf.neighbor_threshold),
-            ("cpvf.neighbor_gain", self.cpvf.neighbor_gain),
-            ("cpvf.obstacle_range", self.cpvf.obstacle_range),
-            ("cpvf.obstacle_gain", self.cpvf.obstacle_gain),
-            ("cpvf.boundary_range", self.cpvf.boundary_range),
-            ("cpvf.boundary_gain", self.cpvf.boundary_gain),
-            ("cpvf.min_force", self.cpvf.min_force),
-            ("vd.step_cap_frac", self.vd.step_cap_frac),
-            ("opt.connector_slack", self.opt.connector_slack),
-        ] {
-            if let Some(v) = v {
-                if !(v.is_finite() && v >= 0.0) {
-                    return Err(format!("{name} must be finite and non-negative"));
+        // every real-valued knob is a range, gain, time or fraction
+        for (table, knobs) in self.clone().knob_tables() {
+            for (key, slot) in knobs {
+                if let Slot::F64(Some(v)) = slot {
+                    if !(v.is_finite() && *v >= 0.0) {
+                        return Err(format!("{table}.{key} must be finite and non-negative"));
+                    }
                 }
             }
         }
@@ -330,6 +345,36 @@ mod tests {
         let cpvf = o.cpvf_params(&cfg);
         assert_eq!(cpvf.force, None);
         assert_eq!(cpvf.backoff_max, CpvfParams::default().backoff_max);
+    }
+
+    #[test]
+    fn negative_real_knobs_are_rejected_by_name() {
+        let mut probe = SchemeOverrides::default();
+        let names: Vec<String> = probe
+            .knob_tables()
+            .into_iter()
+            .flat_map(|(table, knobs)| {
+                knobs
+                    .into_iter()
+                    .filter(|(_, slot)| matches!(slot, Slot::F64(_)))
+                    .map(move |(key, _)| format!("{table}.{key}"))
+            })
+            .collect();
+        assert_eq!(names.len(), 13, "{names:?}");
+        for name in names {
+            let mut o = SchemeOverrides::default();
+            for (table, knobs) in o.knob_tables() {
+                for (key, slot) in knobs {
+                    if let Slot::F64(v) = slot {
+                        if format!("{table}.{key}") == name {
+                            *v = Some(-1.0);
+                        }
+                    }
+                }
+            }
+            let e = o.validate().unwrap_err();
+            assert!(e.contains(&name), "{name}: {e}");
+        }
     }
 
     #[test]

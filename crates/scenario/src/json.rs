@@ -60,7 +60,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let chars: Vec<char> = text.chars().collect();
         let mut pos = 0;
-        let value = parse_value(&chars, &mut pos)?;
+        let value = parse_value(&chars, &mut pos, 0)?;
         skip_ws(&chars, &mut pos);
         if pos != chars.len() {
             return Err(JsonError(format!(
@@ -256,6 +256,11 @@ impl Json {
     }
 }
 
+/// Deepest object/array nesting [`Json::parse`] accepts. Parsing
+/// recurses per level, so the cap keeps a hostile document (say, a
+/// 4 MiB request body of `[`) from overflowing a handler thread's stack.
+const MAX_DEPTH: usize = 128;
+
 fn skip_ws(chars: &[char], pos: &mut usize) {
     while *pos < chars.len() && chars[*pos].is_whitespace() {
         *pos += 1;
@@ -276,11 +281,17 @@ fn expect(chars: &[char], pos: &mut usize, c: char) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(chars: &[char], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(chars: &[char], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(chars, pos);
     let Some(&c) = chars.get(*pos) else {
         return jerr("unexpected end of document");
     };
+    if matches!(c, '{' | '[') && depth == MAX_DEPTH {
+        return jerr(format!(
+            "nesting deeper than {MAX_DEPTH} at offset {pos}",
+            pos = *pos
+        ));
+    }
     match c {
         '{' => {
             *pos += 1;
@@ -296,7 +307,7 @@ fn parse_value(chars: &[char], pos: &mut usize) -> Result<Json, JsonError> {
                     unreachable!()
                 };
                 expect(chars, pos, ':')?;
-                members.push((key, parse_value(chars, pos)?));
+                members.push((key, parse_value(chars, pos, depth + 1)?));
                 skip_ws(chars, pos);
                 match chars.get(*pos) {
                     Some(',') => *pos += 1,
@@ -317,7 +328,7 @@ fn parse_value(chars: &[char], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(chars, pos)?);
+                items.push(parse_value(chars, pos, depth + 1)?);
                 skip_ws(chars, pos);
                 match chars.get(*pos) {
                     Some(',') => *pos += 1,
@@ -540,6 +551,21 @@ mod tests {
         assert!(Json::parse("nope").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("1e999").is_err(), "non-finite float rejected");
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let deep = 100_000;
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let doc = format!("{}1{}", open.repeat(deep), close.repeat(deep));
+            let e = Json::parse(&doc).unwrap_err();
+            assert!(e.0.contains("nesting deeper than"), "{e}");
+        }
+        // the cap itself still parses
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&doc).is_ok());
+        let doc = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&doc).is_err());
     }
 
     #[test]

@@ -9,9 +9,7 @@
 
 use crate::toml::{TomlError, TomlValue};
 use msn_deploy::cpvf::OscillationAvoidance;
-use msn_deploy::{
-    CpvfOverrides, FloorOverrides, OptOverrides, SchemeKind, SchemeOverrides, VdOverrides,
-};
+use msn_deploy::{SchemeKind, SchemeOverrides, Slot};
 use msn_field::{
     campus_grid_field, corridor_field, disaster_zone_field, paper_field, random_obstacle_field,
     scatter_clustered, scatter_uniform, two_obstacle_field, CampusGridParams, CorridorParams,
@@ -522,175 +520,17 @@ impl ScenarioSpec {
 
     /// Serializes as a TOML document.
     pub fn to_toml_string(&self) -> String {
-        let mut root = BTreeMap::new();
-        root.insert("name".into(), TomlValue::Str(self.name.clone()));
-        root.insert(
-            "description".into(),
-            TomlValue::Str(self.description.clone()),
-        );
-        root.insert(
-            "schemes".into(),
-            TomlValue::Array(
-                self.schemes
-                    .iter()
-                    .map(|k| TomlValue::Str(k.name().into()))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "sensor_counts".into(),
-            TomlValue::Array(
-                self.sensor_counts
-                    .iter()
-                    .map(|&n| TomlValue::Int(n as i64))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "radios".into(),
-            TomlValue::Array(
-                self.radios
-                    .iter()
-                    .map(|r| TomlValue::Array(vec![TomlValue::Float(r.rc), TomlValue::Float(r.rs)]))
-                    .collect(),
-            ),
-        );
-        root.insert("duration".into(), TomlValue::Float(self.duration));
-        root.insert("coverage_cell".into(), TomlValue::Float(self.coverage_cell));
-        root.insert(
-            "repetitions".into(),
-            TomlValue::Int(self.repetitions as i64),
-        );
-        root.insert("seed".into(), TomlValue::from_u64(self.seed));
-        // Emitted only when set: pre-existing specs (and their resume
-        // digests, which hash this serialization) stay byte-identical.
-        if self.movement_summary {
-            root.insert("movement_summary".into(), TomlValue::Bool(true));
-        }
-        // Same gating: a spec without dynamics serializes exactly as
-        // it did before the section existed.
-        if let Some(d) = &self.dynamics {
-            root.insert("dynamics".into(), dynamics_to_toml(d));
-        }
-        root.insert("field".into(), field_to_toml(&self.field));
-        root.insert("scatter".into(), scatter_to_toml(&self.scatter));
-        if let Some(params) = overrides_to_toml(&self.params) {
-            root.insert("params".into(), params);
-        }
-        if !self.variants.is_empty() {
-            root.insert(
-                "variants".into(),
-                TomlValue::Array(self.variants.iter().map(variant_to_toml).collect()),
-            );
-        }
-        TomlValue::Table(root).to_toml_string()
+        // tables borrow their fields mutably (one list drives both
+        // directions), so emit from a copy
+        let mut spec = self.clone();
+        TomlValue::Table(emit(root_table(&mut spec))).to_toml_string()
     }
 
     /// Parses a spec from a TOML document.
     pub fn from_toml_str(text: &str) -> Result<Self, TomlError> {
         let root = TomlValue::parse(text)?;
-        let name = require_str(&root, "name")?;
-        let description = match root.get("description") {
-            Some(v) => v
-                .as_str()
-                .ok_or_else(|| TomlError("'description' must be a string".into()))?
-                .to_string(),
-            None => String::new(),
-        };
-        let mut spec = ScenarioSpec::new(name).with_description(description);
-        if let Some(v) = root.get("schemes") {
-            let items = v
-                .as_array()
-                .ok_or_else(|| TomlError("'schemes' must be an array".into()))?;
-            let mut schemes = Vec::new();
-            for item in items {
-                let s = item
-                    .as_str()
-                    .ok_or_else(|| TomlError("'schemes' entries must be strings".into()))?;
-                schemes.push(s.parse::<SchemeKind>().map_err(TomlError)?);
-            }
-            spec.schemes = schemes;
-        }
-        if let Some(v) = root.get("sensor_counts") {
-            let items = v
-                .as_array()
-                .ok_or_else(|| TomlError("'sensor_counts' must be an array".into()))?;
-            spec.sensor_counts = items
-                .iter()
-                .map(|i| {
-                    i.as_usize().ok_or_else(|| {
-                        TomlError("'sensor_counts' entries must be non-negative integers".into())
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(v) = root.get("radios") {
-            let items = v
-                .as_array()
-                .ok_or_else(|| TomlError("'radios' must be an array of [rc, rs] pairs".into()))?;
-            let mut radios = Vec::new();
-            for item in items {
-                let pair = item
-                    .as_array()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| TomlError("each radio must be an [rc, rs] pair".into()))?;
-                let rc = pair[0]
-                    .as_f64()
-                    .ok_or_else(|| TomlError("radio rc must be numeric".into()))?;
-                let rs = pair[1]
-                    .as_f64()
-                    .ok_or_else(|| TomlError("radio rs must be numeric".into()))?;
-                radios.push(RadioSpec::new(rc, rs));
-            }
-            spec.radios = radios;
-        }
-        if let Some(v) = root.get("duration") {
-            spec.duration = v
-                .as_f64()
-                .ok_or_else(|| TomlError("'duration' must be numeric".into()))?;
-        }
-        if let Some(v) = root.get("coverage_cell") {
-            spec.coverage_cell = v
-                .as_f64()
-                .ok_or_else(|| TomlError("'coverage_cell' must be numeric".into()))?;
-        }
-        if let Some(v) = root.get("repetitions") {
-            spec.repetitions = v
-                .as_usize()
-                .ok_or_else(|| TomlError("'repetitions' must be a non-negative integer".into()))?;
-        }
-        if let Some(v) = root.get("seed") {
-            spec.seed = v
-                .as_u64()
-                .ok_or_else(|| TomlError("'seed' must be a non-negative integer".into()))?;
-        }
-        if let Some(v) = root.get("movement_summary") {
-            spec.movement_summary = v
-                .as_bool()
-                .ok_or_else(|| TomlError("'movement_summary' must be a boolean".into()))?;
-        }
-        if let Some(v) = root.get("dynamics") {
-            spec.dynamics = Some(dynamics_from_toml(v)?);
-        }
-        if let Some(v) = root.get("field") {
-            spec.field = field_from_toml(v)?;
-        }
-        if let Some(v) = root.get("scatter") {
-            spec.scatter = scatter_from_toml(v)?;
-        }
-        if let Some(v) = root.get("params") {
-            check_keys(v, "params", &["floor", "cpvf", "vd", "opt"])?;
-            spec.params = overrides_from_toml(v)?;
-        }
-        if let Some(v) = root.get("variants") {
-            let items = v
-                .as_array()
-                .ok_or_else(|| TomlError("'variants' must be an array of tables".into()))?;
-            spec.variants = items
-                .iter()
-                .map(variant_from_toml)
-                .collect::<Result<_, _>>()?;
-        }
+        let mut spec = ScenarioSpec::new(require_str(&root, "name")?);
+        parse_table(&root, "", root_table(&mut spec), &[])?;
         spec.validate().map_err(TomlError)?;
         Ok(spec)
     }
@@ -800,311 +640,357 @@ fn split_mix_64(state: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn field_to_toml(field: &FieldSpec) -> TomlValue {
-    let mut t = BTreeMap::new();
-    t.insert("kind".into(), TomlValue::Str(field.kind().into()));
+/// One key of a TOML table, borrowed mutably from the struct field it
+/// encodes. Each struct lists its keys once — [`root_table`],
+/// [`field_table`], [`scatter_table`], and msn-deploy's override
+/// `slots` — and that one list drives [`emit`], [`parse_table`] and
+/// unknown-key rejection. Keys that are left out while unset keep the
+/// serialization of specs that predate them, and so their resume
+/// digests, byte-identical.
+enum Val<'a> {
+    F64(&'a mut f64),
+    Usize(&'a mut usize),
+    U64(&'a mut u64),
+    Str(&'a mut String),
+    /// Emitted only when true.
+    Flag(&'a mut bool),
+    /// An override knob, emitted only when set.
+    Knob(Slot<'a>),
+    Schemes(&'a mut Vec<SchemeKind>),
+    Counts(&'a mut Vec<usize>),
+    Radios(&'a mut Vec<RadioSpec>),
+    Field(&'a mut FieldSpec),
+    Scatter(&'a mut ScatterSpec),
+    /// Emitted only when something is overridden.
+    Params(&'a mut SchemeOverrides),
+    /// Emitted only when non-empty.
+    Variants(&'a mut Vec<ParamVariant>),
+    /// Emitted only when set.
+    Dynamics(&'a mut Option<EventSchedule>),
+}
+
+type Table<'a> = Vec<(&'static str, Val<'a>)>;
+
+impl Val<'_> {
+    /// The key's TOML value, or `None` when it is left out.
+    fn into_toml(self) -> Option<TomlValue> {
+        Some(match self {
+            Val::F64(v) => TomlValue::Float(*v),
+            Val::Usize(v) => TomlValue::Int(*v as i64),
+            Val::U64(v) => TomlValue::from_u64(*v),
+            Val::Str(v) => TomlValue::Str(v.clone()),
+            Val::Flag(v) => return v.then_some(TomlValue::Bool(true)),
+            Val::Knob(Slot::F64(v)) => TomlValue::Float((*v)?),
+            Val::Knob(Slot::Usize(v)) => TomlValue::Int((*v)? as i64),
+            Val::Knob(Slot::U32(v)) => TomlValue::Int(i64::from((*v)?)),
+            Val::Knob(Slot::Bool(v)) => TomlValue::Bool((*v)?),
+            Val::Schemes(v) => {
+                TomlValue::Array(v.iter().map(|k| TomlValue::Str(k.name().into())).collect())
+            }
+            Val::Counts(v) => {
+                TomlValue::Array(v.iter().map(|&n| TomlValue::Int(n as i64)).collect())
+            }
+            Val::Radios(v) => TomlValue::Array(
+                v.iter()
+                    .map(|r| TomlValue::Array(vec![TomlValue::Float(r.rc), TomlValue::Float(r.rs)]))
+                    .collect(),
+            ),
+            Val::Field(v) => kinded_to_toml(v.kind(), field_table(v)),
+            Val::Scatter(v) => kinded_to_toml(v.kind(), scatter_table(v)),
+            Val::Params(v) => {
+                let t = overrides_to_toml(v);
+                if t.is_empty() {
+                    return None;
+                }
+                TomlValue::Table(t)
+            }
+            Val::Variants(v) if v.is_empty() => return None,
+            Val::Variants(v) => TomlValue::Array(v.iter_mut().map(variant_to_toml).collect()),
+            Val::Dynamics(v) => dynamics_to_toml(v.as_ref()?),
+        })
+    }
+
+    /// Overwrites the field from the TOML value `v` found under `key`.
+    fn set(self, key: &str, v: &TomlValue) -> Result<(), TomlError> {
+        match self {
+            Val::F64(slot) => *slot = num(v, key)?,
+            Val::Usize(slot) => *slot = count(v, key)?,
+            Val::U64(slot) => {
+                *slot = v
+                    .as_u64()
+                    .ok_or_else(|| TomlError(format!("'{key}' must be a non-negative integer")))?;
+            }
+            Val::Str(slot) => {
+                *slot = v
+                    .as_str()
+                    .ok_or_else(|| TomlError(format!("'{key}' must be a string")))?
+                    .to_string();
+            }
+            Val::Flag(slot) => *slot = flag(v, key)?,
+            Val::Knob(Slot::F64(slot)) => *slot = Some(num(v, key)?),
+            Val::Knob(Slot::Usize(slot)) => *slot = Some(count(v, key)?),
+            Val::Knob(Slot::U32(slot)) => {
+                let n = count(v, key)?;
+                *slot =
+                    Some(u32::try_from(n).map_err(|_| {
+                        TomlError(format!("'{key}' must fit in 32 bits (got {n})"))
+                    })?);
+            }
+            Val::Knob(Slot::Bool(slot)) => *slot = Some(flag(v, key)?),
+            Val::Schemes(slot) => {
+                let items = v
+                    .as_array()
+                    .ok_or_else(|| TomlError(format!("'{key}' must be an array")))?;
+                *slot = items
+                    .iter()
+                    .map(|item| {
+                        item.as_str()
+                            .ok_or_else(|| TomlError(format!("'{key}' entries must be strings")))?
+                            .parse::<SchemeKind>()
+                            .map_err(TomlError)
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            Val::Counts(slot) => {
+                let items = v
+                    .as_array()
+                    .ok_or_else(|| TomlError(format!("'{key}' must be an array")))?;
+                *slot = items
+                    .iter()
+                    .map(|i| {
+                        i.as_usize().ok_or_else(|| {
+                            TomlError(format!("'{key}' entries must be non-negative integers"))
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            Val::Radios(slot) => {
+                let items = v.as_array().ok_or_else(|| {
+                    TomlError(format!("'{key}' must be an array of [rc, rs] pairs"))
+                })?;
+                *slot = items
+                    .iter()
+                    .map(|item| {
+                        let pair = item.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
+                            TomlError("each radio must be an [rc, rs] pair".into())
+                        })?;
+                        let rc = pair[0]
+                            .as_f64()
+                            .ok_or_else(|| TomlError("radio rc must be numeric".into()))?;
+                        let rs = pair[1]
+                            .as_f64()
+                            .ok_or_else(|| TomlError("radio rs must be numeric".into()))?;
+                        Ok(RadioSpec::new(rc, rs))
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            Val::Field(slot) => {
+                *slot = kinded_from_toml(v, "field", field_kinds(), FieldSpec::kind, field_table)?;
+            }
+            Val::Scatter(slot) => {
+                *slot = kinded_from_toml(
+                    v,
+                    "scatter",
+                    scatter_kinds(),
+                    ScatterSpec::kind,
+                    scatter_table,
+                )?;
+            }
+            Val::Params(slot) => *slot = overrides_from_toml(v, key, &[])?,
+            Val::Variants(slot) => {
+                let items = v
+                    .as_array()
+                    .ok_or_else(|| TomlError(format!("'{key}' must be an array of tables")))?;
+                *slot = items
+                    .iter()
+                    .map(variant_from_toml)
+                    .collect::<Result<_, _>>()?;
+            }
+            Val::Dynamics(slot) => *slot = Some(dynamics_from_toml(v)?),
+        }
+        Ok(())
+    }
+}
+
+/// The top-level keys, in parse order.
+fn root_table(s: &mut ScenarioSpec) -> Table<'_> {
+    vec![
+        ("name", Val::Str(&mut s.name)),
+        ("description", Val::Str(&mut s.description)),
+        ("schemes", Val::Schemes(&mut s.schemes)),
+        ("sensor_counts", Val::Counts(&mut s.sensor_counts)),
+        ("radios", Val::Radios(&mut s.radios)),
+        ("duration", Val::F64(&mut s.duration)),
+        ("coverage_cell", Val::F64(&mut s.coverage_cell)),
+        ("repetitions", Val::Usize(&mut s.repetitions)),
+        ("seed", Val::U64(&mut s.seed)),
+        ("movement_summary", Val::Flag(&mut s.movement_summary)),
+        ("dynamics", Val::Dynamics(&mut s.dynamics)),
+        ("field", Val::Field(&mut s.field)),
+        ("scatter", Val::Scatter(&mut s.scatter)),
+        ("params", Val::Params(&mut s.params)),
+        ("variants", Val::Variants(&mut s.variants)),
+    ]
+}
+
+/// Every `[field]` kind, with the defaults its omitted keys take.
+fn field_kinds() -> [FieldSpec; 6] {
+    [
+        FieldSpec::Paper,
+        FieldSpec::TwoObstacle,
+        FieldSpec::CampusGrid(CampusGridParams::default()),
+        FieldSpec::Corridor(CorridorParams::default()),
+        FieldSpec::DisasterZone,
+        FieldSpec::RandomObstacles(RandomObstacleParams::default()),
+    ]
+}
+
+/// The `[field]` keys of one kind (besides `kind`).
+fn field_table(field: &mut FieldSpec) -> Table<'_> {
     match field {
-        FieldSpec::Paper | FieldSpec::TwoObstacle | FieldSpec::DisasterZone => {}
-        FieldSpec::CampusGrid(p) => {
-            t.insert("width".into(), TomlValue::Float(p.width));
-            t.insert("height".into(), TomlValue::Float(p.height));
-            t.insert("blocks_x".into(), TomlValue::Int(p.blocks_x as i64));
-            t.insert("blocks_y".into(), TomlValue::Int(p.blocks_y as i64));
-            t.insert("building".into(), TomlValue::Float(p.building));
-            t.insert("street".into(), TomlValue::Float(p.street));
-            t.insert("margin".into(), TomlValue::Float(p.margin));
-        }
-        FieldSpec::Corridor(p) => {
-            t.insert("width".into(), TomlValue::Float(p.width));
-            t.insert("height".into(), TomlValue::Float(p.height));
-            t.insert("baffles".into(), TomlValue::Int(p.baffles as i64));
-            t.insert("gap".into(), TomlValue::Float(p.gap));
-            t.insert("thickness".into(), TomlValue::Float(p.thickness));
-        }
-        FieldSpec::RandomObstacles(p) => {
-            t.insert("width".into(), TomlValue::Float(p.width));
-            t.insert("height".into(), TomlValue::Float(p.height));
-            t.insert("count_min".into(), TomlValue::Int(p.count.0 as i64));
-            t.insert("count_max".into(), TomlValue::Int(p.count.1 as i64));
-            t.insert("side_min".into(), TomlValue::Float(p.side.0));
-            t.insert("side_max".into(), TomlValue::Float(p.side.1));
-            t.insert("base_clearance".into(), TomlValue::Float(p.base_clearance));
-            t.insert(
-                "connectivity_cell".into(),
-                TomlValue::Float(p.connectivity_cell),
-            );
+        FieldSpec::Paper | FieldSpec::TwoObstacle | FieldSpec::DisasterZone => Vec::new(),
+        FieldSpec::CampusGrid(p) => vec![
+            ("width", Val::F64(&mut p.width)),
+            ("height", Val::F64(&mut p.height)),
+            ("blocks_x", Val::Usize(&mut p.blocks_x)),
+            ("blocks_y", Val::Usize(&mut p.blocks_y)),
+            ("building", Val::F64(&mut p.building)),
+            ("street", Val::F64(&mut p.street)),
+            ("margin", Val::F64(&mut p.margin)),
+        ],
+        FieldSpec::Corridor(p) => vec![
+            ("width", Val::F64(&mut p.width)),
+            ("height", Val::F64(&mut p.height)),
+            ("baffles", Val::Usize(&mut p.baffles)),
+            ("gap", Val::F64(&mut p.gap)),
+            ("thickness", Val::F64(&mut p.thickness)),
+        ],
+        FieldSpec::RandomObstacles(p) => vec![
+            ("width", Val::F64(&mut p.width)),
+            ("height", Val::F64(&mut p.height)),
+            ("count_min", Val::Usize(&mut p.count.0)),
+            ("count_max", Val::Usize(&mut p.count.1)),
+            ("side_min", Val::F64(&mut p.side.0)),
+            ("side_max", Val::F64(&mut p.side.1)),
+            ("base_clearance", Val::F64(&mut p.base_clearance)),
+            ("connectivity_cell", Val::F64(&mut p.connectivity_cell)),
+        ],
+    }
+}
+
+/// Every `[scatter]` kind, with the defaults its omitted keys take.
+fn scatter_kinds() -> [ScatterSpec; 3] {
+    [
+        ScatterSpec::ClusteredQuarter,
+        ScatterSpec::Clustered {
+            x0: 0.0,
+            y0: 0.0,
+            x1: 0.0,
+            y1: 0.0,
+        },
+        ScatterSpec::Uniform,
+    ]
+}
+
+/// The `[scatter]` keys of one kind (besides `kind`).
+fn scatter_table(scatter: &mut ScatterSpec) -> Table<'_> {
+    match scatter {
+        ScatterSpec::ClusteredQuarter | ScatterSpec::Uniform => Vec::new(),
+        ScatterSpec::Clustered { x0, y0, x1, y1 } => vec![
+            ("x0", Val::F64(x0)),
+            ("y0", Val::F64(y0)),
+            ("x1", Val::F64(x1)),
+            ("y1", Val::F64(y1)),
+        ],
+    }
+}
+
+/// A table of every key `table` emits.
+fn emit(table: Table<'_>) -> BTreeMap<String, TomlValue> {
+    table
+        .into_iter()
+        .filter_map(|(key, val)| Some((key.to_string(), val.into_toml()?)))
+        .collect()
+}
+
+/// Parses each key of `table` present in `v` over its current value,
+/// after rejecting any key of `v` that is neither in `table` nor in
+/// `extra`. `section` names the table in errors (`""` is the top
+/// level).
+fn parse_table(
+    v: &TomlValue,
+    section: &str,
+    table: Table<'_>,
+    extra: &[&str],
+) -> Result<(), TomlError> {
+    let keys: Vec<&str> = extra
+        .iter()
+        .copied()
+        .chain(table.iter().map(|(key, _)| *key))
+        .collect();
+    check_keys(v, section, &keys)?;
+    for (key, val) in table {
+        if let Some(item) = v.get(key) {
+            val.set(key, item)?;
         }
     }
+    Ok(())
+}
+
+/// A `kind`-tagged table (`[field]`, `[scatter]`).
+fn kinded_to_toml(kind: &str, table: Table<'_>) -> TomlValue {
+    let mut t = emit(table);
+    t.insert("kind".into(), TomlValue::Str(kind.into()));
     TomlValue::Table(t)
 }
 
-fn get_f64(table: &TomlValue, key: &str, default: f64) -> Result<f64, TomlError> {
-    match table.get(key) {
-        Some(v) => v
-            .as_f64()
-            .ok_or_else(|| TomlError(format!("'{key}' must be numeric"))),
-        None => Ok(default),
-    }
-}
-
-fn get_usize(table: &TomlValue, key: &str, default: usize) -> Result<usize, TomlError> {
-    match table.get(key) {
-        Some(v) => v
-            .as_usize()
-            .ok_or_else(|| TomlError(format!("'{key}' must be a non-negative integer"))),
-        None => Ok(default),
-    }
-}
-
-fn field_from_toml(v: &TomlValue) -> Result<FieldSpec, TomlError> {
+/// Parses a `kind`-tagged table: the named kind's defaults from
+/// `kinds`, overwritten by the keys present.
+fn kinded_from_toml<T>(
+    v: &TomlValue,
+    section: &str,
+    kinds: impl IntoIterator<Item = T>,
+    kind_of: fn(&T) -> &'static str,
+    table: fn(&mut T) -> Table<'_>,
+) -> Result<T, TomlError> {
     let kind = require_str(v, "kind")?;
-    match kind.as_str() {
-        "paper" => Ok(FieldSpec::Paper),
-        "two-obstacle" => Ok(FieldSpec::TwoObstacle),
-        "disaster-zone" => Ok(FieldSpec::DisasterZone),
-        "campus-grid" => {
-            let d = CampusGridParams::default();
-            Ok(FieldSpec::CampusGrid(CampusGridParams {
-                width: get_f64(v, "width", d.width)?,
-                height: get_f64(v, "height", d.height)?,
-                blocks_x: get_usize(v, "blocks_x", d.blocks_x)?,
-                blocks_y: get_usize(v, "blocks_y", d.blocks_y)?,
-                building: get_f64(v, "building", d.building)?,
-                street: get_f64(v, "street", d.street)?,
-                margin: get_f64(v, "margin", d.margin)?,
-            }))
+    let mut names = Vec::new();
+    for mut spec in kinds {
+        if kind_of(&spec) == kind {
+            parse_table(v, section, table(&mut spec), &["kind"])?;
+            return Ok(spec);
         }
-        "corridor" => {
-            let d = CorridorParams::default();
-            Ok(FieldSpec::Corridor(CorridorParams {
-                width: get_f64(v, "width", d.width)?,
-                height: get_f64(v, "height", d.height)?,
-                baffles: get_usize(v, "baffles", d.baffles)?,
-                gap: get_f64(v, "gap", d.gap)?,
-                thickness: get_f64(v, "thickness", d.thickness)?,
-            }))
-        }
-        "random-obstacles" => {
-            let d = RandomObstacleParams::default();
-            Ok(FieldSpec::RandomObstacles(RandomObstacleParams {
-                width: get_f64(v, "width", d.width)?,
-                height: get_f64(v, "height", d.height)?,
-                count: (
-                    get_usize(v, "count_min", d.count.0)?,
-                    get_usize(v, "count_max", d.count.1)?,
-                ),
-                side: (
-                    get_f64(v, "side_min", d.side.0)?,
-                    get_f64(v, "side_max", d.side.1)?,
-                ),
-                base_clearance: get_f64(v, "base_clearance", d.base_clearance)?,
-                connectivity_cell: get_f64(v, "connectivity_cell", d.connectivity_cell)?,
-            }))
-        }
-        other => Err(TomlError(format!(
-            "unknown field kind '{other}' (expected paper, two-obstacle, campus-grid, corridor, disaster-zone or random-obstacles)"
-        ))),
+        names.push(kind_of(&spec));
     }
+    let (last, rest) = names.split_last().expect("at least one kind");
+    Err(TomlError(format!(
+        "unknown {section} kind '{kind}' (expected {} or {last})",
+        rest.join(", ")
+    )))
 }
 
-/// Inserts `key = value` when the override is set.
-fn put<T, F: FnOnce(T) -> TomlValue>(
-    t: &mut BTreeMap<String, TomlValue>,
+fn num(v: &TomlValue, key: &str) -> Result<f64, TomlError> {
+    v.as_f64()
+        .ok_or_else(|| TomlError(format!("'{key}' must be numeric")))
+}
+
+fn count(v: &TomlValue, key: &str) -> Result<usize, TomlError> {
+    v.as_usize()
+        .ok_or_else(|| TomlError(format!("'{key}' must be a non-negative integer")))
+}
+
+fn flag(v: &TomlValue, key: &str) -> Result<bool, TomlError> {
+    v.as_bool()
+        .ok_or_else(|| TomlError(format!("'{key}' must be a boolean")))
+}
+
+/// `t[key]` through `get`, or `None` when the key is absent.
+fn opt<T>(
+    t: &TomlValue,
     key: &str,
-    v: Option<T>,
-    wrap: F,
-) {
-    if let Some(v) = v {
-        t.insert(key.into(), wrap(v));
-    }
-}
-
-/// Serializes an override set as its `[params]`-style table, or
-/// `None` when nothing is overridden.
-fn overrides_to_toml(o: &SchemeOverrides) -> Option<TomlValue> {
-    let mut root = BTreeMap::new();
-    let mut floor = BTreeMap::new();
-    put(&mut floor, "ttl", o.floor.ttl, |v| TomlValue::Int(v as i64));
-    put(&mut floor, "ttl_frac", o.floor.ttl_frac, TomlValue::Float);
-    put(&mut floor, "quorum", o.floor.quorum, |v| {
-        TomlValue::Int(v as i64)
-    });
-    put(&mut floor, "patience", o.floor.patience, |v| {
-        TomlValue::Int(v as i64)
-    });
-    put(
-        &mut floor,
-        "movable_threshold",
-        o.floor.movable_threshold,
-        TomlValue::Float,
-    );
-    put(
-        &mut floor,
-        "phase1_timeout_frac",
-        o.floor.phase1_timeout_frac,
-        TomlValue::Float,
-    );
-    put(
-        &mut floor,
-        "max_invites_per_ep",
-        o.floor.max_invites_per_ep,
-        |v| TomlValue::Int(v as i64),
-    );
-    put(
-        &mut floor,
-        "max_concurrent_eps",
-        o.floor.max_concurrent_eps,
-        |v| TomlValue::Int(v as i64),
-    );
-    put(
-        &mut floor,
-        "idle_stop_periods",
-        o.floor.idle_stop_periods,
-        |v| TomlValue::Int(v as i64),
-    );
-    put(
-        &mut floor,
-        "enable_blg",
-        o.floor.enable_blg,
-        TomlValue::Bool,
-    );
-    put(
-        &mut floor,
-        "enable_iflg",
-        o.floor.enable_iflg,
-        TomlValue::Bool,
-    );
-    if !floor.is_empty() {
-        root.insert("floor".into(), TomlValue::Table(floor));
-    }
-    let mut cpvf = BTreeMap::new();
-    put(
-        &mut cpvf,
-        "backoff_max",
-        o.cpvf.backoff_max,
-        TomlValue::Float,
-    );
-    put(
-        &mut cpvf,
-        "allow_parent_change",
-        o.cpvf.allow_parent_change,
-        TomlValue::Bool,
-    );
-    if let Some(osc) = o.cpvf.oscillation {
-        let (name, delta) = match osc {
-            OscillationAvoidance::Off => ("off", None),
-            OscillationAvoidance::OneStep { delta } => ("one-step", Some(delta)),
-            OscillationAvoidance::TwoStep { delta } => ("two-step", Some(delta)),
-        };
-        cpvf.insert("oscillation".into(), TomlValue::Str(name.into()));
-        put(&mut cpvf, "delta", delta, TomlValue::Float);
-    }
-    put(
-        &mut cpvf,
-        "neighbor_threshold",
-        o.cpvf.neighbor_threshold,
-        TomlValue::Float,
-    );
-    put(
-        &mut cpvf,
-        "neighbor_gain",
-        o.cpvf.neighbor_gain,
-        TomlValue::Float,
-    );
-    put(
-        &mut cpvf,
-        "obstacle_range",
-        o.cpvf.obstacle_range,
-        TomlValue::Float,
-    );
-    put(
-        &mut cpvf,
-        "obstacle_gain",
-        o.cpvf.obstacle_gain,
-        TomlValue::Float,
-    );
-    put(
-        &mut cpvf,
-        "boundary_range",
-        o.cpvf.boundary_range,
-        TomlValue::Float,
-    );
-    put(
-        &mut cpvf,
-        "boundary_gain",
-        o.cpvf.boundary_gain,
-        TomlValue::Float,
-    );
-    put(&mut cpvf, "min_force", o.cpvf.min_force, TomlValue::Float);
-    if !cpvf.is_empty() {
-        root.insert("cpvf".into(), TomlValue::Table(cpvf));
-    }
-    let mut vd = BTreeMap::new();
-    put(&mut vd, "rounds", o.vd.rounds, |v| TomlValue::Int(v as i64));
-    put(
-        &mut vd,
-        "step_cap_frac",
-        o.vd.step_cap_frac,
-        TomlValue::Float,
-    );
-    put(&mut vd, "explode", o.vd.explode, TomlValue::Bool);
-    if !vd.is_empty() {
-        root.insert("vd".into(), TomlValue::Table(vd));
-    }
-    let mut opt = BTreeMap::new();
-    put(
-        &mut opt,
-        "connector_slack",
-        o.opt.connector_slack,
-        TomlValue::Float,
-    );
-    if !opt.is_empty() {
-        root.insert("opt".into(), TomlValue::Table(opt));
-    }
-    if root.is_empty() {
-        None
-    } else {
-        Some(TomlValue::Table(root))
-    }
-}
-
-fn opt_f64(t: &TomlValue, key: &str) -> Result<Option<f64>, TomlError> {
-    match t.get(key) {
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| TomlError(format!("'{key}' must be numeric"))),
-        None => Ok(None),
-    }
-}
-
-fn opt_usize(t: &TomlValue, key: &str) -> Result<Option<usize>, TomlError> {
-    match t.get(key) {
-        Some(v) => v
-            .as_usize()
-            .map(Some)
-            .ok_or_else(|| TomlError(format!("'{key}' must be a non-negative integer"))),
-        None => Ok(None),
-    }
-}
-
-fn opt_u32(t: &TomlValue, key: &str) -> Result<Option<u32>, TomlError> {
-    opt_usize(t, key)?
-        .map(|v| {
-            u32::try_from(v)
-                .map_err(|_| TomlError(format!("'{key}' must fit in 32 bits (got {v})")))
-        })
-        .transpose()
-}
-
-fn opt_bool(t: &TomlValue, key: &str) -> Result<Option<bool>, TomlError> {
-    match t.get(key) {
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or_else(|| TomlError(format!("'{key}' must be a boolean"))),
-        None => Ok(None),
-    }
+    get: fn(&TomlValue, &str) -> Result<T, TomlError>,
+) -> Result<Option<T>, TomlError> {
+    t.get(key).map(|v| get(v, key)).transpose()
 }
 
 /// Rejects unknown keys so a typo in a spec fails loudly instead of
@@ -1115,8 +1001,13 @@ fn check_keys(t: &TomlValue, section: &str, allowed: &[&str]) -> Result<(), Toml
     };
     for key in map.keys() {
         if !allowed.contains(&key.as_str()) {
+            let place = if section.is_empty() {
+                "at the top level".to_string()
+            } else {
+                format!("in [{section}]")
+            };
             return Err(TomlError(format!(
-                "unknown key '{key}' in [{section}] (expected one of {})",
+                "unknown key '{key}' {place} (expected one of {})",
                 allowed.join(", ")
             )));
         }
@@ -1124,163 +1015,115 @@ fn check_keys(t: &TomlValue, section: &str, allowed: &[&str]) -> Result<(), Toml
     Ok(())
 }
 
-/// Parses a `[params]`-style override table (callers have already
-/// checked the table's own keys).
-fn overrides_from_toml(v: &TomlValue) -> Result<SchemeOverrides, TomlError> {
-    let mut o = SchemeOverrides::default();
-    if let Some(t) = v.get("floor") {
-        check_keys(
-            t,
-            "params.floor",
-            &[
-                "ttl",
-                "ttl_frac",
-                "quorum",
-                "patience",
-                "movable_threshold",
-                "phase1_timeout_frac",
-                "max_invites_per_ep",
-                "max_concurrent_eps",
-                "idle_stop_periods",
-                "enable_blg",
-                "enable_iflg",
-            ],
-        )?;
-        o.floor = FloorOverrides {
-            ttl: opt_usize(t, "ttl")?,
-            ttl_frac: opt_f64(t, "ttl_frac")?,
-            quorum: opt_usize(t, "quorum")?,
-            patience: opt_u32(t, "patience")?,
-            movable_threshold: opt_f64(t, "movable_threshold")?,
-            phase1_timeout_frac: opt_f64(t, "phase1_timeout_frac")?,
-            max_invites_per_ep: opt_u32(t, "max_invites_per_ep")?,
-            max_concurrent_eps: opt_usize(t, "max_concurrent_eps")?,
-            idle_stop_periods: opt_u32(t, "idle_stop_periods")?,
-            enable_blg: opt_bool(t, "enable_blg")?,
-            enable_iflg: opt_bool(t, "enable_iflg")?,
+/// CPVF's `oscillation` kind and its `delta`, the one override written
+/// by hand: two keys for one knob.
+const OSCILLATION_KEYS: [&str; 2] = ["oscillation", "delta"];
+
+/// Lifts override slots into table values.
+fn knob_table<'a>(knobs: Vec<(&'static str, Slot<'a>)>) -> Table<'a> {
+    knobs
+        .into_iter()
+        .map(|(key, slot)| (key, Val::Knob(slot)))
+        .collect()
+}
+
+/// Serializes an override set as its `[params]`-style table: one
+/// sub-table per scheme with anything set.
+fn overrides_to_toml(o: &mut SchemeOverrides) -> BTreeMap<String, TomlValue> {
+    let mut oscillation = o.cpvf.oscillation.map(|osc| {
+        let (name, delta) = match osc {
+            OscillationAvoidance::Off => ("off", None),
+            OscillationAvoidance::OneStep { delta } => ("one-step", Some(delta)),
+            OscillationAvoidance::TwoStep { delta } => ("two-step", Some(delta)),
         };
+        let mut keys = vec![("oscillation".to_string(), TomlValue::Str(name.into()))];
+        keys.extend(delta.map(|d| ("delta".to_string(), TomlValue::Float(d))));
+        keys
+    });
+    let mut root = BTreeMap::new();
+    for (scheme, knobs) in o.knob_tables() {
+        let mut t = emit(knob_table(knobs));
+        if scheme == "cpvf" {
+            t.extend(oscillation.take().into_iter().flatten());
+        }
+        if !t.is_empty() {
+            root.insert(scheme.to_string(), TomlValue::Table(t));
+        }
+    }
+    root
+}
+
+/// Parses a `[params]`-style override table; `extra` are the keys the
+/// table may hold besides the per-scheme sub-tables.
+fn overrides_from_toml(
+    v: &TomlValue,
+    section: &str,
+    extra: &[&str],
+) -> Result<SchemeOverrides, TomlError> {
+    let mut o = SchemeOverrides::default();
+    let tables = o.knob_tables();
+    let keys: Vec<&str> = extra
+        .iter()
+        .copied()
+        .chain(tables.iter().map(|(scheme, _)| *scheme))
+        .collect();
+    check_keys(v, section, &keys)?;
+    for (scheme, knobs) in tables {
+        if let Some(t) = v.get(scheme) {
+            let extra: &[&str] = if scheme == "cpvf" {
+                &OSCILLATION_KEYS
+            } else {
+                &[]
+            };
+            parse_table(t, &format!("params.{scheme}"), knob_table(knobs), extra)?;
+        }
     }
     if let Some(t) = v.get("cpvf") {
-        check_keys(
-            t,
-            "params.cpvf",
-            &[
-                "backoff_max",
-                "allow_parent_change",
-                "oscillation",
-                "delta",
-                "neighbor_threshold",
-                "neighbor_gain",
-                "obstacle_range",
-                "obstacle_gain",
-                "boundary_range",
-                "boundary_gain",
-                "min_force",
-            ],
-        )?;
-        let oscillation = match t.get("oscillation") {
-            None => {
-                if t.get("delta").is_some() {
-                    return Err(TomlError("'delta' requires 'oscillation' to be set".into()));
-                }
-                None
-            }
-            Some(kind) => {
-                let kind = kind
-                    .as_str()
-                    .ok_or_else(|| TomlError("'oscillation' must be a string".into()))?;
-                let delta = opt_f64(t, "delta")?;
-                Some(match (kind, delta) {
-                    ("off", None) => OscillationAvoidance::Off,
-                    ("off", Some(_)) => {
-                        return Err(TomlError("oscillation 'off' takes no delta".into()))
-                    }
-                    ("one-step", Some(delta)) => OscillationAvoidance::OneStep { delta },
-                    ("two-step", Some(delta)) => OscillationAvoidance::TwoStep { delta },
-                    ("one-step" | "two-step", None) => {
-                        return Err(TomlError(format!("oscillation '{kind}' needs a 'delta'")))
-                    }
-                    (other, _) => {
-                        return Err(TomlError(format!(
-                            "unknown oscillation '{other}' (expected off, one-step or two-step)"
-                        )))
-                    }
-                })
-            }
-        };
-        o.cpvf = CpvfOverrides {
-            backoff_max: opt_f64(t, "backoff_max")?,
-            allow_parent_change: opt_bool(t, "allow_parent_change")?,
-            oscillation,
-            neighbor_threshold: opt_f64(t, "neighbor_threshold")?,
-            neighbor_gain: opt_f64(t, "neighbor_gain")?,
-            obstacle_range: opt_f64(t, "obstacle_range")?,
-            obstacle_gain: opt_f64(t, "obstacle_gain")?,
-            boundary_range: opt_f64(t, "boundary_range")?,
-            boundary_gain: opt_f64(t, "boundary_gain")?,
-            min_force: opt_f64(t, "min_force")?,
-        };
-    }
-    if let Some(t) = v.get("vd") {
-        check_keys(t, "params.vd", &["rounds", "step_cap_frac", "explode"])?;
-        o.vd = VdOverrides {
-            rounds: opt_usize(t, "rounds")?,
-            step_cap_frac: opt_f64(t, "step_cap_frac")?,
-            explode: opt_bool(t, "explode")?,
-        };
-    }
-    if let Some(t) = v.get("opt") {
-        check_keys(t, "params.opt", &["connector_slack"])?;
-        o.opt = OptOverrides {
-            connector_slack: opt_f64(t, "connector_slack")?,
-        };
+        o.cpvf.oscillation = oscillation_from_toml(t)?;
     }
     Ok(o)
 }
 
-fn variant_to_toml(v: &ParamVariant) -> TomlValue {
-    let mut t = match overrides_to_toml(&v.overrides) {
-        Some(TomlValue::Table(t)) => t,
-        _ => BTreeMap::new(),
+fn oscillation_from_toml(t: &TomlValue) -> Result<Option<OscillationAvoidance>, TomlError> {
+    let delta = opt(t, "delta", num)?;
+    let Some(kind) = t.get("oscillation") else {
+        if delta.is_some() {
+            return Err(TomlError("'delta' requires 'oscillation' to be set".into()));
+        }
+        return Ok(None);
     };
+    let kind = kind
+        .as_str()
+        .ok_or_else(|| TomlError("'oscillation' must be a string".into()))?;
+    Ok(Some(match (kind, delta) {
+        ("off", None) => OscillationAvoidance::Off,
+        ("off", Some(_)) => return Err(TomlError("oscillation 'off' takes no delta".into())),
+        ("one-step", Some(delta)) => OscillationAvoidance::OneStep { delta },
+        ("two-step", Some(delta)) => OscillationAvoidance::TwoStep { delta },
+        ("one-step" | "two-step", None) => {
+            return Err(TomlError(format!("oscillation '{kind}' needs a 'delta'")))
+        }
+        (other, _) => {
+            return Err(TomlError(format!(
+                "unknown oscillation '{other}' (expected off, one-step or two-step)"
+            )))
+        }
+    }))
+}
+
+fn variant_to_toml(v: &mut ParamVariant) -> TomlValue {
+    let mut t = overrides_to_toml(&mut v.overrides);
     t.insert("label".into(), TomlValue::Str(v.label.clone()));
     TomlValue::Table(t)
 }
 
 fn variant_from_toml(v: &TomlValue) -> Result<ParamVariant, TomlError> {
-    check_keys(v, "variants", &["label", "floor", "cpvf", "vd", "opt"])?;
     let label = require_str(v, "label")
         .map_err(|_| TomlError("each [[variants]] entry needs a string 'label'".into()))?;
-    Ok(ParamVariant::new(label, overrides_from_toml(v)?))
-}
-
-fn scatter_to_toml(scatter: &ScatterSpec) -> TomlValue {
-    let mut t = BTreeMap::new();
-    t.insert("kind".into(), TomlValue::Str(scatter.kind().into()));
-    if let ScatterSpec::Clustered { x0, y0, x1, y1 } = scatter {
-        t.insert("x0".into(), TomlValue::Float(*x0));
-        t.insert("y0".into(), TomlValue::Float(*y0));
-        t.insert("x1".into(), TomlValue::Float(*x1));
-        t.insert("y1".into(), TomlValue::Float(*y1));
-    }
-    TomlValue::Table(t)
-}
-
-fn scatter_from_toml(v: &TomlValue) -> Result<ScatterSpec, TomlError> {
-    let kind = require_str(v, "kind")?;
-    match kind.as_str() {
-        "clustered-quarter" => Ok(ScatterSpec::ClusteredQuarter),
-        "uniform" => Ok(ScatterSpec::Uniform),
-        "clustered" => Ok(ScatterSpec::Clustered {
-            x0: get_f64(v, "x0", 0.0)?,
-            y0: get_f64(v, "y0", 0.0)?,
-            x1: get_f64(v, "x1", 0.0)?,
-            y1: get_f64(v, "y1", 0.0)?,
-        }),
-        other => Err(TomlError(format!(
-            "unknown scatter kind '{other}' (expected clustered-quarter, clustered or uniform)"
-        ))),
-    }
+    Ok(ParamVariant::new(
+        label,
+        overrides_from_toml(v, "variants", &["label"])?,
+    ))
 }
 
 fn rect_to_toml(r: &Rect) -> TomlValue {
@@ -1382,7 +1225,7 @@ fn dyn_event_from_toml(v: &TomlValue) -> Result<DynEvent, TomlError> {
                 "dynamics.events",
                 &["kind", "time", "count", "frac", "mode", "region"],
             )?;
-            let count = match (opt_usize(v, "count")?, opt_f64(v, "frac")?) {
+            let count = match (opt(v, "count", count)?, opt(v, "frac", num)?) {
                 (Some(k), None) => FailCount::Count(k),
                 (None, Some(f)) => FailCount::Frac(f),
                 (None, None) => {
@@ -1415,7 +1258,7 @@ fn dyn_event_from_toml(v: &TomlValue) -> Result<DynEvent, TomlError> {
         "reinforce" => {
             check_keys(v, "dynamics.events", &["kind", "time", "count", "rect"])?;
             EventAction::Reinforce {
-                count: opt_usize(v, "count")?
+                count: opt(v, "count", count)?
                     .ok_or_else(|| TomlError("a reinforce event needs a 'count'".into()))?,
                 rect: rect_from_toml(v, "rect")?,
             }
@@ -1429,7 +1272,7 @@ fn dyn_event_from_toml(v: &TomlValue) -> Result<DynEvent, TomlError> {
         "obstacle-remove" => {
             check_keys(v, "dynamics.events", &["kind", "time", "index"])?;
             EventAction::ObstacleRemove {
-                index: opt_usize(v, "index")?
+                index: opt(v, "index", count)?
                     .ok_or_else(|| TomlError("an obstacle-remove event needs an 'index'".into()))?,
             }
         }
@@ -1463,7 +1306,8 @@ fn dyn_event_from_toml(v: &TomlValue) -> Result<DynEvent, TomlError> {
 fn dynamics_from_toml(v: &TomlValue) -> Result<EventSchedule, TomlError> {
     check_keys(v, "dynamics", &["recovery_frac", "events"])?;
     let mut schedule = EventSchedule::new(Vec::new());
-    schedule.recovery_frac = get_f64(v, "recovery_frac", EventSchedule::DEFAULT_RECOVERY_FRAC)?;
+    schedule.recovery_frac =
+        opt(v, "recovery_frac", num)?.unwrap_or(EventSchedule::DEFAULT_RECOVERY_FRAC);
     if let Some(items) = v.get("events") {
         let items = items
             .as_array()
@@ -1794,6 +1638,50 @@ mod tests {
         assert!(e.0.contains("NOPE"));
         let e = ScenarioSpec::from_toml_str("name = \"x\"\n[field]\nkind = \"moon\"").unwrap_err();
         assert!(e.0.contains("moon"));
+    }
+
+    #[test]
+    fn unknown_top_level_keys_are_rejected() {
+        let smoke = include_str!("../../../scenarios/smoke.toml");
+        assert!(ScenarioSpec::from_toml_str(smoke).is_ok());
+        let e = ScenarioSpec::from_toml_str(&format!("sensor_count = [5]\n{smoke}")).unwrap_err();
+        assert!(
+            e.0.contains("unknown key 'sensor_count' at the top level"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn unknown_field_keys_are_rejected() {
+        let e = ScenarioSpec::from_toml_str(
+            "name = \"x\"\n[field]\nkind = \"corridor\"\nwidht = 10.0\n",
+        )
+        .unwrap_err();
+        assert!(e.0.contains("unknown key 'widht' in [field]"), "{e}");
+        // parameterless kinds take no keys at all
+        let e =
+            ScenarioSpec::from_toml_str("name = \"x\"\n[field]\nkind = \"paper\"\nwidth = 10.0\n")
+                .unwrap_err();
+        assert!(e.0.contains("unknown key 'width' in [field]"), "{e}");
+        // and a key of one kind is unknown under another
+        let e = ScenarioSpec::from_toml_str(
+            "name = \"x\"\n[field]\nkind = \"campus-grid\"\nbaffles = 3\n",
+        )
+        .unwrap_err();
+        assert!(e.0.contains("unknown key 'baffles' in [field]"), "{e}");
+    }
+
+    #[test]
+    fn unknown_scatter_keys_are_rejected() {
+        let e =
+            ScenarioSpec::from_toml_str("name = \"x\"\n[scatter]\nkind = \"uniform\"\nx9 = 1.0\n")
+                .unwrap_err();
+        assert!(e.0.contains("unknown key 'x9' in [scatter]"), "{e}");
+        let e = ScenarioSpec::from_toml_str(
+            "name = \"x\"\n[scatter]\nkind = \"clustered\"\nx0 = 0.0\ny0 = 0.0\nx1 = 9.0\ny1 = 9.0\nx2 = 1.0\n",
+        )
+        .unwrap_err();
+        assert!(e.0.contains("unknown key 'x2' in [scatter]"), "{e}");
     }
 
     fn every_kind_schedule() -> EventSchedule {

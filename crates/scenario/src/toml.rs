@@ -45,6 +45,11 @@ impl fmt::Display for TomlError {
 
 impl std::error::Error for TomlError {}
 
+/// Deepest array nesting, and longest `[a.b.c]` header path, a document
+/// may use. Parsing recurses per level, so the cap keeps hostile input
+/// from overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
 fn err<T>(msg: impl Into<String>) -> Result<T, TomlError> {
     Err(TomlError(msg.into()))
 }
@@ -80,6 +85,12 @@ impl TomlValue {
                     .collect::<Vec<_>>();
                 if path.iter().any(String::is_empty) {
                     return err(format!("line {}: empty table-name segment", lineno + 1));
+                }
+                if path.len() > MAX_DEPTH {
+                    return err(format!(
+                        "line {}: table header nests deeper than {MAX_DEPTH}",
+                        lineno + 1
+                    ));
                 }
                 if is_array {
                     // `[[x]]` appends a fresh element; later `[x.sub]`
@@ -278,7 +289,7 @@ fn table_at<'a>(
 fn parse_value(text: &str, lineno: usize) -> Result<TomlValue, TomlError> {
     let chars: Vec<char> = text.chars().collect();
     let mut pos = 0;
-    let value = parse_value_at(&chars, &mut pos, lineno)?;
+    let value = parse_value_at(&chars, &mut pos, lineno, 0)?;
     skip_ws(&chars, &mut pos);
     if pos != chars.len() {
         return err(format!("line {lineno}: trailing characters after value"));
@@ -292,7 +303,12 @@ fn skip_ws(chars: &[char], pos: &mut usize) {
     }
 }
 
-fn parse_value_at(chars: &[char], pos: &mut usize, lineno: usize) -> Result<TomlValue, TomlError> {
+fn parse_value_at(
+    chars: &[char],
+    pos: &mut usize,
+    lineno: usize,
+    depth: usize,
+) -> Result<TomlValue, TomlError> {
     skip_ws(chars, pos);
     let Some(&c) = chars.get(*pos) else {
         return err(format!("line {lineno}: missing value"));
@@ -300,6 +316,11 @@ fn parse_value_at(chars: &[char], pos: &mut usize, lineno: usize) -> Result<Toml
     match c {
         '"' => parse_string(chars, pos, lineno),
         '[' => {
+            if depth == MAX_DEPTH {
+                return err(format!(
+                    "line {lineno}: arrays nest deeper than {MAX_DEPTH}"
+                ));
+            }
             *pos += 1;
             let mut items = Vec::new();
             loop {
@@ -310,7 +331,7 @@ fn parse_value_at(chars: &[char], pos: &mut usize, lineno: usize) -> Result<Toml
                         break;
                     }
                     Some(_) => {
-                        items.push(parse_value_at(chars, pos, lineno)?);
+                        items.push(parse_value_at(chars, pos, lineno, depth + 1)?);
                         skip_ws(chars, pos);
                         match chars.get(*pos) {
                             Some(',') => *pos += 1,
@@ -608,6 +629,21 @@ label = "two-step"
         assert_eq!(TomlValue::parse(&text).unwrap(), v, "{text}");
         // deterministic output
         assert_eq!(text, TomlValue::parse(&text).unwrap().to_toml_string());
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let deep = 100_000;
+        let doc = format!("x = {}{}", "[".repeat(deep), "]".repeat(deep));
+        let e = TomlValue::parse(&doc).unwrap_err();
+        assert!(e.0.contains("deeper than"), "{e}");
+        let header = format!("[{}]\nx = 1", vec!["a"; deep].join("."));
+        assert!(TomlValue::parse(&header).is_err());
+        // the cap itself still parses
+        let doc = format!("x = {}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(TomlValue::parse(&doc).is_ok());
+        let header = format!("[{}]\nx = 1", vec!["a"; MAX_DEPTH].join("."));
+        assert!(TomlValue::parse(&header).is_ok());
     }
 
     #[test]

@@ -402,6 +402,23 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_bodies_are_protocol_errors() {
+        // a handler thread's default stack, like the daemon's
+        let deep = 100_000;
+        let body = format!("{}{}", "[".repeat(deep), "]".repeat(deep));
+        let frame = format!(
+            "POST /api HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let err = std::thread::spawn(move || read_request(&mut Cursor::new(frame.into_bytes())))
+            .join()
+            .expect("parser must not overflow the stack")
+            .unwrap_err();
+        assert_eq!(err.code(), "protocol");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+    }
+
+    #[test]
     fn headers_are_case_insensitive() {
         let frame =
             b"POST /api HTTP/1.1\r\ncontent-length: 18\r\n\r\n{\"request\":\"ping\"}".to_vec();

@@ -1,9 +1,15 @@
 //! Property-based tests for the scenario engine: specs round-trip
-//! through TOML, and the run matrix respects its invariants.
+//! through TOML, the run matrix respects its invariants, and the
+//! hand-rolled parsers never panic on hostile input.
 
-use msn_deploy::SchemeKind;
+use msn_deploy::cpvf::OscillationAvoidance;
+use msn_deploy::{
+    CpvfOverrides, FloorOverrides, OptOverrides, SchemeKind, SchemeOverrides, VdOverrides,
+};
 use msn_field::{CampusGridParams, CorridorParams, RandomObstacleParams};
-use msn_scenario::{FieldSpec, ScatterSpec, ScenarioSpec};
+use msn_geom::{Point, Rect};
+use msn_scenario::{BatchFile, FieldSpec, Json, ScatterSpec, ScenarioSpec, TomlValue};
+use msn_sim::{DynEvent, EventAction, EventSchedule, FailCount, FailMode};
 use proptest::prelude::*;
 
 /// A strategy over all field kinds with plausible parameters.
@@ -62,6 +68,207 @@ fn schemes_strategy() -> impl Strategy<Value = Vec<SchemeKind>> {
     })
 }
 
+/// `Some(value)` or `None`, each half the time.
+fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
+    (prop::bool::ANY, s).prop_map(|(on, v)| on.then_some(v))
+}
+
+/// FLOOR overrides with every knob independently set or unset (the TTL
+/// pair as one choice: unset, absolute or fractional).
+fn floor_strategy() -> impl Strategy<Value = FloorOverrides> {
+    (
+        (0usize..3, 1usize..100, 0.01..1.0f64),
+        (
+            maybe(1usize..10),
+            maybe(0u32..20),
+            maybe(0.0..1.0f64),
+            maybe(0.0..1.0f64),
+        ),
+        (
+            maybe(0u32..50),
+            maybe(1usize..8),
+            maybe(0u32..30),
+            maybe(prop::bool::ANY),
+            maybe(prop::bool::ANY),
+        ),
+    )
+        .prop_map(
+            |(
+                (ttl_kind, ttl, frac),
+                (quorum, patience, threshold, phase1),
+                (invites, eps, idle, blg, iflg),
+            )| {
+                FloorOverrides {
+                    ttl: (ttl_kind == 1).then_some(ttl),
+                    ttl_frac: (ttl_kind == 2).then_some(frac),
+                    quorum,
+                    patience,
+                    movable_threshold: threshold,
+                    phase1_timeout_frac: phase1,
+                    max_invites_per_ep: invites,
+                    max_concurrent_eps: eps,
+                    idle_stop_periods: idle,
+                    enable_blg: blg,
+                    enable_iflg: iflg,
+                }
+            },
+        )
+}
+
+/// Unset, or one of the three oscillation forms.
+fn oscillation_strategy() -> impl Strategy<Value = Option<OscillationAvoidance>> {
+    (0usize..4, 0.1..10.0f64).prop_map(|(kind, delta)| match kind {
+        0 => None,
+        1 => Some(OscillationAvoidance::Off),
+        2 => Some(OscillationAvoidance::OneStep { delta }),
+        _ => Some(OscillationAvoidance::TwoStep { delta }),
+    })
+}
+
+fn cpvf_strategy() -> impl Strategy<Value = CpvfOverrides> {
+    let gain = || maybe(0.0..10.0f64);
+    (
+        maybe(0.0..30.0f64),
+        maybe(prop::bool::ANY),
+        oscillation_strategy(),
+        (gain(), gain(), gain(), gain()),
+        (gain(), gain(), gain()),
+    )
+        .prop_map(
+            |(backoff, parent, oscillation, (nt, ng, or, og), (br, bg, mf))| CpvfOverrides {
+                backoff_max: backoff,
+                allow_parent_change: parent,
+                oscillation,
+                neighbor_threshold: nt,
+                neighbor_gain: ng,
+                obstacle_range: or,
+                obstacle_gain: og,
+                boundary_range: br,
+                boundary_gain: bg,
+                min_force: mf,
+            },
+        )
+}
+
+fn overrides_strategy() -> impl Strategy<Value = SchemeOverrides> {
+    (
+        floor_strategy(),
+        cpvf_strategy(),
+        (
+            maybe(1usize..50),
+            maybe(0.0..1.0f64),
+            maybe(prop::bool::ANY),
+        ),
+        maybe(0.0..2.0f64),
+    )
+        .prop_map(
+            |(floor, cpvf, (rounds, step_cap_frac, explode), slack)| SchemeOverrides {
+                floor,
+                cpvf,
+                vd: VdOverrides {
+                    rounds,
+                    step_cap_frac,
+                    explode,
+                },
+                opt: OptOverrides {
+                    connector_slack: slack,
+                },
+            },
+        )
+}
+
+fn rect_strategy() -> impl Strategy<Value = Rect> {
+    (0.0..400.0f64, 0.0..400.0f64, 1.0..300.0f64, 1.0..300.0f64)
+        .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
+}
+
+/// One event of any of the five kinds (and every fail count and mode),
+/// at a time drawn as a fraction of the run.
+fn event_strategy() -> impl Strategy<Value = (f64, EventAction)> {
+    (
+        0.01..0.99f64,
+        0usize..7,
+        1usize..30,
+        0.01..1.0f64,
+        rect_strategy(),
+        (0.0..500.0f64, 0.0..500.0f64),
+    )
+        .prop_map(|(at, kind, k, frac, rect, (x, y))| {
+            let action = match kind {
+                0 => EventAction::Fail {
+                    count: FailCount::Count(k),
+                    mode: FailMode::Random,
+                },
+                1 => EventAction::Fail {
+                    count: FailCount::Frac(frac),
+                    mode: FailMode::Drained,
+                },
+                2 => EventAction::Fail {
+                    count: FailCount::Count(k),
+                    mode: FailMode::Region(rect),
+                },
+                3 => EventAction::Reinforce { count: k, rect },
+                4 => EventAction::ObstacleAdd { rect },
+                5 => EventAction::ObstacleRemove { index: k },
+                _ => EventAction::RelocateBase {
+                    to: Point::new(x, y),
+                },
+            };
+            (at, action)
+        })
+}
+
+/// Unset, or a schedule of up to six events with a recovery threshold.
+fn dynamics_strategy() -> impl Strategy<Value = Option<(f64, Vec<(f64, EventAction)>)>> {
+    maybe((0.05..1.0f64, prop::collection::vec(event_strategy(), 0..7)))
+}
+
+/// Materializes a drawn schedule for a run of `duration` seconds.
+fn schedule(drawn: Option<(f64, Vec<(f64, EventAction)>)>, duration: f64) -> Option<EventSchedule> {
+    let (recovery_frac, mut events) = drawn?;
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut s = EventSchedule::new(
+        events
+            .into_iter()
+            .map(|(at, action)| DynEvent {
+                time: at * duration,
+                action,
+            })
+            .collect(),
+    );
+    s.recovery_frac = recovery_frac;
+    Some(s)
+}
+
+/// Bytes biased toward TOML/JSON structure: brackets, braces, `=`,
+/// quotes, separators, escapes, digits and line breaks.
+fn hostile_text() -> impl Strategy<Value = String> {
+    const BIASED: &[u8] = b"[]{}=\".,\\:#-+eE0123456789 \n\ttruefalsnamekind";
+    let byte = prop_oneof![
+        2 => 0u8..=255,
+        5 => (0usize..BIASED.len()).prop_map(|i| BIASED[i]),
+    ];
+    prop::collection::vec(byte, 0..400)
+        .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+}
+
+/// A valid document with a random slice of `noise` spliced in.
+fn spliced(doc: &str, noise: &str, at: f64, cut: usize) -> String {
+    let mut at = (doc.len() as f64 * at) as usize;
+    while !doc.is_char_boundary(at) {
+        at -= 1;
+    }
+    let mut end = (at + cut).min(doc.len());
+    while !doc.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}{noise}{}", &doc[..at], &doc[end..])
+}
+
+const SPEC_DOC: &str = include_str!("../../../scenarios/ablation-obstacle.toml");
+const DYNAMICS_DOC: &str = include_str!("../../../scenarios/failure-recovery.toml");
+const BATCH_DOC: &str = include_str!("../../../tests/fixtures/smoke-batch.json");
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -76,8 +283,11 @@ proptest! {
         coverage_cell in 1.0..25.0f64,
         repetitions in 1usize..10,
         seed in 0u64..u64::MAX,
+        params in overrides_strategy(),
+        variants in prop::collection::vec(overrides_strategy(), 0..4),
+        dynamics in dynamics_strategy(),
     ) {
-        let spec = ScenarioSpec::new("prop-roundtrip")
+        let mut spec = ScenarioSpec::new("prop-roundtrip")
             .with_description("generated by proptest")
             .with_field(field)
             .with_scatter(scatter)
@@ -87,7 +297,13 @@ proptest! {
             .with_duration(duration)
             .with_coverage_cell(coverage_cell)
             .with_repetitions(repetitions)
-            .with_seed(seed);
+            .with_seed(seed)
+            .with_params(params);
+        for (i, overrides) in variants.into_iter().enumerate() {
+            spec = spec.with_variant(format!("v{i}"), overrides);
+        }
+        spec.dynamics = schedule(dynamics, duration);
+        prop_assert!(spec.validate().is_ok(), "generated an invalid spec: {:?}", spec.validate());
         let text = spec.to_toml_string();
         let parsed = ScenarioSpec::from_toml_str(&text)
             .expect("serialized spec must parse back");
@@ -127,5 +343,33 @@ proptest! {
                 prop_assert_eq!(cell.n, slice[0].n);
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn parsers_never_panic_on_hostile_bytes(text in hostile_text()) {
+        let _ = TomlValue::parse(&text);
+        let _ = ScenarioSpec::from_toml_str(&text);
+        let _ = Json::parse(&text);
+        let _ = BatchFile::parse(&text);
+    }
+
+    #[test]
+    fn parsers_never_panic_on_corrupted_documents(
+        noise in hostile_text(),
+        at in 0.0..1.0f64,
+        cut in 0usize..40,
+    ) {
+        for doc in [SPEC_DOC, DYNAMICS_DOC] {
+            let text = spliced(doc, &noise, at, cut);
+            let _ = TomlValue::parse(&text);
+            let _ = ScenarioSpec::from_toml_str(&text);
+        }
+        let text = spliced(BATCH_DOC, &noise, at, cut);
+        let _ = Json::parse(&text);
+        let _ = BatchFile::parse(&text);
     }
 }
