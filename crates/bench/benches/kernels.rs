@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the computational kernels every
 //! experiment leans on: Voronoi cell construction, Hungarian matching,
 //! minimum enclosing circles, coverage rasters (full, scratch-reuse
-//! and incremental-tracker paths), BUG2 navigation and disk-graph
-//! construction.
+//! and incremental-tracker paths), BUG2 navigation, field motion
+//! sweeps and disk-graph construction.
 //!
 //! Besides printing per-iteration times, the harness exports the
 //! measurements as a machine-readable perf record: `BENCH_pr8.json`
@@ -13,8 +13,8 @@
 
 use criterion::{BatchSize, Criterion};
 use msn_assign::{hungarian, CostMatrix};
-use msn_field::{CoverageGrid, CoverageTracker, Field};
-use msn_geom::{min_enclosing_circle, Point, Rect, Segment};
+use msn_field::{two_obstacle_field, CoverageGrid, CoverageTracker, Field, Hit};
+use msn_geom::{min_enclosing_circle, Point, Rect, Segment, EPS};
 use msn_nav::{Hand, NavContext, Navigator};
 use msn_net::{AdjacencyTracker, ConnectivityTracker, DiskGraph, PointIndex, SpatialGrid};
 use msn_scenario::Json;
@@ -208,6 +208,75 @@ fn bench_nav_context(c: &mut Criterion) {
             }
             black_box(nav.traveled())
         })
+    });
+}
+
+/// The linear `Field::first_hit` the box-filtered sweep replaced:
+/// every boundary wall, then every obstacle edge (bench-local copy of
+/// the oracle in `msn-field`'s `tests/box_filter.rs`).
+fn first_hit_linear(field: &Field, seg: &Segment) -> Option<(f64, Hit)> {
+    let mut best: Option<(f64, Hit)> = None;
+    let start_tol = 1e-7 / seg.length().max(EPS);
+    let mut consider = |t: f64, hit: Hit| {
+        if t > start_tol && best.is_none_or(|(bt, _)| t < bt) {
+            best = Some((t, hit));
+        }
+    };
+    let bounds = field.bounds();
+    for (i, edge) in bounds.to_polygon().edges().enumerate() {
+        if let Some(t) = seg.first_hit(&edge) {
+            let just_after = seg.at((t + 10.0 * start_tol).min(1.0));
+            let leaving = !bounds.contains_strict(just_after) && t < 1.0 - start_tol;
+            if leaving || !bounds.contains(seg.b) {
+                consider(t, Hit::Boundary(i));
+            }
+        }
+    }
+    for (oi, obstacle) in field.obstacles().iter().enumerate() {
+        if let Some((t, ei)) = obstacle.first_boundary_hit(seg) {
+            consider(t, Hit::Obstacle(oi, ei));
+        }
+    }
+    best
+}
+
+/// The linear `Field::segment_free`.
+fn segment_free_linear(field: &Field, seg: &Segment) -> bool {
+    field.bounds().contains(seg.a)
+        && field.bounds().contains(seg.b)
+        && !field.obstacles().iter().any(|o| o.intersects_segment(seg))
+}
+
+fn bench_field_geometry(c: &mut Criterion) {
+    // CPVF's per-tick field questions on the paper's two-obstacle
+    // field: sensor-step sweeps (most far from any wall, a few across
+    // one), box-filtered against the linear scans they replaced.
+    let field = two_obstacle_field();
+    let probes: Vec<Segment> = sites(64)
+        .into_iter()
+        .enumerate()
+        .map(|(i, from)| Segment::new(from, from + Point::from_angle(i as f64 * 2.39996) * 4.0))
+        .collect();
+    let sweep = |f: &dyn Fn(&Segment) -> bool| {
+        let mut hits = 0usize;
+        for seg in &probes {
+            if f(black_box(seg)) {
+                hits += 1;
+            }
+        }
+        black_box(hits)
+    };
+    c.bench_function("field_first_hit_two_obstacle", |b| {
+        b.iter(|| sweep(&|s| field.first_hit(s).is_some()))
+    });
+    c.bench_function("field_first_hit_two_obstacle_linear", |b| {
+        b.iter(|| sweep(&|s| first_hit_linear(&field, s).is_some()))
+    });
+    c.bench_function("field_segment_free_two_obstacle", |b| {
+        b.iter(|| sweep(&|s| field.segment_free(s)))
+    });
+    c.bench_function("field_segment_free_two_obstacle_linear", |b| {
+        b.iter(|| sweep(&|s| segment_free_linear(&field, s)))
     });
 }
 
@@ -466,6 +535,7 @@ fn main() {
     bench_tracker(&mut c);
     bench_bug2(&mut c);
     bench_nav_context(&mut c);
+    bench_field_geometry(&mut c);
     bench_disk_stamp(&mut c);
     bench_diskgraph(&mut c);
     bench_conntrack(&mut c);

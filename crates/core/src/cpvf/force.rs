@@ -81,8 +81,9 @@ pub fn virtual_force(
         f += dir * (params.neighbor_gain * (d_th - d) / d_th);
     }
     // Obstacle repulsion from the nearest boundary point of each
-    // obstacle within range.
-    for obstacle in field.obstacles() {
+    // obstacle within range (the box filter only drops obstacles that
+    // would fail the range test below).
+    for obstacle in field.obstacles_near(pos, params.obstacle_range) {
         let bp = obstacle.closest_boundary_point(pos);
         let delta = pos - bp;
         let d = delta.norm();
@@ -186,6 +187,103 @@ mod tests {
         assert!(f.y.abs() < 1e-9);
         let corner = virtual_force(Point::new(3.0, 3.0), [], &open_field(), &params());
         assert!(corner.x > 0.0 && corner.y > 0.0);
+    }
+
+    /// [`virtual_force`] as it was before the box filter: every
+    /// obstacle's nearest boundary point is measured.
+    fn virtual_force_linear(
+        pos: Point,
+        neighbors: &[Point],
+        field: &Field,
+        p: &ForceParams,
+    ) -> Vec2 {
+        let mut f = Vec2::ORIGIN;
+        let d_th = p.neighbor_threshold;
+        for &q in neighbors {
+            let delta = pos - q;
+            let d = delta.norm();
+            if d >= d_th {
+                continue;
+            }
+            let dir = if d <= 1e-9 {
+                Point::new(1.0, 0.0)
+            } else {
+                delta / d
+            };
+            f += dir * (p.neighbor_gain * (d_th - d) / d_th);
+        }
+        for obstacle in field.obstacles() {
+            let delta = pos - obstacle.closest_boundary_point(pos);
+            let d = delta.norm();
+            if d >= p.obstacle_range || d <= 1e-9 {
+                continue;
+            }
+            f += (delta / d) * (p.obstacle_gain * (p.obstacle_range - d) / p.obstacle_range);
+        }
+        let b = field.bounds();
+        let (r, g) = (p.boundary_range, p.boundary_gain);
+        if pos.x - b.min.x < r {
+            f += Point::new(g * (r - (pos.x - b.min.x)) / r, 0.0);
+        }
+        if b.max.x - pos.x < r {
+            f += Point::new(-g * (r - (b.max.x - pos.x)) / r, 0.0);
+        }
+        if pos.y - b.min.y < r {
+            f += Point::new(0.0, g * (r - (pos.y - b.min.y)) / r);
+        }
+        if b.max.y - pos.y < r {
+            f += Point::new(0.0, -g * (r - (b.max.y - pos.y)) / r);
+        }
+        f
+    }
+
+    #[test]
+    fn box_filtered_obstacles_give_the_all_obstacles_force() {
+        // The force over every obstacle (the loop before the box
+        // filter), compared bit for bit on a lattice of positions
+        // that straddles the range limit and the 1 mm box padding.
+        let field = Field::with_obstacles(
+            1000.0,
+            1000.0,
+            vec![
+                Rect::new(200.0, 200.0, 300.0, 260.0).to_polygon(),
+                Rect::new(0.0, 600.0, 120.0, 700.0).to_polygon(),
+                msn_geom::Polygon::new(vec![
+                    Point::new(500.0, 500.0),
+                    Point::new(640.0, 520.0),
+                    Point::new(560.0, 610.0),
+                ]),
+                Rect::new(520.0, 480.0, 700.0, 540.0).to_polygon(),
+            ],
+        );
+        let params = params();
+        let neighbors = [Point::new(250.0, 300.0), Point::new(580.0, 470.0)];
+        let all_obstacles = |pos: Point| virtual_force_linear(pos, &neighbors, &field, &params);
+        let r = params.obstacle_range;
+        for ix in 0..200 {
+            for iy in 0..200 {
+                let pos = Point::new(5.0 * ix as f64 + 0.37, 5.0 * iy as f64 + 0.61);
+                assert_eq!(
+                    virtual_force(pos, neighbors, &field, &params),
+                    all_obstacles(pos),
+                    "{pos}"
+                );
+            }
+        }
+        // just inside, on and just past the range, beside each box
+        for off in [-1e-3, -1e-9, 0.0, 1e-9, 5e-4, 1e-3, 2e-3] {
+            for pos in [
+                Point::new(300.0 + r + off, 230.0),
+                Point::new(120.0 + r + off, 650.0),
+                Point::new(610.0, 540.0 + r + off),
+            ] {
+                assert_eq!(
+                    virtual_force(pos, neighbors, &field, &params),
+                    all_obstacles(pos),
+                    "{pos}"
+                );
+            }
+        }
     }
 
     #[test]

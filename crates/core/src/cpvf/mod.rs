@@ -70,6 +70,22 @@ enum Link {
     Node(usize),
 }
 
+/// A link set borrowed from the tree: the parent link (if any), then
+/// one link per child.
+#[derive(Debug, Clone, Copy)]
+struct Links<'a> {
+    parent: Option<Link>,
+    children: &'a [usize],
+}
+
+impl Links<'_> {
+    fn iter(&self) -> impl Iterator<Item = Link> + '_ {
+        self.parent
+            .into_iter()
+            .chain(self.children.iter().map(|&c| Link::Node(c)))
+    }
+}
+
 /// Per-sensor motion plan for the current period.
 #[derive(Debug, Clone, Copy)]
 struct Motion {
@@ -170,6 +186,9 @@ pub fn run_with_grid(
     let mut prev_plan_pos: Vec<Option<Point>> = vec![None; n];
 
     let snap_ticks = (params.snapshot_every / cfg.dt()).round().max(1.0) as u64;
+    // The link invariant check runs always in debug builds and behind
+    // the MSN_CHECK_LINKS env var in release.
+    let check_links = cfg!(debug_assertions) || std::env::var_os("MSN_CHECK_LINKS").is_some();
     let mut timeline = vec![(0.0, world.coverage_tracked())];
     drop(setup);
 
@@ -258,11 +277,10 @@ pub fn run_with_grid(
             let _snapshot = msn_obs::span("cpvf.snapshot");
             timeline.push((world.time(), world.coverage_tracked()));
         }
-        // Invariant check (always on in debug builds, opt-in via the
-        // MSN_CHECK_LINKS env var in release): every tree link must
-        // stay within communication range at all times — the paper's
-        // connectivity guarantee.
-        if cfg!(debug_assertions) || std::env::var_os("MSN_CHECK_LINKS").is_some() {
+        // Invariant check: every tree link must stay within
+        // communication range at all times — the paper's connectivity
+        // guarantee.
+        if check_links {
             for i in 0..n {
                 let limit = cfg.rc + 1e-6;
                 match tree.parent(i) {
@@ -408,12 +426,13 @@ fn plan_virtual_force(
     // per-tick grid produced, so the force summation below sees its
     // neighbors in the identical sequence (f64 addition is not
     // associative — order is part of the output).
-    let neighbor_positions: Vec<Point> = world
-        .neighbors_tracked(i, force_params.neighbor_threshold.min(world.cfg().rc))
-        .into_iter()
-        .map(|j| world.pos(j))
-        .collect();
-    let f = virtual_force(pos, neighbor_positions, world.field(), force_params);
+    let nbrs = world.neighbors_tracked(i, force_params.neighbor_threshold.min(world.cfg().rc));
+    let f = virtual_force(
+        pos,
+        nbrs.iter().map(|&j| world.pos(j)),
+        world.field(),
+        force_params,
+    );
     let prev = prev_plan_pos[i];
     prev_plan_pos[i] = Some(pos);
     if f.norm() < force_params.min_force {
@@ -428,7 +447,7 @@ fn plan_virtual_force(
     let probes = links.iter().filter(|l| matches!(l, Link::Node(_))).count() as u64;
     world.msgs().record(MsgKind::MotionProbe, 2 * probes);
 
-    let chosen = max_valid_step(i, pos, dir, &links, world, motions, max_step);
+    let chosen = max_valid_step(i, pos, dir, links, world, motions, max_step);
     let filtered = params.oscillation.filter(pos, dir, chosen, max_step, prev);
 
     if filtered > 1e-9 {
@@ -447,17 +466,16 @@ fn plan_virtual_force(
 }
 
 /// The links sensor `i` must keep alive: its parent and all children.
-fn maintained_links(tree: &Tree, i: usize) -> Vec<Link> {
-    let mut links = Vec::with_capacity(1 + tree.children(i).len());
-    match tree.parent(i) {
-        Parent::Base => links.push(Link::Base),
-        Parent::Node(p) => links.push(Link::Node(p)),
-        Parent::None => {}
+fn maintained_links(tree: &Tree, i: usize) -> Links<'_> {
+    let parent = match tree.parent(i) {
+        Parent::Base => Some(Link::Base),
+        Parent::Node(p) => Some(Link::Node(p)),
+        Parent::None => None,
+    };
+    Links {
+        parent,
+        children: tree.children(i),
     }
-    for &c in tree.children(i) {
-        links.push(Link::Node(c));
-    }
-    links
 }
 
 /// Largest step in `{1.0, …, 0.1, 0}·V·T` whose straight move keeps
@@ -467,7 +485,7 @@ fn max_valid_step(
     i: usize,
     pos: Point,
     dir: Vec2,
-    links: &[Link],
+    links: Links<'_>,
     world: &World,
     motions: &[Motion],
     max_step: f64,
@@ -491,9 +509,9 @@ fn max_valid_step(
             let (other_candidates, t_prime): ([Point; 2], f64) = match link {
                 Link::Base => ([cfg.base, cfg.base], my_period_end),
                 Link::Node(j) => {
-                    let tp = world.period_end(*j);
-                    let here = world.pos(*j);
-                    ([here + motions[*j].vel * (tp - now), here], tp)
+                    let tp = world.period_end(j);
+                    let here = world.pos(j);
+                    ([here + motions[j].vel * (tp - now), here], tp)
                 }
             };
             let me_at_tp = pos + my_vel * (t_prime - now).max(0.0).min(cfg.period);
@@ -539,11 +557,11 @@ fn try_parent_change(
             continue;
         }
         // Hypothetical link set with j as parent.
-        let mut links = vec![Link::Node(j)];
-        for &c in tree.children(i) {
-            links.push(Link::Node(c));
-        }
-        let step = max_valid_step(i, pos, dir, &links, world, motions, max_step);
+        let links = Links {
+            parent: Some(Link::Node(j)),
+            children: tree.children(i),
+        };
+        let step = max_valid_step(i, pos, dir, links, world, motions, max_step);
         if step > 1e-9 && best.is_none_or(|(_, bs)| step > bs) {
             best = Some((j, step));
         }

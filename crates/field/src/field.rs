@@ -29,6 +29,60 @@ use std::fmt;
 pub struct Field {
     bounds: Rect,
     obstacles: Vec<Polygon>,
+    /// `boxes[i]` is `obstacles[i]`'s bounding box grown by [`PAD`]:
+    /// the cheap reject the motion and force queries test first.
+    boxes: Vec<Rect>,
+}
+
+/// Padding of the per-obstacle boxes (m).
+///
+/// The box filters skip an obstacle (or the four boundary walls) only
+/// when a query lies more than `PAD` away from its box, so every
+/// skipped kernel call would have answered `None`, `false` or a
+/// distance `≥ range` anyway — provided `PAD` clears every slack
+/// those kernels grant:
+///
+/// * `EPS = 1e-9` in `Rect::contains`, `Polygon::on_boundary` and
+///   `Segment::contains_point`;
+/// * the `1e-12` parameter tolerance of `Segment::intersect` and
+///   `Segment::first_hit`, and the `EPS` parameter slack of their
+///   collinear-overlap branch — at most `1e-9` times the longer
+///   segment's length, a micrometer at kilometer scale;
+/// * their collinear test `|qp × r| ≤ EPS`, which accepts two
+///   segments whose lines lie up to `EPS / |r|` apart (`r` the
+///   receiver's direction). Once that exceeds `√EPS ≈ 3.2e-5` m,
+///   `|r|² ≤ EPS` and the kernel takes its point branch instead, an
+///   `EPS` distance test.
+///
+/// A millimeter clears all three by more than an order of magnitude.
+/// f64 rounding in those kernels is relative to their operands
+/// (~1e-13 m at field scale) with one exception: a segment so nearly
+/// parallel to a slanted edge that their cross product only just
+/// clears `EPS` gets ill-conditioned parameters from the general
+/// branch, and there the filter is exact only up to that noise.
+/// Axis-aligned edges (the field walls and every rectangular
+/// obstacle) form those cross products against an exact zero and
+/// stay well-conditioned.
+const PAD: f64 = 1e-3;
+
+/// The bounding box of `seg` (built directly: a NaN coordinate would
+/// trip `Rect::new`'s ordering assertion in debug builds).
+#[inline]
+fn segment_box(seg: &Segment) -> Rect {
+    Rect {
+        min: Point::new(seg.a.x.min(seg.b.x), seg.a.y.min(seg.b.y)),
+        max: Point::new(seg.a.x.max(seg.b.x), seg.a.y.max(seg.b.y)),
+    }
+}
+
+/// Whether `a` and `b` are provably apart (strictly, on some axis).
+#[inline]
+fn disjoint(a: &Rect, b: &Rect) -> bool {
+    a.max.x < b.min.x || b.max.x < a.min.x || a.max.y < b.min.y || b.max.y < a.min.y
+}
+
+fn padded_box(obstacle: &Polygon) -> Rect {
+    obstacle.bounding_box().inflated(PAD)
 }
 
 /// Identifies which wall a motion sweep hit first.
@@ -56,6 +110,7 @@ impl Field {
         Field {
             bounds: Rect::new(0.0, 0.0, width, height),
             obstacles: Vec::new(),
+            boxes: Vec::new(),
         }
     }
 
@@ -70,6 +125,7 @@ impl Field {
     /// Panics if either dimension is not strictly positive.
     pub fn with_obstacles(width: f64, height: f64, obstacles: Vec<Polygon>) -> Self {
         let mut f = Field::open(width, height);
+        f.boxes = obstacles.iter().map(padded_box).collect();
         f.obstacles = obstacles;
         f
     }
@@ -88,6 +144,7 @@ impl Field {
 
     /// Adds an obstacle after construction.
     pub fn push_obstacle(&mut self, obstacle: Polygon) {
+        self.boxes.push(padded_box(&obstacle));
         self.obstacles.push(obstacle);
     }
 
@@ -99,7 +156,23 @@ impl Field {
     ///
     /// Panics if `index` is out of bounds.
     pub fn remove_obstacle(&mut self, index: usize) -> Polygon {
+        self.boxes.remove(index);
         self.obstacles.remove(index)
+    }
+
+    /// The obstacles whose bounding box lies within `r` of `p`, in
+    /// index order — a superset of those with a boundary point closer
+    /// than `r + 1e-3` m to `p`.
+    pub fn obstacles_near(&self, p: Point, r: f64) -> impl Iterator<Item = &Polygon> + '_ {
+        self.obstacles
+            .iter()
+            .zip(&self.boxes)
+            .filter(move |(_, b)| {
+                let dx = (b.min.x - p.x).max(p.x - b.max.x).max(0.0);
+                let dy = (b.min.y - p.y).max(p.y - b.max.y).max(0.0);
+                dx * dx + dy * dy <= r * r
+            })
+            .map(|(o, _)| o)
     }
 
     /// Returns `true` if `p` is inside the field and outside every
@@ -120,7 +193,12 @@ impl Field {
         if !self.bounds.contains(seg.a) || !self.bounds.contains(seg.b) {
             return false;
         }
-        !self.obstacles.iter().any(|o| o.intersects_segment(seg))
+        let reach = segment_box(seg);
+        !self
+            .obstacles
+            .iter()
+            .zip(&self.boxes)
+            .any(|(o, b)| !disjoint(b, &reach) && o.intersects_segment(seg))
     }
 
     /// Sweeps along `seg` and reports the first obstruction, if any.
@@ -141,20 +219,31 @@ impl Field {
                 best = Some((t, hit));
             }
         };
-        // Outer boundary: hitting it from inside.
-        let boundary = self.bounds.to_polygon();
-        for (i, edge) in boundary.edges().enumerate() {
-            if let Some(t) = seg.first_hit(&edge) {
-                // Only count as a hit if we are actually leaving: the
-                // segment continues beyond the wall.
-                let just_after = seg.at((t + 10.0 * start_tol).min(1.0));
-                let leaving = !self.bounds.contains_strict(just_after) && t < 1.0 - start_tol;
-                if leaving || !self.bounds.contains(seg.b) {
-                    consider(t, Hit::Boundary(i));
+        let reach = segment_box(seg);
+        // Outer boundary: hitting it from inside. A segment more than
+        // PAD inside every wall cannot touch one.
+        let b = self.bounds;
+        let deep_inside = reach.min.x - PAD > b.min.x
+            && reach.max.x + PAD < b.max.x
+            && reach.min.y - PAD > b.min.y
+            && reach.max.y + PAD < b.max.y;
+        if !deep_inside {
+            for (i, edge) in b.edges().iter().enumerate() {
+                if let Some(t) = seg.first_hit(edge) {
+                    // Only count as a hit if we are actually leaving:
+                    // the segment continues beyond the wall.
+                    let just_after = seg.at((t + 10.0 * start_tol).min(1.0));
+                    let leaving = !b.contains_strict(just_after) && t < 1.0 - start_tol;
+                    if leaving || !b.contains(seg.b) {
+                        consider(t, Hit::Boundary(i));
+                    }
                 }
             }
         }
-        for (oi, obstacle) in self.obstacles.iter().enumerate() {
+        for (oi, (obstacle, bx)) in self.obstacles.iter().zip(&self.boxes).enumerate() {
+            if disjoint(bx, &reach) {
+                continue;
+            }
             if let Some((t, ei)) = obstacle.first_boundary_hit(seg) {
                 consider(t, Hit::Obstacle(oi, ei));
             }

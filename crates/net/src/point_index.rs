@@ -232,20 +232,25 @@ impl PointIndex {
 
     /// Full reconstruction: every bucket and shard membership list
     /// reinserted in index order (which keeps each list ascending for
-    /// free).
+    /// free). Lists are emptied in place rather than dropped, so a
+    /// fleet that mostly stays in its cells re-pushes into the
+    /// previous rebuild's allocations; keys left empty are removed
+    /// afterwards, leaving exactly the map a from-scratch build makes.
     fn rebuild(&mut self) {
         self.synced.copy_from_slice(&self.current);
         for &i in &self.dirty {
             self.is_dirty[i as usize] = false;
         }
         self.dirty.clear();
-        self.buckets.clear();
-        self.shards.clear();
+        self.buckets.values_mut().for_each(Vec::clear);
+        self.shards.values_mut().for_each(Vec::clear);
         for i in 0..self.synced.len() {
             let key = self.key(self.synced[i]);
             self.buckets.entry(key).or_default().push(i as u32);
             self.shards.entry(shard_of(key)).or_default().push(i as u32);
         }
+        self.buckets.retain(|_, list| !list.is_empty());
+        self.shards.retain(|_, list| !list.is_empty());
     }
 
     /// Reconstructs one shard's buckets from its membership list:
