@@ -5,18 +5,18 @@
 //! sweeps and disk-graph construction.
 //!
 //! Besides printing per-iteration times, the harness exports the
-//! measurements as a machine-readable perf record: `BENCH_pr8.json`
-//! in the working directory, or wherever `MSN_BENCH_OUT` points. CI
-//! uploads it as an artifact and gates it against the committed
-//! `BENCH_pr7.json` baseline via `scenario bench-diff` (see the
-//! baseline-rotation policy in the README's Performance section).
+//! measurements as a machine-readable perf record: `BENCH.json` in
+//! cargo's target temp directory (`target/tmp/`, untracked), or
+//! wherever `MSN_BENCH_OUT` points. CI gates it against the committed
+//! `BENCH.json` baseline via `scenario bench-diff` (see the README's
+//! Performance section).
 
 use criterion::{BatchSize, Criterion};
 use msn_assign::{hungarian, CostMatrix};
 use msn_field::{two_obstacle_field, CoverageGrid, CoverageTracker, Field, Hit};
 use msn_geom::{min_enclosing_circle, Point, Rect, Segment, EPS};
 use msn_nav::{Hand, NavContext, Navigator};
-use msn_net::{AdjacencyTracker, ConnectivityTracker, DiskGraph, PointIndex, SpatialGrid};
+use msn_net::{AdjacencyTracker, DiskGraph, Neighbors, PointIndex, SpatialGrid};
 use msn_scenario::Json;
 use msn_voronoi::VoronoiDiagram;
 use std::hint::black_box;
@@ -315,7 +315,7 @@ fn bench_diskgraph(c: &mut Criterion) {
     });
 }
 
-fn bench_conntrack(c: &mut Criterion) {
+fn bench_connectivity(c: &mut Criterion) {
     let orig = sites(240);
     let base = Point::new(500.0, 500.0);
     let rc = 60.0;
@@ -332,8 +332,8 @@ fn bench_conntrack(c: &mut Criterion) {
         pts[i] = p;
         (i, p)
     };
-    // The per-tick pattern the tracker replaces: rebuild the whole
-    // disk graph and re-flood from the base after one sensor moved.
+    // The oracle pattern: rebuild the whole disk graph and re-flood
+    // from the base after one sensor moved.
     let mut pts = orig.clone();
     let mut step = 0u64;
     c.bench_function("conn_rebuild_move_one_and_requery", |b| {
@@ -344,17 +344,18 @@ fn bench_conntrack(c: &mut Criterion) {
             black_box(g.flood_from_base(&pts, base, rc)[i])
         })
     });
-    // The incremental path: same move, same question, answered from
-    // the maintained hop distances.
+    // The path `World` takes: same move, same question, answered by
+    // one base flood over the maintained adjacency.
     let mut pts = orig.clone();
-    let mut tracker = ConnectivityTracker::new(&pts, base, rc);
+    let mut adj = AdjacencyTracker::new(&pts, rc);
     let mut step = 0u64;
-    c.bench_function("conn_tracker_move_one_and_requery", |b| {
+    c.bench_function("conn_flood_move_one_and_requery", |b| {
         b.iter(|| {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
-            tracker.set_sensor(i, p);
-            black_box(tracker.is_connected(i))
+            adj.set_sensor(i, p);
+            adj.sync();
+            black_box(adj.flood_from_base(adj.points(), base, rc)[i])
         })
     });
 }
@@ -509,16 +510,19 @@ fn bench_scale_10k(c: &mut Criterion) {
             black_box(tracker.neighbors(i).len())
         })
     });
+    // Unlike the kernels above, this one is O(N + E), not
+    // O(neighborhood): every query floods the whole 10k fleet.
     let mut pts = orig.clone();
     let base = Point::new(extent / 2.0, extent / 2.0);
-    let mut tracker = ConnectivityTracker::new(&pts, base, rc);
+    let mut adj = AdjacencyTracker::new(&pts, rc);
     let mut step = 0u64;
-    c.bench_function("conn_tracker_move_one_10k", |b| {
+    c.bench_function("conn_flood_move_one_10k", |b| {
         b.iter(|| {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
-            tracker.set_sensor(i, p);
-            black_box(tracker.is_connected(i))
+            adj.set_sensor(i, p);
+            adj.sync();
+            black_box(adj.flood_from_base(adj.points(), base, rc)[i])
         })
     });
 }
@@ -538,7 +542,7 @@ fn main() {
     bench_field_geometry(&mut c);
     bench_disk_stamp(&mut c);
     bench_diskgraph(&mut c);
-    bench_conntrack(&mut c);
+    bench_connectivity(&mut c);
     bench_adjacency(&mut c);
     bench_point_index(&mut c);
     bench_scale_10k(&mut c);
@@ -554,11 +558,12 @@ fn main() {
         })
         .collect();
     let record = Json::obj()
-        .field("record", "BENCH_pr8")
+        .field("record", "BENCH")
         .field("suite", "kernels")
         .field("kernels", Json::Arr(kernels))
         .pretty();
-    let out = std::env::var("MSN_BENCH_OUT").unwrap_or_else(|_| "BENCH_pr8.json".into());
+    let out = std::env::var("MSN_BENCH_OUT")
+        .unwrap_or_else(|_| concat!(env!("CARGO_TARGET_TMPDIR"), "/BENCH.json").into());
     // Fail loudly: CI gates on this file, so an unwritable path must
     // break the job, not quietly skip the artifact.
     if let Err(e) = std::fs::write(&out, record) {

@@ -141,9 +141,9 @@ pub fn run_with_grid(
         None => world.coverage_grid(),
     };
     world.track_coverage(cov_grid);
-    // No connectivity tracker here: unlike FLOOR, CPVF never asks the
+    // No adjacency tracker here: unlike FLOOR, CPVF never asks the
     // base-connectivity question mid-run (the tree invariant carries
-    // it), so a tracker would only add an install-time flood to the
+    // it), so maintained lists would only add per-move work to the
     // single end-of-run check below.
     //
     // Incremental proximity: the force loop and the absorption scan

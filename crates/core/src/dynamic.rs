@@ -4,7 +4,7 @@
 //! A dynamic run executes a static scheme over segments between
 //! scheduled events. A persistent *ledger* [`World`] carries the
 //! cross-segment truth — positions, liveness, per-sensor travelled
-//! distance, and the coverage/connectivity trackers that measure the
+//! distance, and the coverage and adjacency trackers that measure the
 //! dips — while each segment hands the alive fleet to the ordinary
 //! [`run_scheme_with`] dispatch and writes its outcome back. This is
 //! the `failure_recovery` example's re-run-over-survivors pattern made
@@ -82,8 +82,9 @@ pub fn run_scheme_dynamic(
     let mut base_cur = cfg.base;
 
     // The ledger world: initial fleet plus every reinforcement slot,
-    // coverage + connectivity tracked so event pre/post samples are
-    // O(changed sensors), not full re-rasterizations.
+    // coverage + adjacency tracked so event pre/post samples are
+    // O(changed sensors), not full re-rasterizations, and the final
+    // connectivity check floods maintained lists.
     let mut ledger = World::with_reserve(
         field_cur.clone(),
         cfg.clone(),
@@ -91,7 +92,7 @@ pub fn run_scheme_dynamic(
         schedule.reinforce_total(),
     );
     ledger.track_coverage(grid_cur.clone());
-    ledger.track_connectivity();
+    ledger.track_adjacency();
     // Reinforcements consume pristine slots past the initial fleet, in
     // order — a failed sensor's slot is never reused, so per-slot
     // travelled distance stays the history of one physical sensor.

@@ -248,27 +248,21 @@ impl<'a> FloorSim<'a> {
         // a timeline sample costs O(relocating recruits) disk stamps
         // instead of re-rasterizing all N sensors.
         self.world.track_coverage(cov_grid);
-        // Incremental connectivity: the per-tick "is this movable
-        // still base-connected?" checks answer from maintained hop
-        // distances instead of a fresh graph build + flood each tick.
-        self.world.track_connectivity();
         // Incremental proximity: every range query (absorption scans,
         // walker planning, EP coverage checks) answers from one
         // maintained point index instead of rebuilding a SpatialGrid
         // per tick — byte-identical results, order included. The
-        // connectivity and adjacency trackers privately maintain
-        // their own indexes over the same move stream; the
-        // duplication is deliberate — sharing one would thread an
-        // external `&mut PointIndex` through each tracker's whole
-        // public API — and cheap (O(1) per move to record, O(moved)
-        // per query round).
+        // adjacency tracker keeps a private index at the same cell
+        // over the same move stream.
         self.world.track_points();
         // Incremental adjacency: full neighbor lists (random-walk
         // invitations, hop accounting, flood/classify scans) come
         // from maintained grid-order lists — equal to a fresh
         // `DiskGraph::build`, order included, so the RNG stream the
-        // walks consume is unchanged. This removes the last graph
-        // rebuild from the tick path.
+        // walks consume is unchanged. The per-tick "is this movable
+        // still base-connected?" checks flood these lists at most once
+        // per tick. This removes the last graph rebuild from the tick
+        // path.
         self.world.track_adjacency();
         self.initial_flood();
         // Route the still-disconnected sensors per Algorithm 1.

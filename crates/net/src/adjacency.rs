@@ -38,16 +38,20 @@ use std::collections::VecDeque;
 /// least half the fleet moved, the tracker re-queries every list
 /// instead (rebuild-if-cheaper).
 ///
-/// Like [`crate::ConnectivityTracker`], the tracker privately
-/// maintains its own [`PointIndex`] over the move stream; the
-/// duplication is deliberate (sharing one index would thread
-/// `&mut`-ness through every tracker's public API).
+/// The maintained lists also answer §4.1's base-connectivity
+/// question: [`Neighbors::flood_from_base`] over [`Self::points`]
+/// equals the `DiskGraph::build` + flood oracle, so no second graph
+/// is kept for it.
+///
+/// The tracker privately maintains its own [`PointIndex`] over the
+/// move stream, at the same `rc.max(1.0)` cell as the simulation's
+/// shared proximity index (`World::track_points`).
 ///
 /// # Examples
 ///
 /// ```
 /// use msn_geom::Point;
-/// use msn_net::{AdjacencyTracker, DiskGraph};
+/// use msn_net::{AdjacencyTracker, DiskGraph, Neighbors};
 ///
 /// let mut pts = vec![Point::new(0.0, 0.0), Point::new(8.0, 0.0), Point::new(40.0, 0.0)];
 /// let mut tracker = AdjacencyTracker::new(&pts, 10.0);
@@ -56,6 +60,9 @@ use std::collections::VecDeque;
 /// tracker.set_sensor(2, pts[2]);
 /// assert_eq!(tracker.neighbors(1), DiskGraph::build(&pts, 10.0).neighbors(1));
 /// assert_eq!(tracker.hop_distances(0)[2], 2);
+/// // the lists are synced, so the base flood reads them directly
+/// let connected = tracker.flood_from_base(tracker.points(), Point::new(0.0, 0.0), 10.0);
+/// assert_eq!(connected, vec![true, true, true]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AdjacencyTracker {
@@ -122,6 +129,13 @@ impl AdjacencyTracker {
             self.is_dirty[i] = true;
             self.dirty.push(i as u32);
         }
+    }
+
+    /// Latest recorded positions, indexed by sensor — what
+    /// [`AdjacencyTracker::sync`] brings the lists up to date with.
+    #[inline]
+    pub fn points(&self) -> &[Point] {
+        self.index.points()
     }
 
     /// Neighbors of sensor `i` on the current positions — equal to

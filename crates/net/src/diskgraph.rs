@@ -1,21 +1,66 @@
-//! Unit-disk communication graphs.
+//! Unit-disk communication graphs and the read-only view their
+//! consumers share.
 
 use crate::{within_range, SpatialGrid};
 use msn_geom::Point;
 use std::collections::VecDeque;
+
+/// Read-only neighbor-list access for disk-graph consumers.
+///
+/// Both the snapshot [`DiskGraph`] and the incremental
+/// [`crate::AdjacencyTracker`] expose their adjacency through this
+/// trait, so walk-style consumers ([`crate::random_walk`]) and the
+/// base flood ([`Neighbors::flood_from_base`]) run on either.
+/// Implementations must return lists in the shared grid scan order —
+/// consumers observe both order and length (a random walk draws its
+/// neighbor picks from the list), so the order is part of the
+/// simulation output.
+pub trait Neighbors {
+    /// Neighbors of node `i`, in the shared grid scan order.
+    fn neighbors_of(&self, i: usize) -> &[usize];
+
+    /// Models the §4.1 connectivity flood: sensors within `rc` of the
+    /// base station start the flood; the returned mask marks every
+    /// sensor that (transitively) received it, i.e. the *connected*
+    /// sensors. `points` are the positions the adjacency reflects.
+    ///
+    /// Base links use the same [`crate::within_range`] rule as the
+    /// graph's own edges, so a sensor pair and a base link at equal
+    /// distance always get the same verdict. The mask does not depend
+    /// on neighbor order.
+    fn flood_from_base(&self, points: &[Point], base: Point, rc: f64) -> Vec<bool> {
+        let mut seen = vec![false; points.len()];
+        let mut queue = VecDeque::new();
+        for (i, &p) in points.iter().enumerate() {
+            if within_range(p, base, rc) {
+                seen[i] = true;
+                queue.push_back(i);
+            }
+        }
+        while let Some(u) = queue.pop_front() {
+            for &v in self.neighbors_of(u) {
+                if !seen[v] {
+                    seen[v] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        seen
+    }
+}
 
 /// The `rc`-disk graph over sensor positions: an undirected graph with
 /// an edge between every pair of sensors at distance ≤ `rc`.
 ///
 /// The base station at a fixed point participates implicitly: sensors
 /// within `rc` of it are the flood seeds of
-/// [`DiskGraph::flood_from_base`].
+/// [`Neighbors::flood_from_base`].
 ///
 /// # Examples
 ///
 /// ```
 /// use msn_geom::Point;
-/// use msn_net::DiskGraph;
+/// use msn_net::{DiskGraph, Neighbors};
 ///
 /// let pts = vec![Point::new(5.0, 0.0), Point::new(12.0, 0.0), Point::new(40.0, 0.0)];
 /// let g = DiskGraph::build(&pts, 10.0);
@@ -67,70 +112,10 @@ impl DiskGraph {
         &self.adj[i]
     }
 
-    /// BFS from an arbitrary seed set; returns a reached mask.
-    pub fn reach_from<I: IntoIterator<Item = usize>>(&self, seeds: I) -> Vec<bool> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut queue = VecDeque::new();
-        for s in seeds {
-            if !seen[s] {
-                seen[s] = true;
-                queue.push_back(s);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u] {
-                if !seen[v] {
-                    seen[v] = true;
-                    queue.push_back(v);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Models the §4.1 connectivity flood: sensors within `rc` of the
-    /// base station start the flood; the returned mask marks every
-    /// sensor that (transitively) received it, i.e. the *connected*
-    /// sensors.
-    ///
-    /// Base links use the same [`crate::within_range`] rule as the
-    /// graph's own edges, so a sensor pair and a base link at equal
-    /// distance always get the same verdict.
-    pub fn flood_from_base(&self, points: &[Point], base: Point, rc: f64) -> Vec<bool> {
-        let seeds: Vec<usize> = (0..points.len())
-            .filter(|&i| within_range(points[i], base, rc))
-            .collect();
-        self.reach_from(seeds)
-    }
-
     /// Returns `true` if every sensor is connected (multi-hop) to the
     /// base station.
     pub fn all_connected_to_base(&self, points: &[Point], base: Point, rc: f64) -> bool {
         self.flood_from_base(points, base, rc).iter().all(|&c| c)
-    }
-
-    /// Hop distances from the base station: sensors within `rc` of the
-    /// base count 1 hop, their unflooded neighbors 2, and so on;
-    /// `usize::MAX` marks disconnected sensors. The reference oracle
-    /// for [`crate::ConnectivityTracker::hop_distances`].
-    pub fn base_hop_distances(&self, points: &[Point], base: Point, rc: f64) -> Vec<usize> {
-        let mut dist = vec![usize::MAX; points.len()];
-        let mut queue = VecDeque::new();
-        for i in 0..points.len() {
-            if within_range(points[i], base, rc) {
-                dist[i] = 1;
-                queue.push_back(i);
-            }
-        }
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u] {
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        dist
     }
 
     /// Labels connected components; returns `labels[i]` in
@@ -201,6 +186,12 @@ impl DiskGraph {
     }
 }
 
+impl Neighbors for DiskGraph {
+    fn neighbors_of(&self, i: usize) -> &[usize] {
+        self.neighbors(i)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,12 +241,6 @@ mod tests {
         let g = DiskGraph::build(&pts, 10.0);
         let d = g.hop_distances(0);
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
-        // base at the origin: the chain head is 1 hop (chain spacing
-        // starts at x = 0, within rc of the base)
-        let bd = g.base_hop_distances(&pts, Point::ORIGIN, 10.0);
-        assert_eq!(bd, vec![1, 1, 2, 3, 4, 5]);
-        let far = g.base_hop_distances(&pts, Point::new(500.0, 0.0), 10.0);
-        assert!(far.iter().all(|&d| d == usize::MAX));
         let mut two_hop = g.k_hop_neighbors(2, 2);
         two_hop.sort_unstable();
         assert_eq!(two_hop, vec![0, 1, 3, 4]);

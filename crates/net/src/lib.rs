@@ -15,24 +15,21 @@
 //! * [`within_range`] / [`RANGE_EPS`] — the single range-tolerance
 //!   rule every link test shares (graph edges, base links, range
 //!   queries), so equal distances always get equal verdicts;
-//! * [`DiskGraph`] — the `rc`-disk graph with BFS flooding
-//!   ([`DiskGraph::flood_from_base`], modeling §4.1's connectivity
-//!   flood) and component labeling;
-//! * [`ConnectivityTracker`] — incremental counterpart of build +
-//!   flood: maintains the base-rooted reachable set and hop distances
-//!   under sensor moves by diffing link events and repairing with a
-//!   bounded dynamic-BFS frontier (bit-identical to the oracle);
+//! * [`DiskGraph`] — the `rc`-disk graph with component labeling;
+//! * [`Neighbors`] — the read-only neighbor-list view shared by
+//!   [`DiskGraph`] and [`AdjacencyTracker`], carrying the one BFS
+//!   base flood ([`Neighbors::flood_from_base`], modeling §4.1's
+//!   connectivity flood) both answer from;
 //! * [`Tree`] — the parent/children forest rooted at the base station,
 //!   with ancestor lists (§5.3), loop-free reparent checks and subtree
 //!   enumeration (the `LockTree` protocol of §4.2);
 //! * [`AdjacencyTracker`] — incremental counterpart of the full
 //!   `DiskGraph::build`: maintains every neighbor list (grid scan
 //!   order included) under sensor moves, so per-tick graph consumers
-//!   (FLOOR's random-walk invitations and hop accounting) stop
-//!   rebuilding the graph;
-//! * [`random_walk`] / [`Neighbors`] — TTL-bounded random walks for
-//!   FLOOR's `Invitation` messages (§5.5.2), generic over the
-//!   neighbor-list provider;
+//!   (FLOOR's random-walk invitations, hop accounting and base
+//!   connectivity checks) stop rebuilding the graph;
+//! * [`random_walk`] — TTL-bounded random walks for FLOOR's
+//!   `Invitation` messages (§5.5.2), generic over [`Neighbors`];
 //! * [`MsgKind`] / [`MessageCounter`] — the message taxonomy and hop
 //!   accounting behind Table 1.
 
@@ -40,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod adjacency;
-mod conntrack;
 mod diskgraph;
 mod messages;
 mod point_index;
@@ -50,11 +46,10 @@ mod spatial;
 mod tree;
 
 pub use adjacency::AdjacencyTracker;
-pub use conntrack::ConnectivityTracker;
-pub use diskgraph::DiskGraph;
+pub use diskgraph::{DiskGraph, Neighbors};
 pub use messages::{MessageCounter, MsgKind};
 pub use point_index::PointIndex;
-pub use randomwalk::{random_walk, Neighbors};
+pub use randomwalk::random_walk;
 pub use range::{within_range, RANGE_EPS};
 pub use spatial::SpatialGrid;
 pub use tree::{Parent, Tree};

@@ -1,27 +1,7 @@
 //! TTL-bounded random walks (FLOOR's invitation dissemination, §5.5.2).
 
-use crate::DiskGraph;
+use crate::Neighbors;
 use rand::Rng;
-
-/// Read-only neighbor-list access for disk-graph consumers.
-///
-/// Both the snapshot [`DiskGraph`] and the incremental
-/// [`crate::AdjacencyTracker`] expose their adjacency through this
-/// trait, so walk-style consumers ([`random_walk`]) run on either.
-/// Implementations must return lists in the shared grid scan order —
-/// consumers observe both order and length (a random walk draws its
-/// neighbor picks from the list), so the order is part of the
-/// simulation output.
-pub trait Neighbors {
-    /// Neighbors of node `i`, in the shared grid scan order.
-    fn neighbors_of(&self, i: usize) -> &[usize];
-}
-
-impl Neighbors for DiskGraph {
-    fn neighbors_of(&self, i: usize) -> &[usize] {
-        self.neighbors(i)
-    }
-}
 
 /// Performs a TTL-bounded *non-backtracking* random walk on the disk
 /// graph starting at `start`.
@@ -93,6 +73,7 @@ pub fn random_walk<G: Neighbors + ?Sized, R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiskGraph;
     use msn_geom::Point;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;

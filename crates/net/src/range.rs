@@ -5,7 +5,7 @@ use msn_geom::Point;
 /// Absolute slack (m) applied to every radio-range comparison.
 ///
 /// Before this constant existed the substrate disagreed with itself:
-/// [`crate::DiskGraph::flood_from_base`] admitted base links at
+/// [`crate::Neighbors::flood_from_base`] admitted base links at
 /// `dist <= rc + 1e-9` while [`crate::SpatialGrid`] (and therefore
 /// [`crate::DiskGraph::build`]) tested `dist² <= rc² + 1e-9` — a
 /// window about fifty times narrower at `rc = 60`. A sensor pair at

@@ -2,8 +2,8 @@
 
 use msn_geom::Point;
 use msn_net::{
-    random_walk, AdjacencyTracker, ConnectivityTracker, DiskGraph, Parent, PointIndex, SpatialGrid,
-    Tree, RANGE_EPS,
+    random_walk, AdjacencyTracker, DiskGraph, Neighbors, Parent, PointIndex, SpatialGrid, Tree,
+    RANGE_EPS,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -50,17 +50,16 @@ fn churn_strategy() -> impl Strategy<Value = Vec<Vec<(u8, usize, f64, f64)>>> {
     )
 }
 
-/// The tracker must agree with the build + flood oracle bit for bit
-/// after every query round.
-fn assert_tracker_matches_oracle(
-    pts: &[Point],
-    base: Point,
-    rc: f64,
-    tracker: &mut ConnectivityTracker,
-) {
+/// The base flood over the maintained adjacency must agree with the
+/// build + flood oracle bit for bit after every query round.
+fn assert_flood_matches_oracle(pts: &[Point], base: Point, rc: f64, adj: &mut AdjacencyTracker) {
+    adj.sync();
+    assert_eq!(adj.points(), pts);
     let g = DiskGraph::build(pts, rc);
-    assert_eq!(tracker.connected_mask(), g.flood_from_base(pts, base, rc));
-    assert_eq!(tracker.hop_distances(), g.base_hop_distances(pts, base, rc));
+    assert_eq!(
+        adj.flood_from_base(adj.points(), base, rc),
+        g.flood_from_base(pts, base, rc)
+    );
 }
 
 proptest! {
@@ -98,9 +97,9 @@ proptest! {
         }
         // nodes in the same component are mutually reachable
         if let Some(first) = labels.first() {
-            let mask = g.reach_from([0]);
+            let hops = g.hop_distances(0);
             for i in 0..pts.len() {
-                prop_assert_eq!(mask[i], labels[i] == *first);
+                prop_assert_eq!(hops[i] != usize::MAX, labels[i] == *first);
             }
         }
     }
@@ -256,17 +255,19 @@ proptest! {
         rc in 10.0..200.0f64,
         base in (0.0..500.0f64, 0.0..500.0f64),
     ) {
+        // Base connectivity answered by flooding the maintained
+        // adjacency, against a fresh build + flood, after every round.
         let base = Point::new(base.0, base.1);
         let mut pts = pts;
-        let mut tracker = ConnectivityTracker::new(&pts, base, rc);
-        assert_tracker_matches_oracle(&pts, base, rc, &mut tracker);
+        let mut adj = AdjacencyTracker::new(&pts, rc);
+        assert_flood_matches_oracle(&pts, base, rc, &mut adj);
         for round in moves {
             for (i, x, y) in round {
                 let i = i % pts.len();
                 pts[i] = Point::new(x, y);
-                tracker.set_sensor(i, pts[i]);
+                adj.set_sensor(i, pts[i]);
             }
-            assert_tracker_matches_oracle(&pts, base, rc, &mut tracker);
+            assert_flood_matches_oracle(&pts, base, rc, &mut adj);
         }
     }
 
@@ -283,7 +284,7 @@ proptest! {
         let mut pts: Vec<Point> = (0..20)
             .map(|_| Point::new(rng.gen_range(200.0..300.0), rng.gen_range(200.0..300.0)))
             .collect();
-        let mut tracker = ConnectivityTracker::new(&pts, base, rc);
+        let mut adj = AdjacencyTracker::new(&pts, rc);
         for _ in 0..8 {
             for _ in 0..3 {
                 let i = rng.gen_range(0..pts.len());
@@ -291,9 +292,9 @@ proptest! {
                 let ang = rng.gen_range(0.0..std::f64::consts::TAU);
                 let r = rc + rng.gen_range(-5.0..5.0);
                 pts[i] = base + Point::from_angle(ang) * r;
-                tracker.set_sensor(i, pts[i]);
+                adj.set_sensor(i, pts[i]);
             }
-            assert_tracker_matches_oracle(&pts, base, rc, &mut tracker);
+            assert_flood_matches_oracle(&pts, base, rc, &mut adj);
         }
     }
 
@@ -307,19 +308,19 @@ proptest! {
         let base = Point::ORIGIN;
         let spacing = rc + eps_mult * RANGE_EPS;
         let mut pts = vec![Point::new(spacing, 0.0), Point::new(2.0 * spacing, 0.0)];
-        let mut tracker = ConnectivityTracker::new(&pts, base, rc);
-        assert_tracker_matches_oracle(&pts, base, rc, &mut tracker);
+        let mut adj = AdjacencyTracker::new(&pts, rc);
+        assert_flood_matches_oracle(&pts, base, rc, &mut adj);
         // sensor 1 re-crosses the edge boundary by a hair
         pts[1] = Point::new(spacing + rc + 0.5 * RANGE_EPS, 0.0);
-        tracker.set_sensor(1, pts[1]);
-        assert_tracker_matches_oracle(&pts, base, rc, &mut tracker);
+        adj.set_sensor(1, pts[1]);
+        assert_flood_matches_oracle(&pts, base, rc, &mut adj);
         pts[1] = Point::new(spacing + rc + 3.0 * RANGE_EPS, 0.0);
-        tracker.set_sensor(1, pts[1]);
-        assert_tracker_matches_oracle(&pts, base, rc, &mut tracker);
+        adj.set_sensor(1, pts[1]);
+        assert_flood_matches_oracle(&pts, base, rc, &mut adj);
         // and sensor 0 leaves the base's slack window
         pts[0] = Point::new(rc + 3.0 * RANGE_EPS, 0.0);
-        tracker.set_sensor(0, pts[0]);
-        assert_tracker_matches_oracle(&pts, base, rc, &mut tracker);
+        adj.set_sensor(0, pts[0]);
+        assert_flood_matches_oracle(&pts, base, rc, &mut adj);
     }
 
     #[test]
@@ -358,16 +359,16 @@ proptest! {
         // Dynamic runs express sensor death as a teleport to the far
         // off-field parking lot and revival as a teleport back (the
         // World::remove_sensor / insert_sensor change records), so the
-        // three network trackers must stay bit-identical to their
-        // batch oracles across interleaved moves, failures and
-        // reinforcements — and parked sensors must be invisible:
-        // disconnected from the base with an empty adjacency list.
+        // point index, the adjacency and the base flood over it must
+        // stay bit-identical to their batch oracles across interleaved
+        // moves, failures and reinforcements — and parked sensors must
+        // be invisible: disconnected from the base with an empty
+        // adjacency list.
         let base = Point::new(250.0, 250.0);
         let park = |i: usize| Point::new(-1.0e7 - i as f64 * 4.0 * rc.max(1.0), -1.0e7);
         let mut pts = pts;
         let mut parked = vec![false; pts.len()];
         let mut index = PointIndex::new(&pts, cell);
-        let mut conn = ConnectivityTracker::new(&pts, base, rc);
         let mut adj = AdjacencyTracker::new(&pts, rc);
         for round in churn {
             for (op, i, x, y) in round {
@@ -381,10 +382,9 @@ proptest! {
                 };
                 pts[i] = p;
                 index.set_point(i, p);
-                conn.set_sensor(i, p);
                 adj.set_sensor(i, p);
             }
-            assert_tracker_matches_oracle(&pts, base, rc, &mut conn);
+            assert_flood_matches_oracle(&pts, base, rc, &mut adj);
             let grid = SpatialGrid::build(&pts, cell);
             let g = DiskGraph::build(&pts, rc);
             for q in 0..pts.len() {
@@ -395,9 +395,10 @@ proptest! {
                 );
                 prop_assert_eq!(adj.neighbors(q), g.neighbors(q), "adjacency {}", q);
             }
+            let connected = adj.flood_from_base(adj.points(), base, rc);
             for (i, &dead) in parked.iter().enumerate() {
                 if dead {
-                    prop_assert!(!conn.connected_mask()[i], "parked sensor {} reached the base", i);
+                    prop_assert!(!connected[i], "parked sensor {} reached the base", i);
                     prop_assert!(adj.neighbors(i).is_empty(), "parked sensor {} kept a link", i);
                 }
             }

@@ -1,10 +1,10 @@
-//! Parsed `BENCH_*.json` perf records and the bench-trend gate.
+//! Parsed perf records (`BENCH.json`) and the bench-trend gate.
 //!
 //! `cargo bench -p msn-bench --bench kernels` exports every kernel
 //! measurement as a machine-readable record. [`diff_bench`] compares
 //! two such records within a relative tolerance so CI can hold each
 //! commit against the committed baseline: `scenario bench-diff
-//! BENCH_pr3.json BENCH_pr4.json --tol 0.75` prints per-kernel deltas
+//! BENCH.json target/tmp/BENCH.json --tol 0.75` prints per-kernel deltas
 //! and exits nonzero when a kernel slowed down beyond tolerance or
 //! vanished from the record (a silently missing artifact is a failure
 //! too). Kernels new in the current record are reported but pass —
@@ -25,10 +25,10 @@ pub struct BenchKernel {
     pub iters: u64,
 }
 
-/// A parsed `BENCH_*.json` perf record.
+/// A parsed perf record.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
-    /// Record label (e.g. `BENCH_pr4`).
+    /// Record label (e.g. `BENCH`).
     pub record: String,
     /// Suite name (e.g. `kernels`).
     pub suite: String,

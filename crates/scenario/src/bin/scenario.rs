@@ -244,8 +244,8 @@ until the job finishes; `fetch` prints a stored artifact to stdout;
 `diff` compares two batch.json files (or, with --socket, two stored
 jobs) cell-by-cell within relative tolerance T (default 0 = exact);
 exit is nonzero on any difference. `--junit PATH` (local only) writes
-one JUnit testcase per matrix cell. `bench-diff` gates BENCH_*.json
-kernel records against a baseline (default tol 0.25);
+one JUnit testcase per matrix cell. `bench-diff` gates a fresh
+kernel record against a baseline such as BENCH.json (default tol 0.25);
 `profile-report` renders a profile's self-time table; `profile-diff`
 classifies per-span deltas with the bench-diff machinery.
 ";
@@ -579,7 +579,7 @@ fn cmd_bench_diff(args: &[String]) -> Result<Response, ApiError> {
         }
     }
     let [base_path, cur_path] = paths[..] else {
-        return Err(usage("bench-diff needs exactly two BENCH_*.json files"));
+        return Err(usage("bench-diff needs exactly two perf record files"));
     };
     let load = |path: &str| -> Result<BenchRecord, ApiError> {
         let text = std::fs::read_to_string(path)

@@ -102,10 +102,9 @@ fn tracker_counters_fire_on_random_obstacle_workload() {
         "rebuild-if-cheaper fallback never taken"
     );
     assert!(merged.counter_total("pidx.rebuilds") > 0);
-    assert!(merged.counter_total("conn.syncs") > 0);
     assert!(
-        merged.counter_total("conn.repairs") > 0,
-        "dynamic-BFS repair path never taken"
+        merged.counter_total("conn.floods") > 0,
+        "base-connectivity flood never ran"
     );
 }
 

@@ -3,7 +3,7 @@
 use crate::SimConfig;
 use msn_field::{CoverageGrid, CoverageTracker, Field};
 use msn_geom::Point;
-use msn_net::{AdjacencyTracker, ConnectivityTracker, DiskGraph, MessageCounter, PointIndex};
+use msn_net::{AdjacencyTracker, DiskGraph, MessageCounter, Neighbors, PointIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -120,15 +120,15 @@ pub struct World {
     /// Incremental coverage counts, fed by every position change once
     /// [`World::track_coverage`] is called.
     tracker: Option<CoverageTracker>,
-    /// Incremental base-rooted connectivity, fed by every position
-    /// change once [`World::track_connectivity`] is called.
-    conn: Option<ConnectivityTracker>,
     /// Incremental proximity index, fed by every position change once
     /// [`World::track_points`] is called.
     points_index: Option<PointIndex>,
     /// Incremental disk-graph adjacency, fed by every position change
     /// once [`World::track_adjacency`] is called.
     adj: Option<AdjacencyTracker>,
+    /// Base-connectivity mask flooded over `adj`; `None` once a
+    /// position change or a base move makes it stale.
+    conn_mask: Option<Vec<bool>>,
 }
 
 impl World {
@@ -151,9 +151,9 @@ impl World {
             rng,
             msgs: MessageCounter::new(),
             tracker: None,
-            conn: None,
             points_index: None,
             adj: None,
+            conn_mask: None,
         }
     }
 
@@ -257,15 +257,12 @@ impl World {
         });
     }
 
-    /// Moves the base station. The connectivity tracker (if installed)
-    /// is re-anchored at the new origin by reinstallation from current
-    /// positions — base moves are rare schedule events, not tick-path
-    /// work, so the rebuild cost is irrelevant.
+    /// Moves the base station. The cached connectivity mask is
+    /// dropped, so the next `*_tracked` connectivity query floods from
+    /// the new origin.
     pub fn set_base(&mut self, base: Point) {
         self.cfg.base = base;
-        if self.conn.is_some() {
-            self.track_connectivity();
-        }
+        self.conn_mask = None;
     }
 
     /// The sensing field.
@@ -379,14 +376,13 @@ impl World {
         self.feed_trackers(c.i, c.p);
     }
 
-    /// Feeds an updated position to every installed tracker.
+    /// Feeds an updated position to every installed tracker and drops
+    /// the cached connectivity mask.
     #[inline]
     fn feed_trackers(&mut self, i: usize, p: Point) {
+        self.conn_mask = None;
         if let Some(t) = self.tracker.as_mut() {
             t.set_sensor(i, p);
-        }
-        if let Some(c) = self.conn.as_mut() {
-            c.set_sensor(i, p);
         }
         if let Some(x) = self.points_index.as_mut() {
             x.set_point(i, p);
@@ -489,57 +485,57 @@ impl World {
         DiskGraph::build(&pts, self.cfg.rc).flood_from_base(&pts, self.cfg.base, self.cfg.rc)
     }
 
-    /// Installs an incremental [`ConnectivityTracker`] on the current
-    /// positions. From here on every position change feeds it, and the
-    /// `*_tracked` connectivity queries answer from the maintained hop
-    /// distances — bit-identical to the build + flood oracle, but
-    /// `O(moved sensors · local repair)` per query instead of
-    /// `O(N · deg + N + E)`.
-    pub fn track_connectivity(&mut self) {
-        self.conn = Some(ConnectivityTracker::new(
-            &self.positions().to_vec(),
-            self.cfg.base,
-            self.cfg.rc,
-        ));
-    }
-
-    /// Whether sensor `i` is connected to the base, from the installed
-    /// tracker.
+    /// Connected-to-base mask over the installed adjacency: one BFS
+    /// flood ([`Neighbors::flood_from_base`]) on the first query after
+    /// a position change or base move, cached until the next one — so
+    /// a tick of per-sensor queries pays `O(N + E)` once. Equal to
+    /// [`World::connected_mask`] at every instant: the mask does not
+    /// depend on visit order.
     ///
     /// # Panics
     ///
-    /// Panics if [`World::track_connectivity`] was never called.
-    pub fn connected_tracked(&mut self, i: usize) -> bool {
-        self.conn
-            .as_mut()
-            .expect("connected_tracked requires track_connectivity")
-            .is_connected(i)
+    /// Panics if [`World::track_adjacency`] was never called.
+    fn base_flood(&mut self) -> &[bool] {
+        if self.conn_mask.is_none() {
+            let adj = self
+                .adj
+                .as_mut()
+                .expect("connectivity queries require track_adjacency");
+            adj.sync();
+            msn_obs::counter("conn.floods", 1);
+            self.conn_mask = Some(adj.flood_from_base(adj.points(), self.cfg.base, self.cfg.rc));
+        }
+        self.conn_mask.as_deref().expect("flooded above")
     }
 
-    /// Connected-to-base mask from the installed tracker — equal to
+    /// Whether sensor `i` is connected to the base, from the installed
+    /// adjacency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`World::track_adjacency`] was never called.
+    pub fn connected_tracked(&mut self, i: usize) -> bool {
+        self.base_flood()[i]
+    }
+
+    /// Connected-to-base mask from the installed adjacency — equal to
     /// [`World::connected_mask`] at every instant.
     ///
     /// # Panics
     ///
-    /// Panics if [`World::track_connectivity`] was never called.
+    /// Panics if [`World::track_adjacency`] was never called.
     pub fn connected_mask_tracked(&mut self) -> Vec<bool> {
-        self.conn
-            .as_mut()
-            .expect("connected_mask_tracked requires track_connectivity")
-            .connected_mask()
+        self.base_flood().to_vec()
     }
 
     /// Whether every sensor is connected to the base, from the
-    /// installed tracker.
+    /// installed adjacency.
     ///
     /// # Panics
     ///
-    /// Panics if [`World::track_connectivity`] was never called.
+    /// Panics if [`World::track_adjacency`] was never called.
     pub fn all_connected_tracked(&mut self) -> bool {
-        self.conn
-            .as_mut()
-            .expect("all_connected_tracked requires track_connectivity")
-            .all_connected()
+        self.base_flood().iter().all(|&c| c)
     }
 
     /// Installs an incremental [`PointIndex`] over the current
@@ -596,7 +592,8 @@ impl World {
     /// change feeds it, and [`World::adjacency`] answers graph queries
     /// from maintained neighbor lists — equal to a fresh
     /// [`World::graph`] build, order included, but `O(moved sensors ·
-    /// local repair)` per tick instead of `O(N · deg)`.
+    /// local repair)` per tick instead of `O(N · deg)`. The `*_tracked`
+    /// connectivity queries flood over these lists.
     pub fn track_adjacency(&mut self) {
         self.adj = Some(AdjacencyTracker::new(
             &self.positions().to_vec(),
@@ -787,7 +784,7 @@ mod tests {
     #[test]
     fn tracked_connectivity_equals_flood_oracle() {
         let mut w = world_with(4);
-        w.track_connectivity();
+        w.track_adjacency();
         assert_eq!(w.connected_mask_tracked(), w.connected_mask());
         assert!(w.all_connected_tracked());
         for (i, p) in [
@@ -906,12 +903,12 @@ mod tests {
     #[test]
     fn churn_feeds_every_tracker_oracle_identically() {
         // remove/insert ride the same change funnel as moves, so all
-        // four trackers must agree with their batch oracles after
-        // every liveness flip — parked sensors included.
+        // three trackers (and the connectivity flood over adjacency)
+        // must agree with their batch oracles after every liveness
+        // flip — parked sensors included.
         let mut w = world_with(4);
         let grid = w.coverage_grid();
         w.track_coverage(grid.clone());
-        w.track_connectivity();
         w.track_points();
         w.track_adjacency();
         let rc = w.cfg().rc;
@@ -967,7 +964,7 @@ mod tests {
     #[test]
     fn set_base_reanchors_connectivity() {
         let mut w = world_with(3); // x = 5, 10, 15; base at origin
-        w.track_connectivity();
+        w.track_adjacency();
         assert!(w.all_connected_tracked());
         w.set_base(Point::new(90.0, 90.0));
         assert_eq!(w.cfg().base, Point::new(90.0, 90.0));
