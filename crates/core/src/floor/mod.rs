@@ -949,8 +949,12 @@ impl<'a> FloorSim<'a> {
                     .expect("finite")
             })
             .expect("inbox non-empty");
-        let hops = self.world.adjacency().hop_distances(i)[best.inviter];
-        let hops = if hops == usize::MAX { 0 } else { hops as u64 };
+        // an unreachable inviter is charged 0 hops
+        let hops = self
+            .world
+            .adjacency()
+            .hop_distance(i, best.inviter)
+            .map_or(0, |h| h as u64);
         self.world.msgs().record(MsgKind::AcceptInvitation, hops);
         // Inviter-side check: EP still unclaimed?
         if self.registry.is_reserved(best.ep.pos, 0.5 * self.rho) {

@@ -17,7 +17,6 @@
 
 use crate::{Neighbors, PointIndex};
 use msn_geom::Point;
-use std::collections::VecDeque;
 
 /// Incremental counterpart of [`crate::DiskGraph::build`]: maintains
 /// the full disk-graph adjacency (every neighbor list, in the shared
@@ -59,7 +58,7 @@ use std::collections::VecDeque;
 /// pts[2] = Point::new(16.0, 0.0); // walks into range of sensor 1
 /// tracker.set_sensor(2, pts[2]);
 /// assert_eq!(tracker.neighbors(1), DiskGraph::build(&pts, 10.0).neighbors(1));
-/// assert_eq!(tracker.hop_distances(0)[2], 2);
+/// assert_eq!(tracker.hop_distance(0, 2), Some(2));
 /// // the lists are synced, so the base flood reads them directly
 /// let connected = tracker.flood_from_base(tracker.points(), Point::new(0.0, 0.0), 10.0);
 /// assert_eq!(connected, vec![true, true, true]);
@@ -78,6 +77,19 @@ pub struct AdjacencyTracker {
     is_dirty: Vec<bool>,
     /// Neighbor lists over `synced`, each in grid scan order.
     adj: Vec<Vec<usize>>,
+    /// Reused [`AdjacencyTracker::hop_distance`] scratch.
+    hops: HopScratch,
+}
+
+/// Generation-stamped BFS scratch: a node is visited in the current
+/// search iff its stamp equals `stamp`, so a search clears nothing
+/// and allocates only when the fleet outgrows the marks.
+#[derive(Debug, Clone, Default)]
+struct HopScratch {
+    stamp: u64,
+    seen: Vec<u64>,
+    /// BFS queue of `(node, hops from the source)`.
+    queue: Vec<(usize, usize)>,
 }
 
 impl AdjacencyTracker {
@@ -97,6 +109,7 @@ impl AdjacencyTracker {
             dirty: Vec::new(),
             is_dirty: vec![false; n],
             adj: vec![Vec::new(); n],
+            hops: HopScratch::default(),
         };
         tracker.rebuild();
         tracker
@@ -145,26 +158,38 @@ impl AdjacencyTracker {
         &self.adj[i]
     }
 
-    /// BFS hop distances from `from` (`usize::MAX` = unreachable) —
-    /// equal to [`crate::DiskGraph::hop_distances`] on the current
-    /// positions.
-    pub fn hop_distances(&mut self, from: usize) -> Vec<usize> {
+    /// BFS hop count from `from` to `to` on the current positions
+    /// (`None` = unreachable) — equal to
+    /// [`crate::DiskGraph::hop_distances`]`(from)[to]`, but the search
+    /// stops as soon as `to` is reached and reuses a stamped scratch
+    /// instead of allocating a distance vector per call.
+    pub fn hop_distance(&mut self, from: usize, to: usize) -> Option<usize> {
         self.sync();
-        let n = self.adj.len();
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = VecDeque::new();
-        dist[from] = 0;
-        queue.push_back(from);
-        while let Some(u) = queue.pop_front() {
-            for k in 0..self.adj[u].len() {
-                let v = self.adj[u][k];
-                if dist[v] == usize::MAX {
-                    dist[v] = dist[u] + 1;
-                    queue.push_back(v);
+        if from == to {
+            return Some(0);
+        }
+        let HopScratch { stamp, seen, queue } = &mut self.hops;
+        if seen.len() < self.adj.len() {
+            seen.resize(self.adj.len(), 0);
+        }
+        *stamp += 1;
+        queue.clear();
+        seen[from] = *stamp;
+        queue.push((from, 0));
+        let mut head = 0;
+        while let Some(&(u, d)) = queue.get(head) {
+            head += 1;
+            for &v in &self.adj[u] {
+                if v == to {
+                    return Some(d + 1);
+                }
+                if seen[v] != *stamp {
+                    seen[v] = *stamp;
+                    queue.push((v, d + 1));
                 }
             }
         }
-        dist
+        None
     }
 
     /// Applies pending moves so that shared reads (the
@@ -299,11 +324,10 @@ mod tests {
         let oracle = DiskGraph::build(pts, rc);
         for i in 0..pts.len() {
             assert_eq!(tracker.neighbors(i), oracle.neighbors(i), "list {i}");
-            assert_eq!(
-                tracker.hop_distances(i),
-                oracle.hop_distances(i),
-                "hops {i}"
-            );
+            for (j, &h) in oracle.hop_distances(i).iter().enumerate() {
+                let want = (h != usize::MAX).then_some(h);
+                assert_eq!(tracker.hop_distance(i, j), want, "hops {i} -> {j}");
+            }
         }
     }
 

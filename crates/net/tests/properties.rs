@@ -331,8 +331,8 @@ proptest! {
     ) {
         // Every neighbor list must equal a fresh DiskGraph::build —
         // the same indices in the same (grid scan) order, because
-        // random walks draw picks from the lists — and BFS hop
-        // distances must match, after every batch of moves.
+        // random walks draw picks from the lists — after every batch
+        // of moves (hop counts: early_exit_hop_count_matches_full_bfs).
         let mut pts = pts;
         let mut tracker = AdjacencyTracker::new(&pts, rc);
         for round in moves {
@@ -344,7 +344,37 @@ proptest! {
             let g = DiskGraph::build(&pts, rc);
             for q in 0..pts.len() {
                 prop_assert_eq!(tracker.neighbors(q), g.neighbors(q), "list {} rc {}", q, rc);
-                prop_assert_eq!(tracker.hop_distances(q), g.hop_distances(q), "hops {}", q);
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_hop_count_matches_full_bfs(
+        pts in pts_fleet_strategy(),
+        moves in moves_strategy(),
+        rc in 10.0..200.0f64,
+        sources in prop::collection::vec(0usize..200, 1..8),
+    ) {
+        // FLOOR charges accept/reject messages the hop count between
+        // two sensors; the early-exit search must give exactly the
+        // full BFS entry (None where the oracle says unreachable) to
+        // every target after every batch of moves, with its stamped
+        // scratch reused across queries.
+        let mut pts = pts;
+        let mut tracker = AdjacencyTracker::new(&pts, rc);
+        for round in moves {
+            for (i, x, y) in round {
+                let i = i % pts.len();
+                pts[i] = Point::new(x, y);
+                tracker.set_sensor(i, pts[i]);
+            }
+            let g = DiskGraph::build(&pts, rc);
+            for &a in &sources {
+                let a = a % pts.len();
+                for (b, &h) in g.hop_distances(a).iter().enumerate() {
+                    let want = (h != usize::MAX).then_some(h);
+                    prop_assert_eq!(tracker.hop_distance(a, b), want, "hops {} -> {} rc {}", a, b, rc);
+                }
             }
         }
     }

@@ -146,7 +146,7 @@ impl From<std::io::Error> for ApiError {
 pub enum JobState {
     /// Waiting in the daemon's FIFO.
     Queued,
-    /// Executing on the worker pool.
+    /// Executing on the batch runner's threads.
     Running,
     /// Executing, with `runs` runs durable in `batch.json`.
     Checkpointed {

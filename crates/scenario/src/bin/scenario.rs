@@ -229,11 +229,12 @@ repetitions at 2 and the coverage raster at >= 5 m. `--resume` skips
 matrix cells already recorded in batch.json; `--checkpoint-every N`
 flushes completed runs atomically every N runs (default 25, 0
 disables). `--profile PATH` writes a per-cell profile record;
-`--progress ndjson` streams schema-stable progress events to stderr.
+`--progress ndjson` streams schema-stable progress events to stderr,
+which then carries nothing but JSON lines.
 
 `serve` runs the job daemon: specs submitted over the Unix socket
 (default results/serve/scenario.sock) queue into a bounded FIFO
-(default 64) and execute one at a time on the persistent worker pool;
+(default 64) and execute one at a time on the batch runner's threads;
 artifacts land in a content-addressed job store (default
 results/serve/jobs/<digest>/). Identical specs dedup onto the same
 job; a SIGKILL'd daemon recovers queued/running jobs on restart and
@@ -372,6 +373,14 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
         // killed run resumes transparently with --resume
         config = config.checkpoint(dir.join("batch.json"), checkpoint_every);
     }
+    // Human status notes; under --progress ndjson stderr carries JSON
+    // events only, and the batch-started, checkpoint and
+    // batch-finished events say the same.
+    let note = |line: String| {
+        if !ndjson {
+            eprintln!("{line}");
+        }
+    };
     let prior = if resume {
         let path = dir.join("batch.json");
         match std::fs::read_to_string(&path) {
@@ -379,15 +388,15 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
                 let file = BatchFile::parse(&text).map_err(|e| {
                     ApiError::InvalidSpec(format!("cannot resume from {}: {e}", path.display()))
                 })?;
-                eprintln!(
+                note(format!(
                     "resuming from {} ({} recorded run(s))",
                     path.display(),
                     file.run_count()
-                );
+                ));
                 Some(file)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!("nothing to resume ({} not found)", path.display());
+                note(format!("nothing to resume ({} not found)", path.display()));
                 None
             }
             Err(e) => return Err(ApiError::Io(format!("cannot read {}: {e}", path.display()))),
@@ -413,7 +422,7 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
             .count()
     });
     let runner = config.runner();
-    eprintln!(
+    note(format!(
         "running '{}': {} runs ({} radios x {} counts x {} reps x {} variants x {} schemes) \
          on {} thread(s){}{}",
         spec.name,
@@ -430,12 +439,15 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
             String::new()
         },
         if quick { " [quick]" } else { "" },
-    );
+    ));
     let started = std::time::Instant::now();
     let result = runner
         .run_resuming(&spec, prior.as_ref())
         .map_err(|e| ApiError::Internal(e.to_string()))?;
-    eprintln!("finished in {:.1} s", started.elapsed().as_secs_f64());
+    note(format!(
+        "finished in {:.1} s",
+        started.elapsed().as_secs_f64()
+    ));
 
     std::fs::create_dir_all(&dir)
         .map_err(|e| ApiError::Io(format!("cannot create {dir:?}: {e}")))?;
@@ -450,7 +462,7 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
         // batch.json with a torn file.
         let path = dir.join(name);
         msn_scenario::write_atomic(&path, &contents)?;
-        eprintln!("wrote {}", path.display());
+        note(format!("wrote {}", path.display()));
     }
     if let Some(path) = profile_path {
         let record =
@@ -460,7 +472,7 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
                 .map_err(|e| ApiError::Io(format!("cannot create {parent:?}: {e}")))?;
         }
         msn_scenario::write_atomic(&path, &record.to_json_string())?;
-        eprintln!("wrote {}", path.display());
+        note(format!("wrote {}", path.display()));
     }
     Ok(Response::RunFinished {
         job: JobInfo {
@@ -478,7 +490,8 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
 /// The default progress reporter: a completed/total line with
 /// elapsed and ETA (same derivation as the NDJSON payload,
 /// `eta_seconds`) — rewritten in place on a terminal, printed at
-/// ~10 % milestones otherwise so logs stay readable.
+/// ~10 % milestones otherwise so logs stay readable — plus one note
+/// per checkpoint write.
 fn human_progress_sink() -> ProgressSink {
     let tty = std::io::stderr().is_terminal();
     ProgressSink::new(move |event| {
@@ -490,6 +503,9 @@ fn human_progress_sink() -> ProgressSink {
             ..
         } = &event
         else {
+            if let ProgressEvent::CheckpointWritten { path, runs } = event {
+                eprintln!("checkpoint: {runs} run(s) -> {path}");
+            }
             return;
         };
         let eta = eta_s.map_or_else(|| "-".to_string(), |e| format!("{e:.1} s"));

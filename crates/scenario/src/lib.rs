@@ -9,7 +9,7 @@
 //!   initial scatter ([`ScatterSpec`]), sensor-count sweep, scheme
 //!   set, radio combinations, duration, repetitions and seed policy;
 //! * [`BatchRunner`] — expands a spec into its run matrix and
-//!   executes it in parallel via rayon with deterministic per-run
+//!   executes it in parallel, longest runs first, with deterministic per-run
 //!   seeding (seeds derive from the base seed and matrix coordinates,
 //!   so results are byte-identical at any thread count);
 //! * [`BatchResult`] — per-cell mean/CI aggregation via

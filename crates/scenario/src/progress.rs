@@ -73,6 +73,9 @@ pub enum ProgressEvent {
         env_seed: u64,
         /// Final coverage fraction of the run.
         coverage: f64,
+        /// Wall seconds this run took, from pickup to its record
+        /// landing (its own cost, unlike the batch-wide `elapsed_s`).
+        wall_s: f64,
         /// Runs finished so far this invocation.
         completed: usize,
         /// Runs this invocation executes in total.
@@ -145,6 +148,7 @@ impl ProgressEvent {
                 rep,
                 env_seed,
                 coverage,
+                wall_s,
                 completed,
                 total,
                 elapsed_s,
@@ -160,6 +164,7 @@ impl ProgressEvent {
                 .field("rep", *rep)
                 .field("env_seed", *env_seed)
                 .field("coverage", *coverage)
+                .field("wall_s", *wall_s)
                 .field("completed", *completed)
                 .field("total", *total)
                 .field("elapsed_s", *elapsed_s)
@@ -237,6 +242,7 @@ mod tests {
             rep: 1,
             env_seed: 42,
             coverage: 0.5,
+            wall_s: 0.25,
             completed: 4,
             total: 8,
             elapsed_s: 2.0,
@@ -246,7 +252,7 @@ mod tests {
             event.ndjson_line(),
             "{\"event\":\"run-finished\",\"index\":3,\"rc\":60.0,\"rs\":40.0,\"n\":240,\
              \"scheme\":\"FLOOR\",\"variant\":\"defaults\",\"rep\":1,\"env_seed\":42,\
-             \"coverage\":0.5,\"completed\":4,\"total\":8,\"elapsed_s\":2.0,\"eta_s\":2.0}"
+             \"coverage\":0.5,\"wall_s\":0.25,\"completed\":4,\"total\":8,\"elapsed_s\":2.0,\"eta_s\":2.0}"
         );
         let line = ProgressEvent::CheckpointWritten {
             path: "out/batch.json".into(),
@@ -273,6 +279,7 @@ mod tests {
             rep: 0,
             env_seed: 1,
             coverage: 0.1,
+            wall_s: 0.0,
             completed: 0,
             total: 2,
             elapsed_s: 0.0,

@@ -1,8 +1,8 @@
 //! Parallel batch execution of scenario specs.
 //!
 //! [`BatchRunner`] expands a [`ScenarioSpec`] into its run matrix and
-//! executes every run — on the shared persistent work-stealing pool
-//! (`rayon::run_indexed`), one participant per core by default —
+//! executes every run — longest first, on participants that share one
+//! work cursor (`rayon::run_indexed`), one per core by default —
 //! collecting a [`BatchResult`] that aggregates per-cell statistics
 //! and exports JSON, CSV and the ASCII report tables the older `figN`
 //! harness prints.
@@ -28,7 +28,7 @@ use crate::diff::BatchFile;
 use crate::json::Json;
 use crate::progress::{eta_seconds, ProgressEvent, ProgressSink};
 use crate::spec::{RunCell, ScenarioSpec};
-use msn_deploy::{run_scheme_dynamic, run_scheme_with};
+use msn_deploy::{run_scheme_dynamic, run_scheme_with, SchemeKind};
 use msn_field::{CoverageGrid, Field};
 use msn_metrics::{recovery_stats, to_csv, EventMark, RecoveryStat, Summary, Table};
 use msn_obs::Report;
@@ -132,7 +132,7 @@ pub struct CellStats {
     /// Sensor count.
     pub n: usize,
     /// Scheme.
-    pub scheme: msn_deploy::SchemeKind,
+    pub scheme: SchemeKind,
     /// Variant slot index (0 when the spec declares no variants).
     pub variant: usize,
     /// Variant label (empty when the spec declares no variants).
@@ -411,18 +411,32 @@ type SliceEnv = (
     std::sync::Arc<EnvSlot>,
 );
 
-/// Executes the matrix cells on up to `threads` participants of the
-/// shared work-stealing pool (the calling thread included; see the
-/// `rayon` shim). Cells are scheduled individually (schemes and
-/// variants of one slice run concurrently); cells sharing an env seed
-/// resolve the same lazily-built [`EnvSlot`] unless a batch-wide
-/// `shared` env exists. Results are written back by matrix index, so
-/// record order equals matrix order at any thread count. `restored`
+/// Executes the matrix cells on up to `threads` participants (the
+/// calling thread included) that claim cells one at a time from a
+/// shared cursor (see the `rayon` shim). Cells are scheduled
+/// individually (schemes and variants of one slice run concurrently);
+/// cells sharing an env seed resolve the same lazily-built
+/// [`EnvSlot`] unless a batch-wide `shared` env exists. `restored`
 /// pre-fills the slots of resumed cells.
+///
+/// Dispatch order is longest first, by the key `(n descending, OPT
+/// last)`: a run's cost grows with its sensor count, and OPT (one
+/// assignment, no simulated ticks) is the cheapest scheme at any n.
+/// Handing the heavy cells out first keeps every participant busy to
+/// the end instead of leaving one to finish the largest runs alone.
+/// The sort is stable, so ties keep matrix order, and a spec with one
+/// sensor count and no OPT runs in plain matrix order. The order only
+/// decides *when* a cell runs, never *what* it computes: every run's
+/// seeds derive from its matrix coordinates, and every record is
+/// written back to its slot by matrix index, so record order equals
+/// matrix order and `batch.json` is byte-identical at any thread
+/// count and across `--resume`. A randomized slice's environment
+/// lives from its first to its last cell; all cells of a slice share
+/// one `n`, so that window stays inside one sensor count's group.
 #[allow(clippy::too_many_arguments)] // internal seam; the builder is the public surface
 fn run_matrix(
     spec: &ScenarioSpec,
-    cells: Vec<RunCell>,
+    mut cells: Vec<RunCell>,
     threads: usize,
     shared: Option<&(Field, CoverageGrid)>,
     restored: Vec<Option<RunRecord>>,
@@ -450,6 +464,7 @@ fn run_matrix(
         }
         Mutex::new(map)
     };
+    cells.sort_by_key(|cell| (std::cmp::Reverse(cell.n), cell.scheme == SchemeKind::Opt));
     let workers = threads.max(1).min(cells.len().max(1));
     let to_run_total = cells.len();
     let cached = restored.iter().flatten().count();
@@ -474,6 +489,7 @@ fn run_matrix(
     rayon::run_indexed(
         cells,
         &|cell: RunCell| {
+            let run_started = std::time::Instant::now();
             if let Some(sink) = progress {
                 sink.emit(&ProgressEvent::RunStarted {
                     index: cell.index,
@@ -550,6 +566,7 @@ fn run_matrix(
                     rep: cell.rep,
                     env_seed,
                     coverage,
+                    wall_s: run_started.elapsed().as_secs_f64(),
                     completed: done,
                     total: to_run_total,
                     elapsed_s,
@@ -627,24 +644,19 @@ fn run_matrix(
 }
 
 /// Atomically persists a snapshot of completed runs as a valid
-/// (partial) `batch.json`, announcing the write on stderr (a killed
-/// batch is diagnosable: the last note names what `--resume` will
-/// find). IO failures are reported, not fatal — a missed checkpoint
-/// only costs resume granularity. Returns whether the write landed.
+/// (partial) `batch.json`; the caller announces a landed write as a
+/// [`ProgressEvent::CheckpointWritten`] (a killed batch is
+/// diagnosable: the last event names what `--resume` will find). IO
+/// failures are reported, not fatal — a missed checkpoint only costs
+/// resume granularity. Returns whether the write landed.
 fn write_checkpoint(spec: &ScenarioSpec, records: &[RunRecord], path: &Path) -> bool {
     let json = render_json(spec, records);
     let tmp = path.with_extension("json.tmp");
     let result = std::fs::write(&tmp, &json).and_then(|()| std::fs::rename(&tmp, path));
-    match result {
-        Ok(()) => {
-            eprintln!("checkpoint: {} run(s) -> {}", records.len(), path.display());
-            true
-        }
-        Err(e) => {
-            eprintln!("warning: cannot write checkpoint {}: {e}", path.display());
-            false
-        }
+    if let Err(e) = &result {
+        eprintln!("warning: cannot write checkpoint {}: {e}", path.display());
     }
+    result.is_ok()
 }
 
 /// Executes one cell of the matrix on its group's environment,
@@ -794,7 +806,7 @@ impl BatchResult {
 
     /// All records of one scheme, in matrix order (e.g. to build the
     /// CDFs of Figure 13).
-    pub fn scheme_records(&self, scheme: msn_deploy::SchemeKind) -> Vec<&RunRecord> {
+    pub fn scheme_records(&self, scheme: SchemeKind) -> Vec<&RunRecord> {
         self.records
             .iter()
             .filter(|r| r.cell.scheme == scheme)
@@ -1109,7 +1121,6 @@ fn fmt_move(s: &Summary) -> String {
 mod tests {
     use super::*;
     use crate::spec::{FieldSpec, ScenarioSpec};
-    use msn_deploy::SchemeKind;
 
     fn tiny_spec() -> ScenarioSpec {
         ScenarioSpec::new("tiny")
@@ -1364,6 +1375,32 @@ mod tests {
             .run_resuming(&spec, Some(&prior))
             .unwrap();
         assert_eq!(resumed.to_json(), sequential.to_json());
+    }
+
+    #[test]
+    fn dispatch_runs_larger_fleets_first_and_opt_last() {
+        // matrix order: n=10 {OPT, CPVF}, n=14 {OPT, CPVF}
+        let spec = ScenarioSpec::new("dispatch")
+            .with_schemes(vec![SchemeKind::Opt, SchemeKind::Cpvf])
+            .with_sensor_counts(vec![10, 14])
+            .with_duration(5.0)
+            .with_coverage_cell(25.0);
+        let started = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let sink_started = std::sync::Arc::clone(&started);
+        let sink = ProgressSink::new(move |event| {
+            if let ProgressEvent::RunStarted { index, .. } = event {
+                sink_started.lock().unwrap().push(*index);
+            }
+        });
+        let result = RunConfig::new()
+            .threads(1)
+            .progress(sink)
+            .runner()
+            .run(&spec)
+            .unwrap();
+        assert_eq!(*started.lock().unwrap(), vec![3, 2, 1, 0]);
+        let indices: Vec<usize> = result.records.iter().map(|r| r.cell.index).collect();
+        assert_eq!(indices, vec![0, 1, 2, 3], "records stay in matrix order");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! [`JobStore`], re-queues whatever a previous daemon left unfinished,
 //! and then runs two loops: an accept loop answering one framed
 //! [`Request`] per connection (see [`crate::wire`]) and a single
-//! executor thread draining the bounded submission FIFO onto the
-//! persistent work-stealing pool via [`RunConfig`].
+//! executor thread draining the bounded submission FIFO, one batch
+//! at a time, through the batch runner ([`RunConfig`]).
 //!
 //! Submissions dedup by construction — the job address is the spec
 //! digest, so resubmitting an identical spec attaches to the existing

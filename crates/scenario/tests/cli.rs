@@ -157,6 +157,59 @@ fn json_mode_emits_the_service_response_types() {
 }
 
 #[test]
+fn ndjson_progress_keeps_stderr_pure_json() {
+    use msn_scenario::Json;
+    let scratch = Scratch::new("ndjson");
+    let out = scratch.dir("run");
+    let run = |extra: &[&str], ndjson: bool| {
+        let mut cmd = scenario_bin();
+        cmd.arg("run")
+            .arg(repo_file("scenarios/smoke.toml"))
+            .args(["--checkpoint-every", "1", "--out"])
+            .arg(&out)
+            .arg("--profile")
+            .arg(scratch.dir("profile.json"))
+            .args(extra);
+        if ndjson {
+            cmd.args(["--progress", "ndjson"]);
+        }
+        let output = cmd.output().expect("spawn scenario binary");
+        assert!(output.status.success(), "run {extra:?} failed");
+        String::from_utf8(output.stderr).expect("UTF-8 stderr")
+    };
+    // a fresh run and a resume exercise every status note the plain
+    // mode prints (running, checkpoint, finished, wrote, resuming)
+    for extra in [&[][..], &["--resume"][..]] {
+        let stderr = run(extra, true);
+        let mut events = Vec::new();
+        for line in stderr.lines() {
+            let event = Json::parse(line)
+                .unwrap_or_else(|e| panic!("stderr line is not JSON ({e}): {line}"));
+            let kind = event.get("event").and_then(Json::as_str).map(str::to_owned);
+            if kind.as_deref() == Some("run-finished") {
+                assert!(event.get("wall_s").is_some(), "run-finished carries wall_s");
+            }
+            events.push(kind.expect("every line is an event"));
+        }
+        assert_eq!(events.first().map(String::as_str), Some("batch-started"));
+        assert_eq!(events.last().map(String::as_str), Some("batch-finished"));
+    }
+    // concurrent finishers may fold into one snapshot, so at least one
+    let fresh = events_of_kind(&run(&[], true), "checkpoint");
+    assert!(fresh >= 1, "checkpoint writes arrive as events");
+    // plain mode keeps its human notes
+    let plain = run(&[], false);
+    for note in ["running 'smoke'", "checkpoint: ", "finished in", "wrote "] {
+        assert!(plain.contains(note), "plain stderr lacks {note:?}");
+    }
+}
+
+fn events_of_kind(stderr: &str, kind: &str) -> usize {
+    let tag = format!("\"event\":\"{kind}\"");
+    stderr.lines().filter(|line| line.contains(&tag)).count()
+}
+
+#[test]
 fn zero_threads_clamps_to_sequential() {
     // `--threads 0` is documented to clamp to 1 rather than error.
     let scratch = Scratch::new("zero");

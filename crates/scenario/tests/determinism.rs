@@ -5,7 +5,11 @@
 
 use msn_deploy::SchemeKind;
 use msn_field::RandomObstacleParams;
-use msn_scenario::{derive_seed, BatchRunner, FieldSpec, RunConfig, ScenarioSpec};
+use msn_scenario::{
+    derive_seed, BatchFile, BatchRunner, FieldSpec, ProgressEvent, ProgressSink, RunConfig,
+    ScenarioSpec,
+};
+use std::sync::{Arc, Mutex};
 
 fn spec() -> ScenarioSpec {
     ScenarioSpec::new("determinism")
@@ -38,7 +42,7 @@ fn json_is_byte_identical_at_any_thread_count() {
             "JSON diverged between 1 and {threads} threads"
         );
     }
-    // and the default (shared-pool) runner agrees too
+    // and the default (one thread per core) runner agrees too
     let pooled = BatchRunner::new().run(&spec()).unwrap().to_json();
     assert_eq!(reference, pooled);
 }
@@ -84,4 +88,72 @@ fn matrix_seed_derivation_is_pure() {
     for (radio, n, rep) in [(0usize, 0usize, 0usize), (1, 2, 3), (2, 0, 7)] {
         assert_eq!(derive_seed(7, radio, n, rep), derive_seed(7, radio, n, rep));
     }
+}
+
+#[test]
+fn longest_first_dispatch_never_reaches_the_output() {
+    // fig11 sweeps five sensor counts, so the runner's longest-first
+    // dispatch order (n descending, OPT last) differs from matrix
+    // order; records must still land by matrix index.
+    let spec = ScenarioSpec::from_toml_str(include_str!("../../../scenarios/fig11.toml"))
+        .unwrap()
+        .quick();
+    let dir = std::env::temp_dir().join(format!("msn-dispatch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("batch.json");
+    // On one thread cells run in dispatch order; keep the checkpoint
+    // written after the seventh finished run.
+    let snapshot: Arc<Mutex<Option<String>>> = Arc::default();
+    let snapshot_sink = Arc::clone(&snapshot);
+    let sink = ProgressSink::new(move |event| {
+        if let ProgressEvent::CheckpointWritten { path, runs: 7 } = event {
+            *snapshot_sink.lock().unwrap() = Some(std::fs::read_to_string(path).unwrap());
+        }
+    });
+    let reference = RunConfig::new()
+        .threads(1)
+        .checkpoint(&path, 7)
+        .progress(sink)
+        .runner()
+        .run(&spec)
+        .unwrap()
+        .to_json();
+    for threads in [2, 3] {
+        let parallel = RunConfig::new()
+            .threads(threads)
+            .runner()
+            .run(&spec)
+            .unwrap()
+            .to_json();
+        assert_eq!(reference, parallel, "JSON diverged at {threads} threads");
+    }
+
+    // The checkpoint holds the n=280 row and part of n=240: records
+    // that finished out of matrix order. Resuming from it must
+    // rebuild the identical batch.
+    let snapshot = snapshot
+        .lock()
+        .unwrap()
+        .take()
+        .expect("checkpoint at 7 runs");
+    let prior = BatchFile::parse(&snapshot).unwrap();
+    assert_eq!(prior.run_count(), 7);
+    let recorded = |n: usize, scheme: SchemeKind| {
+        prior
+            .lookup(60.0, 40.0, n, scheme.name(), spec.variant_label(0), 0)
+            .is_some()
+    };
+    assert!(recorded(280, SchemeKind::Floor) && recorded(240, SchemeKind::Cpvf));
+    assert!(
+        !recorded(120, SchemeKind::Cpvf),
+        "matrix prefix not yet run"
+    );
+    let resumed = RunConfig::new()
+        .threads(2)
+        .runner()
+        .run_resuming(&spec, Some(&prior))
+        .unwrap()
+        .to_json();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(reference, resumed, "resume from an out-of-order checkpoint");
 }
