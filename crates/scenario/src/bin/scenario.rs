@@ -1,48 +1,39 @@
-//! The `scenario` CLI: a thin transport over [`msn_scenario`]'s typed
-//! service API.
+//! The `scenario` CLI: runs experiment specs on [`msn_scenario`]'s
+//! batch runner and compares what runs leave behind.
 //!
-//! Every subcommand builds a [`Response`] (or an [`ApiError`]) and
-//! hands it to one `finish()` sink, which renders it either as the
-//! traditional human output or — with the global `--json` flag — as
-//! the exact same JSON document the `scenario serve` daemon frames
-//! over its Unix socket. Exit codes are unified there too: `0` on
-//! success, `1` when the response reports a failure (an error, or a
-//! diff that differs), `2` on usage errors.
-//!
-//! Local execution (`run`, `diff`, `bench-diff`, `profile-*`, `list`,
-//! `describe`) and daemon interaction (`serve`, `submit`, `job`,
-//! `jobs`, `fetch`, `subscribe`, `diff --socket`, `profile-report
-//! --socket`, `profile-diff --socket`, `ping`, `shutdown`) speak the
-//! same Request/Response vocabulary; the daemon path goes through
-//! [`msn_scenario::Client`], the local path calls the library
-//! directly. `run` takes a pid-stamped lock next to
-//! `batch.json` so two invocations can't interleave checkpoints, and
-//! its output is byte-identical to what a served job stores for the
-//! same spec.
+//! `run`, `list` and `describe` work on spec files; `diff`,
+//! `bench-diff`, `profile-report` and `profile-diff` on the
+//! `batch.json`, perf-record and profile files runs write. Each
+//! command prints its human output directly. Exit codes: `0` on
+//! success, `1` when an operation fails or a diff differs, `2` on
+//! usage errors. `run` takes a pid-stamped lock next to `batch.json`
+//! so two invocations can't interleave checkpoints.
 
 use msn_scenario::{
-    diff_batches, diff_bench, junit_xml, serve, ApiError, BatchFile, BatchLock, BenchRecord,
-    Client, JobInfo, JobState, Json, ProfileRecord, ProgressEvent, ProgressSink, Request, Response,
-    RunConfig, ScenarioSpec, ServeConfig,
+    diff_batches, diff_bench, junit_xml, write_atomic, BatchFile, BatchLock, BenchDiffReport,
+    BenchRecord, ProfileRecord, ProgressEvent, ProgressSink, RunConfig, ScenarioSpec,
 };
 use std::io::IsTerminal;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Duration;
+
+/// Why a command did not succeed.
+enum CliError {
+    /// A malformed invocation (exit 2).
+    Usage(String),
+    /// A well-formed invocation whose operation failed (exit 1).
+    Failed(String),
+}
+
+/// What a command returns: whether its comparison passed (`diff`,
+/// `bench-diff` and `profile-diff` can differ; everything else passes
+/// whenever it returns `Ok`).
+type Outcome = Result<bool, CliError>;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let json = take_flag(&mut args, "--json");
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("submit") => cmd_submit(&args[1..]),
-        Some("job") => cmd_job(&args[1..]),
-        Some("jobs") => cmd_jobs(&args[1..]),
-        Some("fetch") => cmd_fetch(&args[1..]),
-        Some("subscribe") => cmd_subscribe(&args[1..]),
-        Some("ping") => cmd_ping(&args[1..]),
-        Some("shutdown") => cmd_shutdown(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("bench-diff") => cmd_bench_diff(&args[1..]),
         Some("profile-report") => cmd_profile_report(&args[1..]),
@@ -55,143 +46,24 @@ fn main() -> ExitCode {
         }
         Some(other) => Err(usage(format!("unknown command '{other}'"))),
     };
-    finish(json, result)
-}
-
-/// The single output/exit-code sink every subcommand funnels through.
-fn finish(json: bool, result: Result<Response, ApiError>) -> ExitCode {
-    let response = match result {
-        Ok(response) => response,
-        Err(error) => Response::Error { error },
-    };
-    let usage_error = matches!(
-        &response,
-        Response::Error {
-            error: ApiError::Usage(_)
+    match result {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(CliError::Usage(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::from(2)
         }
-    );
-    if json {
-        print!("{}", response.to_json().pretty());
-    } else {
-        render_human(&response);
+        Err(CliError::Failed(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
     }
-    if usage_error {
-        ExitCode::from(2)
-    } else if response.indicates_failure() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Renders a response the way the pre-service CLI printed it.
-fn render_human(response: &Response) {
-    match response {
-        Response::Pong { version } => println!("pong (api v{version})"),
-        Response::Submitted {
-            job,
-            deduped,
-            queue_depth,
-        } => {
-            println!(
-                "{}{}",
-                job_line(job),
-                if *deduped { "  [deduped]" } else { "" }
-            );
-            println!("queue depth: {queue_depth}");
-        }
-        Response::Job { job } => {
-            println!("{}", job_line(job));
-            if let JobState::Failed { error } = &job.state {
-                println!("  error: {error}");
-            }
-        }
-        Response::Jobs { jobs } => {
-            if jobs.is_empty() {
-                println!("no jobs");
-            }
-            for job in jobs {
-                println!("{}", job_line(job));
-            }
-        }
-        Response::Artifact { contents, .. } => print!("{contents}"),
-        Response::Diff {
-            matches,
-            tol,
-            report,
-        } => {
-            print!("{report}");
-            if *matches {
-                println!("MATCH (tol {tol})");
-            } else {
-                println!("DIFFER (tol {tol})");
-            }
-        }
-        Response::BenchDiff {
-            matches,
-            tol,
-            baseline,
-            current,
-            report,
-            annotations,
-        } => {
-            print!("{report}");
-            if std::env::var_os("GITHUB_ACTIONS").is_some() {
-                for note in annotations {
-                    println!("{note}");
-                }
-            }
-            if *matches {
-                println!("PASS ({baseline} vs {current}, tol {tol})");
-            } else {
-                println!("FAIL ({baseline} vs {current}, tol {tol})");
-            }
-        }
-        Response::Report { text } => print!("{text}"),
-        Response::ShuttingDown => println!("daemon shutting down"),
-        Response::RunFinished { report, .. } => println!("{report}"),
-        Response::Specs { specs } => {
-            if specs.is_empty() {
-                println!("no .toml specs found");
-            }
-            for entry in specs {
-                println!("{:<40} {}", entry.path, entry.summary);
-            }
-        }
-        Response::Spec {
-            digest,
-            resume_digest,
-            spec_toml,
-            ..
-        } => {
-            // the canonical TOML round-trips, so the detailed view can
-            // be rebuilt from the response alone
-            match ScenarioSpec::from_toml_str(spec_toml) {
-                Ok(spec) => print!("{}", describe_text(&spec)),
-                Err(e) => println!("unrenderable spec: {e}"),
-            }
-            println!("job digest:    {digest}");
-            println!("resume digest: {resume_digest}");
-        }
-        Response::Error { error } => eprintln!("error: {error}"),
-    }
-}
-
-fn job_line(job: &JobInfo) -> String {
-    format!(
-        "{:<16}  {:<12}  {:>5}/{:<5}  {}",
-        job.digest,
-        job.state.kind(),
-        job.completed_runs,
-        job.total_runs,
-        job.scenario
-    )
 }
 
 const USAGE: &str = "\
 scenario — declarative experiment batches for the MSN deployment schemes
 
-USAGE (local):
+USAGE:
     scenario run <spec.toml> [--out DIR] [--threads N] [--quick] [--resume]
                              [--checkpoint-every N] [--profile PATH]
                              [--progress ndjson]
@@ -202,23 +74,7 @@ USAGE (local):
     scenario list [DIR]           (default DIR: scenarios/)
     scenario describe <spec.toml>
 
-USAGE (service):
-    scenario serve [--socket PATH] [--jobs DIR] [--threads N] [--queue N]
-                   [--checkpoint-every N] [--no-profile]
-    scenario submit <spec.toml> [--socket PATH] [--quick] [--wait]
-    scenario job <digest> [--socket PATH]
-    scenario jobs [--socket PATH]
-    scenario fetch <digest> <artifact> [--socket PATH]
-    scenario subscribe <digest> [--socket PATH]
-    scenario diff <digest-a> <digest-b> --socket PATH [--tol T]
-    scenario profile-report <digest> --socket PATH
-    scenario profile-diff <digest-a> <digest-b> --socket PATH [--tol T]
-    scenario ping [--socket PATH]
-    scenario shutdown [--socket PATH]
-
-Every command accepts a global --json flag: the output becomes the
-same Response JSON document the daemon serves over its socket, and
-exit codes are 0 (success), 1 (failed operation or differing diff),
+Exit codes are 0 (success), 1 (failed operation or differing diff),
 2 (usage error).
 
 `run` writes batch.json, batch.csv and report.txt under --out
@@ -232,67 +88,50 @@ disables). `--profile PATH` writes a per-cell profile record;
 `--progress ndjson` streams schema-stable progress events to stderr,
 which then carries nothing but JSON lines.
 
-`serve` runs the job daemon: specs submitted over the Unix socket
-(default results/serve/scenario.sock) queue into a bounded FIFO
-(default 64) and execute one at a time on the batch runner's threads;
-artifacts land in a content-addressed job store (default
-results/serve/jobs/<digest>/). Identical specs dedup onto the same
-job; a SIGKILL'd daemon recovers queued/running jobs on restart and
-resumes from the last checkpoint. `submit --wait` streams progress
-until the job finishes; `fetch` prints a stored artifact to stdout;
-`subscribe` streams a job's NDJSON events.
-
-`diff` compares two batch.json files (or, with --socket, two stored
-jobs) cell-by-cell within relative tolerance T (default 0 = exact);
-exit is nonzero on any difference. `--junit PATH` (local only) writes
-one JUnit testcase per matrix cell. `bench-diff` gates a fresh
-kernel record against a baseline such as BENCH.json (default tol 0.25);
-`profile-report` renders a profile's self-time table; `profile-diff`
-classifies per-span deltas with the bench-diff machinery.
+`diff` compares two batch.json files cell-by-cell within relative
+tolerance T (default 0 = exact); exit is nonzero on any difference.
+`--junit PATH` writes one JUnit testcase per matrix cell. `bench-diff`
+gates a fresh kernel record against a baseline such as BENCH.json
+(default tol 0.25); `profile-report` renders a profile's self-time
+table; `profile-diff` classifies per-span deltas with the bench-diff
+machinery.
 ";
 
-fn usage(msg: impl Into<String>) -> ApiError {
-    ApiError::Usage(format!("{}\n{USAGE}", msg.into()))
+fn usage(msg: impl Into<String>) -> CliError {
+    CliError::Usage(format!("{}\n{USAGE}", msg.into()))
 }
 
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    before != args.len()
+/// Reads a user-supplied file, naming it in the error.
+fn read(path: &str) -> Result<String, CliError> {
+    std::fs::read_to_string(path).map_err(|e| CliError::Failed(format!("cannot read {path}: {e}")))
 }
 
-fn default_socket() -> PathBuf {
-    PathBuf::from("results/serve/scenario.sock")
-}
-
-fn load_spec(path: &str) -> Result<ScenarioSpec, ApiError> {
+/// Loads a spec file; the error is the message `list` prints inline
+/// and the other commands fail with.
+fn load_spec(path: &str) -> Result<ScenarioSpec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         if e.kind() == std::io::ErrorKind::NotFound {
-            ApiError::NotFound(format!("spec file {path}"))
+            format!("spec file {path}")
         } else {
-            ApiError::Io(format!("cannot read {path}: {e}"))
+            format!("cannot read {path}: {e}")
         }
     })?;
-    ScenarioSpec::from_toml_str(&text).map_err(|e| ApiError::InvalidSpec(format!("{path}: {e}")))
+    ScenarioSpec::from_toml_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-fn parse_count(v: &str, what: &str) -> Result<usize, ApiError> {
+fn parse_count(v: &str, what: &str) -> Result<usize, CliError> {
     v.parse::<usize>()
-        .map_err(|_| ApiError::Usage(format!("invalid {what} '{v}'")))
+        .map_err(|_| CliError::Usage(format!("invalid {what} '{v}'")))
 }
 
-fn parse_tol(v: &str) -> Result<f64, ApiError> {
+fn parse_tol(v: &str) -> Result<f64, CliError> {
     v.parse::<f64>()
         .ok()
         .filter(|t| t.is_finite() && *t >= 0.0)
-        .ok_or_else(|| ApiError::Usage(format!("invalid tolerance '{v}'")))
+        .ok_or_else(|| CliError::Usage(format!("invalid tolerance '{v}'")))
 }
 
-// ---------------------------------------------------------------------------
-// Local execution
-// ---------------------------------------------------------------------------
-
-fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
+fn cmd_run(args: &[String]) -> Outcome {
     let mut spec_path: Option<&str> = None;
     let mut out_dir: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
@@ -325,11 +164,7 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
             }
             "--threads" => {
                 let v = it.next().ok_or_else(|| usage("--threads needs a number"))?;
-                threads = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| ApiError::Usage(format!("invalid thread count '{v}'")))?
-                        .max(1),
-                );
+                threads = Some(parse_count(v, "thread count")?.max(1));
             }
             "--checkpoint-every" => {
                 let v = it
@@ -346,14 +181,14 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
         }
     }
     let spec_path = spec_path.ok_or_else(|| usage("run needs a spec file"))?;
-    let mut spec = load_spec(spec_path)?;
+    let mut spec = load_spec(spec_path).map_err(CliError::Failed)?;
     if quick {
         spec = spec.quick();
     }
     let dir = out_dir.unwrap_or_else(|| Path::new("results/scenario").join(&spec.name));
     // refuse a second concurrent run against the same batch.json — a
     // double launch would silently interleave checkpoint writes
-    let _lock = BatchLock::acquire(&dir)?;
+    let _lock = BatchLock::acquire(&dir).map_err(|e| CliError::Failed(e.0))?;
     let mut config = RunConfig::new();
     if let Some(t) = threads {
         config = config.threads(t);
@@ -386,7 +221,7 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
         match std::fs::read_to_string(&path) {
             Ok(text) => {
                 let file = BatchFile::parse(&text).map_err(|e| {
-                    ApiError::InvalidSpec(format!("cannot resume from {}: {e}", path.display()))
+                    CliError::Failed(format!("cannot resume from {}: {e}", path.display()))
                 })?;
                 note(format!(
                     "resuming from {} ({} recorded run(s))",
@@ -399,12 +234,16 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
                 note(format!("nothing to resume ({} not found)", path.display()));
                 None
             }
-            Err(e) => return Err(ApiError::Io(format!("cannot read {}: {e}", path.display()))),
+            Err(e) => {
+                return Err(CliError::Failed(format!(
+                    "cannot read {}: {e}",
+                    path.display()
+                )))
+            }
         }
     } else {
         None
     };
-    let matrix_size = spec.matrix().len();
     let cached = prior.as_ref().map_or(0, |p| {
         spec.matrix()
             .iter()
@@ -426,7 +265,7 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
         "running '{}': {} runs ({} radios x {} counts x {} reps x {} variants x {} schemes) \
          on {} thread(s){}{}",
         spec.name,
-        matrix_size,
+        spec.matrix().len(),
         spec.radios.len(),
         spec.sensor_counts.len(),
         spec.repetitions,
@@ -443,55 +282,43 @@ fn cmd_run(args: &[String]) -> Result<Response, ApiError> {
     let started = std::time::Instant::now();
     let result = runner
         .run_resuming(&spec, prior.as_ref())
-        .map_err(|e| ApiError::Internal(e.to_string()))?;
+        .map_err(|e| CliError::Failed(e.to_string()))?;
     note(format!(
         "finished in {:.1} s",
         started.elapsed().as_secs_f64()
     ));
 
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| ApiError::Io(format!("cannot create {dir:?}: {e}")))?;
-    let report = result.report();
-    for (name, contents) in [
-        ("batch.json", result.to_json()),
-        ("batch.csv", result.to_csv()),
-        ("report.txt", report.clone()),
-    ] {
-        // Atomic write-then-rename, like the mid-run checkpoints: a
-        // kill during the final write must not replace the last good
-        // batch.json with a torn file.
-        let path = dir.join(name);
-        msn_scenario::write_atomic(&path, &contents)?;
+    // Atomic write-then-rename, like the mid-run checkpoints: a kill
+    // during the final write must not replace the last good
+    // batch.json with a torn file.
+    let write = |path: &Path, contents: &str| {
+        write_atomic(path, contents)
+            .map_err(|e| CliError::Failed(format!("cannot write {}: {e}", path.display())))?;
         note(format!("wrote {}", path.display()));
-    }
+        Ok(())
+    };
+    let report = result.report();
+    write(&dir.join("batch.json"), &result.to_json())?;
+    write(&dir.join("batch.csv"), &result.to_csv())?;
+    write(&dir.join("report.txt"), &report)?;
     if let Some(path) = profile_path {
         let record =
-            ProfileRecord::from_batch(&result).map_err(|e| ApiError::Internal(e.to_string()))?;
+            ProfileRecord::from_batch(&result).map_err(|e| CliError::Failed(e.to_string()))?;
         if let Some(parent) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)
-                .map_err(|e| ApiError::Io(format!("cannot create {parent:?}: {e}")))?;
+                .map_err(|e| CliError::Failed(format!("cannot create {parent:?}: {e}")))?;
         }
-        msn_scenario::write_atomic(&path, &record.to_json_string())?;
-        note(format!("wrote {}", path.display()));
+        write(&path, &record.to_json_string())?;
     }
-    Ok(Response::RunFinished {
-        job: JobInfo {
-            digest: spec.job_digest(),
-            scenario: spec.name.clone(),
-            state: JobState::Done,
-            total_runs: matrix_size,
-            completed_runs: matrix_size,
-        },
-        out_dir: dir.display().to_string(),
-        report,
-    })
+    println!("{report}");
+    Ok(true)
 }
 
 /// The default progress reporter: a completed/total line with
 /// elapsed and ETA (same derivation as the NDJSON payload,
 /// `eta_seconds`) — rewritten in place on a terminal, printed at
 /// ~10 % milestones otherwise so logs stay readable — plus one note
-/// per checkpoint write.
+/// per checkpoint write or failed write.
 fn human_progress_sink() -> ProgressSink {
     let tty = std::io::stderr().is_terminal();
     ProgressSink::new(move |event| {
@@ -503,8 +330,14 @@ fn human_progress_sink() -> ProgressSink {
             ..
         } = &event
         else {
-            if let ProgressEvent::CheckpointWritten { path, runs } = event {
-                eprintln!("checkpoint: {runs} run(s) -> {path}");
+            match event {
+                ProgressEvent::CheckpointWritten { path, runs } => {
+                    eprintln!("checkpoint: {runs} run(s) -> {path}");
+                }
+                ProgressEvent::CheckpointFailed { path, error } => {
+                    eprintln!("warning: cannot write checkpoint {path}: {error}");
+                }
+                _ => {}
             }
             return;
         };
@@ -521,11 +354,10 @@ fn human_progress_sink() -> ProgressSink {
     })
 }
 
-fn cmd_diff(args: &[String]) -> Result<Response, ApiError> {
+fn cmd_diff(args: &[String]) -> Outcome {
     let mut paths: Vec<&str> = Vec::new();
     let mut tol = 0.0f64;
     let mut junit: Option<&str> = None;
-    let mut socket: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -536,33 +368,15 @@ fn cmd_diff(args: &[String]) -> Result<Response, ApiError> {
             "--junit" => {
                 junit = Some(it.next().ok_or_else(|| usage("--junit needs a path"))?);
             }
-            "--socket" => {
-                let v = it.next().ok_or_else(|| usage("--socket needs a path"))?;
-                socket = Some(PathBuf::from(v));
-            }
             other if !other.starts_with('-') => paths.push(other),
             other => return Err(usage(format!("unexpected argument '{other}'"))),
         }
     }
     let [a, b] = paths[..] else {
-        return Err(usage(
-            "diff needs exactly two batch.json files (or two job digests with --socket)",
-        ));
+        return Err(usage("diff needs exactly two batch.json files"));
     };
-    if let Some(socket) = socket {
-        if junit.is_some() {
-            return Err(usage("--junit is not supported with --socket"));
-        }
-        return Client::new(socket).request(&Request::Diff {
-            job_a: a.to_string(),
-            job_b: b.to_string(),
-            tol,
-        });
-    }
-    let load = |path: &str| -> Result<BatchFile, ApiError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ApiError::Io(format!("cannot read {path}: {e}")))?;
-        BatchFile::parse(&text).map_err(|e| ApiError::InvalidSpec(format!("{path}: {e}")))
+    let load = |path: &str| {
+        BatchFile::parse(&read(path)?).map_err(|e| CliError::Failed(format!("{path}: {e}")))
     };
     let file_a = load(a)?;
     let file_b = load(b)?;
@@ -570,19 +384,19 @@ fn cmd_diff(args: &[String]) -> Result<Response, ApiError> {
     if let Some(path) = junit {
         let suite = format!("scenario-diff:{}", file_a.scenario);
         std::fs::write(path, junit_xml(&report, &suite))
-            .map_err(|e| ApiError::Io(format!("cannot write {path}: {e}")))?;
+            .map_err(|e| CliError::Failed(format!("cannot write {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
-    Ok(Response::Diff {
-        matches: report.is_match(),
-        tol,
-        report: report.render(),
-    })
+    print!("{}", report.render());
+    let matches = report.is_match();
+    println!("{} (tol {tol})", if matches { "MATCH" } else { "DIFFER" });
+    Ok(matches)
 }
 
-fn cmd_bench_diff(args: &[String]) -> Result<Response, ApiError> {
-    let mut paths: Vec<&str> = Vec::new();
-    let mut tol = 0.25f64;
+/// Positionals plus an optional `--tol T` (default `tol`), the
+/// arguments of `bench-diff` and `profile-diff`.
+fn paths_and_tol(args: &[String], mut tol: f64) -> Result<(Vec<&str>, f64), CliError> {
+    let mut paths = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -594,140 +408,94 @@ fn cmd_bench_diff(args: &[String]) -> Result<Response, ApiError> {
             other => return Err(usage(format!("unexpected argument '{other}'"))),
         }
     }
+    Ok((paths, tol))
+}
+
+/// Prints a bench-diff report with its PASS/FAIL verdict (plus
+/// GitHub annotations under Actions) and returns whether it passed.
+fn print_bench_diff(report: &BenchDiffReport, tol: f64, baseline: &str, current: &str) -> bool {
+    print!("{}", report.render());
+    if std::env::var_os("GITHUB_ACTIONS").is_some() {
+        for note in report.annotations() {
+            println!("{note}");
+        }
+    }
+    let matches = report.is_match();
+    let verdict = if matches { "PASS" } else { "FAIL" };
+    println!("{verdict} ({baseline} vs {current}, tol {tol})");
+    matches
+}
+
+fn cmd_bench_diff(args: &[String]) -> Outcome {
+    let (paths, tol) = paths_and_tol(args, 0.25)?;
     let [base_path, cur_path] = paths[..] else {
         return Err(usage("bench-diff needs exactly two perf record files"));
     };
-    let load = |path: &str| -> Result<BenchRecord, ApiError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ApiError::Io(format!("cannot read {path}: {e}")))?;
-        BenchRecord::parse(&text).map_err(|e| ApiError::InvalidSpec(format!("{path}: {e}")))
+    let load = |path: &str| {
+        BenchRecord::parse(&read(path)?).map_err(|e| CliError::Failed(format!("{path}: {e}")))
     };
     let baseline = load(base_path)?;
     let current = load(cur_path)?;
     let report = diff_bench(&baseline, &current, tol);
-    Ok(Response::BenchDiff {
-        matches: report.is_match(),
+    Ok(print_bench_diff(
+        &report,
         tol,
-        baseline: baseline.record.clone(),
-        current: current.record.clone(),
-        report: report.render(),
-        annotations: report.annotations(),
-    })
+        &baseline.record,
+        &current.record,
+    ))
 }
 
-fn load_profile(path: &str) -> Result<ProfileRecord, ApiError> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| ApiError::Io(format!("cannot read {path}: {e}")))?;
-    ProfileRecord::parse(&text).map_err(|e| ApiError::InvalidSpec(format!("{path}: {e}")))
+fn load_profile(path: &str) -> Result<ProfileRecord, CliError> {
+    ProfileRecord::parse(&read(path)?).map_err(|e| CliError::Failed(format!("{path}: {e}")))
 }
 
-fn cmd_profile_report(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, _tol) = service_args(args, "profile-report")?;
-    let [target] = positionals[..] else {
-        return Err(usage(
-            "profile-report needs exactly one profile.json (or one job digest with --socket)",
-        ));
+fn cmd_profile_report(args: &[String]) -> Outcome {
+    let [path] = args else {
+        return Err(usage("profile-report needs exactly one profile.json"));
     };
-    if let Some(socket) = socket {
-        return Client::new(socket).request(&Request::ProfileReport {
-            job: target.to_string(),
-        });
+    if path.starts_with('-') {
+        return Err(usage(format!("unexpected argument '{path}'")));
     }
-    Ok(Response::Report {
-        text: load_profile(target)?.render_report(),
-    })
+    print!("{}", load_profile(path)?.render_report());
+    Ok(true)
 }
 
-fn cmd_profile_diff(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, tol) = service_args(args, "profile-diff")?;
-    let tol = tol.unwrap_or(0.25);
-    let [base, cur] = positionals[..] else {
-        return Err(usage(
-            "profile-diff needs exactly two profile.json files (or two job digests with --socket)",
-        ));
+fn cmd_profile_diff(args: &[String]) -> Outcome {
+    let (paths, tol) = paths_and_tol(args, 0.25)?;
+    let [base, cur] = paths[..] else {
+        return Err(usage("profile-diff needs exactly two profile.json files"));
     };
-    if let Some(socket) = socket {
-        return Client::new(socket).request(&Request::ProfileDiff {
-            job_a: base.to_string(),
-            job_b: cur.to_string(),
-            tol,
-        });
-    }
     let baseline = load_profile(base)?.to_bench_record(base);
     let current = load_profile(cur)?.to_bench_record(cur);
     let report = diff_bench(&baseline, &current, tol);
-    Ok(Response::BenchDiff {
-        matches: report.is_match(),
-        tol,
-        baseline: base.to_string(),
-        current: cur.to_string(),
-        report: report.render(),
-        annotations: report.annotations(),
-    })
+    Ok(print_bench_diff(&report, tol, base, cur))
 }
 
-/// Positionals plus the optional `--socket PATH` / `--tol T` shared
-/// by the service-mode commands.
-type ServiceArgs<'a> = (Vec<&'a str>, Option<PathBuf>, Option<f64>);
-
-/// Shared parser for commands taking positionals plus optional
-/// `--socket PATH` / `--tol T`.
-fn service_args<'a>(args: &'a [String], cmd: &str) -> Result<ServiceArgs<'a>, ApiError> {
-    let mut positionals = Vec::new();
-    let mut socket = None;
-    let mut tol = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => {
-                let v = it.next().ok_or_else(|| usage("--socket needs a path"))?;
-                socket = Some(PathBuf::from(v));
-            }
-            "--tol" => {
-                let v = it.next().ok_or_else(|| usage("--tol needs a number"))?;
-                tol = Some(parse_tol(v)?);
-            }
-            other if !other.starts_with('-') => positionals.push(other),
-            other => return Err(usage(format!("unexpected {cmd} argument '{other}'"))),
-        }
-    }
-    Ok((positionals, socket, tol))
-}
-
-fn cmd_list(args: &[String]) -> Result<Response, ApiError> {
+fn cmd_list(args: &[String]) -> Outcome {
     let dir = args.first().map(String::as_str).unwrap_or("scenarios");
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
-        .map_err(|e| ApiError::Io(format!("cannot read directory {dir}: {e}")))?
+        .map_err(|e| CliError::Failed(format!("cannot read directory {dir}: {e}")))?
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|x| x == "toml"))
         .collect();
     entries.sort();
-    let specs = entries
-        .iter()
-        .map(|path| {
-            let display = path.display().to_string();
-            match load_spec(&display) {
-                Ok(spec) => msn_scenario::SpecEntry {
-                    path: display,
-                    scenario: spec.name.clone(),
-                    runs: spec.matrix().len(),
-                    summary: format!(
-                        "{:<18} {:>5} runs  {}",
-                        spec.field.kind(),
-                        spec.matrix().len(),
-                        spec.description
-                    ),
-                },
-                Err(e) => msn_scenario::SpecEntry {
-                    path: display,
-                    scenario: String::new(),
-                    runs: 0,
-                    summary: format!("INVALID: {e}"),
-                },
-            }
-        })
-        .collect();
-    Ok(Response::Specs { specs })
+    if entries.is_empty() {
+        println!("no .toml specs found");
+    }
+    for path in &entries {
+        let display = path.display().to_string();
+        let summary = match load_spec(&display) {
+            Ok(spec) => format!(
+                "{:<18} {:>5} runs  {}",
+                spec.field.kind(),
+                spec.matrix().len(),
+                spec.description
+            ),
+            Err(e) => format!("INVALID: {e}"),
+        };
+        println!("{display:<40} {summary}");
+    }
+    Ok(true)
 }
 
 /// The field-by-field spec rendering `describe` prints for humans.
@@ -782,181 +550,12 @@ fn describe_text(spec: &ScenarioSpec) -> String {
     out
 }
 
-fn cmd_describe(args: &[String]) -> Result<Response, ApiError> {
+fn cmd_describe(args: &[String]) -> Outcome {
     let path = args
         .first()
         .ok_or_else(|| usage("describe needs a spec file"))?;
-    let spec = load_spec(path)?;
-    Ok(Response::Spec {
-        scenario: spec.name.clone(),
-        digest: spec.job_digest(),
-        resume_digest: spec.resume_digest(),
-        total_runs: spec.matrix().len(),
-        spec_toml: spec.to_toml_string(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Service transport
-// ---------------------------------------------------------------------------
-
-fn cmd_serve(args: &[String]) -> Result<Response, ApiError> {
-    let mut config = ServeConfig::new(default_socket(), "results/serve/jobs");
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => {
-                let v = it.next().ok_or_else(|| usage("--socket needs a path"))?;
-                config.socket = PathBuf::from(v);
-            }
-            "--jobs" => {
-                let v = it.next().ok_or_else(|| usage("--jobs needs a directory"))?;
-                config.jobs_root = PathBuf::from(v);
-            }
-            "--threads" => {
-                let v = it.next().ok_or_else(|| usage("--threads needs a number"))?;
-                config.threads = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| ApiError::Usage(format!("invalid thread count '{v}'")))?
-                        .max(1),
-                );
-            }
-            "--queue" => {
-                let v = it.next().ok_or_else(|| usage("--queue needs a number"))?;
-                config.queue_capacity = parse_count(v, "queue capacity")?.max(1);
-            }
-            "--checkpoint-every" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage("--checkpoint-every needs a number"))?;
-                config.checkpoint_every = parse_count(v, "checkpoint interval")?;
-            }
-            "--no-profile" => config.profiling = false,
-            other => return Err(usage(format!("unexpected serve argument '{other}'"))),
-        }
-    }
-    serve(config)?;
-    Ok(Response::ShuttingDown)
-}
-
-fn cmd_submit(args: &[String]) -> Result<Response, ApiError> {
-    let mut spec_path: Option<&str> = None;
-    let mut socket = default_socket();
-    let mut quick = false;
-    let mut wait = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => {
-                socket = PathBuf::from(it.next().ok_or_else(|| usage("--socket needs a path"))?);
-            }
-            "--quick" => quick = true,
-            "--wait" => wait = true,
-            other if !other.starts_with('-') && spec_path.is_none() => spec_path = Some(other),
-            other => return Err(usage(format!("unexpected submit argument '{other}'"))),
-        }
-    }
-    let spec_path = spec_path.ok_or_else(|| usage("submit needs a spec file"))?;
-    let mut spec = load_spec(spec_path)?;
-    if quick {
-        spec = spec.quick();
-    }
-    let client = Client::new(socket);
-    let submitted = client.request(&Request::Submit {
-        spec_toml: spec.to_toml_string(),
-    })?;
-    let Response::Submitted { job, .. } = &submitted else {
-        return Ok(submitted); // an error response passes through
-    };
-    if !wait {
-        return Ok(submitted);
-    }
-    let digest = job.digest.clone();
-    if !job.state.is_terminal() {
-        stream_events(&client, &digest)?;
-    }
-    client.request(&Request::Status { job: digest })
-}
-
-/// Streams a job's NDJSON events to stderr until a terminal
-/// `job-state` line arrives or the daemon closes the stream.
-fn stream_events(client: &Client, digest: &str) -> Result<(), ApiError> {
-    for line in client.subscribe(digest)? {
-        let line = line?;
-        eprintln!("{line}");
-        if let Ok(event) = Json::parse(&line) {
-            let is_state = event.get("event").and_then(Json::as_str) == Some("job-state");
-            let terminal = matches!(
-                event.get("state").and_then(Json::as_str),
-                Some("done" | "failed")
-            );
-            if is_state && terminal {
-                break;
-            }
-        }
-    }
-    Ok(())
-}
-
-fn cmd_subscribe(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, _tol) = service_args(args, "subscribe")?;
-    let [digest] = positionals[..] else {
-        return Err(usage("subscribe needs exactly one job digest"));
-    };
-    let client = Client::new(socket.unwrap_or_else(default_socket));
-    // events go to stdout — subscription *is* this command's output
-    for line in client.subscribe(digest)? {
-        println!("{}", line?);
-    }
-    client.request(&Request::Status {
-        job: digest.to_string(),
-    })
-}
-
-fn cmd_job(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, _tol) = service_args(args, "job")?;
-    let [digest] = positionals[..] else {
-        return Err(usage("job needs exactly one job digest"));
-    };
-    Client::new(socket.unwrap_or_else(default_socket)).request(&Request::Status {
-        job: digest.to_string(),
-    })
-}
-
-fn cmd_jobs(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, _tol) = service_args(args, "jobs")?;
-    if !positionals.is_empty() {
-        return Err(usage("jobs takes no positional arguments"));
-    }
-    Client::new(socket.unwrap_or_else(default_socket)).request(&Request::List)
-}
-
-fn cmd_fetch(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, _tol) = service_args(args, "fetch")?;
-    let [digest, name] = positionals[..] else {
-        return Err(usage(
-            "fetch needs a job digest and an artifact name (e.g. batch.json)",
-        ));
-    };
-    Client::new(socket.unwrap_or_else(default_socket)).request(&Request::Artifact {
-        job: digest.to_string(),
-        name: name.to_string(),
-    })
-}
-
-fn cmd_ping(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, _tol) = service_args(args, "ping")?;
-    if !positionals.is_empty() {
-        return Err(usage("ping takes no positional arguments"));
-    }
-    Client::new(socket.unwrap_or_else(default_socket))
-        .request_timeout(&Request::Ping, Duration::from_secs(5))
-}
-
-fn cmd_shutdown(args: &[String]) -> Result<Response, ApiError> {
-    let (positionals, socket, _tol) = service_args(args, "shutdown")?;
-    if !positionals.is_empty() {
-        return Err(usage("shutdown takes no positional arguments"));
-    }
-    Client::new(socket.unwrap_or_else(default_socket)).request(&Request::Shutdown)
+    let spec = load_spec(path).map_err(CliError::Failed)?;
+    print!("{}", describe_text(&spec));
+    println!("resume digest: {}", spec.resume_digest());
+    Ok(true)
 }

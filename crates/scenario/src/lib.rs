@@ -15,9 +15,12 @@
 //! * [`BatchResult`] — per-cell mean/CI aggregation via
 //!   `msn-metrics`, exported as JSON, CSV and ASCII report tables.
 //!
-//! The `scenario` binary (`run` / `list` / `describe`) drives specs
-//! from the bundled `scenarios/` directory; `msn-bench` renders the
-//! paper's figures from batches of the same bundled specs.
+//! The `scenario` binary runs specs from the bundled `scenarios/`
+//! directory (`run`, `list`, `describe`) and compares what runs leave
+//! behind (`diff`, `bench-diff`, `profile-report`, `profile-diff`);
+//! `msn-bench` renders the paper's figures from batches of the same
+//! bundled specs. Runs write through [`write_atomic`] under a
+//! [`BatchLock`], so a killed run never leaves a torn `batch.json`.
 //!
 //! # Quickstart
 //!
@@ -38,38 +41,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod api;
 mod bench;
 mod diff;
-mod jobstore;
 mod json;
 mod junit;
+mod persist;
 mod profile;
 mod progress;
 mod runner;
-mod serve;
 mod spec;
 mod toml;
-mod wire;
 
-pub use api::{
-    job_event_line, job_state_line, ApiError, JobInfo, JobState, Request, Response, SpecEntry,
-    API_VERSION,
-};
 pub use bench::{diff_bench, BenchDiffReport, BenchKernel, BenchRecord, DeltaStatus, KernelDelta};
 pub use diff::{diff_batches, BatchFile, CellDiff, CellKey, DiffReport, FileRun, MetricSummary};
-pub use jobstore::{write_atomic, BatchLock, JobStore, ARTIFACTS};
 pub use json::{Json, JsonError};
 pub use junit::junit_xml;
+pub use persist::{write_atomic, BatchLock};
 pub use profile::{ProfileCell, ProfileRecord};
 pub use progress::{eta_seconds, ProgressEvent, ProgressSink};
 pub use runner::{BatchResult, BatchRunner, CellStats, RunConfig, RunRecord, ScenarioError};
-pub use serve::{serve, ServeConfig};
 pub use spec::{
     derive_seed, FieldSpec, ParamVariant, RadioSpec, RunCell, ScatterSpec, ScenarioSpec,
 };
 pub use toml::{TomlError, TomlValue};
-pub use wire::{
-    read_request, read_response, reason_phrase, write_ndjson_header, write_request, write_response,
-    Client, Subscription, MAX_BODY, MAX_HEADER,
-};

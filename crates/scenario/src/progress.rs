@@ -4,8 +4,7 @@
 //! [`ProgressSink`] callback; the CLI turns events into either a
 //! human progress line (elapsed + ETA) or an NDJSON stream on stderr
 //! (`scenario run --progress ndjson`) — one schema-stable JSON object
-//! per line, the event vocabulary a future `scenario serve` will
-//! speak. Events carry the run's matrix coordinates and environment
+//! per line. Events carry the run's matrix coordinates and environment
 //! seed, so a consumer can correlate them with `batch.json` records.
 //!
 //! Emitting events never perturbs the simulation: events are built
@@ -92,6 +91,14 @@ pub enum ProgressEvent {
         /// Completed runs the checkpoint covers.
         runs: usize,
     },
+    /// A checkpoint write failed. Not fatal: the batch goes on, and
+    /// only resume granularity is lost.
+    CheckpointFailed {
+        /// Destination `batch.json`.
+        path: String,
+        /// The IO error, as text.
+        error: String,
+    },
     /// Every run finished (before output files are written).
     BatchFinished {
         /// Scenario name.
@@ -173,6 +180,10 @@ impl ProgressEvent {
                 .field("event", "checkpoint")
                 .field("path", path.as_str())
                 .field("runs", *runs),
+            ProgressEvent::CheckpointFailed { path, error } => Json::obj()
+                .field("event", "checkpoint-failed")
+                .field("path", path.as_str())
+                .field("error", error.as_str()),
             ProgressEvent::BatchFinished {
                 scenario,
                 total,

@@ -26,6 +26,7 @@
 
 use crate::diff::BatchFile;
 use crate::json::Json;
+use crate::persist::write_atomic;
 use crate::progress::{eta_seconds, ProgressEvent, ProgressSink};
 use crate::spec::{RunCell, ScenarioSpec};
 use msn_deploy::{run_scheme_dynamic, run_scheme_with, SchemeKind};
@@ -36,7 +37,7 @@ use msn_sim::SimConfig;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 /// A scenario that failed validation before execution.
@@ -169,8 +170,7 @@ pub struct CellStats {
 /// Periodic persistence of completed runs during a batch.
 #[derive(Debug, Clone)]
 struct CheckpointPolicy {
-    /// Destination `batch.json` (written atomically via a sibling
-    /// temp file and rename).
+    /// Destination `batch.json` (written through [`write_atomic`]).
     path: PathBuf,
     /// Completed runs between writes.
     every: usize,
@@ -178,8 +178,8 @@ struct CheckpointPolicy {
 
 /// Everything a batch execution can be configured with, in one
 /// builder: thread pinning, checkpointing, profiling and progress
-/// streaming. The CLI, the test suites and the `scenario serve`
-/// daemon all assemble a `RunConfig` and turn it into a runner with
+/// streaming. The CLI, the figure binaries and the test suites all
+/// assemble a `RunConfig` and turn it into a runner with
 /// [`RunConfig::runner`].
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
@@ -213,6 +213,9 @@ impl RunConfig {
     /// file skips everything the checkpoint recorded, making long
     /// batches survive SIGKILL mid-matrix. `every = 0` disables
     /// checkpointing (the CLI's `--checkpoint-every 0` convention).
+    /// A failed write is not fatal — a missed checkpoint only costs
+    /// resume granularity — and is reported to the progress sink as
+    /// [`ProgressEvent::CheckpointFailed`].
     ///
     /// The final result is *not* implicitly written here — persist
     /// [`BatchResult::to_json`] as before; it is byte-identical to an
@@ -240,8 +243,9 @@ impl RunConfig {
     }
 
     /// Streams [`ProgressEvent`]s (batch/run lifecycle, checkpoint
-    /// writes) to `sink` during execution. Workers emit concurrently;
-    /// the sink must be line-atomic (see [`ProgressSink`]).
+    /// writes and failures) to `sink` during execution. Workers emit
+    /// concurrently; the sink must be line-atomic (see
+    /// [`ProgressSink`]).
     #[must_use]
     pub fn progress(mut self, sink: ProgressSink) -> Self {
         self.progress = Some(sink);
@@ -603,13 +607,19 @@ fn run_matrix(
                         .collect();
                     if records.len() > *last {
                         *last = records.len();
-                        if write_checkpoint(spec, &records, &policy.path) {
-                            if let Some(sink) = progress {
-                                sink.emit(&ProgressEvent::CheckpointWritten {
-                                    path: policy.path.display().to_string(),
+                        let written = write_atomic(&policy.path, &render_json(spec, &records));
+                        if let Some(sink) = progress {
+                            let path = policy.path.display().to_string();
+                            sink.emit(&match written {
+                                Ok(()) => ProgressEvent::CheckpointWritten {
+                                    path,
                                     runs: records.len(),
-                                });
-                            }
+                                },
+                                Err(e) => ProgressEvent::CheckpointFailed {
+                                    path,
+                                    error: e.to_string(),
+                                },
+                            });
                         }
                     }
                 }
@@ -641,22 +651,6 @@ fn run_matrix(
         Vec::new()
     };
     (records, profiles)
-}
-
-/// Atomically persists a snapshot of completed runs as a valid
-/// (partial) `batch.json`; the caller announces a landed write as a
-/// [`ProgressEvent::CheckpointWritten`] (a killed batch is
-/// diagnosable: the last event names what `--resume` will find). IO
-/// failures are reported, not fatal — a missed checkpoint only costs
-/// resume granularity. Returns whether the write landed.
-fn write_checkpoint(spec: &ScenarioSpec, records: &[RunRecord], path: &Path) -> bool {
-    let json = render_json(spec, records);
-    let tmp = path.with_extension("json.tmp");
-    let result = std::fs::write(&tmp, &json).and_then(|()| std::fs::rename(&tmp, path));
-    if let Err(e) = &result {
-        eprintln!("warning: cannot write checkpoint {}: {e}", path.display());
-    }
-    result.is_ok()
 }
 
 /// Executes one cell of the matrix on its group's environment,

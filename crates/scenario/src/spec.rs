@@ -472,16 +472,6 @@ impl ScenarioSpec {
         fnv1a_hex(&self.clone().with_repetitions(1).to_toml_string())
     }
 
-    /// A stable fingerprint of the *complete* spec, repetitions
-    /// included — the content address the job store files batches
-    /// under ([`crate::JobStore`]). Two submissions share a job (and
-    /// its artifacts) exactly when this digest matches; a submission
-    /// that only extends repetitions is a different job even though
-    /// its [`ScenarioSpec::resume_digest`] is unchanged.
-    pub fn job_digest(&self) -> String {
-        fnv1a_hex(&self.to_toml_string())
-    }
-
     /// Expands the spec into its flat run matrix, in deterministic
     /// order: radios × sensor counts × repetitions × variants ×
     /// schemes. Variants and schemes share the environment of their
@@ -603,10 +593,9 @@ impl RunCell {
 }
 
 /// FNV-1a, 64-bit, as lowercase hex: stable, dependency-free, good
-/// enough for consistency checks and content addressing (not a
-/// security boundary). Shared by the resume digest and the job
-/// store's job digest.
-pub(crate) fn fnv1a_hex(text: &str) -> String {
+/// enough for the resume consistency check (not a security
+/// boundary).
+fn fnv1a_hex(text: &str) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for byte in text.bytes() {
         hash ^= u64::from(byte);

@@ -3,8 +3,9 @@
 //! file must be refused loudly instead of merged.
 
 use msn_deploy::SchemeKind;
-use msn_scenario::{BatchFile, BatchResult, RunConfig, ScenarioSpec};
+use msn_scenario::{BatchFile, BatchResult, ProgressEvent, ProgressSink, RunConfig, ScenarioSpec};
 use std::path::PathBuf;
+use std::sync::{Arc, Mutex};
 
 fn spec() -> ScenarioSpec {
     ScenarioSpec::new("checkpoint-test")
@@ -54,6 +55,50 @@ fn checkpoints_land_atomically_and_cover_the_whole_batch() {
     assert_eq!(on_disk, result.to_json());
     // no temp file left behind by the rename dance
     assert!(!path.with_extension("json.tmp").exists());
+}
+
+#[test]
+fn failed_checkpoint_writes_are_events_not_fatal() {
+    let scratch = Scratch::new("unwritable");
+    // the parent directory never exists, so every write fails
+    let path = scratch.file("missing").join("batch.json");
+    let spec = spec();
+    let events: Arc<Mutex<Vec<ProgressEvent>>> = Arc::default();
+    let seen = Arc::clone(&events);
+    let result = RunConfig::new()
+        .threads(1)
+        .checkpoint(&path, 1)
+        .progress(ProgressSink::new(move |event| {
+            seen.lock().unwrap().push(event.clone());
+        }))
+        .runner()
+        .run(&spec)
+        .expect("a failed checkpoint must not fail the batch");
+    assert_eq!(result.records.len(), spec.matrix().len());
+    let events = events.lock().unwrap();
+    let failed: Vec<&ProgressEvent> = events
+        .iter()
+        .filter(|e| matches!(e, ProgressEvent::CheckpointFailed { .. }))
+        .collect();
+    // sequential, checkpoint after every run: one failed write per run
+    assert_eq!(failed.len(), spec.matrix().len());
+    for event in failed {
+        let ProgressEvent::CheckpointFailed { path: at, error } = event else {
+            unreachable!()
+        };
+        assert_eq!(*at, path.display().to_string());
+        assert!(!error.is_empty(), "the event names the IO error");
+        let line = event.ndjson_line();
+        assert!(line.starts_with("{\"event\":\"checkpoint-failed\",\"path\":"));
+        assert!(msn_scenario::Json::parse(&line).is_ok());
+    }
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, ProgressEvent::CheckpointWritten { .. })),
+        "no checkpoint landed, so none may be announced"
+    );
+    assert!(!path.exists());
 }
 
 #[test]

@@ -109,51 +109,26 @@ fn concurrent_runs_against_the_same_batch_are_refused() {
 }
 
 #[test]
-fn json_mode_emits_the_service_response_types() {
-    use msn_scenario::{Json, Response};
-    let scratch = Scratch::new("json");
-    let out = scratch.dir("run");
-
-    // `run --json` answers the same run-finished document the daemon
-    // stores in its job record
-    let output = scenario_bin()
-        .args(["--json", "run"])
-        .arg(repo_file("scenarios/smoke.toml"))
-        .arg("--out")
-        .arg(&out)
-        .output()
-        .expect("spawn scenario binary");
-    assert!(output.status.success());
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let parsed = Json::parse(&stdout).expect("stdout is JSON");
-    assert_eq!(
-        parsed.get("response").and_then(Json::as_str),
-        Some("run-finished")
-    );
-    match Response::from_json(&parsed).expect("decodes as a Response") {
-        Response::RunFinished { job, .. } => {
-            assert_eq!(job.scenario, "smoke");
-            assert_eq!(job.completed_runs, job.total_runs);
-        }
-        other => panic!("expected run-finished, got {other:?}"),
+fn exit_codes_separate_usage_errors_from_failures() {
+    // a command the CLI does not know is a usage error
+    for args in [&["frobnicate"][..], &["--json", "list"][..]] {
+        let output = scenario_bin()
+            .args(args)
+            .output()
+            .expect("spawn scenario binary");
+        assert_eq!(output.status.code(), Some(2), "{args:?} must exit 2");
     }
-
-    // errors come back as the structured error document with exit 1
+    // a well-formed command whose input is missing fails with exit 1
     let output = scenario_bin()
-        .args(["--json", "describe", "does-not-exist.toml"])
+        .args(["describe", "does-not-exist.toml"])
         .output()
         .expect("spawn scenario binary");
-    assert!(!output.status.success());
-    let parsed = Json::parse(&String::from_utf8_lossy(&output.stdout)).expect("error is JSON");
-    assert_eq!(parsed.get("response").and_then(Json::as_str), Some("error"));
-    assert_eq!(parsed.get("code").and_then(Json::as_str), Some("not-found"));
-
-    // usage errors keep their distinct exit code in JSON mode too
-    let status = scenario_bin()
-        .args(["--json", "frobnicate"])
-        .status()
-        .expect("spawn scenario binary");
-    assert_eq!(status.code(), Some(2), "usage errors must exit 2");
+    assert_eq!(output.status.code(), Some(1), "missing spec must exit 1");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.starts_with("error: "),
+        "stderr should carry the error, got: {stderr}"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the scenario engine: specs round-trip
-//! through TOML, the run matrix respects its invariants, API frames
-//! round-trip through the wire codec, and the hand-rolled parsers
-//! (TOML, JSON, wire frames) never panic on hostile input.
+//! through TOML, the run matrix respects its invariants, and the
+//! hand-rolled parsers (TOML, JSON and the batch, perf-record and
+//! profile readers built on them) never panic on hostile input.
 
 use msn_deploy::cpvf::OscillationAvoidance;
 use msn_deploy::{
@@ -10,8 +10,8 @@ use msn_deploy::{
 use msn_field::{CampusGridParams, CorridorParams, RandomObstacleParams};
 use msn_geom::{Point, Rect};
 use msn_scenario::{
-    read_request, read_response, write_request, write_response, ApiError, BatchFile, FieldSpec,
-    JobInfo, JobState, Json, Request, Response, ScatterSpec, ScenarioSpec, SpecEntry, TomlValue,
+    BatchFile, BenchRecord, FieldSpec, Json, ProfileRecord, RunConfig, ScatterSpec, ScenarioSpec,
+    TomlValue,
 };
 use msn_sim::{DynEvent, EventAction, EventSchedule, FailCount, FailMode};
 use proptest::prelude::*;
@@ -269,193 +269,28 @@ fn spliced(doc: &str, noise: &str, at: f64, cut: usize) -> String {
     format!("{}{noise}{}", &doc[..at], &doc[end..])
 }
 
-/// Any Unicode text: mostly printable ASCII, with quotes, escapes,
-/// control characters, CR/LF and arbitrary scalar values mixed in.
-fn any_text() -> impl Strategy<Value = String> {
-    let c = prop_oneof![
-        6 => (0x20u32..0x7f).prop_map(|c| char::from_u32(c).unwrap_or('?')),
-        2 => (0usize..7).prop_map(|i| ['"', '\\', '\r', '\n', '\t', '\0', '\u{7f}'][i]),
-        2 => (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
-    ];
-    prop::collection::vec(c, 0..40).prop_map(|cs| cs.into_iter().collect())
-}
-
-/// Finite tolerances, including zero, negative zero and extremes.
-fn any_tol() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        4 => 0.0..10.0f64,
-        1 => (0usize..5).prop_map(|i| [0.0, -0.0, 1e-300, 1.7e308, 5e-324][i]),
-    ]
-}
-
-fn request_strategy() -> impl Strategy<Value = Request> {
-    prop_oneof![
-        Just(Request::Ping),
-        Just(Request::List),
-        Just(Request::Shutdown),
-        any_text().prop_map(|spec_toml| Request::Submit { spec_toml }),
-        any_text().prop_map(|job| Request::Status { job }),
-        any_text().prop_map(|job| Request::Subscribe { job }),
-        any_text().prop_map(|job| Request::ProfileReport { job }),
-        (any_text(), any_text()).prop_map(|(job, name)| Request::Artifact { job, name }),
-        (any_text(), any_text(), any_tol()).prop_map(|(job_a, job_b, tol)| Request::Diff {
-            job_a,
-            job_b,
-            tol
-        }),
-        (any_text(), any_text(), any_tol()).prop_map(|(job_a, job_b, tol)| Request::ProfileDiff {
-            job_a,
-            job_b,
-            tol
-        }),
-    ]
-}
-
-fn job_strategy() -> impl Strategy<Value = JobInfo> {
-    let state = prop_oneof![
-        Just(JobState::Queued),
-        Just(JobState::Running),
-        Just(JobState::Done),
-        (0usize..usize::MAX).prop_map(|runs| JobState::Checkpointed { runs }),
-        any_text().prop_map(|error| JobState::Failed { error }),
-    ];
-    (
-        any_text(),
-        any_text(),
-        state,
-        0usize..usize::MAX,
-        0usize..10_000,
-    )
-        .prop_map(
-            |(digest, scenario, state, total_runs, completed_runs)| JobInfo {
-                digest,
-                scenario,
-                state,
-                total_runs,
-                completed_runs,
-            },
-        )
-}
-
-fn error_strategy() -> impl Strategy<Value = ApiError> {
-    (0usize..8, any_text(), 0usize..usize::MAX).prop_map(|(kind, m, capacity)| match kind {
-        0 => ApiError::Usage(m),
-        1 => ApiError::InvalidSpec(m),
-        2 => ApiError::NotFound(m),
-        3 => ApiError::QueueFull { capacity },
-        4 => ApiError::Conflict(m),
-        5 => ApiError::Protocol(m),
-        6 => ApiError::Io(m),
-        _ => ApiError::Internal(m),
-    })
-}
-
-fn response_strategy() -> impl Strategy<Value = Response> {
-    prop_oneof![
-        Just(Response::ShuttingDown),
-        any_text().prop_map(|version| Response::Pong { version }),
-        (job_strategy(), prop::bool::ANY, 0usize..usize::MAX).prop_map(
-            |(job, deduped, queue_depth)| Response::Submitted {
-                job,
-                deduped,
-                queue_depth,
-            }
-        ),
-        job_strategy().prop_map(|job| Response::Job { job }),
-        prop::collection::vec(job_strategy(), 0..4).prop_map(|jobs| Response::Jobs { jobs }),
-        (any_text(), any_text(), any_text()).prop_map(|(job, name, contents)| {
-            Response::Artifact {
-                job,
-                name,
-                contents,
-            }
-        }),
-        (prop::bool::ANY, any_tol(), any_text()).prop_map(|(matches, tol, report)| {
-            Response::Diff {
-                matches,
-                tol,
-                report,
-            }
-        }),
-        (
-            (prop::bool::ANY, any_tol()),
-            any_text(),
-            any_text(),
-            any_text(),
-            prop::collection::vec(any_text(), 0..4),
-        )
-            .prop_map(|((matches, tol), baseline, current, report, annotations)| {
-                Response::BenchDiff {
-                    matches,
-                    tol,
-                    baseline,
-                    current,
-                    report,
-                    annotations,
-                }
-            }),
-        any_text().prop_map(|text| Response::Report { text }),
-        (job_strategy(), any_text(), any_text()).prop_map(|(job, out_dir, report)| {
-            Response::RunFinished {
-                job,
-                out_dir,
-                report,
-            }
-        }),
-        prop::collection::vec(
-            (any_text(), any_text(), 0usize..usize::MAX, any_text()).prop_map(
-                |(path, scenario, runs, summary)| SpecEntry {
-                    path,
-                    scenario,
-                    runs,
-                    summary,
-                }
-            ),
-            0..4,
-        )
-        .prop_map(|specs| Response::Specs { specs }),
-        (
-            any_text(),
-            any_text(),
-            any_text(),
-            0usize..usize::MAX,
-            any_text()
-        )
-            .prop_map(|(scenario, digest, resume_digest, total_runs, spec_toml)| {
-                Response::Spec {
-                    scenario,
-                    digest,
-                    resume_digest,
-                    total_runs,
-                    spec_toml,
-                }
-            }),
-        error_strategy().prop_map(|error| Response::Error { error }),
-    ]
-}
-
-/// Raw bytes biased toward frame structure: CR/LF, header syntax,
-/// digits, JSON punctuation and invalid UTF-8 lead bytes.
-fn hostile_bytes() -> impl Strategy<Value = Vec<u8>> {
-    const BIASED: &[u8] = b"\r\n:0123456789 -Content-LengthPOST/api HTTP/1.1{}[]\"\\\xc3\xff\x80";
-    let byte = prop_oneof![
-        2 => 0u8..=255,
-        5 => (0usize..BIASED.len()).prop_map(|i| BIASED[i]),
-    ];
-    prop::collection::vec(byte, 0..300)
-}
-
-/// `frame` with a random span replaced by `noise`, at byte level (so
-/// UTF-8 sequences and the `\r\n\r\n` separator can be cut).
-fn spliced_bytes(frame: &[u8], noise: &[u8], at: f64, cut: usize) -> Vec<u8> {
-    let at = (frame.len() as f64 * at) as usize;
-    let end = (at + cut).min(frame.len());
-    [&frame[..at], noise, &frame[end..]].concat()
-}
-
 const SPEC_DOC: &str = include_str!("../../../scenarios/ablation-obstacle.toml");
 const DYNAMICS_DOC: &str = include_str!("../../../scenarios/failure-recovery.toml");
 const BATCH_DOC: &str = include_str!("../../../tests/fixtures/smoke-batch.json");
+const BENCH_DOC: &str = include_str!("../../../BENCH.json");
+const SMOKE_SPEC: &str = include_str!("../../../scenarios/smoke.toml");
+
+/// The profile record of one profiled run of the smoke spec (the run
+/// behind `smoke-batch.json`), rendered once per test binary.
+fn profile_doc() -> &'static str {
+    static DOC: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    DOC.get_or_init(|| {
+        let spec = ScenarioSpec::from_toml_str(SMOKE_SPEC).expect("smoke spec parses");
+        let result = RunConfig::new()
+            .profiling(true)
+            .runner()
+            .run(&spec)
+            .expect("smoke spec runs");
+        ProfileRecord::from_batch(&result)
+            .expect("profiled batch")
+            .to_json_string()
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -535,56 +370,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn wire_frames_round_trip(request in request_strategy(), response in response_strategy()) {
-        let mut frame = Vec::new();
-        write_request(&mut frame, &request).expect("write to a Vec");
-        let parsed = read_request(&mut frame.as_slice());
-        prop_assert!(parsed.as_ref() == Ok(&request), "{:?} read back as {:?}", request, parsed);
-        let mut frame = Vec::new();
-        write_response(&mut frame, &response).expect("write to a Vec");
-        let parsed = read_response(&mut frame.as_slice());
-        prop_assert!(parsed.as_ref() == Ok(&response), "{:?} read back as {:?}", response, parsed);
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
-
-    #[test]
-    fn wire_readers_never_panic_on_hostile_bytes(bytes in hostile_bytes()) {
-        let _ = read_request(&mut bytes.as_slice());
-        let _ = read_response(&mut bytes.as_slice());
-        // behind a well-formed head, the body parsers get the bytes
-        for head in ["POST /api HTTP/1.1", "HTTP/1.1 200 OK"] {
-            let mut frame = format!("{head}\r\nContent-Length: {}\r\n\r\n", bytes.len()).into_bytes();
-            frame.extend_from_slice(&bytes);
-            let _ = read_request(&mut frame.as_slice());
-            let _ = read_response(&mut frame.as_slice());
-        }
-    }
-
-    #[test]
-    fn wire_readers_never_panic_on_corrupted_frames(
-        request in request_strategy(),
-        response in response_strategy(),
-        noise in hostile_bytes(),
-        at in 0.0..1.0f64,
-        cut in 0usize..40,
-    ) {
-        let mut frame = Vec::new();
-        write_request(&mut frame, &request).expect("write to a Vec");
-        let corrupted = spliced_bytes(&frame, &noise, at, cut);
-        let _ = read_request(&mut corrupted.as_slice());
-        let _ = read_response(&mut corrupted.as_slice());
-        let mut frame = Vec::new();
-        write_response(&mut frame, &response).expect("write to a Vec");
-        let corrupted = spliced_bytes(&frame, &noise, at, cut);
-        let _ = read_request(&mut corrupted.as_slice());
-        let _ = read_response(&mut corrupted.as_slice());
-    }
 
     #[test]
     fn parsers_never_panic_on_hostile_bytes(text in hostile_text()) {
@@ -592,6 +378,8 @@ proptest! {
         let _ = ScenarioSpec::from_toml_str(&text);
         let _ = Json::parse(&text);
         let _ = BatchFile::parse(&text);
+        let _ = BenchRecord::parse(&text);
+        let _ = ProfileRecord::parse(&text);
     }
 
     #[test]
@@ -608,5 +396,11 @@ proptest! {
         let text = spliced(BATCH_DOC, &noise, at, cut);
         let _ = Json::parse(&text);
         let _ = BatchFile::parse(&text);
+        let text = spliced(BENCH_DOC, &noise, at, cut);
+        let _ = Json::parse(&text);
+        let _ = BenchRecord::parse(&text);
+        let text = spliced(profile_doc(), &noise, at, cut);
+        let _ = Json::parse(&text);
+        let _ = ProfileRecord::parse(&text);
     }
 }
