@@ -474,7 +474,7 @@ fn bench_scale_10k(c: &mut Criterion) {
     // The 10k tier of the incremental move-one kernels: same bounded
     // wobble, same single-sensor query, a fleet 40x larger spread over
     // a 7 km field at comparable density. bench-diff keeps these
-    // within tolerance so the sharded index's per-move cost stays
+    // within tolerance so the index's per-move cost stays
     // O(neighborhood) — a fleet-size-proportional sync would blow the
     // gate immediately.
     let n = 10_000;

@@ -36,7 +36,7 @@ use crate::lazy::{lazy_plan_step, ConnectOutcome, LazyMover, Route};
 use msn_field::Field;
 use msn_geom::Point;
 use msn_nav::{Hand, MultiLegPlan, NavContext, Navigator};
-use msn_net::{random_walk, MsgKind, Parent, Tree};
+use msn_net::{random_walk, AdjacencyTracker, MsgKind, Neighbors, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
 use rand::Rng;
 use std::sync::Arc;
@@ -248,21 +248,17 @@ impl<'a> FloorSim<'a> {
         // a timeline sample costs O(relocating recruits) disk stamps
         // instead of re-rasterizing all N sensors.
         self.world.track_coverage(cov_grid);
-        // Incremental proximity: every range query (absorption scans,
-        // walker planning, EP coverage checks) answers from one
-        // maintained point index instead of rebuilding a SpatialGrid
-        // per tick — byte-identical results, order included. The
-        // adjacency tracker keeps a private index at the same cell
-        // over the same move stream.
-        self.world.track_points();
-        // Incremental adjacency: full neighbor lists (random-walk
-        // invitations, hop accounting, flood/classify scans) come
-        // from maintained grid-order lists — equal to a fresh
-        // `DiskGraph::build`, order included, so the RNG stream the
-        // walks consume is unchanged. The per-tick "is this movable
-        // still base-connected?" checks flood these lists at most once
-        // per tick. This removes the last graph rebuild from the tick
-        // path.
+        // Incremental proximity and adjacency, over one maintained
+        // point index: every range query (absorption scans, walker
+        // planning, EP coverage checks) answers from its buckets
+        // instead of a per-tick SpatialGrid, and full neighbor lists
+        // (random-walk invitations, hop accounting, flood/classify
+        // scans) come from maintained grid-order lists — equal to a
+        // fresh `DiskGraph::build`, order included, so the RNG stream
+        // the walks consume is unchanged. The per-tick "is this
+        // movable still base-connected?" checks flood these lists at
+        // most once per tick. This removes the last grid and graph
+        // rebuilds from the tick path.
         self.world.track_adjacency();
         self.initial_flood();
         // Route the still-disconnected sensors per Algorithm 1.
@@ -376,11 +372,12 @@ impl<'a> FloorSim<'a> {
                 queue.push_back(i);
             }
         }
+        self.world.adjacency().sync();
+        let adj: &AdjacencyTracker = self.world.adjacency();
+        let pos = adj.points();
         while let Some(u) = queue.pop_front() {
-            for v in self.world.adjacency().neighbors(u).to_vec() {
-                if self.state[v] == FState::Walking
-                    && self.world.pos(v).dist(self.world.pos(u)) <= self.stop_dist
-                {
+            for &v in adj.neighbors_of(u) {
+                if self.state[v] == FState::Walking && pos[v].dist(pos[u]) <= self.stop_dist {
                     self.state[v] = FState::Fixed;
                     self.tree.attach(v, Parent::Node(u));
                     queue.push_back(v);
@@ -569,13 +566,16 @@ impl<'a> FloorSim<'a> {
             let kids: Vec<usize> = self.tree.children(i).to_vec();
             let mut rehomed: Vec<usize> = Vec::with_capacity(kids.len());
             let mut ok = true;
+            self.world.adjacency().sync();
+            let adj: &AdjacencyTracker = self.world.adjacency();
+            let pos = adj.points();
             for &c in &kids {
                 let mut found: Option<(usize, f64)> = None;
-                for j in self.world.adjacency().neighbors(c).to_vec() {
+                for &j in adj.neighbors_of(c) {
                     if j == i || !self.tree.in_tree(j) || self.tree.would_create_loop(c, j) {
                         continue;
                     }
-                    let d = self.world.pos(c).dist(self.world.pos(j));
+                    let d = pos[c].dist(pos[j]);
                     if d <= self.stop_dist && found.is_none_or(|(_, bd)| d < bd) {
                         found = Some((j, d));
                     }

@@ -98,8 +98,9 @@ impl LazyMover {
 ///
 /// `movers` exposes every walking sensor's current path parent so the
 /// mutual-adoption rule and loop probes can follow chains. Range
-/// queries answer from the world's tracked point index
-/// ([`World::track_points`], installed by both schemes). Returns
+/// queries answer from the world's tracked point index (installed by
+/// [`World::track_points`] in CPVF, [`World::track_adjacency`] in
+/// FLOOR). Returns
 /// whether the sensor should move this period, updates `movers[i]`'s
 /// lazy state and records message costs on the world's counter.
 pub(crate) fn lazy_plan_step(

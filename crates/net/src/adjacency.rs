@@ -42,9 +42,11 @@ use msn_geom::Point;
 /// equals the `DiskGraph::build` + flood oracle, so no second graph
 /// is kept for it.
 ///
-/// The tracker privately maintains its own [`PointIndex`] over the
-/// move stream, at the same `rc.max(1.0)` cell as the simulation's
-/// shared proximity index (`World::track_points`).
+/// The lists are queried from a [`PointIndex`] at cell `rc.max(1.0)`
+/// that the tracker owns and feeds from [`Self::set_sensor`]. A
+/// caller that already maintains such an index hands it over with
+/// [`AdjacencyTracker::over`] and keeps range-querying it through
+/// [`AdjacencyTracker::index`], so one move stream feeds one index.
 ///
 /// # Examples
 ///
@@ -100,12 +102,26 @@ impl AdjacencyTracker {
     ///
     /// Panics if `rc` is not strictly positive.
     pub fn new(positions: &[Point], rc: f64) -> Self {
+        Self::over(PointIndex::new(positions, rc.max(1.0)), rc)
+    }
+
+    /// Builds the tracker over an existing index, taking it over: from
+    /// here on moves are recorded through [`Self::set_sensor`], and
+    /// the index is reached through [`Self::index`]. The tracked
+    /// positions are the index's latest points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rc` is not strictly positive or the index's cell is
+    /// not `rc.max(1.0)`.
+    pub fn over(index: PointIndex, rc: f64) -> Self {
         assert!(rc > 0.0, "communication range must be positive");
-        let n = positions.len();
+        assert_eq!(index.cell(), rc.max(1.0), "index cell must be rc.max(1.0)");
+        let n = index.len();
         let mut tracker = AdjacencyTracker {
             rc,
-            index: PointIndex::new(positions, rc.max(1.0)),
-            synced: positions.to_vec(),
+            synced: index.points().to_vec(),
+            index,
             dirty: Vec::new(),
             is_dirty: vec![false; n],
             adj: vec![Vec::new(); n],
@@ -142,6 +158,14 @@ impl AdjacencyTracker {
             self.is_dirty[i] = true;
             self.dirty.push(i as u32);
         }
+    }
+
+    /// The underlying point index, for range queries at any radius.
+    /// Record moves through [`Self::set_sensor`], never through the
+    /// index's own `set_point`, or the neighbor lists miss them.
+    #[inline]
+    pub fn index(&mut self) -> &mut PointIndex {
+        &mut self.index
     }
 
     /// Latest recorded positions, indexed by sensor — what
@@ -204,9 +228,9 @@ impl AdjacencyTracker {
         msn_obs::value("adj.dirty", self.dirty.len() as f64);
         // Filter no-op moves *before* the rebuild decision: a burst of
         // redundant `set_sensor` calls must not push a 10k fleet over
-        // the fleet-wide rebuild threshold. The bucket-level work
-        // below reconciles per shard inside the shared [`PointIndex`];
-        // this tracker's own link repair is O(moved · degree).
+        // the fleet-wide rebuild threshold. The index reconciles its
+        // buckets on the first requery below; this tracker's own link
+        // repair is O(moved · degree).
         let dirty = std::mem::take(&mut self.dirty);
         let mut moved: Vec<u32> = Vec::with_capacity(dirty.len());
         for &i in &dirty {

@@ -118,32 +118,6 @@ impl DiskGraph {
         self.flood_from_base(points, base, rc).iter().all(|&c| c)
     }
 
-    /// Labels connected components; returns `labels[i]` in
-    /// `0..component_count`, and the count.
-    pub fn components(&self) -> (Vec<usize>, usize) {
-        let n = self.adj.len();
-        let mut labels = vec![usize::MAX; n];
-        let mut next = 0;
-        for start in 0..n {
-            if labels[start] != usize::MAX {
-                continue;
-            }
-            let mut queue = VecDeque::new();
-            labels[start] = next;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                for &v in &self.adj[u] {
-                    if labels[v] == usize::MAX {
-                        labels[v] = next;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            next += 1;
-        }
-        (labels, next)
-    }
-
     /// BFS hop distances from `from` (usize::MAX = unreachable).
     pub fn hop_distances(&self, from: usize) -> Vec<usize> {
         let n = self.adj.len();
@@ -160,29 +134,6 @@ impl DiskGraph {
             }
         }
         dist
-    }
-
-    /// Nodes within `hops` tree-of-BFS hops of `i` (excluding `i`) —
-    /// the "2-hop neighbor list" of §5.3.
-    pub fn k_hop_neighbors(&self, i: usize, hops: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.adj.len()];
-        let mut out = Vec::new();
-        let mut frontier = vec![i];
-        seen[i] = true;
-        for _ in 0..hops {
-            let mut next = Vec::new();
-            for &u in &frontier {
-                for &v in &self.adj[u] {
-                    if !seen[v] {
-                        seen[v] = true;
-                        out.push(v);
-                        next.push(v);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        out
     }
 }
 
@@ -221,10 +172,6 @@ mod tests {
         let mask = g.flood_from_base(&pts, Point::ORIGIN, 10.0);
         assert_eq!(mask, vec![true, true, true, false]);
         assert!(!g.all_connected_to_base(&pts, Point::ORIGIN, 10.0));
-        let (labels, count) = g.components();
-        assert_eq!(count, 2);
-        assert_eq!(labels[0], labels[2]);
-        assert_ne!(labels[0], labels[3]);
     }
 
     #[test]
@@ -236,14 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn hop_distances_and_k_hop() {
+    fn hop_distances_along_a_chain() {
         let pts = chain(6, 8.0);
         let g = DiskGraph::build(&pts, 10.0);
         let d = g.hop_distances(0);
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
-        let mut two_hop = g.k_hop_neighbors(2, 2);
-        two_hop.sort_unstable();
-        assert_eq!(two_hop, vec![0, 1, 3, 4]);
     }
 
     #[test]
@@ -287,7 +231,6 @@ mod tests {
         let g = DiskGraph::build(&pts, 5.0);
         assert_eq!(g.neighbors(0).len(), 2);
         assert_eq!(g.neighbors(1).len(), 2);
-        let (_, count) = g.components();
-        assert_eq!(count, 1);
+        assert_eq!(g.neighbors(2).len(), 2);
     }
 }

@@ -15,7 +15,8 @@
 //! * [`within_range`] / [`RANGE_EPS`] — the single range-tolerance
 //!   rule every link test shares (graph edges, base links, range
 //!   queries), so equal distances always get equal verdicts;
-//! * [`DiskGraph`] — the `rc`-disk graph with component labeling;
+//! * [`DiskGraph`] — the `rc`-disk graph of one position snapshot,
+//!   with BFS hop distances;
 //! * [`Neighbors`] — the read-only neighbor-list view shared by
 //!   [`DiskGraph`] and [`AdjacencyTracker`], carrying the one BFS
 //!   base flood ([`Neighbors::flood_from_base`], modeling §4.1's
@@ -27,7 +28,9 @@
 //!   `DiskGraph::build`: maintains every neighbor list (grid scan
 //!   order included) under sensor moves, so per-tick graph consumers
 //!   (FLOOR's random-walk invitations, hop accounting and base
-//!   connectivity checks) stop rebuilding the graph;
+//!   connectivity checks) stop rebuilding the graph. It can take
+//!   over an existing [`PointIndex`] ([`AdjacencyTracker::over`]), so
+//!   one index serves both range queries and the graph;
 //! * [`random_walk`] — TTL-bounded random walks for FLOOR's
 //!   `Invitation` messages (§5.5.2), generic over [`Neighbors`];
 //! * [`MsgKind`] / [`MessageCounter`] — the message taxonomy and hop

@@ -15,16 +15,9 @@
 //!   the last query, reconciliation rebuilds all buckets from scratch
 //!   instead of moving them one by one — a query is never
 //!   asymptotically more expensive than the full
-//!   `SpatialGrid::build` it replaces.
-//! * **Sharded reconciliation.** Below the global threshold the same
-//!   decision repeats per *shard* (an 8×8 block of grid cells): the
-//!   pending moves are grouped into per-shard dirty sets, and a shard
-//!   most of whose members are in transit is reconstructed wholesale
-//!   while untouched shards are never visited. A 10k-point fleet with
-//!   50 dirty points pays for two or three shards, not a fleet-wide
-//!   sweep — and because a cell's final bucket content (ascending
-//!   indices of its points) is independent of the path taken, every
-//!   strategy yields bit-identical queries.
+//!   `SpatialGrid::build` it replaces. Because a cell's final bucket
+//!   content (ascending indices of its points) is independent of the
+//!   path taken, both paths yield bit-identical queries.
 
 use crate::{within_range, RANGE_EPS};
 use msn_geom::Point;
@@ -78,23 +71,6 @@ impl Hasher for CellHasher {
 
 type CellMap = HashMap<(i64, i64), Vec<u32>, BuildHasherDefault<CellHasher>>;
 
-/// Shard membership lists: shard key → indices of the synced points
-/// inside the shard's 8×8 cell block, sorted ascending.
-type ShardMap = HashMap<(i64, i64), Vec<u32>, BuildHasherDefault<CellHasher>>;
-
-/// Cells per shard side, as a shift: shards are `2^SHARD_BITS ×
-/// 2^SHARD_BITS` blocks of grid cells — the reconciliation unit for
-/// batched local movement.
-const SHARD_BITS: u32 = 3;
-
-/// The shard containing cell `key`. Arithmetic shift right keeps i64
-/// cell coordinates exact end-to-end, negative and saturated extremes
-/// included (`-1 >> 3 == -1`, `i64::MIN >> 3` floors toward −∞).
-#[inline]
-fn shard_of(key: (i64, i64)) -> (i64, i64) {
-    (key.0 >> SHARD_BITS, key.1 >> SHARD_BITS)
-}
-
 /// A dynamic counterpart of [`crate::SpatialGrid`]: hash buckets of
 /// cell side `cell` maintained under point moves, instead of rebuilt
 /// from scratch per tick.
@@ -138,10 +114,6 @@ pub struct PointIndex {
     /// Cell `(gx, gy)` holds the indices of the synced points inside
     /// it, sorted ascending.
     buckets: CellMap,
-    /// Shard `(sx, sy)` holds the indices of the synced points inside
-    /// its cell block, sorted ascending — the membership lists behind
-    /// the per-shard rebuild-if-cheaper decision.
-    shards: ShardMap,
 }
 
 impl PointIndex {
@@ -166,7 +138,6 @@ impl PointIndex {
             dirty: Vec::new(),
             is_dirty: vec![false; n],
             buckets: CellMap::default(),
-            shards: ShardMap::default(),
         };
         index.rebuild();
         index
@@ -230,12 +201,12 @@ impl PointIndex {
         Self::key_at(p, self.cell)
     }
 
-    /// Full reconstruction: every bucket and shard membership list
-    /// reinserted in index order (which keeps each list ascending for
-    /// free). Lists are emptied in place rather than dropped, so a
-    /// fleet that mostly stays in its cells re-pushes into the
-    /// previous rebuild's allocations; keys left empty are removed
-    /// afterwards, leaving exactly the map a from-scratch build makes.
+    /// Full reconstruction: every bucket reinserted in index order
+    /// (which keeps each bucket ascending for free). Buckets are
+    /// emptied in place rather than dropped, so a fleet that mostly
+    /// stays in its cells re-pushes into the previous rebuild's
+    /// allocations; keys left empty are removed afterwards, leaving
+    /// exactly the map a from-scratch build makes.
     fn rebuild(&mut self) {
         self.synced.copy_from_slice(&self.current);
         for &i in &self.dirty {
@@ -243,45 +214,16 @@ impl PointIndex {
         }
         self.dirty.clear();
         self.buckets.values_mut().for_each(Vec::clear);
-        self.shards.values_mut().for_each(Vec::clear);
         for i in 0..self.synced.len() {
             let key = self.key(self.synced[i]);
             self.buckets.entry(key).or_default().push(i as u32);
-            self.shards.entry(shard_of(key)).or_default().push(i as u32);
         }
         self.buckets.retain(|_, list| !list.is_empty());
-        self.shards.retain(|_, list| !list.is_empty());
     }
 
-    /// Reconstructs one shard's buckets from its membership list:
-    /// every cell bucket in the shard's block is dropped, then the
-    /// members are reinserted in ascending index order — each cell
-    /// receives an ascending subsequence, so bucket order (and with
-    /// it query output) is identical to the per-point path.
-    fn rebuild_shard(&mut self, s: (i64, i64)) {
-        let side = 1i64 << SHARD_BITS;
-        let x0 = s.0 << SHARD_BITS;
-        let y0 = s.1 << SHARD_BITS;
-        // Inclusive bounds: `x0 + side` would overflow for the shard
-        // holding the saturated i64::MAX cell coordinate.
-        for gx in x0..=x0 + (side - 1) {
-            for gy in y0..=y0 + (side - 1) {
-                self.buckets.remove(&(gx, gy));
-            }
-        }
-        if let Some(members) = self.shards.get(&s) {
-            for &i in members {
-                let key = self.key(self.synced[i as usize]);
-                self.buckets.entry(key).or_default().push(i);
-            }
-        }
-    }
-
-    /// Applies pending moves. Three tiers, cheapest applicable wins,
-    /// all bit-identical in effect: per-point bucket transfers for
-    /// scattered movement, per-shard reconstruction where a shard's
-    /// dirty set rivals its population, full rebuild when half the
-    /// fleet moved.
+    /// Applies pending moves: per-point bucket transfers for scattered
+    /// movement, or a full rebuild when at least half the points
+    /// moved — the same buckets either way.
     fn sync(&mut self) {
         if self.dirty.is_empty() {
             return;
@@ -294,14 +236,6 @@ impl PointIndex {
             return;
         }
         let mut dirty = std::mem::take(&mut self.dirty);
-        // Group the pending cell transfers into per-shard dirty sets:
-        // `touched` counts how many transfers hit each shard (as
-        // source or destination).
-        // (point, source cell, destination cell) per pending transfer
-        type CellMove = (u32, (i64, i64), (i64, i64));
-        let mut moves: Vec<CellMove> = Vec::new();
-        let mut touched: HashMap<(i64, i64), u32, BuildHasherDefault<CellHasher>> =
-            HashMap::default();
         for &i in &dirty {
             let iu = i as usize;
             self.is_dirty[iu] = false;
@@ -315,79 +249,23 @@ impl PointIndex {
             if old_key == new_key {
                 continue;
             }
-            let (os, ns) = (shard_of(old_key), shard_of(new_key));
-            *touched.entry(os).or_insert(0) += 1;
-            if ns != os {
-                *touched.entry(ns).or_insert(0) += 1;
-            }
-            moves.push((i, old_key, new_key));
-        }
-        // Rebuild-if-cheaper, per shard: reconstructing a shard costs
-        // O(cells + members); per-point transfers cost a remove +
-        // sorted insert each. Mirror the global half-the-population
-        // rule at shard granularity. (Sorted for determinism hygiene —
-        // shard rebuilds are independent, but nothing downstream
-        // should ever observe map iteration order.)
-        let mut rebuild_shards: Vec<(i64, i64)> = touched
-            .iter()
-            .filter(|&(s, &cnt)| 2 * cnt as usize >= self.shards.get(s).map_or(0, Vec::len))
-            .map(|(&s, _)| s)
-            .collect();
-        rebuild_shards.sort_unstable();
-        for &(i, old_key, new_key) in &moves {
             msn_obs::counter("pidx.bucket_moves", 1);
-            let (os, ns) = (shard_of(old_key), shard_of(new_key));
-            // Membership transfer keeps the shard lists exact; bucket
-            // work is skipped wherever a shard reconstruction will
-            // redo it wholesale below.
-            if os != ns {
-                let members = self.shards.get_mut(&os).expect("shard has member");
-                let at = members.binary_search(&i).expect("point in shard");
-                members.remove(at);
-                if members.is_empty() {
-                    self.shards.remove(&os);
-                }
-                let members = self.shards.entry(ns).or_default();
-                let at = members.binary_search(&i).expect_err("point was absent");
-                members.insert(at, i);
+            let bucket = self.buckets.get_mut(&old_key).expect("point indexed");
+            let at = bucket.binary_search(&i).expect("point in cell");
+            // Vec::remove / sorted insert (not swap_remove + push):
+            // ascending bucket order is what makes query results
+            // identical to SpatialGrid's.
+            bucket.remove(at);
+            if bucket.is_empty() {
+                self.buckets.remove(&old_key);
             }
-            if rebuild_shards.binary_search(&os).is_err() {
-                let bucket = self.buckets.get_mut(&old_key).expect("point indexed");
-                let at = bucket.binary_search(&i).expect("point in cell");
-                // Vec::remove / sorted insert (not swap_remove + push):
-                // ascending bucket order is what makes query results
-                // identical to SpatialGrid's.
-                bucket.remove(at);
-                if bucket.is_empty() {
-                    self.buckets.remove(&old_key);
-                }
-            }
-            if rebuild_shards.binary_search(&ns).is_err() {
-                let bucket = self.buckets.entry(new_key).or_default();
-                let at = bucket.binary_search(&i).expect_err("point was absent");
-                bucket.insert(at, i);
-            }
-        }
-        for &s in &rebuild_shards {
-            msn_obs::counter("pidx.shard_rebuilds", 1);
-            self.rebuild_shard(s);
+            let bucket = self.buckets.entry(new_key).or_default();
+            let at = bucket.binary_search(&i).expect_err("point was absent");
+            bucket.insert(at, i);
         }
         // Hand the capacity back for the next batch of moves.
         dirty.clear();
         self.dirty = dirty;
-    }
-
-    /// Number of synced points in the shard containing `p` — the
-    /// population behind the per-shard rebuild decision, exposed so
-    /// trackers layered on this index can reason at the same
-    /// granularity (and tests can observe shard accounting).
-    pub fn shard_population(&self, p: Point) -> usize {
-        self.shards.get(&shard_of(self.key(p))).map_or(0, Vec::len)
-    }
-
-    /// Number of non-empty shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Indices of all points within `r` of `center` (inclusive, under
@@ -445,33 +323,6 @@ impl PointIndex {
             });
         }
         v
-    }
-
-    /// Calls `f(i, j)` once for every unordered pair of points within
-    /// `r` of each other, with `i < j`; pairs are visited in ascending
-    /// order of `i`, and for each `i` in the same cell-window order as
-    /// [`PointIndex::within`].
-    pub fn for_each_pair_within(&mut self, r: f64, mut f: impl FnMut(usize, usize)) {
-        self.sync();
-        let reach = r + RANGE_EPS;
-        for i in 0..self.synced.len() {
-            let p = self.synced[i];
-            let (cx_lo, cy_lo) = self.key(Point::new(p.x - reach, p.y - reach));
-            let (cx_hi, cy_hi) = self.key(Point::new(p.x + reach, p.y + reach));
-            for gx in cx_lo..=cx_hi {
-                for gy in cy_lo..=cy_hi {
-                    let Some(bucket) = self.buckets.get(&(gx, gy)) else {
-                        continue;
-                    };
-                    for &j in bucket {
-                        let j = j as usize;
-                        if j > i && within_range(self.synced[j], p, r) {
-                            f(i, j);
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -584,21 +435,5 @@ mod tests {
         let mut index = PointIndex::new(&[], 5.0);
         assert!(index.is_empty());
         assert!(index.within(Point::ORIGIN, 100.0).is_empty());
-        index.for_each_pair_within(100.0, |_, _| panic!("no pairs"));
-    }
-
-    #[test]
-    fn pairs_visit_each_edge_once() {
-        let pts = vec![
-            Point::new(0.0, 0.0),
-            Point::new(8.0, 0.0),
-            Point::new(16.0, 0.0),
-            Point::new(100.0, 100.0),
-        ];
-        let mut index = PointIndex::new(&pts, 10.0);
-        let mut pairs = Vec::new();
-        index.for_each_pair_within(10.0, |i, j| pairs.push((i, j)));
-        pairs.sort_unstable();
-        assert_eq!(pairs, vec![(0, 1), (1, 2)]);
     }
 }

@@ -19,9 +19,8 @@ fn pts_strategy() -> impl Strategy<Value = Vec<Point>> {
 }
 
 /// Fleet-size-parameterized point sets: the incremental kernels must
-/// hold their oracle bit-identity at paper scale *and* at the scale
-/// tier (where the shard layer's per-shard rebuild decisions kick
-/// in). Large fleets are sampled more sparingly to keep the suite
+/// hold their oracle bit-identity at paper scale *and* at larger
+/// fleets. Large fleets are sampled more sparingly to keep the suite
 /// fast; the `scale_tier_*` tests below cover 10k deterministically.
 fn pts_fleet_strategy() -> impl Strategy<Value = Vec<Point>> {
     prop_oneof![
@@ -85,23 +84,6 @@ proptest! {
             .collect();
         slow.sort_unstable();
         prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn components_partition_the_nodes(pts in pts_strategy(), rc in 10.0..200.0f64) {
-        let g = DiskGraph::build(&pts, rc);
-        let (labels, count) = g.components();
-        prop_assert_eq!(labels.len(), pts.len());
-        for &l in &labels {
-            prop_assert!(l < count);
-        }
-        // nodes in the same component are mutually reachable
-        if let Some(first) = labels.first() {
-            let hops = g.hop_distances(0);
-            for i in 0..pts.len() {
-                prop_assert_eq!(hops[i] != usize::MAX, labels[i] == *first);
-            }
-        }
     }
 
     #[test]
@@ -226,26 +208,6 @@ proptest! {
         pts[0] = Point::new(-3.0 * cell, -cell);
         index.set_point(0, pts[0]);
         check(&mut index, &pts);
-    }
-
-    #[test]
-    fn point_index_pairs_match_brute_force(
-        pts in pts_strategy(),
-        r in 5.0..150.0f64,
-    ) {
-        let mut index = PointIndex::new(&pts, r.max(1.0));
-        let mut fast = Vec::new();
-        index.for_each_pair_within(r, |i, j| fast.push((i, j)));
-        fast.sort_unstable();
-        let mut slow = Vec::new();
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                if pts[i].dist(pts[j]) <= r + 1e-9 {
-                    slow.push((i, j));
-                }
-            }
-        }
-        prop_assert_eq!(fast, slow);
     }
 
     #[test]
@@ -558,25 +520,18 @@ fn far_off_field_sensors_stay_oracle_exact() {
     }
 }
 
-/// Scale tier: a 10k fleet with a small dirty set reconciles through
-/// the shard layer and stays bit-identical to a fresh grid build.
-/// Oracle comparison is spot-checked (movers + a stride sample) — the
-/// full-fleet comparison lives in the sized property tests above.
+/// Scale tier: a 10k fleet with a small dirty set reconciles by
+/// per-point bucket transfers and stays bit-identical to a fresh grid
+/// build. Oracle comparison is spot-checked (movers + a stride
+/// sample) — the full-fleet comparison lives in the sized property
+/// tests above.
 #[test]
-fn scale_tier_10k_sharded_moves_match_oracle() {
+fn scale_tier_10k_scattered_moves_match_oracle() {
     let cell = 60.0;
     let n = 10_000;
     let mut pts = scale_fleet(n);
     let mut index = PointIndex::new(&pts, cell);
-    assert!(
-        index.shard_count() > 1,
-        "a 1000x1000 field at cell 60 spans several shards"
-    );
-    assert!(
-        index.shard_population(pts[0]) < n,
-        "shards partition the fleet"
-    );
-    // Three rounds of 50 scattered movers (≪ n/2: the per-shard path).
+    // Three rounds of 50 scattered movers (≪ n/2: the per-point path).
     for round in 0..3 {
         for k in 0..50 {
             let i = (k * 199 + round * 7) % n;
@@ -603,22 +558,21 @@ fn scale_tier_10k_sharded_moves_match_oracle() {
     }
 }
 
-/// Scale tier: a dense local cluster churning inside one shard takes
-/// the per-shard rebuild path; results stay oracle-exact and the
-/// untouched remainder of the fleet keeps its buckets.
+/// Scale tier: a dense local cluster churning in place — most of its
+/// members change cell, far below the fleet-wide rebuild threshold —
+/// stays oracle-exact, for the churned cluster and the untouched
+/// remainder of the fleet alike.
 #[test]
-fn scale_tier_clustered_churn_rebuilds_only_its_shard() {
-    let cell = 10.0; // small cells: the cluster spans one 8x8 shard
+fn scale_tier_clustered_churn_matches_oracle() {
+    let cell = 10.0; // small cells: the cluster spans an 8x8 cell block
     let n = 2_000;
     let mut pts = scale_fleet(n);
-    // park a dense cluster inside one shard block (cells 0..8 → x,y < 80)
+    // park a dense cluster inside cells 0..8 (x, y < 80)
     for i in 0..60 {
         pts[i] = Point::new(5.0 + (i % 8) as f64 * 9.0, 5.0 + (i / 8) as f64 * 9.0);
     }
     let mut index = PointIndex::new(&pts, cell);
-    let before = index.shard_count();
-    // churn most of the cluster (over half its shard's population,
-    // far below the fleet threshold)
+    // churn the whole cluster (far below the fleet threshold)
     for i in 0..60 {
         pts[i] = Point::new(
             5.0 + ((i + 3) % 8) as f64 * 9.0,
@@ -634,9 +588,4 @@ fn scale_tier_clustered_churn_rebuilds_only_its_shard() {
             "sensor {q}"
         );
     }
-    assert_eq!(
-        index.shard_count(),
-        before,
-        "cluster stayed within its shards"
-    );
 }

@@ -10,7 +10,7 @@ use msn_scenario::{BatchFile, BatchResult, FieldSpec, RunConfig, ScenarioSpec};
 
 /// A trimmed 10k smoke cell: CPVF only (its incremental tick is cheap
 /// enough for debug-mode CI), short horizon, coarse raster. Exercises
-/// the sharded index/tracker paths at real fleet size without the
+/// the incremental index/tracker paths at real fleet size without the
 /// FLOOR tick cost.
 fn scale_spec() -> ScenarioSpec {
     ScenarioSpec::new("scale-smoke")

@@ -121,10 +121,12 @@ pub struct World {
     /// [`World::track_coverage`] is called.
     tracker: Option<CoverageTracker>,
     /// Incremental proximity index, fed by every position change once
-    /// [`World::track_points`] is called.
+    /// [`World::track_points`] is called — until
+    /// [`World::track_adjacency`] moves it into `adj`.
     points_index: Option<PointIndex>,
     /// Incremental disk-graph adjacency, fed by every position change
-    /// once [`World::track_adjacency`] is called.
+    /// once [`World::track_adjacency`] is called. It owns the world's
+    /// one point index from then on.
     adj: Option<AdjacencyTracker>,
     /// Base-connectivity mask flooded over `adj`; `None` once a
     /// position change or a base move makes it stale.
@@ -539,18 +541,37 @@ impl World {
     }
 
     /// Installs an incremental [`PointIndex`] over the current
-    /// positions, with cell size `rc` (the largest radius the
+    /// positions, with cell size `rc.max(1.0)` (the largest radius the
     /// deployment schemes query at). From here on every position
     /// change feeds it, and the `neighbors_tracked*` queries answer
     /// from maintained buckets — byte-identical, order included, to a
     /// fresh per-tick [`msn_net::SpatialGrid::build`], but `O(moved
     /// sensors)` reconciliation per query round instead of `O(N)`
-    /// rebuilds.
+    /// rebuilds. A no-op once [`World::track_adjacency`] is installed:
+    /// the adjacency's index already answers these queries.
     pub fn track_points(&mut self) {
-        self.points_index = Some(PointIndex::new(
-            &self.positions().to_vec(),
-            self.cfg.rc.max(1.0),
-        ));
+        if self.adj.is_none() {
+            self.points_index = Some(self.fresh_index());
+        }
+    }
+
+    /// A point index over the current positions at cell `rc.max(1.0)`.
+    fn fresh_index(&self) -> PointIndex {
+        PointIndex::new(&self.positions().to_vec(), self.cfg.rc.max(1.0))
+    }
+
+    /// The world's one point index, wherever it lives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if neither [`World::track_points`] nor
+    /// [`World::track_adjacency`] was called.
+    fn point_index(&mut self) -> &mut PointIndex {
+        match (&mut self.adj, &mut self.points_index) {
+            (Some(adj), _) => adj.index(),
+            (None, Some(index)) => index,
+            (None, None) => panic!("range queries require track_points or track_adjacency"),
+        }
     }
 
     /// Sensors within `r` of sensor `i` (excluding `i`), from the
@@ -559,12 +580,10 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if [`World::track_points`] was never called.
+    /// Panics if neither [`World::track_points`] nor
+    /// [`World::track_adjacency`] was called.
     pub fn neighbors_tracked(&mut self, i: usize, r: f64) -> Vec<usize> {
-        self.points_index
-            .as_mut()
-            .expect("neighbors_tracked requires track_points")
-            .neighbors_within(i, r)
+        self.point_index().neighbors_within(i, r)
     }
 
     /// Like [`World::neighbors_tracked`], but ordered as a
@@ -574,16 +593,15 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if [`World::track_points`] was never called.
+    /// Panics if neither [`World::track_points`] nor
+    /// [`World::track_adjacency`] was called.
     pub fn neighbors_tracked_grid_order(
         &mut self,
         i: usize,
         r: f64,
         order_cell: f64,
     ) -> Vec<usize> {
-        self.points_index
-            .as_mut()
-            .expect("neighbors_tracked_grid_order requires track_points")
+        self.point_index()
             .neighbors_within_grid_order(i, r, order_cell)
     }
 
@@ -594,11 +612,16 @@ impl World {
     /// [`World::graph`] build, order included, but `O(moved sensors ·
     /// local repair)` per tick instead of `O(N · deg)`. The `*_tracked`
     /// connectivity queries flood over these lists.
+    ///
+    /// The tracker takes over the index [`World::track_points`]
+    /// installed (or builds one), so the `neighbors_tracked*` queries
+    /// and the adjacency share one index fed once per move.
     pub fn track_adjacency(&mut self) {
-        self.adj = Some(AdjacencyTracker::new(
-            &self.positions().to_vec(),
-            self.cfg.rc,
-        ));
+        let index = self
+            .points_index
+            .take()
+            .unwrap_or_else(|| self.fresh_index());
+        self.adj = Some(AdjacencyTracker::over(index, self.cfg.rc));
     }
 
     /// The installed incremental adjacency view.
@@ -914,6 +937,8 @@ mod tests {
         w.track_coverage(grid.clone());
         w.track_points();
         w.track_adjacency();
+        w.track_points(); // a no-op: the adjacency owns the one index
+        assert!(w.points_index.is_none(), "one point index per world");
         let rc = w.cfg().rc;
         let check = |w: &mut World| {
             assert_eq!(w.coverage_tracked(), w.coverage(&grid));

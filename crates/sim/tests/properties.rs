@@ -2,6 +2,7 @@
 
 use msn_field::Field;
 use msn_geom::Point;
+use msn_net::SpatialGrid;
 use msn_sim::{SimConfig, World};
 use proptest::prelude::*;
 
@@ -22,14 +23,22 @@ proptest! {
         pts in prop::collection::vec((0.0..300.0f64, 0.0..300.0f64), 1..40),
         rounds in rounds_strategy(),
         rc in 15.0..80.0f64,
+        points_first in prop::bool::ANY,
+        r in 5.0..120.0f64,
+        order_cell in 1.0..60.0f64,
     ) {
         // The tracked mask is a flood cached between changes; every
         // kind of change (move, death, revival, base relocation) must
         // drop the cache, so after each round it equals a fresh
-        // build + flood.
+        // build + flood. The range queries answer from the one index
+        // the adjacency owns, whether `track_points` installed it
+        // first or `track_adjacency` built it.
         let positions: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
         let cfg = SimConfig::paper(rc, 10.0).with_duration(10.0);
         let mut w = World::new(Field::open(300.0, 300.0), cfg, positions);
+        if points_first {
+            w.track_points();
+        }
         w.track_adjacency();
         prop_assert_eq!(w.connected_mask_tracked(), w.connected_mask());
         for round in rounds {
@@ -50,6 +59,16 @@ proptest! {
                 prop_assert_eq!(w.connected_tracked(i), c, "sensor {}", i);
             }
             prop_assert_eq!(w.all_connected_tracked(), oracle.iter().all(|&c| c));
+            let pts = w.positions().to_vec();
+            let grid = SpatialGrid::build(&pts, rc.max(1.0));
+            let order_grid = SpatialGrid::build(&pts, order_cell);
+            for i in 0..w.n() {
+                prop_assert_eq!(w.neighbors_tracked(i, r), grid.neighbors(&pts, i, r));
+                prop_assert_eq!(
+                    w.neighbors_tracked_grid_order(i, r, order_cell),
+                    order_grid.neighbors(&pts, i, r)
+                );
+            }
         }
     }
 }
