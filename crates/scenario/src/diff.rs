@@ -41,15 +41,12 @@ pub struct FileRun {
     pub convergence_time: Option<f64>,
     /// Annotation flags.
     pub flags: Vec<String>,
-    /// Movement actions (`world.moves`); 0 when the file was written
-    /// without `movement_summary` enabled.
+    /// Movement actions (`world.moves`).
     pub moves: u64,
-    /// Commanded travel distance (`world.move_dist`, m); 0.0 when the
-    /// file was written without `movement_summary` enabled.
+    /// Commanded travel distance (`world.move_dist`, m).
     pub move_dist: f64,
-    /// Per-event recovery statistics; empty when the file was written
-    /// without a `[dynamics]` schedule. Restored on resume so a
-    /// resumed dynamic batch re-serializes byte-identically.
+    /// Per-event recovery statistics; empty for a run without
+    /// `[dynamics]` events.
     pub recovery: Vec<RecoveryStat>,
 }
 
@@ -64,10 +61,9 @@ pub struct BatchFile {
     pub scenario: String,
     /// Base seed from the header.
     pub seed: u64,
-    /// Fingerprint of the spec that produced the file (absent in
-    /// files predating resume support); see
+    /// Fingerprint of the spec that produced the file; see
     /// `ScenarioSpec::resume_digest`.
-    pub spec_digest: Option<String>,
+    pub spec_digest: String,
     /// Total runs claimed by the header.
     pub total_runs: usize,
     /// Cells in file order, with their runs keyed by repetition.
@@ -91,77 +87,46 @@ fn need_u64(obj: &Json, key: &str, ctx: &str) -> Result<u64, ScenarioError> {
         .ok_or_else(|| ScenarioError(format!("batch.json: '{key}' in {ctx} must be an integer")))
 }
 
+/// A numeric field that may be `null` (an unconverged or unrecovered
+/// time).
+fn need_opt_f64(obj: &Json, key: &str, ctx: &str) -> Result<Option<f64>, ScenarioError> {
+    match need(obj, key, ctx)? {
+        Json::Null => Ok(None),
+        _ => need_f64(obj, key, ctx).map(Some),
+    }
+}
+
+fn need_str(obj: &Json, key: &str, ctx: &str) -> Result<String, ScenarioError> {
+    need(obj, key, ctx)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| ScenarioError(format!("batch.json: '{key}' in {ctx} must be a string")))
+}
+
+fn need_array<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a [Json], ScenarioError> {
+    need(obj, key, ctx)?
+        .as_array()
+        .ok_or_else(|| ScenarioError(format!("batch.json: '{key}' in {ctx} must be an array")))
+}
+
 impl BatchFile {
     /// Parses the JSON document a `BatchRunner` wrote.
     pub fn parse(text: &str) -> Result<BatchFile, ScenarioError> {
         let root = Json::parse(text).map_err(|e| ScenarioError(e.to_string()))?;
-        let scenario = need(&root, "scenario", "header")?
-            .as_str()
-            .ok_or_else(|| ScenarioError("batch.json: 'scenario' must be a string".into()))?
-            .to_string();
-        let seed = need_u64(&root, "seed", "header")?;
-        let spec_digest = match root.get("spec_digest") {
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| {
-                        ScenarioError("batch.json: 'spec_digest' must be a string".into())
-                    })?
-                    .to_string(),
-            ),
-            None => None,
-        };
-        let total_runs = need_u64(&root, "total_runs", "header")? as usize;
         let mut cells = Vec::new();
-        let cell_items = need(&root, "cells", "header")?
-            .as_array()
-            .ok_or_else(|| ScenarioError("batch.json: 'cells' must be an array".into()))?;
-        for cell in cell_items {
+        for cell in need_array(&root, "cells", "header")? {
             let ctx = "cell";
-            let rc = need_f64(cell, "rc", ctx)?;
-            let rs = need_f64(cell, "rs", ctx)?;
-            let n = need_u64(cell, "n", ctx)? as usize;
-            let scheme = need(cell, "scheme", ctx)?
-                .as_str()
-                .ok_or_else(|| ScenarioError("batch.json: cell 'scheme' must be a string".into()))?
-                .to_string();
-            let variant = match cell.get("variant") {
-                Some(v) => v
-                    .as_str()
-                    .ok_or_else(|| {
-                        ScenarioError("batch.json: cell 'variant' must be a string".into())
-                    })?
-                    .to_string(),
-                None => String::new(),
-            };
-            let key: CellKey = (rc.to_bits(), rs.to_bits(), n, scheme, variant);
+            let key: CellKey = (
+                need_f64(cell, "rc", ctx)?.to_bits(),
+                need_f64(cell, "rs", ctx)?.to_bits(),
+                need_u64(cell, "n", ctx)? as usize,
+                need_str(cell, "scheme", ctx)?,
+                need_str(cell, "variant", ctx)?,
+            );
             let mut runs = BTreeMap::new();
-            let run_items = need(cell, "runs", ctx)?
-                .as_array()
-                .ok_or_else(|| ScenarioError("batch.json: cell 'runs' must be an array".into()))?;
-            for run in run_items {
+            for run in need_array(cell, "runs", ctx)? {
                 let ctx = "run";
                 let rep = need_u64(run, "rep", ctx)? as usize;
-                let convergence_time = match need(run, "convergence_time", ctx)? {
-                    Json::Null => None,
-                    v => Some(v.as_f64().ok_or_else(|| {
-                        ScenarioError("batch.json: 'convergence_time' must be numeric".into())
-                    })?),
-                };
-                let flags = match run.get("flags") {
-                    None => Vec::new(),
-                    Some(v) => v
-                        .as_array()
-                        .ok_or_else(|| {
-                            ScenarioError("batch.json: run 'flags' must be an array".into())
-                        })?
-                        .iter()
-                        .map(|f| {
-                            f.as_str().map(str::to_string).ok_or_else(|| {
-                                ScenarioError("batch.json: flags must be strings".into())
-                            })
-                        })
-                        .collect::<Result<_, _>>()?,
-                };
                 let record = FileRun {
                     rep,
                     env_seed: need_u64(run, "env_seed", ctx)?,
@@ -173,62 +138,32 @@ impl BatchFile {
                     connected: need(run, "connected", ctx)?.as_bool().ok_or_else(|| {
                         ScenarioError("batch.json: 'connected' must be a boolean".into())
                     })?,
-                    convergence_time,
-                    flags,
-                    // Optional: absent in files written without
-                    // movement_summary (and in all pre-scale files).
-                    moves: match run.get("moves") {
-                        None => 0,
-                        Some(v) => v.as_u64().ok_or_else(|| {
-                            ScenarioError("batch.json: 'moves' must be an integer".into())
-                        })?,
-                    },
-                    move_dist: match run.get("move_dist") {
-                        None => 0.0,
-                        Some(v) => v.as_f64().ok_or_else(|| {
-                            ScenarioError("batch.json: 'move_dist' must be numeric".into())
-                        })?,
-                    },
-                    // Optional: absent in files written without a
-                    // [dynamics] schedule.
-                    recovery: match run.get("recovery") {
-                        None => Vec::new(),
-                        Some(v) => v
-                            .as_array()
-                            .ok_or_else(|| {
-                                ScenarioError("batch.json: 'recovery' must be an array".into())
-                            })?
-                            .iter()
-                            .map(|s| {
-                                let ctx = "recovery";
-                                Ok(RecoveryStat {
-                                    event_time: need_f64(s, "time", ctx)?,
-                                    kind: need(s, "kind", ctx)?
-                                        .as_str()
-                                        .ok_or_else(|| {
-                                            ScenarioError(
-                                                "batch.json: recovery 'kind' must be a string"
-                                                    .into(),
-                                            )
-                                        })?
-                                        .to_string(),
-                                    pre_coverage: need_f64(s, "pre_coverage", ctx)?,
-                                    post_coverage: need_f64(s, "post_coverage", ctx)?,
-                                    min_coverage: need_f64(s, "min_coverage", ctx)?,
-                                    recovery_time: match need(s, "recovery_time", ctx)? {
-                                        Json::Null => None,
-                                        v => Some(v.as_f64().ok_or_else(|| {
-                                            ScenarioError(
-                                                "batch.json: 'recovery_time' must be numeric"
-                                                    .into(),
-                                            )
-                                        })?),
-                                    },
-                                    post_move_dist: need_f64(s, "post_move_dist", ctx)?,
-                                })
+                    convergence_time: need_opt_f64(run, "convergence_time", ctx)?,
+                    flags: need_array(run, "flags", ctx)?
+                        .iter()
+                        .map(|f| {
+                            f.as_str().map(str::to_string).ok_or_else(|| {
+                                ScenarioError("batch.json: flags must be strings".into())
                             })
-                            .collect::<Result<_, _>>()?,
-                    },
+                        })
+                        .collect::<Result<_, _>>()?,
+                    moves: need_u64(run, "moves", ctx)?,
+                    move_dist: need_f64(run, "move_dist", ctx)?,
+                    recovery: need_array(run, "recovery", ctx)?
+                        .iter()
+                        .map(|s| {
+                            let ctx = "recovery";
+                            Ok(RecoveryStat {
+                                event_time: need_f64(s, "time", ctx)?,
+                                kind: need_str(s, "kind", ctx)?,
+                                pre_coverage: need_f64(s, "pre_coverage", ctx)?,
+                                post_coverage: need_f64(s, "post_coverage", ctx)?,
+                                min_coverage: need_f64(s, "min_coverage", ctx)?,
+                                recovery_time: need_opt_f64(s, "recovery_time", ctx)?,
+                                post_move_dist: need_f64(s, "post_move_dist", ctx)?,
+                            })
+                        })
+                        .collect::<Result<_, _>>()?,
                 };
                 if runs.insert(rep, record).is_some() {
                     return Err(ScenarioError(format!(
@@ -239,10 +174,10 @@ impl BatchFile {
             cells.push((key, runs));
         }
         Ok(BatchFile {
-            scenario,
-            seed,
-            spec_digest,
-            total_runs,
+            scenario: need_str(&root, "scenario", "header")?,
+            seed: need_u64(&root, "seed", "header")?,
+            spec_digest: need_str(&root, "spec_digest", "header")?,
+            total_runs: need_u64(&root, "total_runs", "header")? as usize,
             cells,
         })
     }
@@ -286,9 +221,10 @@ pub struct CellDiff {
 /// repetition.
 #[derive(Debug, Clone)]
 pub struct MetricSummary {
-    /// Metric name.
+    /// Metric name (`rec.*` for the per-event recovery fields).
     pub metric: &'static str,
-    /// Repetitions the metric was compared on.
+    /// Values compared: one per repetition, or one per event for the
+    /// `rec.*` metrics.
     pub compared: usize,
     /// Largest relative delta seen.
     pub max_rel: f64,
@@ -378,7 +314,24 @@ impl MetricAcc {
         }
     }
 
-    fn record(&mut self, a: f64, b: f64, at: impl FnOnce() -> String) {
+    /// Records one value pair at `at`, noting it in `diffs` (after
+    /// `prefix`) when it is outside the relative tolerance `tol`. A
+    /// value may be absent (an unconverged or unrecovered time);
+    /// presence must then match exactly.
+    fn check(
+        &mut self,
+        a: Option<f64>,
+        b: Option<f64>,
+        tol: f64,
+        at: &str,
+        prefix: &str,
+        diffs: &mut Vec<String>,
+    ) {
+        let (a, b) = match (a, b) {
+            (Some(a), Some(b)) => (a, b),
+            (None, None) => return,
+            (a, b) => return diffs.push(format!("{prefix}{} {a:?} vs {b:?}", self.metric)),
+        };
         let rel = if a == b {
             0.0
         } else {
@@ -388,7 +341,10 @@ impl MetricAcc {
         self.sum_rel += rel;
         if rel > self.max_rel {
             self.max_rel = rel;
-            self.worst = Some(at());
+            self.worst = Some(at.to_string());
+        }
+        if !within(a, b, tol) {
+            diffs.push(format!("{prefix}{} {a} vs {b}", self.metric));
         }
     }
 
@@ -428,8 +384,10 @@ fn key_label(key: &CellKey) -> String {
 }
 
 /// Compares two parsed batch files cell-by-cell and rep-by-rep within
-/// a relative tolerance `tol` on every numeric metric (messages
-/// included); `connected`, flags and the environment seeds compare
+/// a relative tolerance `tol` on every numeric field a run carries
+/// (messages, move counts and each recovery event's numbers
+/// included); `connected`, flags, the environment seeds, the number
+/// of recovery events, their kinds and whether each recovered compare
 /// exactly. Cells or repetitions present on one side only are
 /// differences.
 pub fn diff_batches(a: &BatchFile, b: &BatchFile, tol: f64) -> DiffReport {
@@ -443,8 +401,40 @@ pub fn diff_batches(a: &BatchFile, b: &BatchFile, tol: f64) -> DiffReport {
         MetricAcc::new("max_move"),
         MetricAcc::new("total_move"),
         MetricAcc::new("messages"),
+        MetricAcc::new("moves"),
+        MetricAcc::new("move_dist"),
+        MetricAcc::new("convergence_time"),
     ];
-    let mut conv_acc = MetricAcc::new("convergence_time");
+    let mut event_accs = [
+        MetricAcc::new("rec.time"),
+        MetricAcc::new("rec.pre_coverage"),
+        MetricAcc::new("rec.post_coverage"),
+        MetricAcc::new("rec.min_coverage"),
+        MetricAcc::new("rec.post_move_dist"),
+        MetricAcc::new("rec.recovery_time"),
+    ];
+    let run_values = |r: &FileRun| {
+        [
+            Some(r.coverage),
+            Some(r.avg_move),
+            Some(r.max_move),
+            Some(r.total_move),
+            Some(r.messages as f64),
+            Some(r.moves as f64),
+            Some(r.move_dist),
+            r.convergence_time,
+        ]
+    };
+    let event_values = |e: &RecoveryStat| {
+        [
+            Some(e.event_time),
+            Some(e.pre_coverage),
+            Some(e.post_coverage),
+            Some(e.min_coverage),
+            Some(e.post_move_dist),
+            e.recovery_time,
+        ]
+    };
     if a.scenario != b.scenario {
         lines.push(format!(
             "note: comparing different scenarios '{}' vs '{}'",
@@ -483,28 +473,30 @@ pub fn diff_batches(a: &BatchFile, b: &BatchFile, tol: f64) -> DiffReport {
             if ra.env_seed != rb.env_seed {
                 diffs.push(format!("env_seed {} vs {}", ra.env_seed, rb.env_seed));
             }
-            let pairs = [
-                (ra.coverage, rb.coverage),
-                (ra.avg_move, rb.avg_move),
-                (ra.max_move, rb.max_move),
-                (ra.total_move, rb.total_move),
-                (ra.messages as f64, rb.messages as f64),
-            ];
-            for (acc, (va, vb)) in accs.iter_mut().zip(pairs) {
-                acc.record(va, vb, || format!("{label} rep {rep}"));
-                if !within(va, vb, tol) {
-                    diffs.push(format!("{} {va} vs {vb}", acc.metric));
-                }
+            let at = format!("{label} rep {rep}");
+            for (acc, (va, vb)) in accs
+                .iter_mut()
+                .zip(run_values(ra).into_iter().zip(run_values(rb)))
+            {
+                acc.check(va, vb, tol, &at, "", &mut diffs);
             }
-            match (ra.convergence_time, rb.convergence_time) {
-                (Some(ta), Some(tb)) => {
-                    conv_acc.record(ta, tb, || format!("{label} rep {rep}"));
-                    if !within(ta, tb, tol) {
-                        diffs.push(format!("convergence_time {ta} vs {tb}"));
+            if ra.recovery.len() != rb.recovery.len() {
+                diffs.push(format!(
+                    "recovery events {} vs {}",
+                    ra.recovery.len(),
+                    rb.recovery.len()
+                ));
+            } else {
+                for (i, (ea, eb)) in ra.recovery.iter().zip(&rb.recovery).enumerate() {
+                    let prefix = format!("event {i} ");
+                    if ea.kind != eb.kind {
+                        diffs.push(format!("{prefix}kind {} vs {}", ea.kind, eb.kind));
+                    }
+                    let values = event_values(ea).into_iter().zip(event_values(eb));
+                    for (acc, (va, vb)) in event_accs.iter_mut().zip(values) {
+                        acc.check(va, vb, tol, &at, &prefix, &mut diffs);
                     }
                 }
-                (None, None) => {}
-                (ta, tb) => diffs.push(format!("convergence_time {ta:?} vs {tb:?}")),
             }
             if ra.connected != rb.connected {
                 diffs.push(format!("connected {} vs {}", ra.connected, rb.connected));
@@ -549,7 +541,7 @@ pub fn diff_batches(a: &BatchFile, b: &BatchFile, tol: f64) -> DiffReport {
         cells,
         metrics: accs
             .into_iter()
-            .chain(std::iter::once(conv_acc))
+            .chain(event_accs)
             .map(MetricAcc::summary)
             .collect(),
     }
@@ -684,6 +676,66 @@ mod tests {
         // and the reverse direction
         let report = diff_batches(&b, &a, 0.5);
         assert!(report.render().contains("rep 1 missing from left file"));
+    }
+
+    #[test]
+    fn movement_and_recovery_fields_are_compared() {
+        let mut a = BatchFile::parse(&tiny_result_json()).unwrap();
+        a.cells[0].1.get_mut(&0).unwrap().recovery = vec![RecoveryStat {
+            event_time: 5.0,
+            kind: "fail".into(),
+            pre_coverage: 0.5,
+            post_coverage: 0.4,
+            min_coverage: 0.3,
+            recovery_time: Some(2.0),
+            post_move_dist: 10.0,
+        }];
+        let edits: [fn(&mut FileRun); 11] = [
+            |r| r.moves = r.moves * 2 + 1,
+            |r| r.move_dist = r.move_dist * 2.0 + 1.0,
+            |r| r.recovery.clear(),
+            |r| r.recovery[0].kind = "reinforce".into(),
+            |r| r.recovery[0].event_time = 6.0,
+            |r| r.recovery[0].pre_coverage = 0.6,
+            |r| r.recovery[0].post_coverage = 0.2,
+            |r| r.recovery[0].min_coverage = 0.1,
+            |r| r.recovery[0].post_move_dist = 20.0,
+            |r| r.recovery[0].recovery_time = Some(3.0),
+            |r| r.recovery[0].recovery_time = None,
+        ];
+        let expected = [
+            "moves",
+            "move_dist",
+            "recovery events 1 vs 0",
+            "event 0 kind fail vs reinforce",
+            "event 0 rec.time",
+            "event 0 rec.pre_coverage",
+            "event 0 rec.post_coverage",
+            "event 0 rec.min_coverage",
+            "event 0 rec.post_move_dist",
+            "event 0 rec.recovery_time",
+            "event 0 rec.recovery_time Some(2.0) vs None",
+        ];
+        let mut drifted_rows = 0;
+        for (edit, expected) in edits.into_iter().zip(expected) {
+            let mut b = a.clone();
+            edit(b.cells[0].1.get_mut(&0).unwrap());
+            let report = diff_batches(&a, &b, 0.01);
+            let text = report.render();
+            assert_eq!(report.mismatches, 1, "{expected}: {text}");
+            assert!(text.contains(&format!("rep 0: {expected}")), "{text}");
+            // a numeric drift also shows in its per-metric summary row
+            if let Some(row) = report
+                .metrics
+                .iter()
+                .find(|m| expected.rsplit(' ').next() == Some(m.metric))
+            {
+                assert!(row.max_rel > 0.01, "{expected}: {text}");
+                drifted_rows += 1;
+            }
+        }
+        assert_eq!(drifted_rows, 8);
+        assert!(diff_batches(&a, &a.clone(), 0.0).is_match());
     }
 
     #[test]

@@ -74,19 +74,13 @@ pub struct RunRecord {
     /// Annotations such as `Disconn.` / `Incorrect VD` (Figure 10).
     pub flags: Vec<String>,
     /// Number of movement actions (the `world.moves` aggregate).
-    /// Serialized (and aggregated) only for specs with
-    /// `movement_summary` enabled; restored records from other specs
-    /// carry 0.
     pub moves: u64,
     /// Commanded travel distance (m; the `world.move_dist`
-    /// aggregate, excluding detour-accounting penalties). Serialized
-    /// under the same `movement_summary` gate as
-    /// [`RunRecord::moves`].
+    /// aggregate, excluding detour-accounting penalties).
     pub move_dist: f64,
     /// Per-event recovery statistics (dip depth, climb-back time,
-    /// movement bill). Non-empty only for specs with a `[dynamics]`
-    /// schedule; serialized (and aggregated) only for those specs, so
-    /// static batches stay byte-identical.
+    /// movement bill), one per fired event; empty for runs of a spec
+    /// without a `[dynamics]` schedule.
     pub recovery: Vec<RecoveryStat>,
     /// Final sensor positions. Kept in memory for layout rendering
     /// and movement lower bounds; *not* serialized to `batch.json`,
@@ -154,12 +148,11 @@ pub struct CellStats {
     /// Recovery times over every *recovered* event of every
     /// repetition (s); unrecovered events are excluded (their time is
     /// unbounded), their count shows as the difference against
-    /// [`CellStats::coverage_dip`]'s count. Populated only for
-    /// `[dynamics]` specs.
+    /// [`CellStats::coverage_dip`]'s count. Empty when no event
+    /// fired (every static run).
     pub recovery_time: Summary,
     /// Minimum coverage during each event's dip window, over every
-    /// event of every repetition. Populated only for `[dynamics]`
-    /// specs.
+    /// event of every repetition. Empty when no event fired.
     pub coverage_dip: Summary,
     /// Number of repetitions that ended fully connected.
     pub connected_runs: usize,
@@ -304,23 +297,14 @@ impl BatchRunner {
             // (duration, coverage cell, params, variant overrides,
             // axes, seed), so records computed under an edited spec
             // can never be silently merged into its output.
-            match &prior.spec_digest {
-                Some(digest) if *digest == spec.resume_digest() => {}
-                Some(digest) => {
-                    return Err(ScenarioError(format!(
-                        "prior batch was produced by a different spec (digest {digest}, \
-                         this spec is {}): the edit would not take effect on restored \
-                         records; delete the stale batch.json to run from scratch",
-                        spec.resume_digest(),
-                    )));
-                }
-                None => {
-                    return Err(ScenarioError(
-                        "prior batch.json has no spec_digest (written before resume \
-                         support); delete it to run from scratch"
-                            .into(),
-                    ));
-                }
+            if prior.spec_digest != spec.resume_digest() {
+                return Err(ScenarioError(format!(
+                    "prior batch was produced by a different spec (digest {}, \
+                     this spec is {}): the edit would not take effect on restored \
+                     records; delete the stale batch.json to run from scratch",
+                    prior.spec_digest,
+                    spec.resume_digest(),
+                )));
             }
         }
         let cells = spec.matrix();
@@ -589,19 +573,10 @@ fn run_matrix(
                         .iter()
                         .filter_map(|slot| {
                             slot.lock().unwrap().as_ref().map(|r| RunRecord {
-                                cell: r.cell,
-                                coverage: r.coverage,
-                                avg_move: r.avg_move,
-                                max_move: r.max_move,
-                                total_move: r.total_move,
-                                messages: r.messages,
-                                connected: r.connected,
-                                convergence_time: r.convergence_time,
                                 flags: r.flags.clone(),
-                                moves: r.moves,
-                                move_dist: r.move_dist,
                                 recovery: r.recovery.clone(),
                                 positions: Vec::new(),
+                                ..*r
                             })
                         })
                         .collect();
@@ -818,8 +793,6 @@ impl BatchResult {
 /// Free function so mid-batch checkpoints and the final result share
 /// one format (`total_runs` reflects the records actually present).
 fn render_json(spec: &ScenarioSpec, records: &[RunRecord]) -> String {
-    let has_variants = !spec.variants.is_empty();
-    let has_dynamics = spec.dynamics.is_some();
     let cells: Vec<Json> = cell_stats_of(spec, records)
         .into_iter()
         .map(|s| {
@@ -827,23 +800,22 @@ fn render_json(spec: &ScenarioSpec, records: &[RunRecord]) -> String {
                 .runs
                 .iter()
                 .map(|r| {
-                    let mut run = Json::obj()
+                    Json::obj()
                         .field("rep", r.cell.rep)
                         .field("env_seed", r.cell.env_seed)
                         .field("coverage", r.coverage)
                         .field("avg_move", r.avg_move)
                         .field("max_move", r.max_move)
                         .field("total_move", r.total_move)
-                        .field("messages", r.messages);
-                    if spec.movement_summary {
-                        run = run.field("moves", r.moves).field("move_dist", r.move_dist);
-                    }
-                    run = run.field("connected", r.connected).field(
-                        "convergence_time",
-                        r.convergence_time.filter(|t| t.is_finite()),
-                    );
-                    if has_dynamics {
-                        run = run.field(
+                        .field("messages", r.messages)
+                        .field("moves", r.moves)
+                        .field("move_dist", r.move_dist)
+                        .field("connected", r.connected)
+                        .field(
+                            "convergence_time",
+                            r.convergence_time.filter(|t| t.is_finite()),
+                        )
+                        .field(
                             "recovery",
                             Json::Arr(
                                 r.recovery
@@ -860,40 +832,27 @@ fn render_json(spec: &ScenarioSpec, records: &[RunRecord]) -> String {
                                     })
                                     .collect(),
                             ),
-                        );
-                    }
-                    if !r.flags.is_empty() {
-                        run = run.field(
+                        )
+                        .field(
                             "flags",
                             Json::Arr(r.flags.iter().map(|f| f.as_str().into()).collect()),
-                        );
-                    }
-                    run
+                        )
                 })
                 .collect();
-            let mut cell = Json::obj()
+            Json::obj()
                 .field("rc", s.radio.rc)
                 .field("rs", s.radio.rs)
                 .field("n", s.n)
-                .field("scheme", s.scheme.name());
-            if has_variants {
-                cell = cell.field("variant", s.variant_label.as_str());
-            }
-            cell = cell
+                .field("scheme", s.scheme.name())
+                .field("variant", s.variant_label.as_str())
                 .field("coverage", summary_json(&s.coverage))
                 .field("avg_move", summary_json(&s.avg_move))
-                .field("messages", summary_json(&s.messages));
-            if spec.movement_summary {
-                cell = cell
-                    .field("moves", summary_json(&s.moves))
-                    .field("move_dist", summary_json(&s.move_dist));
-            }
-            if has_dynamics {
-                cell = cell
-                    .field("recovery_time", summary_json(&s.recovery_time))
-                    .field("coverage_dip", summary_json(&s.coverage_dip));
-            }
-            cell.field("connected_runs", s.connected_runs)
+                .field("messages", summary_json(&s.messages))
+                .field("moves", summary_json(&s.moves))
+                .field("move_dist", summary_json(&s.move_dist))
+                .field("recovery_time", summary_json(&s.recovery_time))
+                .field("coverage_dip", summary_json(&s.coverage_dip))
+                .field("connected_runs", s.connected_runs)
                 .field("runs", Json::Arr(runs))
         })
         .collect();
@@ -915,7 +874,7 @@ fn render_json(spec: &ScenarioSpec, records: &[RunRecord]) -> String {
 impl BatchResult {
     /// Serializes per-cell aggregates as CSV.
     pub fn to_csv(&self) -> String {
-        let mut headers: Vec<String> = [
+        let headers = [
             "scenario",
             "rc",
             "rs",
@@ -930,25 +889,19 @@ impl BatchResult {
             "avg_move_mean",
             "avg_move_ci95",
             "messages_mean",
+            "moves_mean",
+            "move_dist_mean",
+            "recovery_time_mean",
+            "recovered_events",
+            "coverage_dip_mean",
+            "connected_runs",
         ]
-        .into_iter()
-        .map(String::from)
-        .collect();
-        if self.spec.movement_summary {
-            headers.push("moves_mean".to_string());
-            headers.push("move_dist_mean".to_string());
-        }
-        if self.spec.dynamics.is_some() {
-            headers.push("recovery_time_mean".to_string());
-            headers.push("recovered_events".to_string());
-            headers.push("coverage_dip_mean".to_string());
-        }
-        headers.push("connected_runs".to_string());
+        .map(String::from);
         let rows: Vec<Vec<String>> = self
             .cell_stats()
             .into_iter()
             .map(|s| {
-                let mut row = vec![
+                vec![
                     self.spec.name.clone(),
                     format!("{:?}", s.radio.rc),
                     format!("{:?}", s.radio.rs),
@@ -963,26 +916,21 @@ impl BatchResult {
                     format!("{:.3}", s.avg_move.mean()),
                     format!("{:.3}", s.avg_move.ci95_half_width()),
                     format!("{:.1}", s.messages.mean()),
-                ];
-                if self.spec.movement_summary {
-                    row.push(format!("{:.1}", s.moves.mean()));
-                    row.push(format!("{:.3}", s.move_dist.mean()));
-                }
-                if self.spec.dynamics.is_some() {
-                    row.push(format!("{:.3}", s.recovery_time.mean()));
-                    row.push(s.recovery_time.count().to_string());
-                    row.push(format!("{:.6}", s.coverage_dip.mean()));
-                }
-                row.push(s.connected_runs.to_string());
-                row
+                    format!("{:.1}", s.moves.mean()),
+                    format!("{:.3}", s.move_dist.mean()),
+                    format!("{:.3}", s.recovery_time.mean()),
+                    s.recovery_time.count().to_string(),
+                    format!("{:.6}", s.coverage_dip.mean()),
+                    s.connected_runs.to_string(),
+                ]
             })
             .collect();
         to_csv(&headers, &rows)
     }
 
-    /// Formats the ASCII report: one coverage table per radio
-    /// combination (rows: sensor counts; columns: schemes), plus a
-    /// moving-distance table.
+    /// Formats the ASCII report: one table per radio combination
+    /// (rows: sensor count and variant; columns: coverage, moving
+    /// distance, commanded distance and recovery time per scheme).
     pub fn report(&self) -> String {
         let spec = &self.spec;
         let mut out = format!(
@@ -997,36 +945,18 @@ impl BatchResult {
             out.push_str(&format!("{}\n", spec.description));
         }
         let stats = self.cell_stats();
-        let has_variants = !spec.variants.is_empty();
         for radio in &spec.radios {
             out.push_str(&format!("\n{radio}\n"));
-            let mut headers = vec!["n".to_string()];
-            if has_variants {
-                headers.push("variant".to_string());
-            }
-            for scheme in &spec.schemes {
-                headers.push(format!("{scheme} cov"));
-            }
-            for scheme in &spec.schemes {
-                headers.push(format!("{scheme} move (m)"));
-            }
-            if spec.movement_summary {
+            let mut headers = vec!["n".to_string(), "variant".to_string()];
+            for (column, _) in REPORT_COLUMNS {
                 for scheme in &spec.schemes {
-                    headers.push(format!("{scheme} cmd (m)"));
-                }
-            }
-            if spec.dynamics.is_some() {
-                for scheme in &spec.schemes {
-                    headers.push(format!("{scheme} rec (s)"));
+                    headers.push(format!("{scheme} {column}"));
                 }
             }
             let mut table = Table::new(headers);
             for &n in &spec.sensor_counts {
                 for variant in 0..spec.variant_count() {
-                    let mut row = vec![n.to_string()];
-                    if has_variants {
-                        row.push(spec.variant_label(variant).to_string());
-                    }
+                    let mut row = vec![n.to_string(), spec.variant_label(variant).to_string()];
                     let find = |scheme| {
                         stats.iter().find(|s| {
                             s.radio == *radio
@@ -1035,26 +965,9 @@ impl BatchResult {
                                 && s.variant == variant
                         })
                     };
-                    for &scheme in &spec.schemes {
-                        row.push(find(scheme).map_or("-".into(), |s| fmt_pct(&s.coverage)));
-                    }
-                    for &scheme in &spec.schemes {
-                        row.push(find(scheme).map_or("-".into(), |s| fmt_move(&s.avg_move)));
-                    }
-                    if spec.movement_summary {
+                    for (_, text) in REPORT_COLUMNS {
                         for &scheme in &spec.schemes {
-                            row.push(find(scheme).map_or("-".into(), |s| fmt_move(&s.move_dist)));
-                        }
-                    }
-                    if spec.dynamics.is_some() {
-                        for &scheme in &spec.schemes {
-                            row.push(find(scheme).map_or("-".into(), |s| {
-                                if s.recovery_time.is_empty() {
-                                    "unrec".into()
-                                } else {
-                                    fmt_move(&s.recovery_time)
-                                }
-                            }));
+                            row.push(find(scheme).map_or("-".into(), text));
                         }
                     }
                     table.row(row);
@@ -1065,6 +978,27 @@ impl BatchResult {
         out
     }
 }
+
+/// A report column: header suffix and the cell text of one scheme.
+type ReportColumn = (&'static str, fn(&CellStats) -> String);
+
+/// The report's per-scheme columns: header suffix and cell text —
+/// coverage, moving distance, commanded distance and recovery time
+/// (`-` where no event fired, `unrec` where none recovered).
+const REPORT_COLUMNS: [ReportColumn; 4] = [
+    ("cov", |s| fmt_pct(&s.coverage)),
+    ("move (m)", |s| fmt_move(&s.avg_move)),
+    ("cmd (m)", |s| fmt_move(&s.move_dist)),
+    ("rec (s)", |s| {
+        if s.coverage_dip.is_empty() {
+            "-".into()
+        } else if s.recovery_time.is_empty() {
+            "unrec".into()
+        } else {
+            fmt_move(&s.recovery_time)
+        }
+    }),
+];
 
 fn summary_json(s: &Summary) -> Json {
     Json::obj()

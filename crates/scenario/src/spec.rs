@@ -222,19 +222,13 @@ pub struct ScenarioSpec {
     /// [`ScenarioSpec::params`]. Empty means one unlabeled default
     /// variant.
     pub variants: Vec<ParamVariant>,
-    /// Whether batch outputs additionally report the movement-cost
-    /// aggregates (`moves` action counts and commanded `move_dist`)
-    /// per run and per cell — the scale tier's headline metric,
-    /// recorded natively by the world with no profiling needed. Off
-    /// by default so pre-existing specs' outputs stay byte-identical;
-    /// the TOML key `movement_summary = true` opts a spec in.
-    pub movement_summary: bool,
     /// Scheduled mid-run world events (sensor failures,
     /// reinforcements, obstacle changes, base relocation) plus the
     /// recovery threshold — the TOML `[dynamics]` section. `None`
     /// (the default) runs every cell statically; `Some` switches the
-    /// runner to the restart-on-event engine and adds the recovery
-    /// metrics to batch outputs.
+    /// runner to the restart-on-event engine, whose per-event
+    /// statistics fill the batch outputs' recovery fields (empty for
+    /// static runs).
     pub dynamics: Option<EventSchedule>,
 }
 
@@ -257,7 +251,6 @@ impl ScenarioSpec {
             seed: 42,
             params: SchemeOverrides::default(),
             variants: Vec::new(),
-            movement_summary: false,
             dynamics: None,
         }
     }
@@ -353,14 +346,6 @@ impl ScenarioSpec {
     #[must_use]
     pub fn with_variant(mut self, label: impl Into<String>, overrides: SchemeOverrides) -> Self {
         self.variants.push(ParamVariant::new(label, overrides));
-        self
-    }
-
-    /// Enables the movement-cost aggregates (`moves` / `move_dist`)
-    /// in batch outputs.
-    #[must_use]
-    pub fn with_movement_summary(mut self, enabled: bool) -> Self {
-        self.movement_summary = enabled;
         self
     }
 
@@ -641,8 +626,6 @@ enum Val<'a> {
     Usize(&'a mut usize),
     U64(&'a mut u64),
     Str(&'a mut String),
-    /// Emitted only when true.
-    Flag(&'a mut bool),
     /// An override knob, emitted only when set.
     Knob(Slot<'a>),
     Schemes(&'a mut Vec<SchemeKind>),
@@ -668,7 +651,6 @@ impl Val<'_> {
             Val::Usize(v) => TomlValue::Int(*v as i64),
             Val::U64(v) => TomlValue::from_u64(*v),
             Val::Str(v) => TomlValue::Str(v.clone()),
-            Val::Flag(v) => return v.then_some(TomlValue::Bool(true)),
             Val::Knob(Slot::F64(v)) => TomlValue::Float((*v)?),
             Val::Knob(Slot::Usize(v)) => TomlValue::Int((*v)? as i64),
             Val::Knob(Slot::U32(v)) => TomlValue::Int(i64::from((*v)?)),
@@ -715,7 +697,6 @@ impl Val<'_> {
                     .ok_or_else(|| TomlError(format!("'{key}' must be a string")))?
                     .to_string();
             }
-            Val::Flag(slot) => *slot = flag(v, key)?,
             Val::Knob(Slot::F64(slot)) => *slot = Some(num(v, key)?),
             Val::Knob(Slot::Usize(slot)) => *slot = Some(count(v, key)?),
             Val::Knob(Slot::U32(slot)) => {
@@ -813,7 +794,6 @@ fn root_table(s: &mut ScenarioSpec) -> Table<'_> {
         ("coverage_cell", Val::F64(&mut s.coverage_cell)),
         ("repetitions", Val::Usize(&mut s.repetitions)),
         ("seed", Val::U64(&mut s.seed)),
-        ("movement_summary", Val::Flag(&mut s.movement_summary)),
         ("dynamics", Val::Dynamics(&mut s.dynamics)),
         ("field", Val::Field(&mut s.field)),
         ("scatter", Val::Scatter(&mut s.scatter)),
@@ -1636,6 +1616,13 @@ mod tests {
         let e = ScenarioSpec::from_toml_str(&format!("sensor_count = [5]\n{smoke}")).unwrap_err();
         assert!(
             e.0.contains("unknown key 'sensor_count' at the top level"),
+            "{e}"
+        );
+        // the retired output switch is a typo like any other
+        let e =
+            ScenarioSpec::from_toml_str(&format!("movement_summary = true\n{smoke}")).unwrap_err();
+        assert!(
+            e.0.contains("unknown key 'movement_summary' at the top level"),
             "{e}"
         );
     }

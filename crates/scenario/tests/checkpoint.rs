@@ -1,6 +1,6 @@
 //! Hard-kill checkpoint/resume integration: a batch checkpointed to
 //! disk mid-run must resume byte-identically, and a torn (truncated)
-//! file must be refused loudly instead of merged.
+//! or incomplete file must be refused loudly instead of merged.
 
 use msn_deploy::SchemeKind;
 use msn_scenario::{BatchFile, BatchResult, ProgressEvent, ProgressSink, RunConfig, ScenarioSpec};
@@ -142,4 +142,19 @@ fn truncated_checkpoint_is_refused_not_merged() {
     std::fs::write(&path, &json[..json.len() - 40]).unwrap();
     let err = BatchFile::parse(&std::fs::read_to_string(&path).unwrap());
     assert!(err.is_err(), "truncated batch.json must not parse");
+}
+
+#[test]
+fn checkpoint_missing_a_run_field_is_refused_not_zeroed() {
+    let full = RunConfig::new().threads(1).runner().run(&spec()).unwrap();
+    let json = full.to_json();
+    // a file of an older schema: the first run carries no `moves`
+    // (the cell summaries' `"moves": {` lines come first and stay)
+    let line = json
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"moves\": ") && !l.ends_with('{'))
+        .unwrap();
+    let stale = json.replacen(&format!("{line}\n"), "", 1);
+    let err = BatchFile::parse(&stale).expect_err("resume must not restore a 0");
+    assert!(err.0.contains("missing 'moves' in run"), "{err}");
 }

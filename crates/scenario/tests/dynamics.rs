@@ -1,12 +1,13 @@
 //! Dynamics tier: seeded mid-run events must keep every determinism
 //! guarantee the static engine gives — byte-identical `batch.json` at
-//! any thread count and across a kill/resume — and the recovery
-//! metrics must appear only when a spec opts into `[dynamics]`.
+//! any thread count and across a kill/resume — and static and
+//! dynamic specs must share one output schema.
 
 use msn_deploy::SchemeKind;
 use msn_geom::{Point, Rect};
-use msn_scenario::{BatchFile, BatchResult, RunConfig, ScenarioSpec};
+use msn_scenario::{BatchFile, BatchResult, Json, RunConfig, ScenarioSpec};
 use msn_sim::{DynEvent, EventAction, EventSchedule, FailCount, FailMode};
+use std::collections::BTreeSet;
 
 /// A failure-heavy schedule exercising three event kinds inside a
 /// 30 s horizon.
@@ -73,23 +74,66 @@ fn dynamic_batches_surface_recovery_metrics_in_every_format() {
     assert!(report.contains("rec (s)"), "{report}");
 }
 
+/// Every distinct key list of `batch.json` (header, each cell, each
+/// run) and the CSV header, as `level: key,key,...` entries.
+fn schema(result: &BatchResult) -> BTreeSet<String> {
+    let keys = |level: &str, obj: &Json| {
+        let Json::Obj(members) = obj else {
+            panic!("expected an object, got {obj:?}")
+        };
+        let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        format!("{level}: {}", names.join(","))
+    };
+    let root = Json::parse(&result.to_json()).unwrap();
+    let csv = result.to_csv();
+    let mut lists = BTreeSet::from([
+        keys("header", &root),
+        format!("csv: {}", csv.lines().next().unwrap()),
+    ]);
+    for cell in root.get("cells").unwrap().as_array().unwrap() {
+        lists.insert(keys("cell", cell));
+        for run in cell.get("runs").unwrap().as_array().unwrap() {
+            lists.insert(keys("run", run));
+        }
+    }
+    lists
+}
+
 #[test]
-fn static_batches_stay_byte_identical_without_dynamics() {
-    let spec = dynamic_spec();
-    let mut static_spec = spec.clone();
-    static_spec.dynamics = None;
-    let result = RunConfig::new()
-        .threads(1)
-        .runner()
-        .run(&static_spec)
-        .unwrap();
-    let json = result.to_json();
-    assert!(!json.contains("recovery"), "{json}");
-    assert!(!json.contains("coverage_dip"), "{json}");
-    assert!(!result.to_csv().contains("recovery_time_mean"));
-    assert!(!result.report().contains("rec (s)"));
-    for record in &result.records {
-        assert!(record.recovery.is_empty());
+fn static_and_dynamic_batches_share_one_schema() {
+    let bundled = |name: &str| {
+        let path = format!("{}/../../scenarios/{name}.toml", env!("CARGO_MANIFEST_DIR"));
+        ScenarioSpec::from_toml_str(&std::fs::read_to_string(path).unwrap())
+            .unwrap()
+            .quick()
+    };
+    // static with variants; dynamic without; neither
+    let smoke = bundled("smoke");
+    let recovery = bundled("failure-recovery");
+    let mut plain = dynamic_spec();
+    plain.dynamics = None;
+    assert!(!smoke.variants.is_empty() && smoke.dynamics.is_none());
+    assert!(recovery.variants.is_empty() && recovery.dynamics.is_some());
+    let schemas: Vec<_> = [smoke, recovery, plain]
+        .iter()
+        .map(|spec| {
+            let result = RunConfig::new().threads(1).runner().run(spec).unwrap();
+            let dynamic = spec.dynamics.is_some();
+            assert!(result
+                .records
+                .iter()
+                .all(|r| r.recovery.is_empty() != dynamic));
+            schema(&result)
+        })
+        .collect();
+    assert_eq!(
+        schemas[0].len(),
+        4,
+        "one key list per level: {:?}",
+        schemas[0]
+    );
+    for other in &schemas[1..] {
+        assert_eq!(*other, schemas[0]);
     }
 }
 

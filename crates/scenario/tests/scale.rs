@@ -1,8 +1,6 @@
 //! Scale-tier integration: a trimmed 10k-sensor cell must stay
 //! thread-count invariant and checkpoint/resume byte-identical, and
-//! the opt-in movement-cost aggregates (`movement_summary`) must
-//! surface in every output format without perturbing specs that do
-//! not ask for them.
+//! the movement-cost aggregates must surface in every output format.
 
 use msn_deploy::SchemeKind;
 use msn_field::RandomObstacleParams;
@@ -25,7 +23,6 @@ fn scale_spec() -> ScenarioSpec {
         .with_coverage_cell(50.0)
         .with_repetitions(2)
         .with_seed(42)
-        .with_movement_summary(true)
 }
 
 fn small_spec() -> ScenarioSpec {
@@ -77,9 +74,12 @@ fn scale_cell_resumes_byte_identically() {
 }
 
 #[test]
-fn movement_summary_surfaces_in_every_format() {
-    let spec = small_spec().with_movement_summary(true);
-    let result = RunConfig::new().threads(1).runner().run(&spec).unwrap();
+fn movement_cost_surfaces_in_every_format() {
+    let result = RunConfig::new()
+        .threads(1)
+        .runner()
+        .run(&small_spec())
+        .unwrap();
     let json = result.to_json();
     assert!(json.contains("\"moves\""), "per-run moves missing in JSON");
     assert!(json.contains("\"move_dist\""), "move_dist missing in JSON");
@@ -94,51 +94,4 @@ fn movement_summary_surfaces_in_every_format() {
     // schemes that relocate sensors must record movement actions
     assert!(result.records.iter().any(|r| r.moves > 0));
     assert!(result.records.iter().any(|r| r.move_dist > 0.0));
-}
-
-#[test]
-fn movement_summary_off_leaves_output_untouched() {
-    let spec = small_spec();
-    let result = RunConfig::new().threads(1).runner().run(&spec).unwrap();
-    let json = result.to_json();
-    assert!(!json.contains("\"move_dist\""));
-    assert!(!result
-        .to_csv()
-        .lines()
-        .next()
-        .unwrap()
-        .contains("moves_mean"));
-    assert!(!result.report().contains("cmd (m)"));
-    // the spec serialization (and hence the resume digest) must not
-    // mention the flag either, or every pre-existing digest breaks
-    assert!(!spec.to_toml_string().contains("movement_summary"));
-}
-
-#[test]
-fn movement_summary_roundtrips_through_toml() {
-    let spec = small_spec().with_movement_summary(true);
-    let text = spec.to_toml_string();
-    assert!(text.contains("movement_summary = true"));
-    let parsed = ScenarioSpec::from_toml_str(&text).unwrap();
-    assert!(parsed.movement_summary);
-    assert_eq!(parsed.resume_digest(), spec.resume_digest());
-}
-
-#[test]
-fn movement_summary_resumes_byte_identically() {
-    // the gated fields ride through batch.json parse -> restore
-    let spec = small_spec().with_movement_summary(true);
-    let full = RunConfig::new().threads(1).runner().run(&spec).unwrap();
-    let partial = BatchResult {
-        spec: spec.clone(),
-        records: full.records[..3].to_vec(),
-        profiles: Vec::new(),
-    };
-    let prior = BatchFile::parse(&partial.to_json()).unwrap();
-    let resumed = RunConfig::new()
-        .threads(1)
-        .runner()
-        .run_resuming(&spec, Some(&prior))
-        .unwrap();
-    assert_eq!(resumed.to_json(), full.to_json());
 }
