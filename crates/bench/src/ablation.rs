@@ -39,7 +39,7 @@ pub fn report(open: &BatchResult, obstacle: &BatchResult) -> String {
                 variant.label.clone(),
                 pct(cell.coverage.mean()),
                 format!("{:.0}", cell.avg_move.mean()),
-                (cell.connected_runs == cell.runs.len()).to_string(),
+                (cell.connected_runs as u64 == cell.coverage.count()).to_string(),
             ]);
         }
         out.push_str(&format!("{name}\n{table}\n\n"));

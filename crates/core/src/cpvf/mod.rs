@@ -34,19 +34,16 @@ use msn_net::{within_range, MsgKind, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
 use rand::Rng;
 
-/// Tuning parameters of CPVF.
+/// Upper bound of the random start delay for disconnected sensors
+/// (s), §4.1's "small random time period".
+const BACKOFF_MAX: f64 = 10.0;
+
+/// Tuning parameters of CPVF. The virtual-force constants derive from
+/// the configured ranges ([`ForceParams::for_ranges`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpvfParams {
-    /// Virtual-force constants; `None` derives them from the
-    /// configured ranges via [`ForceParams::for_ranges`].
-    pub force: Option<ForceParams>,
     /// Oscillation-avoidance technique (§6.3); default off.
     pub oscillation: OscillationAvoidance,
-    /// Upper bound of the random start delay for disconnected sensors
-    /// (s), §4.1's "small random time period".
-    pub backoff_max: f64,
-    /// Allow parent switching when a sensor cannot move (§4.2).
-    pub allow_parent_change: bool,
     /// Coverage-timeline sampling interval (s).
     pub snapshot_every: f64,
 }
@@ -54,10 +51,7 @@ pub struct CpvfParams {
 impl Default for CpvfParams {
     fn default() -> Self {
         CpvfParams {
-            force: None,
             oscillation: OscillationAvoidance::Off,
-            backoff_max: 10.0,
-            allow_parent_change: true,
             snapshot_every: 25.0,
         }
     }
@@ -129,10 +123,7 @@ pub fn run_with_grid(
     let setup = msn_obs::span("cpvf.setup");
     let n = initial.len();
     let mut world = World::new(field.clone(), cfg.clone(), initial.to_vec());
-    let force_params = params
-        .force
-        .clone()
-        .unwrap_or_else(|| ForceParams::for_ranges(cfg.rc, cfg.rs));
+    let force_params = ForceParams::for_ranges(cfg.rc, cfg.rs);
     // Incremental coverage: timeline samples cost O(moved sensors)
     // instead of a full re-rasterization (identical values; sensors at
     // force equilibrium stop feeding the tracker entirely).
@@ -166,7 +157,7 @@ pub fn run_with_grid(
             if connected[i] {
                 None
             } else {
-                let backoff = world.rng().gen_range(0.0..params.backoff_max.max(1e-9));
+                let backoff = world.rng().gen_range(0.0..BACKOFF_MAX);
                 Some(LazyMover::new(
                     Route::Single(Navigator::with_context(
                         nav_ctx.clone(),
@@ -281,6 +272,7 @@ pub fn run_with_grid(
         // communication range at all times — the paper's connectivity
         // guarantee.
         if check_links {
+            let _check = msn_obs::span("cpvf.check");
             for i in 0..n {
                 let limit = cfg.rc + 1e-6;
                 match tree.parent(i) {
@@ -460,7 +452,7 @@ fn plan_virtual_force(
     motions[i] = Motion::still(pos);
     // Pinned by the current parent and genuinely pushed: try to switch
     // parents (allowed only when the sensor cannot move, §4.2).
-    if chosen <= 1e-9 && params.allow_parent_change {
+    if chosen <= 1e-9 {
         try_parent_change(i, pos, dir, tree, world, motions, max_step);
     }
 }

@@ -1,66 +1,51 @@
-//! The dynamic-run engine: scheduled world events with
+//! The dynamic-run engine: scheduled sensor failures with
 //! restart-on-event scheme execution.
 //!
 //! A dynamic run executes a static scheme over segments between
-//! scheduled events. A persistent *ledger* [`World`] carries the
+//! scheduled failures. A persistent *ledger* [`World`] carries the
 //! cross-segment truth — positions, liveness, per-sensor travelled
 //! distance, and the coverage and adjacency trackers that measure the
 //! dips — while each segment hands the alive fleet to the ordinary
 //! [`run_scheme_with`] dispatch and writes its outcome back. This is
 //! the `failure_recovery` example's re-run-over-survivors pattern made
-//! first-class: every scheme gets event handling without a line of
+//! first-class: every scheme gets failure handling without a line of
 //! scheme code changing.
 //!
 //! Determinism: segment 0 runs on the run's ordinary sim seed, so a
 //! schedule whose first event lies past the horizon reproduces the
 //! static run's trajectory exactly. Every later random choice — which
-//! sensors fail, where reinforcements land, restarted segment seeds —
-//! derives from [`event_stream_seed`] over a dedicated per-run event
-//! seed, a pure function of the matrix coordinate; thread count and
-//! `--resume` cannot perturb it.
+//! sensors fail, restarted segment seeds — derives from
+//! [`event_stream_seed`] over a dedicated per-run event seed, a pure
+//! function of the matrix coordinate; thread count and `--resume`
+//! cannot perturb it.
 
 use crate::{run_scheme_with, SchemeKind, SchemeOverrides};
 use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;
+use msn_metrics::EventMark;
 use msn_net::MessageCounter;
 use msn_sim::{
-    event_stream_seed, EventAction, EventQueue, EventSchedule, FailMode, RunResult, SimConfig,
-    World,
+    event_stream_seed, DynEvent, EventQueue, EventSchedule, RunResult, SimConfig, World,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// What one fired event did to the run — the raw material of the
-/// recovery metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// Simulation time (s) at which the event fired.
-    pub time: f64,
-    /// Machine-readable event kind (`"fail"`, `"obstacle-add"`, …).
-    pub kind: String,
-    /// Coverage fraction immediately before the event applied.
-    pub pre_coverage: f64,
-    /// Coverage fraction immediately after the event applied.
-    pub post_coverage: f64,
-    /// Commanded travel distance (m) accumulated from the event to
-    /// the end of the run.
-    pub post_move_dist: f64,
-}
 
 /// A dynamic run's result: the stitched [`RunResult`] plus one record
 /// per fired event.
 #[derive(Debug, Clone)]
 pub struct DynamicOutcome {
-    /// The run metrics, covering the whole horizon. `positions` and
-    /// `per_move` hold the *alive* fleet's final state in slot order;
-    /// `coverage_timeline` is the concatenation of every segment's
-    /// timeline with pre/post samples at each event instant.
+    /// The run metrics, covering the whole horizon. `positions` hold
+    /// the *alive* fleet's final state in slot order and `per_move`
+    /// every slot's travel; `coverage_timeline` is the concatenation
+    /// of every segment's timeline with pre/post samples at each
+    /// event instant.
     pub result: RunResult,
-    /// One record per fired event, in schedule order.
-    pub events: Vec<EventRecord>,
+    /// One record per fired event, in schedule order — the input of
+    /// [`msn_metrics::recovery_stats`].
+    pub events: Vec<EventMark>,
 }
 
-/// Runs `kind` under an event schedule. See the module docs for the
+/// Runs `kind` under a failure schedule. See the module docs for the
 /// segment/ledger model; parameters mirror [`run_scheme_with`], with
 /// `schedule` (validated against `cfg.duration`) and the per-run
 /// `event_seed` on top.
@@ -75,28 +60,18 @@ pub fn run_scheme_dynamic(
     schedule: &EventSchedule,
     event_seed: u64,
 ) -> DynamicOutcome {
-    let mut field_cur = field.clone();
-    let mut grid_cur = grid
+    let grid = grid
         .cloned()
-        .unwrap_or_else(|| CoverageGrid::new(&field_cur, cfg.coverage_cell));
-    let mut base_cur = cfg.base;
+        .unwrap_or_else(|| CoverageGrid::new(field, cfg.coverage_cell));
 
-    // The ledger world: initial fleet plus every reinforcement slot,
-    // coverage + adjacency tracked so event pre/post samples are
-    // O(changed sensors), not full re-rasterizations, and the final
-    // connectivity check floods maintained lists.
-    let mut ledger = World::with_reserve(
-        field_cur.clone(),
-        cfg.clone(),
-        initial.to_vec(),
-        schedule.reinforce_total(),
-    );
-    ledger.track_coverage(grid_cur.clone());
+    // The ledger world: coverage + adjacency tracked so event pre/post
+    // samples are O(changed sensors), not full re-rasterizations, and
+    // the final connectivity check floods maintained lists. A failed
+    // sensor's slot stays parked, so per-slot travelled distance is
+    // the history of one physical sensor.
+    let mut ledger = World::new(field.clone(), cfg.clone(), initial.to_vec());
+    ledger.track_coverage(grid.clone());
     ledger.track_adjacency();
-    // Reinforcements consume pristine slots past the initial fleet, in
-    // order — a failed sensor's slot is never reused, so per-slot
-    // travelled distance stays the history of one physical sensor.
-    let mut reserve_cursor = initial.len();
 
     let mut queue = EventQueue::new(schedule);
     let mut time_cur = 0.0;
@@ -108,7 +83,7 @@ pub fn run_scheme_dynamic(
     let mut flags: Vec<String> = Vec::new();
     // (record, move_dist at event time) — post_move_dist is settled at
     // the end of the run.
-    let mut fired: Vec<(EventRecord, f64)> = Vec::new();
+    let mut fired: Vec<(EventMark, f64)> = Vec::new();
 
     loop {
         let t_next = queue.next_time().unwrap_or(cfg.duration).min(cfg.duration);
@@ -124,19 +99,8 @@ pub fn run_scheme_dynamic(
             } else {
                 event_stream_seed(event_seed, SEGMENT_STREAM_BASE + seg_index)
             };
-            let seg_cfg = cfg
-                .clone()
-                .with_duration(seg_dur)
-                .with_seed(seg_seed)
-                .with_base(base_cur);
-            let r = run_scheme_with(
-                kind,
-                &field_cur,
-                &seg_initial,
-                &seg_cfg,
-                overrides,
-                Some(&grid_cur),
-            );
+            let seg_cfg = cfg.clone().with_duration(seg_dur).with_seed(seg_seed);
+            let r = run_scheme_with(kind, field, &seg_initial, &seg_cfg, overrides, Some(&grid));
             for (j, &i) in alive.iter().enumerate() {
                 ledger.teleport(i, r.positions[j]);
                 ledger.add_distance(i, r.per_move[j]);
@@ -164,21 +128,12 @@ pub fn run_scheme_dynamic(
         for ev in batch {
             let ev_idx = fired.len() as u64;
             let pre = ledger.coverage_tracked();
-            apply_event(
-                &ev.action,
-                event_stream_seed(event_seed, ev_idx),
-                &mut ledger,
-                &mut field_cur,
-                &mut grid_cur,
-                &mut base_cur,
-                &mut reserve_cursor,
-                cfg,
-            );
+            fail(ev, event_stream_seed(event_seed, ev_idx), &mut ledger);
             let post = ledger.coverage_tracked();
             fired.push((
-                EventRecord {
+                EventMark {
                     time: ev.time,
-                    kind: ev.action.kind().to_string(),
+                    kind: DynEvent::KIND.to_string(),
                     pre_coverage: pre,
                     post_coverage: post,
                     post_move_dist: 0.0,
@@ -193,9 +148,7 @@ pub fn run_scheme_dynamic(
     let conn_mask = ledger.connected_mask_tracked();
     let alive = ledger.alive_indices();
     let connected = alive.iter().all(|&i| conn_mask[i]);
-    // Per-sensor distances over every slot that ever lived (unused
-    // reserve slots would dilute the averages with zeros).
-    let moved: Vec<f64> = (0..reserve_cursor).map(|i| ledger.moved(i)).collect();
+    let moved: Vec<f64> = (0..ledger.n()).map(|i| ledger.moved(i)).collect();
     let positions: Vec<Point> = alive.iter().map(|&i| ledger.pos(i)).collect();
     let mut result = RunResult::from_run(
         kind.name(),
@@ -212,9 +165,9 @@ pub fn run_scheme_dynamic(
     }
     let events = fired
         .into_iter()
-        .map(|(mut rec, dist_at)| {
-            rec.post_move_dist = move_dist_total - dist_at;
-            rec
+        .map(|(mut mark, dist_at)| {
+            mark.post_move_dist = move_dist_total - dist_at;
+            mark
         })
         .collect();
     DynamicOutcome { result, events }
@@ -224,118 +177,27 @@ pub fn run_scheme_dynamic(
 /// two can never collide however long the schedule grows.
 const SEGMENT_STREAM_BASE: u64 = 1_000_000;
 
-/// Applies one event to the ledger and the current field/grid/base.
-#[allow(clippy::too_many_arguments)]
-fn apply_event(
-    action: &EventAction,
-    seed: u64,
-    ledger: &mut World,
-    field_cur: &mut Field,
-    grid_cur: &mut CoverageGrid,
-    base_cur: &mut Point,
-    reserve_cursor: &mut usize,
-    cfg: &SimConfig,
-) {
-    match action {
-        EventAction::Fail { count, mode } => {
-            let alive = ledger.alive_indices();
-            let victims: Vec<usize> = match mode {
-                FailMode::Random => {
-                    let k = count.resolve(alive.len());
-                    let mut pool = alive;
-                    let mut rng = SmallRng::seed_from_u64(seed);
-                    // partial Fisher–Yates over the alive list in
-                    // index order: the first k swaps select the
-                    // victims, independent of pool size beyond k
-                    for j in 0..k {
-                        let pick = j + rng.gen_range(0..pool.len() - j);
-                        pool.swap(j, pick);
-                    }
-                    pool.truncate(k);
-                    pool
-                }
-                FailMode::Drained => {
-                    let k = count.resolve(alive.len());
-                    let mut pool = alive;
-                    // battery death: highest cumulative travel first,
-                    // ties toward the lower index (sort is stable)
-                    pool.sort_by(|&a, &b| {
-                        ledger
-                            .moved(b)
-                            .partial_cmp(&ledger.moved(a))
-                            .expect("travel distances are finite")
-                    });
-                    pool.truncate(k);
-                    pool
-                }
-                FailMode::Region(rect) => {
-                    let in_region: Vec<usize> = alive
-                        .into_iter()
-                        .filter(|&i| rect.contains(ledger.pos(i)))
-                        .collect();
-                    let k = count.resolve(in_region.len());
-                    in_region.into_iter().take(k).collect()
-                }
-            };
-            for v in victims {
-                ledger.remove_sensor(v);
-            }
-        }
-        EventAction::Reinforce { count, rect } => {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for _ in 0..*count {
-                let p = sample_free_in_rect(rect, field_cur, &mut rng);
-                ledger.insert_sensor(*reserve_cursor, p);
-                *reserve_cursor += 1;
-            }
-        }
-        EventAction::ObstacleAdd { rect } => {
-            field_cur.push_obstacle(rect.to_polygon());
-            *grid_cur = CoverageGrid::new(field_cur, cfg.coverage_cell);
-            // re-rasterized world: the tracker reinstalls from current
-            // positions, so cells swallowed by the obstacle leave the
-            // covered count immediately
-            ledger.track_coverage(grid_cur.clone());
-        }
-        EventAction::ObstacleRemove { index } => {
-            // obstacle counts can vary per environment (randomized
-            // fields), so an index past the list is a no-op rather
-            // than an error — the event record still fires
-            if *index < field_cur.obstacles().len() {
-                field_cur.remove_obstacle(*index);
-                *grid_cur = CoverageGrid::new(field_cur, cfg.coverage_cell);
-                ledger.track_coverage(grid_cur.clone());
-            }
-        }
-        EventAction::RelocateBase { to } => {
-            *base_cur = *to;
-            ledger.set_base(*to);
-        }
+/// Kills `event`'s share of the alive fleet, chosen uniformly from
+/// the `seed` stream.
+fn fail(event: &DynEvent, seed: u64, ledger: &mut World) {
+    let mut pool = ledger.alive_indices();
+    let k = event.fail_count(pool.len());
+    let mut rng = SmallRng::seed_from_u64(seed);
+    // partial Fisher–Yates over the alive list in index order: the
+    // first k swaps select the victims, independent of pool size
+    // beyond k
+    for j in 0..k {
+        let pick = j + rng.gen_range(0..pool.len() - j);
+        pool.swap(j, pick);
     }
-}
-
-/// Draws a free point inside `rect` by rejection sampling (bounded;
-/// falls back to the final draw if the rectangle is essentially all
-/// obstacle — the sensor then sits in terrain and covers nothing,
-/// which is the honest outcome of a bad drop zone).
-fn sample_free_in_rect(rect: &msn_geom::Rect, field: &Field, rng: &mut SmallRng) -> Point {
-    let mut p = rect.center();
-    for _ in 0..10_000 {
-        p = Point::new(
-            rng.gen_range(rect.min.x..=rect.max.x),
-            rng.gen_range(rect.min.y..=rect.max.y),
-        );
-        if field.is_free(p) {
-            return p;
-        }
+    for &v in &pool[..k] {
+        ledger.remove_sensor(v);
     }
-    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msn_sim::{DynEvent, FailCount};
 
     fn open_setup() -> (Field, Vec<Point>, SimConfig) {
         let field = Field::open(200.0, 200.0);
@@ -349,14 +211,8 @@ mod tests {
         (field, initial, cfg)
     }
 
-    fn fail_event(time: f64, k: usize) -> DynEvent {
-        DynEvent {
-            time,
-            action: EventAction::Fail {
-                count: FailCount::Count(k),
-                mode: FailMode::Random,
-            },
-        }
+    fn fail_event(time: f64, frac: f64) -> DynEvent {
+        DynEvent { time, frac }
     }
 
     #[test]
@@ -388,7 +244,7 @@ mod tests {
     #[test]
     fn failure_dips_coverage_and_records_the_event() {
         let (field, initial, cfg) = open_setup();
-        let schedule = EventSchedule::new(vec![fail_event(30.0, 6)]);
+        let schedule = EventSchedule::new(vec![fail_event(30.0, 0.5)]);
         let out = run_scheme_dynamic(
             SchemeKind::Cpvf,
             &field,
@@ -427,7 +283,7 @@ mod tests {
     #[test]
     fn dynamic_runs_are_deterministic_in_the_event_seed() {
         let (field, initial, cfg) = open_setup();
-        let schedule = EventSchedule::new(vec![fail_event(20.0, 4), fail_event(40.0, 2)]);
+        let schedule = EventSchedule::new(vec![fail_event(20.0, 0.34), fail_event(40.0, 0.25)]);
         let run = |event_seed: u64| {
             run_scheme_dynamic(
                 SchemeKind::Cpvf,
@@ -442,6 +298,7 @@ mod tests {
         };
         let a = run(1);
         let b = run(1);
+        assert_eq!(a.result.positions.len(), 12 - 4 - 2);
         assert_eq!(a.result.positions, b.result.positions);
         assert_eq!(a.result.coverage, b.result.coverage);
         assert_eq!(a.events, b.events);
@@ -453,141 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn reinforcements_join_the_fleet_inside_the_drop_zone() {
-        let (field, initial, cfg) = open_setup();
-        let rect = msn_geom::Rect::new(100.0, 100.0, 180.0, 180.0);
-        let schedule = EventSchedule::new(vec![
-            fail_event(20.0, 8),
-            DynEvent {
-                time: 30.0,
-                action: EventAction::Reinforce { count: 5, rect },
-            },
-        ]);
-        let out = run_scheme_dynamic(
-            SchemeKind::Cpvf,
-            &field,
-            &initial,
-            &cfg,
-            &SchemeOverrides::default(),
-            None,
-            &schedule,
-            77,
-        );
-        assert_eq!(out.result.positions.len(), 12 - 8 + 5);
-        assert_eq!(out.result.per_move.len(), 12 + 5);
-        let reinforce = &out.events[1];
-        assert_eq!(reinforce.kind, "reinforce");
-        assert!(
-            reinforce.post_coverage > reinforce.pre_coverage,
-            "five arrivals must add coverage"
-        );
-    }
-
-    #[test]
-    fn obstacle_add_swallows_coverage_and_remove_restores_it() {
-        let (field, initial, cfg) = open_setup();
-        let rect = msn_geom::Rect::new(20.0, 20.0, 120.0, 120.0);
-        let schedule = EventSchedule::new(vec![
-            DynEvent {
-                time: 20.0,
-                action: EventAction::ObstacleAdd { rect },
-            },
-            DynEvent {
-                time: 40.0,
-                action: EventAction::ObstacleRemove { index: 0 },
-            },
-        ]);
-        let out = run_scheme_dynamic(
-            SchemeKind::Cpvf,
-            &field,
-            &initial,
-            &cfg,
-            &SchemeOverrides::default(),
-            None,
-            &schedule,
-            5,
-        );
-        let add = &out.events[0];
-        assert!(
-            add.post_coverage < add.pre_coverage,
-            "an obstacle over the fleet removes covered cells"
-        );
-        let remove = &out.events[1];
-        assert!(
-            remove.post_coverage >= remove.pre_coverage,
-            "clearing the obstacle cannot lose coverage"
-        );
-        // out-of-range removal is a recorded no-op
-        let noop = EventSchedule::new(vec![DynEvent {
-            time: 20.0,
-            action: EventAction::ObstacleRemove { index: 9 },
-        }]);
-        let out = run_scheme_dynamic(
-            SchemeKind::Cpvf,
-            &field,
-            &initial,
-            &cfg,
-            &SchemeOverrides::default(),
-            None,
-            &noop,
-            5,
-        );
-        assert_eq!(out.events[0].pre_coverage, out.events[0].post_coverage);
-    }
-
-    #[test]
-    fn drained_mode_kills_the_biggest_movers() {
-        let (field, initial, cfg) = open_setup();
-        let schedule = EventSchedule::new(vec![DynEvent {
-            time: 30.0,
-            action: EventAction::Fail {
-                count: FailCount::Frac(0.25),
-                mode: FailMode::Drained,
-            },
-        }]);
-        let out = run_scheme_dynamic(
-            SchemeKind::Cpvf,
-            &field,
-            &initial,
-            &cfg,
-            &SchemeOverrides::default(),
-            None,
-            &schedule,
-            11,
-        );
-        // 25 % of 12 = 3 dead
-        assert_eq!(out.result.positions.len(), 9);
-        assert_eq!(out.events[0].kind, "fail");
-    }
-
-    #[test]
-    fn relocate_base_reanchors_connectivity() {
-        let (field, initial, cfg) = open_setup();
-        let schedule = EventSchedule::new(vec![DynEvent {
-            time: 30.0,
-            action: EventAction::RelocateBase {
-                to: Point::new(190.0, 190.0),
-            },
-        }]);
-        let out = run_scheme_dynamic(
-            SchemeKind::Floor,
-            &field,
-            &initial,
-            &cfg,
-            &SchemeOverrides::default(),
-            None,
-            &schedule,
-            3,
-        );
-        assert_eq!(out.events[0].kind, "relocate-base");
-        assert_eq!(out.result.positions.len(), 12);
-    }
-
-    #[test]
     fn every_scheme_survives_a_failure_schedule() {
         let (field, initial, cfg) = open_setup();
         let cfg = cfg.with_duration(20.0);
-        let schedule = EventSchedule::new(vec![fail_event(10.0, 3)]);
+        let schedule = EventSchedule::new(vec![fail_event(10.0, 0.25)]);
         for kind in SchemeKind::ALL {
             let out = run_scheme_dynamic(
                 kind,

@@ -41,33 +41,36 @@ use msn_sim::{RunResult, SimConfig, World};
 use rand::Rng;
 use std::sync::Arc;
 
-/// Tuning parameters of FLOOR.
+/// Invitations a movable sensor collects before committing.
+const QUORUM: usize = 2;
+/// Periods a movable waits with a non-empty inbox before committing
+/// anyway.
+const PATIENCE: u32 = 3;
+/// A sensor is movable when less than this fraction of its disk is
+/// covered exclusively by itself (§5.3's threshold).
+const MOVABLE_THRESHOLD: f64 = 0.3;
+/// Phase 2 starts at this fraction of the run duration unless all
+/// sensors connect earlier.
+const PHASE1_TIMEOUT_FRAC: f64 = 0.3;
+/// Unanswered invitations per EP before the inviter gives up
+/// (damping).
+const MAX_INVITES_PER_EP: u32 = 40;
+/// Expansion points a fixed node may pursue concurrently (§5.5.1
+/// shows a node inviting for EPs A, B and C in parallel).
+const MAX_CONCURRENT_EPS: usize = 3;
+/// Consecutive EP-less periods after which a fixed node stops
+/// checking (§5.5.2 stops immediately; a small grace window makes the
+/// vine robust to transient coverage states).
+const IDLE_STOP_PERIODS: u32 = 8;
+
+/// Tuning parameters of FLOOR: the knobs the paper's evaluation
+/// sweeps (Table 1's TTL, the BLG/IFLG ablation) and the coverage
+/// sampling interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloorParams {
     /// TTL of invitation random walks; `None` uses `⌈0.2·n⌉`
     /// (Table 1's middle setting).
     pub invitation_ttl: Option<usize>,
-    /// Invitations a movable sensor collects before committing.
-    pub quorum: usize,
-    /// Periods a movable waits with a non-empty inbox before
-    /// committing anyway.
-    pub patience: u32,
-    /// A sensor is movable when less than this fraction of its disk is
-    /// covered exclusively by itself (§5.3's threshold).
-    pub movable_threshold: f64,
-    /// Phase 2 starts at this fraction of the run duration unless all
-    /// sensors connect earlier.
-    pub phase1_timeout_frac: f64,
-    /// Unanswered invitations per EP before the inviter gives up
-    /// (damping; see DESIGN.md).
-    pub max_invites_per_ep: u32,
-    /// Expansion points a fixed node may pursue concurrently (§5.5.1
-    /// shows a node inviting for EPs A, B and C in parallel).
-    pub max_concurrent_eps: usize,
-    /// Consecutive EP-less periods after which a fixed node stops
-    /// checking (§5.5.2 stops immediately; a small grace window makes
-    /// the vine robust to transient coverage states).
-    pub idle_stop_periods: u32,
     /// Coverage-timeline sampling interval (s).
     pub snapshot_every: f64,
     /// Enable boundary-guided expansion (ablation switch).
@@ -80,13 +83,6 @@ impl Default for FloorParams {
     fn default() -> Self {
         FloorParams {
             invitation_ttl: None,
-            quorum: 2,
-            patience: 3,
-            movable_threshold: 0.3,
-            phase1_timeout_frac: 0.3,
-            max_invites_per_ep: 40,
-            max_concurrent_eps: 3,
-            idle_stop_periods: 8,
             snapshot_every: 25.0,
             enable_blg: true,
             enable_iflg: true,
@@ -283,7 +279,7 @@ impl<'a> FloorSim<'a> {
             .round()
             .max(1.0) as u64;
         let mut timeline = vec![(0.0, self.world.coverage_tracked())];
-        let classify_deadline = self.params.phase1_timeout_frac * self.cfg.duration;
+        let classify_deadline = PHASE1_TIMEOUT_FRAC * self.cfg.duration;
         drop(setup);
 
         for _ in 0..self.cfg.total_ticks() {
@@ -514,7 +510,7 @@ impl<'a> FloorSim<'a> {
                     // a childless newcomer whose disk is already covered
                     // by others joins the movable pool instead of
                     // ossifying where it happens to stand.
-                    if self.exclusive_fraction(i) < self.params.movable_threshold {
+                    if self.exclusive_fraction(i) < MOVABLE_THRESHOLD {
                         self.tree.detach(i);
                         self.state[i] = FState::Movable;
                         self.waited[i] = 0;
@@ -555,7 +551,7 @@ impl<'a> FloorSim<'a> {
             }
             // (b) first the cheap test: its exclusively covered area
             // must be small, otherwise moving it away costs coverage.
-            if self.exclusive_fraction(i) >= self.params.movable_threshold {
+            if self.exclusive_fraction(i) >= MOVABLE_THRESHOLD {
                 continue;
             }
             // (a) every child must find a loop-free substitute parent
@@ -644,7 +640,7 @@ impl<'a> FloorSim<'a> {
     /// Phase 3 per-period step of a fixed node: maintain its set of
     /// concurrent EPs and invite movables for each (§5.5).
     fn expansion_step(&mut self, i: usize) {
-        if self.idle_search[i] >= self.params.idle_stop_periods {
+        if self.idle_search[i] >= IDLE_STOP_PERIODS {
             return;
         }
         // Drop EPs that were claimed meanwhile (the inviter "can
@@ -653,26 +649,25 @@ impl<'a> FloorSim<'a> {
         let mut exhausted = false;
         let rho = self.rho;
         let registry = &self.registry;
-        let max_invites = self.params.max_invites_per_ep;
         self.active_eps[i].retain(|a| {
             if registry.is_reserved(a.ep.pos, 0.5 * rho) {
                 return false;
             }
-            if a.invites_sent >= max_invites {
+            if a.invites_sent >= MAX_INVITES_PER_EP {
                 exhausted = true;
                 return false;
             }
             true
         });
         if exhausted && self.active_eps[i].is_empty() {
-            self.idle_search[i] = self.params.idle_stop_periods;
+            self.idle_search[i] = IDLE_STOP_PERIODS;
             return;
         }
         // Top up with fresh discoveries — from the node itself and
         // from every virtual fixed node it planted whose recruit is
         // still traveling (the vine tip keeps advancing meanwhile).
-        if self.active_eps[i].len() < self.params.max_concurrent_eps {
-            let room = self.params.max_concurrent_eps - self.active_eps[i].len();
+        if self.active_eps[i].len() < MAX_CONCURRENT_EPS {
+            let room = MAX_CONCURRENT_EPS - self.active_eps[i].len();
             let mut fresh = self.discover_eps(i, room);
             if fresh.len() < room {
                 let tips: Vec<VirtualTip> =
@@ -935,7 +930,7 @@ impl<'a> FloorSim<'a> {
             return;
         }
         self.waited[i] += 1;
-        if self.inbox[i].len() < self.params.quorum && self.waited[i] < self.params.patience {
+        if self.inbox[i].len() < QUORUM && self.waited[i] < PATIENCE {
             return;
         }
         // Highest priority (FLG < BLG < IFLG in enum order), then the

@@ -56,11 +56,9 @@ pub mod opt;
 mod overrides;
 pub mod vd;
 
-pub use dynamic::{run_scheme_dynamic, DynamicOutcome, EventRecord};
+pub use dynamic::{run_scheme_dynamic, DynamicOutcome};
 pub use lazy::ConnectOutcome;
-pub use overrides::{
-    CpvfOverrides, FloorOverrides, OptOverrides, SchemeOverrides, Slot, VdOverrides,
-};
+pub use overrides::{CpvfOverrides, FloorOverrides, SchemeOverrides, Slot};
 
 use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;
@@ -155,7 +153,7 @@ pub fn run_scheme_with(
 ) -> RunResult {
     match kind {
         SchemeKind::Cpvf => {
-            cpvf::run_with_grid(field, initial, &overrides.cpvf_params(cfg), cfg, grid)
+            cpvf::run_with_grid(field, initial, &overrides.cpvf_params(), cfg, grid)
         }
         SchemeKind::Floor => floor::run_with_grid(
             field,
@@ -168,7 +166,7 @@ pub fn run_scheme_with(
             field,
             initial,
             vd::VdVariant::Vor,
-            &overrides.vd_params(),
+            &vd::VdParams::default(),
             cfg,
             grid,
         ),
@@ -176,7 +174,7 @@ pub fn run_scheme_with(
             field,
             initial,
             vd::VdVariant::Minimax,
-            &overrides.vd_params(),
+            &vd::VdParams::default(),
             cfg,
             grid,
         ),

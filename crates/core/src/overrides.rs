@@ -1,188 +1,77 @@
-//! Declarative, partial parameter overrides for every scheme.
+//! Declarative, partial parameter overrides for the swept schemes.
 //!
 //! The scenario engine sweeps *parameters* as well as schemes: a
-//! [`SchemeOverrides`] names only the knobs a spec wants to change
-//! (FLOOR's invitation TTL, CPVF's backoff and force constants, the
-//! Voronoi round budget, ...) and resolves against each scheme's
-//! defaults at run time. Overrides merge — a sweep-cell variant wins
-//! over a scenario-wide base — and FLOOR's TTL can be given as an
-//! absolute hop count or as a fraction of the network size (Table 1
-//! sweeps `TTL = 0.1N ... 0.4N`).
+//! [`SchemeOverrides`] names only the knobs a spec wants to change and
+//! resolves against each scheme's defaults at run time. The knobs are
+//! the ones the paper's §6 experiments sweep: FLOOR's invitation TTL
+//! (Table 1, as an absolute hop count or as a fraction of the network
+//! size, `TTL = 0.1N ... 0.4N`), FLOOR's BLG/IFLG guides (the
+//! ablation) and CPVF's oscillation avoidance (Fig. 12). Overrides
+//! merge — a sweep-cell variant wins over a scenario-wide base.
 
-use crate::cpvf::{CpvfParams, ForceParams, OscillationAvoidance};
+use crate::cpvf::{CpvfParams, OscillationAvoidance};
 use crate::floor::FloorParams;
 use crate::opt::OptParams;
-use crate::vd::VdParams;
-use msn_sim::SimConfig;
 
-/// A typed view of one override knob, as handed out by each override
-/// table's `slots`. Codecs (the scenario TOML reader and writer) walk
-/// these `(key, slot)` pairs instead of naming fields, so a knob is
-/// declared once, in its table beside the structs, and nowhere else.
+/// A typed view of one override knob, as handed out by
+/// [`FloorOverrides::slots`]. Codecs (the scenario TOML reader and
+/// writer) walk these `(key, slot)` pairs instead of naming fields, so
+/// a knob is declared once, beside the struct, and nowhere else.
 #[derive(Debug)]
 pub enum Slot<'a> {
     /// A real-valued knob.
     F64(&'a mut Option<f64>),
     /// A count knob.
     Usize(&'a mut Option<usize>),
-    /// A 32-bit count knob.
-    U32(&'a mut Option<u32>),
     /// A switch.
     Bool(&'a mut Option<bool>),
 }
 
-macro_rules! slot_from {
-    ($($variant:ident($ty:ty)),*) => {$(
-        impl<'a> From<&'a mut Option<$ty>> for Slot<'a> {
-            fn from(slot: &'a mut Option<$ty>) -> Self {
-                Slot::$variant(slot)
-            }
-        }
-    )*};
-}
-slot_from!(F64(f64), Usize(usize), U32(u32), Bool(bool));
-
-/// Declares an override table: the struct (every field an `Option`,
-/// unset = scheme default), its field-wise `merged_over` and its
-/// `slots` view. Knobs before the optional `by_hand` block are plain
-/// [`Slot`]s; `by_hand` fields merge like the others but are left out
-/// of `slots`, so their codec is written by hand.
-macro_rules! overrides {
-    (
-        $(#[$meta:meta])*
-        pub struct $name:ident {
-            $($(#[$kmeta:meta])* $knob:ident: $kty:ty,)*
-        }
-        $(by_hand { $($(#[$xmeta:meta])* $extra:ident: $xty:ty,)* })?
-    ) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, PartialEq, Default)]
-        pub struct $name {
-            $($(#[$kmeta])* pub $knob: Option<$kty>,)*
-            $($($(#[$xmeta])* pub $extra: Option<$xty>,)*)?
-        }
-
-        impl $name {
-            /// Field-wise merge: fields set in `self` win.
-            fn merged_over(&self, base: &$name) -> $name {
-                $name {
-                    $($knob: self.$knob.or(base.$knob),)*
-                    $($($extra: self.$extra.or(base.$extra),)*)?
-                }
-            }
-
-            /// Every plain knob as `(key, slot)`, in declaration order.
-            pub fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
-                vec![$((stringify!($knob), Slot::from(&mut self.$knob)),)*]
-            }
-        }
-    };
+/// FLOOR knob overrides (see [`FloorParams`] for semantics); every
+/// field unset means the scheme default.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FloorOverrides {
+    /// Absolute invitation TTL (hops). Mutually exclusive with
+    /// [`FloorOverrides::ttl_frac`].
+    pub ttl: Option<usize>,
+    /// Invitation TTL as a fraction of the sensor count: the run uses
+    /// `max(1, round(frac * n))` (Table 1's `TTL = 0.1N ... 0.4N`).
+    pub ttl_frac: Option<f64>,
+    /// Boundary-guided expansion (ablation switch).
+    pub enable_blg: Option<bool>,
+    /// Inter-floor-line-guided expansion (ablation switch).
+    pub enable_iflg: Option<bool>,
 }
 
-overrides! {
-    /// FLOOR knob overrides (see [`FloorParams`] for semantics).
-    pub struct FloorOverrides {
-        /// Absolute invitation TTL (hops). Mutually exclusive with
-        /// [`FloorOverrides::ttl_frac`].
-        ttl: usize,
-        /// Invitation TTL as a fraction of the sensor count: the run uses
-        /// `max(1, round(frac * n))` (Table 1's `TTL = 0.1N ... 0.4N`).
-        ttl_frac: f64,
-        /// Invitations a movable sensor collects before committing.
-        quorum: usize,
-        /// Periods a movable waits with a non-empty inbox.
-        patience: u32,
-        /// Movable-classification exclusive-coverage threshold.
-        movable_threshold: f64,
-        /// Phase 2 start as a fraction of the run duration.
-        phase1_timeout_frac: f64,
-        /// Unanswered invitations per EP before giving up.
-        max_invites_per_ep: u32,
-        /// Concurrent expansion points per fixed node.
-        max_concurrent_eps: usize,
-        /// Consecutive idle periods before a fixed node stops checking.
-        idle_stop_periods: u32,
-        /// Boundary-guided expansion (ablation switch).
-        enable_blg: bool,
-        /// Inter-floor-line-guided expansion (ablation switch).
-        enable_iflg: bool,
+impl FloorOverrides {
+    /// Every knob as `(key, slot)`, in declaration order.
+    pub fn slots(&mut self) -> Vec<(&'static str, Slot<'_>)> {
+        vec![
+            ("ttl", Slot::Usize(&mut self.ttl)),
+            ("ttl_frac", Slot::F64(&mut self.ttl_frac)),
+            ("enable_blg", Slot::Bool(&mut self.enable_blg)),
+            ("enable_iflg", Slot::Bool(&mut self.enable_iflg)),
+        ]
     }
 }
 
-overrides! {
-    /// CPVF knob overrides (see [`CpvfParams`] / [`ForceParams`]).
-    pub struct CpvfOverrides {
-        /// Upper bound of the random start delay (s).
-        backoff_max: f64,
-        /// Allow parent switching when a sensor cannot move.
-        allow_parent_change: bool,
-        /// Neighbor repulsion threshold (m); default `min(rc, 2·rs)`.
-        neighbor_threshold: f64,
-        /// Gain of neighbor repulsion.
-        neighbor_gain: f64,
-        /// Obstacle repulsion range (m); default `min(rs, rc)`.
-        obstacle_range: f64,
-        /// Gain of obstacle repulsion.
-        obstacle_gain: f64,
-        /// Boundary repulsion range (m).
-        boundary_range: f64,
-        /// Gain of boundary repulsion.
-        boundary_gain: f64,
-        /// Equilibrium force threshold.
-        min_force: f64,
-    }
-    by_hand {
-        /// Oscillation-avoidance technique (§6.3); in TOML a kind plus
-        /// its `delta`.
-        oscillation: OscillationAvoidance,
-    }
+/// CPVF knob overrides (see [`CpvfParams`]).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CpvfOverrides {
+    /// Oscillation-avoidance technique (§6.3); in TOML a kind plus
+    /// its `delta`.
+    pub oscillation: Option<OscillationAvoidance>,
 }
 
-impl CpvfOverrides {
-    fn touches_force(&self) -> bool {
-        self.neighbor_threshold.is_some()
-            || self.neighbor_gain.is_some()
-            || self.obstacle_range.is_some()
-            || self.obstacle_gain.is_some()
-            || self.boundary_range.is_some()
-            || self.boundary_gain.is_some()
-            || self.min_force.is_some()
-    }
-}
-
-overrides! {
-    /// VOR/Minimax knob overrides (see [`VdParams`]).
-    pub struct VdOverrides {
-        /// Movement rounds after the explosion.
-        rounds: usize,
-        /// VOR's per-round movement cap as a fraction of `rc`.
-        step_cap_frac: f64,
-        /// Run the explosion phase.
-        explode: bool,
-    }
-}
-
-overrides! {
-    /// OPT knob overrides (see [`OptParams`]).
-    pub struct OptOverrides {
-        /// Safety factor applied to connector spacing.
-        connector_slack: f64,
-    }
-}
-
-/// A partial override set across all schemes. Unset fields resolve to
-/// each scheme's defaults; [`SchemeOverrides::merged_over`] stacks a
-/// sweep-cell variant on a scenario-wide base.
+/// A partial override set across the swept schemes. Unset fields
+/// resolve to each scheme's defaults; [`SchemeOverrides::merged_over`]
+/// stacks a sweep-cell variant on a scenario-wide base.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SchemeOverrides {
     /// FLOOR overrides.
     pub floor: FloorOverrides,
     /// CPVF overrides.
     pub cpvf: CpvfOverrides,
-    /// VOR/Minimax overrides.
-    pub vd: VdOverrides,
-    /// OPT overrides.
-    pub opt: OptOverrides,
 }
 
 impl SchemeOverrides {
@@ -190,30 +79,34 @@ impl SchemeOverrides {
     /// fields unset in `self` fall through to `base`.
     #[must_use]
     pub fn merged_over(&self, base: &SchemeOverrides) -> SchemeOverrides {
-        let mut floor = self.floor.merged_over(&base.floor);
+        let (o, b) = (&self.floor, &base.floor);
         // ttl and ttl_frac are one logical knob: a variant that sets
         // either supersedes the base's TTL choice entirely, so a base
         // `ttl = 8` cannot shadow a variant's `ttl_frac` sweep.
-        if self.floor.ttl.is_some() || self.floor.ttl_frac.is_some() {
-            (floor.ttl, floor.ttl_frac) = (self.floor.ttl, self.floor.ttl_frac);
-        }
+        let (ttl, ttl_frac) = if o.ttl.is_some() || o.ttl_frac.is_some() {
+            (o.ttl, o.ttl_frac)
+        } else {
+            (b.ttl, b.ttl_frac)
+        };
         SchemeOverrides {
-            floor,
-            cpvf: self.cpvf.merged_over(&base.cpvf),
-            vd: self.vd.merged_over(&base.vd),
-            opt: self.opt.merged_over(&base.opt),
+            floor: FloorOverrides {
+                ttl,
+                ttl_frac,
+                enable_blg: o.enable_blg.or(b.enable_blg),
+                enable_iflg: o.enable_iflg.or(b.enable_iflg),
+            },
+            cpvf: CpvfOverrides {
+                oscillation: self.cpvf.oscillation.or(base.cpvf.oscillation),
+            },
         }
     }
 
     /// The plain knobs of every scheme's table, keyed by the table's
-    /// name (`floor`, `cpvf`, `vd`, `opt` — the `[params.*]` sections).
-    pub fn knob_tables(&mut self) -> [(&'static str, Vec<(&'static str, Slot<'_>)>); 4] {
-        [
-            ("floor", self.floor.slots()),
-            ("cpvf", self.cpvf.slots()),
-            ("vd", self.vd.slots()),
-            ("opt", self.opt.slots()),
-        ]
+    /// name (`floor`, `cpvf` — the `[params.*]` sections). CPVF's one
+    /// knob, `oscillation`, is two TOML keys and its codec is written
+    /// by hand, so its table lists no plain knobs.
+    pub fn knob_tables(&mut self) -> [(&'static str, Vec<(&'static str, Slot<'_>)>); 2] {
+        [("floor", self.floor.slots()), ("cpvf", Vec::new())]
     }
 
     /// Whether no field is overridden.
@@ -233,19 +126,6 @@ impl SchemeOverrides {
         }
         if self.floor.ttl == Some(0) {
             return Err("floor.ttl must be at least 1".into());
-        }
-        if self.floor.quorum == Some(0) {
-            return Err("floor.quorum must be at least 1".into());
-        }
-        // every real-valued knob is a range, gain, time or fraction
-        for (table, knobs) in self.clone().knob_tables() {
-            for (key, slot) in knobs {
-                if let Slot::F64(Some(v)) = slot {
-                    if !(v.is_finite() && *v >= 0.0) {
-                        return Err(format!("{table}.{key} must be finite and non-negative"));
-                    }
-                }
-            }
         }
         if let Some(
             OscillationAvoidance::OneStep { delta } | OscillationAvoidance::TwoStep { delta },
@@ -269,63 +149,25 @@ impl SchemeOverrides {
         };
         FloorParams {
             invitation_ttl,
-            quorum: o.quorum.unwrap_or(d.quorum),
-            patience: o.patience.unwrap_or(d.patience),
-            movable_threshold: o.movable_threshold.unwrap_or(d.movable_threshold),
-            phase1_timeout_frac: o.phase1_timeout_frac.unwrap_or(d.phase1_timeout_frac),
-            max_invites_per_ep: o.max_invites_per_ep.unwrap_or(d.max_invites_per_ep),
-            max_concurrent_eps: o.max_concurrent_eps.unwrap_or(d.max_concurrent_eps),
-            idle_stop_periods: o.idle_stop_periods.unwrap_or(d.idle_stop_periods),
-            snapshot_every: d.snapshot_every,
             enable_blg: o.enable_blg.unwrap_or(d.enable_blg),
             enable_iflg: o.enable_iflg.unwrap_or(d.enable_iflg),
+            ..d
         }
     }
 
-    /// Resolved CPVF parameters under `cfg`'s radio ranges.
-    pub fn cpvf_params(&self, cfg: &SimConfig) -> CpvfParams {
+    /// Resolved CPVF parameters.
+    pub fn cpvf_params(&self) -> CpvfParams {
         let d = CpvfParams::default();
-        let o = &self.cpvf;
-        let force = if o.touches_force() {
-            let f = ForceParams::for_ranges(cfg.rc, cfg.rs);
-            Some(ForceParams {
-                neighbor_threshold: o.neighbor_threshold.unwrap_or(f.neighbor_threshold),
-                neighbor_gain: o.neighbor_gain.unwrap_or(f.neighbor_gain),
-                obstacle_range: o.obstacle_range.unwrap_or(f.obstacle_range),
-                obstacle_gain: o.obstacle_gain.unwrap_or(f.obstacle_gain),
-                boundary_range: o.boundary_range.unwrap_or(f.boundary_range),
-                boundary_gain: o.boundary_gain.unwrap_or(f.boundary_gain),
-                min_force: o.min_force.unwrap_or(f.min_force),
-            })
-        } else {
-            d.force.clone()
-        };
         CpvfParams {
-            force,
-            oscillation: o.oscillation.unwrap_or(d.oscillation),
-            backoff_max: o.backoff_max.unwrap_or(d.backoff_max),
-            allow_parent_change: o.allow_parent_change.unwrap_or(d.allow_parent_change),
-            snapshot_every: d.snapshot_every,
+            oscillation: self.cpvf.oscillation.unwrap_or(d.oscillation),
+            ..d
         }
     }
 
-    /// Resolved VOR/Minimax parameters.
-    pub fn vd_params(&self) -> VdParams {
-        let d = VdParams::default();
-        let o = &self.vd;
-        VdParams {
-            rounds: o.rounds.unwrap_or(d.rounds),
-            step_cap_frac: o.step_cap_frac.unwrap_or(d.step_cap_frac),
-            explode: o.explode.unwrap_or(d.explode),
-        }
-    }
-
-    /// Resolved OPT parameters.
+    /// Resolved OPT parameters: OPT has no spec knobs, so always its
+    /// defaults.
     pub fn opt_params(&self) -> OptParams {
-        let d = OptParams::default();
-        OptParams {
-            connector_slack: self.opt.connector_slack.unwrap_or(d.connector_slack),
-        }
+        OptParams::default()
     }
 }
 
@@ -339,42 +181,31 @@ mod tests {
         assert!(o.is_default());
         assert!(o.validate().is_ok());
         assert_eq!(o.floor_params(240), FloorParams::default());
-        assert_eq!(o.vd_params(), VdParams::default());
+        assert_eq!(o.cpvf_params(), CpvfParams::default());
         assert_eq!(o.opt_params(), OptParams::default());
-        let cfg = SimConfig::paper(60.0, 40.0);
-        let cpvf = o.cpvf_params(&cfg);
-        assert_eq!(cpvf.force, None);
-        assert_eq!(cpvf.backoff_max, CpvfParams::default().backoff_max);
     }
 
     #[test]
     fn negative_real_knobs_are_rejected_by_name() {
-        let mut probe = SchemeOverrides::default();
-        let names: Vec<String> = probe
-            .knob_tables()
-            .into_iter()
-            .flat_map(|(table, knobs)| {
-                knobs
-                    .into_iter()
-                    .filter(|(_, slot)| matches!(slot, Slot::F64(_)))
-                    .map(move |(key, _)| format!("{table}.{key}"))
-            })
-            .collect();
-        assert_eq!(names.len(), 13, "{names:?}");
-        for name in names {
-            let mut o = SchemeOverrides::default();
-            for (table, knobs) in o.knob_tables() {
-                for (key, slot) in knobs {
-                    if let Slot::F64(v) = slot {
-                        if format!("{table}.{key}") == name {
-                            *v = Some(-1.0);
-                        }
-                    }
-                }
-            }
-            let e = o.validate().unwrap_err();
-            assert!(e.contains(&name), "{name}: {e}");
-        }
+        // the two real-valued knobs: FLOOR's fractional TTL and the
+        // oscillation delta
+        let frac = SchemeOverrides {
+            floor: FloorOverrides {
+                ttl_frac: Some(-1.0),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let e = frac.validate().unwrap_err();
+        assert!(e.contains("floor.ttl_frac"), "{e}");
+        let delta = SchemeOverrides {
+            cpvf: CpvfOverrides {
+                oscillation: Some(OscillationAvoidance::TwoStep { delta: -1.0 }),
+            },
+            ..Default::default()
+        };
+        let e = delta.validate().unwrap_err();
+        assert!(e.contains("delta"), "{e}");
     }
 
     #[test]
@@ -436,11 +267,13 @@ mod tests {
     fn variant_merges_over_base() {
         let base = SchemeOverrides {
             floor: FloorOverrides {
-                quorum: Some(3),
+                enable_iflg: Some(false),
                 enable_blg: Some(false),
                 ..Default::default()
             },
-            ..Default::default()
+            cpvf: CpvfOverrides {
+                oscillation: Some(OscillationAvoidance::Off),
+            },
         };
         let variant = SchemeOverrides {
             floor: FloorOverrides {
@@ -451,27 +284,10 @@ mod tests {
             ..Default::default()
         };
         let merged = variant.merged_over(&base);
-        assert_eq!(merged.floor.quorum, Some(3), "base survives");
+        assert_eq!(merged.floor.enable_iflg, Some(false), "base survives");
+        assert_eq!(merged.cpvf.oscillation, Some(OscillationAvoidance::Off));
         assert_eq!(merged.floor.enable_blg, Some(true), "variant wins");
         assert_eq!(merged.floor.ttl, Some(12));
-    }
-
-    #[test]
-    fn force_overrides_materialize_force_params() {
-        let o = SchemeOverrides {
-            cpvf: CpvfOverrides {
-                obstacle_gain: Some(3.0),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let cfg = SimConfig::paper(60.0, 40.0);
-        let p = o.cpvf_params(&cfg);
-        let f = p.force.expect("force materialized");
-        assert_eq!(f.obstacle_gain, 3.0);
-        // untouched constants keep their rc/rs-derived defaults
-        let d = ForceParams::for_ranges(60.0, 40.0);
-        assert_eq!(f.neighbor_threshold, d.neighbor_threshold);
     }
 
     #[test]
@@ -479,16 +295,14 @@ mod tests {
         let o = SchemeOverrides {
             cpvf: CpvfOverrides {
                 oscillation: Some(OscillationAvoidance::TwoStep { delta: 4.0 }),
-                ..Default::default()
             },
             ..Default::default()
         };
-        let p = o.cpvf_params(&SimConfig::paper(60.0, 40.0));
+        let p = o.cpvf_params();
         assert_eq!(p.oscillation, OscillationAvoidance::TwoStep { delta: 4.0 });
         let bad = SchemeOverrides {
             cpvf: CpvfOverrides {
                 oscillation: Some(OscillationAvoidance::OneStep { delta: 0.0 }),
-                ..Default::default()
             },
             ..Default::default()
         };

@@ -142,24 +142,6 @@ impl Field {
         &self.obstacles
     }
 
-    /// Adds an obstacle after construction.
-    pub fn push_obstacle(&mut self, obstacle: Polygon) {
-        self.boxes.push(padded_box(&obstacle));
-        self.obstacles.push(obstacle);
-    }
-
-    /// Removes and returns the obstacle at `index` (an obstacle
-    /// collapsing or being cleared mid-run). Later obstacles shift
-    /// down one index, matching [`Vec::remove`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    pub fn remove_obstacle(&mut self, index: usize) -> Polygon {
-        self.boxes.remove(index);
-        self.obstacles.remove(index)
-    }
-
     /// The obstacles whose bounding box lies within `r` of `p`, in
     /// index order — a superset of those with a boundary point closer
     /// than `r + 1e-3` m to `p`.

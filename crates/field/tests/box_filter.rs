@@ -3,8 +3,7 @@
 //! neighbourhood must answer bit-identically, order included, on
 //! random rectangular and polygonal obstacles, on probes aimed at
 //! walls (starting on them, grazing them, collinear with them, ending
-//! a hair off them, zero-length) and on fields whose obstacle list is
-//! mutated between queries.
+//! a hair off them, zero-length).
 
 use msn_field::{Field, Hit};
 use msn_geom::{Point, Polygon, Rect, Segment, EPS};
@@ -208,44 +207,6 @@ proptest! {
             let seg = probe(&field, *kind, u);
             assert_oracle_exact(&field, &seg)?;
             assert_oracle_exact(&field, &seg.reversed())?;
-        }
-    }
-
-    #[test]
-    fn box_filters_track_obstacle_mutation(
-        initial in prop::collection::vec(unit7(), 1..5),
-        rounds in prop::collection::vec(
-            (0u8..3, unit7(), prop::collection::vec(probe_draw(), 1..12)),
-            1..10,
-        ),
-    ) {
-        // Round op 0 pushes an obstacle, 1 removes one at a drawn
-        // index (shifting later boxes down), 2 leaves the field be.
-        let size = 500.0;
-        let mut field = Field::with_obstacles(
-            size,
-            size,
-            initial.iter().map(|u| obstacle(size, u)).collect(),
-        );
-        for (op, u, probes) in &rounds {
-            match op {
-                0 => field.push_obstacle(obstacle(size, u)),
-                1 if !field.obstacles().is_empty() => {
-                    let n = field.obstacles().len();
-                    field.remove_obstacle(((u[0] * n as f64) as usize).min(n - 1));
-                }
-                _ => {}
-            }
-            for (kind, pu) in probes {
-                let seg = probe(&field, *kind, pu);
-                assert_oracle_exact(&field, &seg)?;
-            }
-            let p = probe(&field, 3, &probes[0].1).b;
-            let range = 5.0 + 75.0 * u[6];
-            prop_assert_eq!(
-                obstacle_force(p, field.obstacles_near(p, range), range),
-                obstacle_force(p, field.obstacles().iter(), range)
-            );
         }
     }
 

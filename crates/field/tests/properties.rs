@@ -216,13 +216,14 @@ proptest! {
     ) {
         // The dynamic-world tier: sensor failure is a teleport to the
         // far off-field parking lot (World::remove_sensor), revival a
-        // teleport back, and obstacle events rebuild the grid and
-        // re-track the surviving fleet (the engine's restart-on-event
-        // path). Coverage must stay bit-identical to the full
-        // rasterization oracle after every round. Per round, op kind
-        // 0 moves a sensor, 1 parks it, 2 revives it; the round tag
-        // 2 adds an obstacle, 3 removes the newest one.
-        let mut field = obstacle_field(&[(150.0, 150.0, 180.0, 120.0)]);
+        // teleport back, and a field rebuilt with an edited obstacle
+        // list re-rasterizes the grid and re-tracks the fleet.
+        // Coverage must stay bit-identical to the full rasterization
+        // oracle after every round. Per round, op kind 0 moves a
+        // sensor, 1 parks it, 2 revives it; the round tag 2 adds an
+        // obstacle, 3 removes the newest one.
+        let mut rects = vec![(150.0, 150.0, 180.0, 120.0)];
+        let mut field = obstacle_field(&rects);
         let mut sensors: Vec<Point> =
             starts.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let mut grid = CoverageGrid::new(&field, 10.0);
@@ -237,20 +238,20 @@ proptest! {
                 };
                 tracker.set_sensor(i, sensors[i]);
             }
-            match mutate {
+            let edited = match mutate {
                 2 => {
-                    let r = Rect::new(400.0 + added as f64 * 5.0, 50.0, 490.0, 350.0);
-                    field.push_obstacle(r.to_polygon());
+                    let x = 400.0 + added as f64 * 5.0;
+                    rects.push((x, 50.0, 490.0 - x, 300.0));
                     added += 1;
-                    grid = CoverageGrid::new(&field, 10.0);
-                    tracker = CoverageTracker::new(grid.clone(), &sensors, rs);
+                    true
                 }
-                3 if !field.obstacles().is_empty() => {
-                    field.remove_obstacle(field.obstacles().len() - 1);
-                    grid = CoverageGrid::new(&field, 10.0);
-                    tracker = CoverageTracker::new(grid.clone(), &sensors, rs);
-                }
-                _ => {}
+                3 => rects.pop().is_some(),
+                _ => false,
+            };
+            if edited {
+                field = obstacle_field(&rects);
+                grid = CoverageGrid::new(&field, 10.0);
+                tracker = CoverageTracker::new(grid.clone(), &sensors, rs);
             }
             let oracle_mask = grid.covered_mask(&sensors, rs);
             let oracle_count = oracle_mask.iter().filter(|&&c| c).count();

@@ -1,20 +1,20 @@
 //! Recovery metrics for dynamic runs.
 //!
-//! When a scheduled event perturbs a run (sensors fail, an obstacle
-//! appears, the base relocates), coverage dips and the scheme heals
-//! it. Three numbers characterize each dip: how deep it went, how
-//! long it took to climb back to a fraction of the pre-event
-//! coverage, and how much movement the healing cost. This module
-//! computes them from the stitched coverage timeline and the event
-//! records a dynamic run produces — it depends on nothing but plain
-//! timelines, so the crate stays dependency-free.
+//! When a scheduled failure perturbs a run, coverage dips and the
+//! scheme heals it. Three numbers characterize each dip: how deep it
+//! went, how long it took to climb back to a fraction of the
+//! pre-event coverage, and how much movement the healing cost. This
+//! module computes them from the stitched coverage timeline and the
+//! event records a dynamic run produces — it depends on nothing but
+//! plain timelines, so the crate stays dependency-free.
 
-/// What recovery analysis needs to know about one fired event.
+/// What recovery analysis needs to know about one fired event — the
+/// record a dynamic run produces per event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventMark {
     /// Simulation time (s) at which the event fired.
     pub time: f64,
-    /// Machine-readable event kind (`"fail"`, `"obstacle-add"`, …).
+    /// Machine-readable event kind (`"fail"`).
     pub kind: String,
     /// Coverage fraction sampled immediately before the event.
     pub pre_coverage: f64,

@@ -41,7 +41,8 @@ fn moves_strategy() -> impl Strategy<Value = Vec<Vec<(usize, f64, f64)>>> {
 /// Churn rounds for the dynamic-world tier: each op is
 /// `(kind, sensor, x, y)` where kind 0 moves the sensor on-field,
 /// kind 1 fails it (the `World::remove_sensor` park teleport) and
-/// kind 2 revives it at `(x, y)` (`World::insert_sensor`).
+/// kind 2 teleports it from wherever it is (parked included) to
+/// `(x, y)`.
 fn churn_strategy() -> impl Strategy<Value = Vec<Vec<(u8, usize, f64, f64)>>> {
     prop::collection::vec(
         prop::collection::vec((0u8..3, 0usize..60, 0.0..500.0f64, 0.0..500.0f64), 1..8),
@@ -349,13 +350,12 @@ proptest! {
         cell in 5.0..150.0f64,
     ) {
         // Dynamic runs express sensor death as a teleport to the far
-        // off-field parking lot and revival as a teleport back (the
-        // World::remove_sensor / insert_sensor change records), so the
-        // point index, the adjacency and the base flood over it must
-        // stay bit-identical to their batch oracles across interleaved
-        // moves, failures and reinforcements — and parked sensors must
-        // be invisible: disconnected from the base with an empty
-        // adjacency list.
+        // off-field parking lot (the World::remove_sensor change
+        // record), so the point index, the adjacency and the base
+        // flood over it must stay bit-identical to their batch
+        // oracles across interleaved moves, parkings and teleports
+        // back — and parked sensors must be invisible: disconnected
+        // from the base with an empty adjacency list.
         let base = Point::new(250.0, 250.0);
         let park = |i: usize| Point::new(-1.0e7 - i as f64 * 4.0 * rc.max(1.0), -1.0e7);
         let mut pts = pts;

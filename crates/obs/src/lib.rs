@@ -24,7 +24,8 @@
 //!   active becomes its child, and repeated entries of the same name
 //!   under the same parent accumulate into one node (total/count/max)
 //!   — so a per-tick phase probed 3 000 times is one tree node, not
-//!   3 000.
+//!   3 000. A span's time includes its own probe bookkeeping, so the
+//!   gaps between sibling spans hold only the caller's code.
 //! * [`counter`] bumps a named monotonic counter.
 //! * [`value`] records a sample into a named running statistic
 //!   (count/sum/min/max), e.g. dirty-set sizes or move distances.
@@ -317,11 +318,14 @@ pub struct SpanGuard {
 pub fn span(name: &'static str) -> SpanGuard {
     #[cfg(not(feature = "obs-off"))]
     {
-        let armed = COLLECTOR.with(|slot| {
+        let opened = COLLECTOR.with(|slot| {
             let mut slot = slot.borrow_mut();
-            let Some(col) = slot.as_mut() else {
-                return false;
-            };
+            let col = slot.as_mut()?;
+            // the clock is read *before* the bookkeeping (and, on
+            // close, after it), so a span owns its probe's cost and
+            // the gaps between sibling spans hold only the caller's
+            // own code
+            let opened = Instant::now();
             let parent = col.stack.last().copied();
             let siblings = match parent {
                 Some(top) => &col.nodes[top].children,
@@ -350,13 +354,9 @@ pub fn span(name: &'static str) -> SpanGuard {
                 }
             };
             col.stack.push(idx);
-            true
+            Some(opened)
         });
-        SpanGuard {
-            // the clock is read *after* bookkeeping so the span
-            // measures the region, not the probe
-            opened: armed.then(Instant::now),
-        }
+        SpanGuard { opened }
     }
     #[cfg(feature = "obs-off")]
     {
@@ -369,13 +369,13 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         #[cfg(not(feature = "obs-off"))]
         if let Some(opened) = self.opened {
-            let elapsed = opened.elapsed().as_nanos() as u64;
             COLLECTOR.with(|slot| {
                 let mut slot = slot.borrow_mut();
                 // a guard can outlive its collector (finish() inside a
                 // span): close silently rather than corrupt a newer one
                 let Some(col) = slot.as_mut() else { return };
                 let Some(idx) = col.stack.pop() else { return };
+                let elapsed = opened.elapsed().as_nanos() as u64;
                 let node = &mut col.nodes[idx];
                 node.total_ns += elapsed;
                 node.count += 1;

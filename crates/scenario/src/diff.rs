@@ -694,7 +694,7 @@ mod tests {
             |r| r.moves = r.moves * 2 + 1,
             |r| r.move_dist = r.move_dist * 2.0 + 1.0,
             |r| r.recovery.clear(),
-            |r| r.recovery[0].kind = "reinforce".into(),
+            |r| r.recovery[0].kind = "other".into(),
             |r| r.recovery[0].event_time = 6.0,
             |r| r.recovery[0].pre_coverage = 0.6,
             |r| r.recovery[0].post_coverage = 0.2,
@@ -707,7 +707,7 @@ mod tests {
             "moves",
             "move_dist",
             "recovery events 1 vs 0",
-            "event 0 kind fail vs reinforce",
+            "event 0 kind fail vs other",
             "event 0 rec.time",
             "event 0 rec.pre_coverage",
             "event 0 rec.post_coverage",

@@ -162,7 +162,10 @@ impl ProfileRecord {
             .pretty()
     }
 
-    /// Parses a `--profile` JSON document back.
+    /// Parses a `--profile` JSON document back. Every member the
+    /// writer emits is required (only a span's empty `children` may
+    /// be left out), so a truncated or hand-edited record fails with
+    /// the missing key instead of reading as an empty profile.
     pub fn parse(text: &str) -> Result<ProfileRecord, ScenarioError> {
         let root = Json::parse(text).map_err(|e| ScenarioError(e.to_string()))?;
         if root.get("record").and_then(Json::as_str) != Some("profile") {
@@ -170,93 +173,41 @@ impl ProfileRecord {
                 "not a profile record (missing record: \"profile\")".into(),
             ));
         }
-        let scenario = root
-            .get("scenario")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ScenarioError("profile record: missing 'scenario'".into()))?
-            .to_string();
+        let scenario = need(&root, "record", "scenario", Json::as_str)?.to_string();
         let mut cells = Vec::new();
-        for item in root
-            .get("cells")
-            .and_then(Json::as_array)
-            .ok_or_else(|| ScenarioError("profile record: missing 'cells' array".into()))?
-        {
-            let num = |key: &str| {
-                item.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| ScenarioError(format!("profile cell: missing '{key}'")))
-            };
+        for item in need(&root, "record", "cells", Json::as_array)? {
             let report = Report {
-                wall_ns: item.get("wall_ns").and_then(Json::as_u64).unwrap_or(0),
-                spans: item
-                    .get("spans")
-                    .and_then(Json::as_array)
-                    .map(parse_spans)
-                    .transpose()?
-                    .unwrap_or_default(),
-                counters: item
-                    .get("counters")
-                    .and_then(Json::as_array)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .map(|c| {
-                                Ok(Counter {
-                                    name: c
-                                        .get("name")
-                                        .and_then(Json::as_str)
-                                        .ok_or_else(|| {
-                                            ScenarioError("profile counter: missing 'name'".into())
-                                        })?
-                                        .to_string(),
-                                    total: c.get("total").and_then(Json::as_u64).unwrap_or(0),
-                                })
-                            })
-                            .collect::<Result<Vec<_>, ScenarioError>>()
+                wall_ns: need(item, "cell", "wall_ns", Json::as_u64)?,
+                spans: parse_spans(need(item, "cell", "spans", Json::as_array)?)?,
+                counters: need(item, "cell", "counters", Json::as_array)?
+                    .iter()
+                    .map(|c| {
+                        Ok(Counter {
+                            name: need(c, "counter", "name", Json::as_str)?.to_string(),
+                            total: need(c, "counter", "total", Json::as_u64)?,
+                        })
                     })
-                    .transpose()?
-                    .unwrap_or_default(),
-                values: item
-                    .get("values")
-                    .and_then(Json::as_array)
-                    .map(|items| {
-                        items
-                            .iter()
-                            .map(|v| {
-                                Ok(ValueStat {
-                                    name: v
-                                        .get("name")
-                                        .and_then(Json::as_str)
-                                        .ok_or_else(|| {
-                                            ScenarioError("profile value: missing 'name'".into())
-                                        })?
-                                        .to_string(),
-                                    count: v.get("count").and_then(Json::as_u64).unwrap_or(0),
-                                    sum: v.get("sum").and_then(Json::as_f64).unwrap_or(0.0),
-                                    min: v.get("min").and_then(Json::as_f64).unwrap_or(0.0),
-                                    max: v.get("max").and_then(Json::as_f64).unwrap_or(0.0),
-                                })
-                            })
-                            .collect::<Result<Vec<_>, ScenarioError>>()
+                    .collect::<Result<_, ScenarioError>>()?,
+                values: need(item, "cell", "values", Json::as_array)?
+                    .iter()
+                    .map(|v| {
+                        Ok(ValueStat {
+                            name: need(v, "value", "name", Json::as_str)?.to_string(),
+                            count: need(v, "value", "count", Json::as_u64)?,
+                            sum: need(v, "value", "sum", stat)?,
+                            min: need(v, "value", "min", stat)?,
+                            max: need(v, "value", "max", stat)?,
+                        })
                     })
-                    .transpose()?
-                    .unwrap_or_default(),
+                    .collect::<Result<_, ScenarioError>>()?,
             };
             cells.push(ProfileCell {
-                rc: num("rc")?,
-                rs: num("rs")?,
-                n: num("n")? as usize,
-                scheme: item
-                    .get("scheme")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ScenarioError("profile cell: missing 'scheme'".into()))?
-                    .to_string(),
-                variant: item
-                    .get("variant")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                runs: item.get("runs").and_then(Json::as_usize).unwrap_or(0),
+                rc: need(item, "cell", "rc", Json::as_f64)?,
+                rs: need(item, "cell", "rs", Json::as_f64)?,
+                n: need(item, "cell", "n", Json::as_usize)?,
+                scheme: need(item, "cell", "scheme", Json::as_str)?.to_string(),
+                variant: need(item, "cell", "variant", Json::as_str)?.to_string(),
+                runs: need(item, "cell", "runs", Json::as_usize)?,
                 report,
             });
         }
@@ -375,13 +326,34 @@ impl ProfileRecord {
 }
 
 /// Serialization maps non-finite stats (e.g. min/max of an empty
-/// stream) to null; parsing maps them back to 0.
+/// stream) to null; parsing maps them back to 0 (see [`stat`]).
 fn finite(v: f64) -> Json {
     if v.is_finite() {
         Json::Num(v)
     } else {
         Json::Null
     }
+}
+
+/// A value-stat number as [`finite`] wrote it: null reads as 0.
+fn stat(v: &Json) -> Option<f64> {
+    match v {
+        Json::Null => Some(0.0),
+        v => v.as_f64(),
+    }
+}
+
+/// `obj[key]` read through `get`; an absent or mistyped member is an
+/// error naming the key and the `ctx` object it belongs to.
+fn need<'a, T>(
+    obj: &'a Json,
+    ctx: &str,
+    key: &str,
+    get: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, ScenarioError> {
+    obj.get(key)
+        .and_then(get)
+        .ok_or_else(|| ScenarioError(format!("profile {ctx}: missing or mistyped '{key}'")))
 }
 
 fn span_json(node: &SpanNode) -> Json {
@@ -404,20 +376,15 @@ fn parse_spans(items: &[Json]) -> Result<Vec<SpanNode>, ScenarioError> {
         .iter()
         .map(|item| {
             Ok(SpanNode {
-                name: item
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| ScenarioError("profile span: missing 'name'".into()))?
-                    .to_string(),
-                total_ns: item.get("total_ns").and_then(Json::as_u64).unwrap_or(0),
-                count: item.get("count").and_then(Json::as_u64).unwrap_or(0),
-                max_ns: item.get("max_ns").and_then(Json::as_u64).unwrap_or(0),
-                children: item
-                    .get("children")
-                    .and_then(Json::as_array)
-                    .map(parse_spans)
-                    .transpose()?
-                    .unwrap_or_default(),
+                name: need(item, "span", "name", Json::as_str)?.to_string(),
+                total_ns: need(item, "span", "total_ns", Json::as_u64)?,
+                count: need(item, "span", "count", Json::as_u64)?,
+                max_ns: need(item, "span", "max_ns", Json::as_u64)?,
+                // the writer leaves out an empty child list
+                children: match item.get("children") {
+                    None => Vec::new(),
+                    Some(_) => parse_spans(need(item, "span", "children", Json::as_array)?)?,
+                },
             })
         })
         .collect()
@@ -503,6 +470,27 @@ mod tests {
     fn parse_rejects_non_profiles() {
         assert!(ProfileRecord::parse("{\"record\": \"bench\"}").is_err());
         assert!(ProfileRecord::parse("not json").is_err());
+    }
+
+    #[test]
+    fn parse_requires_every_written_member() {
+        // dropping any one member the writer emits is an error naming
+        // that member, never a silently zeroed or empty profile
+        let text = sample().to_json_string();
+        for key in [
+            "scenario", "cells", "rc", "rs", "n", "scheme", "variant", "runs", "wall_ns", "spans",
+            "total_ns", "count", "max_ns", "counters", "total", "values", "sum", "min", "max",
+        ] {
+            let quoted = format!("\"{key}\":");
+            let start = text.find(&quoted).expect("member present");
+            let renamed = format!(
+                "{}\"gone\":{}",
+                &text[..start],
+                &text[start + quoted.len()..]
+            );
+            let err = ProfileRecord::parse(&renamed).expect_err(key).0;
+            assert!(err.contains(&format!("'{key}'")), "{key}: {err}");
+        }
     }
 
     #[test]

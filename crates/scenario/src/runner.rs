@@ -31,7 +31,7 @@ use crate::progress::{eta_seconds, ProgressEvent, ProgressSink};
 use crate::spec::{RunCell, ScenarioSpec};
 use msn_deploy::{run_scheme_dynamic, run_scheme_with, SchemeKind};
 use msn_field::{CoverageGrid, Field};
-use msn_metrics::{recovery_stats, to_csv, EventMark, RecoveryStat, Summary, Table};
+use msn_metrics::{recovery_stats, to_csv, RecoveryStat, Summary, Table};
 use msn_obs::Report;
 use msn_sim::SimConfig;
 use rand::rngs::SmallRng;
@@ -119,9 +119,9 @@ impl RunRecord {
 }
 
 /// Aggregated statistics of one (radio, n, scheme) cell over its
-/// repetitions.
+/// repetitions, borrowing the records it aggregates.
 #[derive(Debug, Clone)]
-pub struct CellStats {
+pub struct CellStats<'a> {
     /// Radio combination.
     pub radio: crate::spec::RadioSpec,
     /// Sensor count.
@@ -157,7 +157,7 @@ pub struct CellStats {
     /// Number of repetitions that ended fully connected.
     pub connected_runs: usize,
     /// The per-repetition records behind the aggregates.
-    pub runs: Vec<RunRecord>,
+    pub runs: Vec<&'a RunRecord>,
 }
 
 /// Periodic persistence of completed runs during a batch.
@@ -655,20 +655,9 @@ fn execute(spec: &ScenarioSpec, cell: RunCell, env: &(Field, CoverageGrid)) -> R
                 schedule,
                 cell.event_seed(),
             );
-            let marks: Vec<EventMark> = outcome
-                .events
-                .iter()
-                .map(|e| EventMark {
-                    time: e.time,
-                    kind: e.kind.clone(),
-                    pre_coverage: e.pre_coverage,
-                    post_coverage: e.post_coverage,
-                    post_move_dist: e.post_move_dist,
-                })
-                .collect();
             let recovery = recovery_stats(
                 &outcome.result.coverage_timeline,
-                &marks,
+                &outcome.events,
                 schedule.recovery_frac,
             );
             (outcome.result, recovery)
@@ -711,7 +700,7 @@ pub struct BatchResult {
 /// Groups `records` into per-(radio, n, variant, scheme) aggregates,
 /// in matrix order. Free function so checkpoints can aggregate a
 /// partial record set mid-batch.
-fn cell_stats_of(spec: &ScenarioSpec, records: &[RunRecord]) -> Vec<CellStats> {
+fn cell_stats_of<'a>(spec: &ScenarioSpec, records: &'a [RunRecord]) -> Vec<CellStats<'a>> {
     let mut stats: Vec<CellStats> = Vec::new();
     for record in records {
         let cell = &record.cell;
@@ -761,7 +750,7 @@ fn cell_stats_of(spec: &ScenarioSpec, records: &[RunRecord]) -> Vec<CellStats> {
                 slot.flags.push(flag.clone());
             }
         }
-        slot.runs.push(record.clone());
+        slot.runs.push(record);
     }
     stats
 }
@@ -769,7 +758,7 @@ fn cell_stats_of(spec: &ScenarioSpec, records: &[RunRecord]) -> Vec<CellStats> {
 impl BatchResult {
     /// Groups records into per-(radio, n, variant, scheme)
     /// aggregates, in matrix order.
-    pub fn cell_stats(&self) -> Vec<CellStats> {
+    pub fn cell_stats(&self) -> Vec<CellStats<'_>> {
         cell_stats_of(&self.spec, &self.records)
     }
 

@@ -16,7 +16,7 @@ use msn_field::{
     Field, RandomObstacleParams,
 };
 use msn_geom::{Point, Rect};
-use msn_sim::{DynEvent, EventAction, EventSchedule, FailCount, FailMode};
+use msn_sim::{DynEvent, EventSchedule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -222,13 +222,11 @@ pub struct ScenarioSpec {
     /// [`ScenarioSpec::params`]. Empty means one unlabeled default
     /// variant.
     pub variants: Vec<ParamVariant>,
-    /// Scheduled mid-run world events (sensor failures,
-    /// reinforcements, obstacle changes, base relocation) plus the
-    /// recovery threshold — the TOML `[dynamics]` section. `None`
-    /// (the default) runs every cell statically; `Some` switches the
-    /// runner to the restart-on-event engine, whose per-event
-    /// statistics fill the batch outputs' recovery fields (empty for
-    /// static runs).
+    /// Scheduled mid-run sensor failures plus the recovery threshold
+    /// — the TOML `[dynamics]` section. `None` (the default) runs
+    /// every cell statically; `Some` switches the runner to the
+    /// restart-on-event engine, whose per-event statistics fill the
+    /// batch outputs' recovery fields (empty for static runs).
     pub dynamics: Option<EventSchedule>,
 }
 
@@ -567,8 +565,8 @@ impl RunCell {
     }
 
     /// The seed for the dynamics event streams (victim selection,
-    /// reinforcement positions, restarted segment seeds). A fourth
-    /// independent stream of [`RunCell::env_seed`], so adding a
+    /// restarted segment seeds). A fourth independent stream of
+    /// [`RunCell::env_seed`], so adding a
     /// `[dynamics]` section never shifts the field, scatter or sim
     /// draws — and a dynamic run's event-free prefix reproduces the
     /// static trajectory exactly.
@@ -653,7 +651,6 @@ impl Val<'_> {
             Val::Str(v) => TomlValue::Str(v.clone()),
             Val::Knob(Slot::F64(v)) => TomlValue::Float((*v)?),
             Val::Knob(Slot::Usize(v)) => TomlValue::Int((*v)? as i64),
-            Val::Knob(Slot::U32(v)) => TomlValue::Int(i64::from((*v)?)),
             Val::Knob(Slot::Bool(v)) => TomlValue::Bool((*v)?),
             Val::Schemes(v) => {
                 TomlValue::Array(v.iter().map(|k| TomlValue::Str(k.name().into())).collect())
@@ -699,13 +696,6 @@ impl Val<'_> {
             }
             Val::Knob(Slot::F64(slot)) => *slot = Some(num(v, key)?),
             Val::Knob(Slot::Usize(slot)) => *slot = Some(count(v, key)?),
-            Val::Knob(Slot::U32(slot)) => {
-                let n = count(v, key)?;
-                *slot =
-                    Some(u32::try_from(n).map_err(|_| {
-                        TomlError(format!("'{key}' must fit in 32 bits (got {n})"))
-                    })?);
-            }
             Val::Knob(Slot::Bool(slot)) => *slot = Some(flag(v, key)?),
             Val::Schemes(slot) => {
                 let items = v
@@ -1095,35 +1085,6 @@ fn variant_from_toml(v: &TomlValue) -> Result<ParamVariant, TomlError> {
     ))
 }
 
-fn rect_to_toml(r: &Rect) -> TomlValue {
-    TomlValue::Array(vec![
-        TomlValue::Float(r.min.x),
-        TomlValue::Float(r.min.y),
-        TomlValue::Float(r.max.x),
-        TomlValue::Float(r.max.y),
-    ])
-}
-
-fn rect_from_toml(t: &TomlValue, key: &str) -> Result<Rect, TomlError> {
-    let arr = t
-        .get(key)
-        .and_then(TomlValue::as_array)
-        .filter(|a| a.len() == 4)
-        .ok_or_else(|| TomlError(format!("'{key}' must be an [x0, y0, x1, y1] array")))?;
-    let mut v = [0.0; 4];
-    for (slot, item) in v.iter_mut().zip(arr) {
-        *slot = item
-            .as_f64()
-            .ok_or_else(|| TomlError(format!("'{key}' entries must be numeric")))?;
-    }
-    if !(v[0] < v[2] && v[1] < v[3]) {
-        return Err(TomlError(format!(
-            "'{key}' must satisfy x0 < x1 and y0 < y1"
-        )));
-    }
-    Ok(Rect::new(v[0], v[1], v[2], v[3]))
-}
-
 fn dynamics_to_toml(d: &EventSchedule) -> TomlValue {
     let mut root = BTreeMap::new();
     root.insert("recovery_frac".into(), TomlValue::Float(d.recovery_frac));
@@ -1132,48 +1093,11 @@ fn dynamics_to_toml(d: &EventSchedule) -> TomlValue {
             .events
             .iter()
             .map(|e| {
-                let mut t = BTreeMap::new();
-                t.insert("time".into(), TomlValue::Float(e.time));
-                t.insert("kind".into(), TomlValue::Str(e.action.kind().into()));
-                match &e.action {
-                    EventAction::Fail { count, mode } => {
-                        match count {
-                            FailCount::Count(k) => {
-                                t.insert("count".into(), TomlValue::Int(*k as i64));
-                            }
-                            FailCount::Frac(f) => {
-                                t.insert("frac".into(), TomlValue::Float(*f));
-                            }
-                        }
-                        match mode {
-                            FailMode::Random => {}
-                            FailMode::Drained => {
-                                t.insert("mode".into(), TomlValue::Str("drained".into()));
-                            }
-                            FailMode::Region(r) => {
-                                t.insert("mode".into(), TomlValue::Str("region".into()));
-                                t.insert("region".into(), rect_to_toml(r));
-                            }
-                        }
-                    }
-                    EventAction::Reinforce { count, rect } => {
-                        t.insert("count".into(), TomlValue::Int(*count as i64));
-                        t.insert("rect".into(), rect_to_toml(rect));
-                    }
-                    EventAction::ObstacleAdd { rect } => {
-                        t.insert("rect".into(), rect_to_toml(rect));
-                    }
-                    EventAction::ObstacleRemove { index } => {
-                        t.insert("index".into(), TomlValue::Int(*index as i64));
-                    }
-                    EventAction::RelocateBase { to } => {
-                        t.insert(
-                            "to".into(),
-                            TomlValue::Array(vec![TomlValue::Float(to.x), TomlValue::Float(to.y)]),
-                        );
-                    }
-                }
-                TomlValue::Table(t)
+                TomlValue::Table(BTreeMap::from([
+                    ("time".to_string(), TomlValue::Float(e.time)),
+                    ("kind".to_string(), TomlValue::Str(DynEvent::KIND.into())),
+                    ("frac".to_string(), TomlValue::Float(e.frac)),
+                ]))
             })
             .collect();
         root.insert("events".into(), TomlValue::Array(events));
@@ -1183,93 +1107,18 @@ fn dynamics_to_toml(d: &EventSchedule) -> TomlValue {
 
 fn dyn_event_from_toml(v: &TomlValue) -> Result<DynEvent, TomlError> {
     let kind = require_str(v, "kind")?;
-    let time = v
-        .get("time")
-        .and_then(TomlValue::as_f64)
+    if kind != DynEvent::KIND {
+        return Err(TomlError(format!(
+            "unknown dynamics event kind '{kind}' (expected {})",
+            DynEvent::KIND
+        )));
+    }
+    check_keys(v, "dynamics.events", &["kind", "time", "frac"])?;
+    let time = opt(v, "time", num)?
         .ok_or_else(|| TomlError("each [[dynamics.events]] entry needs a numeric 'time'".into()))?;
-    let action = match kind.as_str() {
-        "fail" => {
-            check_keys(
-                v,
-                "dynamics.events",
-                &["kind", "time", "count", "frac", "mode", "region"],
-            )?;
-            let count = match (opt(v, "count", count)?, opt(v, "frac", num)?) {
-                (Some(k), None) => FailCount::Count(k),
-                (None, Some(f)) => FailCount::Frac(f),
-                (None, None) => {
-                    return Err(TomlError("a fail event needs 'count' or 'frac'".into()))
-                }
-                (Some(_), Some(_)) => {
-                    return Err(TomlError(
-                        "a fail event takes 'count' or 'frac', not both".into(),
-                    ))
-                }
-            };
-            let mode = match v.get("mode").map(|m| {
-                m.as_str()
-                    .ok_or_else(|| TomlError("'mode' must be a string".into()))
-            }) {
-                None => FailMode::Random,
-                Some(m) => match m? {
-                    "random" => FailMode::Random,
-                    "drained" => FailMode::Drained,
-                    "region" => FailMode::Region(rect_from_toml(v, "region")?),
-                    other => {
-                        return Err(TomlError(format!(
-                            "unknown fail mode '{other}' (expected random, drained or region)"
-                        )))
-                    }
-                },
-            };
-            EventAction::Fail { count, mode }
-        }
-        "reinforce" => {
-            check_keys(v, "dynamics.events", &["kind", "time", "count", "rect"])?;
-            EventAction::Reinforce {
-                count: opt(v, "count", count)?
-                    .ok_or_else(|| TomlError("a reinforce event needs a 'count'".into()))?,
-                rect: rect_from_toml(v, "rect")?,
-            }
-        }
-        "obstacle-add" => {
-            check_keys(v, "dynamics.events", &["kind", "time", "rect"])?;
-            EventAction::ObstacleAdd {
-                rect: rect_from_toml(v, "rect")?,
-            }
-        }
-        "obstacle-remove" => {
-            check_keys(v, "dynamics.events", &["kind", "time", "index"])?;
-            EventAction::ObstacleRemove {
-                index: opt(v, "index", count)?
-                    .ok_or_else(|| TomlError("an obstacle-remove event needs an 'index'".into()))?,
-            }
-        }
-        "relocate-base" => {
-            check_keys(v, "dynamics.events", &["kind", "time", "to"])?;
-            let arr = v
-                .get("to")
-                .and_then(TomlValue::as_array)
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| TomlError("'to' must be an [x, y] pair".into()))?;
-            let x = arr[0]
-                .as_f64()
-                .ok_or_else(|| TomlError("'to' entries must be numeric".into()))?;
-            let y = arr[1]
-                .as_f64()
-                .ok_or_else(|| TomlError("'to' entries must be numeric".into()))?;
-            EventAction::RelocateBase {
-                to: Point::new(x, y),
-            }
-        }
-        other => {
-            return Err(TomlError(format!(
-                "unknown dynamics event kind '{other}' (expected fail, reinforce, \
-                 obstacle-add, obstacle-remove or relocate-base)"
-            )))
-        }
-    };
-    Ok(DynEvent { time, action })
+    let frac =
+        opt(v, "frac", num)?.ok_or_else(|| TomlError("a fail event needs a 'frac'".into()))?;
+    Ok(DynEvent { time, frac })
 }
 
 fn dynamics_from_toml(v: &TomlValue) -> Result<EventSchedule, TomlError> {
@@ -1479,7 +1328,7 @@ mod tests {
     fn variants_stack_on_base_params() {
         let base = SchemeOverrides {
             floor: msn_deploy::FloorOverrides {
-                quorum: Some(3),
+                enable_iflg: Some(false),
                 ..Default::default()
             },
             ..Default::default()
@@ -1495,7 +1344,7 @@ mod tests {
             .with_params(base)
             .with_variant("ttl-12", ttl);
         let eff = spec.effective_overrides(0);
-        assert_eq!(eff.floor.quorum, Some(3));
+        assert_eq!(eff.floor.enable_iflg, Some(false));
         assert_eq!(eff.floor.ttl, Some(12));
     }
 
@@ -1505,21 +1354,12 @@ mod tests {
             .with_schemes(vec![SchemeKind::Cpvf, SchemeKind::Floor])
             .with_params(SchemeOverrides {
                 floor: msn_deploy::FloorOverrides {
-                    quorum: Some(3),
+                    ttl: Some(6),
                     enable_iflg: Some(true),
                     ..Default::default()
                 },
                 cpvf: msn_deploy::CpvfOverrides {
-                    backoff_max: Some(5.0),
-                    obstacle_gain: Some(2.5),
-                    ..Default::default()
-                },
-                vd: msn_deploy::VdOverrides {
-                    rounds: Some(8),
-                    ..Default::default()
-                },
-                opt: msn_deploy::OptOverrides {
-                    connector_slack: Some(0.9),
+                    oscillation: Some(OscillationAvoidance::Off),
                 },
             })
             .with_variant("off", SchemeOverrides::default())
@@ -1528,7 +1368,6 @@ mod tests {
                 SchemeOverrides {
                     cpvf: msn_deploy::CpvfOverrides {
                         oscillation: Some(OscillationAvoidance::TwoStep { delta: 4.0 }),
-                        ..Default::default()
                     },
                     ..Default::default()
                 },
@@ -1569,11 +1408,42 @@ mod tests {
         assert!(e.0.contains("duplicate variant label"), "{}", e.0);
         let e = ScenarioSpec::from_toml_str("name = \"x\"\n[[variants]]\nfloor = 1\n").unwrap_err();
         assert!(e.0.contains("label"), "{}", e.0);
-        // u32 fields reject values that would truncate
-        let e =
-            ScenarioSpec::from_toml_str("name = \"x\"\n[params.floor]\npatience = 4294967296\n")
-                .unwrap_err();
-        assert!(e.0.contains("32 bits"), "{}", e.0);
+        // knobs the bundled workloads never set are scheme constants,
+        // and the spec reader treats them like any typo
+        for (section, key, value) in [
+            ("floor", "quorum", "2"),
+            ("floor", "patience", "3"),
+            ("floor", "movable_threshold", "0.3"),
+            ("floor", "phase1_timeout_frac", "0.3"),
+            ("floor", "max_invites_per_ep", "40"),
+            ("floor", "max_concurrent_eps", "3"),
+            ("floor", "idle_stop_periods", "8"),
+            ("cpvf", "backoff_max", "10.0"),
+            ("cpvf", "allow_parent_change", "true"),
+            ("cpvf", "neighbor_threshold", "60.0"),
+            ("cpvf", "neighbor_gain", "1.0"),
+            ("cpvf", "obstacle_range", "40.0"),
+            ("cpvf", "obstacle_gain", "1.0"),
+            ("cpvf", "boundary_range", "20.0"),
+            ("cpvf", "boundary_gain", "1.0"),
+            ("cpvf", "min_force", "0.02"),
+        ] {
+            let text = format!("name = \"x\"\n[params.{section}]\n{key} = {value}\n");
+            let e = ScenarioSpec::from_toml_str(&text).unwrap_err();
+            let want = format!("unknown key '{key}' in [params.{section}]");
+            assert!(e.0.contains(&want), "{text}: {e}");
+        }
+        for (section, key, value) in [
+            ("vd", "rounds", "10"),
+            ("vd", "step_cap_frac", "0.5"),
+            ("vd", "explode", "true"),
+            ("opt", "connector_slack", "0.95"),
+        ] {
+            let text = format!("name = \"x\"\n[params.{section}]\n{key} = {value}\n");
+            let e = ScenarioSpec::from_toml_str(&text).unwrap_err();
+            let want = format!("unknown key '{section}' in [params]");
+            assert!(e.0.contains(&want), "{text}: {e}");
+        }
     }
 
     #[test]
@@ -1589,6 +1459,51 @@ mod tests {
                 .resume_digest(),
             base
         );
+    }
+
+    #[test]
+    fn bundled_spec_digests_are_pinned() {
+        // `--resume` refuses a batch.json whose spec digest differs, so
+        // a reader or writer change that moves any bundled spec's
+        // digest would silently invalidate every saved run of it
+        let pinned = [
+            ("ablation-obstacle", "379b3b7784545a0c"),
+            ("ablation-open", "71487ea6b6f14ae6"),
+            ("campus-grid", "26a61fe3039585a1"),
+            ("campus-ttl-sweep", "0a4bc2a85bf5679b"),
+            ("corridor", "c6fbe0868f6431d6"),
+            ("disaster-zone", "0a66fe5f329eea88"),
+            ("failure-recovery", "67d589a4b6a62354"),
+            ("fig10", "9e761ccad27ea0aa"),
+            ("fig11", "09d178a6df56331a"),
+            ("fig12", "519e7881ea320523"),
+            ("fig38-obstacle", "32d09ef29fdd1ff4"),
+            ("fig38-open", "ef77fb22e649d9df"),
+            ("paper-field", "ab727cc334a2b3c6"),
+            ("random-obstacle-sweep", "6207f26326c49b15"),
+            ("scale-10k", "db49d407b7ff11a0"),
+            ("scale-50k", "be59c7e06621c6b5"),
+            ("smoke", "f98bdff773ad995f"),
+            ("table1-obstacle", "cfe0d1913e657943"),
+            ("table1-open", "1b282bb395659939"),
+            ("uniform-init", "354eb6435c0cc012"),
+        ];
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut bundled: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .filter_map(|e| {
+                let name = e.unwrap().file_name().into_string().unwrap();
+                name.strip_suffix(".toml").map(str::to_string)
+            })
+            .collect();
+        bundled.sort();
+        let names: Vec<&str> = pinned.iter().map(|(name, _)| *name).collect();
+        assert_eq!(bundled, names, "every bundled spec is pinned");
+        for (name, digest) in pinned {
+            let text = std::fs::read_to_string(format!("{dir}/{name}.toml")).unwrap();
+            let spec = ScenarioSpec::from_toml_str(&text).unwrap();
+            assert_eq!(spec.resume_digest(), digest, "{name}");
+        }
     }
 
     #[test]
@@ -1664,47 +1579,11 @@ mod tests {
         let mut s = EventSchedule::new(vec![
             DynEvent {
                 time: 100.0,
-                action: EventAction::Fail {
-                    count: FailCount::Count(5),
-                    mode: FailMode::Random,
-                },
+                frac: 0.25,
             },
             DynEvent {
                 time: 200.0,
-                action: EventAction::Fail {
-                    count: FailCount::Frac(0.25),
-                    mode: FailMode::Drained,
-                },
-            },
-            DynEvent {
-                time: 250.0,
-                action: EventAction::Fail {
-                    count: FailCount::Count(3),
-                    mode: FailMode::Region(Rect::new(10.0, 10.0, 90.0, 90.0)),
-                },
-            },
-            DynEvent {
-                time: 300.0,
-                action: EventAction::Reinforce {
-                    count: 4,
-                    rect: Rect::new(0.0, 0.0, 50.0, 50.0),
-                },
-            },
-            DynEvent {
-                time: 400.0,
-                action: EventAction::ObstacleAdd {
-                    rect: Rect::new(20.0, 20.0, 60.0, 60.0),
-                },
-            },
-            DynEvent {
-                time: 500.0,
-                action: EventAction::ObstacleRemove { index: 0 },
-            },
-            DynEvent {
-                time: 600.0,
-                action: EventAction::RelocateBase {
-                    to: Point::new(7.0, 8.0),
-                },
+                frac: 1.0,
             },
         ]);
         s.recovery_frac = 0.9;
@@ -1754,20 +1633,46 @@ mod tests {
         let base = "name = \"x\"\n[dynamics]\n";
         for (body, needle) in [
             ("[[dynamics.events]]\nkind = \"melt\"\ntime = 5.0", "melt"),
-            ("[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0", "'count' or 'frac'"),
+            ("[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0", "'frac'"),
             (
-                "[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0\ncount = 2\nfrac = 0.5",
-                "not both",
+                "[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0\nfrac = 1.5",
+                "frac 1.5",
+            ),
+            ("[[dynamics.events]]\nkind = \"fail\"\nfrac = 0.5", "time"),
+            // event forms the bundled workloads never use are unknown
+            // kinds and keys
+            (
+                "[[dynamics.events]]\nkind = \"reinforce\"\ntime = 5.0\ncount = 2\nrect = [0.0, 0.0, 9.0, 9.0]",
+                "unknown dynamics event kind 'reinforce'",
             ),
             (
-                "[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0\ncount = 2\nmode = \"sideways\"",
-                "sideways",
+                "[[dynamics.events]]\nkind = \"obstacle-add\"\ntime = 5.0\nrect = [0.0, 0.0, 9.0, 9.0]",
+                "unknown dynamics event kind 'obstacle-add'",
             ),
             (
-                "[[dynamics.events]]\nkind = \"reinforce\"\ntime = 5.0\ncount = 2\nrect = [0.0, 0.0]",
-                "rect",
+                "[[dynamics.events]]\nkind = \"obstacle-remove\"\ntime = 5.0\nindex = 0",
+                "unknown dynamics event kind 'obstacle-remove'",
             ),
-            ("[[dynamics.events]]\nkind = \"fail\"\ncount = 2", "time"),
+            (
+                "[[dynamics.events]]\nkind = \"relocate-base\"\ntime = 5.0\nto = [1.0, 2.0]",
+                "unknown dynamics event kind 'relocate-base'",
+            ),
+            (
+                "[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0\ncount = 2",
+                "unknown key 'count' in [dynamics.events]",
+            ),
+            (
+                "[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0\nfrac = 0.5\nmode = \"drained\"",
+                "unknown key 'mode' in [dynamics.events]",
+            ),
+            (
+                "[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0\nfrac = 0.5\nmode = \"region\"\nregion = [0.0, 0.0, 9.0, 9.0]",
+                "unknown key '",
+            ),
+            (
+                "[[dynamics.events]]\nkind = \"fail\"\ntime = 5.0\nfrac = 0.5\nregion = [0.0, 0.0, 9.0, 9.0]",
+                "unknown key 'region' in [dynamics.events]",
+            ),
             ("recovery_frac = 2.0", "recovery_frac"),
             ("typo = 1", "typo"),
         ] {

@@ -179,6 +179,53 @@ fn ndjson_progress_keeps_stderr_pure_json() {
     }
 }
 
+#[test]
+fn profile_diff_refuses_a_truncated_baseline() {
+    let scratch = Scratch::new("profile-diff");
+    let profile = scratch.dir("profile.json");
+    let status = scenario_bin()
+        .arg("run")
+        .arg(repo_file("scenarios/smoke.toml"))
+        .arg("--out")
+        .arg(scratch.dir("run"))
+        .arg("--profile")
+        .arg(&profile)
+        .output()
+        .expect("spawn scenario binary")
+        .status;
+    assert!(status.success(), "profiled run failed");
+    let diff = |baseline: &PathBuf| {
+        scenario_bin()
+            .arg("profile-diff")
+            .arg(baseline)
+            .arg(&profile)
+            .output()
+            .expect("spawn scenario binary")
+    };
+    assert!(diff(&profile).status.success(), "self-diff must pass");
+    // valid JSON whose cells lost everything after the scheme: read
+    // leniently it held no spans, every current span would be "new"
+    // and the gate would pass
+    let truncated = scratch.dir("truncated.json");
+    std::fs::write(
+        &truncated,
+        r#"{"record": "profile", "schema": 1, "scenario": "smoke",
+           "cells": [{"rc": 60.0, "rs": 40.0, "n": 12, "scheme": "CPVF"}]}"#,
+    )
+    .unwrap();
+    let output = diff(&truncated);
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "a truncated baseline must fail"
+    );
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("'wall_ns'"),
+        "names the missing key: {stderr}"
+    );
+}
+
 fn events_of_kind(stderr: &str, kind: &str) -> usize {
     let tag = format!("\"event\":\"{kind}\"");
     stderr.lines().filter(|line| line.contains(&tag)).count()

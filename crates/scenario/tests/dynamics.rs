@@ -1,37 +1,27 @@
-//! Dynamics tier: seeded mid-run events must keep every determinism
+//! Dynamics tier: seeded mid-run failures must keep every determinism
 //! guarantee the static engine gives — byte-identical `batch.json` at
 //! any thread count and across a kill/resume — and static and
 //! dynamic specs must share one output schema.
 
 use msn_deploy::SchemeKind;
-use msn_geom::{Point, Rect};
 use msn_scenario::{BatchFile, BatchResult, Json, RunConfig, ScenarioSpec};
-use msn_sim::{DynEvent, EventAction, EventSchedule, FailCount, FailMode};
+use msn_sim::{DynEvent, EventSchedule};
 use std::collections::BTreeSet;
 
-/// A failure-heavy schedule exercising three event kinds inside a
-/// 30 s horizon.
+/// A failure-heavy schedule: three die-offs inside a 30 s horizon.
 fn schedule() -> EventSchedule {
     EventSchedule::new(vec![
         DynEvent {
             time: 10.0,
-            action: EventAction::Fail {
-                count: FailCount::Frac(0.25),
-                mode: FailMode::Random,
-            },
+            frac: 0.25,
         },
         DynEvent {
             time: 18.0,
-            action: EventAction::Reinforce {
-                count: 3,
-                rect: Rect::new(100.0, 100.0, 400.0, 400.0),
-            },
+            frac: 0.2,
         },
         DynEvent {
             time: 24.0,
-            action: EventAction::RelocateBase {
-                to: Point::new(50.0, 50.0),
-            },
+            frac: 0.5,
         },
     ])
 }
@@ -56,10 +46,10 @@ fn dynamic_batches_surface_recovery_metrics_in_every_format() {
     // every run fired all three events
     for record in &result.records {
         assert_eq!(record.recovery.len(), 3, "one stat per fired event");
-        assert_eq!(record.recovery[0].kind, "fail");
-        assert!(record.recovery[0].pre_coverage >= record.recovery[0].min_coverage);
-        assert_eq!(record.recovery[1].kind, "reinforce");
-        assert_eq!(record.recovery[2].kind, "relocate-base");
+        for stat in &record.recovery {
+            assert_eq!(stat.kind, "fail");
+            assert!(stat.pre_coverage >= stat.min_coverage);
+        }
     }
     let json = result.to_json();
     assert!(json.contains("\"recovery\""), "{json}");
@@ -213,10 +203,7 @@ fn failures_depress_coverage_against_the_static_twin() {
     let mut failure_only = dynamic_spec();
     failure_only.dynamics = Some(EventSchedule::new(vec![DynEvent {
         time: 25.0,
-        action: EventAction::Fail {
-            count: FailCount::Frac(0.5),
-            mode: FailMode::Random,
-        },
+        frac: 0.5,
     }]));
     let dynamic = RunConfig::new()
         .threads(1)

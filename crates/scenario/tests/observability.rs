@@ -8,7 +8,20 @@ use msn_field::RandomObstacleParams;
 use msn_scenario::{
     FieldSpec, ProfileRecord, ProgressEvent, ProgressSink, RunConfig, ScenarioSpec,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Serializes the batch-running tests of this binary. The harness runs
+/// tests on parallel threads, and a sibling batch (up to two workers
+/// of its own) preempts the thread `profile_accounts_for_the_run`
+/// measures: spans time wall clock, so a scheduler slice of several
+/// milliseconds that lands in the ~5% of a run between phase spans
+/// (probe bookkeeping and loop control) costs more than the whole
+/// 10% slack of a ~35 ms profiled batch.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn spec() -> ScenarioSpec {
     ScenarioSpec::new("obs-test")
@@ -21,6 +34,7 @@ fn spec() -> ScenarioSpec {
 
 #[test]
 fn profiling_is_zero_perturbation() {
+    let _serial = serial();
     let spec = spec();
     let plain = RunConfig::new().threads(2).runner().run(&spec).unwrap();
     let profiled = RunConfig::new()
@@ -41,6 +55,7 @@ fn profiling_is_zero_perturbation() {
 
 #[test]
 fn profile_accounts_for_the_run() {
+    let _serial = serial();
     let spec = spec();
     let result = RunConfig::new()
         .threads(1)
@@ -75,6 +90,7 @@ fn profile_accounts_for_the_run() {
 
 #[test]
 fn tracker_counters_fire_on_random_obstacle_workload() {
+    let _serial = serial();
     // Longer FLOOR runs settle most sensors, so late-tick syncs see
     // small dirty sets and take the incremental (re-stamp) path; the
     // early all-moving ticks take the rebuild-if-cheaper fallback.
@@ -110,6 +126,7 @@ fn tracker_counters_fire_on_random_obstacle_workload() {
 
 #[test]
 fn progress_events_mirror_the_matrix() {
+    let _serial = serial();
     let spec = spec();
     let events: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let log = Arc::clone(&events);
@@ -147,6 +164,7 @@ fn progress_events_mirror_the_matrix() {
 
 #[test]
 fn checkpoint_event_fires_when_checkpointing() {
+    let _serial = serial();
     let dir = std::env::temp_dir().join(format!("msn-obs-ckpt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("batch.json");

@@ -4,16 +4,13 @@
 //! profile readers built on them) never panic on hostile input.
 
 use msn_deploy::cpvf::OscillationAvoidance;
-use msn_deploy::{
-    CpvfOverrides, FloorOverrides, OptOverrides, SchemeKind, SchemeOverrides, VdOverrides,
-};
+use msn_deploy::{CpvfOverrides, FloorOverrides, SchemeKind, SchemeOverrides};
 use msn_field::{CampusGridParams, CorridorParams, RandomObstacleParams};
-use msn_geom::{Point, Rect};
 use msn_scenario::{
     BatchFile, BenchRecord, FieldSpec, Json, ProfileRecord, RunConfig, ScatterSpec, ScenarioSpec,
     TomlValue,
 };
-use msn_sim::{DynEvent, EventAction, EventSchedule, FailCount, FailMode};
+use msn_sim::{DynEvent, EventSchedule};
 use proptest::prelude::*;
 
 /// A strategy over all field kinds with plausible parameters.
@@ -82,41 +79,15 @@ fn maybe<S: Strategy>(s: S) -> impl Strategy<Value = Option<S::Value>> {
 fn floor_strategy() -> impl Strategy<Value = FloorOverrides> {
     (
         (0usize..3, 1usize..100, 0.01..1.0f64),
-        (
-            maybe(1usize..10),
-            maybe(0u32..20),
-            maybe(0.0..1.0f64),
-            maybe(0.0..1.0f64),
-        ),
-        (
-            maybe(0u32..50),
-            maybe(1usize..8),
-            maybe(0u32..30),
-            maybe(prop::bool::ANY),
-            maybe(prop::bool::ANY),
-        ),
+        maybe(prop::bool::ANY),
+        maybe(prop::bool::ANY),
     )
-        .prop_map(
-            |(
-                (ttl_kind, ttl, frac),
-                (quorum, patience, threshold, phase1),
-                (invites, eps, idle, blg, iflg),
-            )| {
-                FloorOverrides {
-                    ttl: (ttl_kind == 1).then_some(ttl),
-                    ttl_frac: (ttl_kind == 2).then_some(frac),
-                    quorum,
-                    patience,
-                    movable_threshold: threshold,
-                    phase1_timeout_frac: phase1,
-                    max_invites_per_ep: invites,
-                    max_concurrent_eps: eps,
-                    idle_stop_periods: idle,
-                    enable_blg: blg,
-                    enable_iflg: iflg,
-                }
-            },
-        )
+        .prop_map(|((ttl_kind, ttl, frac), blg, iflg)| FloorOverrides {
+            ttl: (ttl_kind == 1).then_some(ttl),
+            ttl_frac: (ttl_kind == 2).then_some(frac),
+            enable_blg: blg,
+            enable_iflg: iflg,
+        })
 }
 
 /// Unset, or one of the three oscillation forms.
@@ -129,114 +100,33 @@ fn oscillation_strategy() -> impl Strategy<Value = Option<OscillationAvoidance>>
     })
 }
 
-fn cpvf_strategy() -> impl Strategy<Value = CpvfOverrides> {
-    let gain = || maybe(0.0..10.0f64);
-    (
-        maybe(0.0..30.0f64),
-        maybe(prop::bool::ANY),
-        oscillation_strategy(),
-        (gain(), gain(), gain(), gain()),
-        (gain(), gain(), gain()),
-    )
-        .prop_map(
-            |(backoff, parent, oscillation, (nt, ng, or, og), (br, bg, mf))| CpvfOverrides {
-                backoff_max: backoff,
-                allow_parent_change: parent,
-                oscillation,
-                neighbor_threshold: nt,
-                neighbor_gain: ng,
-                obstacle_range: or,
-                obstacle_gain: og,
-                boundary_range: br,
-                boundary_gain: bg,
-                min_force: mf,
-            },
-        )
-}
-
 fn overrides_strategy() -> impl Strategy<Value = SchemeOverrides> {
-    (
-        floor_strategy(),
-        cpvf_strategy(),
-        (
-            maybe(1usize..50),
-            maybe(0.0..1.0f64),
-            maybe(prop::bool::ANY),
-        ),
-        maybe(0.0..2.0f64),
-    )
-        .prop_map(
-            |(floor, cpvf, (rounds, step_cap_frac, explode), slack)| SchemeOverrides {
-                floor,
-                cpvf,
-                vd: VdOverrides {
-                    rounds,
-                    step_cap_frac,
-                    explode,
-                },
-                opt: OptOverrides {
-                    connector_slack: slack,
-                },
-            },
-        )
+    (floor_strategy(), oscillation_strategy()).prop_map(|(floor, oscillation)| SchemeOverrides {
+        floor,
+        cpvf: CpvfOverrides { oscillation },
+    })
 }
 
-fn rect_strategy() -> impl Strategy<Value = Rect> {
-    (0.0..400.0f64, 0.0..400.0f64, 1.0..300.0f64, 1.0..300.0f64)
-        .prop_map(|(x, y, w, h)| Rect::new(x, y, x + w, y + h))
-}
-
-/// One event of any of the five kinds (and every fail count and mode),
-/// at a time drawn as a fraction of the run.
-fn event_strategy() -> impl Strategy<Value = (f64, EventAction)> {
-    (
-        0.01..0.99f64,
-        0usize..7,
-        1usize..30,
-        0.01..1.0f64,
-        rect_strategy(),
-        (0.0..500.0f64, 0.0..500.0f64),
-    )
-        .prop_map(|(at, kind, k, frac, rect, (x, y))| {
-            let action = match kind {
-                0 => EventAction::Fail {
-                    count: FailCount::Count(k),
-                    mode: FailMode::Random,
-                },
-                1 => EventAction::Fail {
-                    count: FailCount::Frac(frac),
-                    mode: FailMode::Drained,
-                },
-                2 => EventAction::Fail {
-                    count: FailCount::Count(k),
-                    mode: FailMode::Region(rect),
-                },
-                3 => EventAction::Reinforce { count: k, rect },
-                4 => EventAction::ObstacleAdd { rect },
-                5 => EventAction::ObstacleRemove { index: k },
-                _ => EventAction::RelocateBase {
-                    to: Point::new(x, y),
-                },
-            };
-            (at, action)
-        })
+/// One failure at a time drawn as a fraction of the run.
+fn event_strategy() -> impl Strategy<Value = (f64, f64)> {
+    (0.01..0.99f64, 0.01..1.0f64)
 }
 
 /// Unset, or a schedule of up to six events with a recovery threshold.
-fn dynamics_strategy() -> impl Strategy<Value = Option<(f64, Vec<(f64, EventAction)>)>> {
+fn dynamics_strategy() -> impl Strategy<Value = Option<(f64, Vec<(f64, f64)>)>> {
     maybe((0.05..1.0f64, prop::collection::vec(event_strategy(), 0..7)))
 }
 
 /// Materializes a drawn schedule for a run of `duration` seconds.
-fn schedule(drawn: Option<(f64, Vec<(f64, EventAction)>)>, duration: f64) -> Option<EventSchedule> {
+fn schedule(drawn: Option<(f64, Vec<(f64, f64)>)>, duration: f64) -> Option<EventSchedule> {
     let (recovery_frac, mut events) = drawn?;
     events.sort_by(|a, b| a.0.total_cmp(&b.0));
     let mut s = EventSchedule::new(
         events
             .into_iter()
-            .map(|(at, action)| DynEvent {
+            .map(|(at, frac)| DynEvent {
                 time: at * duration,
-                action,
+                frac,
             })
             .collect(),
     );

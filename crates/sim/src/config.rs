@@ -83,8 +83,6 @@ impl SimConfig {
     }
 
     /// Returns the config with a different base-station point `O`.
-    /// Dynamic runs use this after a relocate-base event so restarted
-    /// segments anchor connectivity at the moved station.
     #[must_use]
     pub fn with_base(mut self, base: Point) -> Self {
         self.base = base;

@@ -1,115 +1,39 @@
-//! Seeded, deterministic mid-run world events.
+//! Seeded, deterministic mid-run sensor failures.
 //!
-//! A dynamic run is a static run interrupted at scheduled instants:
-//! sensors fail (battery death, damage), reinforcements arrive,
-//! obstacles appear or collapse, the base station relocates. The
-//! schedule lives in the scenario spec; execution draws every random
-//! choice (which sensors fail, where reinforcements land, restarted
-//! segment seeds) from [`event_stream_seed`] over a dedicated per-run
-//! event seed, so batches stay byte-identical at any thread count and
-//! across `--resume`.
+//! A dynamic run is a static run interrupted at scheduled instants
+//! where a fraction of the alive fleet fails (battery death, damage).
+//! The schedule lives in the scenario spec; execution draws every
+//! random choice (which sensors fail, restarted segment seeds) from
+//! [`event_stream_seed`] over a dedicated per-run event seed, so
+//! batches stay byte-identical at any thread count and across
+//! `--resume`.
 
-use msn_geom::{Point, Rect};
-
-/// How many sensors an event touches: an absolute count or a fraction
-/// of the currently alive fleet (rounded down, at least one when the
-/// fraction is positive and anything is alive).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FailCount {
-    /// Exactly this many sensors (clamped to the alive count).
-    Count(usize),
-    /// This fraction of the alive fleet, in `(0, 1]`.
-    Frac(f64),
-}
-
-impl FailCount {
-    /// Resolves the count against the number of alive sensors.
-    pub fn resolve(&self, alive: usize) -> usize {
-        match *self {
-            FailCount::Count(k) => k.min(alive),
-            FailCount::Frac(f) => {
-                let k = (f * alive as f64).floor() as usize;
-                if k == 0 && f > 0.0 && alive > 0 {
-                    1
-                } else {
-                    k.min(alive)
-                }
-            }
-        }
-    }
-}
-
-/// Which sensors a failure event selects.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FailMode {
-    /// A uniformly random subset of the alive fleet (seeded
-    /// Fisher–Yates over the alive list in index order).
-    Random,
-    /// The sensors with the highest cumulative travelled distance —
-    /// the battery-death model; ties break toward the lower index.
-    Drained,
-    /// Every alive sensor inside the rectangle (localized damage).
-    Region(Rect),
-}
-
-/// One scheduled world mutation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventAction {
-    /// Kill sensors: they stop covering, relaying and moving.
-    Fail {
-        /// How many sensors die.
-        count: FailCount,
-        /// How the victims are selected.
-        mode: FailMode,
-    },
-    /// Insert fresh sensors scattered uniformly inside a rectangle
-    /// (positions drawn from the event seed stream).
-    Reinforce {
-        /// How many sensors arrive.
-        count: usize,
-        /// The drop zone.
-        rect: Rect,
-    },
-    /// A new rectangular obstacle appears.
-    ObstacleAdd {
-        /// The obstacle footprint.
-        rect: Rect,
-    },
-    /// The obstacle at this index (field order: seed obstacles first,
-    /// then event-added ones in schedule order) is removed.
-    ObstacleRemove {
-        /// Index into the field's obstacle list at event time.
-        index: usize,
-    },
-    /// The base station moves; connectivity re-anchors there and the
-    /// schemes of later segments aim at the new origin.
-    RelocateBase {
-        /// The new base position.
-        to: Point,
-    },
-}
-
-impl EventAction {
-    /// Short machine-readable kind tag (the TOML `kind` value).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            EventAction::Fail { .. } => "fail",
-            EventAction::Reinforce { .. } => "reinforce",
-            EventAction::ObstacleAdd { .. } => "obstacle-add",
-            EventAction::ObstacleRemove { .. } => "obstacle-remove",
-            EventAction::RelocateBase { .. } => "relocate-base",
-        }
-    }
-}
-
-/// An [`EventAction`] bound to a simulation instant.
+/// One scheduled failure: a uniformly random `frac` of the alive
+/// fleet dies at `time`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynEvent {
-    /// Simulation time (s) at which the action fires; strictly inside
+    /// Simulation time (s) at which the failure fires; strictly inside
     /// `(0, duration)`.
     pub time: f64,
-    /// The world mutation.
-    pub action: EventAction,
+    /// Fraction of the alive fleet that fails, in `(0, 1]`.
+    pub frac: f64,
+}
+
+impl DynEvent {
+    /// The event kind tag (the TOML `kind` value and the recovery
+    /// records' `kind`): failure is the one kind.
+    pub const KIND: &'static str = "fail";
+
+    /// How many of `alive` sensors fail: `frac` of them rounded down,
+    /// but at least one when anything is alive.
+    pub fn fail_count(&self, alive: usize) -> usize {
+        let k = (self.frac * alive as f64).floor() as usize;
+        if k == 0 && self.frac > 0.0 && alive > 0 {
+            1
+        } else {
+            k.min(alive)
+        }
+    }
 }
 
 /// A complete event schedule plus the recovery threshold used by the
@@ -133,18 +57,6 @@ impl EventSchedule {
             events,
             recovery_frac: Self::DEFAULT_RECOVERY_FRAC,
         }
-    }
-
-    /// Total sensors added by reinforcement events — the reserve the
-    /// world must pre-allocate so trackers never grow mid-run.
-    pub fn reinforce_total(&self) -> usize {
-        self.events
-            .iter()
-            .map(|e| match e.action {
-                EventAction::Reinforce { count, .. } => count,
-                _ => 0,
-            })
-            .sum()
     }
 
     /// Validates times (finite, strictly increasing¹ within
@@ -172,17 +84,11 @@ impl EventSchedule {
                 ));
             }
             prev = e.time;
-            match &e.action {
-                EventAction::Fail {
-                    count: FailCount::Frac(f),
-                    ..
-                } if !(*f > 0.0 && *f <= 1.0) => {
-                    return Err(format!("dynamics event {i} frac {f} must be in (0, 1]"));
-                }
-                EventAction::Reinforce { count: 0, .. } => {
-                    return Err(format!("dynamics event {i} reinforces zero sensors"));
-                }
-                _ => {}
+            if !(e.frac > 0.0 && e.frac <= 1.0) {
+                return Err(format!(
+                    "dynamics event {i} frac {} must be in (0, 1]",
+                    e.frac
+                ));
             }
         }
         Ok(())
@@ -240,7 +146,7 @@ fn split_mix_64(state: &mut u64) {
 }
 
 /// Derives the `k`-th independent stream from a per-run event seed.
-/// Stream 0 seeds the failure/reinforcement RNG of event index 0,
+/// Stream 0 seeds the victim-selection RNG of event index 0,
 /// stream 1 event index 1, and so on; stream `1_000_000 + k` seeds
 /// the restarted scheme segment that begins after event index `k`. The
 /// derivation is pure, so any thread (or a resumed process) computing
@@ -258,26 +164,20 @@ mod tests {
     use super::*;
 
     fn fail_at(t: f64) -> DynEvent {
-        DynEvent {
-            time: t,
-            action: EventAction::Fail {
-                count: FailCount::Count(2),
-                mode: FailMode::Random,
-            },
-        }
+        DynEvent { time: t, frac: 0.2 }
     }
 
     #[test]
     fn fail_count_resolution() {
-        assert_eq!(FailCount::Count(3).resolve(10), 3);
-        assert_eq!(FailCount::Count(30).resolve(10), 10);
-        assert_eq!(FailCount::Frac(0.25).resolve(10), 2);
+        let fail = |frac| DynEvent { time: 1.0, frac };
+        assert_eq!(fail(0.25).fail_count(10), 2);
+        assert_eq!(fail(1.0).fail_count(10), 10);
         assert_eq!(
-            FailCount::Frac(0.01).resolve(10),
+            fail(0.01).fail_count(10),
             1,
             "positive frac kills at least one"
         );
-        assert_eq!(FailCount::Frac(0.5).resolve(0), 0);
+        assert_eq!(fail(0.5).fail_count(0), 0);
     }
 
     #[test]
@@ -310,22 +210,10 @@ mod tests {
         let mut s = EventSchedule::new(vec![fail_at(10.0)]);
         s.recovery_frac = 0.0;
         assert!(s.validate(dur).is_err());
-        let bad_frac = EventSchedule::new(vec![DynEvent {
-            time: 5.0,
-            action: EventAction::Fail {
-                count: FailCount::Frac(1.5),
-                mode: FailMode::Random,
-            },
-        }]);
-        assert!(bad_frac.validate(dur).is_err());
-        let zero_reinforce = EventSchedule::new(vec![DynEvent {
-            time: 5.0,
-            action: EventAction::Reinforce {
-                count: 0,
-                rect: Rect::new(0.0, 0.0, 1.0, 1.0),
-            },
-        }]);
-        assert!(zero_reinforce.validate(dur).is_err());
+        for frac in [0.0, 1.5, f64::NAN] {
+            let bad_frac = EventSchedule::new(vec![DynEvent { time: 5.0, frac }]);
+            assert!(bad_frac.validate(dur).is_err(), "frac {frac}");
+        }
     }
 
     #[test]
@@ -336,27 +224,5 @@ mod tests {
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, event_stream_seed(42, 0), "pure function of (seed, k)");
-    }
-
-    #[test]
-    fn reinforce_total_sums_reserve() {
-        let s = EventSchedule::new(vec![
-            fail_at(5.0),
-            DynEvent {
-                time: 8.0,
-                action: EventAction::Reinforce {
-                    count: 3,
-                    rect: Rect::new(0.0, 0.0, 10.0, 10.0),
-                },
-            },
-            DynEvent {
-                time: 9.0,
-                action: EventAction::Reinforce {
-                    count: 2,
-                    rect: Rect::new(0.0, 0.0, 10.0, 10.0),
-                },
-            },
-        ]);
-        assert_eq!(s.reinforce_total(), 5);
     }
 }

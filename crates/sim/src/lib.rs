@@ -24,8 +24,6 @@ mod result;
 mod world;
 
 pub use config::SimConfig;
-pub use events::{
-    event_stream_seed, DynEvent, EventAction, EventQueue, EventSchedule, FailCount, FailMode,
-};
+pub use events::{event_stream_seed, DynEvent, EventQueue, EventSchedule};
 pub use result::{convergence_time, RunResult};
 pub use world::{PositionsView, World};

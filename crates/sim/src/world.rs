@@ -129,7 +129,7 @@ pub struct World {
     /// one point index from then on.
     adj: Option<AdjacencyTracker>,
     /// Base-connectivity mask flooded over `adj`; `None` once a
-    /// position change or a base move makes it stale.
+    /// position change makes it stale.
     conn_mask: Option<Vec<bool>>,
 }
 
@@ -159,31 +159,6 @@ impl World {
         }
     }
 
-    /// Creates a world with live sensors at `positions` plus `reserve`
-    /// pre-allocated dead slots appended after them. Trackers size
-    /// themselves at installation and never grow, so dynamic runs
-    /// allocate every reinforcement slot up front and revive slots via
-    /// [`World::insert_sensor`] when the schedule fires. Reserve slots
-    /// start parked (see [`World::park_position`]) and dead.
-    pub fn with_reserve(
-        field: Field,
-        cfg: SimConfig,
-        positions: Vec<Point>,
-        reserve: usize,
-    ) -> Self {
-        let n = positions.len();
-        let mut world = World::new(field, cfg, positions);
-        for k in 0..reserve {
-            let i = n + k;
-            let p = world.park_position(i);
-            world.xs.push(p.x);
-            world.ys.push(p.y);
-            world.alive.push(false);
-            world.moved.push(0.0);
-        }
-        world
-    }
-
     /// Number of sensors (slots), dead ones included.
     #[inline]
     pub fn n(&self) -> usize {
@@ -202,9 +177,8 @@ impl World {
     }
 
     /// Whether slot `i` holds a live sensor. Worlds built by
-    /// [`World::new`] are fully alive; only dynamic-run churn
-    /// ([`World::remove_sensor`] / [`World::insert_sensor`]) and
-    /// reserve slots change this.
+    /// [`World::new`] are fully alive; only dynamic-run failures
+    /// ([`World::remove_sensor`]) change this.
     #[inline]
     pub fn alive(&self, i: usize) -> bool {
         self.alive[i]
@@ -238,33 +212,6 @@ impl World {
             charged: 0.0,
             counted: false,
         });
-    }
-
-    /// Revives slot `i` at position `p` (a reinforcement arriving, or
-    /// a repaired sensor returning). The arrival teleports in through
-    /// the change-record funnel; deployment cost before arrival is out
-    /// of scope, matching the paper's free initial placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is already alive.
-    pub fn insert_sensor(&mut self, i: usize, p: Point) {
-        assert!(!self.alive[i], "sensor {i} is already alive");
-        self.alive[i] = true;
-        self.apply_change(PosChange {
-            i,
-            p,
-            charged: 0.0,
-            counted: false,
-        });
-    }
-
-    /// Moves the base station. The cached connectivity mask is
-    /// dropped, so the next `*_tracked` connectivity query floods from
-    /// the new origin.
-    pub fn set_base(&mut self, base: Point) {
-        self.cfg.base = base;
-        self.conn_mask = None;
     }
 
     /// The sensing field.
@@ -489,7 +436,7 @@ impl World {
 
     /// Connected-to-base mask over the installed adjacency: one BFS
     /// flood ([`Neighbors::flood_from_base`]) on the first query after
-    /// a position change or base move, cached until the next one — so
+    /// a position change, cached until the next one — so
     /// a tick of per-sensor queries pays `O(N + E)` once. Equal to
     /// [`World::connected_mask`] at every instant: the mask does not
     /// depend on visit order.
@@ -928,10 +875,10 @@ mod tests {
 
     #[test]
     fn churn_feeds_every_tracker_oracle_identically() {
-        // remove/insert ride the same change funnel as moves, so all
+        // removals ride the same change funnel as moves, so all
         // three trackers (and the connectivity flood over adjacency)
-        // must agree with their batch oracles after every liveness
-        // flip — parked sensors included.
+        // must agree with their batch oracles after every death —
+        // parked sensors included.
         let mut w = world_with(4);
         let grid = w.coverage_grid();
         w.track_coverage(grid.clone());
@@ -960,46 +907,11 @@ mod tests {
         check(&mut w);
         // a dead sensor covers nothing and links to nothing
         assert!(!w.connected_mask()[1]);
-        w.insert_sensor(1, Point::new(40.0, 40.0));
-        assert!(w.alive(1));
-        check(&mut w);
+        // parked sensors are pairwise out of radio range
+        assert!(w.pos(1).dist(w.pos(3)) > rc);
         // churn charges no movement
         assert_eq!(w.move_count(), 0);
         assert_eq!(w.total_moved(), 0.0);
-    }
-
-    #[test]
-    fn reserve_slots_start_dead_and_parked() {
-        let field = Field::open(100.0, 100.0);
-        let cfg = SimConfig::paper(20.0, 15.0).with_duration(10.0);
-        let positions = vec![Point::new(5.0, 5.0), Point::new(10.0, 5.0)];
-        let mut w = World::with_reserve(field, cfg, positions, 2);
-        assert_eq!(w.n(), 4);
-        assert_eq!(w.alive_count(), 2);
-        assert_eq!(w.pos(2), w.park_position(2));
-        assert_eq!(w.pos(3), w.park_position(3));
-        // parked slots are pairwise out of radio range
-        assert!(w.park_position(2).dist(w.park_position(3)) > w.cfg().rc);
-        // a revived reserve slot behaves like any sensor
-        let grid = w.coverage_grid();
-        w.track_coverage(grid.clone());
-        let before = w.coverage_tracked();
-        w.insert_sensor(2, Point::new(50.0, 50.0));
-        assert!(w.coverage_tracked() > before);
-        assert_eq!(w.coverage_tracked(), w.coverage(&grid));
-    }
-
-    #[test]
-    fn set_base_reanchors_connectivity() {
-        let mut w = world_with(3); // x = 5, 10, 15; base at origin
-        w.track_adjacency();
-        assert!(w.all_connected_tracked());
-        w.set_base(Point::new(90.0, 90.0));
-        assert_eq!(w.cfg().base, Point::new(90.0, 90.0));
-        assert_eq!(w.connected_mask_tracked(), w.connected_mask());
-        assert!(!w.all_connected_tracked(), "fleet is far from the new base");
-        w.set_pos(2, Point::new(80.0, 80.0));
-        assert_eq!(w.connected_mask_tracked(), w.connected_mask());
     }
 
     #[test]

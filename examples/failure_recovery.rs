@@ -14,8 +14,8 @@
 use msn_deploy::{run_scheme_dynamic, SchemeKind, SchemeOverrides};
 use msn_field::{scatter_clustered, Field};
 use msn_geom::Rect;
-use msn_metrics::{recovery_stats, EventMark};
-use msn_sim::{DynEvent, EventAction, EventSchedule, FailCount, FailMode, SimConfig};
+use msn_metrics::recovery_stats;
+use msn_sim::{DynEvent, EventSchedule, SimConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -32,10 +32,7 @@ fn main() {
     // survivors from a seeded event stream.
     let schedule = EventSchedule::new(vec![DynEvent {
         time: 400.0,
-        action: EventAction::Fail {
-            count: FailCount::Frac(0.25),
-            mode: FailMode::Random,
-        },
+        frac: 0.25,
     }]);
     let outcome = run_scheme_dynamic(
         SchemeKind::Floor,
@@ -58,20 +55,9 @@ fn main() {
         event.post_coverage * 100.0
     );
 
-    let marks: Vec<EventMark> = outcome
-        .events
-        .iter()
-        .map(|e| EventMark {
-            time: e.time,
-            kind: e.kind.clone(),
-            pre_coverage: e.pre_coverage,
-            post_coverage: e.post_coverage,
-            post_move_dist: e.post_move_dist,
-        })
-        .collect();
     let stats = recovery_stats(
         &outcome.result.coverage_timeline,
-        &marks,
+        &outcome.events,
         schedule.recovery_frac,
     );
     let stat = &stats[0];
