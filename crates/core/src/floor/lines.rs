@@ -50,12 +50,6 @@ impl FloorLines {
         self.count
     }
 
-    /// Height of one floor (`2·rs`).
-    #[inline]
-    pub fn floor_height(&self) -> f64 {
-        2.0 * self.rs
-    }
-
     /// The y coordinate of floor line `k`.
     ///
     /// # Panics
@@ -76,16 +70,6 @@ impl FloorLines {
     /// nearest to height `y`.
     pub fn nearest_line_y(&self, y: f64) -> f64 {
         self.line_y(self.floor_index(y))
-    }
-
-    /// The inter-floor line above floor `k` (between lines `k` and
-    /// `k+1`), used by IFLG expansion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is out of range.
-    pub fn inter_floor_above(&self, k: usize) -> f64 {
-        self.line_y(k) + self.rs
     }
 
     /// Indices of floors whose *band* (line ± rs, i.e. the whole
@@ -109,7 +93,6 @@ mod tests {
     fn counts_and_positions() {
         let l = lines();
         assert_eq!(l.count(), 13); // ceil(1000 / 80)
-        assert_eq!(l.floor_height(), 80.0);
         assert_eq!(l.line_y(0), 40.0);
         assert_eq!(l.line_y(1), 120.0);
         assert_eq!(l.line_y(12), 1000.0); // the top line may graze the edge
@@ -131,13 +114,6 @@ mod tests {
         assert_eq!(l.nearest_line_y(10.0), 40.0);
         assert_eq!(l.nearest_line_y(100.0), 120.0);
         assert_eq!(l.nearest_line_y(81.0), 120.0, "just into floor 1");
-    }
-
-    #[test]
-    fn inter_floor_lines() {
-        let l = lines();
-        assert_eq!(l.inter_floor_above(0), 80.0);
-        assert_eq!(l.inter_floor_above(1), 160.0);
     }
 
     #[test]

@@ -150,11 +150,6 @@ impl FloorRegistry {
             .map(|&(_, id)| id)
     }
 
-    /// Number of real nodes registered on floor `k`.
-    pub fn floor_population(&self, k: usize) -> usize {
-        self.floors[k].real.len()
-    }
-
     /// Floors a coverage query for `p` must consult (§5.4): those
     /// whose band could hold a covering node.
     pub fn query_floors(&self, p: Point) -> Vec<usize> {
@@ -177,8 +172,8 @@ mod tests {
         reg.register_real(1, Point::new(100.0, 40.0));
         assert!(reg.covers(Point::new(130.0, 40.0), 40.0));
         assert!(!reg.covers(Point::new(200.0, 40.0), 40.0));
-        assert_eq!(reg.floor_population(0), 1);
-        assert_eq!(reg.floor_population(1), 0);
+        assert_eq!(reg.header(0), Some(1));
+        assert_eq!(reg.header(1), None);
     }
 
     #[test]

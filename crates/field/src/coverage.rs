@@ -93,12 +93,6 @@ impl CoverageGrid {
         self.free_count
     }
 
-    /// Returns `true` if cell `(ix, iy)` is free.
-    #[inline]
-    pub fn is_free_cell(&self, ix: usize, iy: usize) -> bool {
-        ix < self.nx && iy < self.ny && self.free[iy * self.nx + ix]
-    }
-
     /// Center point of cell `(ix, iy)`.
     #[inline]
     pub fn cell_center(&self, ix: usize, iy: usize) -> Point {
@@ -436,7 +430,8 @@ mod tests {
         for iy in 0..g.ny() {
             for ix in 0..g.nx() {
                 if mask[iy * g.nx() + ix] {
-                    assert!(g.is_free_cell(ix, iy));
+                    let c = g.cell_center(ix, iy);
+                    assert!(f.in_bounds(c) && f.is_free(c));
                 }
             }
         }

@@ -233,25 +233,6 @@ impl Field {
         best
     }
 
-    /// Fraction of `n × n` sample points of the bounding box that are
-    /// free — a quick estimate of the free-area ratio.
-    pub fn free_fraction_estimate(&self, n: usize) -> f64 {
-        assert!(n > 0);
-        let mut free = 0usize;
-        for i in 0..n {
-            for j in 0..n {
-                let p = Point::new(
-                    self.bounds.min.x + (i as f64 + 0.5) / n as f64 * self.bounds.width(),
-                    self.bounds.min.y + (j as f64 + 0.5) / n as f64 * self.bounds.height(),
-                );
-                if self.is_free(p) {
-                    free += 1;
-                }
-            }
-        }
-        free as f64 / (n * n) as f64
-    }
-
     /// Distance from `p` to the nearest obstacle boundary
     /// (`f64::INFINITY` when the field has no obstacles).
     pub fn nearest_obstacle_dist(&self, p: Point) -> f64 {
@@ -353,13 +334,6 @@ mod tests {
         // start exactly on the obstacle's left wall, moving away
         let seg = Segment::new(Point::new(40.0, 40.0), Point::new(10.0, 40.0));
         assert!(f.first_hit(&seg).is_none());
-    }
-
-    #[test]
-    fn free_fraction() {
-        let f = blocked_field(); // obstacle is 20x80 = 1600 of 10000
-        let frac = f.free_fraction_estimate(100);
-        assert!((frac - 0.84).abs() < 0.01, "got {frac}");
     }
 
     #[test]

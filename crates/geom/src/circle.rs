@@ -1,6 +1,6 @@
 //! Circles and disks.
 
-use crate::{approx_zero, clamp, Line, Point, Segment, EPS};
+use crate::{approx_zero, clamp, Point, Segment, EPS};
 use std::fmt;
 
 /// A circle (and the closed disk it bounds).
@@ -96,51 +96,6 @@ impl Circle {
         Some(Segment::new(seg.at(lo), seg.at(hi)))
     }
 
-    /// Intersection points of the circle *boundary* with a segment,
-    /// ordered by increasing parameter along the segment (0, 1 or 2
-    /// points).
-    pub fn intersect_segment(&self, seg: &Segment) -> Vec<Point> {
-        let d = seg.delta();
-        let len_sq = d.norm_sq();
-        if approx_zero(len_sq) {
-            return Vec::new();
-        }
-        let f = seg.a - self.center;
-        let a = len_sq;
-        let b = 2.0 * f.dot(d);
-        let c = f.norm_sq() - self.radius * self.radius;
-        let disc = b * b - 4.0 * a * c;
-        if disc < 0.0 {
-            return Vec::new();
-        }
-        let sqrt_disc = disc.sqrt();
-        let mut out = Vec::new();
-        for t in [(-b - sqrt_disc) / (2.0 * a), (-b + sqrt_disc) / (2.0 * a)] {
-            if (-1e-12..=1.0 + 1e-12).contains(&t) {
-                let p = seg.at(clamp(t, 0.0, 1.0));
-                if out.last().is_none_or(|q: &Point| !q.approx_eq(p)) {
-                    out.push(p);
-                }
-            }
-        }
-        out
-    }
-
-    /// Intersection points of the circle boundary with an infinite line.
-    pub fn intersect_line(&self, line: &Line) -> Vec<Point> {
-        let proj = line.project(self.center);
-        let h_sq = self.radius * self.radius - self.center.dist_sq(proj);
-        if h_sq < -EPS {
-            return Vec::new();
-        }
-        if h_sq <= EPS {
-            return vec![proj];
-        }
-        let h = h_sq.sqrt();
-        let dir = line.dir.normalized().expect("line has non-zero direction");
-        vec![proj - dir * h, proj + dir * h]
-    }
-
     /// Intersection points of two circle boundaries (0, 1 or 2 points).
     ///
     /// Concentric or identical circles return no points.
@@ -163,30 +118,6 @@ impl Circle {
         let h = h_sq.sqrt();
         let off = dir.perp() * h;
         vec![mid + off, mid - off]
-    }
-
-    /// Area of the intersection (lens) of two disks.
-    ///
-    /// Used to predict sensing overlap between neighboring sensors.
-    pub fn lens_area(&self, other: &Circle) -> f64 {
-        let d = self.center.dist(other.center);
-        let (r1, r2) = (self.radius, other.radius);
-        if d >= r1 + r2 {
-            return 0.0;
-        }
-        if d <= (r1 - r2).abs() {
-            let r = r1.min(r2);
-            return std::f64::consts::PI * r * r;
-        }
-        let alpha = 2.0
-            * ((d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))
-                .clamp(-1.0, 1.0)
-                .acos();
-        let beta = 2.0
-            * ((d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))
-                .clamp(-1.0, 1.0)
-                .acos();
-        0.5 * r1 * r1 * (alpha - alpha.sin()) + 0.5 * r2 * r2 * (beta - beta.sin())
     }
 }
 
@@ -239,29 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn boundary_segment_intersections() {
-        let c = Circle::new(Point::ORIGIN, 5.0);
-        let s = Segment::new(Point::new(-10.0, 0.0), Point::new(10.0, 0.0));
-        let pts = c.intersect_segment(&s);
-        assert_eq!(pts.len(), 2);
-        assert!(pts[0].approx_eq(Point::new(-5.0, 0.0)));
-        assert!(pts[1].approx_eq(Point::new(5.0, 0.0)));
-        // one endpoint inside: a single crossing
-        let s2 = Segment::new(Point::ORIGIN, Point::new(10.0, 0.0));
-        assert_eq!(c.intersect_segment(&s2).len(), 1);
-    }
-
-    #[test]
-    fn line_intersections() {
-        let c = Circle::new(Point::new(0.0, 0.0), 5.0);
-        let pts = c.intersect_line(&Line::horizontal(3.0));
-        assert_eq!(pts.len(), 2);
-        assert!((pts[0].x + 4.0).abs() < 1e-9 && (pts[1].x - 4.0).abs() < 1e-9);
-        assert_eq!(c.intersect_line(&Line::horizontal(5.0)).len(), 1);
-        assert!(c.intersect_line(&Line::horizontal(6.0)).is_empty());
-    }
-
-    #[test]
     fn circle_circle_intersections() {
         let a = Circle::new(Point::new(0.0, 0.0), 5.0);
         let b = Circle::new(Point::new(8.0, 0.0), 5.0);
@@ -281,23 +189,6 @@ mod tests {
         assert!(a
             .intersect_circle(&Circle::new(Point::ORIGIN, 3.0))
             .is_empty());
-    }
-
-    #[test]
-    fn lens_area_limits() {
-        let a = unit();
-        // identical circles: full disk
-        assert!((a.lens_area(&a) - PI).abs() < 1e-12);
-        // disjoint: zero
-        let far = Circle::new(Point::new(5.0, 0.0), 1.0);
-        assert_eq!(a.lens_area(&far), 0.0);
-        // half-overlap sanity: monotone in distance
-        let near = Circle::new(Point::new(0.5, 0.0), 1.0);
-        let mid = Circle::new(Point::new(1.0, 0.0), 1.0);
-        assert!(a.lens_area(&near) > a.lens_area(&mid));
-        // containment: area of smaller disk
-        let small = Circle::new(Point::new(0.2, 0.0), 0.3);
-        assert!((a.lens_area(&small) - small.area()).abs() < 1e-12);
     }
 
     #[test]

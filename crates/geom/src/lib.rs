@@ -3,8 +3,8 @@
 //! This crate provides the 2-D primitives that every other crate in the
 //! workspace builds on: [`Point`]/[`Vec2`], [`Segment`], [`Line`],
 //! [`Circle`], [`Rect`], [`Polygon`], half-plane clipping
-//! ([`HalfPlane::clip`]), convex hulls ([`convex_hull`]) and minimum
-//! enclosing circles ([`min_enclosing_circle`]).
+//! ([`HalfPlane::clip`]) and minimum enclosing circles
+//! ([`min_enclosing_circle`]).
 //!
 //! All coordinates are `f64` meters. Comparisons use the crate-wide
 //! tolerance [`EPS`]; the helpers [`approx_eq`] and [`approx_zero`] apply
@@ -28,7 +28,6 @@
 
 mod circle;
 mod halfplane;
-mod hull;
 mod line;
 mod mec;
 mod point;
@@ -38,7 +37,6 @@ mod segment;
 
 pub use circle::Circle;
 pub use halfplane::HalfPlane;
-pub use hull::convex_hull;
 pub use line::Line;
 pub use mec::min_enclosing_circle;
 pub use point::{Point, Vec2};

@@ -1,6 +1,6 @@
 //! Infinite lines.
 
-use crate::{approx_zero, Point, Segment, Vec2};
+use crate::{approx_zero, Point, Vec2};
 use std::fmt;
 
 /// An infinite line through [`Line::origin`] with direction
@@ -10,8 +10,9 @@ use std::fmt;
 ///
 /// ```
 /// use msn_geom::{Line, Point};
-/// let diag = Line::through(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-/// assert!(diag.project(Point::new(2.0, 0.0)).approx_eq(Point::new(1.0, 1.0)));
+/// let diag = Line::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
+/// let anti = Line::new(Point::new(2.0, 0.0), Point::new(-1.0, 1.0));
+/// assert!(diag.intersect(&anti).unwrap().approx_eq(Point::new(1.0, 1.0)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Line {
@@ -33,44 +34,6 @@ impl Line {
         Line { origin, dir }
     }
 
-    /// Line through two distinct points.
-    #[inline]
-    pub fn through(a: Point, b: Point) -> Self {
-        Line::new(a, b - a)
-    }
-
-    /// Horizontal line `y = c`.
-    #[inline]
-    pub fn horizontal(c: f64) -> Self {
-        Line::new(Point::new(0.0, c), Point::new(1.0, 0.0))
-    }
-
-    /// Vertical line `x = c`.
-    #[inline]
-    pub fn vertical(c: f64) -> Self {
-        Line::new(Point::new(c, 0.0), Point::new(0.0, 1.0))
-    }
-
-    /// Signed perpendicular offset of `p`: positive on the left of `dir`.
-    ///
-    /// The magnitude equals the perpendicular distance scaled by
-    /// `|dir|`; use [`Line::dist_to_point`] for the metric distance.
-    #[inline]
-    pub fn side(&self, p: Point) -> f64 {
-        self.dir.cross(p - self.origin)
-    }
-
-    /// Perpendicular distance from `p` to the line.
-    pub fn dist_to_point(&self, p: Point) -> f64 {
-        self.side(p).abs() / self.dir.norm()
-    }
-
-    /// Orthogonal projection of `p` onto the line.
-    pub fn project(&self, p: Point) -> Point {
-        let t = (p - self.origin).dot(self.dir) / self.dir.norm_sq();
-        self.origin + self.dir * t
-    }
-
     /// Intersection with another line, unless (near-)parallel.
     pub fn intersect(&self, other: &Line) -> Option<Point> {
         let denom = self.dir.cross(other.dir);
@@ -79,23 +42,6 @@ impl Line {
         }
         let t = (other.origin - self.origin).cross(other.dir) / denom;
         Some(self.origin + self.dir * t)
-    }
-
-    /// Intersection with a segment, if the crossing point lies on the
-    /// segment.
-    pub fn intersect_segment(&self, seg: &Segment) -> Option<Point> {
-        let denom = self.dir.cross(seg.delta());
-        if approx_zero(denom) {
-            // Parallel; report the segment start if it lies on the line.
-            return (self.dist_to_point(seg.a) <= crate::EPS).then_some(seg.a);
-        }
-        let u = (seg.a - self.origin).cross(self.dir) / denom;
-        let tol = 1e-12;
-        if (-tol..=1.0 + tol).contains(&u) {
-            Some(seg.at(crate::clamp(u, 0.0, 1.0)))
-        } else {
-            None
-        }
     }
 }
 
@@ -110,41 +56,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn side_signs() {
-        let l = Line::horizontal(0.0);
-        assert!(l.side(Point::new(0.0, 1.0)) > 0.0);
-        assert!(l.side(Point::new(0.0, -1.0)) < 0.0);
-        assert!(approx_zero(l.side(Point::new(5.0, 0.0))));
-    }
-
-    #[test]
-    fn distance_and_projection() {
-        let l = Line::through(Point::new(0.0, 0.0), Point::new(10.0, 0.0));
-        assert_eq!(l.dist_to_point(Point::new(3.0, 4.0)), 4.0);
-        assert_eq!(l.project(Point::new(3.0, 4.0)), Point::new(3.0, 0.0));
-    }
-
-    #[test]
     fn line_line_intersection() {
-        let h = Line::horizontal(2.0);
-        let v = Line::vertical(3.0);
+        let h = Line::new(Point::new(0.0, 2.0), Point::new(1.0, 0.0));
+        let v = Line::new(Point::new(3.0, 0.0), Point::new(0.0, 1.0));
         assert!(h.intersect(&v).unwrap().approx_eq(Point::new(3.0, 2.0)));
-        let h2 = Line::horizontal(5.0);
+        let h2 = Line::new(Point::new(0.0, 5.0), Point::new(1.0, 0.0));
         assert_eq!(h.intersect(&h2), None);
-    }
-
-    #[test]
-    fn line_segment_intersection() {
-        let l = Line::horizontal(0.0);
-        let cross = Segment::new(Point::new(1.0, -1.0), Point::new(1.0, 1.0));
-        assert!(l
-            .intersect_segment(&cross)
-            .unwrap()
-            .approx_eq(Point::new(1.0, 0.0)));
-        let miss = Segment::new(Point::new(1.0, 1.0), Point::new(1.0, 2.0));
-        assert_eq!(l.intersect_segment(&miss), None);
-        // parallel on the line
-        let on = Segment::new(Point::new(0.0, 0.0), Point::new(2.0, 0.0));
-        assert_eq!(l.intersect_segment(&on), Some(on.a));
     }
 }

@@ -88,19 +88,6 @@ impl Point {
         Point::new(-self.y, self.x)
     }
 
-    /// The vector rotated by `theta` radians counter-clockwise.
-    #[inline]
-    pub fn rotated(self, theta: f64) -> Vec2 {
-        let (s, c) = theta.sin_cos();
-        Point::new(self.x * c - self.y * s, self.x * s + self.y * c)
-    }
-
-    /// Angle of the vector in radians, in `(-π, π]`.
-    #[inline]
-    pub fn angle(self) -> f64 {
-        self.y.atan2(self.x)
-    }
-
     /// The unit vector in the same direction, or `None` for a (near-)zero
     /// vector.
     #[inline]
@@ -223,7 +210,6 @@ impl From<Point> for (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::{FRAC_PI_2, PI};
 
     #[test]
     fn arithmetic() {
@@ -262,10 +248,6 @@ mod tests {
 
     #[test]
     fn rotation_and_angle() {
-        let a = Point::new(1.0, 0.0);
-        let r = a.rotated(FRAC_PI_2);
-        assert!(r.approx_eq(Point::new(0.0, 1.0)));
-        assert!((Point::new(-1.0, 0.0).angle() - PI).abs() < 1e-12);
         assert!(Point::from_angle(0.3).approx_eq(Point::new(0.3f64.cos(), 0.3f64.sin())));
     }
 

@@ -71,29 +71,6 @@ impl Polygon {
         self.edges().map(|e| e.length()).sum()
     }
 
-    /// Centroid (area-weighted).
-    pub fn centroid(&self) -> Point {
-        let mut acc = Point::ORIGIN;
-        let mut area2 = 0.0;
-        let n = self.vertices.len();
-        for i in 0..n {
-            let a = self.vertices[i];
-            let b = self.vertices[(i + 1) % n];
-            let w = a.cross(b);
-            acc += (a + b) * w;
-            area2 += w;
-        }
-        if area2.abs() <= EPS {
-            // Degenerate: average the vertices.
-            let mut s = Point::ORIGIN;
-            for v in &self.vertices {
-                s += *v;
-            }
-            return s / n as f64;
-        }
-        acc / (3.0 * area2)
-    }
-
     /// Iterator over the edges, each from vertex `i` to vertex `i+1`
     /// (wrapping).
     pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
@@ -210,59 +187,6 @@ impl Polygon {
         }
         best
     }
-
-    /// Returns `true` if two polygons overlap (share boundary or interior).
-    pub fn intersects_polygon(&self, other: &Polygon) -> bool {
-        if !self.bounding_box().intersects(&other.bounding_box()) {
-            return false;
-        }
-        if self.contains(other.vertices[0]) || other.contains(self.vertices[0]) {
-            return true;
-        }
-        self.edges()
-            .any(|e| other.edges().any(|f| e.intersect(&f).is_some()))
-    }
-
-    /// Walks `dist` meters along the boundary from `start` (a boundary
-    /// point on edge `edge_idx`), in CCW direction if `ccw` is true.
-    ///
-    /// Returns the end point and the index of the edge it lies on.
-    /// Walking the perimeter exactly returns to the start.
-    pub fn walk_boundary(
-        &self,
-        start: Point,
-        edge_idx: usize,
-        ccw: bool,
-        dist: f64,
-    ) -> (Point, usize) {
-        debug_assert!(dist >= 0.0);
-        let n = self.vertices.len();
-        let mut idx = edge_idx % n;
-        let mut pos = start;
-        let mut remaining = dist;
-        // Cap iterations at the laps implied by `dist` plus one, so a
-        // degenerate polygon cannot loop forever.
-        let laps = (dist / self.perimeter().max(EPS)).ceil() as usize + 2;
-        for _ in 0..laps * n + n {
-            let e = self.edge(idx);
-            let target = if ccw { e.b } else { e.a };
-            let avail = pos.dist(target);
-            if remaining < avail - EPS {
-                return (pos.step_toward(target, remaining), idx);
-            }
-            remaining -= avail;
-            pos = target;
-            idx = if ccw {
-                (idx + 1) % n
-            } else {
-                (idx + n - 1) % n
-            };
-            if remaining <= EPS {
-                return (pos, idx);
-            }
-        }
-        (pos, idx)
-    }
 }
 
 fn signed_area(vertices: &[Point]) -> f64 {
@@ -313,7 +237,6 @@ mod tests {
         let sq = square();
         assert_eq!(sq.area(), 100.0);
         assert_eq!(sq.perimeter(), 40.0);
-        assert!(sq.centroid().approx_eq(Point::new(5.0, 5.0)));
     }
 
     #[test]
@@ -366,37 +289,6 @@ mod tests {
         let inside = Segment::new(Point::new(2.0, 2.0), Point::new(3.0, 3.0));
         assert!(sq.intersects_segment(&inside));
         assert_eq!(sq.first_boundary_hit(&inside), None);
-    }
-
-    #[test]
-    fn polygon_intersection() {
-        let a = square();
-        let b = Rect::new(5.0, 5.0, 15.0, 15.0).to_polygon();
-        let c = Rect::new(20.0, 20.0, 25.0, 25.0).to_polygon();
-        let inside = Rect::new(2.0, 2.0, 3.0, 3.0).to_polygon();
-        assert!(a.intersects_polygon(&b));
-        assert!(!a.intersects_polygon(&c));
-        assert!(a.intersects_polygon(&inside), "containment counts");
-    }
-
-    #[test]
-    fn boundary_walk_ccw_and_cw() {
-        let sq = square();
-        // start mid-bottom edge (edge 0 goes (0,0)->(10,0))
-        let start = Point::new(5.0, 0.0);
-        let (p, e) = sq.walk_boundary(start, 0, true, 3.0);
-        assert!(p.approx_eq(Point::new(8.0, 0.0)));
-        assert_eq!(e, 0);
-        // walk past the corner
-        let (p, e) = sq.walk_boundary(start, 0, true, 8.0);
-        assert!(p.approx_eq(Point::new(10.0, 3.0)));
-        assert_eq!(e, 1);
-        // clockwise past the corner at (0,0)
-        let (p, _e) = sq.walk_boundary(start, 0, false, 8.0);
-        assert!(p.approx_eq(Point::new(0.0, 3.0)));
-        // full perimeter returns to start
-        let (p, _) = sq.walk_boundary(start, 0, true, 40.0);
-        assert!(p.approx_eq(start));
     }
 
     #[test]

@@ -86,15 +86,6 @@ impl Rect {
             && p.y < self.max.y - EPS
     }
 
-    /// Returns `true` if the two closed rectangles overlap.
-    #[inline]
-    pub fn intersects(&self, other: &Rect) -> bool {
-        self.min.x <= other.max.x + EPS
-            && other.min.x <= self.max.x + EPS
-            && self.min.y <= other.max.y + EPS
-            && other.min.y <= self.max.y + EPS
-    }
-
     /// The point of the rectangle closest to `p` (i.e. `p` clamped).
     pub fn clamp_point(&self, p: Point) -> Point {
         Point::new(
@@ -182,18 +173,6 @@ mod tests {
         assert!(!r.contains(Point::new(10.1, 5.0)));
         assert!(!r.contains_strict(Point::new(0.0, 5.0)));
         assert!(r.contains_strict(Point::new(5.0, 5.0)));
-    }
-
-    #[test]
-    fn overlap() {
-        let a = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let b = Rect::new(5.0, 5.0, 15.0, 15.0);
-        let c = Rect::new(11.0, 0.0, 20.0, 10.0);
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
-        // touching edges count as intersecting
-        let d = Rect::new(10.0, 0.0, 20.0, 10.0);
-        assert!(a.intersects(&d));
     }
 
     #[test]

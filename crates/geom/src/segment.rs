@@ -168,17 +168,6 @@ impl Segment {
             None
         }
     }
-
-    /// Minimum distance between two segments (0 when they intersect).
-    pub fn dist_to_segment(&self, other: &Segment) -> f64 {
-        if self.intersect(other).is_some() {
-            return 0.0;
-        }
-        self.dist_to_point(other.a)
-            .min(self.dist_to_point(other.b))
-            .min(other.dist_to_point(self.a))
-            .min(other.dist_to_point(self.b))
-    }
 }
 
 impl fmt::Display for Segment {
@@ -246,15 +235,6 @@ mod tests {
         assert_eq!(s1.first_hit(&s2), Some(0.4));
         let s3 = seg(11.0, 0.0, 20.0, 0.0);
         assert_eq!(s1.first_hit(&s3), None);
-    }
-
-    #[test]
-    fn segment_distance() {
-        let s1 = seg(0.0, 0.0, 10.0, 0.0);
-        let s2 = seg(0.0, 3.0, 10.0, 3.0);
-        assert_eq!(s1.dist_to_segment(&s2), 3.0);
-        let crossing = seg(5.0, -1.0, 5.0, 1.0);
-        assert_eq!(s1.dist_to_segment(&crossing), 0.0);
     }
 
     #[test]

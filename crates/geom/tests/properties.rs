@@ -1,8 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use msn_geom::{
-    convex_hull, min_enclosing_circle, Circle, HalfPlane, Point, Polygon, Rect, Segment,
-};
+use msn_geom::{min_enclosing_circle, Circle, HalfPlane, Point, Polygon, Rect, Segment};
 use proptest::prelude::*;
 
 fn pt() -> impl Strategy<Value = Point> {
@@ -29,39 +27,13 @@ proptest! {
     }
 
     #[test]
-    fn hull_contains_all_points(pts in prop::collection::vec(pt(), 3..60)) {
-        let hull = convex_hull(&pts);
-        if hull.len() >= 3 {
-            let poly = Polygon::new(hull);
-            for p in &pts {
-                prop_assert!(poly.contains(*p) || poly.boundary_dist(*p) < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn hull_area_nonnegative_and_vertices_subset(pts in prop::collection::vec(pt(), 3..40)) {
-        let hull = convex_hull(&pts);
-        for h in &hull {
-            prop_assert!(pts.iter().any(|p| p.approx_eq(*h)));
-        }
-        if hull.len() >= 3 {
-            prop_assert!(Polygon::new(hull).area() >= 0.0);
-        }
-    }
-
-    #[test]
-    fn halfplane_clip_shrinks_area(
-        pts in prop::collection::vec(pt(), 3..10),
-        a in pt(),
-        b in pt(),
-    ) {
+    fn halfplane_clip_shrinks_area(c0 in pt(), c1 in pt(), a in pt(), b in pt()) {
         prop_assume!(a.dist(b) > 1e-6);
-        let hull = convex_hull(&pts);
-        prop_assume!(hull.len() >= 3);
-        let before = Polygon::new(hull.clone()).area();
+        let rect = Rect::from_corners(c0, c1);
+        prop_assume!(rect.width() > 1e-6 && rect.height() > 1e-6);
+        let before = rect.area();
         let hp = HalfPlane::bisector(a, b);
-        let clipped = hp.clip(&hull);
+        let clipped = hp.clip(&rect.corners());
         if clipped.len() >= 3 {
             let after = Polygon::new(clipped.clone()).area();
             prop_assert!(after <= before + 1e-6);
@@ -113,31 +85,9 @@ proptest! {
     }
 
     #[test]
-    fn lens_area_bounds(c1 in pt(), r1 in 1.0..300.0f64, c2 in pt(), r2 in 1.0..300.0f64) {
-        let a = Circle::new(c1, r1);
-        let b = Circle::new(c2, r2);
-        let lens = a.lens_area(&b);
-        prop_assert!(lens >= -1e-9);
-        prop_assert!(lens <= a.area().min(b.area()) + 1e-6);
-    }
-
-    #[test]
     fn rect_clamp_is_inside(p in pt()) {
         let r = Rect::new(-100.0, -50.0, 100.0, 50.0);
         prop_assert!(r.contains(r.clamp_point(p)));
-    }
-
-    #[test]
-    fn polygon_walk_roundtrip(x in 1.0..400.0f64, y in 1.0..400.0f64, d in 0.0..2000.0f64) {
-        let poly = Rect::new(0.0, 0.0, x, y).to_polygon();
-        let start = Point::new(x / 2.0, 0.0);
-        let (p, e) = poly.walk_boundary(start, 0, true, d);
-        // walked point stays on the boundary
-        prop_assert!(poly.boundary_dist(p) < 1e-6);
-        prop_assert!(e < poly.len());
-        // walking the full perimeter returns to start
-        let (q, _) = poly.walk_boundary(start, 0, true, poly.perimeter());
-        prop_assert!(q.dist(start) < 1e-6);
     }
 
     /// Appendix-A lemma of the paper: if two sensors are within `rc` of

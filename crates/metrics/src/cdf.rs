@@ -89,24 +89,6 @@ impl Cdf {
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty")
     }
-
-    /// Exports `(x, F(x))` pairs at `steps + 1` evenly spaced x values
-    /// spanning the sample range — the series a plotting tool would
-    /// consume to draw Figure 13.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps` is zero.
-    pub fn series(&self, steps: usize) -> Vec<(f64, f64)> {
-        assert!(steps > 0);
-        let (lo, hi) = (self.min(), self.max());
-        (0..=steps)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / steps as f64;
-                (x, self.fraction_below(x))
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for Cdf {
@@ -155,26 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn series_spans_range_and_ends_at_one() {
-        let cdf = Cdf::from_samples(vec![0.0, 5.0, 10.0]).unwrap();
-        let series = cdf.series(10);
-        assert_eq!(series.len(), 11);
-        assert_eq!(series[0].0, 0.0);
-        assert_eq!(series[10].0, 10.0);
-        assert_eq!(series[10].1, 1.0);
-        // monotone
-        for w in series.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
-    }
-
-    #[test]
     fn identical_samples() {
         let cdf = Cdf::from_samples(vec![7.0; 5]).unwrap();
         assert_eq!(cdf.median(), 7.0);
         assert_eq!(cdf.fraction_below(6.9), 0.0);
         assert_eq!(cdf.fraction_below(7.0), 1.0);
-        let series = cdf.series(4);
-        assert_eq!(series.len(), 5);
     }
 }

@@ -6,8 +6,7 @@
 //! toolkit the experiment harness uses:
 //!
 //! * [`Summary`] — streaming min/max/mean/std over `f64` samples;
-//! * [`Cdf`] — empirical CDFs with quantile queries and fixed-step
-//!   series export;
+//! * [`Cdf`] — empirical CDFs with quantile queries;
 //! * [`Table`] — plain-text table builder with aligned columns;
 //! * [`to_csv`] — CSV export of row-oriented data;
 //! * [`recovery_stats`] — per-event coverage-dip / recovery-time

@@ -16,7 +16,7 @@ use std::fmt;
 /// assert_eq!(s.min(), 2.0);
 /// assert_eq!(s.max(), 9.0);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     n: u64,
     mean: f64,
@@ -110,6 +110,12 @@ impl Summary {
     }
 }
 
+impl Default for Summary {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl FromIterator<f64> for Summary {
     fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Self {
         let mut s = Summary::new();
@@ -153,6 +159,10 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.std(), 0.0);
+        assert_eq!(Summary::default(), s);
+        let mut d = Summary::default();
+        d.add(5.0);
+        assert_eq!((d.min(), d.max()), (5.0, 5.0));
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of display-able cells.
-    pub fn row_display<D: fmt::Display>(&mut self, cells: Vec<D>) -> &mut Self {
-        self.row(cells.into_iter().map(|c| c.to_string()).collect())
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -160,8 +155,8 @@ mod tests {
     #[test]
     fn alignment_and_borders() {
         let mut t = Table::new(vec!["n", "value"]);
-        t.row_display(vec![1, 100]);
-        t.row_display(vec![22, 3]);
+        t.row(vec!["1".into(), "100".into()]);
+        t.row(vec!["22".into(), "3".into()]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 6);
@@ -193,7 +188,7 @@ mod tests {
     #[test]
     fn csv_roundtrip_simple() {
         let mut t = Table::new(vec!["x", "y"]);
-        t.row_display(vec![1.5, 2.5]);
+        t.row(vec!["1.5".into(), "2.5".into()]);
         let csv = to_csv(t.headers(), t.rows());
         assert_eq!(csv, "x,y\n1.5,2.5\n");
     }

@@ -134,16 +134,6 @@ impl MessageCounter {
         self.counts.iter().sum()
     }
 
-    /// Average transmissions per node for an `n`-node network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn per_node(&self, n: usize) -> f64 {
-        assert!(n > 0, "need at least one node");
-        self.total() as f64 / n as f64
-    }
-
     /// Merges another counter into this one.
     pub fn merge(&mut self, other: &MessageCounter) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -184,7 +174,6 @@ mod tests {
         assert_eq!(mc.count(MsgKind::ConnectFlood), 100);
         assert_eq!(mc.count(MsgKind::Reject), 0);
         assert_eq!(mc.total(), 175);
-        assert_eq!(mc.per_node(25), 7.0);
     }
 
     #[test]

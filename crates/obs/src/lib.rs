@@ -9,10 +9,8 @@
 //!   under observation — they only read the monotonic clock and write
 //!   into a side table;
 //! * when no collector is installed on the current thread every probe
-//!   is a cheap early-out (one thread-local check), so instrumented
-//!   crates pay near-nothing in unprofiled runs;
-//! * the `obs-off` feature compiles every probe down to a literal
-//!   no-op for overhead audits.
+//!   is a cheap early-out (one thread-local check, no clock read), so
+//!   instrumented crates pay near-nothing in unprofiled runs.
 //!
 //! # Model
 //!
@@ -44,18 +42,14 @@
 //!     msn_obs::value("dirty", 17.0);
 //! }
 //! let report = msn_obs::finish();
-//! # #[cfg(not(feature = "obs-off"))]
 //! assert_eq!(report.unwrap().spans[0].children[0].name, "plan");
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(not(feature = "obs-off"))]
 use std::cell::RefCell;
-#[cfg(not(feature = "obs-off"))]
 use std::collections::BTreeMap;
-#[cfg(not(feature = "obs-off"))]
 use std::time::Instant;
 
 // ---------------------------------------------------------------- report
@@ -202,7 +196,6 @@ fn merge_spans(into: &mut Vec<SpanNode>, from: &[SpanNode]) {
 
 // ------------------------------------------------------------- collector
 
-#[cfg(not(feature = "obs-off"))]
 struct Node {
     name: &'static str,
     total_ns: u64,
@@ -211,7 +204,6 @@ struct Node {
     children: Vec<usize>,
 }
 
-#[cfg(not(feature = "obs-off"))]
 struct Collector {
     started: Instant,
     nodes: Vec<Node>,
@@ -222,16 +214,14 @@ struct Collector {
     values: BTreeMap<&'static str, (u64, f64, f64, f64)>,
 }
 
-#[cfg(not(feature = "obs-off"))]
 thread_local! {
     static COLLECTOR: RefCell<Option<Collector>> = const { RefCell::new(None) };
 }
 
 /// Installs a fresh collector on the current thread, replacing (and
 /// discarding) any previous one. Probes on this thread record until
-/// [`finish`] drains it. No-op under `obs-off`.
+/// [`finish`] drains it.
 pub fn start() {
-    #[cfg(not(feature = "obs-off"))]
     COLLECTOR.with(|slot| {
         *slot.borrow_mut() = Some(Collector {
             started: Instant::now(),
@@ -245,68 +235,57 @@ pub fn start() {
 }
 
 /// Uninstalls the current thread's collector and returns its
-/// [`Report`]; `None` when no collector was installed (or under
-/// `obs-off`). Call with no [`SpanGuard`] alive — a guard outliving
-/// its collector closes silently without recording.
+/// [`Report`]; `None` when no collector was installed. Call with no
+/// [`SpanGuard`] alive — a guard outliving its collector closes
+/// silently without recording.
 pub fn finish() -> Option<Report> {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        COLLECTOR.with(|slot| slot.borrow_mut().take()).map(|col| {
-            fn convert(col: &Collector, idx: usize) -> SpanNode {
-                let node = &col.nodes[idx];
-                SpanNode {
-                    name: node.name.to_string(),
-                    total_ns: node.total_ns,
-                    count: node.count,
-                    max_ns: node.max_ns,
-                    children: node.children.iter().map(|&c| convert(col, c)).collect(),
-                }
+    COLLECTOR.with(|slot| slot.borrow_mut().take()).map(|col| {
+        fn convert(col: &Collector, idx: usize) -> SpanNode {
+            let node = &col.nodes[idx];
+            SpanNode {
+                name: node.name.to_string(),
+                total_ns: node.total_ns,
+                count: node.count,
+                max_ns: node.max_ns,
+                children: node.children.iter().map(|&c| convert(col, c)).collect(),
             }
-            Report {
-                wall_ns: col.started.elapsed().as_nanos() as u64,
-                spans: col.roots.iter().map(|&i| convert(&col, i)).collect(),
-                counters: col
-                    .counters
-                    .iter()
-                    .map(|(&name, &total)| Counter {
-                        name: name.to_string(),
-                        total,
-                    })
-                    .collect(),
-                values: col
-                    .values
-                    .iter()
-                    .map(|(&name, &(count, sum, min, max))| ValueStat {
-                        name: name.to_string(),
-                        count,
-                        sum,
-                        min,
-                        max,
-                    })
-                    .collect(),
-            }
-        })
-    }
-    #[cfg(feature = "obs-off")]
-    None
+        }
+        Report {
+            wall_ns: col.started.elapsed().as_nanos() as u64,
+            spans: col.roots.iter().map(|&i| convert(&col, i)).collect(),
+            counters: col
+                .counters
+                .iter()
+                .map(|(&name, &total)| Counter {
+                    name: name.to_string(),
+                    total,
+                })
+                .collect(),
+            values: col
+                .values
+                .iter()
+                .map(|(&name, &(count, sum, min, max))| ValueStat {
+                    name: name.to_string(),
+                    count,
+                    sum,
+                    min,
+                    max,
+                })
+                .collect(),
+        }
+    })
 }
 
 /// Whether a collector is installed on the current thread (probes are
-/// recording). Always `false` under `obs-off`.
+/// recording).
 pub fn is_active() -> bool {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        COLLECTOR.with(|slot| slot.borrow().is_some())
-    }
-    #[cfg(feature = "obs-off")]
-    false
+    COLLECTOR.with(|slot| slot.borrow().is_some())
 }
 
 /// Closes its [`span`] on drop. Inert (drop does nothing) when no
 /// collector was installed at open time.
 #[must_use = "a span measures the region until the guard drops"]
 pub struct SpanGuard {
-    #[cfg(not(feature = "obs-off"))]
     opened: Option<Instant>,
 }
 
@@ -316,58 +295,49 @@ pub struct SpanGuard {
 /// a single tree node. Inert when no collector is installed.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(not(feature = "obs-off"))]
-    {
-        let opened = COLLECTOR.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let col = slot.as_mut()?;
-            // the clock is read *before* the bookkeeping (and, on
-            // close, after it), so a span owns its probe's cost and
-            // the gaps between sibling spans hold only the caller's
-            // own code
-            let opened = Instant::now();
-            let parent = col.stack.last().copied();
-            let siblings = match parent {
-                Some(top) => &col.nodes[top].children,
-                None => &col.roots,
-            };
-            let existing = siblings
-                .iter()
-                .copied()
-                .find(|&i| col.nodes[i].name == name);
-            let idx = match existing {
-                Some(i) => i,
-                None => {
-                    let i = col.nodes.len();
-                    col.nodes.push(Node {
-                        name,
-                        total_ns: 0,
-                        count: 0,
-                        max_ns: 0,
-                        children: Vec::new(),
-                    });
-                    match parent {
-                        Some(top) => col.nodes[top].children.push(i),
-                        None => col.roots.push(i),
-                    }
-                    i
+    let opened = COLLECTOR.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        let col = slot.as_mut()?;
+        // the clock is read *before* the bookkeeping (and, on
+        // close, after it), so a span owns its probe's cost and
+        // the gaps between sibling spans hold only the caller's
+        // own code
+        let opened = Instant::now();
+        let parent = col.stack.last().copied();
+        let siblings = match parent {
+            Some(top) => &col.nodes[top].children,
+            None => &col.roots,
+        };
+        let existing = siblings
+            .iter()
+            .copied()
+            .find(|&i| col.nodes[i].name == name);
+        let idx = match existing {
+            Some(i) => i,
+            None => {
+                let i = col.nodes.len();
+                col.nodes.push(Node {
+                    name,
+                    total_ns: 0,
+                    count: 0,
+                    max_ns: 0,
+                    children: Vec::new(),
+                });
+                match parent {
+                    Some(top) => col.nodes[top].children.push(i),
+                    None => col.roots.push(i),
                 }
-            };
-            col.stack.push(idx);
-            Some(opened)
-        });
-        SpanGuard { opened }
-    }
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = name;
-        SpanGuard {}
-    }
+                i
+            }
+        };
+        col.stack.push(idx);
+        Some(opened)
+    });
+    SpanGuard { opened }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
         if let Some(opened) = self.opened {
             COLLECTOR.with(|slot| {
                 let mut slot = slot.borrow_mut();
@@ -386,26 +356,20 @@ impl Drop for SpanGuard {
 }
 
 /// Adds `delta` to the named counter. Inert when no collector is
-/// installed; no-op under `obs-off`.
+/// installed.
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
-    #[cfg(not(feature = "obs-off"))]
     COLLECTOR.with(|slot| {
         if let Some(col) = slot.borrow_mut().as_mut() {
             *col.counters.entry(name).or_insert(0) += delta;
         }
     });
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (name, delta);
-    }
 }
 
 /// Records one sample into the named value statistic. Inert when no
-/// collector is installed; no-op under `obs-off`.
+/// collector is installed.
 #[inline]
 pub fn value(name: &'static str, sample: f64) {
-    #[cfg(not(feature = "obs-off"))]
     COLLECTOR.with(|slot| {
         if let Some(col) = slot.borrow_mut().as_mut() {
             let entry =
@@ -418,10 +382,6 @@ pub fn value(name: &'static str, sample: f64) {
             entry.3 = entry.3.max(sample);
         }
     });
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (name, sample);
-    }
 }
 
 #[cfg(test)]
@@ -437,7 +397,7 @@ mod tests {
         assert_eq!(finish(), None);
     }
 
-    #[cfg(not(feature = "obs-off"))]
+    /// Probes with a collector installed.
     mod active {
         use super::super::*;
 
@@ -548,21 +508,6 @@ mod tests {
             assert_eq!(a.counter_total("rebuilds"), 1);
             let dirty = a.value_stat("dirty").unwrap();
             assert_eq!((dirty.count, dirty.min, dirty.max), (2, 3.0, 9.0));
-        }
-    }
-
-    #[cfg(feature = "obs-off")]
-    mod off {
-        use super::super::*;
-
-        #[test]
-        fn probes_compile_to_nothing() {
-            start();
-            let _g = span("tick");
-            counter("syncs", 1);
-            value("dirty", 1.0);
-            assert!(!is_active());
-            assert_eq!(finish(), None);
         }
     }
 }

@@ -106,6 +106,9 @@ pub enum DeltaStatus {
     Missing,
 }
 
+/// The gate-failure message for a baseline without kernels.
+const EMPTY_BASELINE: &str = "baseline has no kernels: nothing to gate against";
+
 /// One kernel row of a [`BenchDiffReport`].
 #[derive(Debug, Clone)]
 pub struct KernelDelta {
@@ -128,7 +131,8 @@ pub struct BenchDiffReport {
     pub rows: Vec<KernelDelta>,
     /// The relative tolerance the gate ran with.
     pub tol: f64,
-    /// Kernels that regressed beyond tolerance or went missing.
+    /// Kernels that regressed beyond tolerance or went missing, plus
+    /// one when the baseline has no kernels at all.
     pub failures: usize,
 }
 
@@ -136,6 +140,11 @@ impl BenchDiffReport {
     /// Whether the current record passes the gate.
     pub fn is_match(&self) -> bool {
         self.failures == 0
+    }
+
+    /// Whether the baseline held no kernels, so nothing was gated.
+    fn baseline_empty(&self) -> bool {
+        self.rows.iter().all(|row| row.baseline_ns.is_none())
     }
 
     /// Formats the per-kernel delta table plus a summary line.
@@ -171,6 +180,9 @@ impl BenchDiffReport {
                 delta,
             );
         }
+        if self.baseline_empty() {
+            let _ = writeln!(out, "{EMPTY_BASELINE}");
+        }
         let _ = writeln!(
             out,
             "{} kernel(s) compared, {} failure(s) beyond +{:.0}% tolerance",
@@ -184,7 +196,8 @@ impl BenchDiffReport {
     /// GitHub workflow-command annotation lines (`::error::…`) for
     /// every gate failure, for inline rendering in the Actions UI.
     pub fn annotations(&self) -> Vec<String> {
-        self.rows
+        let mut notes: Vec<String> = self
+            .rows
             .iter()
             .filter_map(|row| match row.status {
                 DeltaStatus::Regression => Some(format!(
@@ -201,17 +214,22 @@ impl BenchDiffReport {
                 )),
                 _ => None,
             })
-            .collect()
+            .collect();
+        if self.baseline_empty() {
+            notes.push(format!("::error::{EMPTY_BASELINE}"));
+        }
+        notes
     }
 }
 
 /// Compares `current` against `baseline` within relative tolerance
 /// `tol`: a kernel regresses when `current > baseline * (1 + tol)`,
 /// improves when `current < baseline / (1 + tol)`. Missing kernels
-/// fail the gate; new kernels pass.
+/// fail the gate; new kernels pass. A baseline without kernels fails
+/// too: against it every current kernel would be new and pass.
 pub fn diff_bench(baseline: &BenchRecord, current: &BenchRecord, tol: f64) -> BenchDiffReport {
     let mut rows = Vec::new();
-    let mut failures = 0;
+    let mut failures = usize::from(baseline.kernels.is_empty());
     for base in &baseline.kernels {
         match current.kernel(&base.name) {
             Some(cur) => {
@@ -351,6 +369,16 @@ mod tests {
             .annotations()
             .iter()
             .any(|n| n.contains("missing from the current record")));
+    }
+
+    #[test]
+    fn empty_baseline_fails_the_gate() {
+        let report = diff_bench(&record(&[]), &record(&[("a", 100.0)]), 0.5);
+        assert_eq!(report.failures, 1);
+        assert!(!report.is_match());
+        assert!(report.render().contains("baseline has no kernels"));
+        assert_eq!(report.annotations().len(), 1);
+        assert!(!diff_bench(&record(&[]), &record(&[]), 0.5).is_match());
     }
 
     #[test]

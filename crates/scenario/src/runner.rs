@@ -226,9 +226,7 @@ impl RunConfig {
     /// and aggregates the per-run reports into
     /// [`BatchResult::profiles`]. Strictly zero-perturbation: the
     /// batch output (JSON/CSV/report) is byte-identical with
-    /// profiling on or off — the profile is a side artifact. Under
-    /// the `obs-off` feature the collectors record nothing and every
-    /// profile comes back `None`.
+    /// profiling on or off — the profile is a side artifact.
     #[must_use]
     pub fn profiling(mut self, enabled: bool) -> Self {
         self.profiling = enabled;
@@ -689,10 +687,9 @@ pub struct BatchResult {
     /// One record per matrix cell, in matrix order.
     pub records: Vec<RunRecord>,
     /// One observation report per matrix cell, in matrix order, when
-    /// the batch ran with [`RunConfig::profiling`] — `None`
-    /// for cells restored by resume (never executed) and under the
-    /// `obs-off` feature. Empty when profiling was off. Not part of
-    /// any serialized batch output; aggregate it with
+    /// the batch ran with [`RunConfig::profiling`] — `None` for cells
+    /// restored by resume (never executed). Empty when profiling was
+    /// off. Not part of any serialized batch output; aggregate it with
     /// [`crate::ProfileRecord::from_batch`].
     pub profiles: Vec<Option<Report>>,
 }

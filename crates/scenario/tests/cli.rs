@@ -226,6 +226,44 @@ fn profile_diff_refuses_a_truncated_baseline() {
     );
 }
 
+#[test]
+fn profile_diff_refuses_an_empty_baseline() {
+    let scratch = Scratch::new("profile-diff-empty");
+    let profile = scratch.dir("profile.json");
+    let status = scenario_bin()
+        .arg("run")
+        .arg(repo_file("scenarios/smoke.toml"))
+        .arg("--quick")
+        .arg("--out")
+        .arg(scratch.dir("run"))
+        .arg("--profile")
+        .arg(&profile)
+        .output()
+        .expect("spawn scenario binary")
+        .status;
+    assert!(status.success(), "profiled run failed");
+    // a well-formed profile with no cells has no spans: every current
+    // span would be "new" and the gate would pass
+    let empty = scratch.dir("empty.json");
+    std::fs::write(
+        &empty,
+        r#"{"record": "profile", "schema": 1, "scenario": "smoke", "cells": []}"#,
+    )
+    .unwrap();
+    let output = scenario_bin()
+        .arg("profile-diff")
+        .arg(&empty)
+        .arg(&profile)
+        .output()
+        .expect("spawn scenario binary");
+    assert_eq!(output.status.code(), Some(1), "an empty baseline must fail");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("baseline has no kernels") && stdout.contains("FAIL"),
+        "says why: {stdout}"
+    );
+}
+
 fn events_of_kind(stderr: &str, kind: &str) -> usize {
     let tag = format!("\"event\":\"{kind}\"");
     stderr.lines().filter(|line| line.contains(&tag)).count()

@@ -105,11 +105,6 @@ impl SimConfig {
     pub fn total_ticks(&self) -> u64 {
         (self.duration / self.dt()).round() as u64
     }
-
-    /// Total number of periods in the run.
-    pub fn total_periods(&self) -> u64 {
-        (self.duration / self.period).round() as u64
-    }
 }
 
 impl fmt::Display for SimConfig {
@@ -134,7 +129,6 @@ mod tests {
         assert_eq!(cfg.duration, 750.0);
         assert_eq!(cfg.max_step(), 2.0);
         assert_eq!(cfg.total_ticks(), 3750);
-        assert_eq!(cfg.total_periods(), 750);
         assert_eq!(cfg.base, Point::ORIGIN);
     }
 

@@ -109,7 +109,7 @@ pub struct World {
     moved: Vec<f64>,
     /// Number of charged movements (`set_pos` family, not teleports) —
     /// maintained natively so movement-cost summaries work without
-    /// profiling and under `obs-off`.
+    /// profiling.
     move_count: u64,
     /// Total path length charged through the `set_pos` family.
     move_charged: f64,
@@ -393,19 +393,10 @@ impl World {
         self.moved.iter().sum()
     }
 
-    /// Average moving distance per sensor.
-    pub fn avg_moved(&self) -> f64 {
-        if self.moved.is_empty() {
-            0.0
-        } else {
-            self.total_moved() / self.moved.len() as f64
-        }
-    }
-
     /// Number of charged movements so far (`set_pos` /
     /// `set_pos_with_distance` calls; teleports excluded) — the
     /// `world.moves` aggregate, maintained natively so it is available
-    /// without profiling and under `obs-off`.
+    /// without profiling.
     #[inline]
     pub fn move_count(&self) -> u64 {
         self.move_count
@@ -692,7 +683,6 @@ mod tests {
         w.set_pos_with_distance(1, Point::new(10.0, 8.0), 7.0);
         assert_eq!(w.moved(1), 7.0);
         assert_eq!(w.total_moved(), 12.0);
-        assert_eq!(w.avg_moved(), 6.0);
         w.teleport(0, Point::new(0.0, 0.0));
         assert_eq!(w.moved(0), 5.0, "teleport charges nothing");
         w.add_distance(0, 1.5);
