@@ -26,58 +26,19 @@ mod osc;
 pub use force::{virtual_force, ForceParams};
 pub use osc::OscillationAvoidance;
 
-use crate::lazy::{lazy_plan_step, ConnectOutcome, LazyMover, Route};
+use crate::lazy::{absorb, flood_attach, Route, Timeline, Walkers};
 use msn_field::Field;
 use msn_geom::{Point, Segment, Vec2};
 use msn_nav::{Hand, NavContext, Navigator};
 use msn_net::{within_range, MsgKind, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
-use rand::Rng;
-
-/// Upper bound of the random start delay for disconnected sensors
-/// (s), §4.1's "small random time period".
-const BACKOFF_MAX: f64 = 10.0;
 
 /// Tuning parameters of CPVF. The virtual-force constants derive from
 /// the configured ranges ([`ForceParams::for_ranges`]).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CpvfParams {
     /// Oscillation-avoidance technique (§6.3); default off.
     pub oscillation: OscillationAvoidance,
-    /// Coverage-timeline sampling interval (s).
-    pub snapshot_every: f64,
-}
-
-impl Default for CpvfParams {
-    fn default() -> Self {
-        CpvfParams {
-            oscillation: OscillationAvoidance::Off,
-            snapshot_every: 25.0,
-        }
-    }
-}
-
-/// Which endpoint a maintained link connects to.
-#[derive(Debug, Clone, Copy)]
-enum Link {
-    Base,
-    Node(usize),
-}
-
-/// A link set borrowed from the tree: the parent link (if any), then
-/// one link per child.
-#[derive(Debug, Clone, Copy)]
-struct Links<'a> {
-    parent: Option<Link>,
-    children: &'a [usize],
-}
-
-impl Links<'_> {
-    fn iter(&self) -> impl Iterator<Item = Link> + '_ {
-        self.parent
-            .into_iter()
-            .chain(self.children.iter().map(|&c| Link::Node(c)))
-    }
 }
 
 /// Per-sensor motion plan for the current period.
@@ -144,43 +105,32 @@ pub fn run_with_grid(
     world.track_points();
     let max_step = cfg.max_step();
 
-    // ---- Phase 1 setup: initial flood and tree construction. ----
+    // ---- Phase 1 setup: initial flood over the rc-disk graph. ----
     let mut tree = Tree::new(n);
-    let mut connected = vec![false; n];
-    attach_initial_flood(&mut world, &mut tree, &mut connected);
+    let flooded = flood_attach(
+        &world.graph(),
+        initial,
+        cfg.base,
+        cfg.rc,
+        |_, _| true,
+        &mut tree,
+    );
+    // Each connected sensor forwards the flood message exactly once.
+    world.msgs().record(MsgKind::ConnectFlood, flooded);
 
     // One shared BUG2 context: every disconnected sensor's navigator
     // probes obstacles through the same offset rings + edge grid.
     let nav_ctx = std::sync::Arc::new(NavContext::new(field));
-    let mut movers: Vec<Option<LazyMover>> = (0..n)
-        .map(|i| {
-            if connected[i] {
-                None
-            } else {
-                let backoff = world.rng().gen_range(0.0..BACKOFF_MAX);
-                Some(LazyMover::new(
-                    Route::Single(Navigator::with_context(
-                        nav_ctx.clone(),
-                        initial[i],
-                        cfg.base,
-                        Hand::Right,
-                    )),
-                    backoff,
-                ))
-            }
-        })
-        .collect();
-    let mut walk_active = vec![false; n];
+    let mut walkers = Walkers::new(n);
+    for i in (0..n).filter(|&i| !tree.in_tree(i)) {
+        let nav = Navigator::with_context(nav_ctx.clone(), initial[i], cfg.base, Hand::Right);
+        walkers.start(i, Route::Single(nav), &mut world);
+    }
     let mut motions: Vec<Motion> = initial.iter().map(|&p| Motion::still(p)).collect();
     // Position at the *previous* plan tick, for two-step oscillation
     // avoidance (the end of the step before the one just finished).
     let mut prev_plan_pos: Vec<Option<Point>> = vec![None; n];
-
-    let snap_ticks = (params.snapshot_every / cfg.dt()).round().max(1.0) as u64;
-    // The link invariant check runs always in debug builds and behind
-    // the MSN_CHECK_LINKS env var in release.
-    let check_links = cfg!(debug_assertions) || std::env::var_os("MSN_CHECK_LINKS").is_some();
-    let mut timeline = vec![(0.0, world.coverage_tracked())];
+    let mut timeline = Timeline::start(&mut world);
     drop(setup);
 
     for _ in 0..cfg.total_ticks() {
@@ -190,7 +140,7 @@ pub fn run_with_grid(
             if !world.is_plan_tick(i) {
                 continue;
             }
-            if connected[i] {
+            if tree.in_tree(i) {
                 plan_virtual_force(
                     i,
                     &mut world,
@@ -201,11 +151,8 @@ pub fn run_with_grid(
                     &mut prev_plan_pos,
                     max_step,
                 )
-            } else if movers[i].as_ref().is_some_and(|m| !m.route.is_stuck()) {
-                let outcome = lazy_plan_step(i, &mut world, &mut movers);
-                walk_active[i] = outcome == ConnectOutcome::Move;
             } else {
-                walk_active[i] = false;
+                walkers.plan(i, &mut world);
             }
         }
 
@@ -215,7 +162,7 @@ pub fn run_with_grid(
         let motion = msn_obs::span("cpvf.motion");
         let dt = cfg.dt();
         for i in 0..n {
-            if connected[i] {
+            if tree.in_tree(i) {
                 let m = motions[i];
                 if m.vel.norm() <= 1e-12 {
                     continue;
@@ -235,13 +182,8 @@ pub fn run_with_grid(
                 } else {
                     world.set_pos(i, to);
                 }
-            } else if walk_active[i] {
-                if let Some(m) = movers[i].as_mut() {
-                    let before = m.route.traveled();
-                    let p = m.route.advance(cfg.speed * dt);
-                    let walked = m.route.traveled() - before;
-                    world.set_pos_with_distance(i, p, walked);
-                }
+            } else {
+                walkers.step(i, &mut world);
             }
         }
 
@@ -253,151 +195,43 @@ pub fn run_with_grid(
         // V·T before it re-plans with the new child in its link set).
         {
             let _absorb = msn_obs::span("cpvf.absorb");
-            absorb_new_connections(
+            absorb(
                 &mut world,
                 &mut tree,
-                &mut connected,
-                &mut movers,
-                &mut motions,
-                cfg.rc - cfg.max_step(),
+                &mut walkers,
+                cfg.rc - max_step,
+                |i, world, _| motions[i] = Motion::still(world.pos(i)),
             );
         }
 
         world.advance_tick();
-        if world.tick().is_multiple_of(snap_ticks) {
-            let _snapshot = msn_obs::span("cpvf.snapshot");
-            timeline.push((world.time(), world.coverage_tracked()));
-        }
+        timeline.sample(&mut world, "cpvf.snapshot");
         // Invariant check: every tree link must stay within
         // communication range at all times — the paper's connectivity
-        // guarantee.
-        if check_links {
-            let _check = msn_obs::span("cpvf.check");
-            for i in 0..n {
-                let limit = cfg.rc + 1e-6;
-                match tree.parent(i) {
-                    Parent::Base => {
-                        let d = world.pos(i).dist(cfg.base);
-                        assert!(
-                            d <= limit,
-                            "t={}: base link of #{i} at {d:.3}",
-                            world.time()
-                        );
-                    }
-                    Parent::Node(p) => {
-                        let d = world.pos(i).dist(world.pos(p));
-                        assert!(d <= limit, "t={}: link {i}->{p} at {d:.3}", world.time());
-                    }
-                    Parent::None => {}
-                }
-            }
+        // guarantee. A broken link panics the run.
+        let _check = msn_obs::span("cpvf.check");
+        for i in 0..n {
+            let other = match tree.parent(i) {
+                Parent::Base => cfg.base,
+                Parent::Node(p) => world.pos(p),
+                Parent::None => continue,
+            };
+            let d = world.pos(i).dist(other);
+            assert!(
+                d <= cfg.rc + 1e-6,
+                "t={}: link of #{i} to {:?} at {d:.3}",
+                world.time(),
+                tree.parent(i)
+            );
         }
     }
 
     let _finish = msn_obs::span("cpvf.finish");
-    let coverage = world.coverage_tracked();
-    let all_connected =
+    let connected =
         world
             .graph()
             .all_connected_to_base(&world.positions().to_vec(), cfg.base, cfg.rc);
-    let moved: Vec<f64> = (0..n).map(|i| world.moved(i)).collect();
-    let msgs = world.msgs_ref().clone();
-    let positions = world.positions().to_vec();
-    RunResult::from_run(
-        "CPVF",
-        coverage,
-        &moved,
-        msgs,
-        all_connected,
-        timeline,
-        positions,
-    )
-    .with_movement(world.move_count(), world.move_dist())
-}
-
-/// Floods from the base station at t = 0 and attaches all reached
-/// sensors to the tree along BFS predecessor edges (§4.1).
-#[allow(clippy::needless_range_loop)] // indexing several parallel arrays
-fn attach_initial_flood(world: &mut World, tree: &mut Tree, connected: &mut [bool]) {
-    let cfg_rc = world.cfg().rc;
-    let base = world.cfg().base;
-    let graph = world.graph();
-    let mut queue = std::collections::VecDeque::new();
-    for i in 0..world.n() {
-        if world.pos(i).dist(base) <= cfg_rc {
-            connected[i] = true;
-            tree.attach(i, Parent::Base);
-            queue.push_back(i);
-        }
-    }
-    while let Some(u) = queue.pop_front() {
-        for &v in graph.neighbors(u) {
-            if !connected[v] {
-                connected[v] = true;
-                tree.attach(v, Parent::Node(u));
-                queue.push_back(v);
-            }
-        }
-    }
-    // Each connected sensor forwards the flood message exactly once.
-    let count = connected.iter().filter(|&&c| c).count() as u64;
-    world.msgs().record(MsgKind::ConnectFlood, count);
-}
-
-/// Marks walking sensors that entered communication range of the tree
-/// (or the base itself) as connected, chaining until a fixed point.
-fn absorb_new_connections(
-    world: &mut World,
-    tree: &mut Tree,
-    connected: &mut [bool],
-    movers: &mut [Option<LazyMover>],
-    motions: &mut [Motion],
-    stop_dist: f64,
-) {
-    let n = world.n();
-    let base = world.cfg().base;
-    loop {
-        let mut newly: Vec<(usize, Parent)> = Vec::new();
-        for i in 0..n {
-            if connected[i] {
-                continue;
-            }
-            if world.pos(i).dist(base) <= stop_dist {
-                newly.push((i, Parent::Base));
-                continue;
-            }
-            let mut best: Option<(usize, f64)> = None;
-            // Grid-ordered query: the historical per-round grid used a
-            // stop-distance cell, and the first-minimum fold below
-            // tie-breaks on scan order.
-            for j in world.neighbors_tracked_grid_order(i, stop_dist, stop_dist.max(1.0)) {
-                if connected[j] {
-                    let d = world.pos(i).dist(world.pos(j));
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((j, d));
-                    }
-                }
-            }
-            if let Some((j, _)) = best {
-                newly.push((i, Parent::Node(j)));
-            }
-        }
-        if newly.is_empty() {
-            break;
-        }
-        for (i, parent) in newly {
-            if connected[i] {
-                continue;
-            }
-            connected[i] = true;
-            tree.attach(i, parent);
-            movers[i] = None;
-            motions[i] = Motion::still(world.pos(i));
-            // The newly connected sensor announces itself (one flood
-            // forward, §4.1).
-            world.msgs().record(MsgKind::ConnectFlood, 1);
-        }
-    }
+    timeline.finish(&mut world, "CPVF", connected)
 }
 
 /// One §4.2 planning step: force direction, validated step size,
@@ -433,13 +267,15 @@ fn plan_virtual_force(
     }
     let dir = f.normalized().expect("norm checked above");
 
-    let links = maintained_links(tree, i);
-    // Obtaining each neighbor's direction/speed/period end costs a
-    // round trip (§4.2).
-    let probes = links.iter().filter(|l| matches!(l, Link::Node(_))).count() as u64;
-    world.msgs().record(MsgKind::MotionProbe, 2 * probes);
+    // The links sensor `i` must keep alive: its parent and all
+    // children. Obtaining each neighbor's direction/speed/period end
+    // costs a round trip (§4.2).
+    let parent = tree.parent(i);
+    let children = tree.children(i);
+    let probes = children.len() + usize::from(matches!(parent, Parent::Node(_)));
+    world.msgs().record(MsgKind::MotionProbe, 2 * probes as u64);
 
-    let chosen = max_valid_step(i, pos, dir, links, world, motions, max_step);
+    let chosen = max_valid_step(i, pos, dir, parent, children, world, motions, max_step);
     let filtered = params.oscillation.filter(pos, dir, chosen, max_step, prev);
 
     if filtered > 1e-9 {
@@ -457,27 +293,17 @@ fn plan_virtual_force(
     }
 }
 
-/// The links sensor `i` must keep alive: its parent and all children.
-fn maintained_links(tree: &Tree, i: usize) -> Links<'_> {
-    let parent = match tree.parent(i) {
-        Parent::Base => Some(Link::Base),
-        Parent::Node(p) => Some(Link::Node(p)),
-        Parent::None => None,
-    };
-    Links {
-        parent,
-        children: tree.children(i),
-    }
-}
-
 /// Largest step in `{1.0, …, 0.1, 0}·V·T` whose straight move keeps
-/// every link alive under the two connectivity-preserving conditions
-/// and does not run through an obstacle.
+/// the links to `parent` and every child alive under the two
+/// connectivity-preserving conditions and does not run through an
+/// obstacle.
+#[allow(clippy::too_many_arguments)]
 fn max_valid_step(
     i: usize,
     pos: Point,
     dir: Vec2,
-    links: Links<'_>,
+    parent: Parent,
+    children: &[usize],
     world: &World,
     motions: &[Motion],
     max_step: f64,
@@ -492,15 +318,17 @@ fn max_valid_step(
             continue;
         }
         let my_vel = dir * (step / cfg.period);
-        let ok = links.iter().all(|link| {
+        let mut links = std::iter::once(parent).chain(children.iter().map(|&c| Parent::Node(c)));
+        let ok = links.all(|link| {
             // The partner may follow its announced plan — or stop at any
             // point of it (equilibrium, wall contact, or a same-phase
             // re-plan that chooses not to move). Its possible positions
             // at t′ span the segment between "full plan" and "stopped
             // now"; by convexity it suffices to check both extremes.
             let (other_candidates, t_prime): ([Point; 2], f64) = match link {
-                Link::Base => ([cfg.base, cfg.base], my_period_end),
-                Link::Node(j) => {
+                Parent::None => return true,
+                Parent::Base => ([cfg.base, cfg.base], my_period_end),
+                Parent::Node(j) => {
                     let tp = world.period_end(j);
                     let here = world.pos(j);
                     ([here + motions[j].vel * (tp - now), here], tp)
@@ -549,11 +377,16 @@ fn try_parent_change(
             continue;
         }
         // Hypothetical link set with j as parent.
-        let links = Links {
-            parent: Some(Link::Node(j)),
-            children: tree.children(i),
-        };
-        let step = max_valid_step(i, pos, dir, links, world, motions, max_step);
+        let step = max_valid_step(
+            i,
+            pos,
+            dir,
+            Parent::Node(j),
+            tree.children(i),
+            world,
+            motions,
+            max_step,
+        );
         if step > 1e-9 && best.is_none_or(|(_, bs)| step > bs) {
             best = Some((j, step));
         }
@@ -659,7 +492,6 @@ mod tests {
             &initial,
             &CpvfParams {
                 oscillation: OscillationAvoidance::OneStep { delta: 2.0 },
-                ..CpvfParams::default()
             },
             &cfg,
         );

@@ -7,9 +7,10 @@ use msn_geom::Point;
 /// Both cancel a planned step when it looks like an unproductive
 /// perturbation; δ (the *oscillation avoidance factor*) sets the
 /// threshold `V·T/δ` — smaller δ cancels more aggressively.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum OscillationAvoidance {
     /// No filtering (CPVF's default).
+    #[default]
     Off,
     /// Cancel steps shorter than `V·T/δ`.
     OneStep {

@@ -32,13 +32,12 @@ pub use expand::{
 pub use lines::FloorLines;
 pub use registry::{FloorRegistry, VirtualToken};
 
-use crate::lazy::{lazy_plan_step, ConnectOutcome, LazyMover, Route};
+use crate::lazy::{absorb, flood_attach, Route, Timeline, Walkers};
 use msn_field::Field;
 use msn_geom::Point;
 use msn_nav::{Hand, MultiLegPlan, NavContext, Navigator};
 use msn_net::{random_walk, AdjacencyTracker, MsgKind, Neighbors, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
-use rand::Rng;
 use std::sync::Arc;
 
 /// Invitations a movable sensor collects before committing.
@@ -64,15 +63,12 @@ const MAX_CONCURRENT_EPS: usize = 3;
 const IDLE_STOP_PERIODS: u32 = 8;
 
 /// Tuning parameters of FLOOR: the knobs the paper's evaluation
-/// sweeps (Table 1's TTL, the BLG/IFLG ablation) and the coverage
-/// sampling interval.
+/// sweeps (Table 1's TTL, the BLG/IFLG ablation).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FloorParams {
     /// TTL of invitation random walks; `None` uses `⌈0.2·n⌉`
     /// (Table 1's middle setting).
     pub invitation_ttl: Option<usize>,
-    /// Coverage-timeline sampling interval (s).
-    pub snapshot_every: f64,
     /// Enable boundary-guided expansion (ablation switch).
     pub enable_blg: bool,
     /// Enable inter-floor-line-guided expansion (ablation switch).
@@ -83,7 +79,6 @@ impl Default for FloorParams {
     fn default() -> Self {
         FloorParams {
             invitation_ttl: None,
-            snapshot_every: 25.0,
             enable_blg: true,
             enable_iflg: true,
         }
@@ -178,8 +173,7 @@ struct FloorSim<'a> {
     tree: Tree,
     registry: FloorRegistry,
     state: Vec<FState>,
-    movers: Vec<Option<LazyMover>>,
-    walk_active: Vec<bool>,
+    walkers: Walkers,
     inbox: Vec<Vec<Invite>>,
     waited: Vec<u32>,
     reloc: Vec<Option<Reloc>>,
@@ -216,8 +210,7 @@ impl<'a> FloorSim<'a> {
             tree: Tree::new(n),
             registry,
             state: vec![FState::Walking; n],
-            movers: (0..n).map(|_| None).collect(),
-            walk_active: vec![false; n],
+            walkers: Walkers::new(n),
             inbox: vec![Vec::new(); n],
             waited: vec![0; n],
             reloc: (0..n).map(|_| None).collect(),
@@ -257,28 +250,7 @@ impl<'a> FloorSim<'a> {
         // rebuilds from the tick path.
         self.world.track_adjacency();
         self.initial_flood();
-        // Route the still-disconnected sensors per Algorithm 1.
-        for i in 0..n {
-            if self.state[i] == FState::Walking {
-                let pos = self.world.pos(i);
-                let legs = self.algorithm1_legs(pos);
-                let backoff = self.world.rng().gen_range(0.0..10.0f64);
-                self.movers[i] = Some(LazyMover::new(
-                    Route::Multi(MultiLegPlan::with_context(
-                        self.nav_ctx.clone(),
-                        pos,
-                        legs,
-                        Hand::Right,
-                    )),
-                    backoff,
-                ));
-            }
-        }
-
-        let snap_ticks = (self.params.snapshot_every / self.cfg.dt())
-            .round()
-            .max(1.0) as u64;
-        let mut timeline = vec![(0.0, self.world.coverage_tracked())];
+        let mut timeline = Timeline::start(&mut self.world);
         let classify_deadline = PHASE1_TIMEOUT_FRAC * self.cfg.duration;
         drop(setup);
 
@@ -296,7 +268,7 @@ impl<'a> FloorSim<'a> {
                     continue;
                 }
                 match self.state[i] {
-                    FState::Walking => self.plan_walk(i),
+                    FState::Walking => self.walkers.plan(i, &mut self.world),
                     FState::Fixed if self.classified => self.expansion_step(i),
                     FState::Movable => {
                         // §4.1 applies at all times: a movable whose
@@ -328,68 +300,58 @@ impl<'a> FloorSim<'a> {
                 self.absorb_connections();
             }
             self.world.advance_tick();
-            if self.world.tick().is_multiple_of(snap_ticks) {
-                let _snapshot = msn_obs::span("floor.snapshot");
-                timeline.push((self.world.time(), self.world.coverage_tracked()));
-            }
+            timeline.sample(&mut self.world, "floor.snapshot");
         }
 
         let _finish = msn_obs::span("floor.finish");
-        let coverage = self.world.coverage_tracked();
         let connected = self.world.all_connected_tracked();
-        let moved: Vec<f64> = (0..n).map(|i| self.world.moved(i)).collect();
-        let msgs = self.world.msgs_ref().clone();
-        let positions = self.world.positions().to_vec();
-        RunResult::from_run(
-            "FLOOR", coverage, &moved, msgs, connected, timeline, positions,
-        )
-        .with_movement(self.world.move_count(), self.world.move_dist())
+        timeline.finish(&mut self.world, "FLOOR", connected)
     }
 
-    /// Algorithm 1's waypoints from a starting position.
-    fn algorithm1_legs(&self, pos: Point) -> Vec<Point> {
+    /// Algorithm 1's route from a starting position: BUG2 legs through
+    /// `(x, FloorLine(y))` and `(0, FloorLine(y))` to the base.
+    fn algorithm1_route(&self, pos: Point) -> Route {
         let fl = self.registry.lines().nearest_line_y(pos.y);
-        vec![
+        let legs = vec![
             Point::new(pos.x, fl),
             Point::new(self.field.bounds().min.x, fl),
             self.cfg.base,
-        ]
+        ];
+        Route::Multi(MultiLegPlan::with_context(
+            self.nav_ctx.clone(),
+            pos,
+            legs,
+            Hand::Right,
+        ))
     }
 
-    /// §4.1-style flood at t = 0; reached sensors attach along BFS
-    /// predecessor edges and report to the base (§5.3).
+    /// §4.1-style flood at t = 0 over links of at most the stop
+    /// distance: reached sensors are fixed and report to the base
+    /// (§5.3); the rest walk Algorithm 1's route.
     fn initial_flood(&mut self) {
-        let base = self.cfg.base;
-        let mut queue = std::collections::VecDeque::new();
-        for i in 0..self.world.n() {
-            if self.world.pos(i).dist(base) <= self.stop_dist {
-                self.state[i] = FState::Fixed;
-                self.tree.attach(i, Parent::Base);
-                queue.push_back(i);
-            }
-        }
+        let stop = self.stop_dist;
         self.world.adjacency().sync();
         let adj: &AdjacencyTracker = self.world.adjacency();
         let pos = adj.points();
-        while let Some(u) = queue.pop_front() {
-            for &v in adj.neighbors_of(u) {
-                if self.state[v] == FState::Walking && pos[v].dist(pos[u]) <= self.stop_dist {
-                    self.state[v] = FState::Fixed;
-                    self.tree.attach(v, Parent::Node(u));
-                    queue.push_back(v);
-                }
+        let flooded = flood_attach(
+            adj,
+            pos,
+            self.cfg.base,
+            stop,
+            |u, v| pos[v].dist(pos[u]) <= stop,
+            &mut self.tree,
+        );
+        self.world.msgs().record(MsgKind::ConnectFlood, flooded);
+        for i in 0..self.world.n() {
+            if self.tree.in_tree(i) {
+                self.state[i] = FState::Fixed;
+                let depth = self.tree.depth(i).expect("attached") as u64;
+                self.world.msgs().record(MsgKind::Report, depth);
+                self.world.msgs().record(MsgKind::AncestorList, depth);
+            } else {
+                let route = self.algorithm1_route(self.world.pos(i));
+                self.walkers.start(i, route, &mut self.world);
             }
-        }
-        let connected: Vec<usize> = (0..self.world.n())
-            .filter(|&i| self.state[i] == FState::Fixed)
-            .collect();
-        self.world
-            .msgs()
-            .record(MsgKind::ConnectFlood, connected.len() as u64);
-        for i in connected {
-            let depth = self.tree.depth(i).expect("attached") as u64;
-            self.world.msgs().record(MsgKind::Report, depth);
-            self.world.msgs().record(MsgKind::AncestorList, depth);
         }
     }
 
@@ -397,46 +359,19 @@ impl<'a> FloorSim<'a> {
     /// Algorithm 1's route (it rejoins the tree as a fixed node when
     /// absorbed).
     fn restart_walk(&mut self, i: usize) {
-        let pos = self.world.pos(i);
-        let legs = self.algorithm1_legs(pos);
+        let route = self.algorithm1_route(self.world.pos(i));
         self.state[i] = FState::Walking;
         self.inbox[i].clear();
         self.waited[i] = 0;
         self.disconnected_periods[i] = 0;
-        self.movers[i] = Some(LazyMover::new(
-            Route::Multi(MultiLegPlan::with_context(
-                self.nav_ctx.clone(),
-                pos,
-                legs,
-                Hand::Right,
-            )),
-            self.world.time(),
-        ));
-        self.walk_active[i] = true;
-    }
-
-    fn plan_walk(&mut self, i: usize) {
-        if self.movers[i].as_ref().is_none_or(|m| m.route.is_stuck()) {
-            self.walk_active[i] = false;
-            return;
-        }
-        let outcome = lazy_plan_step(i, &mut self.world, &mut self.movers);
-        self.walk_active[i] = outcome == ConnectOutcome::Move;
+        self.walkers.restart(i, route, self.world.time());
     }
 
     fn integrate_motion(&mut self) {
-        let dt = self.cfg.dt();
-        let step = self.cfg.speed * dt;
+        let step = self.cfg.speed * self.cfg.dt();
         for i in 0..self.world.n() {
             match self.state[i] {
-                FState::Walking if self.walk_active[i] => {
-                    if let Some(m) = self.movers[i].as_mut() {
-                        let before = m.route.traveled();
-                        let p = m.route.advance(step);
-                        let walked = m.route.traveled() - before;
-                        self.world.set_pos_with_distance(i, p, walked);
-                    }
-                }
+                FState::Walking => self.walkers.step(i, &mut self.world),
                 FState::Relocating => {
                     let Some(r) = self.reloc[i].as_mut() else {
                         continue;
@@ -456,71 +391,37 @@ impl<'a> FloorSim<'a> {
         }
     }
 
-    /// Freezes walkers entering `min(rc, 2·rs)` of the tree (§5.2),
-    /// chaining until a fixed point; new members report to the base.
+    /// Freezes walkers entering `min(rc, 2·rs)` of the tree (§5.2);
+    /// new members report to the base.
     fn absorb_connections(&mut self) {
-        let n = self.world.n();
-        let base = self.cfg.base;
-        loop {
-            let mut newly: Vec<(usize, Parent)> = Vec::new();
-            for i in 0..n {
-                if self.state[i] != FState::Walking {
-                    continue;
-                }
-                if self.world.pos(i).dist(base) <= self.stop_dist {
-                    newly.push((i, Parent::Base));
-                    continue;
-                }
-                let mut best: Option<(usize, f64)> = None;
-                // Grid-ordered query: the historical per-round grid
-                // used a stop-distance cell, and the first-minimum
-                // fold below tie-breaks on scan order.
-                let stop_cell = self.stop_dist.max(1.0);
-                for j in self
-                    .world
-                    .neighbors_tracked_grid_order(i, self.stop_dist, stop_cell)
-                {
-                    if self.tree.in_tree(j) {
-                        let d = self.world.pos(i).dist(self.world.pos(j));
-                        if best.is_none_or(|(_, bd)| d < bd) {
-                            best = Some((j, d));
-                        }
-                    }
-                }
-                if let Some((j, _)) = best {
-                    newly.push((i, Parent::Node(j)));
-                }
-            }
-            if newly.is_empty() {
-                break;
-            }
-            for (i, parent) in newly {
-                if self.state[i] != FState::Walking {
-                    continue;
-                }
+        let classified = self.classified;
+        absorb(
+            &mut self.world,
+            &mut self.tree,
+            &mut self.walkers,
+            self.stop_dist,
+            |i, world, tree| {
                 self.state[i] = FState::Fixed;
-                self.tree.attach(i, parent);
-                self.movers[i] = None;
-                let depth = self.tree.depth(i).expect("attached") as u64;
-                self.world.msgs().record(MsgKind::ConnectFlood, 1);
-                self.world.msgs().record(MsgKind::Report, depth);
-                self.world.msgs().record(MsgKind::AncestorList, depth);
-                if self.classified {
-                    // Late arrivals get the same §5.3 test immediately:
-                    // a childless newcomer whose disk is already covered
-                    // by others joins the movable pool instead of
-                    // ossifying where it happens to stand.
-                    if self.exclusive_fraction(i) < MOVABLE_THRESHOLD {
-                        self.tree.detach(i);
-                        self.state[i] = FState::Movable;
-                        self.waited[i] = 0;
-                        self.disconnected_periods[i] = 0;
-                    } else {
-                        self.registry.register_real(i, self.world.pos(i));
-                    }
+                let depth = tree.depth(i).expect("attached") as u64;
+                world.msgs().record(MsgKind::Report, depth);
+                world.msgs().record(MsgKind::AncestorList, depth);
+                if !classified {
+                    return;
                 }
-            }
-        }
+                // Late arrivals get the same §5.3 test immediately: a
+                // childless newcomer whose disk is already covered by
+                // others joins the movable pool instead of ossifying
+                // where it happens to stand.
+                if Self::exclusive_fraction(world, tree, i) < MOVABLE_THRESHOLD {
+                    tree.detach(i);
+                    self.state[i] = FState::Movable;
+                    self.waited[i] = 0;
+                    self.disconnected_periods[i] = 0;
+                } else {
+                    self.registry.register_real(i, world.pos(i));
+                }
+            },
+        );
     }
 
     /// Phase 2 (§5.3): serialized movable/fixed classification.
@@ -551,7 +452,7 @@ impl<'a> FloorSim<'a> {
             }
             // (b) first the cheap test: its exclusively covered area
             // must be small, otherwise moving it away costs coverage.
-            if self.exclusive_fraction(i) >= MOVABLE_THRESHOLD {
+            if Self::exclusive_fraction(&mut self.world, &self.tree, i) >= MOVABLE_THRESHOLD {
                 continue;
             }
             // (a) every child must find a loop-free substitute parent
@@ -606,18 +507,17 @@ impl<'a> FloorSim<'a> {
 
     /// Fraction of sensor `i`'s disk covered by no other attached
     /// sensor, estimated on a fixed sample pattern.
-    fn exclusive_fraction(&mut self, i: usize) -> f64 {
-        let pos = self.world.pos(i);
-        let rs = self.cfg.rs;
+    fn exclusive_fraction(world: &mut World, tree: &Tree, i: usize) -> f64 {
+        let pos = world.pos(i);
+        let rs = world.cfg().rs;
         // 2·rs can exceed the index's rc cell — the query stays exact,
         // it just scans a wider cell window; and the `any` fold below
         // is order-insensitive, so no grid-order emulation is needed.
-        let neighbors: Vec<Point> = self
-            .world
+        let neighbors: Vec<Point> = world
             .neighbors_tracked(i, 2.0 * rs)
             .into_iter()
-            .filter(|&j| self.tree.in_tree(j))
-            .map(|j| self.world.pos(j))
+            .filter(|&j| tree.in_tree(j))
+            .map(|j| world.pos(j))
             .collect();
         let mut exclusive = 0usize;
         let mut total = 0usize;

@@ -57,7 +57,6 @@ mod overrides;
 pub mod vd;
 
 pub use dynamic::{run_scheme_dynamic, DynamicOutcome};
-pub use lazy::ConnectOutcome;
 pub use overrides::{CpvfOverrides, FloorOverrides, SchemeOverrides, Slot};
 
 use msn_field::{CoverageGrid, Field};

@@ -6,8 +6,7 @@
 //! the ones the paper's §6 experiments sweep: FLOOR's invitation TTL
 //! (Table 1, as an absolute hop count or as a fraction of the network
 //! size, `TTL = 0.1N ... 0.4N`), FLOOR's BLG/IFLG guides (the
-//! ablation) and CPVF's oscillation avoidance (Fig. 12). Overrides
-//! merge — a sweep-cell variant wins over a scenario-wide base.
+//! ablation) and CPVF's oscillation avoidance (Fig. 12).
 
 use crate::cpvf::{CpvfParams, OscillationAvoidance};
 use crate::floor::FloorParams;
@@ -64,8 +63,7 @@ pub struct CpvfOverrides {
 }
 
 /// A partial override set across the swept schemes. Unset fields
-/// resolve to each scheme's defaults; [`SchemeOverrides::merged_over`]
-/// stacks a sweep-cell variant on a scenario-wide base.
+/// resolve to each scheme's defaults.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SchemeOverrides {
     /// FLOOR overrides.
@@ -75,43 +73,12 @@ pub struct SchemeOverrides {
 }
 
 impl SchemeOverrides {
-    /// Returns `self` stacked over `base`: fields set in `self` win,
-    /// fields unset in `self` fall through to `base`.
-    #[must_use]
-    pub fn merged_over(&self, base: &SchemeOverrides) -> SchemeOverrides {
-        let (o, b) = (&self.floor, &base.floor);
-        // ttl and ttl_frac are one logical knob: a variant that sets
-        // either supersedes the base's TTL choice entirely, so a base
-        // `ttl = 8` cannot shadow a variant's `ttl_frac` sweep.
-        let (ttl, ttl_frac) = if o.ttl.is_some() || o.ttl_frac.is_some() {
-            (o.ttl, o.ttl_frac)
-        } else {
-            (b.ttl, b.ttl_frac)
-        };
-        SchemeOverrides {
-            floor: FloorOverrides {
-                ttl,
-                ttl_frac,
-                enable_blg: o.enable_blg.or(b.enable_blg),
-                enable_iflg: o.enable_iflg.or(b.enable_iflg),
-            },
-            cpvf: CpvfOverrides {
-                oscillation: self.cpvf.oscillation.or(base.cpvf.oscillation),
-            },
-        }
-    }
-
     /// The plain knobs of every scheme's table, keyed by the table's
-    /// name (`floor`, `cpvf` — the `[params.*]` sections). CPVF's one
+    /// name (`floor`, `cpvf` — the `[variants.*]` sections). CPVF's one
     /// knob, `oscillation`, is two TOML keys and its codec is written
     /// by hand, so its table lists no plain knobs.
     pub fn knob_tables(&mut self) -> [(&'static str, Vec<(&'static str, Slot<'_>)>); 2] {
         [("floor", self.floor.slots()), ("cpvf", Vec::new())]
-    }
-
-    /// Whether no field is overridden.
-    pub fn is_default(&self) -> bool {
-        *self == SchemeOverrides::default()
     }
 
     /// Checks internal consistency, returning the first problem.
@@ -151,16 +118,13 @@ impl SchemeOverrides {
             invitation_ttl,
             enable_blg: o.enable_blg.unwrap_or(d.enable_blg),
             enable_iflg: o.enable_iflg.unwrap_or(d.enable_iflg),
-            ..d
         }
     }
 
     /// Resolved CPVF parameters.
     pub fn cpvf_params(&self) -> CpvfParams {
-        let d = CpvfParams::default();
         CpvfParams {
-            oscillation: self.cpvf.oscillation.unwrap_or(d.oscillation),
-            ..d
+            oscillation: self.cpvf.oscillation.unwrap_or_default(),
         }
     }
 
@@ -178,7 +142,6 @@ mod tests {
     #[test]
     fn default_overrides_resolve_to_scheme_defaults() {
         let o = SchemeOverrides::default();
-        assert!(o.is_default());
         assert!(o.validate().is_ok());
         assert_eq!(o.floor_params(240), FloorParams::default());
         assert_eq!(o.cpvf_params(), CpvfParams::default());
@@ -232,62 +195,6 @@ mod tests {
             ..Default::default()
         };
         assert!(o.validate().is_err());
-    }
-
-    #[test]
-    fn variant_ttl_choice_supersedes_base_ttl() {
-        // a base absolute TTL must not shadow a variant's fractional
-        // sweep (the ttl/ttl_frac pair is one logical knob)
-        let base = SchemeOverrides {
-            floor: FloorOverrides {
-                ttl: Some(8),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let variant = SchemeOverrides {
-            floor: FloorOverrides {
-                ttl_frac: Some(0.1),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let merged = variant.merged_over(&base);
-        assert_eq!(merged.floor.ttl, None);
-        assert_eq!(merged.floor.ttl_frac, Some(0.1));
-        assert!(merged.validate().is_ok());
-        assert_eq!(merged.floor_params(240).invitation_ttl, Some(24));
-        // and a variant without a TTL choice inherits the base's
-        let plain = SchemeOverrides::default().merged_over(&base);
-        assert_eq!(plain.floor.ttl, Some(8));
-        assert_eq!(plain.floor.ttl_frac, None);
-    }
-
-    #[test]
-    fn variant_merges_over_base() {
-        let base = SchemeOverrides {
-            floor: FloorOverrides {
-                enable_iflg: Some(false),
-                enable_blg: Some(false),
-                ..Default::default()
-            },
-            cpvf: CpvfOverrides {
-                oscillation: Some(OscillationAvoidance::Off),
-            },
-        };
-        let variant = SchemeOverrides {
-            floor: FloorOverrides {
-                enable_blg: Some(true),
-                ttl: Some(12),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let merged = variant.merged_over(&base);
-        assert_eq!(merged.floor.enable_iflg, Some(false), "base survives");
-        assert_eq!(merged.cpvf.oscillation, Some(OscillationAvoidance::Off));
-        assert_eq!(merged.floor.enable_blg, Some(true), "variant wins");
-        assert_eq!(merged.floor.ttl, Some(12));
     }
 
     #[test]

@@ -36,31 +36,10 @@ impl Circle {
         Circle { center, radius }
     }
 
-    /// Area of the disk.
-    #[inline]
-    pub fn area(&self) -> f64 {
-        std::f64::consts::PI * self.radius * self.radius
-    }
-
     /// Returns `true` if `p` lies in the closed disk (with [`EPS`] slack).
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
         self.center.dist_sq(p) <= (self.radius + EPS) * (self.radius + EPS)
-    }
-
-    /// Returns `true` if the two closed disks overlap.
-    #[inline]
-    pub fn intersects(&self, other: &Circle) -> bool {
-        self.center.dist(other.center) <= self.radius + other.radius + EPS
-    }
-
-    /// The point on the circle closest to `p` (undefined direction when
-    /// `p` is the center; returns the point straight above the center).
-    pub fn closest_boundary_point(&self, p: Point) -> Point {
-        match (p - self.center).normalized() {
-            Some(dir) => self.center + dir * self.radius,
-            None => self.center + Point::new(0.0, self.radius),
-        }
     }
 
     /// The chord of `seg` inside the closed disk, if any.
@@ -130,7 +109,6 @@ impl fmt::Display for Circle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::PI;
 
     fn unit() -> Circle {
         Circle::new(Point::ORIGIN, 1.0)
@@ -142,16 +120,6 @@ mod tests {
         assert!(c.contains(Point::ORIGIN));
         assert!(c.contains(Point::new(1.0, 0.0))); // boundary included
         assert!(!c.contains(Point::new(1.001, 0.0)));
-        assert!((c.area() - PI).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disk_overlap() {
-        let a = unit();
-        let b = Circle::new(Point::new(1.5, 0.0), 1.0);
-        assert!(a.intersects(&b));
-        let far = Circle::new(Point::new(3.0, 0.0), 1.0);
-        assert!(!a.intersects(&far) || a.center.dist(far.center) <= 2.0 + EPS);
     }
 
     #[test]
@@ -189,15 +157,5 @@ mod tests {
         assert!(a
             .intersect_circle(&Circle::new(Point::ORIGIN, 3.0))
             .is_empty());
-    }
-
-    #[test]
-    fn closest_boundary_point_directions() {
-        let c = Circle::new(Point::new(1.0, 1.0), 2.0);
-        let p = c.closest_boundary_point(Point::new(10.0, 1.0));
-        assert!(p.approx_eq(Point::new(3.0, 1.0)));
-        // degenerate: from the center
-        let q = c.closest_boundary_point(c.center);
-        assert!((q.dist(c.center) - 2.0).abs() < 1e-12);
     }
 }

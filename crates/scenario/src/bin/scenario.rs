@@ -531,9 +531,6 @@ fn describe_text(spec: &ScenarioSpec) -> String {
     let _ = writeln!(out, "coverage cell: {} m", spec.coverage_cell);
     let _ = writeln!(out, "repetitions:   {}", spec.repetitions);
     let _ = writeln!(out, "base seed:     {}", spec.seed);
-    if !spec.params.is_default() {
-        let _ = writeln!(out, "params:        scenario-wide overrides set");
-    }
     if !spec.variants.is_empty() {
         let _ = writeln!(
             out,

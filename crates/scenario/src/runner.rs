@@ -1165,13 +1165,16 @@ mod tests {
         assert!(BatchRunner::new()
             .run_resuming(&quickened, Some(&prior))
             .is_err());
-        let reparam = spec.clone().with_params(SchemeOverrides {
-            floor: FloorOverrides {
-                ttl: Some(3),
+        let reparam = spec.clone().with_variant(
+            "ttl-3",
+            SchemeOverrides {
+                floor: FloorOverrides {
+                    ttl: Some(3),
+                    ..Default::default()
+                },
                 ..Default::default()
             },
-            ..Default::default()
-        });
+        );
         assert!(BatchRunner::new()
             .run_resuming(&reparam, Some(&prior))
             .is_err());

@@ -146,8 +146,8 @@ impl ScatterSpec {
     }
 }
 
-/// One labeled cell of a parameter sweep: a partial override set that
-/// stacks on the scenario's base [`ScenarioSpec::params`].
+/// One labeled cell of a parameter sweep: a partial override set on
+/// top of each scheme's defaults.
 ///
 /// Variants form an extra matrix axis between repetitions and schemes,
 /// so every variant competes on the same environments — Table 1's
@@ -157,7 +157,7 @@ impl ScatterSpec {
 pub struct ParamVariant {
     /// Display label (unique within a spec), e.g. `"TTL=0.2N"`.
     pub label: String,
-    /// The overrides this variant applies on top of the base params.
+    /// The overrides this variant applies to the scheme defaults.
     pub overrides: SchemeOverrides,
 }
 
@@ -215,12 +215,8 @@ pub struct ScenarioSpec {
     /// Base seed; per-run seeds are derived deterministically from it
     /// and the run's matrix coordinates (never from thread timing).
     pub seed: u64,
-    /// Scheme parameter overrides applied to every run (TOML
-    /// `[params.floor]`, `[params.cpvf]`, ...).
-    pub params: SchemeOverrides,
-    /// Parameter sweep cells (TOML `[[variants]]`); each stacks on
-    /// [`ScenarioSpec::params`]. Empty means one unlabeled default
-    /// variant.
+    /// Parameter sweep cells (TOML `[[variants]]`). Empty means one
+    /// unlabeled default variant.
     pub variants: Vec<ParamVariant>,
     /// Scheduled mid-run sensor failures plus the recovery threshold
     /// — the TOML `[dynamics]` section. `None` (the default) runs
@@ -247,7 +243,6 @@ impl ScenarioSpec {
             coverage_cell: 2.5,
             repetitions: 1,
             seed: 42,
-            params: SchemeOverrides::default(),
             variants: Vec::new(),
             dynamics: None,
         }
@@ -333,13 +328,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Sets the scenario-wide parameter overrides.
-    #[must_use]
-    pub fn with_params(mut self, params: SchemeOverrides) -> Self {
-        self.params = params;
-        self
-    }
-
     /// Appends a labeled parameter-sweep variant.
     #[must_use]
     pub fn with_variant(mut self, label: impl Into<String>, overrides: SchemeOverrides) -> Self {
@@ -379,13 +367,12 @@ impl ScenarioSpec {
         self.variants.get(idx).map_or("", |v| v.label.as_str())
     }
 
-    /// The fully merged overrides of variant slot `idx`: the
-    /// variant's own overrides stacked on the base params.
+    /// The overrides of variant slot `idx` (none for the implicit
+    /// default variant).
     pub fn effective_overrides(&self, idx: usize) -> SchemeOverrides {
-        match self.variants.get(idx) {
-            Some(v) => v.overrides.merged_over(&self.params),
-            None => self.params.clone(),
-        }
+        self.variants
+            .get(idx)
+            .map_or_else(SchemeOverrides::default, |v| v.overrides.clone())
     }
 
     /// Checks the spec is executable, returning the first problem.
@@ -424,7 +411,6 @@ impl ScenarioSpec {
         if let Some(d) = &self.dynamics {
             d.validate(self.duration)?;
         }
-        self.params.validate().map_err(|e| format!("params: {e}"))?;
         for (i, v) in self.variants.iter().enumerate() {
             if v.label.is_empty() {
                 return Err(format!("variant {i} has an empty label"));
@@ -435,17 +421,13 @@ impl ScenarioSpec {
             v.overrides
                 .validate()
                 .map_err(|e| format!("variant '{}': {e}", v.label))?;
-            // the merge onto the base params must also be coherent
-            self.effective_overrides(i)
-                .validate()
-                .map_err(|e| format!("variant '{}' merged over params: {e}", v.label))?;
         }
         Ok(())
     }
 
     /// A stable fingerprint of everything that determines run results
     /// except the repetition count — field, scatter, sweep axes,
-    /// durations, params, variants, schemes and the base seed.
+    /// durations, variants, schemes and the base seed.
     /// Recorded in `batch.json` and checked by batch resume, so
     /// records computed under an edited spec (changed duration,
     /// override values, ...) are never silently merged; repetitions
@@ -631,8 +613,6 @@ enum Val<'a> {
     Radios(&'a mut Vec<RadioSpec>),
     Field(&'a mut FieldSpec),
     Scatter(&'a mut ScatterSpec),
-    /// Emitted only when something is overridden.
-    Params(&'a mut SchemeOverrides),
     /// Emitted only when non-empty.
     Variants(&'a mut Vec<ParamVariant>),
     /// Emitted only when set.
@@ -665,13 +645,6 @@ impl Val<'_> {
             ),
             Val::Field(v) => kinded_to_toml(v.kind(), field_table(v)),
             Val::Scatter(v) => kinded_to_toml(v.kind(), scatter_table(v)),
-            Val::Params(v) => {
-                let t = overrides_to_toml(v);
-                if t.is_empty() {
-                    return None;
-                }
-                TomlValue::Table(t)
-            }
             Val::Variants(v) if v.is_empty() => return None,
             Val::Variants(v) => TomlValue::Array(v.iter_mut().map(variant_to_toml).collect()),
             Val::Dynamics(v) => dynamics_to_toml(v.as_ref()?),
@@ -756,7 +729,6 @@ impl Val<'_> {
                     scatter_table,
                 )?;
             }
-            Val::Params(slot) => *slot = overrides_from_toml(v, key, &[])?,
             Val::Variants(slot) => {
                 let items = v
                     .as_array()
@@ -787,7 +759,6 @@ fn root_table(s: &mut ScenarioSpec) -> Table<'_> {
         ("dynamics", Val::Dynamics(&mut s.dynamics)),
         ("field", Val::Field(&mut s.field)),
         ("scatter", Val::Scatter(&mut s.scatter)),
-        ("params", Val::Params(&mut s.params)),
         ("variants", Val::Variants(&mut s.variants)),
     ]
 }
@@ -986,7 +957,7 @@ fn knob_table<'a>(knobs: Vec<(&'static str, Slot<'a>)>) -> Table<'a> {
         .collect()
 }
 
-/// Serializes an override set as its `[params]`-style table: one
+/// Serializes an override set as a `[[variants]]` entry's tables: one
 /// sub-table per scheme with anything set.
 fn overrides_to_toml(o: &mut SchemeOverrides) -> BTreeMap<String, TomlValue> {
     let mut oscillation = o.cpvf.oscillation.map(|osc| {
@@ -1010,37 +981,6 @@ fn overrides_to_toml(o: &mut SchemeOverrides) -> BTreeMap<String, TomlValue> {
         }
     }
     root
-}
-
-/// Parses a `[params]`-style override table; `extra` are the keys the
-/// table may hold besides the per-scheme sub-tables.
-fn overrides_from_toml(
-    v: &TomlValue,
-    section: &str,
-    extra: &[&str],
-) -> Result<SchemeOverrides, TomlError> {
-    let mut o = SchemeOverrides::default();
-    let tables = o.knob_tables();
-    let keys: Vec<&str> = extra
-        .iter()
-        .copied()
-        .chain(tables.iter().map(|(scheme, _)| *scheme))
-        .collect();
-    check_keys(v, section, &keys)?;
-    for (scheme, knobs) in tables {
-        if let Some(t) = v.get(scheme) {
-            let extra: &[&str] = if scheme == "cpvf" {
-                &OSCILLATION_KEYS
-            } else {
-                &[]
-            };
-            parse_table(t, &format!("params.{scheme}"), knob_table(knobs), extra)?;
-        }
-    }
-    if let Some(t) = v.get("cpvf") {
-        o.cpvf.oscillation = oscillation_from_toml(t)?;
-    }
-    Ok(o)
 }
 
 fn oscillation_from_toml(t: &TomlValue) -> Result<Option<OscillationAvoidance>, TomlError> {
@@ -1079,10 +1019,26 @@ fn variant_to_toml(v: &mut ParamVariant) -> TomlValue {
 fn variant_from_toml(v: &TomlValue) -> Result<ParamVariant, TomlError> {
     let label = require_str(v, "label")
         .map_err(|_| TomlError("each [[variants]] entry needs a string 'label'".into()))?;
-    Ok(ParamVariant::new(
-        label,
-        overrides_from_toml(v, "variants", &["label"])?,
-    ))
+    let mut o = SchemeOverrides::default();
+    let tables = o.knob_tables();
+    let keys: Vec<&str> = std::iter::once("label")
+        .chain(tables.iter().map(|(scheme, _)| *scheme))
+        .collect();
+    check_keys(v, "variants", &keys)?;
+    for (scheme, knobs) in tables {
+        if let Some(t) = v.get(scheme) {
+            let extra: &[&str] = if scheme == "cpvf" {
+                &OSCILLATION_KEYS
+            } else {
+                &[]
+            };
+            parse_table(t, &format!("variants.{scheme}"), knob_table(knobs), extra)?;
+        }
+    }
+    if let Some(t) = v.get("cpvf") {
+        o.cpvf.oscillation = oscillation_from_toml(t)?;
+    }
+    Ok(ParamVariant::new(label, o))
 }
 
 fn dynamics_to_toml(d: &EventSchedule) -> TomlValue {
@@ -1321,47 +1277,26 @@ mod tests {
         let plain = ScenarioSpec::new("p");
         assert_eq!(plain.variant_count(), 1);
         assert_eq!(plain.variant_label(0), "");
-        assert!(plain.effective_overrides(0).is_default());
-    }
-
-    #[test]
-    fn variants_stack_on_base_params() {
-        let base = SchemeOverrides {
-            floor: msn_deploy::FloorOverrides {
-                enable_iflg: Some(false),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let ttl = SchemeOverrides {
-            floor: msn_deploy::FloorOverrides {
-                ttl: Some(12),
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let spec = ScenarioSpec::new("s")
-            .with_params(base)
-            .with_variant("ttl-12", ttl);
-        let eff = spec.effective_overrides(0);
-        assert_eq!(eff.floor.enable_iflg, Some(false));
-        assert_eq!(eff.floor.ttl, Some(12));
+        assert_eq!(plain.effective_overrides(0), SchemeOverrides::default());
     }
 
     #[test]
     fn params_and_variants_roundtrip_toml() {
         let spec = ScenarioSpec::new("sweep")
             .with_schemes(vec![SchemeKind::Cpvf, SchemeKind::Floor])
-            .with_params(SchemeOverrides {
-                floor: msn_deploy::FloorOverrides {
-                    ttl: Some(6),
-                    enable_iflg: Some(true),
-                    ..Default::default()
+            .with_variant(
+                "both",
+                SchemeOverrides {
+                    floor: msn_deploy::FloorOverrides {
+                        ttl: Some(6),
+                        enable_iflg: Some(true),
+                        ..Default::default()
+                    },
+                    cpvf: msn_deploy::CpvfOverrides {
+                        oscillation: Some(OscillationAvoidance::Off),
+                    },
                 },
-                cpvf: msn_deploy::CpvfOverrides {
-                    oscillation: Some(OscillationAvoidance::Off),
-                },
-            })
+            )
             .with_variant("off", SchemeOverrides::default())
             .with_variant(
                 "two-step-4",
@@ -1386,20 +1321,23 @@ mod tests {
         let parsed = ScenarioSpec::from_toml_str(&text).unwrap();
         assert_eq!(parsed, spec, "round-trip failed for:\n{text}");
         assert!(text.contains("[[variants]]"), "{text}");
-        assert!(text.contains("[params.floor]"), "{text}");
+        assert!(text.contains("[variants.floor]"), "{text}");
+        assert!(text.contains("[variants.cpvf]"), "{text}");
     }
 
     #[test]
     fn bad_params_are_rejected_with_context() {
-        let e =
-            ScenarioSpec::from_toml_str("name = \"x\"\n[params.floor]\nttl = 5\nttl_frac = 0.2\n")
-                .unwrap_err();
+        let variant = |section: &str, body: &str| {
+            ScenarioSpec::from_toml_str(&format!(
+                "name = \"x\"\n[[variants]]\nlabel = \"v\"\n[variants.{section}]\n{body}\n"
+            ))
+            .unwrap_err()
+        };
+        let e = variant("floor", "ttl = 5\nttl_frac = 0.2");
         assert!(e.0.contains("mutually exclusive"), "{}", e.0);
-        let e =
-            ScenarioSpec::from_toml_str("name = \"x\"\n[params.floor]\nttll = 5\n").unwrap_err();
+        let e = variant("floor", "ttll = 5");
         assert!(e.0.contains("unknown key 'ttll'"), "{}", e.0);
-        let e =
-            ScenarioSpec::from_toml_str("name = \"x\"\n[params.cpvf]\ndelta = 2.0\n").unwrap_err();
+        let e = variant("cpvf", "delta = 2.0");
         assert!(e.0.contains("oscillation"), "{}", e.0);
         let e = ScenarioSpec::from_toml_str(
             "name = \"x\"\n[[variants]]\nlabel = \"a\"\n[[variants]]\nlabel = \"a\"\n",
@@ -1428,10 +1366,9 @@ mod tests {
             ("cpvf", "boundary_gain", "1.0"),
             ("cpvf", "min_force", "0.02"),
         ] {
-            let text = format!("name = \"x\"\n[params.{section}]\n{key} = {value}\n");
-            let e = ScenarioSpec::from_toml_str(&text).unwrap_err();
-            let want = format!("unknown key '{key}' in [params.{section}]");
-            assert!(e.0.contains(&want), "{text}: {e}");
+            let e = variant(section, &format!("{key} = {value}"));
+            let want = format!("unknown key '{key}' in [variants.{section}]");
+            assert!(e.0.contains(&want), "{section}.{key}: {e}");
         }
         for (section, key, value) in [
             ("vd", "rounds", "10"),
@@ -1439,10 +1376,9 @@ mod tests {
             ("vd", "explode", "true"),
             ("opt", "connector_slack", "0.95"),
         ] {
-            let text = format!("name = \"x\"\n[params.{section}]\n{key} = {value}\n");
-            let e = ScenarioSpec::from_toml_str(&text).unwrap_err();
-            let want = format!("unknown key '{section}' in [params]");
-            assert!(e.0.contains(&want), "{text}: {e}");
+            let e = variant(section, &format!("{key} = {value}"));
+            let want = format!("unknown key '{section}' in [variants]");
+            assert!(e.0.contains(&want), "{section}.{key}: {e}");
         }
     }
 
@@ -1540,6 +1476,9 @@ mod tests {
             e.0.contains("unknown key 'movement_summary' at the top level"),
             "{e}"
         );
+        // so is the retired scenario-wide [params] section
+        let e = ScenarioSpec::from_toml_str("name = \"x\"\n[params.floor]\nttl = 5\n").unwrap_err();
+        assert!(e.0.contains("unknown key 'params' at the top level"), "{e}");
     }
 
     #[test]

@@ -196,7 +196,6 @@ proptest! {
         coverage_cell in 1.0..25.0f64,
         repetitions in 1usize..10,
         seed in 0u64..u64::MAX,
-        params in overrides_strategy(),
         variants in prop::collection::vec(overrides_strategy(), 0..4),
         dynamics in dynamics_strategy(),
     ) {
@@ -210,8 +209,7 @@ proptest! {
             .with_duration(duration)
             .with_coverage_cell(coverage_cell)
             .with_repetitions(repetitions)
-            .with_seed(seed)
-            .with_params(params);
+            .with_seed(seed);
         for (i, overrides) in variants.into_iter().enumerate() {
             spec = spec.with_variant(format!("v{i}"), overrides);
         }
