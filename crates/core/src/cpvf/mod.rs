@@ -83,32 +83,14 @@ pub fn run_with_grid(
     let _run = msn_obs::span("cpvf.run");
     let setup = msn_obs::span("cpvf.setup");
     let n = initial.len();
-    let mut world = World::new(field.clone(), cfg.clone(), initial.to_vec());
+    let mut world = World::new(field.clone(), cfg.clone(), initial.to_vec(), grid);
     let force_params = ForceParams::for_ranges(cfg.rc, cfg.rs);
-    // Incremental coverage: timeline samples cost O(moved sensors)
-    // instead of a full re-rasterization (identical values; sensors at
-    // force equilibrium stop feeding the tracker entirely).
-    let cov_grid = match grid {
-        Some(g) => g.clone(),
-        None => world.coverage_grid(),
-    };
-    world.track_coverage(cov_grid);
-    // No adjacency tracker here: unlike FLOOR, CPVF never asks the
-    // base-connectivity question mid-run (the tree invariant carries
-    // it), so maintained lists would only add per-move work to the
-    // single end-of-run check below.
-    //
-    // Incremental proximity: the force loop and the absorption scan
-    // answer from one maintained point index instead of rebuilding a
-    // SpatialGrid every tick — byte-identical results, order included
-    // (the force summation order is preserved).
-    world.track_points();
     let max_step = cfg.max_step();
 
-    // ---- Phase 1 setup: initial flood over the rc-disk graph. ----
+    // ---- Phase 1 setup: initial flood over the rc-disk adjacency. ----
     let mut tree = Tree::new(n);
     let flooded = flood_attach(
-        &world.graph(),
+        world.adjacency(),
         initial,
         cfg.base,
         cfg.rc,
@@ -227,11 +209,7 @@ pub fn run_with_grid(
     }
 
     let _finish = msn_obs::span("cpvf.finish");
-    let connected =
-        world
-            .graph()
-            .all_connected_to_base(&world.positions().to_vec(), cfg.base, cfg.rc);
-    timeline.finish(&mut world, "CPVF", connected)
+    timeline.finish(&mut world, "CPVF")
 }
 
 /// One §4.2 planning step: force direction, validated step size,

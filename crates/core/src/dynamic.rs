@@ -29,6 +29,7 @@ use msn_sim::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// A dynamic run's result: the stitched [`RunResult`] plus one record
 /// per fired event.
@@ -60,18 +61,18 @@ pub fn run_scheme_dynamic(
     schedule: &EventSchedule,
     event_seed: u64,
 ) -> DynamicOutcome {
-    let grid = grid
-        .cloned()
-        .unwrap_or_else(|| CoverageGrid::new(field, cfg.coverage_cell));
+    // One raster for the ledger and every segment.
+    let grid = grid.map_or_else(
+        || Cow::Owned(CoverageGrid::new(field, cfg.coverage_cell)),
+        Cow::Borrowed,
+    );
 
-    // The ledger world: coverage + adjacency tracked so event pre/post
-    // samples are O(changed sensors), not full re-rasterizations, and
-    // the final connectivity check floods maintained lists. A failed
-    // sensor's slot stays parked, so per-slot travelled distance is
-    // the history of one physical sensor.
-    let mut ledger = World::new(field.clone(), cfg.clone(), initial.to_vec());
-    ledger.track_coverage(grid.clone());
-    ledger.track_adjacency();
+    // The ledger world: its trackers make event pre/post samples
+    // O(changed sensors), not full re-rasterizations, and the final
+    // connectivity check floods maintained lists. A failed sensor's
+    // slot stays parked, so per-slot travelled distance is the history
+    // of one physical sensor.
+    let mut ledger = World::new(field.clone(), cfg.clone(), initial.to_vec(), Some(&*grid));
 
     let mut queue = EventQueue::new(schedule);
     let mut time_cur = 0.0;
@@ -100,7 +101,7 @@ pub fn run_scheme_dynamic(
                 event_stream_seed(event_seed, SEGMENT_STREAM_BASE + seg_index)
             };
             let seg_cfg = cfg.clone().with_duration(seg_dur).with_seed(seg_seed);
-            let r = run_scheme_with(kind, field, &seg_initial, &seg_cfg, overrides, Some(&grid));
+            let r = run_scheme_with(kind, field, &seg_initial, &seg_cfg, overrides, Some(&*grid));
             for (j, &i) in alive.iter().enumerate() {
                 ledger.teleport(i, r.positions[j]);
                 ledger.add_distance(i, r.per_move[j]);

@@ -159,7 +159,12 @@ pub fn run_with_grid(
     grid: Option<&msn_field::CoverageGrid>,
 ) -> RunResult {
     let _run = msn_obs::span("floor.run");
-    FloorSim::new(field, initial, params, cfg).run(grid)
+    let setup = msn_obs::span("floor.setup");
+    let mut sim = FloorSim::new(field, initial, params, cfg, grid);
+    sim.initial_flood();
+    let timeline = Timeline::start(&mut sim.world);
+    drop(setup);
+    sim.run(timeline)
 }
 
 struct FloorSim<'a> {
@@ -193,9 +198,10 @@ impl<'a> FloorSim<'a> {
         initial: &[Point],
         params: &'a FloorParams,
         cfg: &'a SimConfig,
+        grid: Option<&msn_field::CoverageGrid>,
     ) -> Self {
         let n = initial.len();
-        let world = World::new(field.clone(), cfg.clone(), initial.to_vec());
+        let world = World::new(field.clone(), cfg.clone(), initial.to_vec(), grid);
         let lines = FloorLines::new(field.bounds(), cfg.rs);
         let registry = FloorRegistry::new(lines);
         let ttl = params
@@ -226,33 +232,9 @@ impl<'a> FloorSim<'a> {
     }
 
     #[allow(clippy::needless_range_loop)] // indexing several parallel state arrays
-    fn run(mut self, grid: Option<&msn_field::CoverageGrid>) -> RunResult {
-        let setup = msn_obs::span("floor.setup");
+    fn run(mut self, mut timeline: Timeline) -> RunResult {
         let n = self.world.n();
-        let cov_grid = match grid {
-            Some(g) => g.clone(),
-            None => self.world.coverage_grid(),
-        };
-        // Incremental coverage: once the vine is mostly fixed nodes,
-        // a timeline sample costs O(relocating recruits) disk stamps
-        // instead of re-rasterizing all N sensors.
-        self.world.track_coverage(cov_grid);
-        // Incremental proximity and adjacency, over one maintained
-        // point index: every range query (absorption scans, walker
-        // planning, EP coverage checks) answers from its buckets
-        // instead of a per-tick SpatialGrid, and full neighbor lists
-        // (random-walk invitations, hop accounting, flood/classify
-        // scans) come from maintained grid-order lists — equal to a
-        // fresh `DiskGraph::build`, order included, so the RNG stream
-        // the walks consume is unchanged. The per-tick "is this
-        // movable still base-connected?" checks flood these lists at
-        // most once per tick. This removes the last grid and graph
-        // rebuilds from the tick path.
-        self.world.track_adjacency();
-        self.initial_flood();
-        let mut timeline = Timeline::start(&mut self.world);
         let classify_deadline = PHASE1_TIMEOUT_FRAC * self.cfg.duration;
-        drop(setup);
 
         for _ in 0..self.cfg.total_ticks() {
             if !self.classified {
@@ -304,8 +286,7 @@ impl<'a> FloorSim<'a> {
         }
 
         let _finish = msn_obs::span("floor.finish");
-        let connected = self.world.all_connected_tracked();
-        timeline.finish(&mut self.world, "FLOOR", connected)
+        timeline.finish(&mut self.world, "FLOOR")
     }
 
     /// Algorithm 1's route from a starting position: BUG2 legs through

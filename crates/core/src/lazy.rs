@@ -257,11 +257,10 @@ pub(crate) fn absorb(
 ///
 /// `movers` exposes every walking sensor's current path parent so the
 /// mutual-adoption rule and loop probes can follow chains. Range
-/// queries answer from the world's tracked point index (installed by
-/// [`World::track_points`] in CPVF, [`World::track_adjacency`] in
-/// FLOOR). Returns
-/// whether the sensor should move this period, updates `movers[i]`'s
-/// lazy state and records message costs on the world's counter.
+/// queries answer from the world's point index
+/// ([`World::neighbors_tracked`]). Returns whether the sensor should
+/// move this period, updates `movers[i]`'s lazy state and records
+/// message costs on the world's counter.
 fn lazy_plan_step(i: usize, world: &mut World, movers: &mut [Option<LazyMover>]) -> ConnectOutcome {
     let rc = world.cfg().rc;
     let now = world.time();
@@ -282,7 +281,7 @@ fn lazy_plan_step(i: usize, world: &mut World, movers: &mut [Option<LazyMover>])
     let candidate: Option<(usize, f64)> = {
         let nbrs = world.neighbors_tracked(i, rc);
         let positions = world.positions();
-        let my_dist = positions.get(i).dist(target);
+        let my_dist = positions[i].dist(target);
         let mut best: Option<(usize, f64)> = None;
         for j in nbrs {
             if blacklist.contains(&j) {
@@ -296,8 +295,8 @@ fn lazy_plan_step(i: usize, world: &mut World, movers: &mut [Option<LazyMover>])
             if other.path_parent == Some(i) {
                 continue; // mutual adoption forbidden
             }
-            if positions.get(j).dist(target) + 1e-9 < my_dist {
-                let d = positions.get(i).dist(positions.get(j));
+            if positions[j].dist(target) + 1e-9 < my_dist {
+                let d = positions[i].dist(positions[j]);
                 if best.is_none_or(|(_, bd)| d < bd) {
                     best = Some((j, d));
                 }
@@ -375,11 +374,12 @@ impl Timeline {
         }
     }
 
-    /// The run's result: final coverage, movement, messages and
-    /// positions from `world`, with the scheme's own verdict on
-    /// whether every sensor ended connected.
-    pub(crate) fn finish(self, world: &mut World, scheme: &str, connected: bool) -> RunResult {
+    /// The run's result: final coverage, movement, messages,
+    /// positions and whether every sensor ended connected to the base,
+    /// all from `world`.
+    pub(crate) fn finish(self, world: &mut World, scheme: &str) -> RunResult {
         let coverage = world.coverage_tracked();
+        let connected = world.all_connected_tracked();
         let moved: Vec<f64> = (0..world.n()).map(|i| world.moved(i)).collect();
         RunResult::from_run(
             scheme,
@@ -411,9 +411,7 @@ mod tests {
 
     fn world_at(positions: &[Point]) -> World {
         let cfg = SimConfig::paper(30.0, 20.0).with_duration(10.0);
-        let mut world = World::new(Field::open(200.0, 200.0), cfg, positions.to_vec());
-        world.track_points();
-        world
+        World::new(Field::open(200.0, 200.0), cfg, positions.to_vec(), None)
     }
 
     fn setup(positions: &[Point]) -> (World, Vec<Option<LazyMover>>) {
@@ -584,8 +582,7 @@ mod tests {
         }
         assert!(nav.is_stuck());
         let cfg = SimConfig::paper(30.0, 20.0).with_duration(10.0);
-        let mut world = World::new(field, cfg, vec![nav.pos()]);
-        world.track_points();
+        let mut world = World::new(field, cfg, vec![nav.pos()], None);
         let mut walkers = Walkers::new(1);
         walkers.restart(0, Route::Single(nav), 0.0);
         assert!(walkers.active[0]);

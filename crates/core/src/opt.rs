@@ -18,6 +18,7 @@ use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;
 use msn_net::{DiskGraph, MessageCounter};
 use msn_sim::{RunResult, SimConfig};
+use std::borrow::Cow;
 
 /// Tuning parameters for the OPT baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,11 +143,17 @@ pub fn run_with_grid(
     cfg: &SimConfig,
     grid: Option<&CoverageGrid>,
 ) -> RunResult {
+    let _run = msn_obs::span("opt.run");
     let n = initial.len();
     assert!(n > 0, "at least one sensor required");
-    let pattern = strip_pattern(field, cfg.rc, cfg.rs, n, params);
-    let costs = CostMatrix::euclidean(initial, &pattern);
-    let sol = hungarian(&costs);
+    let pattern = {
+        let _pattern = msn_obs::span("opt.pattern");
+        strip_pattern(field, cfg.rc, cfg.rs, n, params)
+    };
+    let sol = {
+        let _hungarian = msn_obs::span("opt.hungarian");
+        hungarian(&CostMatrix::euclidean(initial, &pattern))
+    };
     let moved: Vec<f64> = sol
         .assignment
         .iter()
@@ -154,13 +161,17 @@ pub fn run_with_grid(
         .map(|(i, &t)| initial[i].dist(pattern[t]))
         .collect();
     let positions: Vec<Point> = sol.assignment.iter().map(|&t| pattern[t]).collect();
-    let grid = match grid {
-        Some(g) => g.clone(),
-        None => CoverageGrid::new(field, cfg.coverage_cell),
-    };
-    let coverage = grid.coverage_into(&positions, cfg.rs, &mut Vec::new());
-    let graph = DiskGraph::build(&positions, cfg.rc);
-    let connected = graph.all_connected_to_base(&positions, cfg.base, cfg.rc);
+    // The final measurement: coverage and the connectivity verdict.
+    let coverage_span = msn_obs::span("opt.coverage");
+    let coverage = grid
+        .map_or_else(
+            || Cow::Owned(CoverageGrid::new(field, cfg.coverage_cell)),
+            Cow::Borrowed,
+        )
+        .coverage(&positions, cfg.rs);
+    let connected =
+        DiskGraph::build(&positions, cfg.rc).all_connected_to_base(&positions, cfg.base, cfg.rc);
+    drop(coverage_span);
     // OPT commands each displaced sensor straight to its target: one
     // movement action per sensor that actually relocates.
     let moves = moved.iter().filter(|&&d| d > 0.0).count() as u64;

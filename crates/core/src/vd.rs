@@ -15,13 +15,14 @@
 //! runner does the same.
 
 use msn_assign::{hungarian, CostMatrix};
-use msn_field::{scatter_uniform, Field};
+use msn_field::{scatter_uniform, CoverageGrid, Field};
 use msn_geom::Point;
 use msn_net::{DiskGraph, MessageCounter};
 use msn_sim::{RunResult, SimConfig};
 use msn_voronoi::{cells_match, restricted_cell, VoronoiDiagram};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// Which Voronoi movement rule to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,15 +112,16 @@ pub fn run_with_grid(
     variant: VdVariant,
     params: &VdParams,
     cfg: &SimConfig,
-    grid: Option<&msn_field::CoverageGrid>,
+    grid: Option<&CoverageGrid>,
 ) -> RunResult {
+    let _run = msn_obs::span("vd.run");
     let n = initial.len();
     assert!(n > 0, "at least one sensor required");
     let bounds = field.bounds();
-    let cov_grid = match grid {
-        Some(g) => g.clone(),
-        None => msn_field::CoverageGrid::new(field, cfg.coverage_cell),
-    };
+    let cov_grid = grid.map_or_else(
+        || Cow::Owned(CoverageGrid::new(field, cfg.coverage_cell)),
+        Cow::Borrowed,
+    );
     let mut positions = initial.to_vec();
     let mut moved = vec![0.0f64; n];
     // Per-round position updates with nonzero travel (`world.moves`
@@ -130,6 +132,7 @@ pub fn run_with_grid(
 
     // ---- Explosion: minimum-cost dispersion to a uniform layout. ----
     if params.explode {
+        let _explode = msn_obs::span("vd.explode");
         let targets = scatter_uniform(field, n, &mut rng);
         let costs = CostMatrix::euclidean(&positions, &targets);
         let sol = hungarian(&costs);
@@ -141,15 +144,17 @@ pub fn run_with_grid(
     // One scratch covered-mask reused across all timeline samples
     // (identical values; saves a mask allocation per round).
     let mut cov_scratch = Vec::new();
-    timeline.push((
-        0.0,
-        cov_grid.coverage_into(&positions, cfg.rs, &mut cov_scratch),
-    ));
+    let mut sample = |positions: &[Point]| {
+        let _coverage = msn_obs::span("vd.coverage");
+        cov_grid.coverage_into(positions, cfg.rs, &mut cov_scratch)
+    };
+    timeline.push((0.0, sample(&positions)));
 
     // ---- VD rounds on communication-restricted cells. ----
     let mut incorrect_vd = false;
     let cap = cfg.rc * params.step_cap_frac;
     for round in 0..params.rounds {
+        let voronoi = msn_obs::span("vd.voronoi");
         let graph = DiskGraph::build(&positions, cfg.rc);
         let full = VoronoiDiagram::compute(&positions, bounds);
         let mut targets: Vec<Option<Point>> = vec![None; n];
@@ -179,8 +184,10 @@ pub fn run_with_grid(
             };
             targets[i] = Some(target);
         }
+        drop(voronoi);
         // All sensors move simultaneously; VOR's moves are capped per
         // round, Minimax jumps to its target.
+        let motion = msn_obs::span("vd.move");
         for i in 0..n {
             if let Some(t) = targets[i] {
                 let step = match variant {
@@ -199,15 +206,16 @@ pub fn run_with_grid(
                 positions[i] = next;
             }
         }
-        timeline.push((
-            (round + 1) as f64,
-            cov_grid.coverage_into(&positions, cfg.rs, &mut cov_scratch),
-        ));
+        drop(motion);
+        timeline.push(((round + 1) as f64, sample(&positions)));
     }
 
-    let coverage = cov_grid.coverage_into(&positions, cfg.rs, &mut cov_scratch);
-    let graph = DiskGraph::build(&positions, cfg.rc);
-    let connected = graph.all_connected_to_base(&positions, cfg.base, cfg.rc);
+    // The final measurement: coverage and the connectivity verdict.
+    let coverage = sample(&positions);
+    let connected = {
+        let _coverage = msn_obs::span("vd.coverage");
+        DiskGraph::build(&positions, cfg.rc).all_connected_to_base(&positions, cfg.base, cfg.rc)
+    };
     let mut result = RunResult::from_run(
         variant.name(),
         coverage,

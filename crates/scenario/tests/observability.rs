@@ -89,6 +89,48 @@ fn profile_accounts_for_the_run() {
 }
 
 #[test]
+fn baseline_profiles_carry_phase_spans() {
+    let _serial = serial();
+    // Span paths only: a phase-coverage ratio is wall-clock and
+    // flakes under a loaded test harness.
+    let spec = ScenarioSpec::new("obs-baselines")
+        .with_schemes(vec![SchemeKind::Vor, SchemeKind::Minimax, SchemeKind::Opt])
+        .with_sensor_counts(vec![12])
+        .with_coverage_cell(25.0)
+        .with_repetitions(1);
+    let result = RunConfig::new()
+        .threads(1)
+        .profiling(true)
+        .runner()
+        .run(&spec)
+        .unwrap();
+    let merged = ProfileRecord::from_batch(&result).unwrap().merged();
+    for (root, phases) in [
+        (
+            "vd.run",
+            &["vd.explode", "vd.voronoi", "vd.move", "vd.coverage"][..],
+        ),
+        (
+            "opt.run",
+            &["opt.pattern", "opt.hungarian", "opt.coverage"][..],
+        ),
+    ] {
+        let run = merged
+            .span(root)
+            .unwrap_or_else(|| panic!("{root} span missing"));
+        for phase in phases {
+            assert!(
+                run.children.iter().any(|c| c.name == *phase),
+                "{root}/{phase} span missing"
+            );
+        }
+    }
+    // VOR and Minimax both enter vd.run
+    assert_eq!(merged.span("vd.run").unwrap().count, 2);
+    assert_eq!(merged.span("opt.run").unwrap().count, 1);
+}
+
+#[test]
 fn tracker_counters_fire_on_random_obstacle_workload() {
     let _serial = serial();
     // Longer FLOOR runs settle most sensors, so late-tick syncs see

@@ -3,65 +3,14 @@
 use crate::SimConfig;
 use msn_field::{CoverageGrid, CoverageTracker, Field};
 use msn_geom::Point;
-use msn_net::{AdjacencyTracker, DiskGraph, MessageCounter, Neighbors, PointIndex};
+use msn_net::{AdjacencyTracker, DiskGraph, MessageCounter, Neighbors};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::fmt;
 
-/// Borrowed structure-of-arrays view of all sensor positions.
-///
-/// `World` stores coordinates as split `xs`/`ys` arrays (cache-friendly
-/// at 10k+ sensors, where scanning interleaved `Point`s wastes half of
-/// every cache line on the coordinate a pass does not read). This view
-/// is the thin `Point`-shaped window over those halves: call sites that
-/// held a `&[Point]` migrate mechanically — `positions()[i]` becomes
-/// `positions().get(i)`, and slice-taking oracles take
-/// `&positions().to_vec()`.
-#[derive(Clone, Copy, Debug)]
-pub struct PositionsView<'a> {
-    xs: &'a [f64],
-    ys: &'a [f64],
-}
-
-impl<'a> PositionsView<'a> {
-    /// Number of sensors.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// Whether there are no sensors.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Position of sensor `i`, recomposed from the two halves.
-    #[inline]
-    pub fn get(&self, i: usize) -> Point {
-        Point::new(self.xs[i], self.ys[i])
-    }
-
-    /// Iterates positions in index order.
-    pub fn iter(&self) -> impl Iterator<Item = Point> + 'a {
-        self.xs
-            .iter()
-            .zip(self.ys.iter())
-            .map(|(&x, &y)| Point::new(x, y))
-    }
-
-    /// Materializes the view as a contiguous `Vec<Point>` — for the
-    /// slice-taking oracle paths (graph builds, rasterization) that are
-    /// cold by design.
-    pub fn to_vec(&self) -> Vec<Point> {
-        self.iter().collect()
-    }
-}
-
 /// One position change, the single record every mutation path builds
-/// before anything is written. Applying it updates both SoA halves,
-/// the moved-distance array and every installed tracker in one step,
-/// so no tracker can observe an `x` that has moved while `y` has not.
+/// before anything is written. Applying it updates the position, the
+/// moved-distance array and both trackers in one step.
 struct PosChange {
     i: usize,
     p: Point,
@@ -75,8 +24,12 @@ struct PosChange {
 }
 
 /// All mutable state of one simulation run: sensor positions with
-/// moving-distance accounting, simulated time, a seeded RNG and the
-/// message counter.
+/// moving-distance accounting, simulated time, a seeded RNG, the
+/// message counter, and the incremental trackers that answer every
+/// scheme's per-tick questions — how much is covered
+/// ([`World::coverage_tracked`]), who reaches the base
+/// ([`World::connected_tracked`]) and who is near whom
+/// ([`World::neighbors_tracked`], [`World::adjacency`]).
 ///
 /// Deployment schemes (in `msn-deploy`) drive a `World` through their
 /// protocol phases; the engine itself is policy-free.
@@ -90,18 +43,16 @@ struct PosChange {
 ///
 /// let field = Field::open(100.0, 100.0);
 /// let cfg = SimConfig::paper(20.0, 15.0).with_duration(5.0);
-/// let mut world = World::new(field, cfg, vec![Point::new(10.0, 10.0)]);
+/// let mut world = World::new(field, cfg, vec![Point::new(10.0, 10.0)], None);
 /// world.set_pos(0, Point::new(12.0, 10.0));
 /// assert_eq!(world.moved(0), 2.0);
+/// assert!(world.all_connected_tracked());
 /// ```
 #[derive(Debug)]
 pub struct World {
     field: Field,
     cfg: SimConfig,
-    /// Sensor x coordinates (SoA half; see [`PositionsView`]).
-    xs: Vec<f64>,
-    /// Sensor y coordinates (SoA half; see [`PositionsView`]).
-    ys: Vec<f64>,
+    positions: Vec<Point>,
     /// Liveness mask for dynamic runs: dead sensors stay in the
     /// arrays (parked far off-field) so tracker slot counts never
     /// change, but they neither cover, relay, nor move.
@@ -117,44 +68,46 @@ pub struct World {
     tick: u64,
     rng: SmallRng,
     msgs: MessageCounter,
-    /// Incremental coverage counts, fed by every position change once
-    /// [`World::track_coverage`] is called.
-    tracker: Option<CoverageTracker>,
-    /// Incremental proximity index, fed by every position change once
-    /// [`World::track_points`] is called — until
-    /// [`World::track_adjacency`] moves it into `adj`.
-    points_index: Option<PointIndex>,
-    /// Incremental disk-graph adjacency, fed by every position change
-    /// once [`World::track_adjacency`] is called. It owns the world's
-    /// one point index from then on.
-    adj: Option<AdjacencyTracker>,
+    /// Incremental coverage counts on the world's raster, fed by every
+    /// position change.
+    tracker: CoverageTracker,
+    /// Incremental disk-graph adjacency, fed by every position change.
+    /// It owns the world's one point index.
+    adj: AdjacencyTracker,
     /// Base-connectivity mask flooded over `adj`; `None` once a
     /// position change makes it stale.
     conn_mask: Option<Vec<bool>>,
 }
 
 impl World {
-    /// Creates a world with sensors at `positions`.
-    pub fn new(field: Field, cfg: SimConfig, positions: Vec<Point>) -> Self {
+    /// Creates a world with sensors at `positions`, with its coverage
+    /// tracker on `grid` (a raster of `field` at `cfg.coverage_cell`;
+    /// `None` rasterizes one) and its adjacency at `cfg.rc` over a
+    /// point index of cell `rc.max(1.0)`.
+    pub fn new(
+        field: Field,
+        cfg: SimConfig,
+        positions: Vec<Point>,
+        grid: Option<&CoverageGrid>,
+    ) -> Self {
         let n = positions.len();
-        let rng = SmallRng::seed_from_u64(cfg.seed);
-        let (xs, ys) = positions.into_iter().map(|p| (p.x, p.y)).unzip();
+        let grid = grid
+            .cloned()
+            .unwrap_or_else(|| CoverageGrid::new(&field, cfg.coverage_cell));
         World {
+            tracker: CoverageTracker::new(grid, &positions, cfg.rs),
+            adj: AdjacencyTracker::new(&positions, cfg.rc),
+            rng: SmallRng::seed_from_u64(cfg.seed),
             field,
             cfg,
-            xs,
-            ys,
+            positions,
             alive: vec![true; n],
             moved: vec![0.0; n],
             move_count: 0,
             move_charged: 0.0,
             time: 0.0,
             tick: 0,
-            rng,
             msgs: MessageCounter::new(),
-            tracker: None,
-            points_index: None,
-            adj: None,
             conn_mask: None,
         }
     }
@@ -162,7 +115,7 @@ impl World {
     /// Number of sensors (slots), dead ones included.
     #[inline]
     pub fn n(&self) -> usize {
-        self.xs.len()
+        self.positions.len()
     }
 
     /// The deterministic off-field parking spot for slot `i`. Parked
@@ -195,8 +148,7 @@ impl World {
     }
 
     /// Kills sensor `i`: parks it off-field through the change-record
-    /// funnel (every installed tracker sees the departure as an
-    /// ordinary move) and marks the slot dead. Charges no movement —
+    /// funnel (both trackers see the departure as an ordinary move) and marks the slot dead. Charges no movement —
     /// a dead sensor does not drive away.
     ///
     /// # Panics
@@ -271,30 +223,13 @@ impl World {
     /// Position of sensor `i`.
     #[inline]
     pub fn pos(&self, i: usize) -> Point {
-        Point::new(self.xs[i], self.ys[i])
+        self.positions[i]
     }
 
-    /// View of all sensor positions (structure-of-arrays backed; see
-    /// [`PositionsView`]).
+    /// All sensor positions, indexed by slot.
     #[inline]
-    pub fn positions(&self) -> PositionsView<'_> {
-        PositionsView {
-            xs: &self.xs,
-            ys: &self.ys,
-        }
-    }
-
-    /// The raw x-coordinate array (SoA half) — for vectorizable passes
-    /// that scan one axis.
-    #[inline]
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// The raw y-coordinate array (SoA half).
-    #[inline]
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
+    pub fn positions(&self) -> &[Point] {
+        &self.positions
     }
 
     /// Moves sensor `i` to `p`, charging the straight-line distance.
@@ -308,10 +243,9 @@ impl World {
         });
     }
 
-    /// Applies one change record: movement accounting, both SoA
-    /// halves, then every installed tracker — the only path that
-    /// writes positions, so readers and trackers never see the halves
-    /// out of step.
+    /// Applies one change record: movement accounting, the position,
+    /// then both trackers — the only path that writes positions, so no
+    /// tracker can miss a move.
     fn apply_change(&mut self, c: PosChange) {
         if c.counted {
             msn_obs::counter("world.moves", 1);
@@ -320,25 +254,10 @@ impl World {
             self.move_charged += c.charged;
         }
         self.moved[c.i] += c.charged;
-        self.xs[c.i] = c.p.x;
-        self.ys[c.i] = c.p.y;
-        self.feed_trackers(c.i, c.p);
-    }
-
-    /// Feeds an updated position to every installed tracker and drops
-    /// the cached connectivity mask.
-    #[inline]
-    fn feed_trackers(&mut self, i: usize, p: Point) {
+        self.positions[c.i] = c.p;
+        self.tracker.set_sensor(c.i, c.p);
+        self.adj.set_sensor(c.i, c.p);
         self.conn_mask = None;
-        if let Some(t) = self.tracker.as_mut() {
-            t.set_sensor(i, p);
-        }
-        if let Some(x) = self.points_index.as_mut() {
-            x.set_point(i, p);
-        }
-        if let Some(a) = self.adj.as_mut() {
-            a.set_sensor(i, p);
-        }
     }
 
     /// Moves sensor `i` to `p`, charging an explicit path length
@@ -412,181 +331,87 @@ impl World {
         self.move_charged
     }
 
-    /// Builds the current `rc`-disk graph.
-    pub fn graph(&self) -> DiskGraph {
-        DiskGraph::build(&self.positions().to_vec(), self.cfg.rc)
-    }
-
     /// Connected-to-base mask for the current positions, by full graph
-    /// rebuild + flood (the reference oracle; unaffected by any
-    /// installed tracker).
+    /// rebuild + flood (the reference oracle; independent of the
+    /// trackers).
     pub fn connected_mask(&self) -> Vec<bool> {
-        let pts = self.positions().to_vec();
-        DiskGraph::build(&pts, self.cfg.rc).flood_from_base(&pts, self.cfg.base, self.cfg.rc)
+        DiskGraph::build(&self.positions, self.cfg.rc).flood_from_base(
+            &self.positions,
+            self.cfg.base,
+            self.cfg.rc,
+        )
     }
 
-    /// Connected-to-base mask over the installed adjacency: one BFS
+    /// Connected-to-base mask over the maintained adjacency: one BFS
     /// flood ([`Neighbors::flood_from_base`]) on the first query after
     /// a position change, cached until the next one — so
     /// a tick of per-sensor queries pays `O(N + E)` once. Equal to
     /// [`World::connected_mask`] at every instant: the mask does not
     /// depend on visit order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`World::track_adjacency`] was never called.
     fn base_flood(&mut self) -> &[bool] {
-        if self.conn_mask.is_none() {
-            let adj = self
-                .adj
-                .as_mut()
-                .expect("connectivity queries require track_adjacency");
+        let (adj, cfg) = (&mut self.adj, &self.cfg);
+        self.conn_mask.get_or_insert_with(|| {
             adj.sync();
             msn_obs::counter("conn.floods", 1);
-            self.conn_mask = Some(adj.flood_from_base(adj.points(), self.cfg.base, self.cfg.rc));
-        }
-        self.conn_mask.as_deref().expect("flooded above")
+            adj.flood_from_base(adj.points(), cfg.base, cfg.rc)
+        })
     }
 
-    /// Whether sensor `i` is connected to the base, from the installed
-    /// adjacency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`World::track_adjacency`] was never called.
+    /// Whether sensor `i` is connected to the base, from the
+    /// maintained adjacency.
     pub fn connected_tracked(&mut self, i: usize) -> bool {
         self.base_flood()[i]
     }
 
-    /// Connected-to-base mask from the installed adjacency — equal to
+    /// Connected-to-base mask from the maintained adjacency — equal to
     /// [`World::connected_mask`] at every instant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`World::track_adjacency`] was never called.
     pub fn connected_mask_tracked(&mut self) -> Vec<bool> {
         self.base_flood().to_vec()
     }
 
     /// Whether every sensor is connected to the base, from the
-    /// installed adjacency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`World::track_adjacency`] was never called.
+    /// maintained adjacency.
     pub fn all_connected_tracked(&mut self) -> bool {
         self.base_flood().iter().all(|&c| c)
     }
 
-    /// Installs an incremental [`PointIndex`] over the current
-    /// positions, with cell size `rc.max(1.0)` (the largest radius the
-    /// deployment schemes query at). From here on every position
-    /// change feeds it, and the `neighbors_tracked*` queries answer
-    /// from maintained buckets — byte-identical, order included, to a
-    /// fresh per-tick [`msn_net::SpatialGrid::build`], but `O(moved
-    /// sensors)` reconciliation per query round instead of `O(N)`
-    /// rebuilds. A no-op once [`World::track_adjacency`] is installed:
-    /// the adjacency's index already answers these queries.
-    pub fn track_points(&mut self) {
-        if self.adj.is_none() {
-            self.points_index = Some(self.fresh_index());
-        }
-    }
-
-    /// A point index over the current positions at cell `rc.max(1.0)`.
-    fn fresh_index(&self) -> PointIndex {
-        PointIndex::new(&self.positions().to_vec(), self.cfg.rc.max(1.0))
-    }
-
-    /// The world's one point index, wherever it lives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if neither [`World::track_points`] nor
-    /// [`World::track_adjacency`] was called.
-    fn point_index(&mut self) -> &mut PointIndex {
-        match (&mut self.adj, &mut self.points_index) {
-            (Some(adj), _) => adj.index(),
-            (None, Some(index)) => index,
-            (None, None) => panic!("range queries require track_points or track_adjacency"),
-        }
-    }
-
     /// Sensors within `r` of sensor `i` (excluding `i`), from the
-    /// installed point index — byte-identical, order included, to
-    /// `SpatialGrid::build(positions, rc.max(1.0)).neighbors(positions, i, r)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if neither [`World::track_points`] nor
-    /// [`World::track_adjacency`] was called.
+    /// maintained point index — byte-identical, order included, to
+    /// `SpatialGrid::build(positions, rc.max(1.0)).neighbors(positions, i, r)`,
+    /// but `O(moved sensors)` reconciliation per query round instead
+    /// of an `O(N)` rebuild.
     pub fn neighbors_tracked(&mut self, i: usize, r: f64) -> Vec<usize> {
-        self.point_index().neighbors_within(i, r)
+        self.adj.index().neighbors_within(i, r)
     }
 
     /// Like [`World::neighbors_tracked`], but ordered as a
     /// `SpatialGrid::build(positions, order_cell)` query would order
     /// it — for call sites replacing a per-tick grid whose cell size
     /// differed from `rc`, whose tie-breaks must stay byte-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if neither [`World::track_points`] nor
-    /// [`World::track_adjacency`] was called.
     pub fn neighbors_tracked_grid_order(
         &mut self,
         i: usize,
         r: f64,
         order_cell: f64,
     ) -> Vec<usize> {
-        self.point_index()
+        self.adj
+            .index()
             .neighbors_within_grid_order(i, r, order_cell)
     }
 
-    /// Installs an incremental [`AdjacencyTracker`] on the current
-    /// positions at the configured `rc`. From here on every position
-    /// change feeds it, and [`World::adjacency`] answers graph queries
-    /// from maintained neighbor lists — equal to a fresh
-    /// [`World::graph`] build, order included, but `O(moved sensors ·
-    /// local repair)` per tick instead of `O(N · deg)`. The `*_tracked`
-    /// connectivity queries flood over these lists.
-    ///
-    /// The tracker takes over the index [`World::track_points`]
-    /// installed (or builds one), so the `neighbors_tracked*` queries
-    /// and the adjacency share one index fed once per move.
-    pub fn track_adjacency(&mut self) {
-        let index = self
-            .points_index
-            .take()
-            .unwrap_or_else(|| self.fresh_index());
-        self.adj = Some(AdjacencyTracker::over(index, self.cfg.rc));
-    }
-
-    /// The installed incremental adjacency view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`World::track_adjacency`] was never called.
+    /// The maintained `rc`-disk adjacency: neighbor lists equal to a
+    /// fresh [`DiskGraph::build`], order included, but `O(moved
+    /// sensors · local repair)` per tick instead of `O(N · deg)`.
     pub fn adjacency(&mut self) -> &mut AdjacencyTracker {
-        self.adj
-            .as_mut()
-            .expect("adjacency requires track_adjacency")
+        &mut self.adj
     }
 
-    /// The adjacency view (synced) and the RNG, borrowed together —
-    /// for consumers like [`msn_net::random_walk`] that draw picks
-    /// from neighbor lists while consuming the world RNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`World::track_adjacency`] was never called.
+    /// The adjacency (synced) and the RNG, borrowed together — for
+    /// consumers like [`msn_net::random_walk`] that draw picks from
+    /// neighbor lists while consuming the world RNG.
     pub fn adjacency_and_rng(&mut self) -> (&AdjacencyTracker, &mut SmallRng) {
-        let adj = self
-            .adj
-            .as_mut()
-            .expect("adjacency_and_rng requires track_adjacency");
-        adj.sync();
-        (adj, &mut self.rng)
+        self.adj.sync();
+        (&self.adj, &mut self.rng)
     }
 
     /// The seeded RNG.
@@ -607,46 +432,19 @@ impl World {
         &self.msgs
     }
 
-    /// Builds a coverage grid for this world's field at the configured
-    /// resolution.
-    pub fn coverage_grid(&self) -> CoverageGrid {
-        CoverageGrid::new(&self.field, self.cfg.coverage_cell)
-    }
-
-    /// Installs an incremental [`CoverageTracker`] on `grid` (a raster
-    /// of this world's field at `cfg.coverage_cell`). From here on
-    /// every position change feeds the tracker, and
-    /// [`World::coverage_tracked`] answers from the maintained
-    /// counts — bit-identical to the full rasterization, but
+    /// Current coverage fraction from the maintained per-cell counts —
+    /// bit-identical to [`World::coverage`] on the world's raster, but
     /// `O(disk)` per moved sensor instead of `O(N · disk)` per
     /// measurement.
-    pub fn track_coverage(&mut self, grid: CoverageGrid) {
-        self.tracker = Some(CoverageTracker::new(
-            grid,
-            &self.positions().to_vec(),
-            self.cfg.rs,
-        ));
-    }
-
-    /// Current coverage fraction from the installed tracker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`World::track_coverage`] was never called — the
-    /// tracker's raster is the measurement authority, so there is no
-    /// grid to silently fall back to.
     pub fn coverage_tracked(&mut self) -> f64 {
-        self.tracker
-            .as_mut()
-            .expect("coverage_tracked requires track_coverage")
-            .coverage()
+        self.tracker.coverage()
     }
 
     /// Current coverage fraction measured on `grid` by full
-    /// rasterization (the reference oracle; unaffected by any
-    /// installed tracker).
+    /// rasterization (the reference oracle; independent of the
+    /// trackers).
     pub fn coverage(&self, grid: &CoverageGrid) -> f64 {
-        grid.coverage(&self.positions().to_vec(), self.cfg.rs)
+        grid.coverage(&self.positions, self.cfg.rs)
     }
 }
 
@@ -672,7 +470,11 @@ mod tests {
         let positions = (0..n)
             .map(|i| Point::new(5.0 * i as f64 + 5.0, 5.0))
             .collect();
-        World::new(field, cfg, positions)
+        World::new(field, cfg, positions, None)
+    }
+
+    fn raster(w: &World) -> CoverageGrid {
+        CoverageGrid::new(w.field(), w.cfg().coverage_cell)
     }
 
     #[test]
@@ -687,6 +489,10 @@ mod tests {
         assert_eq!(w.moved(0), 5.0, "teleport charges nothing");
         w.add_distance(0, 1.5);
         assert_eq!(w.moved(0), 6.5);
+        for i in 0..w.n() {
+            assert_eq!(w.pos(i), w.positions()[i]);
+        }
+        assert_eq!(w.positions()[1], Point::new(10.0, 8.0));
     }
 
     #[test]
@@ -717,34 +523,43 @@ mod tests {
     #[test]
     fn coverage_measurement() {
         let w = world_with(1);
-        let grid = w.coverage_grid();
-        let cov = w.coverage(&grid);
+        let cov = w.coverage(&raster(&w));
         assert!(cov > 0.0 && cov < 0.2);
     }
 
     #[test]
     fn tracked_coverage_equals_rasterized_coverage() {
-        let plain = world_with(3);
-        let mut tracked = world_with(3);
-        let grid = plain.coverage_grid();
-        tracked.track_coverage(grid.clone());
-        assert_eq!(tracked.coverage_tracked(), plain.coverage(&grid));
+        // a world rasterizing its own grid and one handed the same
+        // raster must both track the full rasterization
+        let mut own = world_with(3);
+        let grid = raster(&own);
+        let mut shared = World::new(
+            own.field().clone(),
+            own.cfg().clone(),
+            own.positions().to_vec(),
+            Some(&grid),
+        );
+        assert_eq!(own.coverage_tracked(), own.coverage(&grid));
+        assert_eq!(shared.coverage_tracked(), own.coverage(&grid));
         for (i, p) in [
             (0, Point::new(70.0, 30.0)),
             (2, Point::new(-5.0, 50.0)), // off-field clips like the oracle
             (1, Point::new(40.0, 90.0)),
         ] {
-            tracked.set_pos(i, p);
-            assert_eq!(tracked.coverage_tracked(), tracked.coverage(&grid));
+            for w in [&mut own, &mut shared] {
+                w.set_pos(i, p);
+                assert_eq!(w.coverage_tracked(), w.coverage(&grid));
+            }
         }
-        tracked.teleport(0, Point::new(10.0, 10.0));
-        assert_eq!(tracked.coverage_tracked(), tracked.coverage(&grid));
+        for w in [&mut own, &mut shared] {
+            w.teleport(0, Point::new(10.0, 10.0));
+            assert_eq!(w.coverage_tracked(), w.coverage(&grid));
+        }
     }
 
     #[test]
     fn tracked_connectivity_equals_flood_oracle() {
         let mut w = world_with(4);
-        w.track_adjacency();
         assert_eq!(w.connected_mask_tracked(), w.connected_mask());
         assert!(w.all_connected_tracked());
         for (i, p) in [
@@ -768,11 +583,10 @@ mod tests {
     fn tracked_neighbors_equal_fresh_grid_builds() {
         use msn_net::SpatialGrid;
         let mut w = world_with(5);
-        w.track_points();
         let rc = w.cfg().rc;
         let oracle = |w: &World, i: usize, r: f64, cell: f64| {
-            let pts = w.positions().to_vec();
-            SpatialGrid::build(&pts, cell).neighbors(&pts, i, r)
+            let pts = w.positions();
+            SpatialGrid::build(pts, cell).neighbors(pts, i, r)
         };
         for (i, p) in [
             (0, Point::new(70.0, 30.0)),
@@ -799,8 +613,8 @@ mod tests {
 
     #[test]
     fn tracked_adjacency_equals_graph_builds() {
+        let graph = |w: &World| DiskGraph::build(w.positions(), w.cfg().rc);
         let mut w = world_with(5);
-        w.track_adjacency();
         for (i, p) in [
             (0, Point::new(70.0, 30.0)),
             (3, Point::new(12.0, 6.0)),
@@ -808,7 +622,7 @@ mod tests {
             (0, Point::new(14.0, 5.5)),
         ] {
             w.set_pos(i, p);
-            let g = w.graph();
+            let g = graph(&w);
             for q in 0..w.n() {
                 assert_eq!(w.adjacency().neighbors(q), g.neighbors(q), "list {q}");
                 for (j, &h) in g.hop_distances(q).iter().enumerate() {
@@ -819,31 +633,12 @@ mod tests {
         }
         w.teleport(2, Point::new(11.0, 7.0));
         let n = w.n();
-        let g = w.graph();
+        let g = graph(&w);
         let (adj, _rng) = w.adjacency_and_rng();
         use msn_net::Neighbors;
         for q in 0..n {
             assert_eq!(adj.neighbors_of(q), g.neighbors(q));
         }
-    }
-
-    #[test]
-    fn soa_view_matches_point_accessors() {
-        let mut w = world_with(4);
-        w.set_pos(1, Point::new(33.0, 44.0));
-        w.teleport(3, Point::new(-2.0, 7.5));
-        let view = w.positions();
-        assert_eq!(view.len(), 4);
-        assert!(!view.is_empty());
-        for i in 0..w.n() {
-            assert_eq!(view.get(i), w.pos(i));
-            assert_eq!(w.xs()[i], w.pos(i).x);
-            assert_eq!(w.ys()[i], w.pos(i).y);
-        }
-        let materialized = view.to_vec();
-        assert_eq!(materialized.len(), 4);
-        assert_eq!(materialized[1], Point::new(33.0, 44.0));
-        assert_eq!(view.iter().collect::<Vec<_>>(), materialized);
     }
 
     #[test]
@@ -865,17 +660,12 @@ mod tests {
 
     #[test]
     fn churn_feeds_every_tracker_oracle_identically() {
-        // removals ride the same change funnel as moves, so all
-        // three trackers (and the connectivity flood over adjacency)
-        // must agree with their batch oracles after every death —
-        // parked sensors included.
+        // removals ride the same change funnel as moves, so the
+        // coverage tracker, the adjacency, its point index (and the
+        // connectivity flood over adjacency) must agree with their
+        // batch oracles after every death — parked sensors included.
         let mut w = world_with(4);
-        let grid = w.coverage_grid();
-        w.track_coverage(grid.clone());
-        w.track_points();
-        w.track_adjacency();
-        w.track_points(); // a no-op: the adjacency owns the one index
-        assert!(w.points_index.is_none(), "one point index per world");
+        let grid = raster(&w);
         let rc = w.cfg().rc;
         let check = |w: &mut World| {
             assert_eq!(w.coverage_tracked(), w.coverage(&grid));

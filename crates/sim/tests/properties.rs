@@ -22,7 +22,6 @@ proptest! {
         pts in prop::collection::vec((0.0..300.0f64, 0.0..300.0f64), 1..40),
         rounds in rounds_strategy(),
         rc in 15.0..80.0f64,
-        points_first in prop::bool::ANY,
         r in 5.0..120.0f64,
         order_cell in 1.0..60.0f64,
         (bx, by) in (0.0..300.0f64, 0.0..300.0f64),
@@ -31,17 +30,12 @@ proptest! {
         // kind of change (move, death) must drop the cache, so after
         // each round it equals a fresh build + flood from the drawn
         // base. The range queries answer from the one index the
-        // adjacency owns, whether `track_points` installed it first
-        // or `track_adjacency` built it.
+        // adjacency owns.
         let positions: Vec<Point> = pts.into_iter().map(|(x, y)| Point::new(x, y)).collect();
         let cfg = SimConfig::paper(rc, 10.0)
             .with_duration(10.0)
             .with_base(Point::new(bx, by));
-        let mut w = World::new(Field::open(300.0, 300.0), cfg, positions);
-        if points_first {
-            w.track_points();
-        }
-        w.track_adjacency();
+        let mut w = World::new(Field::open(300.0, 300.0), cfg, positions, None);
         prop_assert_eq!(w.connected_mask_tracked(), w.connected_mask());
         for round in rounds {
             for (op, i, x, y) in round {
