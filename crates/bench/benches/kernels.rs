@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the computational kernels every
 //! experiment leans on: Voronoi cell construction, Hungarian matching,
-//! minimum enclosing circles, coverage rasters (full, scratch-reuse
-//! and incremental-tracker paths), BUG2 navigation, field motion
+//! minimum enclosing circles, coverage rasters (the row-span count and
+//! the per-cell-test oracle mask), BUG2 navigation, field motion
 //! sweeps and disk-graph construction.
 //!
 //! Besides printing per-iteration times, the harness exports the
@@ -13,7 +13,7 @@
 
 use criterion::{BatchSize, Criterion};
 use msn_assign::{hungarian, CostMatrix};
-use msn_field::{two_obstacle_field, CoverageGrid, CoverageTracker, Field, Hit};
+use msn_field::{two_obstacle_field, CoverageGrid, Field, Hit};
 use msn_geom::{min_enclosing_circle, Point, Rect, Segment, EPS};
 use msn_nav::{Hand, NavContext, Navigator};
 use msn_net::{AdjacencyTracker, DiskGraph, Neighbors, PointIndex, SpatialGrid};
@@ -73,34 +73,6 @@ fn bench_coverage(c: &mut Criterion) {
     });
     c.bench_function("covered_mask_240_sensors_rs40", |b| {
         b.iter(|| grid.covered_mask(black_box(&pts), 40.0))
-    });
-    // the reusable-scratch variant the hot paths use
-    let mut scratch = Vec::new();
-    c.bench_function("covered_mask_into_reused_scratch", |b| {
-        b.iter(|| grid.covered_mask_into(black_box(&pts), 40.0, &mut scratch))
-    });
-}
-
-fn bench_tracker(c: &mut Criterion) {
-    let field = Field::open(1000.0, 1000.0);
-    let grid = CoverageGrid::new(&field, 2.5);
-    let pts = sites(240);
-    let mut tracker = CoverageTracker::new(grid, &pts, 40.0);
-    // Settle the initial stamps, then measure the steady state: one
-    // sensor moved per query — the O(disk) path that replaces the
-    // O(N·disk) full rasterization.
-    tracker.coverage();
-    let mut step = 0u64;
-    c.bench_function("tracker_move_one_sensor_and_query", |b| {
-        b.iter(|| {
-            step = step.wrapping_add(1);
-            let wobble = (step % 16) as f64;
-            tracker.set_sensor(
-                (step % 240) as usize,
-                Point::new(500.0 + wobble, 500.0 - wobble),
-            );
-            black_box(tracker.coverage())
-        })
     });
 }
 
@@ -284,10 +256,10 @@ fn bench_disk_stamp(c: &mut Criterion) {
     let field = Field::open(1000.0, 1000.0);
     let grid = CoverageGrid::new(&field, 2.5);
     let centers = sites(64);
-    // The scanline stamp (row spans refined with the exact per-cell
-    // predicate) vs the chord oracle it replaced (per-cell distance
+    // The row-span kernel (chord-guessed spans confirmed with the
+    // exact per-cell predicate) vs the chord oracle (per-cell distance
     // test across the padded chord window). Identical visited sets;
-    // bench-diff keeps the scanline ahead.
+    // bench-diff keeps the row spans ahead.
     c.bench_function("stamp_scanline_vs_chord", |b| {
         b.iter(|| {
             let mut total = 0usize;
@@ -536,7 +508,6 @@ fn main() {
     bench_hungarian(&mut c);
     bench_mec(&mut c);
     bench_coverage(&mut c);
-    bench_tracker(&mut c);
     bench_bug2(&mut c);
     bench_nav_context(&mut c);
     bench_field_geometry(&mut c);

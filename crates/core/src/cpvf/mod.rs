@@ -112,7 +112,7 @@ pub fn run_with_grid(
     // Position at the *previous* plan tick, for two-step oscillation
     // avoidance (the end of the step before the one just finished).
     let mut prev_plan_pos: Vec<Option<Point>> = vec![None; n];
-    let mut timeline = Timeline::start(&mut world);
+    let mut timeline = Timeline::start(&world);
     drop(setup);
 
     for _ in 0..cfg.total_ticks() {
@@ -187,7 +187,7 @@ pub fn run_with_grid(
         }
 
         world.advance_tick();
-        timeline.sample(&mut world, "cpvf.snapshot");
+        timeline.sample(&world, "cpvf.snapshot");
         // Invariant check: every tree link must stay within
         // communication range at all times — the paper's connectivity
         // guarantee. A broken link panics the run.

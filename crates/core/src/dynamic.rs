@@ -4,8 +4,9 @@
 //! A dynamic run executes a static scheme over segments between
 //! scheduled failures. A persistent *ledger* [`World`] carries the
 //! cross-segment truth — positions, liveness, per-sensor travelled
-//! distance, and the coverage and adjacency trackers that measure the
-//! dips — while each segment hands the alive fleet to the ordinary
+//! distance, the coverage raster that measures the dips and the
+//! adjacency that gives the final connectivity verdict — while each
+//! segment hands the alive fleet to the ordinary
 //! [`run_scheme_with`] dispatch and writes its outcome back. This is
 //! the `failure_recovery` example's re-run-over-survivors pattern made
 //! first-class: every scheme gets failure handling without a line of
@@ -67,11 +68,11 @@ pub fn run_scheme_dynamic(
         Cow::Borrowed,
     );
 
-    // The ledger world: its trackers make event pre/post samples
-    // O(changed sensors), not full re-rasterizations, and the final
-    // connectivity check floods maintained lists. A failed sensor's
-    // slot stays parked, so per-slot travelled distance is the history
-    // of one physical sensor.
+    // The ledger world: event pre/post samples count coverage on the
+    // shared raster (parked slots cost nothing), and the final
+    // connectivity check floods its maintained adjacency. A failed
+    // sensor's slot stays parked, so per-slot travelled distance is
+    // the history of one physical sensor.
     let mut ledger = World::new(field.clone(), cfg.clone(), initial.to_vec(), Some(&*grid));
 
     let mut queue = EventQueue::new(schedule);
@@ -125,12 +126,12 @@ pub fn run_scheme_dynamic(
         // Pre-event sample, per-event records, post-batch sample: the
         // recovery analysis keys on "last sample at the event instant
         // is the post-event state".
-        timeline.push((time_cur, ledger.coverage_tracked()));
+        timeline.push((time_cur, ledger.coverage()));
         for ev in batch {
             let ev_idx = fired.len() as u64;
-            let pre = ledger.coverage_tracked();
+            let pre = ledger.coverage();
             fail(ev, event_stream_seed(event_seed, ev_idx), &mut ledger);
-            let post = ledger.coverage_tracked();
+            let post = ledger.coverage();
             fired.push((
                 EventMark {
                     time: ev.time,
@@ -142,10 +143,10 @@ pub fn run_scheme_dynamic(
                 move_dist_total,
             ));
         }
-        timeline.push((time_cur, ledger.coverage_tracked()));
+        timeline.push((time_cur, ledger.coverage()));
     }
 
-    let coverage = ledger.coverage_tracked();
+    let coverage = ledger.coverage();
     let conn_mask = ledger.connected_mask_tracked();
     let alive = ledger.alive_indices();
     let connected = alive.iter().all(|&i| conn_mask[i]);

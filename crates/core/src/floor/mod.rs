@@ -162,7 +162,7 @@ pub fn run_with_grid(
     let setup = msn_obs::span("floor.setup");
     let mut sim = FloorSim::new(field, initial, params, cfg, grid);
     sim.initial_flood();
-    let timeline = Timeline::start(&mut sim.world);
+    let timeline = Timeline::start(&sim.world);
     drop(setup);
     sim.run(timeline)
 }
@@ -282,7 +282,7 @@ impl<'a> FloorSim<'a> {
                 self.absorb_connections();
             }
             self.world.advance_tick();
-            timeline.sample(&mut self.world, "floor.snapshot");
+            timeline.sample(&self.world, "floor.snapshot");
         }
 
         let _finish = msn_obs::span("floor.finish");

@@ -358,19 +358,19 @@ pub(crate) struct Timeline {
 
 impl Timeline {
     /// A timeline holding the t = 0 coverage sample.
-    pub(crate) fn start(world: &mut World) -> Self {
+    pub(crate) fn start(world: &World) -> Self {
         Timeline {
             every: (SNAPSHOT_EVERY / world.cfg().dt()).round().max(1.0) as u64,
-            samples: vec![(0.0, world.coverage_tracked())],
+            samples: vec![(0.0, world.coverage())],
         }
     }
 
     /// Samples coverage, under span `span`, if the tick just taken
     /// ends a sampling interval.
-    pub(crate) fn sample(&mut self, world: &mut World, span: &'static str) {
+    pub(crate) fn sample(&mut self, world: &World, span: &'static str) {
         if world.tick().is_multiple_of(self.every) {
             let _snapshot = msn_obs::span(span);
-            self.samples.push((world.time(), world.coverage_tracked()));
+            self.samples.push((world.time(), world.coverage()));
         }
     }
 
@@ -378,7 +378,7 @@ impl Timeline {
     /// positions and whether every sensor ended connected to the base,
     /// all from `world`.
     pub(crate) fn finish(self, world: &mut World, scheme: &str) -> RunResult {
-        let coverage = world.coverage_tracked();
+        let coverage = world.coverage();
         let connected = world.all_connected_tracked();
         let moved: Vec<f64> = (0..world.n()).map(|i| world.moved(i)).collect();
         RunResult::from_run(

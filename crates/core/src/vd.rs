@@ -141,8 +141,8 @@ pub fn run_with_grid(
             positions[i] = targets[t];
         }
     }
-    // One scratch covered-mask reused across all timeline samples
-    // (identical values; saves a mask allocation per round).
+    // One covered bitmap reused across all timeline samples
+    // (identical values; saves a bitmap allocation per round).
     let mut cov_scratch = Vec::new();
     let mut sample = |positions: &[Point]| {
         let _coverage = msn_obs::span("vd.coverage");

@@ -29,7 +29,11 @@ pub struct CoverageGrid {
     cell: f64,
     nx: usize,
     ny: usize,
-    free: Vec<bool>,
+    /// `u64` words per raster row.
+    words: usize,
+    /// Free-cell bitmap, row-major: cell `(ix, iy)` is bit `ix % 64`
+    /// of word `iy * words + ix / 64`. Bits past `nx` stay clear.
+    free: Vec<u64>,
     free_count: usize,
 }
 
@@ -45,17 +49,23 @@ impl CoverageGrid {
         let b = field.bounds();
         let nx = (b.width() / cell).ceil() as usize;
         let ny = (b.height() / cell).ceil() as usize;
-        let mut free = vec![false; nx * ny];
+        let words = nx.div_ceil(64);
+        let mut free = Vec::with_capacity(ny * words);
         let mut free_count = 0;
         for iy in 0..ny {
+            let mut bits = 0u64;
             for ix in 0..nx {
                 let p = Point::new(
                     b.min.x + (ix as f64 + 0.5) * cell,
                     b.min.y + (iy as f64 + 0.5) * cell,
                 );
-                if field.in_bounds(p) && field.is_free(p) {
-                    free[iy * nx + ix] = true;
-                    free_count += 1;
+                if field.is_free(p) {
+                    bits |= 1 << (ix % 64);
+                }
+                if ix % 64 == 63 || ix + 1 == nx {
+                    free.push(bits);
+                    free_count += bits.count_ones() as usize;
+                    bits = 0;
                 }
             }
         }
@@ -64,6 +74,7 @@ impl CoverageGrid {
             cell,
             nx,
             ny,
+            words,
             free,
             free_count,
         }
@@ -102,88 +113,98 @@ impl CoverageGrid {
         )
     }
 
+    #[inline]
+    fn is_free(&self, ix: usize, iy: usize) -> bool {
+        self.free[iy * self.words + ix / 64] >> (ix % 64) & 1 == 1
+    }
+
     /// `true` when the center of cell `(ix, iy)` passes the disk
-    /// membership test — the single authoritative predicate both stamp
+    /// membership test — the single authoritative predicate both disk
     /// kernels share.
     #[inline]
     fn center_in_disk(&self, ix: usize, iy: usize, s: Point, rs_sq: f64) -> bool {
         self.cell_center(ix, iy).dist_sq(s) <= rs_sq
     }
 
-    /// Calls `f` with the flat index of every *free* cell whose center
-    /// lies within `rs` of `s` — the scanline stamp kernel.
+    /// Calls `f(iy, a, b)` for every raster row the disk of radius
+    /// `rs` around `s` reaches, where `[a, b]` is the exact column
+    /// interval whose centers pass the disk test — free or not.
     ///
-    /// This is the one disk-rasterization kernel behind
-    /// [`CoverageGrid::covered_mask`], [`CoverageGrid::covered_count`]
-    /// and the incremental [`crate::CoverageTracker`]: the visited set
-    /// is exactly `{free (ix, iy) : dist(center, s) <= rs}`, so every
-    /// consumer agrees with the others bit-for-bit. Per row, the
-    /// squared center distance is weakly unimodal in the column index
-    /// (monotone |Δx| into a monotone square, plus a constant), so the
-    /// passing columns form one contiguous interval: the kernel
-    /// refines the conservative chord window to that interval with a
-    /// handful of boundary distance tests and then stamps the interior
-    /// as a straight run over the free bitmap — no per-cell distance
-    /// test. [`CoverageGrid::disk_free_cells_chord`] keeps the
+    /// This is the one disk kernel behind [`CoverageGrid::coverage`].
+    /// Per row, the squared center distance is weakly unimodal in the
+    /// column index (monotone |Δx| into a monotone square, plus a
+    /// constant), so the passing columns form one contiguous interval
+    /// inside the chord oracle's padded window. The kernel guesses the
+    /// interval's ends from the chord and confirms each with the disk
+    /// test (two tests per end when the guess is right); a guess that
+    /// fails the test falls back to shrinking the padded window. Rows
+    /// and windows are clipped to the raster before any test, so a
+    /// disk that misses the raster costs at most O(rows) and never a
+    /// full-row scan. [`CoverageGrid::disk_cells_chord`] keeps the
     /// per-cell-test kernel as the property-tested oracle.
     #[inline]
-    pub(crate) fn disk_free_cells(&self, s: Point, rs: f64, f: &mut impl FnMut(usize)) {
+    fn row_spans(&self, s: Point, rs: f64, f: &mut impl FnMut(usize, usize, usize)) {
         let r_cells = (rs / self.cell).ceil() as isize + 1;
         let rs_sq = rs * rs;
-        let cx = ((s.x - self.origin.x) / self.cell - 0.5).round() as isize;
+        // The sensor's column coordinate, in cells from the first center.
+        let u = (s.x - self.origin.x) / self.cell - 0.5;
+        let cx = u.round() as isize;
         let cy = ((s.y - self.origin.y) / self.cell - 0.5).round() as isize;
-        for dy in -r_cells..=r_cells {
-            let iy = cy + dy;
-            if iy < 0 || iy >= self.ny as isize {
-                continue;
-            }
+        let (nx, ny) = (self.nx as isize, self.ny as isize);
+        for iy in (cy - r_cells).max(0)..=(cy + r_cells).min(ny - 1) {
             let center_y = self.origin.y + (iy as f64 + 0.5) * self.cell;
             let rem = rs_sq - (center_y - s.y) * (center_y - s.y);
             if rem < 0.0 {
                 continue; // the whole row lies outside the disk
             }
-            // Chord half-width in cells, padded so float rounding can
-            // never exclude a center the distance test would accept.
-            let half = (rem.sqrt() / self.cell) as isize + 2;
-            let lo = (cx - half.min(r_cells)).max(0);
-            let hi = (cx + half.min(r_cells)).min(self.nx as isize - 1);
+            let chord = rem.sqrt() / self.cell;
+            // The oracle's window, padded so float rounding can never
+            // exclude a center the distance test would accept.
+            let half = (chord as isize + 2).min(r_cells);
+            let lo = (cx - half).max(0);
+            let hi = (cx + half).min(nx - 1);
             if lo > hi {
                 continue;
             }
             let iyu = iy as usize;
-            // Shrink the padded window to the exact passing interval
-            // (the pad is at most a few cells, so this is a handful of
-            // distance tests per row).
-            let mut a = lo;
-            while a <= hi && !self.center_in_disk(a as usize, iyu, s, rs_sq) {
-                a += 1;
-            }
-            if a > hi {
-                continue;
-            }
-            let mut b = hi;
-            while b > a && !self.center_in_disk(b as usize, iyu, s, rs_sq) {
-                b -= 1;
-            }
-            // Stamp the interval as a straight slice walk: one bounds
-            // check for the whole run instead of one per cell, and no
-            // distance math left in the loop.
-            let start = iyu * self.nx + a as usize;
-            let run = &self.free[start..=start + (b - a) as usize];
-            for (off, &fr) in run.iter().enumerate() {
-                if fr {
-                    f(start + off);
+            let inside = |ix: isize| self.center_in_disk(ix as usize, iyu, s, rs_sq);
+            // Truncating casts, not `ceil`/`floor`: a guess only has to
+            // be near the end it names, and baseline x86-64 lowers
+            // `ceil`/`floor` to libm calls.
+            let mut a = ((u - chord) as isize + 1).clamp(lo, hi);
+            let mut b = ((u + chord) as isize).clamp(lo, hi);
+            if a <= b && inside(a) && inside(b) {
+                // [a, b] passes, so by contiguity the interval is [a, b]
+                // grown while its neighbours pass.
+                while a > lo && inside(a - 1) {
+                    a -= 1;
+                }
+                while b < hi && inside(b + 1) {
+                    b += 1;
+                }
+            } else {
+                a = lo;
+                while a <= hi && !inside(a) {
+                    a += 1;
+                }
+                if a > hi {
+                    continue;
+                }
+                b = hi;
+                while b > a && !inside(b) {
+                    b -= 1;
                 }
             }
+            f(iyu, a as usize, b as usize);
         }
     }
 
-    /// The pre-scanline stamp kernel: same visited set as
-    /// [`CoverageGrid::disk_free_cells`], computed with a per-cell
-    /// distance test over the padded chord window. Kept as the oracle
-    /// for the scanline kernel's property tests and benchmark pair.
+    /// The per-cell-test disk kernel: calls `f` with the flat index of
+    /// every free cell whose center lies within `rs` of `s`, testing
+    /// each cell of the padded chord window. Kept as the oracle for
+    /// the row-span kernel's property tests and benchmark pair.
     #[inline]
-    pub(crate) fn disk_free_cells_chord(&self, s: Point, rs: f64, f: &mut impl FnMut(usize)) {
+    fn disk_free_cells_chord(&self, s: Point, rs: f64, f: &mut impl FnMut(usize)) {
         let r_cells = (rs / self.cell).ceil() as isize + 1;
         let rs_sq = rs * rs;
         let cx = ((s.x - self.origin.x) / self.cell - 0.5).round() as isize;
@@ -201,25 +222,27 @@ impl CoverageGrid {
             let half = (rem.sqrt() / self.cell) as isize + 2;
             let lo = (cx - half.min(r_cells)).max(0);
             let hi = (cx + half.min(r_cells)).min(self.nx as isize - 1);
-            let row = iy as usize * self.nx;
             for ix in lo..=hi {
-                let idx = row + ix as usize;
-                if !self.free[idx] {
-                    continue;
-                }
-                if self.center_in_disk(ix as usize, iy as usize, s, rs_sq) {
-                    f(idx);
+                let (ix, iy) = (ix as usize, iy as usize);
+                if self.is_free(ix, iy) && self.center_in_disk(ix, iy, s, rs_sq) {
+                    f(iy * self.nx + ix);
                 }
             }
         }
     }
 
-    /// Flat indices of the free cells one disk stamp visits, in visit
-    /// order — the scanline kernel, exposed for property tests and the
-    /// kernels benchmark.
+    /// Flat indices (`iy · nx + ix`) of the free cells inside the row
+    /// spans of one disk, in row-major order — the row-span kernel,
+    /// exposed for property tests and the kernels benchmark.
     pub fn disk_cells(&self, s: Point, rs: f64) -> Vec<usize> {
         let mut out = Vec::new();
-        self.disk_free_cells(s, rs, &mut |idx| out.push(idx));
+        self.row_spans(s, rs, &mut |iy, a, b| {
+            out.extend(
+                (a..=b)
+                    .filter(|&ix| self.is_free(ix, iy))
+                    .map(|ix| iy * self.nx + ix),
+            );
+        });
         out
     }
 
@@ -233,38 +256,50 @@ impl CoverageGrid {
     }
 
     /// Marks every free cell within `rs` of any sensor and returns the
-    /// boolean mask (row-major, `ny` rows of `nx`).
+    /// boolean mask (row-major, `ny` rows of `nx`). Built with the
+    /// per-cell-test oracle kernel: this is the reference the
+    /// row-span count is tested against.
     pub fn covered_mask(&self, sensors: &[Point], rs: f64) -> Vec<bool> {
-        let mut mask = Vec::new();
-        self.covered_mask_into(sensors, rs, &mut mask);
+        let mut mask = vec![false; self.nx * self.ny];
+        for s in sensors {
+            self.disk_free_cells_chord(*s, rs, &mut |idx| mask[idx] = true);
+        }
         mask
     }
 
-    /// Like [`CoverageGrid::covered_mask`], but reuses `mask` as the
-    /// scratch buffer (cleared and resized to `nx · ny`) and returns
-    /// the number of covered free cells, so hot callers measure
-    /// coverage without any per-measurement allocation or a second
-    /// pass over the raster.
-    pub fn covered_mask_into(&self, sensors: &[Point], rs: f64, mask: &mut Vec<bool>) -> usize {
-        mask.clear();
-        mask.resize(self.nx * self.ny, false);
-        let mut covered = 0usize;
+    /// The row-span count: ORs each disk's row spans into `bits`
+    /// (cleared and resized to the raster) a word at a time and
+    /// returns the popcount of `bits` AND the free-cell bitmap.
+    fn covered_count_into(&self, sensors: &[Point], rs: f64, bits: &mut Vec<u64>) -> usize {
+        msn_obs::counter("cov.samples", 1);
+        bits.clear();
+        bits.resize(self.free.len(), 0);
+        let words = self.words;
         for s in sensors {
-            self.disk_free_cells(*s, rs, &mut |idx| {
-                if !mask[idx] {
-                    mask[idx] = true;
-                    covered += 1;
+            self.row_spans(*s, rs, &mut |iy, a, b| {
+                let row = &mut bits[iy * words..(iy + 1) * words];
+                let (wa, wb) = (a / 64, b / 64);
+                let head = !0u64 << (a % 64);
+                let tail = !0u64 >> (63 - b % 64);
+                if wa == wb {
+                    row[wa] |= head & tail;
+                } else {
+                    row[wa] |= head;
+                    row[wa + 1..wb].fill(!0);
+                    row[wb] |= tail;
                 }
             });
         }
-        covered
+        bits.iter()
+            .zip(&self.free)
+            .map(|(c, f)| (c & f).count_ones() as usize)
+            .sum()
     }
 
     /// Number of free cells covered by at least one sensing disk of
     /// radius `rs` centered at `sensors`.
     pub fn covered_count(&self, sensors: &[Point], rs: f64) -> usize {
-        let mut mask = Vec::new();
-        self.covered_mask_into(sensors, rs, &mut mask)
+        self.covered_count_into(sensors, rs, &mut Vec::new())
     }
 
     /// Fraction of free cells covered by at least one sensing disk of
@@ -272,21 +307,20 @@ impl CoverageGrid {
     ///
     /// Returns 0 when the field has no free cells.
     pub fn coverage(&self, sensors: &[Point], rs: f64) -> f64 {
-        let mut mask = Vec::new();
-        self.coverage_into(sensors, rs, &mut mask)
+        self.coverage_into(sensors, rs, &mut Vec::new())
     }
 
-    /// Like [`CoverageGrid::coverage`], but reuses `mask` as the
-    /// scratch buffer (see [`CoverageGrid::covered_mask_into`]) so
-    /// callers measuring coverage repeatedly allocate nothing per
-    /// measurement.
+    /// Like [`CoverageGrid::coverage`], but reuses `bits` as the
+    /// covered bitmap (cleared and resized to the raster), so callers
+    /// measuring repeatedly allocate nothing per measurement.
     ///
     /// Returns 0 when the field has no free cells.
-    pub fn coverage_into(&self, sensors: &[Point], rs: f64, mask: &mut Vec<bool>) -> f64 {
+    pub fn coverage_into(&self, sensors: &[Point], rs: f64, bits: &mut Vec<u64>) -> f64 {
+        let covered = self.covered_count_into(sensors, rs, bits);
         if self.free_count == 0 {
             return 0.0;
         }
-        self.covered_mask_into(sensors, rs, mask) as f64 / self.free_count as f64
+        covered as f64 / self.free_count as f64
     }
 }
 
@@ -378,10 +412,9 @@ mod tests {
         let brute = mask.iter().filter(|&&c| c).count();
         assert_eq!(g.covered_count(&sensors, 35.0), brute);
         // reusing a dirty, wrongly-sized scratch must not leak state
-        let mut scratch = vec![true; 3];
-        let count = g.covered_mask_into(&sensors, 35.0, &mut scratch);
-        assert_eq!(count, brute);
-        assert_eq!(scratch, mask);
+        let mut scratch = vec![!0u64; 3];
+        assert_eq!(g.covered_count_into(&sensors, 35.0, &mut scratch), brute);
+        assert_eq!(g.covered_count_into(&[], 35.0, &mut scratch), 0);
     }
 
     #[test]
@@ -404,6 +437,33 @@ mod tests {
                 g.disk_cells_chord(s, rs),
                 "s={s} rs={rs}"
             );
+        }
+        // Disks whose rim passes exactly through a cell center: float
+        // rounding in the chord, not geometry, then decides whether a
+        // span's guessed end is the true one.
+        // A center on a cell center with its rim on the same column
+        // makes the disk's end rows a single cell.
+        let g = CoverageGrid::new(&Field::open(100.0, 100.0), 2.5);
+        for k in 0..400 {
+            let kf = k as f64;
+            let (ax, ay) = ((k * 7) % g.nx(), (k * 11) % g.ny());
+            let (s, rim) = match k % 2 {
+                0 => (
+                    Point::new((kf * 7.31) % 100.0, (kf * 3.77) % 100.0),
+                    g.cell_center((k * 13) % g.nx(), (k * 29) % g.ny()),
+                ),
+                _ => (
+                    g.cell_center(ax, ay),
+                    g.cell_center(ax, (ay + 1 + k % 9) % g.ny()),
+                ),
+            };
+            for rs in [s.dist(rim), s.dist(rim).next_down(), s.dist(rim).next_up()] {
+                assert_eq!(
+                    g.disk_cells(s, rs),
+                    g.disk_cells_chord(s, rs),
+                    "s={s} rs={rs}"
+                );
+            }
         }
     }
 

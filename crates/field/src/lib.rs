@@ -9,9 +9,9 @@
 //! * [`Field`] — geometry queries (free-space tests, motion blocking,
 //!   first-obstacle-hit sweeps);
 //! * [`CoverageGrid`] — raster coverage measurement over free area
-//!   (the paper's *coverage* metric);
-//! * [`CoverageTracker`] — incremental per-sensor coverage counts that
-//!   match the raster oracle bit-for-bit at `O(disk)` per move;
+//!   (the paper's *coverage* metric), counted from scratch per
+//!   measurement as a union of exact per-row disk spans over a
+//!   free-cell bitmap;
 //! * [`free_space_connected`] — flood-fill check that obstacles do not
 //!   partition the field (required by §3.1 and by the random-obstacle
 //!   workload of §6.4);
@@ -35,7 +35,6 @@ mod field;
 mod freespace;
 mod layouts;
 mod random_obstacles;
-mod tracker;
 
 pub use ascii::{ascii_layout, AsciiOptions};
 pub use coverage::CoverageGrid;
@@ -46,7 +45,6 @@ pub use layouts::{
     campus_grid_field, corridor_field, disaster_zone_field, CampusGridParams, CorridorParams,
 };
 pub use random_obstacles::{random_obstacle_field, RandomObstacleParams};
-pub use tracker::CoverageTracker;
 
 /// Standard field used throughout the paper's evaluation:
 /// 1000 m × 1000 m, obstacle-free.

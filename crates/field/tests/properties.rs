@@ -2,7 +2,7 @@
 
 use msn_field::{
     free_space_connected, random_obstacle_field, scatter_clustered, scatter_uniform, CoverageGrid,
-    CoverageTracker, Field, RandomObstacleParams,
+    Field, RandomObstacleParams,
 };
 use msn_geom::{Point, Rect, Segment};
 use proptest::prelude::*;
@@ -27,31 +27,46 @@ proptest! {
             (50.0..900.0f64, 50.0..900.0f64, 20.0..250.0f64, 20.0..250.0f64),
             0..4,
         ),
-        centers in prop::collection::vec((-100.0..1100.0f64, -100.0..1100.0f64), 1..12),
-        rs in 0.0..200.0f64,
+        centers in prop::collection::vec((-300.0..1300.0f64, -300.0..1300.0f64), 1..12),
+        rs_cells in 0.0..80.0f64,
         cell in 2.0..40.0f64,
     ) {
-        // The scanline stamp must visit exactly the free in-disk cells
-        // the per-cell chord test visits, in the same order — centers
-        // off the field, radii below a cell, and centers parked on
-        // cell boundaries included.
+        // Each row span must hold exactly the free in-disk cells the
+        // per-cell chord test visits, in the same order, and the
+        // bitmap count must equal the oracle mask's — for radii from
+        // below a cell to hundreds of meters, centers parked on cell
+        // boundaries, disks left of, right of and below the raster,
+        // and slots parked at the far-off-field lot.
         let field = obstacle_field(&rects);
         let grid = CoverageGrid::new(&field, cell);
+        let rs = rs_cells * cell;
+        let mut sensors: Vec<Point> = Vec::new();
         for &(x, y) in &centers {
-            let s = Point::new(x, y);
+            sensors.push(Point::new(x, y));
+            // snap the center onto an exact cell-boundary coordinate
+            sensors.push(Point::new((x / cell).floor() * cell, (y / cell).floor() * cell));
+        }
+        sensors.extend([
+            Point::new(-0.5 * rs, 500.0),
+            Point::new(1000.0 + 0.5 * rs, 500.0),
+            Point::new(500.0, -0.5 * rs),
+            Point::new(-1.0e7, -1.0e7),
+            Point::new(-1.0e7 - 360.0, -1.0e7),
+        ]);
+        for &s in &sensors {
             prop_assert_eq!(
                 grid.disk_cells(s, rs),
                 grid.disk_cells_chord(s, rs),
                 "center {} rs {} cell {}", s, rs, cell
             );
-            // snap the center onto an exact cell-boundary coordinate
-            let snapped = Point::new((x / cell).floor() * cell, (y / cell).floor() * cell);
-            prop_assert_eq!(
-                grid.disk_cells(snapped, rs),
-                grid.disk_cells_chord(snapped, rs),
-                "snapped center {} rs {} cell {}", snapped, rs, cell
-            );
         }
+        let mask = grid.covered_mask(&sensors, rs);
+        let oracle = mask.iter().filter(|&&c| c).count();
+        prop_assert_eq!(grid.covered_count(&sensors, rs), oracle);
+        prop_assert_eq!(
+            grid.coverage(&sensors, rs).to_bits(),
+            (oracle as f64 / grid.free_cells() as f64).to_bits()
+        );
     }
 
     #[test]
@@ -63,7 +78,7 @@ proptest! {
         let grid = CoverageGrid::new(&field, 10.0);
         let sensors: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let mut scratch = Vec::new();
-        // growing prefixes reuse the same scratch mask; each result
+        // growing prefixes reuse the same scratch bitmap; each result
         // must equal the allocating path bit for bit
         for k in 0..=sensors.len() {
             let with_scratch = grid.coverage_into(&sensors[..k], rs, &mut scratch);
@@ -162,101 +177,6 @@ proptest! {
         let pts = scatter_clustered(&field, sub, 20, &mut rng);
         for p in &pts {
             prop_assert!(sub.contains(*p));
-        }
-    }
-
-    #[test]
-    fn incremental_tracker_equals_full_rasterization_oracle(
-        starts in prop::collection::vec((0.0..600.0f64, 0.0..600.0f64), 1..20),
-        // moves may land outside the field (sensors leaving and
-        // re-entering): the tracker must clip exactly like the oracle
-        moves in prop::collection::vec(
-            (0usize..20, -150.0..750.0f64, -150.0..750.0f64, prop::bool::ANY),
-            1..60,
-        ),
-        rs in 15.0..90.0f64,
-    ) {
-        let field = obstacle_field(&[(150.0, 150.0, 180.0, 120.0), (400.0, 50.0, 90.0, 300.0)]);
-        let grid = CoverageGrid::new(&field, 10.0);
-        let mut sensors: Vec<Point> =
-            starts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let mut tracker = CoverageTracker::new(grid.clone(), &sensors, rs);
-        prop_assert_eq!(tracker.coverage(), grid.coverage(&sensors, rs));
-        for &(i, x, y, query) in &moves {
-            let i = i % sensors.len();
-            sensors[i] = Point::new(x, y);
-            tracker.set_sensor(i, sensors[i]);
-            // querying only sometimes exercises both sync paths:
-            // incremental re-stamps and whole-fleet rebuilds
-            if query {
-                let oracle_mask = grid.covered_mask(&sensors, rs);
-                let oracle_count = oracle_mask.iter().filter(|&&c| c).count();
-                prop_assert_eq!(tracker.covered_cells(), oracle_count);
-                prop_assert_eq!(tracker.coverage(), grid.coverage(&sensors, rs));
-            }
-        }
-        let oracle = grid.coverage(&sensors, rs);
-        prop_assert_eq!(tracker.coverage(), oracle, "final positions diverged from oracle");
-    }
-
-    #[test]
-    fn coverage_tracker_stays_oracle_exact_under_churn_and_obstacle_mutation(
-        starts in prop::collection::vec((0.0..600.0f64, 0.0..600.0f64), 1..16),
-        rounds in prop::collection::vec(
-            (
-                prop::collection::vec(
-                    (0u8..3, 0usize..16, -150.0..750.0f64, -150.0..750.0f64),
-                    1..6,
-                ),
-                0u8..4,
-            ),
-            1..10,
-        ),
-        rs in 15.0..90.0f64,
-    ) {
-        // The dynamic-world tier: sensor failure is a teleport to the
-        // far off-field parking lot (World::remove_sensor), revival a
-        // teleport back, and a field rebuilt with an edited obstacle
-        // list re-rasterizes the grid and re-tracks the fleet.
-        // Coverage must stay bit-identical to the full rasterization
-        // oracle after every round. Per round, op kind 0 moves a
-        // sensor, 1 parks it, 2 revives it; the round tag 2 adds an
-        // obstacle, 3 removes the newest one.
-        let mut rects = vec![(150.0, 150.0, 180.0, 120.0)];
-        let mut field = obstacle_field(&rects);
-        let mut sensors: Vec<Point> =
-            starts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let mut grid = CoverageGrid::new(&field, 10.0);
-        let mut tracker = CoverageTracker::new(grid.clone(), &sensors, rs);
-        let mut added = 0usize;
-        for (ops, mutate) in rounds {
-            for (op, i, x, y) in ops {
-                let i = i % sensors.len();
-                sensors[i] = match op {
-                    1 => Point::new(-1.0e7 - i as f64 * 360.0, -1.0e7),
-                    _ => Point::new(x, y),
-                };
-                tracker.set_sensor(i, sensors[i]);
-            }
-            let edited = match mutate {
-                2 => {
-                    let x = 400.0 + added as f64 * 5.0;
-                    rects.push((x, 50.0, 490.0 - x, 300.0));
-                    added += 1;
-                    true
-                }
-                3 => rects.pop().is_some(),
-                _ => false,
-            };
-            if edited {
-                field = obstacle_field(&rects);
-                grid = CoverageGrid::new(&field, 10.0);
-                tracker = CoverageTracker::new(grid.clone(), &sensors, rs);
-            }
-            let oracle_mask = grid.covered_mask(&sensors, rs);
-            let oracle_count = oracle_mask.iter().filter(|&&c| c).count();
-            prop_assert_eq!(tracker.covered_cells(), oracle_count);
-            prop_assert_eq!(tracker.coverage(), grid.coverage(&sensors, rs));
         }
     }
 

@@ -442,11 +442,11 @@ mod tests {
                         ],
                     }],
                     counters: vec![Counter {
-                        name: "cov.restamps".into(),
+                        name: "cov.samples".into(),
                         total: 420,
                     }],
                     values: vec![ValueStat {
-                        name: "cov.dirty".into(),
+                        name: "world.move_dist".into(),
                         count: 10,
                         sum: 55.0,
                         min: 1.0,
@@ -501,8 +501,8 @@ mod tests {
         let root = text.find(" floor.run\n").unwrap();
         assert!(plan < motion && motion < root, "{text}");
         assert!(text.contains("phase self-time coverage: 95.0% of wall"));
-        assert!(text.contains("cov.restamps"));
-        assert!(text.contains("cov.dirty"));
+        assert!(text.contains("cov.samples"));
+        assert!(text.contains("world.move_dist"));
     }
 
     #[test]

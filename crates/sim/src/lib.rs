@@ -6,9 +6,9 @@
 //! within the period; the network is asynchronous, so each sensor's
 //! planning instant carries a fixed phase offset. The engine integrates
 //! motion in `ticks_per_period` micro-ticks and offers the state every
-//! protocol needs: positions with distance accounting, maintained
-//! coverage, adjacency and proximity trackers, a seeded RNG and a
-//! message counter.
+//! protocol needs: positions with distance accounting, a coverage
+//! raster, maintained adjacency and proximity trackers, a seeded RNG
+//! and a message counter.
 //!
 //! * [`SimConfig`] — time constants and radio/sensing ranges
 //!   ([`SimConfig::paper`] gives the evaluation defaults: V = 2 m/s,

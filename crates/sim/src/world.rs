@@ -1,7 +1,7 @@
 //! The mutable simulation state.
 
 use crate::SimConfig;
-use msn_field::{CoverageGrid, CoverageTracker, Field};
+use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;
 use msn_net::{AdjacencyTracker, DiskGraph, MessageCounter, Neighbors};
 use rand::rngs::SmallRng;
@@ -10,7 +10,7 @@ use std::fmt;
 
 /// One position change, the single record every mutation path builds
 /// before anything is written. Applying it updates the position, the
-/// moved-distance array and both trackers in one step.
+/// moved-distance array and the adjacency in one step.
 struct PosChange {
     i: usize,
     p: Point,
@@ -25,11 +25,12 @@ struct PosChange {
 
 /// All mutable state of one simulation run: sensor positions with
 /// moving-distance accounting, simulated time, a seeded RNG, the
-/// message counter, and the incremental trackers that answer every
-/// scheme's per-tick questions — how much is covered
-/// ([`World::coverage_tracked`]), who reaches the base
-/// ([`World::connected_tracked`]) and who is near whom
-/// ([`World::neighbors_tracked`], [`World::adjacency`]).
+/// message counter, the coverage raster, and the incremental adjacency
+/// that answers every scheme's per-tick questions — who reaches the
+/// base ([`World::connected_tracked`]) and who is near whom
+/// ([`World::neighbors_tracked`], [`World::adjacency`]). How much is
+/// covered ([`World::coverage`]) is counted from scratch on the raster
+/// at each sample.
 ///
 /// Deployment schemes (in `msn-deploy`) drive a `World` through their
 /// protocol phases; the engine itself is policy-free.
@@ -54,8 +55,8 @@ pub struct World {
     cfg: SimConfig,
     positions: Vec<Point>,
     /// Liveness mask for dynamic runs: dead sensors stay in the
-    /// arrays (parked far off-field) so tracker slot counts never
-    /// change, but they neither cover, relay, nor move.
+    /// arrays (parked far off-field) so slot counts never change, but
+    /// they neither cover, relay, nor move.
     alive: Vec<bool>,
     moved: Vec<f64>,
     /// Number of charged movements (`set_pos` family, not teleports) —
@@ -68,9 +69,8 @@ pub struct World {
     tick: u64,
     rng: SmallRng,
     msgs: MessageCounter,
-    /// Incremental coverage counts on the world's raster, fed by every
-    /// position change.
-    tracker: CoverageTracker,
+    /// The raster [`World::coverage`] measures on.
+    grid: CoverageGrid,
     /// Incremental disk-graph adjacency, fed by every position change.
     /// It owns the world's one point index.
     adj: AdjacencyTracker,
@@ -80,10 +80,10 @@ pub struct World {
 }
 
 impl World {
-    /// Creates a world with sensors at `positions`, with its coverage
-    /// tracker on `grid` (a raster of `field` at `cfg.coverage_cell`;
-    /// `None` rasterizes one) and its adjacency at `cfg.rc` over a
-    /// point index of cell `rc.max(1.0)`.
+    /// Creates a world with sensors at `positions`, measuring coverage
+    /// on `grid` (a raster of `field` at `cfg.coverage_cell`; `None`
+    /// rasterizes one), with its adjacency at `cfg.rc` over a point
+    /// index of cell `rc.max(1.0)`.
     pub fn new(
         field: Field,
         cfg: SimConfig,
@@ -95,7 +95,7 @@ impl World {
             .cloned()
             .unwrap_or_else(|| CoverageGrid::new(&field, cfg.coverage_cell));
         World {
-            tracker: CoverageTracker::new(grid, &positions, cfg.rs),
+            grid,
             adj: AdjacencyTracker::new(&positions, cfg.rc),
             rng: SmallRng::seed_from_u64(cfg.seed),
             field,
@@ -122,8 +122,8 @@ impl World {
     /// sensors cover no cell (the disk clips entirely off-field), link
     /// to nothing (pairwise spacing exceeds `rc`, and the lot sits
     /// ~1e7 m from the field and base), and never move — so a dead
-    /// sensor is invisible to every tracker without changing any
-    /// tracker's slot count.
+    /// sensor is invisible to coverage and the adjacency without
+    /// changing any slot count.
     pub fn park_position(&self, i: usize) -> Point {
         let pitch = 4.0 * self.cfg.rc.max(1.0);
         Point::new(-1.0e7 - i as f64 * pitch, -1.0e7)
@@ -148,8 +148,9 @@ impl World {
     }
 
     /// Kills sensor `i`: parks it off-field through the change-record
-    /// funnel (both trackers see the departure as an ordinary move) and marks the slot dead. Charges no movement —
-    /// a dead sensor does not drive away.
+    /// funnel (the adjacency sees the departure as an ordinary move)
+    /// and marks the slot dead. Charges no movement — a dead sensor
+    /// does not drive away.
     ///
     /// # Panics
     ///
@@ -244,8 +245,8 @@ impl World {
     }
 
     /// Applies one change record: movement accounting, the position,
-    /// then both trackers — the only path that writes positions, so no
-    /// tracker can miss a move.
+    /// then the adjacency — the only path that writes positions, so
+    /// the adjacency cannot miss a move.
     fn apply_change(&mut self, c: PosChange) {
         if c.counted {
             msn_obs::counter("world.moves", 1);
@@ -255,7 +256,6 @@ impl World {
         }
         self.moved[c.i] += c.charged;
         self.positions[c.i] = c.p;
-        self.tracker.set_sensor(c.i, c.p);
         self.adj.set_sensor(c.i, c.p);
         self.conn_mask = None;
     }
@@ -333,7 +333,7 @@ impl World {
 
     /// Connected-to-base mask for the current positions, by full graph
     /// rebuild + flood (the reference oracle; independent of the
-    /// trackers).
+    /// adjacency).
     pub fn connected_mask(&self) -> Vec<bool> {
         DiskGraph::build(&self.positions, self.cfg.rc).flood_from_base(
             &self.positions,
@@ -432,19 +432,12 @@ impl World {
         &self.msgs
     }
 
-    /// Current coverage fraction from the maintained per-cell counts —
-    /// bit-identical to [`World::coverage`] on the world's raster, but
-    /// `O(disk)` per moved sensor instead of `O(N · disk)` per
-    /// measurement.
-    pub fn coverage_tracked(&mut self) -> f64 {
-        self.tracker.coverage()
-    }
-
-    /// Current coverage fraction measured on `grid` by full
-    /// rasterization (the reference oracle; independent of the
-    /// trackers).
-    pub fn coverage(&self, grid: &CoverageGrid) -> f64 {
-        grid.coverage(&self.positions, self.cfg.rs)
+    /// Current coverage fraction on the world's raster
+    /// ([`CoverageGrid::coverage`] at the current positions and
+    /// `cfg.rs`). Parked sensors cost nothing: their disks miss every
+    /// raster row.
+    pub fn coverage(&self) -> f64 {
+        self.grid.coverage(&self.positions, self.cfg.rs)
     }
 }
 
@@ -475,6 +468,13 @@ mod tests {
 
     fn raster(w: &World) -> CoverageGrid {
         CoverageGrid::new(w.field(), w.cfg().coverage_cell)
+    }
+
+    /// Coverage of `w` on `grid` counted from the per-cell-test oracle
+    /// mask.
+    fn mask_coverage(w: &World, grid: &CoverageGrid) -> f64 {
+        let mask = grid.covered_mask(w.positions(), w.cfg().rs);
+        mask.iter().filter(|&&c| c).count() as f64 / grid.free_cells() as f64
     }
 
     #[test]
@@ -523,14 +523,14 @@ mod tests {
     #[test]
     fn coverage_measurement() {
         let w = world_with(1);
-        let cov = w.coverage(&raster(&w));
+        let cov = w.coverage();
         assert!(cov > 0.0 && cov < 0.2);
     }
 
     #[test]
-    fn tracked_coverage_equals_rasterized_coverage() {
+    fn coverage_equals_the_mask_oracle() {
         // a world rasterizing its own grid and one handed the same
-        // raster must both track the full rasterization
+        // raster must both measure what the oracle mask counts
         let mut own = world_with(3);
         let grid = raster(&own);
         let mut shared = World::new(
@@ -539,8 +539,8 @@ mod tests {
             own.positions().to_vec(),
             Some(&grid),
         );
-        assert_eq!(own.coverage_tracked(), own.coverage(&grid));
-        assert_eq!(shared.coverage_tracked(), own.coverage(&grid));
+        assert_eq!(own.coverage(), mask_coverage(&own, &grid));
+        assert_eq!(shared.coverage(), mask_coverage(&own, &grid));
         for (i, p) in [
             (0, Point::new(70.0, 30.0)),
             (2, Point::new(-5.0, 50.0)), // off-field clips like the oracle
@@ -548,12 +548,12 @@ mod tests {
         ] {
             for w in [&mut own, &mut shared] {
                 w.set_pos(i, p);
-                assert_eq!(w.coverage_tracked(), w.coverage(&grid));
+                assert_eq!(w.coverage(), mask_coverage(w, &grid));
             }
         }
         for w in [&mut own, &mut shared] {
             w.teleport(0, Point::new(10.0, 10.0));
-            assert_eq!(w.coverage_tracked(), w.coverage(&grid));
+            assert_eq!(w.coverage(), mask_coverage(w, &grid));
         }
     }
 
@@ -661,14 +661,16 @@ mod tests {
     #[test]
     fn churn_feeds_every_tracker_oracle_identically() {
         // removals ride the same change funnel as moves, so the
-        // coverage tracker, the adjacency, its point index (and the
+        // coverage count, the adjacency, its point index (and the
         // connectivity flood over adjacency) must agree with their
         // batch oracles after every death — parked sensors included.
         let mut w = world_with(4);
         let grid = raster(&w);
         let rc = w.cfg().rc;
         let check = |w: &mut World| {
-            assert_eq!(w.coverage_tracked(), w.coverage(&grid));
+            assert_eq!(w.coverage(), mask_coverage(w, &grid));
+            let alive: Vec<Point> = w.alive_indices().iter().map(|&i| w.pos(i)).collect();
+            assert_eq!(w.coverage(), grid.coverage(&alive, w.cfg().rs));
             assert_eq!(w.connected_mask_tracked(), w.connected_mask());
             let pts = w.positions().to_vec();
             let g = DiskGraph::build(&pts, rc);
