@@ -16,7 +16,7 @@ use msn_assign::{hungarian, CostMatrix};
 use msn_field::{two_obstacle_field, CoverageGrid, Field, Hit};
 use msn_geom::{min_enclosing_circle, Point, Rect, Segment, EPS};
 use msn_nav::{Hand, NavContext, Navigator};
-use msn_net::{AdjacencyTracker, DiskGraph, Neighbors, PointIndex, SpatialGrid};
+use msn_net::{AdjacencyTracker, DiskGraph, Neighbors, SpatialGrid};
 use msn_scenario::Json;
 use msn_voronoi::VoronoiDiagram;
 use std::hint::black_box;
@@ -382,7 +382,7 @@ fn bench_point_index(c: &mut Criterion) {
         pts[i] = p;
         (i, p)
     };
-    // The per-tick pattern the index replaces: rebuild a SpatialGrid
+    // The per-tick pattern the buckets replace: rebuild a SpatialGrid
     // from scratch after one sensor moved, then range-query it.
     let mut pts = orig.clone();
     let mut step = 0u64;
@@ -394,16 +394,18 @@ fn bench_point_index(c: &mut Criterion) {
             black_box(grid.neighbors(&pts, i, r).len())
         })
     });
-    // The incremental path: same move, same query, answered from
-    // maintained buckets (byte-identical results, order included).
+    // The incremental path: same move, same query, answered from the
+    // adjacency's maintained buckets at cell rc = r (byte-identical
+    // results, order included; the lists are never read, so only the
+    // buckets sync).
     let mut pts = orig.clone();
-    let mut index = PointIndex::new(&pts, r);
+    let mut index = AdjacencyTracker::new(&pts, r);
     let mut step = 0u64;
     c.bench_function("point_index_move_one_and_requery", |b| {
         b.iter(|| {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
-            index.set_point(i, p);
+            index.set_sensor(i, p);
             black_box(index.neighbors_within(i, r).len())
         })
     });
@@ -412,14 +414,14 @@ fn bench_point_index(c: &mut Criterion) {
     // this within tolerance of the unprobed kernel above, so a probe
     // that grows a syscall or an allocation shows up as a regression.
     let mut pts = orig.clone();
-    let mut index = PointIndex::new(&pts, r);
+    let mut index = AdjacencyTracker::new(&pts, r);
     let mut step = 0u64;
     msn_obs::start();
     c.bench_function("point_index_move_one_probed", |b| {
         b.iter(|| {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
-            index.set_point(i, p);
+            index.set_sensor(i, p);
             black_box(index.neighbors_within(i, r).len())
         })
     });
@@ -446,7 +448,7 @@ fn bench_scale_10k(c: &mut Criterion) {
     // The 10k tier of the incremental move-one kernels: same bounded
     // wobble, same single-sensor query, a fleet 40x larger spread over
     // a 7 km field at comparable density. bench-diff keeps these
-    // within tolerance so the index's per-move cost stays
+    // within tolerance so the buckets' per-move cost stays
     // O(neighborhood) — a fleet-size-proportional sync would blow the
     // gate immediately.
     let n = 10_000;
@@ -461,13 +463,13 @@ fn bench_scale_10k(c: &mut Criterion) {
         (i, p)
     };
     let mut pts = orig.clone();
-    let mut index = PointIndex::new(&pts, rc);
+    let mut index = AdjacencyTracker::new(&pts, rc);
     let mut step = 0u64;
     c.bench_function("point_index_move_one_10k", |b| {
         b.iter(|| {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
-            index.set_point(i, p);
+            index.set_sensor(i, p);
             black_box(index.neighbors_within(i, rc).len())
         })
     });

@@ -36,7 +36,7 @@ use crate::lazy::{absorb, flood_attach, Route, Timeline, Walkers};
 use msn_field::Field;
 use msn_geom::Point;
 use msn_nav::{Hand, MultiLegPlan, NavContext, Navigator};
-use msn_net::{random_walk, AdjacencyTracker, MsgKind, Neighbors, Parent, Tree};
+use msn_net::{random_walk, MsgKind, Neighbors, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
 use std::sync::Arc;
 
@@ -311,8 +311,7 @@ impl<'a> FloorSim<'a> {
     /// (§5.3); the rest walk Algorithm 1's route.
     fn initial_flood(&mut self) {
         let stop = self.stop_dist;
-        self.world.adjacency().sync();
-        let adj: &AdjacencyTracker = self.world.adjacency();
+        let adj = self.world.adjacency();
         let pos = adj.points();
         let flooded = flood_attach(
             adj,
@@ -444,8 +443,7 @@ impl<'a> FloorSim<'a> {
             let kids: Vec<usize> = self.tree.children(i).to_vec();
             let mut rehomed: Vec<usize> = Vec::with_capacity(kids.len());
             let mut ok = true;
-            self.world.adjacency().sync();
-            let adj: &AdjacencyTracker = self.world.adjacency();
+            let adj = self.world.adjacency();
             let pos = adj.points();
             for &c in &kids {
                 let mut found: Option<(usize, f64)> = None;
@@ -828,7 +826,6 @@ impl<'a> FloorSim<'a> {
         // an unreachable inviter is charged 0 hops
         let hops = self
             .world
-            .adjacency()
             .hop_distance(i, best.inviter)
             .map_or(0, |h| h as u64);
         self.world.msgs().record(MsgKind::AcceptInvitation, hops);

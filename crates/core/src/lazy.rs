@@ -257,7 +257,7 @@ pub(crate) fn absorb(
 ///
 /// `movers` exposes every walking sensor's current path parent so the
 /// mutual-adoption rule and loop probes can follow chains. Range
-/// queries answer from the world's point index
+/// queries answer from the world's adjacency buckets
 /// ([`World::neighbors_tracked`]). Returns whether the sensor should
 /// move this period, updates `movers[i]`'s lazy state and records
 /// message costs on the world's counter.

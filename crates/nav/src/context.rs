@@ -6,10 +6,10 @@
 //! ring on every segment probe. A [`NavContext`] is built once per
 //! scheme run, shared by every navigator via [`std::sync::Arc`], and
 //! answers the probe query (*first ring edge hit by this segment*)
-//! from a `PointIndex`-style bucket grid: each edge is registered in
-//! every grid cell its bounding box touches, and a probe only tests
-//! edges registered in the cells its own (padded) bounding box
-//! overlaps.
+//! from a bucket grid like the adjacency tracker's: each edge is
+//! registered in every grid cell its bounding box touches, and a probe
+//! only tests edges registered in the cells its own (padded) bounding
+//! box overlaps.
 //!
 //! Bit-identity contract: [`NavContext::first_ring_hit`] returns
 //! exactly what the linear scan

@@ -1,64 +1,160 @@
-//! Incremental disk-graph adjacency (FLOOR's tick graph).
+//! Incremental proximity: one maintained structure answers range
+//! queries and the `rc`-disk graph under sensor moves.
 //!
 //! Invariants (the incremental-tracker pattern, see
 //! `ARCHITECTURE.md`):
 //!
-//! * **Oracle bit-identity** — after any move sequence, every
-//!   neighbor list equals the corresponding
-//!   [`crate::DiskGraph::build`] list *including order* (the shared
-//!   grid scan order), because consumers observe it: FLOOR's TTL
-//!   random walks draw neighbor picks from these lists, so list
-//!   order and length are part of the RNG stream. Property-tested in
-//!   `tests/properties.rs`.
+//! * **Oracle bit-identity** — every range query answers exactly what
+//!   a fresh [`crate::SpatialGrid::build`] at cell `rc.max(1.0)` would,
+//!   and every neighbor list equals the corresponding
+//!   [`crate::DiskGraph::build`] list, *order included*, because
+//!   consumers observe it: FLOOR's TTL random walks draw neighbor
+//!   picks from these lists, so list order and length are part of the
+//!   RNG stream. Property-tested in `tests/properties.rs`.
 //! * **Lazy dirty sets** — [`AdjacencyTracker::set_sensor`] is
-//!   `O(1)`; link diffs run on the next query.
-//! * **Rebuild-if-cheaper** — when at least half the fleet moved, the
-//!   tracker re-queries every list instead of diffing.
+//!   `O(1)`: it writes the one position array and marks the sensor
+//!   dirty for two levels, the buckets and the lists, each reconciled
+//!   only when a query of that level next needs it. A set to the
+//!   current position marks nothing.
+//! * **Rebuild-if-cheaper** — when at least half the fleet moved since
+//!   a level last synced, that level is rebuilt from scratch instead
+//!   of repaired move by move. A cell's final bucket content
+//!   (ascending indices) and a list's content (grid scan order) do not
+//!   depend on the path taken, so both paths answer identically.
 
-use crate::{Neighbors, PointIndex};
+use crate::{within_range, Neighbors, RANGE_EPS};
 use msn_geom::Point;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Incremental counterpart of [`crate::DiskGraph::build`]: maintains
-/// the full disk-graph adjacency (every neighbor list, in the shared
-/// grid scan order) under sensor moves, so consumers that need *the
-/// graph* every tick — FLOOR's random-walk invitations and hop
-/// accounting — stop paying an `O(N · deg)` rebuild per tick.
+/// FxHash-style multiplicative hasher for the `(i64, i64)` cell keys.
+/// SipHash dominates the per-query cost of a bucket map this small;
+/// a keyed DoS-resistant hash buys nothing here (cell keys come from
+/// simulated positions, not attacker input), and the map is only ever
+/// probed by key — never iterated — so the hasher cannot influence
+/// query results.
 ///
-/// Moves are recorded lazily ([`AdjacencyTracker::set_sensor`] is
-/// `O(1)`) and reconciled on the next query in three passes over the
-/// moved set: **unlink** (remove each moved sensor from its old
-/// neighbors' lists), **requery** (fresh grid-order neighborhoods
-/// from the maintained [`PointIndex`]), **relink** (insert each moved
-/// sensor into its new neighbors' lists at the grid-order position).
-/// Untouched lists keep their order; repaired entries land exactly
-/// where a fresh build would put them, because every list is sorted
-/// by the same `(⌊x/cell⌋, ⌊y/cell⌋, index)` key a
-/// `SpatialGrid::build(points, rc.max(1.0))` query scans in. When at
-/// least half the fleet moved, the tracker re-queries every list
-/// instead (rebuild-if-cheaper).
+/// All arithmetic is wrapping on `u64`, so large and negative cell
+/// coordinates (far-off-field sensors saturate the `i64` keys) cannot
+/// overflow. `finish` folds the high half into the low bits: the map
+/// indexes buckets by the *low* bits of the hash, and the low bits of
+/// a wrapping product depend only on the low bits of its inputs — at
+/// 50k-scale extents, keys agreeing in their low bits but differing
+/// in magnitude would otherwise share buckets systematically.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl CellHasher {
+    #[inline]
+    fn add(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for CellHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(b as u64);
+        }
+    }
+    #[inline]
+    fn write_i64(&mut self, n: i64) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
+type CellMap = HashMap<(i64, i64), Vec<u32>, BuildHasherDefault<CellHasher>>;
+
+/// The sensors moved since one level last synced: a list for the
+/// sync pass plus a membership mark, so a sensor moved twice is listed
+/// once.
+#[derive(Debug, Clone)]
+struct DirtySet {
+    list: Vec<u32>,
+    marked: Vec<bool>,
+}
+
+impl DirtySet {
+    fn new(n: usize) -> Self {
+        DirtySet {
+            list: Vec::new(),
+            marked: vec![false; n],
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, i: usize) {
+        if !self.marked[i] {
+            self.marked[i] = true;
+            self.list.push(i as u32);
+        }
+    }
+
+    /// Unmarks everyone listed and empties the list, keeping its
+    /// capacity for the next batch of moves.
+    fn clear(&mut self) {
+        for &i in &self.list {
+            self.marked[i as usize] = false;
+        }
+        self.list.clear();
+    }
+}
+
+/// The one proximity structure of a simulated fleet: the latest
+/// sensor positions, hash buckets over them at cell `rc.max(1.0)` for
+/// range queries at any radius, and the full `rc`-disk adjacency —
+/// the incremental counterparts of [`crate::SpatialGrid::build`] and
+/// [`crate::DiskGraph::build`], maintained under sensor moves instead
+/// of rebuilt per tick.
 ///
-/// The maintained lists also answer §4.1's base-connectivity
-/// question: [`Neighbors::flood_from_base`] over [`Self::points`]
-/// equals the `DiskGraph::build` + flood oracle, so no second graph
-/// is kept for it.
+/// **Buckets.** Each bucket keeps its indices ascending and queries
+/// scan the candidate cell window in the same lexicographic order as
+/// [`crate::SpatialGrid`], so [`Self::within`] returns byte-for-byte
+/// what `SpatialGrid::build(points, rc.max(1.0)).within(points,
+/// center, r)` would, for any radius `r`. Call sites whose historical
+/// grid used a different cell size reproduce that exact order with
+/// [`Self::neighbors_within_grid_order`]. Radii up to the cell scan at
+/// most a 3×3 cell window; larger radii stay exact but scan
+/// proportionally more cells.
 ///
-/// The lists are queried from a [`PointIndex`] at cell `rc.max(1.0)`
-/// that the tracker owns and feeds from [`Self::set_sensor`]. A
-/// caller that already maintains such an index hands it over with
-/// [`AdjacencyTracker::over`] and keeps range-querying it through
-/// [`AdjacencyTracker::index`], so one move stream feeds one index.
+/// **Lists.** Moved sensors are reconciled on the next list query in
+/// three passes: **unlink** (remove each from its old neighbors'
+/// lists), **requery** (fresh grid-order neighborhoods from the
+/// buckets), **relink** (insert each into its new neighbors' lists at
+/// the grid-order position). Untouched lists keep their order;
+/// repaired entries land exactly where a fresh build would put them,
+/// because every list is sorted by the bucket scan key
+/// `(⌊x/cell⌋, ⌊y/cell⌋, index)`.
+///
+/// Range queries sync only the buckets and list queries both levels,
+/// so a scheme that range-queries every tick but reads the graph
+/// rarely (CPVF) never pays for list repairs it does not read. The
+/// lists also answer §4.1's base-connectivity question:
+/// [`Neighbors::flood_from_base`] over [`Self::points`] equals the
+/// `DiskGraph::build` + flood oracle.
 ///
 /// # Examples
 ///
 /// ```
 /// use msn_geom::Point;
-/// use msn_net::{AdjacencyTracker, DiskGraph, Neighbors};
+/// use msn_net::{AdjacencyTracker, DiskGraph, Neighbors, SpatialGrid};
 ///
 /// let mut pts = vec![Point::new(0.0, 0.0), Point::new(8.0, 0.0), Point::new(40.0, 0.0)];
 /// let mut tracker = AdjacencyTracker::new(&pts, 10.0);
 /// assert_eq!(tracker.neighbors(0), &[1]);
 /// pts[2] = Point::new(16.0, 0.0); // walks into range of sensor 1
 /// tracker.set_sensor(2, pts[2]);
+/// let grid = SpatialGrid::build(&pts, 10.0);
+/// assert_eq!(tracker.neighbors_within(1, 30.0), grid.neighbors(&pts, 1, 30.0));
 /// assert_eq!(tracker.neighbors(1), DiskGraph::build(&pts, 10.0).neighbors(1));
 /// assert_eq!(tracker.hop_distance(0, 2), Some(2));
 /// // the lists are synced, so the base flood reads them directly
@@ -68,17 +164,23 @@ use msn_geom::Point;
 #[derive(Debug, Clone)]
 pub struct AdjacencyTracker {
     rc: f64,
-    /// Incrementally-maintained bucket grid at cell `rc.max(1.0)` —
-    /// the cell size [`crate::DiskGraph::build`] uses, so the index's
-    /// natural query order *is* the oracle's adjacency order.
-    index: PointIndex,
-    /// Positions the adjacency currently reflects.
-    synced: Vec<Point>,
-    /// Sensors whose latest position may differ from `synced`.
-    dirty: Vec<u32>,
-    is_dirty: Vec<bool>,
-    /// Neighbor lists over `synced`, each in grid scan order.
+    /// Bucket side, `rc.max(1.0)` — the cell [`crate::DiskGraph::build`]
+    /// uses, so the natural bucket scan order *is* the oracle's
+    /// adjacency order.
+    cell: f64,
+    /// Latest recorded positions, indexed by sensor.
+    points: Vec<Point>,
+    /// Cell `(gx, gy)` holds the indices of the points bucketed inside
+    /// it, sorted ascending.
+    buckets: CellMap,
+    /// The cell each point is bucketed under.
+    keys: Vec<(i64, i64)>,
+    /// Sensors moved since the buckets last synced.
+    bucket_dirty: DirtySet,
+    /// Neighbor lists, each in grid scan order.
     adj: Vec<Vec<usize>>,
+    /// Sensors moved since the lists last synced.
+    list_dirty: DirtySet,
     /// Reused [`AdjacencyTracker::hop_distance`] scratch.
     hops: HopScratch,
 }
@@ -100,34 +202,27 @@ impl AdjacencyTracker {
     ///
     /// # Panics
     ///
-    /// Panics if `rc` is not strictly positive.
+    /// Panics if `rc` is not strictly positive or a coordinate is not
+    /// finite.
     pub fn new(positions: &[Point], rc: f64) -> Self {
-        Self::over(PointIndex::new(positions, rc.max(1.0)), rc)
-    }
-
-    /// Builds the tracker over an existing index, taking it over: from
-    /// here on moves are recorded through [`Self::set_sensor`], and
-    /// the index is reached through [`Self::index`]. The tracked
-    /// positions are the index's latest points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rc` is not strictly positive or the index's cell is
-    /// not `rc.max(1.0)`.
-    pub fn over(index: PointIndex, rc: f64) -> Self {
         assert!(rc > 0.0, "communication range must be positive");
-        assert_eq!(index.cell(), rc.max(1.0), "index cell must be rc.max(1.0)");
-        let n = index.len();
+        for (i, p) in positions.iter().enumerate() {
+            assert!(p.x.is_finite() && p.y.is_finite(), "non-finite point {i}");
+        }
+        let n = positions.len();
         let mut tracker = AdjacencyTracker {
             rc,
-            synced: index.points().to_vec(),
-            index,
-            dirty: Vec::new(),
-            is_dirty: vec![false; n],
+            cell: rc.max(1.0),
+            points: positions.to_vec(),
+            buckets: CellMap::default(),
+            keys: vec![(0, 0); n],
+            bucket_dirty: DirtySet::new(n),
             adj: vec![Vec::new(); n],
+            list_dirty: DirtySet::new(n),
             hops: HopScratch::default(),
         };
-        tracker.rebuild();
+        tracker.rebuild_buckets();
+        tracker.rebuild_lists();
         tracker
     }
 
@@ -140,39 +235,158 @@ impl AdjacencyTracker {
     /// Number of tracked sensors.
     #[inline]
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.points.len()
     }
 
     /// Whether the tracker follows zero sensors.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.points.is_empty()
     }
 
-    /// Records sensor `i`'s new position. `O(1)`: the link diff is
-    /// deferred to the next query.
-    #[inline]
-    pub fn set_sensor(&mut self, i: usize, p: Point) {
-        self.index.set_point(i, p);
-        if !self.is_dirty[i] {
-            self.is_dirty[i] = true;
-            self.dirty.push(i as u32);
-        }
-    }
-
-    /// The underlying point index, for range queries at any radius.
-    /// Record moves through [`Self::set_sensor`], never through the
-    /// index's own `set_point`, or the neighbor lists miss them.
-    #[inline]
-    pub fn index(&mut self) -> &mut PointIndex {
-        &mut self.index
-    }
-
-    /// Latest recorded positions, indexed by sensor — what
-    /// [`AdjacencyTracker::sync`] brings the lists up to date with.
+    /// Latest recorded positions, indexed by sensor (pending,
+    /// not-yet-reconciled moves included).
     #[inline]
     pub fn points(&self) -> &[Point] {
-        self.index.points()
+        &self.points
+    }
+
+    /// Records sensor `i`'s new position. `O(1)`: the bucket move and
+    /// the link diff are deferred to the next query of each level. A
+    /// position equal to the current one marks nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate is not finite (matching
+    /// [`crate::SpatialGrid::build`]).
+    #[inline]
+    pub fn set_sensor(&mut self, i: usize, p: Point) {
+        assert!(p.x.is_finite() && p.y.is_finite(), "non-finite point {i}");
+        if std::mem::replace(&mut self.points[i], p) == p {
+            return;
+        }
+        self.bucket_dirty.mark(i);
+        self.list_dirty.mark(i);
+    }
+
+    #[inline]
+    fn key_at(p: Point, cell: f64) -> (i64, i64) {
+        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
+    }
+
+    /// Full bucket reconstruction: every point reinserted in index
+    /// order (which keeps each bucket ascending for free). Buckets are
+    /// emptied in place rather than dropped, so a fleet that mostly
+    /// stays in its cells re-pushes into the previous rebuild's
+    /// allocations; keys left empty are removed afterwards, leaving
+    /// exactly the map a from-scratch build makes.
+    fn rebuild_buckets(&mut self) {
+        self.bucket_dirty.clear();
+        self.buckets.values_mut().for_each(Vec::clear);
+        for (i, &p) in self.points.iter().enumerate() {
+            let key = Self::key_at(p, self.cell);
+            self.keys[i] = key;
+            self.buckets.entry(key).or_default().push(i as u32);
+        }
+        self.buckets.retain(|_, list| !list.is_empty());
+    }
+
+    /// Applies pending moves to the buckets: per-point bucket
+    /// transfers for scattered movement, or a full rebuild when at
+    /// least half the points moved — the same buckets either way.
+    fn sync_buckets(&mut self) {
+        let dirty = &self.bucket_dirty.list;
+        if dirty.is_empty() {
+            return;
+        }
+        msn_obs::counter("pidx.syncs", 1);
+        msn_obs::value("pidx.dirty", dirty.len() as f64);
+        if 2 * dirty.len() >= self.points.len() {
+            msn_obs::counter("pidx.rebuilds", 1);
+            self.rebuild_buckets();
+            return;
+        }
+        for &i in dirty {
+            let iu = i as usize;
+            let new_key = Self::key_at(self.points[iu], self.cell);
+            let old_key = std::mem::replace(&mut self.keys[iu], new_key);
+            if old_key == new_key {
+                continue;
+            }
+            msn_obs::counter("pidx.bucket_moves", 1);
+            let bucket = self.buckets.get_mut(&old_key).expect("point indexed");
+            let at = bucket.binary_search(&i).expect("point in cell");
+            // Vec::remove / sorted insert (not swap_remove + push):
+            // ascending bucket order is what makes query results
+            // identical to SpatialGrid's.
+            bucket.remove(at);
+            if bucket.is_empty() {
+                self.buckets.remove(&old_key);
+            }
+            let bucket = self.buckets.entry(new_key).or_default();
+            let at = bucket.binary_search(&i).expect_err("point was absent");
+            bucket.insert(at, i);
+        }
+        self.bucket_dirty.clear();
+    }
+
+    /// Indices of all points within `r` of `center` (inclusive, under
+    /// the shared [`crate::RANGE_EPS`] slack), including any point
+    /// equal to `center` itself — byte-identical, order included, to
+    /// `SpatialGrid::build(points, rc.max(1.0)).within(points, center, r)`
+    /// on the current points. Syncs the buckets only.
+    pub fn within(&mut self, center: Point, r: f64) -> Vec<usize> {
+        self.sync_buckets();
+        let mut out = Vec::with_capacity(16);
+        // Exact cell bounds of the slack-padded reach (the same
+        // minimal-window rule SpatialGrid::within uses).
+        let reach = r + RANGE_EPS;
+        let (cx_lo, cy_lo) =
+            Self::key_at(Point::new(center.x - reach, center.y - reach), self.cell);
+        let (cx_hi, cy_hi) =
+            Self::key_at(Point::new(center.x + reach, center.y + reach), self.cell);
+        for gx in cx_lo..=cx_hi {
+            for gy in cy_lo..=cy_hi {
+                let Some(bucket) = self.buckets.get(&(gx, gy)) else {
+                    continue;
+                };
+                for &j in bucket {
+                    if within_range(self.points[j as usize], center, r) {
+                        out.push(j as usize);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Indices of all points within `r` of point `i`, excluding `i`
+    /// itself — byte-identical, order included, to
+    /// `SpatialGrid::build(points, rc.max(1.0)).neighbors(points, i, r)`.
+    pub fn neighbors_within(&mut self, i: usize, r: f64) -> Vec<usize> {
+        let mut v = self.within(self.points[i], r);
+        v.retain(|&j| j != i);
+        v
+    }
+
+    /// Like [`AdjacencyTracker::neighbors_within`], but ordered as a
+    /// `SpatialGrid::build(points, order_cell)` query would order it:
+    /// ascending by `(⌊x/order_cell⌋, ⌊y/order_cell⌋, index)`.
+    ///
+    /// Call sites migrating off a per-tick grid whose cell size
+    /// differs from `rc.max(1.0)` use this to keep tie-breaks (nearest
+    /// neighbor scans, first-minimum folds) byte-identical to the
+    /// grid they replace.
+    pub fn neighbors_within_grid_order(&mut self, i: usize, r: f64, order_cell: f64) -> Vec<usize> {
+        assert!(order_cell > 0.0, "order cell size must be positive");
+        let mut v = self.neighbors_within(i, r);
+        if order_cell != self.cell {
+            v.sort_unstable_by_key(|&j| {
+                let (gx, gy) = Self::key_at(self.points[j], order_cell);
+                (gx, gy, j)
+            });
+        }
+        v
     }
 
     /// Neighbors of sensor `i` on the current positions — equal to
@@ -216,45 +430,26 @@ impl AdjacencyTracker {
         None
     }
 
-    /// Applies pending moves so that shared reads (the
-    /// [`Neighbors`] impl used by [`crate::random_walk`]) see the
-    /// current positions.
+    /// Applies pending moves to the neighbor lists so that shared
+    /// reads (the [`Neighbors`] impl used by [`crate::random_walk`])
+    /// see the current positions.
     pub fn sync(&mut self) {
-        if self.dirty.is_empty() {
+        let dirty = self.list_dirty.list.len();
+        if dirty == 0 {
             return;
         }
-        let n = self.synced.len();
         msn_obs::counter("adj.syncs", 1);
-        msn_obs::value("adj.dirty", self.dirty.len() as f64);
-        // Filter no-op moves *before* the rebuild decision: a burst of
-        // redundant `set_sensor` calls must not push a 10k fleet over
-        // the fleet-wide rebuild threshold. The index reconciles its
-        // buckets on the first requery below; this tracker's own link
-        // repair is O(moved · degree).
-        let dirty = std::mem::take(&mut self.dirty);
-        let mut moved: Vec<u32> = Vec::with_capacity(dirty.len());
-        for &i in &dirty {
-            let iu = i as usize;
-            let (from, to) = (self.synced[iu], self.index.point(iu));
-            if from == to {
-                self.is_dirty[iu] = false;
-                continue;
-            }
-            self.synced[iu] = to;
-            moved.push(i);
-        }
-        if moved.is_empty() {
-            return;
-        }
-        if 2 * moved.len() >= n {
+        msn_obs::value("adj.dirty", dirty as f64);
+        if 2 * dirty >= self.adj.len() {
             msn_obs::counter("adj.rebuilds", 1);
-            for &i in &moved {
-                self.is_dirty[i as usize] = false;
-            }
-            self.rebuild();
+            self.rebuild_lists();
             return;
         }
         msn_obs::counter("adj.repairs", 1);
+        // The moved sensors stay marked until the end: the phases
+        // below skip moved neighbors by their mark.
+        let moved = std::mem::take(&mut self.list_dirty.list);
+        let is_moved = &self.list_dirty.marked;
         // Phase 1: unlink. Drop each moved sensor from its old
         // neighbors' lists (moved sensors' own lists are replaced
         // whole in phase 2, so moved-moved edges need no bookkeeping).
@@ -262,7 +457,7 @@ impl AdjacencyTracker {
             let iu = i as usize;
             let old = std::mem::take(&mut self.adj[iu]);
             for &j in &old {
-                if self.is_dirty[j] {
+                if is_moved[j] {
                     continue;
                 }
                 let list = &mut self.adj[j];
@@ -271,59 +466,45 @@ impl AdjacencyTracker {
             }
         }
         // Phase 2: requery. Fresh grid-order neighborhoods for the
-        // moved sensors (the index reconciles its buckets on the
-        // first query).
+        // moved sensors (the buckets sync on the first query).
         for &i in &moved {
             let iu = i as usize;
-            self.adj[iu] = self.index.neighbors_within(iu, self.rc);
+            self.adj[iu] = self.neighbors_within(iu, self.rc);
         }
         // Phase 3: relink. Insert each moved sensor into its new
         // neighbors' lists at the position the oracle's scan order
-        // dictates. Keys are unique (the index breaks ties), so the
+        // dictates. Keys are unique (the sensor index breaks ties), so the
         // partition point is exact even when several moved sensors
         // land in one list.
-        let cell = self.index.cell();
+        let (points, cell, is_moved) = (&self.points, self.cell, &self.list_dirty.marked);
+        let order_key = |m: usize| {
+            let (gx, gy) = Self::key_at(points[m], cell);
+            (gx, gy, m)
+        };
         for &i in &moved {
             let iu = i as usize;
-            let ki = Self::order_key(self.index.point(iu), cell, iu);
+            let ki = order_key(iu);
             for k in 0..self.adj[iu].len() {
                 let j = self.adj[iu][k];
-                if self.is_dirty[j] {
+                if is_moved[j] {
                     continue;
                 }
-                let index = &self.index;
                 let list = &mut self.adj[j];
-                let at = list.partition_point(|&m| Self::order_key(index.point(m), cell, m) < ki);
+                let at = list.partition_point(|&m| order_key(m) < ki);
                 list.insert(at, iu);
             }
         }
-        for &i in &moved {
-            self.is_dirty[i as usize] = false;
-        }
+        self.list_dirty.list = moved;
+        self.list_dirty.clear();
     }
 
-    /// The `(⌊x/cell⌋, ⌊y/cell⌋, index)` key the shared grid scan
-    /// order sorts by — must match `PointIndex`'s bucket key exactly.
-    #[inline]
-    fn order_key(p: Point, cell: f64, idx: usize) -> (i64, i64, usize) {
-        (
-            (p.x / cell).floor() as i64,
-            (p.y / cell).floor() as i64,
-            idx,
-        )
-    }
-
-    /// Full reconstruction: every list re-queried from the index.
-    fn rebuild(&mut self) {
-        let n = self.adj.len();
-        for &i in &self.dirty {
-            self.is_dirty[i as usize] = false;
+    /// Full list reconstruction: every list re-queried from the
+    /// buckets.
+    fn rebuild_lists(&mut self) {
+        self.list_dirty.clear();
+        for i in 0..self.adj.len() {
+            self.adj[i] = self.neighbors_within(i, self.rc);
         }
-        self.dirty.clear();
-        for i in 0..n {
-            self.adj[i] = self.index.neighbors_within(i, self.rc);
-        }
-        self.synced.copy_from_slice(self.index.points());
     }
 }
 
@@ -332,7 +513,7 @@ impl Neighbors for AdjacencyTracker {
     /// [`AdjacencyTracker::sync`] first (checked in debug builds).
     fn neighbors_of(&self, i: usize) -> &[usize] {
         debug_assert!(
-            self.dirty.is_empty(),
+            self.list_dirty.list.is_empty(),
             "sync() the tracker before shared neighbor reads"
         );
         &self.adj[i]
@@ -342,7 +523,7 @@ impl Neighbors for AdjacencyTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DiskGraph;
+    use crate::{DiskGraph, SpatialGrid};
 
     fn assert_matches(tracker: &mut AdjacencyTracker, pts: &[Point], rc: f64) {
         let oracle = DiskGraph::build(pts, rc);
@@ -353,6 +534,10 @@ mod tests {
                 assert_eq!(tracker.hop_distance(i, j), want, "hops {i} -> {j}");
             }
         }
+    }
+
+    fn oracle_neighbors(pts: &[Point], cell: f64, i: usize, r: f64) -> Vec<usize> {
+        SpatialGrid::build(pts, cell).neighbors(pts, i, r)
     }
 
     #[test]
@@ -372,6 +557,36 @@ mod tests {
     }
 
     #[test]
+    fn range_queries_track_the_grid_oracle_in_order() {
+        let mut pts = vec![
+            Point::new(5.0, 5.0),
+            Point::new(12.0, 5.0),
+            Point::new(45.0, 45.0),
+            Point::new(5.0, 14.0),
+        ];
+        let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+        for (i, p) in [
+            (2, Point::new(8.0, 8.0)),
+            (0, Point::new(44.0, 44.0)),
+            (2, Point::new(9.0, 9.0)), // moves again before a query
+            (3, Point::new(-3.0, -7.0)),
+        ] {
+            pts[i] = p;
+            tracker.set_sensor(i, p);
+            for q in 0..pts.len() {
+                // radii below, at and beyond rc
+                for r in [4.0, 10.0, 30.0] {
+                    assert_eq!(
+                        tracker.neighbors_within(q, r),
+                        oracle_neighbors(&pts, 10.0, q, r),
+                        "point {q} radius {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn batched_moves_rebuild_and_stay_exact() {
         let rc = 12.0;
         let mut pts: Vec<Point> = (0..10).map(|i| Point::new(9.0 * i as f64, 0.0)).collect();
@@ -379,6 +594,12 @@ mod tests {
         for (i, p) in pts.iter_mut().enumerate() {
             *p = Point::new(p.x, 7.0 * (i % 3) as f64);
             tracker.set_sensor(i, *p);
+        }
+        for q in 0..pts.len() {
+            assert_eq!(
+                tracker.neighbors_within(q, rc),
+                oracle_neighbors(&pts, rc, q, rc)
+            );
         }
         assert_matches(&mut tracker, &pts, rc);
     }
@@ -402,22 +623,72 @@ mod tests {
     }
 
     #[test]
-    fn redundant_sets_are_noops() {
-        let pts = vec![Point::new(5.0, 0.0), Point::new(9.0, 0.0)];
-        let mut tracker = AdjacencyTracker::new(&pts, 10.0);
-        for _ in 0..3 {
-            tracker.set_sensor(0, pts[0]);
+    fn grid_order_emulates_other_cell_sizes() {
+        // Two neighbors whose scan order flips between cell sizes:
+        // with cell 40 both share a bucket (ascending index), with
+        // cell 10 the bucket scan meets them in reverse.
+        let pts = vec![
+            Point::new(5.0, 5.0),
+            Point::new(15.0, 5.0), // cell-10 bucket (1,0)
+            Point::new(6.0, 5.0),  // cell-10 bucket (0,0): scanned first
+        ];
+        let mut tracker = AdjacencyTracker::new(&pts, 40.0);
+        assert_eq!(tracker.neighbors_within(0, 12.0), vec![1, 2]);
+        for order_cell in [10.0, 3.0, 40.0] {
+            assert_eq!(
+                tracker.neighbors_within_grid_order(0, 12.0, order_cell),
+                oracle_neighbors(&pts, order_cell, 0, 12.0),
+                "order cell {order_cell}"
+            );
         }
-        assert_eq!(tracker.neighbors(0), &[1]);
-        assert_eq!(tracker.len(), 2);
+    }
+
+    #[test]
+    fn duplicates_and_redundant_sets() {
+        let pts = vec![Point::new(1.0, 1.0); 4];
+        let mut tracker = AdjacencyTracker::new(&pts, 5.0);
+        assert_eq!(tracker.within(Point::new(1.0, 1.0), 1.0).len(), 4);
+        assert_eq!(tracker.neighbors_within(2, 1.0), vec![0, 1, 3]);
+        assert_eq!(tracker.neighbors(2), &[0, 1, 3]);
+        for _ in 0..3 {
+            tracker.set_sensor(1, pts[1]); // no-op moves reconcile cleanly
+        }
+        assert_eq!(tracker.neighbors_within(2, 1.0), vec![0, 1, 3]);
+        assert_eq!(tracker.neighbors(2), &[0, 1, 3]);
+        assert_eq!(tracker.len(), 4);
         assert!(!tracker.is_empty());
-        assert_eq!(tracker.rc(), 10.0);
+        assert_eq!(tracker.rc(), 5.0);
+        assert_eq!(tracker.points(), &pts[..]);
+    }
+
+    #[test]
+    fn redundant_sets_are_noops() {
+        // A burst of sets to the current positions marks neither
+        // level dirty: no query afterwards syncs anything.
+        let pts = vec![
+            Point::new(5.0, 0.0),
+            Point::new(9.0, 0.0),
+            Point::new(50.0, 0.0),
+        ];
+        let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+        msn_obs::start();
+        for _ in 0..3 {
+            for (i, &p) in pts.iter().enumerate() {
+                tracker.set_sensor(i, p);
+            }
+        }
+        assert_eq!(tracker.neighbors_within(0, 10.0), vec![1]);
+        assert_eq!(tracker.neighbors(0), &[1]);
+        let report = msn_obs::finish().expect("collector installed");
+        assert_eq!(report.counter_total("pidx.syncs"), 0);
+        assert_eq!(report.counter_total("adj.syncs"), 0);
     }
 
     #[test]
     fn empty_tracker() {
         let mut tracker = AdjacencyTracker::new(&[], 10.0);
         assert!(tracker.is_empty());
+        assert!(tracker.within(Point::ORIGIN, 100.0).is_empty());
         tracker.sync();
     }
 

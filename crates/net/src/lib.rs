@@ -7,11 +7,6 @@
 //!
 //! * [`SpatialGrid`] — flat-grid index for `O(1)`-ish range queries
 //!   (falls back to hash buckets for pathologically spread points);
-//! * [`PointIndex`] — the incremental counterpart of `SpatialGrid`:
-//!   bucket maintenance under point moves (`O(1)` lazy recording,
-//!   rebuild-if-cheaper reconciliation) with query results
-//!   byte-identical to a fresh grid build, so per-tick rebuilds can
-//!   be replaced without changing simulation output;
 //! * [`within_range`] / [`RANGE_EPS`] — the single range-tolerance
 //!   rule every link test shares (graph edges, base links, range
 //!   queries), so equal distances always get equal verdicts;
@@ -24,13 +19,16 @@
 //! * [`Tree`] — the parent/children forest rooted at the base station,
 //!   with ancestor lists (§5.3), loop-free reparent checks and subtree
 //!   enumeration (the `LockTree` protocol of §4.2);
-//! * [`AdjacencyTracker`] — incremental counterpart of the full
-//!   `DiskGraph::build`: maintains every neighbor list (grid scan
-//!   order included) under sensor moves, so per-tick graph consumers
-//!   (FLOOR's random-walk invitations, hop accounting and base
-//!   connectivity checks) stop rebuilding the graph. It can take
-//!   over an existing [`PointIndex`] ([`AdjacencyTracker::over`]), so
-//!   one index serves both range queries and the graph;
+//! * [`AdjacencyTracker`] — the one incremental proximity structure:
+//!   the latest positions, buckets at cell `rc.max(1.0)` answering
+//!   range queries byte-identically to a fresh `SpatialGrid` build,
+//!   and every `DiskGraph::build` neighbor list (grid scan order
+//!   included), each level kept under sensor moves by `O(1)` lazy
+//!   recording and rebuild-if-cheaper reconciliation. Per-tick
+//!   consumers (force neighborhoods, absorption scans, FLOOR's
+//!   random-walk invitations, hop accounting and base connectivity
+//!   checks) stop rebuilding grids and graphs without changing
+//!   simulation output;
 //! * [`random_walk`] — TTL-bounded random walks for FLOOR's
 //!   `Invitation` messages (§5.5.2), generic over [`Neighbors`];
 //! * [`MsgKind`] / [`MessageCounter`] — the message taxonomy and hop
@@ -42,7 +40,6 @@
 mod adjacency;
 mod diskgraph;
 mod messages;
-mod point_index;
 mod randomwalk;
 mod range;
 mod spatial;
@@ -51,7 +48,6 @@ mod tree;
 pub use adjacency::AdjacencyTracker;
 pub use diskgraph::{DiskGraph, Neighbors};
 pub use messages::{MessageCounter, MsgKind};
-pub use point_index::PointIndex;
 pub use randomwalk::random_walk;
 pub use range::{within_range, RANGE_EPS};
 pub use spatial::SpatialGrid;

@@ -2,8 +2,7 @@
 
 use msn_geom::Point;
 use msn_net::{
-    random_walk, AdjacencyTracker, DiskGraph, Neighbors, Parent, PointIndex, SpatialGrid, Tree,
-    RANGE_EPS,
+    random_walk, AdjacencyTracker, DiskGraph, Neighbors, Parent, SpatialGrid, Tree, RANGE_EPS,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -48,6 +47,77 @@ fn churn_strategy() -> impl Strategy<Value = Vec<Vec<(u8, usize, f64, f64)>>> {
         prop::collection::vec((0u8..3, 0usize..60, 0.0..500.0f64, 0.0..500.0f64), 1..8),
         1..10,
     )
+}
+
+/// One batch of interleaving ops `(kind, sensor, x, y)`: kind 0 moves
+/// the sensor to `(x, y)`, kind 1 parks it at the
+/// `World::park_position` lot, kind 2 moves it to `(x, y)` and
+/// straight back.
+type Ops = Vec<(u8, usize, f64, f64)>;
+
+/// Interleaving rounds: two batches of ops around a query.
+fn interleave_strategy() -> impl Strategy<Value = Vec<(Ops, Ops)>> {
+    let ops = || prop::collection::vec((0u8..3, 0usize..200, 0.0..500.0f64, 0.0..500.0f64), 1..8);
+    prop::collection::vec((ops(), ops()), 1..10)
+}
+
+/// Applies one batch of interleaving ops to `pts` and the tracker.
+fn apply_ops(
+    ops: &[(u8, usize, f64, f64)],
+    rc: f64,
+    pts: &mut [Point],
+    tracker: &mut AdjacencyTracker,
+) {
+    for &(op, i, x, y) in ops {
+        let i = i % pts.len();
+        let p = match op {
+            0 => Point::new(x, y),
+            1 => Point::new(-1.0e7 - i as f64 * 4.0 * rc.max(1.0), -1.0e7),
+            _ => {
+                tracker.set_sensor(i, Point::new(x, y));
+                pts[i]
+            }
+        };
+        pts[i] = p;
+        tracker.set_sensor(i, p);
+    }
+}
+
+/// Range queries (which sync only the buckets) at `rc` and at `r`
+/// against a fresh `SpatialGrid::build`, order included.
+fn assert_ranges_match_oracle(pts: &[Point], rc: f64, r: f64, tracker: &mut AdjacencyTracker) {
+    let grid = SpatialGrid::build(pts, rc.max(1.0));
+    for q in 0..pts.len() {
+        assert_eq!(
+            tracker.within(pts[q], r),
+            grid.within(pts, pts[q], r),
+            "within {q} r {r}"
+        );
+        for radius in [rc, r] {
+            assert_eq!(
+                tracker.neighbors_within(q, radius),
+                grid.neighbors(pts, q, radius),
+                "range {q} r {radius}"
+            );
+        }
+    }
+}
+
+/// List, hop and base-flood queries (which sync the lists) against a
+/// fresh `DiskGraph::build`, order included.
+fn assert_lists_match_oracle(pts: &[Point], base: Point, rc: f64, tracker: &mut AdjacencyTracker) {
+    let g = DiskGraph::build(pts, rc);
+    for q in 0..pts.len() {
+        assert_eq!(tracker.neighbors(q), g.neighbors(q), "list {q}");
+    }
+    for (b, &h) in g.hop_distances(0).iter().enumerate() {
+        assert_eq!(
+            tracker.hop_distance(0, b),
+            (h != usize::MAX).then_some(h),
+            "hops 0 -> {b}"
+        );
+    }
+    assert_flood_matches_oracle(pts, base, rc, tracker);
 }
 
 /// The base flood over the maintained adjacency must agree with the
@@ -121,27 +191,28 @@ proptest! {
     fn point_index_matches_grid_oracle_in_order(
         pts in pts_fleet_strategy(),
         moves in moves_strategy(),
-        cell in 5.0..150.0f64,
+        rc in 5.0..150.0f64,
         r in 5.0..150.0f64,
     ) {
-        // Bit-identity with SpatialGrid::build — the same indices in
-        // the same order, after every batch of moves (off-field
-        // coordinates included via the move strategy below).
+        // Bit-identity with SpatialGrid::build at the buckets' cell
+        // rc.max(1.0) — the same indices in the same order, after
+        // every batch of moves (off-field coordinates included via the
+        // move strategy below), at radii below and beyond rc.
         let mut pts = pts;
-        let mut index = PointIndex::new(&pts, cell);
+        let mut tracker = AdjacencyTracker::new(&pts, rc);
         for round in moves {
             for (i, x, y) in round {
                 let i = i % pts.len();
                 // fold some moves off-field / negative
                 pts[i] = Point::new(x - 100.0, y - 100.0);
-                index.set_point(i, pts[i]);
+                tracker.set_sensor(i, pts[i]);
             }
-            let grid = SpatialGrid::build(&pts, cell);
+            let grid = SpatialGrid::build(&pts, rc.max(1.0));
             for q in 0..pts.len() {
                 prop_assert_eq!(
-                    index.neighbors_within(q, r),
+                    tracker.neighbors_within(q, r),
                     grid.neighbors(&pts, q, r),
-                    "point {} radius {} cell {}", q, r, cell
+                    "point {} radius {} rc {}", q, r, rc
                 );
             }
         }
@@ -151,7 +222,7 @@ proptest! {
     fn point_index_grid_order_emulates_any_cell(
         pts in pts_strategy(),
         moves in moves_strategy(),
-        cell in 5.0..150.0f64,
+        rc in 5.0..150.0f64,
         order_cell in 1.0..200.0f64,
         r in 5.0..100.0f64,
     ) {
@@ -159,17 +230,17 @@ proptest! {
         // grid built at a *different* cell size — what keeps the
         // absorb-scan tie-breaks byte-identical after migration.
         let mut pts = pts;
-        let mut index = PointIndex::new(&pts, cell);
+        let mut tracker = AdjacencyTracker::new(&pts, rc);
         for round in moves {
             for (i, x, y) in round {
                 let i = i % pts.len();
                 pts[i] = Point::new(x, y);
-                index.set_point(i, pts[i]);
+                tracker.set_sensor(i, pts[i]);
             }
             let grid = SpatialGrid::build(&pts, order_cell);
             for q in 0..pts.len() {
                 prop_assert_eq!(
-                    index.neighbors_within_grid_order(q, r, order_cell),
+                    tracker.neighbors_within_grid_order(q, r, order_cell),
                     grid.neighbors(&pts, q, r),
                     "point {} radius {} order cell {}", q, r, order_cell
                 );
@@ -183,7 +254,7 @@ proptest! {
         eps_idx in 0usize..7,
     ) {
         // Points parked exactly on cell boundaries, and pairs sitting
-        // inside/outside the RANGE_EPS slack window: index and fresh
+        // inside/outside the RANGE_EPS slack window: tracker and fresh
         // grid must agree on both membership and order.
         let eps_mult = [-3.0f64, -1.0, -0.5, 0.0, 0.5, 1.0, 3.0][eps_idx];
         let r = 2.0 * cell; // radius past the cell size stays exact
@@ -193,22 +264,22 @@ proptest! {
             Point::new(2.0 * cell, cell),    // corner of a cell
             Point::new(r + eps_mult * RANGE_EPS, 0.0), // slack window
         ];
-        let mut index = PointIndex::new(&pts, cell);
-        let check = |index: &mut PointIndex, pts: &[Point]| {
+        let mut tracker = AdjacencyTracker::new(&pts, cell);
+        let check = |tracker: &mut AdjacencyTracker, pts: &[Point]| {
             let grid = SpatialGrid::build(pts, cell);
             for q in 0..pts.len() {
-                assert_eq!(index.neighbors_within(q, r), grid.neighbors(pts, q, r));
+                assert_eq!(tracker.neighbors_within(q, r), grid.neighbors(pts, q, r));
             }
         };
-        check(&mut index, &pts);
+        check(&mut tracker, &pts);
         // walk the slack-window point across the boundary by a hair
         pts[3] = Point::new(r + (eps_mult + 0.5) * RANGE_EPS, 0.0);
-        index.set_point(3, pts[3]);
-        check(&mut index, &pts);
+        tracker.set_sensor(3, pts[3]);
+        check(&mut tracker, &pts);
         // and park a mover exactly on a far cell boundary
         pts[0] = Point::new(-3.0 * cell, -cell);
-        index.set_point(0, pts[0]);
-        check(&mut index, &pts);
+        tracker.set_sensor(0, pts[0]);
+        check(&mut tracker, &pts);
     }
 
     #[test]
@@ -347,11 +418,10 @@ proptest! {
         pts in pts_fleet_strategy(),
         churn in churn_strategy(),
         rc in 10.0..200.0f64,
-        cell in 5.0..150.0f64,
     ) {
         // Dynamic runs express sensor death as a teleport to the far
         // off-field parking lot (the World::remove_sensor change
-        // record), so the point index, the adjacency and the base
+        // record), so the buckets, the adjacency and the base
         // flood over it must stay bit-identical to their batch
         // oracles across interleaved moves, parkings and teleports
         // back — and parked sensors must be invisible: disconnected
@@ -360,7 +430,6 @@ proptest! {
         let park = |i: usize| Point::new(-1.0e7 - i as f64 * 4.0 * rc.max(1.0), -1.0e7);
         let mut pts = pts;
         let mut parked = vec![false; pts.len()];
-        let mut index = PointIndex::new(&pts, cell);
         let mut adj = AdjacencyTracker::new(&pts, rc);
         for round in churn {
             for (op, i, x, y) in round {
@@ -373,17 +442,16 @@ proptest! {
                     Point::new(x, y)
                 };
                 pts[i] = p;
-                index.set_point(i, p);
                 adj.set_sensor(i, p);
             }
             assert_flood_matches_oracle(&pts, base, rc, &mut adj);
-            let grid = SpatialGrid::build(&pts, cell);
+            let grid = SpatialGrid::build(&pts, rc);
             let g = DiskGraph::build(&pts, rc);
             for q in 0..pts.len() {
                 prop_assert_eq!(
-                    index.neighbors_within(q, rc),
+                    adj.neighbors_within(q, rc),
                     grid.neighbors(&pts, q, rc),
-                    "index {} rc {} cell {}", q, rc, cell
+                    "buckets {} rc {}", q, rc
                 );
                 prop_assert_eq!(adj.neighbors(q), g.neighbors(q), "adjacency {}", q);
             }
@@ -425,6 +493,44 @@ proptest! {
                 random_walk(&g, 0, 25, &mut rng_b)
             );
             prop_assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "RNG streams diverged");
+        }
+    }
+
+    #[test]
+    fn range_and_list_queries_interleave_oracle_exact(
+        pts in pts_fleet_strategy(),
+        rounds in interleave_strategy(),
+        rc in 10.0..120.0f64,
+        r_mult in 0.25..3.0f64,
+        base in (0.0..500.0f64, 0.0..500.0f64),
+    ) {
+        // The buckets and the lists sync separately: CPVF range-queries
+        // every tick and reads the lists rarely, FLOOR interleaves
+        // both. Each round moves a batch, answers one kind of query
+        // (only that level syncs), moves the batch's sensors again
+        // plus a second batch — so some sensors move twice between a
+        // range query and the next list query — then answers the
+        // other kind; rounds alternate which kind goes first. Radii
+        // reach past rc (FLOOR's 2·rs absorption query).
+        let base = Point::new(base.0, base.1);
+        let r = r_mult * rc;
+        let mut pts = pts;
+        let mut tracker = AdjacencyTracker::new(&pts, rc);
+        for (k, (first, second)) in rounds.into_iter().enumerate() {
+            apply_ops(&first, rc, &mut pts, &mut tracker);
+            if k % 2 == 0 {
+                assert_ranges_match_oracle(&pts, rc, r, &mut tracker);
+            } else {
+                assert_lists_match_oracle(&pts, base, rc, &mut tracker);
+            }
+            let again: Vec<_> = first.iter().map(|&(_, i, x, y)| (0, i, y, x)).collect();
+            apply_ops(&again, rc, &mut pts, &mut tracker);
+            apply_ops(&second, rc, &mut pts, &mut tracker);
+            if k % 2 == 0 {
+                assert_lists_match_oracle(&pts, base, rc, &mut tracker);
+            } else {
+                assert_ranges_match_oracle(&pts, rc, r, &mut tracker);
+            }
         }
     }
 
@@ -492,20 +598,16 @@ fn far_off_field_sensors_stay_oracle_exact() {
         Point::new(80.0, 50.0),
         Point::new(-3.0e18, -3.0e18), // near the i64 edge after /cell
     ];
-    let mut index = PointIndex::new(&pts, cell);
     let mut adj = AdjacencyTracker::new(&pts, cell);
-    let check = |index: &mut PointIndex, adj: &mut AdjacencyTracker, pts: &[Point]| {
+    let check = |adj: &mut AdjacencyTracker, pts: &[Point]| {
         let grid = SpatialGrid::build(pts, cell);
         let g = DiskGraph::build(pts, cell);
         for q in 0..pts.len() {
-            assert_eq!(
-                index.neighbors_within(q, cell),
-                grid.neighbors(pts, q, cell)
-            );
+            assert_eq!(adj.neighbors_within(q, cell), grid.neighbors(pts, q, cell));
             assert_eq!(adj.neighbors(q), g.neighbors(q));
         }
     };
-    check(&mut index, &mut adj, &pts);
+    check(&mut adj, &pts);
     // an off-field sensor returns to the fleet, a fleet sensor leaves
     for (i, p) in [
         (3, Point::new(42.0, 22.0)),
@@ -514,9 +616,8 @@ fn far_off_field_sensors_stay_oracle_exact() {
         (0, Point::new(6.0, 4.0)),      // and back
     ] {
         pts[i] = p;
-        index.set_point(i, p);
         adj.set_sensor(i, p);
-        check(&mut index, &mut adj, &pts);
+        check(&mut adj, &pts);
     }
 }
 
@@ -530,27 +631,27 @@ fn scale_tier_10k_scattered_moves_match_oracle() {
     let cell = 60.0;
     let n = 10_000;
     let mut pts = scale_fleet(n);
-    let mut index = PointIndex::new(&pts, cell);
+    let mut tracker = AdjacencyTracker::new(&pts, cell);
     // Three rounds of 50 scattered movers (≪ n/2: the per-point path).
     for round in 0..3 {
         for k in 0..50 {
             let i = (k * 199 + round * 7) % n;
             let p = Point::new((pts[i].x + 250.0) % 1000.0, (pts[i].y + 125.0) % 1000.0);
             pts[i] = p;
-            index.set_point(i, p);
+            tracker.set_sensor(i, p);
         }
         let grid = SpatialGrid::build(&pts, cell);
         for k in 0..50 {
             let mover = (k * 199 + round * 7) % n;
             assert_eq!(
-                index.neighbors_within(mover, cell),
+                tracker.neighbors_within(mover, cell),
                 grid.neighbors(&pts, mover, cell),
                 "mover {mover} round {round}"
             );
         }
         for q in (0..n).step_by(617) {
             assert_eq!(
-                index.neighbors_within(q, cell),
+                tracker.neighbors_within(q, cell),
                 grid.neighbors(&pts, q, cell),
                 "sample {q} round {round}"
             );
@@ -571,19 +672,19 @@ fn scale_tier_clustered_churn_matches_oracle() {
     for i in 0..60 {
         pts[i] = Point::new(5.0 + (i % 8) as f64 * 9.0, 5.0 + (i / 8) as f64 * 9.0);
     }
-    let mut index = PointIndex::new(&pts, cell);
+    let mut tracker = AdjacencyTracker::new(&pts, cell);
     // churn the whole cluster (far below the fleet threshold)
     for i in 0..60 {
         pts[i] = Point::new(
             5.0 + ((i + 3) % 8) as f64 * 9.0,
             5.0 + (((i / 8) + 1) % 8) as f64 * 9.0,
         );
-        index.set_point(i, pts[i]);
+        tracker.set_sensor(i, pts[i]);
     }
     let grid = SpatialGrid::build(&pts, cell);
     for q in (0..n).step_by(97).chain(0..60) {
         assert_eq!(
-            index.neighbors_within(q, cell),
+            tracker.neighbors_within(q, cell),
             grid.neighbors(&pts, q, cell),
             "sensor {q}"
         );

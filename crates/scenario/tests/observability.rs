@@ -134,7 +134,7 @@ fn baseline_profiles_carry_phase_spans() {
 #[test]
 fn tracker_counters_fire_on_random_obstacle_workload() {
     let _serial = serial();
-    // Early all-moving FLOOR ticks take the point index's
+    // Early all-moving FLOOR ticks take the adjacency buckets'
     // rebuild-if-cheaper fallback.
     let spec = ScenarioSpec::new("obs-random")
         .with_field(FieldSpec::RandomObstacles(RandomObstacleParams::default()))

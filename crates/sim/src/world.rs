@@ -9,8 +9,8 @@ use rand::SeedableRng;
 use std::fmt;
 
 /// One position change, the single record every mutation path builds
-/// before anything is written. Applying it updates the position, the
-/// moved-distance array and the adjacency in one step.
+/// before anything is written. Applying it updates the moved-distance
+/// array and the adjacency (which holds the position) in one step.
 struct PosChange {
     i: usize,
     p: Point,
@@ -23,14 +23,16 @@ struct PosChange {
     counted: bool,
 }
 
-/// All mutable state of one simulation run: sensor positions with
-/// moving-distance accounting, simulated time, a seeded RNG, the
-/// message counter, the coverage raster, and the incremental adjacency
-/// that answers every scheme's per-tick questions — who reaches the
-/// base ([`World::connected_tracked`]) and who is near whom
-/// ([`World::neighbors_tracked`], [`World::adjacency`]). How much is
-/// covered ([`World::coverage`]) is counted from scratch on the raster
-/// at each sample.
+/// All mutable state of one simulation run: moving-distance
+/// accounting, simulated time, a seeded RNG, the message counter, the
+/// coverage raster, and the one proximity structure — an
+/// [`AdjacencyTracker`] that holds the sensor positions and answers
+/// every scheme's per-tick questions: who reaches the base
+/// ([`World::connected_tracked`]), who is near whom
+/// ([`World::neighbors_tracked`], [`World::adjacency`]) and how many
+/// hops apart ([`World::hop_distance`]). How much is covered
+/// ([`World::coverage`]) is counted from scratch on the raster at each
+/// sample.
 ///
 /// Deployment schemes (in `msn-deploy`) drive a `World` through their
 /// protocol phases; the engine itself is policy-free.
@@ -53,7 +55,6 @@ struct PosChange {
 pub struct World {
     field: Field,
     cfg: SimConfig,
-    positions: Vec<Point>,
     /// Liveness mask for dynamic runs: dead sensors stay in the
     /// arrays (parked far off-field) so slot counts never change, but
     /// they neither cover, relay, nor move.
@@ -71,8 +72,8 @@ pub struct World {
     msgs: MessageCounter,
     /// The raster [`World::coverage`] measures on.
     grid: CoverageGrid,
-    /// Incremental disk-graph adjacency, fed by every position change.
-    /// It owns the world's one point index.
+    /// The sensor positions with their maintained buckets and
+    /// `rc`-disk adjacency, fed by every position change.
     adj: AdjacencyTracker,
     /// Base-connectivity mask flooded over `adj`; `None` once a
     /// position change makes it stale.
@@ -82,8 +83,7 @@ pub struct World {
 impl World {
     /// Creates a world with sensors at `positions`, measuring coverage
     /// on `grid` (a raster of `field` at `cfg.coverage_cell`; `None`
-    /// rasterizes one), with its adjacency at `cfg.rc` over a point
-    /// index of cell `rc.max(1.0)`.
+    /// rasterizes one), with its adjacency at `cfg.rc`.
     pub fn new(
         field: Field,
         cfg: SimConfig,
@@ -100,7 +100,6 @@ impl World {
             rng: SmallRng::seed_from_u64(cfg.seed),
             field,
             cfg,
-            positions,
             alive: vec![true; n],
             moved: vec![0.0; n],
             move_count: 0,
@@ -115,7 +114,7 @@ impl World {
     /// Number of sensors (slots), dead ones included.
     #[inline]
     pub fn n(&self) -> usize {
-        self.positions.len()
+        self.adj.len()
     }
 
     /// The deterministic off-field parking spot for slot `i`. Parked
@@ -224,13 +223,13 @@ impl World {
     /// Position of sensor `i`.
     #[inline]
     pub fn pos(&self, i: usize) -> Point {
-        self.positions[i]
+        self.adj.points()[i]
     }
 
     /// All sensor positions, indexed by slot.
     #[inline]
     pub fn positions(&self) -> &[Point] {
-        &self.positions
+        self.adj.points()
     }
 
     /// Moves sensor `i` to `p`, charging the straight-line distance.
@@ -244,9 +243,9 @@ impl World {
         });
     }
 
-    /// Applies one change record: movement accounting, the position,
-    /// then the adjacency — the only path that writes positions, so
-    /// the adjacency cannot miss a move.
+    /// Applies one change record: movement accounting, then the
+    /// position in the adjacency — the only path that writes
+    /// positions, so no derived state can miss a move.
     fn apply_change(&mut self, c: PosChange) {
         if c.counted {
             msn_obs::counter("world.moves", 1);
@@ -255,7 +254,6 @@ impl World {
             self.move_charged += c.charged;
         }
         self.moved[c.i] += c.charged;
-        self.positions[c.i] = c.p;
         self.adj.set_sensor(c.i, c.p);
         self.conn_mask = None;
     }
@@ -335,8 +333,9 @@ impl World {
     /// rebuild + flood (the reference oracle; independent of the
     /// adjacency).
     pub fn connected_mask(&self) -> Vec<bool> {
-        DiskGraph::build(&self.positions, self.cfg.rc).flood_from_base(
-            &self.positions,
+        let positions = self.positions();
+        DiskGraph::build(positions, self.cfg.rc).flood_from_base(
+            positions,
             self.cfg.base,
             self.cfg.rc,
         )
@@ -376,12 +375,12 @@ impl World {
     }
 
     /// Sensors within `r` of sensor `i` (excluding `i`), from the
-    /// maintained point index — byte-identical, order included, to
+    /// maintained buckets — byte-identical, order included, to
     /// `SpatialGrid::build(positions, rc.max(1.0)).neighbors(positions, i, r)`,
     /// but `O(moved sensors)` reconciliation per query round instead
     /// of an `O(N)` rebuild.
     pub fn neighbors_tracked(&mut self, i: usize, r: f64) -> Vec<usize> {
-        self.adj.index().neighbors_within(i, r)
+        self.adj.neighbors_within(i, r)
     }
 
     /// Like [`World::neighbors_tracked`], but ordered as a
@@ -394,16 +393,24 @@ impl World {
         r: f64,
         order_cell: f64,
     ) -> Vec<usize> {
-        self.adj
-            .index()
-            .neighbors_within_grid_order(i, r, order_cell)
+        self.adj.neighbors_within_grid_order(i, r, order_cell)
     }
 
-    /// The maintained `rc`-disk adjacency: neighbor lists equal to a
-    /// fresh [`DiskGraph::build`], order included, but `O(moved
-    /// sensors · local repair)` per tick instead of `O(N · deg)`.
-    pub fn adjacency(&mut self) -> &mut AdjacencyTracker {
-        &mut self.adj
+    /// The maintained `rc`-disk adjacency, synced: neighbor lists
+    /// ([`Neighbors::neighbors_of`]) equal to a fresh
+    /// [`DiskGraph::build`], order included, but `O(moved sensors ·
+    /// local repair)` per tick instead of `O(N · deg)`.
+    pub fn adjacency(&mut self) -> &AdjacencyTracker {
+        self.adj.sync();
+        &self.adj
+    }
+
+    /// BFS hop count from sensor `from` to sensor `to` over the
+    /// maintained adjacency (`None` = unreachable) — equal to
+    /// [`DiskGraph::hop_distances`]`(from)[to]` on the current
+    /// positions.
+    pub fn hop_distance(&mut self, from: usize, to: usize) -> Option<usize> {
+        self.adj.hop_distance(from, to)
     }
 
     /// The adjacency (synced) and the RNG, borrowed together — for
@@ -437,7 +444,7 @@ impl World {
     /// `cfg.rs`). Parked sensors cost nothing: their disks miss every
     /// raster row.
     pub fn coverage(&self) -> f64 {
-        self.grid.coverage(&self.positions, self.cfg.rs)
+        self.grid.coverage(self.positions(), self.cfg.rs)
     }
 }
 
@@ -624,10 +631,10 @@ mod tests {
             w.set_pos(i, p);
             let g = graph(&w);
             for q in 0..w.n() {
-                assert_eq!(w.adjacency().neighbors(q), g.neighbors(q), "list {q}");
+                assert_eq!(w.adjacency().neighbors_of(q), g.neighbors(q), "list {q}");
                 for (j, &h) in g.hop_distances(q).iter().enumerate() {
                     let want = (h != usize::MAX).then_some(h);
-                    assert_eq!(w.adjacency().hop_distance(q, j), want, "hops {q} -> {j}");
+                    assert_eq!(w.hop_distance(q, j), want, "hops {q} -> {j}");
                 }
             }
         }
@@ -635,7 +642,6 @@ mod tests {
         let n = w.n();
         let g = graph(&w);
         let (adj, _rng) = w.adjacency_and_rng();
-        use msn_net::Neighbors;
         for q in 0..n {
             assert_eq!(adj.neighbors_of(q), g.neighbors(q));
         }
@@ -661,7 +667,7 @@ mod tests {
     #[test]
     fn churn_feeds_every_tracker_oracle_identically() {
         // removals ride the same change funnel as moves, so the
-        // coverage count, the adjacency, its point index (and the
+        // coverage count, the adjacency, its buckets (and the
         // connectivity flood over adjacency) must agree with their
         // batch oracles after every death — parked sensors included.
         let mut w = world_with(4);
@@ -676,7 +682,7 @@ mod tests {
             let g = DiskGraph::build(&pts, rc);
             let spatial = msn_net::SpatialGrid::build(&pts, rc.max(1.0));
             for q in 0..w.n() {
-                assert_eq!(w.adjacency().neighbors(q), g.neighbors(q), "adj {q}");
+                assert_eq!(w.adjacency().neighbors_of(q), g.neighbors(q), "adj {q}");
                 assert_eq!(w.neighbors_tracked(q, rc), spatial.neighbors(&pts, q, rc));
             }
         };
