@@ -146,15 +146,13 @@ impl DirtySet {
 ///
 /// ```
 /// use msn_geom::Point;
-/// use msn_net::{AdjacencyTracker, DiskGraph, Neighbors, SpatialGrid};
+/// use msn_net::{AdjacencyTracker, DiskGraph, Neighbors};
 ///
 /// let mut pts = vec![Point::new(0.0, 0.0), Point::new(8.0, 0.0), Point::new(40.0, 0.0)];
 /// let mut tracker = AdjacencyTracker::new(&pts, 10.0);
 /// assert_eq!(tracker.neighbors(0), &[1]);
 /// pts[2] = Point::new(16.0, 0.0); // walks into range of sensor 1
 /// tracker.set_sensor(2, pts[2]);
-/// let grid = SpatialGrid::build(&pts, 10.0);
-/// assert_eq!(tracker.neighbors_within(1, 30.0), grid.neighbors(&pts, 1, 30.0));
 /// assert_eq!(tracker.neighbors(1), DiskGraph::build(&pts, 10.0).neighbors(1));
 /// assert_eq!(tracker.hop_distance(0, 2), Some(2));
 /// // the lists are synced, so the base flood reads them directly
@@ -335,6 +333,21 @@ impl AdjacencyTracker {
     /// equal to `center` itself — byte-identical, order included, to
     /// `SpatialGrid::build(points, rc.max(1.0)).within(points, center, r)`
     /// on the current points. Syncs the buckets only.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use msn_geom::Point;
+    /// use msn_net::{AdjacencyTracker, SpatialGrid};
+    ///
+    /// let mut pts = vec![Point::new(0.0, 0.0), Point::new(5.0, 0.0), Point::new(50.0, 0.0)];
+    /// let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+    /// assert_eq!(tracker.within(pts[0], 10.0), vec![0, 1]);
+    /// pts[2] = Point::new(8.0, 0.0); // walks into range
+    /// tracker.set_sensor(2, pts[2]);
+    /// let oracle = SpatialGrid::build(&pts, 10.0).within(&pts, pts[0], 10.0);
+    /// assert_eq!(tracker.within(pts[0], 10.0), oracle);
+    /// ```
     pub fn within(&mut self, center: Point, r: f64) -> Vec<usize> {
         self.sync_buckets();
         let mut out = Vec::with_capacity(16);
@@ -587,6 +600,18 @@ mod tests {
     }
 
     #[test]
+    fn range_radius_beyond_rc_stays_exact() {
+        let pts: Vec<Point> = (0..9)
+            .map(|i| Point::new(20.0 * (i % 3) as f64, 20.0 * (i / 3) as f64))
+            .collect();
+        let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+        assert_eq!(
+            tracker.neighbors_within(4, 45.0),
+            oracle_neighbors(&pts, 10.0, 4, 45.0)
+        );
+    }
+
+    #[test]
     fn batched_moves_rebuild_and_stay_exact() {
         let rc = 12.0;
         let mut pts: Vec<Point> = (0..10).map(|i| Point::new(9.0 * i as f64, 0.0)).collect();
@@ -595,13 +620,25 @@ mod tests {
             *p = Point::new(p.x, 7.0 * (i % 3) as f64);
             tracker.set_sensor(i, *p);
         }
+        assert_matches(&mut tracker, &pts, rc);
+    }
+
+    #[test]
+    fn batched_moves_take_the_bucket_rebuild_path() {
+        // every sensor moves before the next range query, so the
+        // bucket sync rebuilds instead of moving points one by one
+        let mut pts: Vec<Point> = (0..12).map(|i| Point::new(7.0 * i as f64, 3.0)).collect();
+        let mut tracker = AdjacencyTracker::new(&pts, 15.0);
+        for (i, p) in pts.iter_mut().enumerate() {
+            *p = Point::new(80.0 - 7.0 * i as f64, 9.0 * (i % 2) as f64);
+            tracker.set_sensor(i, *p);
+        }
         for q in 0..pts.len() {
             assert_eq!(
-                tracker.neighbors_within(q, rc),
-                oracle_neighbors(&pts, rc, q, rc)
+                tracker.neighbors_within(q, 15.0),
+                oracle_neighbors(&pts, 15.0, q, 15.0)
             );
         }
-        assert_matches(&mut tracker, &pts, rc);
     }
 
     #[test]
@@ -688,8 +725,13 @@ mod tests {
     fn empty_tracker() {
         let mut tracker = AdjacencyTracker::new(&[], 10.0);
         assert!(tracker.is_empty());
-        assert!(tracker.within(Point::ORIGIN, 100.0).is_empty());
         tracker.sync();
+    }
+
+    #[test]
+    fn empty_range_queries() {
+        let mut tracker = AdjacencyTracker::new(&[], 5.0);
+        assert!(tracker.within(Point::ORIGIN, 100.0).is_empty());
     }
 
     #[test]
