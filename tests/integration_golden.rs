@@ -5,7 +5,11 @@
 //! CLI (`run` + `diff`), so a format or determinism regression fails
 //! both here and there.
 
-use msn_scenario::{diff_batches, BatchFile, BatchRunner, RunConfig, ScenarioSpec};
+use msn_deploy::SchemeKind;
+use msn_field::CorridorParams;
+use msn_scenario::{
+    diff_batches, BatchFile, BatchRunner, FieldSpec, RunConfig, ScatterSpec, ScenarioSpec,
+};
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -98,5 +102,46 @@ fn interrupted_then_resumed_run_matches_the_fixture() {
         resumed.to_json(),
         golden(),
         "resume must merge cached and fresh cells into byte-identical output"
+    );
+}
+
+/// The baselines golden: VOR, Minimax and OPT on the open paper field
+/// and on a baffle corridor, at two sensor counts and two radios (rc =
+/// 48 m gives `Incorrect VD`/`Disconn.` flags, rc = 500 m gives none).
+/// The fixture holds the two batches' `batch.json` texts, paper field
+/// first. The bundled specs pinned here run only CPVF/FLOOR.
+fn baselines_batches() -> String {
+    let base = ScenarioSpec::new("baselines")
+        .with_schemes(vec![SchemeKind::Vor, SchemeKind::Minimax, SchemeKind::Opt])
+        .with_sensor_counts(vec![60, 120])
+        .with_radios(vec![(48.0, 60.0), (500.0, 60.0)])
+        .with_coverage_cell(10.0)
+        .with_seed(11);
+    let corridor = base
+        .clone()
+        .with_name("baselines-corridor")
+        .with_field(FieldSpec::Corridor(CorridorParams::default()))
+        .with_scatter(ScatterSpec::Clustered {
+            x0: 0.0,
+            y0: 0.0,
+            x1: 200.0,
+            y1: 600.0,
+        });
+    [base, corridor]
+        .iter()
+        .map(|spec| BatchRunner::new().run(spec).unwrap().to_json())
+        .collect()
+}
+
+#[test]
+fn baselines_reproduce_the_committed_fixture() {
+    let golden = std::fs::read_to_string(repo_path("tests/fixtures/baselines-batch.json")).unwrap();
+    let fresh = baselines_batches();
+    for flag in ["\"Incorrect VD\"", "\"Disconn.\""] {
+        assert!(fresh.contains(flag), "the small radio must raise {flag}");
+    }
+    assert_eq!(
+        fresh, golden,
+        "the baselines drifted from tests/fixtures/baselines-batch.json"
     );
 }
