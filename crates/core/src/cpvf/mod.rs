@@ -60,20 +60,14 @@ impl Motion {
 /// Runs CPVF and reports the standard metrics.
 ///
 /// `initial` gives the sensors' starting positions inside `field`.
+/// `grid`, when given, must have been built for `field` at
+/// `cfg.coverage_cell` (the batch runner caches one per fixed field
+/// layout); `None` rasterizes a fresh grid.
 ///
 /// # Examples
 ///
 /// See the [crate-level quickstart](crate).
-pub fn run(field: &Field, initial: &[Point], params: &CpvfParams, cfg: &SimConfig) -> RunResult {
-    run_with_grid(field, initial, params, cfg, None)
-}
-
-/// Runs CPVF reusing a pre-rasterized coverage grid.
-///
-/// `grid` must have been built for `field` at `cfg.coverage_cell`
-/// (the batch runner caches one per fixed field layout); `None`
-/// rasterizes a fresh grid.
-pub fn run_with_grid(
+pub fn run(
     field: &Field,
     initial: &[Point],
     params: &CpvfParams,
@@ -209,7 +203,7 @@ pub fn run_with_grid(
     }
 
     let _finish = msn_obs::span("cpvf.finish");
-    timeline.finish(&mut world, "CPVF")
+    crate::finish(&mut world, "CPVF", timeline.samples)
 }
 
 /// One §4.2 planning step: force direction, validated step size,
@@ -408,6 +402,7 @@ mod tests {
             &initial,
             &CpvfParams::default(),
             &small_cfg(50.0, 30.0),
+            None,
         );
         assert!(r.connected, "CPVF must end fully connected");
         assert!(r.coverage > 0.05);
@@ -423,6 +418,7 @@ mod tests {
             &initial,
             &CpvfParams::default(),
             &small_cfg(60.0, 40.0),
+            None,
         );
         let first = r.coverage_timeline.first().expect("timeline").1;
         assert!(
@@ -441,7 +437,7 @@ mod tests {
         let cfg = SimConfig::paper(40.0, 30.0)
             .with_duration(200.0)
             .with_coverage_cell(10.0);
-        let r = run(&field, &initial, &CpvfParams::default(), &cfg);
+        let r = run(&field, &initial, &CpvfParams::default(), &cfg, None);
         assert!(r.connected, "the walker must reach the tree");
         assert!(r.avg_move > 10.0, "the far sensor had to travel");
     }
@@ -455,7 +451,7 @@ mod tests {
         let cfg = SimConfig::paper(60.0, 40.0)
             .with_duration(200.0)
             .with_coverage_cell(10.0);
-        let r = run(&field, &initial, &CpvfParams::default(), &cfg);
+        let r = run(&field, &initial, &CpvfParams::default(), &cfg, None);
         assert!(r.connected);
     }
 
@@ -464,7 +460,7 @@ mod tests {
         let field = Field::open(300.0, 300.0);
         let initial = clustered(&field, 25, 9);
         let cfg = small_cfg(60.0, 40.0);
-        let free = run(&field, &initial, &CpvfParams::default(), &cfg);
+        let free = run(&field, &initial, &CpvfParams::default(), &cfg, None);
         let damped = run(
             &field,
             &initial,
@@ -472,6 +468,7 @@ mod tests {
                 oscillation: OscillationAvoidance::OneStep { delta: 2.0 },
             },
             &cfg,
+            None,
         );
         assert!(
             damped.avg_move <= free.avg_move + 1e-9,
@@ -486,8 +483,8 @@ mod tests {
         let field = Field::open(300.0, 300.0);
         let initial = clustered(&field, 15, 5);
         let cfg = small_cfg(50.0, 30.0);
-        let a = run(&field, &initial, &CpvfParams::default(), &cfg);
-        let b = run(&field, &initial, &CpvfParams::default(), &cfg);
+        let a = run(&field, &initial, &CpvfParams::default(), &cfg, None);
+        let b = run(&field, &initial, &CpvfParams::default(), &cfg, None);
         assert_eq!(a.coverage, b.coverage);
         assert_eq!(a.avg_move, b.avg_move);
         assert_eq!(a.messages.total(), b.messages.total());

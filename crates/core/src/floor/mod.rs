@@ -126,6 +126,10 @@ struct VirtualTip {
 
 /// Runs FLOOR and reports the standard metrics.
 ///
+/// `grid`, when given, must have been built for `field` at
+/// `cfg.coverage_cell` (the batch runner caches one per fixed field
+/// layout); `None` rasterizes a fresh grid.
+///
 /// # Examples
 ///
 /// ```
@@ -139,19 +143,10 @@ struct VirtualTip {
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(4);
 /// let initial = scatter_clustered(&field, Rect::new(0.0, 0.0, 300.0, 300.0), 25, &mut rng);
 /// let cfg = SimConfig::paper(60.0, 40.0).with_duration(30.0).with_coverage_cell(10.0);
-/// let r = run(&field, &initial, &FloorParams::default(), &cfg);
+/// let r = run(&field, &initial, &FloorParams::default(), &cfg, None);
 /// assert!(r.coverage > 0.0);
 /// ```
-pub fn run(field: &Field, initial: &[Point], params: &FloorParams, cfg: &SimConfig) -> RunResult {
-    run_with_grid(field, initial, params, cfg, None)
-}
-
-/// Runs FLOOR reusing a pre-rasterized coverage grid.
-///
-/// `grid` must have been built for `field` at `cfg.coverage_cell`
-/// (the batch runner caches one per fixed field layout); `None`
-/// rasterizes a fresh grid.
-pub fn run_with_grid(
+pub fn run(
     field: &Field,
     initial: &[Point],
     params: &FloorParams,
@@ -286,7 +281,7 @@ impl<'a> FloorSim<'a> {
         }
 
         let _finish = msn_obs::span("floor.finish");
-        timeline.finish(&mut self.world, "FLOOR")
+        crate::finish(&mut self.world, "FLOOR", timeline.samples)
     }
 
     /// Algorithm 1's route from a starting position: BUG2 legs through
@@ -947,6 +942,7 @@ mod tests {
             &initial,
             &FloorParams::default(),
             &short_cfg(60.0, 40.0, 120.0),
+            None,
         );
         assert!(r.connected, "FLOOR must end connected");
         assert!(r.coverage > 0.1, "coverage {}", r.coverage);
@@ -962,6 +958,7 @@ mod tests {
             &initial,
             &FloorParams::default(),
             &short_cfg(60.0, 40.0, 200.0),
+            None,
         );
         let early = r.coverage_timeline[0].1;
         assert!(
@@ -983,6 +980,7 @@ mod tests {
             &initial,
             &FloorParams::default(),
             &short_cfg(30.0, 40.0, 300.0),
+            None,
         );
         assert!(r.connected, "connectivity must hold for rc < rs");
     }
@@ -996,7 +994,7 @@ mod tests {
         let cfg = SimConfig::paper(60.0, 40.0)
             .with_duration(350.0)
             .with_coverage_cell(10.0);
-        let r = run(&field, &initial, &FloorParams::default(), &cfg);
+        let r = run(&field, &initial, &FloorParams::default(), &cfg, None);
         assert!(r.connected);
         assert!(r.coverage > 0.05);
     }
@@ -1010,6 +1008,7 @@ mod tests {
             &initial,
             &FloorParams::default(),
             &short_cfg(60.0, 40.0, 150.0),
+            None,
         );
         assert!(r.messages.count(msn_net::MsgKind::Invitation) > 0);
         assert!(r.messages.count(msn_net::MsgKind::Acknowledge) > 0);
@@ -1028,6 +1027,7 @@ mod tests {
                 ..FloorParams::default()
             },
             &cfg,
+            None,
         );
         let large = run(
             &field,
@@ -1037,6 +1037,7 @@ mod tests {
                 ..FloorParams::default()
             },
             &cfg,
+            None,
         );
         assert!(
             large.messages.count(msn_net::MsgKind::Invitation)
@@ -1049,8 +1050,8 @@ mod tests {
         let field = Field::open(300.0, 300.0);
         let initial = clustered(&field, 20, 100.0, 7);
         let cfg = short_cfg(50.0, 30.0, 60.0);
-        let a = run(&field, &initial, &FloorParams::default(), &cfg);
-        let b = run(&field, &initial, &FloorParams::default(), &cfg);
+        let a = run(&field, &initial, &FloorParams::default(), &cfg, None);
+        let b = run(&field, &initial, &FloorParams::default(), &cfg, None);
         assert_eq!(a.coverage, b.coverage);
         assert_eq!(a.messages.total(), b.messages.total());
     }
@@ -1064,6 +1065,7 @@ mod tests {
             &initial,
             &FloorParams::default(),
             &short_cfg(60.0, 40.0, 80.0),
+            None,
         );
         // Sensors fixed from t=0 (the flood-connected ones that stayed
         // fixed) have zero moving distance.

@@ -17,13 +17,12 @@
 //! `PathParentInquiry` messages and resumes (blacklisting the parent)
 //! when the probe returns to itself.
 //!
-//! Both schemes also share the coverage [`Timeline`] and the
-//! [`RunResult`] it finishes into.
+//! Both schemes also share the coverage [`Timeline`].
 
 use msn_geom::Point;
 use msn_nav::{MultiLegPlan, Navigator};
 use msn_net::{MsgKind, Neighbors, Parent, Tree};
-use msn_sim::{RunResult, World};
+use msn_sim::World;
 use rand::Rng;
 
 /// Upper bound of the random start delay for disconnected sensors
@@ -352,7 +351,7 @@ fn lazy_plan_step(i: usize, world: &mut World, movers: &mut [Option<LazyMover>])
 /// The coverage timeline, sampled every [`SNAPSHOT_EVERY`] seconds.
 #[derive(Debug)]
 pub(crate) struct Timeline {
-    samples: Vec<(f64, f64)>,
+    pub(crate) samples: Vec<(f64, f64)>,
     every: u64,
 }
 
@@ -372,25 +371,6 @@ impl Timeline {
             let _snapshot = msn_obs::span(span);
             self.samples.push((world.time(), world.coverage()));
         }
-    }
-
-    /// The run's result: final coverage, movement, messages,
-    /// positions and whether every sensor ended connected to the base,
-    /// all from `world`.
-    pub(crate) fn finish(self, world: &mut World, scheme: &str) -> RunResult {
-        let coverage = world.coverage();
-        let connected = world.all_connected_tracked();
-        let moved: Vec<f64> = (0..world.n()).map(|i| world.moved(i)).collect();
-        RunResult::from_run(
-            scheme,
-            coverage,
-            &moved,
-            world.msgs_ref().clone(),
-            connected,
-            self.samples,
-            world.positions().to_vec(),
-        )
-        .with_movement(world.move_count(), world.move_dist())
     }
 }
 

@@ -20,10 +20,10 @@
 //! * [`opt`] — the strip-based **OPT** pattern (Bai et al.,
 //!   MobiHoc'06) with Hungarian-matching movement baselines.
 //!
-//! Every scheme exposes a one-call runner returning a
-//! [`msn_sim::RunResult`] with coverage, moving distance,
-//! message counts and connectivity — the metrics behind each figure
-//! and table of the paper. [`run_scheme`] dispatches on
+//! Every scheme drives one [`msn_sim::World`] and exposes one runner,
+//! `run`, returning a [`msn_sim::RunResult`] with coverage, moving
+//! distance, message counts and connectivity — the metrics behind each
+//! figure and table of the paper. [`run_scheme`] dispatches on
 //! [`SchemeKind`].
 //!
 //! # Quickstart
@@ -61,7 +61,7 @@ pub use overrides::{CpvfOverrides, FloorOverrides, SchemeOverrides, Slot};
 
 use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;
-use msn_sim::{RunResult, SimConfig};
+use msn_sim::{RunResult, SimConfig, World};
 
 /// The five deployment schemes of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,7 +124,7 @@ impl std::str::FromStr for SchemeKind {
 /// Runs `kind` with its default tuning parameters.
 ///
 /// For declarative knob overrides use [`run_scheme_with`]; for full
-/// control use the per-module runners ([`cpvf::run`], [`floor::run`],
+/// control call a module's `run` ([`cpvf::run`], [`floor::run`],
 /// [`vd::run`], [`opt::run`]) directly.
 pub fn run_scheme(
     kind: SchemeKind,
@@ -150,35 +150,39 @@ pub fn run_scheme_with(
     overrides: &SchemeOverrides,
     grid: Option<&CoverageGrid>,
 ) -> RunResult {
+    let run_vd = |variant| vd::run(field, initial, variant, &vd::VdParams::default(), cfg, grid);
     match kind {
-        SchemeKind::Cpvf => {
-            cpvf::run_with_grid(field, initial, &overrides.cpvf_params(), cfg, grid)
-        }
-        SchemeKind::Floor => floor::run_with_grid(
+        SchemeKind::Cpvf => cpvf::run(field, initial, &overrides.cpvf_params(), cfg, grid),
+        SchemeKind::Floor => floor::run(
             field,
             initial,
             &overrides.floor_params(initial.len()),
             cfg,
             grid,
         ),
-        SchemeKind::Vor => vd::run_with_grid(
-            field,
-            initial,
-            vd::VdVariant::Vor,
-            &vd::VdParams::default(),
-            cfg,
-            grid,
-        ),
-        SchemeKind::Minimax => vd::run_with_grid(
-            field,
-            initial,
-            vd::VdVariant::Minimax,
-            &vd::VdParams::default(),
-            cfg,
-            grid,
-        ),
-        SchemeKind::Opt => opt::run_with_grid(field, initial, &overrides.opt_params(), cfg, grid),
+        SchemeKind::Vor => run_vd(vd::VdVariant::Vor),
+        SchemeKind::Minimax => run_vd(vd::VdVariant::Minimax),
+        SchemeKind::Opt => opt::run(field, initial, &overrides.opt_params(), cfg, grid),
     }
+}
+
+/// A run's result, all from `world`: final coverage, per-sensor and
+/// aggregate movement, messages, final positions and whether every
+/// sensor ended connected to the base, with the coverage `timeline`.
+fn finish(world: &mut World, scheme: &str, timeline: Vec<(f64, f64)>) -> RunResult {
+    let coverage = world.coverage();
+    let connected = world.all_connected_tracked();
+    let moved: Vec<f64> = (0..world.n()).map(|i| world.moved(i)).collect();
+    RunResult::from_run(
+        scheme,
+        coverage,
+        &moved,
+        world.msgs_ref().clone(),
+        connected,
+        timeline,
+        world.positions().to_vec(),
+    )
+    .with_movement(world.move_count(), world.move_dist())
 }
 
 #[cfg(test)]

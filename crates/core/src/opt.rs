@@ -11,14 +11,14 @@
 //!
 //! OPT is centralized and only defined for obstacle-free fields; its
 //! moving distance is the Hungarian-matching optimum from the initial
-//! layout to the pattern (Figure 11's "optimal pattern" baseline).
+//! layout to the pattern (Figure 11's "optimal pattern" baseline). On
+//! a field with obstacles it still lays the pattern over the whole
+//! bounds and moves each sensor straight through any wall in its way.
 
 use msn_assign::{hungarian, CostMatrix};
 use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;
-use msn_net::{DiskGraph, MessageCounter};
-use msn_sim::{RunResult, SimConfig};
-use std::borrow::Cow;
+use msn_sim::{RunResult, SimConfig, World};
 
 /// Tuning parameters for the OPT baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,6 +111,10 @@ pub fn strip_pattern(field: &Field, rc: f64, rs: f64, n: usize, params: &OptPara
 /// coverage, and charge the Hungarian-optimal moving distance from
 /// `initial`.
 ///
+/// `grid`, when given, must have been built for `field` at
+/// `cfg.coverage_cell` (the batch runner caches one per fixed field
+/// layout); `None` rasterizes a fresh grid.
+///
 /// # Examples
 ///
 /// ```
@@ -123,20 +127,11 @@ pub fn strip_pattern(field: &Field, rc: f64, rs: f64, n: usize, params: &OptPara
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
 /// let initial = scatter_uniform(&field, 60, &mut rng);
 /// let cfg = SimConfig::paper(60.0, 60.0).with_coverage_cell(10.0);
-/// let r = run(&field, &initial, &OptParams::default(), &cfg);
+/// let r = run(&field, &initial, &OptParams::default(), &cfg, None);
 /// assert!(r.coverage > 0.3);
 /// assert!(r.connected);
 /// ```
-pub fn run(field: &Field, initial: &[Point], params: &OptParams, cfg: &SimConfig) -> RunResult {
-    run_with_grid(field, initial, params, cfg, None)
-}
-
-/// Runs OPT reusing a pre-rasterized coverage grid.
-///
-/// `grid` must have been built for `field` at `cfg.coverage_cell`
-/// (the batch runner caches one per fixed field layout); `None`
-/// rasterizes a fresh grid.
-pub fn run_with_grid(
+pub fn run(
     field: &Field,
     initial: &[Point],
     params: &OptParams,
@@ -154,38 +149,18 @@ pub fn run_with_grid(
         let _hungarian = msn_obs::span("opt.hungarian");
         hungarian(&CostMatrix::euclidean(initial, &pattern))
     };
-    let moved: Vec<f64> = sol
-        .assignment
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| initial[i].dist(pattern[t]))
-        .collect();
-    let positions: Vec<Point> = sol.assignment.iter().map(|&t| pattern[t]).collect();
-    // The final measurement: coverage and the connectivity verdict.
-    let coverage_span = msn_obs::span("opt.coverage");
-    let coverage = grid
-        .map_or_else(
-            || Cow::Owned(CoverageGrid::new(field, cfg.coverage_cell)),
-            Cow::Borrowed,
-        )
-        .coverage(&positions, cfg.rs);
-    let connected =
-        DiskGraph::build(&positions, cfg.rc).all_connected_to_base(&positions, cfg.base, cfg.rc);
-    drop(coverage_span);
+    let mut world = World::new(field.clone(), cfg.clone(), initial.to_vec(), grid);
     // OPT commands each displaced sensor straight to its target: one
     // movement action per sensor that actually relocates.
-    let moves = moved.iter().filter(|&&d| d > 0.0).count() as u64;
-    let move_dist: f64 = moved.iter().sum();
-    RunResult::from_run(
-        "OPT",
-        coverage,
-        &moved,
-        MessageCounter::new(),
-        connected,
-        vec![(0.0, coverage)],
-        positions,
-    )
-    .with_movement(moves, move_dist)
+    for (i, &t) in sol.assignment.iter().enumerate() {
+        if initial[i].dist(pattern[t]) > 0.0 {
+            world.set_pos(i, pattern[t]);
+        }
+    }
+    // The final measurement: coverage and the connectivity verdict.
+    let _coverage = msn_obs::span("opt.coverage");
+    let timeline = vec![(0.0, world.coverage())];
+    crate::finish(&mut world, "OPT", timeline)
 }
 
 #[cfg(test)]
@@ -193,6 +168,7 @@ mod tests {
     use super::*;
     use msn_field::{paper_field, scatter_clustered};
     use msn_geom::Rect;
+    use msn_net::DiskGraph;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -228,7 +204,11 @@ mod tests {
         let cfg = SimConfig::paper(60.0, 60.0).with_coverage_cell(10.0);
         let mut rng = SmallRng::seed_from_u64(8);
         let initial = scatter_clustered(&field, Rect::new(0.0, 0.0, 500.0, 500.0), 240, &mut rng);
-        let r = run(&field, &initial, &OptParams::default(), &cfg);
+        let r = run(&field, &initial, &OptParams::default(), &cfg, None);
+        // one counted move per displaced sensor
+        let displaced = initial.iter().zip(&r.positions).filter(|(a, b)| a != b);
+        assert_eq!(r.moves, displaced.count() as u64);
+        assert!(r.moves > 0);
         assert!(
             r.coverage > 0.9,
             "240 sensors at rc=rs=60 nearly saturate: {}",
@@ -243,8 +223,8 @@ mod tests {
         let cfg = SimConfig::paper(60.0, 60.0).with_coverage_cell(10.0);
         let mut rng = SmallRng::seed_from_u64(9);
         let initial = scatter_clustered(&field, Rect::new(0.0, 0.0, 500.0, 500.0), 120, &mut rng);
-        let low = run(&field, &initial[..60], &OptParams::default(), &cfg);
-        let high = run(&field, &initial, &OptParams::default(), &cfg);
+        let low = run(&field, &initial[..60], &OptParams::default(), &cfg, None);
+        let high = run(&field, &initial, &OptParams::default(), &cfg, None);
         assert!(high.coverage > low.coverage + 0.1);
     }
 
@@ -254,7 +234,8 @@ mod tests {
         let field = paper_field();
         let cfg = SimConfig::paper(60.0, 40.0).with_coverage_cell(10.0);
         let pattern = strip_pattern(&field, cfg.rc, cfg.rs, 50, &OptParams::default());
-        let r = run(&field, &pattern, &OptParams::default(), &cfg);
+        let r = run(&field, &pattern, &OptParams::default(), &cfg, None);
         assert!(r.avg_move < 1e-9);
+        assert_eq!(r.moves, 0);
     }
 }

@@ -13,16 +13,17 @@
 //! the cluster into a uniform random layout, charging the *minimum
 //! possible* total moving distance via Hungarian matching (§6.2); this
 //! runner does the same.
+//!
+//! Like the paper's baselines, both schemes assume an obstacle-free
+//! field: on a field with obstacles they move sensors straight through
+//! walls.
 
 use msn_assign::{hungarian, CostMatrix};
 use msn_field::{scatter_uniform, CoverageGrid, Field};
 use msn_geom::Point;
-use msn_net::{DiskGraph, MessageCounter};
-use msn_sim::{RunResult, SimConfig};
+use msn_net::Neighbors;
+use msn_sim::{RunResult, SimConfig, World};
 use msn_voronoi::{cells_match, restricted_cell, VoronoiDiagram};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use std::borrow::Cow;
 
 /// Which Voronoi movement rule to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,10 +72,12 @@ impl Default for VdParams {
 
 /// Runs VOR or Minimax and reports the standard metrics.
 ///
-/// The returned [`RunResult`] carries the `Disconn.` /
-/// `Incorrect VD` flags of Figure 10 when they apply. Message
-/// accounting is not modeled (the paper does not report it for these
-/// baselines).
+/// `grid`, when given, must have been built for `field` at
+/// `cfg.coverage_cell` (the batch runner caches one per fixed field
+/// layout); `None` rasterizes a fresh grid. The returned
+/// [`RunResult`] carries the `Disconn.` / `Incorrect VD` flags of
+/// Figure 10 when they apply. Message accounting is not modeled (the
+/// paper does not report it for these baselines).
 ///
 /// # Examples
 ///
@@ -88,25 +91,11 @@ impl Default for VdParams {
 /// let mut rng = rand::rngs::SmallRng::seed_from_u64(5);
 /// let initial = scatter_uniform(&field, 50, &mut rng);
 /// let cfg = SimConfig::paper(240.0, 60.0).with_coverage_cell(10.0);
-/// let r = run(&field, &initial, VdVariant::Vor, &VdParams { explode: false, ..VdParams::default() }, &cfg);
+/// let params = VdParams { explode: false, ..VdParams::default() };
+/// let r = run(&field, &initial, VdVariant::Vor, &params, &cfg, None);
 /// assert!(r.coverage > 0.3);
 /// ```
 pub fn run(
-    field: &Field,
-    initial: &[Point],
-    variant: VdVariant,
-    params: &VdParams,
-    cfg: &SimConfig,
-) -> RunResult {
-    run_with_grid(field, initial, variant, params, cfg, None)
-}
-
-/// Runs VOR or Minimax reusing a pre-rasterized coverage grid.
-///
-/// `grid` must have been built for `field` at `cfg.coverage_cell`
-/// (the batch runner caches one per fixed field layout); `None`
-/// rasterizes a fresh grid.
-pub fn run_with_grid(
     field: &Field,
     initial: &[Point],
     variant: VdVariant,
@@ -118,48 +107,36 @@ pub fn run_with_grid(
     let n = initial.len();
     assert!(n > 0, "at least one sensor required");
     let bounds = field.bounds();
-    let cov_grid = grid.map_or_else(
-        || Cow::Owned(CoverageGrid::new(field, cfg.coverage_cell)),
-        Cow::Borrowed,
-    );
-    let mut positions = initial.to_vec();
-    let mut moved = vec![0.0f64; n];
-    // Per-round position updates with nonzero travel (`world.moves`
-    // equivalent for this World-less baseline).
-    let mut move_ops: u64 = 0;
-    let mut timeline = Vec::new();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    let mut world = World::new(field.clone(), cfg.clone(), initial.to_vec(), grid);
 
     // ---- Explosion: minimum-cost dispersion to a uniform layout. ----
+    // Charged to each sensor but not counted as a move.
     if params.explode {
         let _explode = msn_obs::span("vd.explode");
-        let targets = scatter_uniform(field, n, &mut rng);
-        let costs = CostMatrix::euclidean(&positions, &targets);
-        let sol = hungarian(&costs);
+        let targets = scatter_uniform(field, n, world.rng());
+        let sol = hungarian(&CostMatrix::euclidean(world.positions(), &targets));
         for (i, &t) in sol.assignment.iter().enumerate() {
-            moved[i] += positions[i].dist(targets[t]);
-            positions[i] = targets[t];
+            world.add_distance(i, world.pos(i).dist(targets[t]));
+            world.teleport(i, targets[t]);
         }
     }
-    // One covered bitmap reused across all timeline samples
-    // (identical values; saves a bitmap allocation per round).
-    let mut cov_scratch = Vec::new();
-    let mut sample = |positions: &[Point]| {
+    let sample = |world: &World| {
         let _coverage = msn_obs::span("vd.coverage");
-        cov_grid.coverage_into(positions, cfg.rs, &mut cov_scratch)
+        world.coverage()
     };
-    timeline.push((0.0, sample(&positions)));
+    let mut timeline = vec![(0.0, sample(&world))];
 
     // ---- VD rounds on communication-restricted cells. ----
     let mut incorrect_vd = false;
     let cap = cfg.rc * params.step_cap_frac;
     for round in 0..params.rounds {
         let voronoi = msn_obs::span("vd.voronoi");
-        let graph = DiskGraph::build(&positions, cfg.rc);
-        let full = VoronoiDiagram::compute(&positions, bounds);
+        let adj = world.adjacency();
+        let positions = adj.points();
+        let full = VoronoiDiagram::compute(positions, bounds);
         let mut targets: Vec<Option<Point>> = vec![None; n];
         for i in 0..n {
-            let cell = restricted_cell(i, &positions, graph.neighbors(i), bounds);
+            let cell = restricted_cell(i, positions, adj.neighbors_of(i), bounds);
             if !cells_match(&cell, full.cell(i), 1e-3) {
                 incorrect_vd = true;
             }
@@ -188,45 +165,32 @@ pub fn run_with_grid(
         // All sensors move simultaneously; VOR's moves are capped per
         // round, Minimax jumps to its target.
         let motion = msn_obs::span("vd.move");
-        for i in 0..n {
-            if let Some(t) = targets[i] {
-                let step = match variant {
-                    VdVariant::Vor => positions[i].dist(t).min(cap),
-                    VdVariant::Minimax => positions[i].dist(t),
-                };
-                let next = positions[i].step_toward(t, step);
-                // VD baselines assume an obstacle-free field; clamp into
-                // bounds to stay well-defined if misused.
-                let next = bounds.clamp_point(next);
-                let step_dist = positions[i].dist(next);
-                if step_dist > 0.0 {
-                    move_ops += 1;
-                }
-                moved[i] += step_dist;
-                positions[i] = next;
+        for (i, target) in targets.into_iter().enumerate() {
+            let Some(t) = target else {
+                continue;
+            };
+            let p = world.pos(i);
+            let step = match variant {
+                VdVariant::Vor => p.dist(t).min(cap),
+                VdVariant::Minimax => p.dist(t),
+            };
+            // VD baselines assume an obstacle-free field; clamp into
+            // bounds to stay well-defined if misused.
+            let next = bounds.clamp_point(p.step_toward(t, step));
+            // A zero-length step is no move.
+            if p.dist(next) > 0.0 {
+                world.set_pos(i, next);
             }
         }
         drop(motion);
-        timeline.push(((round + 1) as f64, sample(&positions)));
+        timeline.push(((round + 1) as f64, sample(&world)));
     }
 
-    // The final measurement: coverage and the connectivity verdict.
-    let coverage = sample(&positions);
-    let connected = {
-        let _coverage = msn_obs::span("vd.coverage");
-        DiskGraph::build(&positions, cfg.rc).all_connected_to_base(&positions, cfg.base, cfg.rc)
-    };
-    let mut result = RunResult::from_run(
-        variant.name(),
-        coverage,
-        &moved,
-        MessageCounter::new(),
-        connected,
-        timeline,
-        positions,
-    )
-    .with_movement(move_ops, moved.iter().sum());
-    if !connected {
+    let _coverage = msn_obs::span("vd.coverage");
+    let mut result = crate::finish(&mut world, variant.name(), timeline);
+    // The reported travel includes the uncounted explosion.
+    result.move_dist = world.total_moved();
+    if !result.connected {
         result = result.with_flag("Disconn.");
     }
     if incorrect_vd {
@@ -240,6 +204,8 @@ mod tests {
     use super::*;
     use msn_field::{paper_field, scatter_clustered};
     use msn_geom::Rect;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     fn clustered(n: usize, seed: u64) -> Vec<Point> {
         let field = paper_field();
@@ -262,6 +228,7 @@ mod tests {
             VdVariant::Vor,
             &VdParams::default(),
             &cfg(240.0, 60.0),
+            None,
         );
         assert!(r.coverage > 0.6, "coverage {}", r.coverage);
     }
@@ -287,6 +254,7 @@ mod tests {
                 ..VdParams::default()
             },
             &cfg(240.0, 60.0),
+            None,
         );
         assert!(
             !r.flags.iter().any(|f| f == "Incorrect VD"),
@@ -305,6 +273,7 @@ mod tests {
             VdVariant::Vor,
             &VdParams::default(),
             &cfg(48.0, 60.0),
+            None,
         );
         assert!(r.flags.iter().any(|f| f == "Incorrect VD"));
     }
@@ -319,6 +288,7 @@ mod tests {
             VdVariant::Minimax,
             &VdParams::default(),
             &cfg(48.0, 60.0),
+            None,
         );
         assert!(
             r.flags.iter().any(|f| f == "Disconn.") || r.connected,
@@ -339,6 +309,7 @@ mod tests {
             VdVariant::Vor,
             &VdParams::default(),
             &cfg(240.0, 60.0),
+            None,
         );
         let without = run(
             &field,
@@ -349,6 +320,7 @@ mod tests {
                 ..VdParams::default()
             },
             &cfg(240.0, 60.0),
+            None,
         );
         assert!(
             with.avg_move > without.avg_move * 0.8,
@@ -368,6 +340,7 @@ mod tests {
             VdVariant::Vor,
             &VdParams::default(),
             &cfg(180.0, 60.0),
+            None,
         );
         let b = run(
             &field,
@@ -375,6 +348,7 @@ mod tests {
             VdVariant::Minimax,
             &VdParams::default(),
             &cfg(180.0, 60.0),
+            None,
         );
         assert_ne!(a.positions, b.positions, "the two rules move differently");
     }
@@ -392,8 +366,13 @@ mod tests {
                 ..VdParams::default()
             },
             &cfg(120.0, 60.0),
+            None,
         );
         assert_eq!(r.coverage_timeline.len(), 1);
         assert!(r.avg_move > 0.0);
+        // the explosion is charged but not counted as a move
+        assert_eq!(r.moves, 0);
+        assert!(r.move_dist > 0.0);
+        assert_eq!(r.move_dist, r.total_move);
     }
 }

@@ -267,13 +267,13 @@ impl CoverageGrid {
         mask
     }
 
-    /// The row-span count: ORs each disk's row spans into `bits`
-    /// (cleared and resized to the raster) a word at a time and
-    /// returns the popcount of `bits` AND the free-cell bitmap.
-    fn covered_count_into(&self, sensors: &[Point], rs: f64, bits: &mut Vec<u64>) -> usize {
+    /// Number of free cells covered by at least one sensing disk of
+    /// radius `rs` centered at `sensors` — the row-span count: ORs each
+    /// disk's row spans into a covered bitmap a word at a time and
+    /// returns the popcount of covered AND free.
+    pub fn covered_count(&self, sensors: &[Point], rs: f64) -> usize {
         msn_obs::counter("cov.samples", 1);
-        bits.clear();
-        bits.resize(self.free.len(), 0);
+        let mut bits = vec![0u64; self.free.len()];
         let words = self.words;
         for s in sensors {
             self.row_spans(*s, rs, &mut |iy, a, b| {
@@ -296,27 +296,12 @@ impl CoverageGrid {
             .sum()
     }
 
-    /// Number of free cells covered by at least one sensing disk of
-    /// radius `rs` centered at `sensors`.
-    pub fn covered_count(&self, sensors: &[Point], rs: f64) -> usize {
-        self.covered_count_into(sensors, rs, &mut Vec::new())
-    }
-
     /// Fraction of free cells covered by at least one sensing disk of
     /// radius `rs` centered at `sensors`.
     ///
     /// Returns 0 when the field has no free cells.
     pub fn coverage(&self, sensors: &[Point], rs: f64) -> f64 {
-        self.coverage_into(sensors, rs, &mut Vec::new())
-    }
-
-    /// Like [`CoverageGrid::coverage`], but reuses `bits` as the
-    /// covered bitmap (cleared and resized to the raster), so callers
-    /// measuring repeatedly allocate nothing per measurement.
-    ///
-    /// Returns 0 when the field has no free cells.
-    pub fn coverage_into(&self, sensors: &[Point], rs: f64, bits: &mut Vec<u64>) -> f64 {
-        let covered = self.covered_count_into(sensors, rs, bits);
+        let covered = self.covered_count(sensors, rs);
         if self.free_count == 0 {
             return 0.0;
         }
@@ -396,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn mask_count_and_reused_scratch_agree() {
+    fn mask_count_and_row_span_count_agree() {
         let f = Field::with_obstacles(
             200.0,
             200.0,
@@ -411,10 +396,7 @@ mod tests {
         let mask = g.covered_mask(&sensors, 35.0);
         let brute = mask.iter().filter(|&&c| c).count();
         assert_eq!(g.covered_count(&sensors, 35.0), brute);
-        // reusing a dirty, wrongly-sized scratch must not leak state
-        let mut scratch = vec![!0u64; 3];
-        assert_eq!(g.covered_count_into(&sensors, 35.0, &mut scratch), brute);
-        assert_eq!(g.covered_count_into(&[], 35.0, &mut scratch), 0);
+        assert_eq!(g.covered_count(&[], 35.0), 0);
     }
 
     #[test]
@@ -465,17 +447,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn coverage_into_matches_coverage() {
-        let f = Field::open(100.0, 100.0);
-        let g = CoverageGrid::new(&f, 2.0);
-        let sensors = vec![Point::new(30.0, 40.0), Point::new(70.0, 60.0)];
-        let mut scratch = Vec::new();
-        let a = g.coverage(&sensors, 25.0);
-        let b = g.coverage_into(&sensors, 25.0, &mut scratch);
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

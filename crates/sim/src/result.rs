@@ -91,10 +91,10 @@ impl RunResult {
         self
     }
 
-    /// Records the movement-cost aggregates (builder style): schemes
-    /// running on a [`crate::World`] pass
-    /// `world.move_count()` / `world.move_dist()`; synthetic schemes
-    /// count their own position updates.
+    /// Records the movement-cost aggregates (builder style): the
+    /// schemes pass their [`crate::World`]'s `world.move_count()` /
+    /// `world.move_dist()` (VD then adds its uncounted explosion to
+    /// `move_dist`), and the dynamic engine their sums over segments.
     #[must_use]
     pub fn with_movement(mut self, moves: u64, move_dist: f64) -> Self {
         self.moves = moves;

@@ -34,8 +34,9 @@ struct PosChange {
 /// ([`World::coverage`]) is counted from scratch on the raster at each
 /// sample.
 ///
-/// Deployment schemes (in `msn-deploy`) drive a `World` through their
-/// protocol phases; the engine itself is policy-free.
+/// All five deployment schemes (in `msn-deploy`) drive a `World`
+/// through their protocol phases, so every position write of every
+/// scheme goes through one funnel; the engine itself is policy-free.
 ///
 /// # Examples
 ///

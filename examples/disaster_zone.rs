@@ -40,11 +40,11 @@ fn main() {
     for (name, result) in [
         (
             "CPVF",
-            cpvf::run(&field, &initial, &cpvf::CpvfParams::default(), &cfg),
+            cpvf::run(&field, &initial, &cpvf::CpvfParams::default(), &cfg, None),
         ),
         (
             "FLOOR",
-            floor::run(&field, &initial, &floor::FloorParams::default(), &cfg),
+            floor::run(&field, &initial, &floor::FloorParams::default(), &cfg, None),
         ),
     ] {
         println!(

@@ -27,7 +27,7 @@ fn main() {
         .with_duration(300.0)
         .with_coverage_cell(4.0);
 
-    let result = run(&field, &initial, &FloorParams::default(), &cfg);
+    let result = run(&field, &initial, &FloorParams::default(), &cfg, None);
 
     println!("scheme:            {}", result.scheme);
     println!("coverage:          {:.1}%", result.coverage * 100.0);

@@ -32,6 +32,7 @@ fn cpvf_connects_across_rc_rs_ratios() {
             &initial,
             &cpvf::CpvfParams::default(),
             &cfg(rc, rs, 400.0),
+            None,
         );
         assert!(r.connected, "CPVF must end connected at rc={rc} rs={rs}");
     }
@@ -47,6 +48,7 @@ fn floor_connects_across_rc_rs_ratios() {
             &initial,
             &floor::FloorParams::default(),
             &cfg(rc, rs, 400.0),
+            None,
         );
         assert!(r.connected, "FLOOR must end connected at rc={rc} rs={rs}");
     }
@@ -61,6 +63,7 @@ fn cpvf_connects_with_two_obstacles() {
         &initial,
         &cpvf::CpvfParams::default(),
         &cfg(60.0, 40.0, 500.0),
+        None,
     );
     assert!(r.connected);
 }
@@ -78,6 +81,7 @@ fn cpvf_connects_on_random_obstacle_fields() {
             &initial,
             &cpvf::CpvfParams::default(),
             &cfg(60.0, 40.0, 600.0),
+            None,
         );
         assert!(r.connected, "seed {seed} ended disconnected");
     }
@@ -95,6 +99,7 @@ fn sparse_network_still_reaches_base() {
         &initial,
         &cpvf::CpvfParams::default(),
         &cfg(40.0, 30.0, 700.0),
+        None,
     );
     assert!(r.connected, "every sensor must walk into the tree");
 }

@@ -34,7 +34,7 @@ fn invitation_cost_grows_with_ttl() {
             invitation_ttl: Some(ttl),
             ..FloorParams::default()
         };
-        let r = floor::run(&field, &initial, &params, &cfg());
+        let r = floor::run(&field, &initial, &params, &cfg(), None);
         let inv = r.messages.count(MsgKind::Invitation);
         assert!(
             inv >= last,
@@ -49,7 +49,7 @@ fn invitation_cost_grows_with_ttl() {
 fn floor_charges_coverage_queries_symmetrically() {
     let field = Field::open(500.0, 500.0);
     let initial = clustered(&field, 50, 3);
-    let r = floor::run(&field, &initial, &FloorParams::default(), &cfg());
+    let r = floor::run(&field, &initial, &FloorParams::default(), &cfg(), None);
     assert_eq!(
         r.messages.count(MsgKind::CoverageQuery),
         r.messages.count(MsgKind::CoverageReply),
@@ -90,7 +90,7 @@ fn coverage_timeline_is_well_formed() {
 fn cpvf_message_profile() {
     let field = paper_field();
     let initial = clustered(&field, 60, 5);
-    let r = cpvf::run(&field, &initial, &cpvf::CpvfParams::default(), &cfg());
+    let r = cpvf::run(&field, &initial, &cpvf::CpvfParams::default(), &cfg(), None);
     let probes = r.messages.count(MsgKind::MotionProbe);
     assert!(probes > 0, "connected sensors must coordinate moves");
     assert_eq!(

@@ -62,7 +62,14 @@ fn vd_baselines_fail_at_small_rc() {
     let initial = clustered(&field, 120, 7);
     let cfg = SimConfig::paper(48.0, 60.0).with_coverage_cell(10.0); // rc/rs = 0.8
     for variant in [vd::VdVariant::Vor, vd::VdVariant::Minimax] {
-        let r = vd::run(&field, &initial, variant, &vd::VdParams::default(), &cfg);
+        let r = vd::run(
+            &field,
+            &initial,
+            variant,
+            &vd::VdParams::default(),
+            &cfg,
+            None,
+        );
         assert!(
             !r.connected,
             "{variant:?} cannot keep connectivity at rc/rs = 0.8"
@@ -83,7 +90,7 @@ fn opt_upper_bounds_floor() {
     let cfg = SimConfig::paper(60.0, 60.0)
         .with_duration(750.0)
         .with_coverage_cell(5.0);
-    let opt_r = opt::run(&field, &initial, &opt::OptParams::default(), &cfg);
+    let opt_r = opt::run(&field, &initial, &opt::OptParams::default(), &cfg, None);
     let floor_r = run_scheme(SchemeKind::Floor, &field, &initial, &cfg);
     assert!(opt_r.coverage >= floor_r.coverage - 0.02);
     assert!(
