@@ -10,6 +10,7 @@ use msn_field::CorridorParams;
 use msn_scenario::{
     diff_batches, BatchFile, BatchRunner, FieldSpec, RunConfig, ScatterSpec, ScenarioSpec,
 };
+use msn_sim::{DynEvent, EventSchedule};
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -143,5 +144,53 @@ fn baselines_reproduce_the_committed_fixture() {
     assert_eq!(
         fresh, golden,
         "the baselines drifted from tests/fixtures/baselines-batch.json"
+    );
+}
+
+/// The dynamics golden beyond `failure-recovery`: all five schemes
+/// under a failure schedule with two events at one instant, a total
+/// die-off and an event on the empty fleet (two-obstacle field), and
+/// the same schedule's first three events on a corridor, where the
+/// fleet survives to the horizon. The fixture holds the two batches'
+/// `batch.json` texts, two-obstacle field first.
+fn dynamics_batches() -> String {
+    let fail = |time, frac| DynEvent { time, frac };
+    let schedule = |events| EventSchedule {
+        events,
+        recovery_frac: 0.9,
+    };
+    let all = vec![
+        fail(15.0, 0.25),
+        fail(15.0, 0.2),
+        fail(30.0, 0.5),
+        fail(40.0, 1.0),
+        fail(50.0, 0.5),
+    ];
+    let base = ScenarioSpec::new("dynamics")
+        .with_field(FieldSpec::TwoObstacle)
+        .with_sensor_counts(vec![24])
+        .with_radios(vec![(50.0, 35.0)])
+        .with_duration(60.0)
+        .with_coverage_cell(20.0)
+        .with_repetitions(2)
+        .with_seed(5);
+    let corridor = base
+        .clone()
+        .with_name("dynamics-corridor")
+        .with_field(FieldSpec::Corridor(CorridorParams::default()))
+        .with_dynamics(schedule(all[..3].to_vec()));
+    [base.with_dynamics(schedule(all)), corridor]
+        .iter()
+        .map(|spec| BatchRunner::new().run(spec).unwrap().to_json())
+        .collect()
+}
+
+#[test]
+fn dynamics_reproduce_the_committed_fixture() {
+    let golden = std::fs::read_to_string(repo_path("tests/fixtures/dynamics-batch.json")).unwrap();
+    assert_eq!(
+        dynamics_batches(),
+        golden,
+        "the dynamics engine drifted from tests/fixtures/dynamics-batch.json"
     );
 }
