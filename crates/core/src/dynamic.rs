@@ -2,15 +2,14 @@
 //! restart-on-event scheme execution.
 //!
 //! A dynamic run executes a static scheme over segments between
-//! scheduled failures. A persistent *ledger* [`World`] carries the
-//! cross-segment truth — positions, liveness, per-sensor travelled
-//! distance, the coverage raster that measures the dips and the
-//! adjacency that gives the final connectivity verdict — while each
-//! segment hands the alive fleet to the ordinary
-//! [`run_scheme_with`] dispatch and writes its outcome back. This is
-//! the `failure_recovery` example's re-run-over-survivors pattern made
-//! first-class: every scheme gets failure handling without a line of
-//! scheme code changing.
+//! scheduled failures. The engine keeps the cross-segment *ledger*
+//! itself — every slot's position and travelled distance, and which
+//! slots are alive — while each segment hands the alive fleet to the
+//! ordinary [`run_scheme_with`] dispatch and writes its outcome back.
+//! This is the `failure_recovery` example's re-run-over-survivors
+//! pattern made first-class: every scheme gets failure handling
+//! without a line of scheme code changing, and `World` models one
+//! static fleet.
 //!
 //! Determinism: segment 0 runs on the run's ordinary sim seed, so a
 //! schedule whose first event lies past the horizon reproduces the
@@ -25,9 +24,7 @@ use msn_field::{CoverageGrid, Field};
 use msn_geom::Point;
 use msn_metrics::EventMark;
 use msn_net::MessageCounter;
-use msn_sim::{
-    event_stream_seed, DynEvent, EventQueue, EventSchedule, RunResult, SimConfig, World,
-};
+use msn_sim::{event_stream_seed, DynEvent, EventSchedule, RunResult, SimConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -49,8 +46,8 @@ pub struct DynamicOutcome {
 
 /// Runs `kind` under a failure schedule. See the module docs for the
 /// segment/ledger model; parameters mirror [`run_scheme_with`], with
-/// `schedule` (validated against `cfg.duration`) and the per-run
-/// `event_seed` on top.
+/// `schedule` (validated against a positive `cfg.duration`) and the
+/// per-run `event_seed` on top.
 #[allow(clippy::too_many_arguments)]
 pub fn run_scheme_dynamic(
     kind: SchemeKind,
@@ -62,20 +59,26 @@ pub fn run_scheme_dynamic(
     schedule: &EventSchedule,
     event_seed: u64,
 ) -> DynamicOutcome {
-    // One raster for the ledger and every segment.
+    // One raster for the event samples and every segment.
     let grid = grid.map_or_else(
         || Cow::Owned(CoverageGrid::new(field, cfg.coverage_cell)),
         Cow::Borrowed,
     );
+    let coverage = |positions: &[Point], alive: &[usize]| {
+        let fleet: Vec<Point> = alive.iter().map(|&i| positions[i]).collect();
+        grid.coverage(&fleet, cfg.rs)
+    };
 
-    // The ledger world: event pre/post samples count coverage on the
-    // shared raster (parked slots cost nothing), and the final
-    // connectivity check floods its maintained adjacency. A failed
-    // sensor's slot stays parked, so per-slot travelled distance is
-    // the history of one physical sensor.
-    let mut ledger = World::new(field.clone(), cfg.clone(), initial.to_vec(), Some(&*grid));
+    // The ledger. A failed sensor's slot keeps its last position and
+    // distance, so per-slot travelled distance is the history of one
+    // physical sensor.
+    let mut positions = initial.to_vec();
+    let mut moved = vec![0.0; initial.len()];
+    let mut alive: Vec<usize> = (0..initial.len()).collect();
 
-    let mut queue = EventQueue::new(schedule);
+    // Validated schedules are sorted by time: each chunk is the batch
+    // of events sharing one instant, applied in schedule order.
+    let mut batches = schedule.events.chunk_by(|a, b| a.time == b.time);
     let mut time_cur = 0.0;
     let mut seg_index: u64 = 0;
     let mut timeline: Vec<(f64, f64)> = Vec::new();
@@ -83,16 +86,18 @@ pub fn run_scheme_dynamic(
     let mut moves_total: u64 = 0;
     let mut move_dist_total: f64 = 0.0;
     let mut flags: Vec<String> = Vec::new();
+    // The last segment's final coverage and connectivity verdict.
+    let mut settled = (0.0, true);
     // (record, move_dist at event time) — post_move_dist is settled at
     // the end of the run.
     let mut fired: Vec<(EventMark, f64)> = Vec::new();
 
     loop {
-        let t_next = queue.next_time().unwrap_or(cfg.duration).min(cfg.duration);
+        let batch = batches.next();
+        let t_next = batch.map_or(cfg.duration, |b| b[0].time).min(cfg.duration);
         let seg_dur = t_next - time_cur;
-        if seg_dur > 0.0 && ledger.alive_count() > 0 {
-            let alive = ledger.alive_indices();
-            let seg_initial: Vec<Point> = alive.iter().map(|&i| ledger.pos(i)).collect();
+        if seg_dur > 0.0 && !alive.is_empty() {
+            let seg_initial: Vec<Point> = alive.iter().map(|&i| positions[i]).collect();
             // Segment 0 keeps the run's ordinary sim seed (an
             // event-free prefix reproduces the static trajectory);
             // restarted segments draw from the event stream.
@@ -104,8 +109,8 @@ pub fn run_scheme_dynamic(
             let seg_cfg = cfg.clone().with_duration(seg_dur).with_seed(seg_seed);
             let r = run_scheme_with(kind, field, &seg_initial, &seg_cfg, overrides, Some(&*grid));
             for (j, &i) in alive.iter().enumerate() {
-                ledger.teleport(i, r.positions[j]);
-                ledger.add_distance(i, r.per_move[j]);
+                positions[i] = r.positions[j];
+                moved[i] += r.per_move[j];
             }
             moves_total += r.moves;
             move_dist_total += r.move_dist;
@@ -116,42 +121,46 @@ pub fn run_scheme_dynamic(
                 }
             }
             timeline.extend(r.coverage_timeline.iter().map(|&(t, c)| (time_cur + t, c)));
+            settled = (r.coverage, r.connected);
             seg_index += 1;
         }
         time_cur = t_next;
-        if queue.next_time() != Some(t_next) {
+        let Some(batch) = batch.filter(|b| b[0].time == t_next) else {
             break;
-        }
-        let batch = queue.pop_batch();
+        };
         // Pre-event sample, per-event records, post-batch sample: the
         // recovery analysis keys on "last sample at the event instant
         // is the post-event state".
-        timeline.push((time_cur, ledger.coverage()));
+        let mut cov = coverage(&positions, &alive);
+        timeline.push((time_cur, cov));
         for ev in batch {
             let ev_idx = fired.len() as u64;
-            let pre = ledger.coverage();
-            fail(ev, event_stream_seed(event_seed, ev_idx), &mut ledger);
-            let post = ledger.coverage();
+            let pre = cov;
+            fail(ev, event_stream_seed(event_seed, ev_idx), &mut alive);
+            cov = coverage(&positions, &alive);
             fired.push((
                 EventMark {
                     time: ev.time,
                     kind: DynEvent::KIND.to_string(),
                     pre_coverage: pre,
-                    post_coverage: post,
+                    post_coverage: cov,
                     post_move_dist: 0.0,
                 },
                 move_dist_total,
             ));
         }
-        timeline.push((time_cur, ledger.coverage()));
+        timeline.push((time_cur, cov));
     }
 
-    let coverage = ledger.coverage();
-    let conn_mask = ledger.connected_mask_tracked();
-    let alive = ledger.alive_indices();
-    let connected = alive.iter().all(|&i| conn_mask[i]);
-    let moved: Vec<f64> = (0..ledger.n()).map(|i| ledger.moved(i)).collect();
-    let positions: Vec<Point> = alive.iter().map(|&i| ledger.pos(i)).collect();
+    // A segment follows every event batch while anyone is alive, so
+    // the last one ran on exactly the final fleet; an empty fleet
+    // covers nothing and is vacuously connected.
+    let (coverage, connected) = if alive.is_empty() {
+        (0.0, true)
+    } else {
+        settled
+    };
+    let survivors: Vec<Point> = alive.iter().map(|&i| positions[i]).collect();
     let mut result = RunResult::from_run(
         kind.name(),
         coverage,
@@ -159,7 +168,7 @@ pub fn run_scheme_dynamic(
         messages,
         connected,
         timeline,
-        positions,
+        survivors,
     )
     .with_movement(moves_total, move_dist_total);
     for flag in flags {
@@ -179,22 +188,20 @@ pub fn run_scheme_dynamic(
 /// two can never collide however long the schedule grows.
 const SEGMENT_STREAM_BASE: u64 = 1_000_000;
 
-/// Kills `event`'s share of the alive fleet, chosen uniformly from
-/// the `seed` stream.
-fn fail(event: &DynEvent, seed: u64, ledger: &mut World) {
-    let mut pool = ledger.alive_indices();
-    let k = event.fail_count(pool.len());
+/// Kills `event`'s share of the `alive` slots (kept in index order),
+/// chosen uniformly from the `seed` stream.
+fn fail(event: &DynEvent, seed: u64, alive: &mut Vec<usize>) {
+    let k = event.fail_count(alive.len());
     let mut rng = SmallRng::seed_from_u64(seed);
     // partial Fisher–Yates over the alive list in index order: the
     // first k swaps select the victims, independent of pool size
     // beyond k
     for j in 0..k {
-        let pick = j + rng.gen_range(0..pool.len() - j);
-        pool.swap(j, pick);
+        let pick = j + rng.gen_range(0..alive.len() - j);
+        alive.swap(j, pick);
     }
-    for &v in &pool[..k] {
-        ledger.remove_sensor(v);
-    }
+    alive.drain(..k);
+    alive.sort_unstable();
 }
 
 #[cfg(test)]
@@ -280,6 +287,52 @@ mod tests {
             .collect();
         assert!(at_event.len() >= 2, "pre and post samples at the instant");
         assert_eq!(*at_event.last().unwrap(), ev.post_coverage);
+    }
+
+    #[test]
+    fn a_total_die_off_leaves_an_empty_connected_fleet() {
+        let (field, initial, cfg) = open_setup();
+        let schedule = EventSchedule::new(vec![fail_event(20.0, 1.0), fail_event(40.0, 0.5)]);
+        let out = run_scheme_dynamic(
+            SchemeKind::Cpvf,
+            &field,
+            &initial,
+            &cfg,
+            &SchemeOverrides::default(),
+            None,
+            &schedule,
+            77,
+        );
+        assert_eq!(out.result.coverage, 0.0);
+        assert!(
+            out.result.connected,
+            "an empty fleet is vacuously connected"
+        );
+        assert!(out.result.positions.is_empty());
+        assert_eq!(out.result.per_move.len(), initial.len(), "every slot");
+        assert_eq!(out.events.len(), 2);
+        let on_empty = &out.events[1];
+        assert_eq!((on_empty.pre_coverage, on_empty.post_coverage), (0.0, 0.0));
+    }
+
+    #[test]
+    fn events_at_one_instant_chain_their_samples() {
+        let (field, initial, cfg) = open_setup();
+        let schedule = EventSchedule::new(vec![fail_event(30.0, 0.25), fail_event(30.0, 0.5)]);
+        let out = run_scheme_dynamic(
+            SchemeKind::Cpvf,
+            &field,
+            &initial,
+            &cfg,
+            &SchemeOverrides::default(),
+            None,
+            &schedule,
+            5,
+        );
+        assert_eq!(out.events.len(), 2);
+        assert_eq!(out.events[1].pre_coverage, out.events[0].post_coverage);
+        // 12 - 3, then 9 - 4
+        assert_eq!(out.result.positions.len(), 5);
     }
 
     #[test]

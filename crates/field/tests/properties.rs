@@ -36,7 +36,7 @@ proptest! {
         // bitmap count must equal the oracle mask's — for radii from
         // below a cell to hundreds of meters, centers parked on cell
         // boundaries, disks left of, right of and below the raster,
-        // and slots parked at the far-off-field lot.
+        // and sensors far off the field.
         let field = obstacle_field(&rects);
         let grid = CoverageGrid::new(&field, cell);
         let rs = rs_cells * cell;

@@ -37,9 +37,8 @@ fn moves_strategy() -> impl Strategy<Value = Vec<Vec<(usize, f64, f64)>>> {
     )
 }
 
-/// Churn rounds for the dynamic-world tier: each op is
-/// `(kind, sensor, x, y)` where kind 0 moves the sensor on-field,
-/// kind 1 fails it (the `World::remove_sensor` park teleport) and
+/// Churn rounds: each op is `(kind, sensor, x, y)` where kind 0
+/// moves the sensor on-field, kind 1 parks it far off the field and
 /// kind 2 teleports it from wherever it is (parked included) to
 /// `(x, y)`.
 fn churn_strategy() -> impl Strategy<Value = Vec<Vec<(u8, usize, f64, f64)>>> {
@@ -50,9 +49,8 @@ fn churn_strategy() -> impl Strategy<Value = Vec<Vec<(u8, usize, f64, f64)>>> {
 }
 
 /// One batch of interleaving ops `(kind, sensor, x, y)`: kind 0 moves
-/// the sensor to `(x, y)`, kind 1 parks it at the
-/// `World::park_position` lot, kind 2 moves it to `(x, y)` and
-/// straight back.
+/// the sensor to `(x, y)`, kind 1 parks it far off the field, kind 2
+/// moves it to `(x, y)` and straight back.
 type Ops = Vec<(u8, usize, f64, f64)>;
 
 /// Interleaving rounds: two batches of ops around a query.
@@ -419,13 +417,12 @@ proptest! {
         churn in churn_strategy(),
         rc in 10.0..200.0f64,
     ) {
-        // Dynamic runs express sensor death as a teleport to the far
-        // off-field parking lot (the World::remove_sensor change
-        // record), so the buckets, the adjacency and the base
-        // flood over it must stay bit-identical to their batch
-        // oracles across interleaved moves, parkings and teleports
-        // back — and parked sensors must be invisible: disconnected
-        // from the base with an empty adjacency list.
+        // A sensor parked far off the field, out of everyone's radio
+        // range, must leave the buckets, the adjacency and the base
+        // flood over it bit-identical to their batch oracles across
+        // interleaved moves, parkings and teleports back — and be
+        // invisible: disconnected from the base with an empty
+        // adjacency list.
         let base = Point::new(250.0, 250.0);
         let park = |i: usize| Point::new(-1.0e7 - i as f64 * 4.0 * rc.max(1.0), -1.0e7);
         let mut pts = pts;

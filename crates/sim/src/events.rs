@@ -95,46 +95,6 @@ impl EventSchedule {
     }
 }
 
-/// A cursor over a schedule, in time order.
-#[derive(Debug, Clone)]
-pub struct EventQueue<'a> {
-    events: &'a [DynEvent],
-    next: usize,
-}
-
-impl<'a> EventQueue<'a> {
-    /// A queue over a validated (time-sorted) schedule.
-    pub fn new(schedule: &'a EventSchedule) -> Self {
-        EventQueue {
-            events: &schedule.events,
-            next: 0,
-        }
-    }
-
-    /// The instant of the next pending event, if any.
-    pub fn next_time(&self) -> Option<f64> {
-        self.events.get(self.next).map(|e| e.time)
-    }
-
-    /// Pops every event due at exactly the next pending instant
-    /// (several events may share it; they apply in schedule order).
-    pub fn pop_batch(&mut self) -> &'a [DynEvent] {
-        let Some(t) = self.next_time() else {
-            return &[];
-        };
-        let start = self.next;
-        while self.next < self.events.len() && self.events[self.next].time == t {
-            self.next += 1;
-        }
-        &self.events[start..self.next]
-    }
-
-    /// True once every event has been popped.
-    pub fn is_empty(&self) -> bool {
-        self.next >= self.events.len()
-    }
-}
-
 /// SplitMix64 step — the same generator the scenario layer uses for
 /// matrix-coordinate seed derivation.
 fn split_mix_64(state: &mut u64) {
@@ -178,18 +138,6 @@ mod tests {
             "positive frac kills at least one"
         );
         assert_eq!(fail(0.5).fail_count(0), 0);
-    }
-
-    #[test]
-    fn queue_batches_simultaneous_events() {
-        let schedule = EventSchedule::new(vec![fail_at(10.0), fail_at(10.0), fail_at(20.0)]);
-        let mut q = EventQueue::new(&schedule);
-        assert_eq!(q.next_time(), Some(10.0));
-        assert_eq!(q.pop_batch().len(), 2);
-        assert_eq!(q.next_time(), Some(20.0));
-        assert_eq!(q.pop_batch().len(), 1);
-        assert!(q.is_empty());
-        assert!(q.pop_batch().is_empty());
     }
 
     #[test]

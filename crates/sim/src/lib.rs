@@ -25,6 +25,6 @@ mod result;
 mod world;
 
 pub use config::SimConfig;
-pub use events::{event_stream_seed, DynEvent, EventQueue, EventSchedule};
+pub use events::{event_stream_seed, DynEvent, EventSchedule};
 pub use result::{convergence_time, RunResult};
 pub use world::World;

@@ -42,8 +42,9 @@ pub struct RunResult {
     /// Per-sensor travelled distance (m), in slot order — the raw
     /// vector behind [`RunResult::avg_move`]/[`RunResult::max_move`].
     /// The dynamic-run engine stitches restarted segments together by
-    /// adding each segment's per-sensor distances onto its persistent
-    /// ledger, which needs the vector, not just the aggregates.
+    /// adding each segment's per-sensor distances onto its per-slot
+    /// ledger, which needs the vector, not just the aggregates. A
+    /// dynamic run's vector holds every slot, failed ones included.
     pub per_move: Vec<f64>,
 }
 

@@ -34,9 +34,12 @@ struct PosChange {
 /// ([`World::coverage`]) is counted from scratch on the raster at each
 /// sample.
 ///
-/// All five deployment schemes (in `msn-deploy`) drive a `World`
-/// through their protocol phases, so every position write of every
-/// scheme goes through one funnel; the engine itself is policy-free.
+/// A `World` models one static fleet: every sensor it holds is alive
+/// for the whole run (the failure engine in `msn-deploy` reruns a
+/// scheme over the survivors instead). All five deployment schemes
+/// drive a `World` through their protocol phases, so every move of
+/// every scheme goes through one funnel; the engine itself is
+/// policy-free.
 ///
 /// # Examples
 ///
@@ -56,10 +59,6 @@ struct PosChange {
 pub struct World {
     field: Field,
     cfg: SimConfig,
-    /// Liveness mask for dynamic runs: dead sensors stay in the
-    /// arrays (parked far off-field) so slot counts never change, but
-    /// they neither cover, relay, nor move.
-    alive: Vec<bool>,
     moved: Vec<f64>,
     /// Number of charged movements (`set_pos` family, not teleports) —
     /// maintained natively so movement-cost summaries work without
@@ -101,7 +100,6 @@ impl World {
             rng: SmallRng::seed_from_u64(cfg.seed),
             field,
             cfg,
-            alive: vec![true; n],
             moved: vec![0.0; n],
             move_count: 0,
             move_charged: 0.0,
@@ -112,59 +110,10 @@ impl World {
         }
     }
 
-    /// Number of sensors (slots), dead ones included.
+    /// Number of sensors.
     #[inline]
     pub fn n(&self) -> usize {
         self.adj.len()
-    }
-
-    /// The deterministic off-field parking spot for slot `i`. Parked
-    /// sensors cover no cell (the disk clips entirely off-field), link
-    /// to nothing (pairwise spacing exceeds `rc`, and the lot sits
-    /// ~1e7 m from the field and base), and never move — so a dead
-    /// sensor is invisible to coverage and the adjacency without
-    /// changing any slot count.
-    pub fn park_position(&self, i: usize) -> Point {
-        let pitch = 4.0 * self.cfg.rc.max(1.0);
-        Point::new(-1.0e7 - i as f64 * pitch, -1.0e7)
-    }
-
-    /// Whether slot `i` holds a live sensor. Worlds built by
-    /// [`World::new`] are fully alive; only dynamic-run failures
-    /// ([`World::remove_sensor`]) change this.
-    #[inline]
-    pub fn alive(&self, i: usize) -> bool {
-        self.alive[i]
-    }
-
-    /// Number of live sensors.
-    pub fn alive_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
-    /// Indices of live sensors, in slot order.
-    pub fn alive_indices(&self) -> Vec<usize> {
-        (0..self.n()).filter(|&i| self.alive[i]).collect()
-    }
-
-    /// Kills sensor `i`: parks it off-field through the change-record
-    /// funnel (the adjacency sees the departure as an ordinary move)
-    /// and marks the slot dead. Charges no movement — a dead sensor
-    /// does not drive away.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is already dead.
-    pub fn remove_sensor(&mut self, i: usize) {
-        assert!(self.alive[i], "sensor {i} is already dead");
-        self.alive[i] = false;
-        let park = self.park_position(i);
-        self.apply_change(PosChange {
-            i,
-            p: park,
-            charged: 0.0,
-            counted: false,
-        });
     }
 
     /// The sensing field.
@@ -363,12 +312,6 @@ impl World {
         self.base_flood()[i]
     }
 
-    /// Connected-to-base mask from the maintained adjacency — equal to
-    /// [`World::connected_mask`] at every instant.
-    pub fn connected_mask_tracked(&mut self) -> Vec<bool> {
-        self.base_flood().to_vec()
-    }
-
     /// Whether every sensor is connected to the base, from the
     /// maintained adjacency.
     pub fn all_connected_tracked(&mut self) -> bool {
@@ -442,8 +385,7 @@ impl World {
 
     /// Current coverage fraction on the world's raster
     /// ([`CoverageGrid::coverage`] at the current positions and
-    /// `cfg.rs`). Parked sensors cost nothing: their disks miss every
-    /// raster row.
+    /// `cfg.rs`).
     pub fn coverage(&self) -> f64 {
         self.grid.coverage(self.positions(), self.cfg.rs)
     }
@@ -567,8 +509,17 @@ mod tests {
 
     #[test]
     fn tracked_connectivity_equals_flood_oracle() {
+        // per-sensor answers from the cached flood against a fresh
+        // build + flood, after every kind of position change
+        let check = |w: &mut World| {
+            let oracle = w.connected_mask();
+            for (i, &c) in oracle.iter().enumerate() {
+                assert_eq!(w.connected_tracked(i), c, "sensor {i}");
+            }
+            assert_eq!(w.all_connected_tracked(), oracle.iter().all(|&c| c));
+        };
         let mut w = world_with(4);
-        assert_eq!(w.connected_mask_tracked(), w.connected_mask());
+        check(&mut w);
         assert!(w.all_connected_tracked());
         for (i, p) in [
             (3, Point::new(95.0, 95.0)), // out of everyone's range
@@ -576,15 +527,10 @@ mod tests {
             (3, Point::new(30.0, 5.0)), // rejoins via the chain
         ] {
             w.set_pos(i, p);
-            assert_eq!(w.connected_mask_tracked(), w.connected_mask());
+            check(&mut w);
         }
         w.teleport(1, Point::new(90.0, 5.0));
-        assert_eq!(w.connected_mask_tracked(), w.connected_mask());
-        let oracle = w.connected_mask();
-        for (i, &c) in oracle.iter().enumerate() {
-            assert_eq!(w.connected_tracked(i), c);
-        }
-        assert_eq!(w.all_connected_tracked(), oracle.iter().all(|&c| c));
+        check(&mut w);
     }
 
     #[test]
@@ -663,44 +609,6 @@ mod tests {
         assert_eq!(w.move_count(), 2);
         assert_eq!(w.move_dist(), 12.0);
         assert_eq!(w.total_moved(), 13.5, "total_moved still sees add_distance");
-    }
-
-    #[test]
-    fn churn_feeds_every_tracker_oracle_identically() {
-        // removals ride the same change funnel as moves, so the
-        // coverage count, the adjacency, its buckets (and the
-        // connectivity flood over adjacency) must agree with their
-        // batch oracles after every death — parked sensors included.
-        let mut w = world_with(4);
-        let grid = raster(&w);
-        let rc = w.cfg().rc;
-        let check = |w: &mut World| {
-            assert_eq!(w.coverage(), mask_coverage(w, &grid));
-            let alive: Vec<Point> = w.alive_indices().iter().map(|&i| w.pos(i)).collect();
-            assert_eq!(w.coverage(), grid.coverage(&alive, w.cfg().rs));
-            assert_eq!(w.connected_mask_tracked(), w.connected_mask());
-            let pts = w.positions().to_vec();
-            let g = DiskGraph::build(&pts, rc);
-            let spatial = msn_net::SpatialGrid::build(&pts, rc.max(1.0));
-            for q in 0..w.n() {
-                assert_eq!(w.adjacency().neighbors_of(q), g.neighbors(q), "adj {q}");
-                assert_eq!(w.neighbors_tracked(q, rc), spatial.neighbors(&pts, q, rc));
-            }
-        };
-        w.remove_sensor(1);
-        assert!(!w.alive(1));
-        assert_eq!(w.alive_count(), 3);
-        check(&mut w);
-        w.remove_sensor(3);
-        assert_eq!(w.alive_indices(), vec![0, 2]);
-        check(&mut w);
-        // a dead sensor covers nothing and links to nothing
-        assert!(!w.connected_mask()[1]);
-        // parked sensors are pairwise out of radio range
-        assert!(w.pos(1).dist(w.pos(3)) > rc);
-        // churn charges no movement
-        assert_eq!(w.move_count(), 0);
-        assert_eq!(w.total_moved(), 0.0);
     }
 
     #[test]

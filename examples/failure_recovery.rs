@@ -28,8 +28,8 @@ fn main() {
         .with_coverage_cell(4.0);
 
     // 25% of the fleet dies at t=400, after the deployment converges;
-    // the engine parks the victims and restarts FLOOR over the
-    // survivors from a seeded event stream.
+    // the engine drops the victims from its ledger and restarts FLOOR
+    // over the survivors from a seeded event stream.
     let schedule = EventSchedule::new(vec![DynEvent {
         time: 400.0,
         frac: 0.25,
