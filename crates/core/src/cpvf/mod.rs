@@ -26,10 +26,10 @@ mod osc;
 pub use force::{virtual_force, ForceParams};
 pub use osc::OscillationAvoidance;
 
-use crate::lazy::{absorb, flood_attach, Route, Timeline, Walkers};
+use crate::lazy::{absorb, flood_attach, Timeline, Walkers};
 use msn_field::Field;
 use msn_geom::{Point, Segment, Vec2};
-use msn_nav::{Hand, NavContext, Navigator};
+use msn_nav::{Hand, MultiLegPlan, NavContext};
 use msn_net::{within_range, MsgKind, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
 
@@ -99,8 +99,9 @@ pub fn run(
     let nav_ctx = std::sync::Arc::new(NavContext::new(field));
     let mut walkers = Walkers::new(n);
     for i in (0..n).filter(|&i| !tree.in_tree(i)) {
-        let nav = Navigator::with_context(nav_ctx.clone(), initial[i], cfg.base, Hand::Right);
-        walkers.start(i, Route::Single(nav), &mut world);
+        let route =
+            MultiLegPlan::with_context(nav_ctx.clone(), initial[i], vec![cfg.base], Hand::Right);
+        walkers.start(i, route, &mut world);
     }
     let mut motions: Vec<Motion> = initial.iter().map(|&p| Motion::still(p)).collect();
     // Position at the *previous* plan tick, for two-step oscillation
@@ -203,7 +204,8 @@ pub fn run(
     }
 
     let _finish = msn_obs::span("cpvf.finish");
-    crate::finish(&mut world, "CPVF", timeline.samples)
+    let coverage = world.coverage();
+    crate::finish(&mut world, "CPVF", coverage, timeline.samples)
 }
 
 /// One §4.2 planning step: force direction, validated step size,
@@ -252,7 +254,7 @@ fn plan_virtual_force(
 
     if filtered > 1e-9 {
         motions[i] = Motion {
-            vel: dir * (filtered / world.cfg().period),
+            vel: dir * (filtered / SimConfig::PERIOD),
             planned_end: pos + dir * filtered,
         };
         return;
@@ -289,7 +291,7 @@ fn max_valid_step(
         if !world.field().segment_free(&Segment::new(pos, end)) {
             continue;
         }
-        let my_vel = dir * (step / cfg.period);
+        let my_vel = dir * (step / SimConfig::PERIOD);
         let mut links = std::iter::once(parent).chain(children.iter().map(|&c| Parent::Node(c)));
         let ok = links.all(|link| {
             // The partner may follow its announced plan — or stop at any
@@ -306,7 +308,7 @@ fn max_valid_step(
                     ([here + motions[j].vel * (tp - now), here], tp)
                 }
             };
-            let me_at_tp = pos + my_vel * (t_prime - now).max(0.0).min(cfg.period);
+            let me_at_tp = pos + my_vel * (t_prime - now).clamp(0.0, SimConfig::PERIOD);
             other_candidates.iter().all(|other_at_tp| {
                 // Condition 1: within rc at the neighbor's period end.
                 within_range(me_at_tp, *other_at_tp, cfg.rc)

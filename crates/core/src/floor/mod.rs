@@ -32,7 +32,7 @@ pub use expand::{
 pub use lines::FloorLines;
 pub use registry::{FloorRegistry, VirtualToken};
 
-use crate::lazy::{absorb, flood_attach, Route, Timeline, Walkers};
+use crate::lazy::{absorb, flood_attach, Timeline, Walkers};
 use msn_field::Field;
 use msn_geom::Point;
 use msn_nav::{Hand, MultiLegPlan, NavContext, Navigator};
@@ -281,24 +281,20 @@ impl<'a> FloorSim<'a> {
         }
 
         let _finish = msn_obs::span("floor.finish");
-        crate::finish(&mut self.world, "FLOOR", timeline.samples)
+        let coverage = self.world.coverage();
+        crate::finish(&mut self.world, "FLOOR", coverage, timeline.samples)
     }
 
     /// Algorithm 1's route from a starting position: BUG2 legs through
     /// `(x, FloorLine(y))` and `(0, FloorLine(y))` to the base.
-    fn algorithm1_route(&self, pos: Point) -> Route {
+    fn algorithm1_route(&self, pos: Point) -> MultiLegPlan {
         let fl = self.registry.lines().nearest_line_y(pos.y);
         let legs = vec![
             Point::new(pos.x, fl),
             Point::new(self.field.bounds().min.x, fl),
             self.cfg.base,
         ];
-        Route::Multi(MultiLegPlan::with_context(
-            self.nav_ctx.clone(),
-            pos,
-            legs,
-            Hand::Right,
-        ))
+        MultiLegPlan::with_context(self.nav_ctx.clone(), pos, legs, Hand::Right)
     }
 
     /// §4.1-style flood at t = 0 over links of at most the stop
@@ -343,7 +339,7 @@ impl<'a> FloorSim<'a> {
     }
 
     fn integrate_motion(&mut self) {
-        let step = self.cfg.speed * self.cfg.dt();
+        let step = SimConfig::SPEED * self.cfg.dt();
         for i in 0..self.world.n() {
             match self.state[i] {
                 FState::Walking => self.walkers.step(i, &mut self.world),

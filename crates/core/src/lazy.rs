@@ -5,9 +5,10 @@
 //! [`Walkers`]: after a random back-off each walks a BUG2 route toward
 //! the base under the lazy movement strategy of §3.3, and freezes as
 //! soon as it comes within a stop distance of the tree ([`absorb`]).
-//! The schemes differ only in the route (CPVF: one leg straight to the
-//! base; FLOOR: Algorithm 1's floor-line waypoints), the stop distance
-//! and what a newly attached sensor does next.
+//! The schemes differ only in the route, a BUG2 [`MultiLegPlan`] (CPVF:
+//! one leg straight to the base; FLOOR: Algorithm 1's floor-line
+//! waypoints), the stop distance and what a newly attached sensor does
+//! next.
 //!
 //! With multi-hop communication, a disconnected sensor walking toward
 //! the base station may stop as soon as a neighbor *ahead of it* (its
@@ -20,9 +21,9 @@
 //! Both schemes also share the coverage [`Timeline`].
 
 use msn_geom::Point;
-use msn_nav::{MultiLegPlan, Navigator};
+use msn_nav::MultiLegPlan;
 use msn_net::{MsgKind, Neighbors, Parent, Tree};
-use msn_sim::World;
+use msn_sim::{SimConfig, World};
 use rand::Rng;
 
 /// Upper bound of the random start delay for disconnected sensors
@@ -31,48 +32,6 @@ const BACKOFF_MAX: f64 = 10.0;
 
 /// Coverage-timeline sampling interval (s).
 const SNAPSHOT_EVERY: f64 = 25.0;
-
-/// A BUG2 route: CPVF uses a single leg straight to the base; FLOOR
-/// routes through Algorithm 1's intermediate destinations.
-#[derive(Debug)]
-pub(crate) enum Route {
-    /// One BUG2 leg.
-    Single(Navigator),
-    /// FLOOR's multi-leg plan.
-    Multi(MultiLegPlan),
-}
-
-impl Route {
-    fn advance(&mut self, dist: f64) -> Point {
-        match self {
-            Route::Single(nav) => nav.advance(dist),
-            Route::Multi(plan) => plan.advance(dist),
-        }
-    }
-
-    /// The destination currently steered toward (the current leg's
-    /// target) — what "ahead of me" is measured against.
-    fn current_target(&self) -> Point {
-        match self {
-            Route::Single(nav) => nav.target(),
-            Route::Multi(plan) => plan.current_target(),
-        }
-    }
-
-    fn is_stuck(&self) -> bool {
-        match self {
-            Route::Single(nav) => nav.is_stuck(),
-            Route::Multi(plan) => plan.is_stuck(),
-        }
-    }
-
-    fn traveled(&self) -> f64 {
-        match self {
-            Route::Single(nav) => nav.traveled(),
-            Route::Multi(plan) => plan.traveled(),
-        }
-    }
-}
 
 /// Outcome of one connectivity-phase planning step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,7 +47,7 @@ enum ConnectOutcome {
 /// Per-sensor lazy-movement state for a disconnected, walking sensor.
 #[derive(Debug)]
 struct LazyMover {
-    route: Route,
+    route: MultiLegPlan,
     path_parent: Option<usize>,
     idle_periods: u32,
     blacklist: Vec<usize>,
@@ -100,7 +59,7 @@ struct LazyMover {
 const INQUIRY_AFTER_IDLE: u32 = 3;
 
 impl LazyMover {
-    fn new(route: Route, backoff_until: f64) -> Self {
+    fn new(route: MultiLegPlan, backoff_until: f64) -> Self {
         LazyMover {
             route,
             path_parent: None,
@@ -164,13 +123,13 @@ impl Walkers {
 
     /// Sends sensor `i` along `route` after §4.1's random back-off,
     /// drawn from the world's RNG.
-    pub(crate) fn start(&mut self, i: usize, route: Route, world: &mut World) {
+    pub(crate) fn start(&mut self, i: usize, route: MultiLegPlan, world: &mut World) {
         let backoff = world.rng().gen_range(0.0..BACKOFF_MAX);
         self.movers[i] = Some(LazyMover::new(route, backoff));
     }
 
     /// Sends sensor `i` along `route` at once, moving this period.
-    pub(crate) fn restart(&mut self, i: usize, route: Route, now: f64) {
+    pub(crate) fn restart(&mut self, i: usize, route: MultiLegPlan, now: f64) {
         self.movers[i] = Some(LazyMover::new(route, now));
         self.active[i] = true;
     }
@@ -191,7 +150,7 @@ impl Walkers {
         }
         if let Some(m) = self.movers[i].as_mut() {
             let before = m.route.traveled();
-            let p = m.route.advance(world.cfg().speed * world.cfg().dt());
+            let p = m.route.advance(SimConfig::SPEED * world.cfg().dt());
             let walked = m.route.traveled() - before;
             world.set_pos_with_distance(i, p, walked);
         }
@@ -384,7 +343,7 @@ mod tests {
 
     fn mover_to_origin(field: &Field, from: Point) -> LazyMover {
         LazyMover::new(
-            Route::Single(Navigator::new(field, from, Point::ORIGIN, Hand::Right)),
+            MultiLegPlan::new(field, from, vec![Point::ORIGIN], Hand::Right),
             0.0,
         )
     }
@@ -548,23 +507,23 @@ mod tests {
             100.0,
             vec![Rect::new(40.0, 40.0, 60.0, 60.0).to_polygon()],
         );
-        let mut nav = Navigator::new(
+        let mut route = MultiLegPlan::new(
             &field,
             Point::new(10.0, 50.0),
-            Point::new(50.0, 50.0),
+            vec![Point::new(50.0, 50.0)],
             Hand::Right,
         );
         for _ in 0..2000 {
-            if nav.is_stuck() {
+            if route.is_stuck() {
                 break;
             }
-            nav.advance(5.0);
+            route.advance(5.0);
         }
-        assert!(nav.is_stuck());
+        assert!(route.is_stuck());
         let cfg = SimConfig::paper(30.0, 20.0).with_duration(10.0);
-        let mut world = World::new(field, cfg, vec![nav.pos()], None);
+        let mut world = World::new(field, cfg, vec![route.pos()], None);
         let mut walkers = Walkers::new(1);
-        walkers.restart(0, Route::Single(nav), 0.0);
+        walkers.restart(0, route, 0.0);
         assert!(walkers.active[0]);
         walkers.plan(0, &mut world);
         assert!(!walkers.active[0], "a stuck walker is inactive");

@@ -166,11 +166,11 @@ pub fn run_scheme_with(
     }
 }
 
-/// A run's result, all from `world`: final coverage, per-sensor and
-/// aggregate movement, messages, final positions and whether every
-/// sensor ended connected to the base, with the coverage `timeline`.
-fn finish(world: &mut World, scheme: &str, timeline: Vec<(f64, f64)>) -> RunResult {
-    let coverage = world.coverage();
+/// A run's result from `world` — per-sensor and aggregate movement,
+/// messages, final positions and whether every sensor ended connected
+/// to the base — with the final `coverage` (the caller's last sample
+/// of `world.coverage()`) and the coverage `timeline`.
+fn finish(world: &mut World, scheme: &str, coverage: f64, timeline: Vec<(f64, f64)>) -> RunResult {
     let connected = world.all_connected_tracked();
     let moved: Vec<f64> = (0..world.n()).map(|i| world.moved(i)).collect();
     RunResult::from_run(

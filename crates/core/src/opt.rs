@@ -159,8 +159,8 @@ pub fn run(
     }
     // The final measurement: coverage and the connectivity verdict.
     let _coverage = msn_obs::span("opt.coverage");
-    let timeline = vec![(0.0, world.coverage())];
-    crate::finish(&mut world, "OPT", timeline)
+    let coverage = world.coverage();
+    crate::finish(&mut world, "OPT", coverage, vec![(0.0, coverage)])
 }
 
 #[cfg(test)]

@@ -186,8 +186,10 @@ pub fn run(
         timeline.push(((round + 1) as f64, sample(&world)));
     }
 
+    // The last round's sample is the final coverage.
+    let coverage = timeline.last().expect("the t = 0 sample").1;
     let _coverage = msn_obs::span("vd.coverage");
-    let mut result = crate::finish(&mut world, variant.name(), timeline);
+    let mut result = crate::finish(&mut world, variant.name(), coverage, timeline);
     // The reported travel includes the uncounted explosion.
     result.move_dist = world.total_moved();
     if !result.connected {

@@ -22,14 +22,8 @@ pub struct SimConfig {
     pub rc: f64,
     /// Sensing range `rs` (m).
     pub rs: f64,
-    /// Maximum moving speed `V` (m/s); paper: 2 m/s.
-    pub speed: f64,
-    /// Period length `T` (s) between movement decisions; paper: 1 s.
-    pub period: f64,
     /// Total simulated time (s); paper: 750 s.
     pub duration: f64,
-    /// Micro-ticks per period for motion integration and phase offsets.
-    pub ticks_per_period: u32,
     /// RNG seed; every run is deterministic given the seed.
     pub seed: u64,
     /// Raster cell (m) for coverage measurement.
@@ -39,9 +33,18 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's evaluation defaults for given ranges: V = 2 m/s,
-    /// T = 1 s, 750 s duration, 5 ticks per period, 2.5 m coverage
-    /// raster, base at the origin, seed 42.
+    /// Maximum moving speed `V` (m/s), the paper's 2 m/s.
+    pub const SPEED: f64 = 2.0;
+    /// Period length `T` (s) between movement decisions, the paper's
+    /// 1 s.
+    pub const PERIOD: f64 = 1.0;
+    /// Micro-ticks per period for motion integration and phase
+    /// offsets.
+    pub const TICKS_PER_PERIOD: u32 = 5;
+
+    /// The paper's evaluation defaults for given ranges: 750 s
+    /// duration, 2.5 m coverage raster, base at the origin, seed 42
+    /// (V, T and the tick count are the constants above).
     ///
     /// # Panics
     ///
@@ -51,10 +54,7 @@ impl SimConfig {
         SimConfig {
             rc,
             rs,
-            speed: 2.0,
-            period: 1.0,
             duration: 750.0,
-            ticks_per_period: 5,
             seed: 42,
             coverage_cell: 2.5,
             base: Point::ORIGIN,
@@ -92,13 +92,13 @@ impl SimConfig {
     /// Maximum distance a sensor can cover in one period (`V·T`).
     #[inline]
     pub fn max_step(&self) -> f64 {
-        self.speed * self.period
+        Self::SPEED * Self::PERIOD
     }
 
     /// Micro-tick length (s).
     #[inline]
     pub fn dt(&self) -> f64 {
-        self.period / self.ticks_per_period as f64
+        Self::PERIOD / Self::TICKS_PER_PERIOD as f64
     }
 
     /// Total number of micro-ticks in the run.
@@ -112,7 +112,12 @@ impl fmt::Display for SimConfig {
         write!(
             f,
             "sim(rc={} rs={} V={} T={} dur={}s seed={})",
-            self.rc, self.rs, self.speed, self.period, self.duration, self.seed
+            self.rc,
+            self.rs,
+            Self::SPEED,
+            Self::PERIOD,
+            self.duration,
+            self.seed
         )
     }
 }
@@ -124,8 +129,6 @@ mod tests {
     #[test]
     fn paper_defaults() {
         let cfg = SimConfig::paper(60.0, 40.0);
-        assert_eq!(cfg.speed, 2.0);
-        assert_eq!(cfg.period, 1.0);
         assert_eq!(cfg.duration, 750.0);
         assert_eq!(cfg.max_step(), 2.0);
         assert_eq!(cfg.total_ticks(), 3750);

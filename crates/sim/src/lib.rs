@@ -5,7 +5,7 @@
 //! lines (or along BUG2 boundary-following paths) at speed ≤ `V`
 //! within the period; the network is asynchronous, so each sensor's
 //! planning instant carries a fixed phase offset. The engine integrates
-//! motion in `ticks_per_period` micro-ticks and offers the state every
+//! motion in [`SimConfig::TICKS_PER_PERIOD`] micro-ticks and offers the state every
 //! protocol needs: positions with distance accounting, a coverage
 //! raster, maintained adjacency and proximity trackers, a seeded RNG
 //! and a message counter.

@@ -148,10 +148,10 @@ impl World {
 
     /// Returns `true` if sensor `i` plans a new step at the current
     /// tick. Planning instants are phase-offset per sensor
-    /// (`i mod ticks_per_period`), modeling the asynchronous network
+    /// (`i mod SimConfig::TICKS_PER_PERIOD`), modeling the asynchronous network
     /// of §4.2.
     pub fn is_plan_tick(&self, i: usize) -> bool {
-        let tpp = self.cfg.ticks_per_period as u64;
+        let tpp = SimConfig::TICKS_PER_PERIOD as u64;
         self.tick % tpp == (i as u64) % tpp
     }
 
@@ -159,7 +159,7 @@ impl World {
     /// next planning instant) — the `t′` of the connectivity-preserving
     /// conditions.
     pub fn period_end(&self, i: usize) -> f64 {
-        let tpp = self.cfg.ticks_per_period as u64;
+        let tpp = SimConfig::TICKS_PER_PERIOD as u64;
         let phase = (i as u64) % tpp;
         let current = self.tick;
         let next = if current % tpp < phase {
