@@ -64,7 +64,7 @@ pub fn run_scheme_dynamic(
         || Cow::Owned(CoverageGrid::new(field, cfg.coverage_cell)),
         Cow::Borrowed,
     );
-    let coverage = |positions: &[Point], alive: &[usize]| {
+    let fleet_coverage = |positions: &[Point], alive: &[usize]| {
         let fleet: Vec<Point> = alive.iter().map(|&i| positions[i]).collect();
         grid.coverage(&fleet, cfg.rs)
     };
@@ -131,13 +131,13 @@ pub fn run_scheme_dynamic(
         // Pre-event sample, per-event records, post-batch sample: the
         // recovery analysis keys on "last sample at the event instant
         // is the post-event state".
-        let mut cov = coverage(&positions, &alive);
+        let mut cov = fleet_coverage(&positions, &alive);
         timeline.push((time_cur, cov));
         for ev in batch {
             let ev_idx = fired.len() as u64;
             let pre = cov;
             fail(ev, event_stream_seed(event_seed, ev_idx), &mut alive);
-            cov = coverage(&positions, &alive);
+            cov = fleet_coverage(&positions, &alive);
             fired.push((
                 EventMark {
                     time: ev.time,
