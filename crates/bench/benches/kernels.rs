@@ -368,6 +368,29 @@ fn bench_adjacency(c: &mut Criterion) {
             black_box(tracker.neighbors(i).len())
         })
     });
+    // The list-repair path under FLOOR's typical dirty count (~56 per
+    // sync): a quarter of a 240-sensor cluster (mean degree ~15, below
+    // the rebuild rule's summed-degree bar) steps a few metres away
+    // from or back home, then the lists sync.
+    let home = fleet(240, 400.0);
+    let mut tracker = AdjacencyTracker::new(&home, rc);
+    let mut step = 0usize;
+    c.bench_function("adjacency_repair_quarter_240_rc60", |b| {
+        b.iter(|| {
+            step += 1;
+            let away = (step / 4) % 2 == 1;
+            for i in (step % 4..240).step_by(4) {
+                let shift = if away {
+                    Point::new(3.0, -2.0)
+                } else {
+                    Point::ORIGIN
+                };
+                tracker.set_sensor(i, home[i] + shift);
+            }
+            tracker.sync();
+            black_box(tracker.neighbors(step % 240).len())
+        })
+    });
 }
 
 fn bench_point_index(c: &mut Criterion) {

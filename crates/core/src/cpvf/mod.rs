@@ -108,6 +108,8 @@ pub fn run(
     // avoidance (the end of the step before the one just finished).
     let mut prev_plan_pos: Vec<Option<Point>> = vec![None; n];
     let mut timeline = Timeline::start(&world);
+    // One neighbor-query buffer for every planning step of the run.
+    let mut nbrs: Vec<usize> = Vec::new();
     drop(setup);
 
     for _ in 0..cfg.total_ticks() {
@@ -127,6 +129,7 @@ pub fn run(
                     &mut motions,
                     &mut prev_plan_pos,
                     max_step,
+                    &mut nbrs,
                 )
             } else {
                 walkers.plan(i, &mut world);
@@ -210,6 +213,7 @@ pub fn run(
 
 /// One §4.2 planning step: force direction, validated step size,
 /// oscillation filter, and (if pinned) a parent-change attempt.
+/// `nbrs` is query scratch, overwritten.
 #[allow(clippy::too_many_arguments)]
 fn plan_virtual_force(
     i: usize,
@@ -220,13 +224,15 @@ fn plan_virtual_force(
     motions: &mut [Motion],
     prev_plan_pos: &mut [Option<Point>],
     max_step: f64,
+    nbrs: &mut Vec<usize>,
 ) {
     let pos = world.pos(i);
     // Tracked query at the index's own rc cell: same order the
     // per-tick grid produced, so the force summation below sees its
     // neighbors in the identical sequence (f64 addition is not
     // associative — order is part of the output).
-    let nbrs = world.neighbors_tracked(i, force_params.neighbor_threshold.min(world.cfg().rc));
+    let reach = force_params.neighbor_threshold.min(world.cfg().rc);
+    world.neighbors_tracked_into(i, reach, nbrs);
     let f = virtual_force(
         pos,
         nbrs.iter().map(|&j| world.pos(j)),
@@ -263,7 +269,7 @@ fn plan_virtual_force(
     // Pinned by the current parent and genuinely pushed: try to switch
     // parents (allowed only when the sensor cannot move, §4.2).
     if chosen <= 1e-9 {
-        try_parent_change(i, pos, dir, tree, world, motions, max_step);
+        try_parent_change(i, pos, dir, tree, world, motions, max_step, nbrs);
     }
 }
 
@@ -326,6 +332,8 @@ fn max_valid_step(
 
 /// Attempts to adopt a new parent that would let the sensor move in
 /// its force direction, paying the `LockTree`/`UnLockTree` cost.
+/// `nbrs` is query scratch, overwritten.
+#[allow(clippy::too_many_arguments)]
 fn try_parent_change(
     i: usize,
     pos: Point,
@@ -334,6 +342,7 @@ fn try_parent_change(
     world: &mut World,
     motions: &mut [Motion],
     max_step: f64,
+    nbrs: &mut Vec<usize>,
 ) {
     let cfg_rc = world.cfg().rc;
     let current = match tree.parent(i) {
@@ -346,7 +355,8 @@ fn try_parent_change(
     // plans).
     let reach = cfg_rc - world.cfg().max_step();
     let mut best: Option<(usize, f64)> = None;
-    for j in world.neighbors_tracked(i, reach) {
+    world.neighbors_tracked_into(i, reach, nbrs);
+    for &j in nbrs.iter() {
         if Some(j) == current || !tree.in_tree(j) || tree.would_create_loop(i, j) {
             continue;
         }

@@ -482,7 +482,7 @@ impl<'a> FloorSim<'a> {
         let rs = world.cfg().rs;
         // 2·rs can exceed the index's rc cell — the query stays exact,
         // it just scans a wider cell window; and the `any` fold below
-        // is order-insensitive, so no grid-order emulation is needed.
+        // is order-insensitive.
         let neighbors: Vec<Point> = world
             .neighbors_tracked(i, 2.0 * rs)
             .into_iter()

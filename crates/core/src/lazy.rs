@@ -110,6 +110,8 @@ pub(crate) fn flood_attach(
 pub(crate) struct Walkers {
     movers: Vec<Option<LazyMover>>,
     active: Vec<bool>,
+    /// Reused [`absorb`] neighbor-query buffer.
+    nbrs: Vec<usize>,
 }
 
 impl Walkers {
@@ -118,6 +120,7 @@ impl Walkers {
         Walkers {
             movers: (0..n).map(|_| None).collect(),
             active: vec![false; n],
+            nbrs: Vec::new(),
         }
     }
 
@@ -161,10 +164,12 @@ impl Walkers {
 /// base, chaining until a fixed point (a walker attached this round
 /// can anchor another in the next).
 ///
-/// Each walker attaches to the nearest tree member in range, first
-/// minimum in grid scan order, or to the base. Every attach charges
-/// one `ConnectFlood` (the newcomer announces itself, §4.1), then runs
-/// `on_attach` in attach order.
+/// Each walker attaches to the nearest tree member in range or to the
+/// base. Distance ties go to the member first in
+/// `(⌊x/s⌋, ⌊y/s⌋, index)` order at `s = stop_dist.max(1.0)`, the scan
+/// order of the stop-distance grid the search was first written
+/// against. Every attach charges one `ConnectFlood` (the newcomer
+/// announces itself, §4.1), then runs `on_attach` in attach order.
 pub(crate) fn absorb(
     world: &mut World,
     tree: &mut Tree,
@@ -173,29 +178,32 @@ pub(crate) fn absorb(
     mut on_attach: impl FnMut(usize, &mut World, &mut Tree),
 ) {
     let base = world.cfg().base;
+    let s = stop_dist.max(1.0);
+    let order = |p: Point, j: usize| ((p.x / s).floor() as i64, (p.y / s).floor() as i64, j);
+    let mut nbrs = std::mem::take(&mut walkers.nbrs);
     loop {
         let mut newly: Vec<(usize, Parent)> = Vec::new();
         for i in 0..world.n() {
             if walkers.movers[i].is_none() {
                 continue;
             }
-            if world.pos(i).dist(base) <= stop_dist {
+            let pi = world.pos(i);
+            if pi.dist(base) <= stop_dist {
                 newly.push((i, Parent::Base));
                 continue;
             }
-            let mut best: Option<(usize, f64)> = None;
-            // Grid-ordered query: the historical per-round grid used a
-            // stop-distance cell, and the first-minimum fold below
-            // tie-breaks on scan order.
-            for j in world.neighbors_tracked_grid_order(i, stop_dist, stop_dist.max(1.0)) {
+            world.neighbors_tracked_into(i, stop_dist, &mut nbrs);
+            let mut best: Option<(f64, (i64, i64, usize))> = None;
+            for &j in &nbrs {
                 if tree.in_tree(j) {
-                    let d = world.pos(i).dist(world.pos(j));
-                    if best.is_none_or(|(_, bd)| d < bd) {
-                        best = Some((j, d));
+                    let pj = world.pos(j);
+                    let cand = (pi.dist(pj), order(pj, j));
+                    if best.is_none_or(|b| cand < b) {
+                        best = Some(cand);
                     }
                 }
             }
-            if let Some((j, _)) = best {
+            if let Some((_, (_, _, j))) = best {
                 newly.push((i, Parent::Node(j)));
             }
         }
@@ -209,6 +217,7 @@ pub(crate) fn absorb(
             on_attach(i, world, tree);
         }
     }
+    walkers.nbrs = nbrs;
 }
 
 /// One lazy-movement planning step for sensor `i` (§3.3).
@@ -479,6 +488,31 @@ mod tests {
         }
         assert_eq!(world.msgs_ref().count(MsgKind::ConnectFlood), 3);
         assert_eq!(world.msgs_ref().total(), 3, "one ConnectFlood per attach");
+    }
+
+    #[test]
+    fn absorb_breaks_distance_ties_in_stop_distance_cell_order() {
+        // Walker 0 sits exactly 10 m from two tree members, one in
+        // stop-distance (18 m) cell x = 5 and one in cell x = 6. Both
+        // share one rc (30 m) cell, where index order would decide.
+        for (a, b, winner) in [(110.0, 90.0, 2), (90.0, 110.0, 1)] {
+            let positions = vec![
+                Point::new(100.0, 100.0),
+                Point::new(a, 100.0),
+                Point::new(b, 100.0),
+            ];
+            let mut world = world_at(&positions);
+            let mut tree = Tree::new(3);
+            tree.attach(1, Parent::Base);
+            tree.attach(2, Parent::Base);
+            let mut walkers = walkers_outside(&world, &tree);
+            absorb(&mut world, &mut tree, &mut walkers, 18.0, |_, _, _| {});
+            assert_eq!(
+                tree.parent(0),
+                Parent::Node(winner),
+                "members at x = {a}, {b}"
+            );
+        }
     }
 
     #[test]

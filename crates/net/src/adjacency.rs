@@ -11,36 +11,43 @@
 //!   consumers observe it: FLOOR's TTL random walks draw neighbor
 //!   picks from these lists, so list order and length are part of the
 //!   RNG stream. Property-tested in `tests/properties.rs`.
+//! * **Dense cells** — the buckets are a flat array over the cells of
+//!   a fixed window (the field, for a simulated fleet), so a range
+//!   query indexes its cells instead of hashing them. Points outside
+//!   the window fall back to a hash map; both scan in the same order.
 //! * **Lazy dirty sets** — [`AdjacencyTracker::set_sensor`] is
 //!   `O(1)`: it writes the one position array and marks the sensor
 //!   dirty for two levels, the buckets and the lists, each reconciled
 //!   only when a query of that level next needs it. A set to the
 //!   current position marks nothing.
 //! * **Rebuild-if-cheaper** — when at least half the fleet moved since
-//!   a level last synced, that level is rebuilt from scratch instead
-//!   of repaired move by move. A cell's final bucket content
-//!   (ascending indices) and a list's content (grid scan order) do not
-//!   depend on the path taken, so both paths answer identically.
+//!   a level last synced (for the lists, also when the moved sensors'
+//!   links reach [`REBUILD_DEGREE`] per sensor), that level is rebuilt
+//!   from scratch instead of repaired move by move. A cell's final
+//!   bucket content (ascending indices) and a list's content (grid
+//!   scan order) do not depend on the path taken, so both paths answer
+//!   identically.
 
 use crate::{within_range, Neighbors, RANGE_EPS};
-use msn_geom::Point;
+use msn_geom::{Point, Rect};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// FxHash-style multiplicative hasher for the `(i64, i64)` cell keys.
-/// SipHash dominates the per-query cost of a bucket map this small;
-/// a keyed DoS-resistant hash buys nothing here (cell keys come from
-/// simulated positions, not attacker input), and the map is only ever
-/// probed by key — never iterated — so the hasher cannot influence
-/// query results.
+/// FxHash-style multiplicative hasher for the `(i64, i64)` keys of the
+/// overflow cells, the ones outside the dense window. SipHash would
+/// dominate the per-query cost of a bucket map this small; a keyed
+/// DoS-resistant hash buys nothing here (cell keys come from simulated
+/// positions, not attacker input), and the map is only ever probed by
+/// key — never iterated — so the hasher cannot influence query
+/// results.
 ///
 /// All arithmetic is wrapping on `u64`, so large and negative cell
 /// coordinates (far-off-field sensors saturate the `i64` keys) cannot
 /// overflow. `finish` folds the high half into the low bits: the map
 /// indexes buckets by the *low* bits of the hash, and the low bits of
-/// a wrapping product depend only on the low bits of its inputs — at
-/// 50k-scale extents, keys agreeing in their low bits but differing
-/// in magnitude would otherwise share buckets systematically.
+/// a wrapping product depend only on the low bits of its inputs — keys
+/// agreeing in their low bits but differing in magnitude would
+/// otherwise share buckets systematically.
 #[derive(Default)]
 struct CellHasher(u64);
 
@@ -74,9 +81,172 @@ impl Hasher for CellHasher {
 
 type CellMap = HashMap<(i64, i64), Vec<u32>, BuildHasherDefault<CellHasher>>;
 
-/// The sensors moved since one level last synced: a list for the
-/// sync pass plus a membership mark, so a sensor moved twice is listed
-/// once.
+/// Moved sensors' summed degree, per sensor, from which a list sync
+/// rebuilds instead of repairing. Timed per sync on full `paper-field`,
+/// `fig11` and the obstacle field: below mean degree 10 a repair beat
+/// a rebuild at every share of moved links seen, while on the dense
+/// graphs VD's Minimax rounds leave (mean degree 100–190, 34–101 of
+/// 240 sensors moved) a repair cost ~3× a rebuild.
+const REBUILD_DEGREE: usize = 6;
+
+/// Point indices bucketed by grid cell `(⌊x/cell⌋, ⌊y/cell⌋)`, each
+/// bucket ascending: a flat array over the inclusive cell window
+/// `[x0, x1] × [y0, y1]`, and a hash map for cells outside it.
+#[derive(Debug, Clone)]
+struct Buckets {
+    /// Cell side, `rc.max(1.0)` — the cell [`crate::DiskGraph::build`]
+    /// uses, so the natural bucket scan order *is* the oracle's
+    /// adjacency order.
+    cell: f64,
+    x0: i64,
+    x1: i64,
+    y0: i64,
+    y1: i64,
+    /// Window cell `(gx, gy)` is `dense[(gx - x0) · ny + (gy - y0)]`.
+    dense: Vec<Vec<u32>>,
+    ny: usize,
+    /// Non-empty buckets of the cells outside the window.
+    overflow: CellMap,
+}
+
+impl Buckets {
+    /// Empty buckets whose dense window covers `extent`, unless that
+    /// window would exceed `max(4·n, 4096)` cells (the proportionality
+    /// guard of [`crate::SpatialGrid::build`]); then every cell
+    /// overflows into the map.
+    fn new(cell: f64, extent: Option<Rect>, n: usize) -> Self {
+        let mut b = Buckets {
+            cell,
+            x0: 0,
+            x1: -1,
+            y0: 0,
+            y1: -1,
+            dense: Vec::new(),
+            ny: 0,
+            overflow: CellMap::default(),
+        };
+        let Some(extent) = extent else {
+            return b;
+        };
+        let (x0, y0) = b.key(extent.min);
+        let (x1, y1) = b.key(extent.max);
+        // i128: saturated i64 keys would overflow the span
+        let nx = x1 as i128 - x0 as i128 + 1;
+        let ny = y1 as i128 - y0 as i128 + 1;
+        let cap = (4 * n as i128).max(4096);
+        if nx > 0 && ny > 0 && nx.checked_mul(ny).is_some_and(|cells| cells <= cap) {
+            (b.x0, b.x1, b.y0, b.y1) = (x0, x1, y0, y1);
+            b.ny = ny as usize;
+            b.dense = vec![Vec::new(); (nx * ny) as usize];
+        }
+        b
+    }
+
+    #[inline]
+    fn key(&self, p: Point) -> (i64, i64) {
+        (
+            (p.x / self.cell).floor() as i64,
+            (p.y / self.cell).floor() as i64,
+        )
+    }
+
+    /// The dense slot of cell `(gx, gy)`, if it lies in the window.
+    #[inline]
+    fn slot(&self, (gx, gy): (i64, i64)) -> Option<usize> {
+        (self.x0 <= gx && gx <= self.x1 && self.y0 <= gy && gy <= self.y1)
+            .then(|| (gx - self.x0) as usize * self.ny + (gy - self.y0) as usize)
+    }
+
+    #[inline]
+    fn get(&self, key: (i64, i64)) -> &[u32] {
+        match self.slot(key) {
+            Some(c) => &self.dense[c],
+            None => self.overflow.get(&key).map_or(&[], Vec::as_slice),
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, key: (i64, i64)) -> &mut Vec<u32> {
+        match self.slot(key) {
+            Some(c) => &mut self.dense[c],
+            None => self.overflow.entry(key).or_default(),
+        }
+    }
+
+    /// Empties the buckets of `keys`, keeping the dense allocations.
+    fn clear(&mut self, keys: &[(i64, i64)]) {
+        for &key in keys {
+            match self.slot(key) {
+                Some(c) => self.dense[c].clear(),
+                None => {
+                    self.overflow.remove(&key);
+                }
+            }
+        }
+    }
+
+    /// Moves point `i` from cell `from` to cell `to`, keeping both
+    /// buckets ascending.
+    fn transfer(&mut self, i: u32, from: (i64, i64), to: (i64, i64)) {
+        // Vec::remove / sorted insert (not swap_remove + push):
+        // ascending bucket order is what makes query results
+        // identical to SpatialGrid's.
+        let bucket = self.get_mut(from);
+        let at = bucket.binary_search(&i).expect("point in cell");
+        bucket.remove(at);
+        if bucket.is_empty() && self.slot(from).is_none() {
+            self.overflow.remove(&from);
+        }
+        let bucket = self.get_mut(to);
+        let at = bucket.binary_search(&i).expect_err("point was absent");
+        bucket.insert(at, i);
+    }
+
+    /// Replaces `out` with the indices other than `skip` within `r` of
+    /// `center`, in scan order: cells ascending by `(gx, gy)`, each
+    /// bucket ascending.
+    fn collect(&self, points: &[Point], center: Point, r: f64, skip: usize, out: &mut Vec<usize>) {
+        out.clear();
+        let mut visit = |bucket: &[u32]| {
+            for &j in bucket {
+                let j = j as usize;
+                if j != skip && within_range(points[j], center, r) {
+                    out.push(j);
+                }
+            }
+        };
+        // Exact cell bounds of the slack-padded reach (the same
+        // minimal-window rule SpatialGrid::within uses).
+        let reach = r + RANGE_EPS;
+        let (gx_lo, gy_lo) = self.key(Point::new(center.x - reach, center.y - reach));
+        let (gx_hi, gy_hi) = self.key(Point::new(center.x + reach, center.y + reach));
+        if self.overflow.is_empty() {
+            // Every point lies in the window: scan only its overlap
+            // with the reach, a row of slots per gx.
+            let (xa, xb) = (gx_lo.max(self.x0), gx_hi.min(self.x1));
+            let (ya, yb) = (gy_lo.max(self.y0), gy_hi.min(self.y1));
+            if xa > xb || ya > yb {
+                return;
+            }
+            let (ya, yb) = ((ya - self.y0) as usize, (yb - self.y0) as usize);
+            for gx in xa..=xb {
+                let row = (gx - self.x0) as usize * self.ny;
+                self.dense[row + ya..=row + yb]
+                    .iter()
+                    .for_each(|b| visit(b));
+            }
+        } else {
+            for gx in gx_lo..=gx_hi {
+                for gy in gy_lo..=gy_hi {
+                    visit(self.get((gx, gy)));
+                }
+            }
+        }
+    }
+}
+
+/// A set of sensor indices: a list for the pass over it plus a
+/// membership mark, so an index marked twice is listed once.
 #[derive(Debug, Clone)]
 struct DirtySet {
     list: Vec<u32>,
@@ -100,7 +270,7 @@ impl DirtySet {
     }
 
     /// Unmarks everyone listed and empties the list, keeping its
-    /// capacity for the next batch of moves.
+    /// capacity for the next batch.
     fn clear(&mut self) {
         for &i in &self.list {
             self.marked[i as usize] = false;
@@ -110,30 +280,31 @@ impl DirtySet {
 }
 
 /// The one proximity structure of a simulated fleet: the latest
-/// sensor positions, hash buckets over them at cell `rc.max(1.0)` for
-/// range queries at any radius, and the full `rc`-disk adjacency —
-/// the incremental counterparts of [`crate::SpatialGrid::build`] and
+/// sensor positions, buckets over them at cell `rc.max(1.0)` for range
+/// queries at any radius, and the full `rc`-disk adjacency — the
+/// incremental counterparts of [`crate::SpatialGrid::build`] and
 /// [`crate::DiskGraph::build`], maintained under sensor moves instead
 /// of rebuilt per tick.
 ///
-/// **Buckets.** Each bucket keeps its indices ascending and queries
-/// scan the candidate cell window in the same lexicographic order as
-/// [`crate::SpatialGrid`], so [`Self::within`] returns byte-for-byte
-/// what `SpatialGrid::build(points, rc.max(1.0)).within(points,
-/// center, r)` would, for any radius `r`. Call sites whose historical
-/// grid used a different cell size reproduce that exact order with
-/// [`Self::neighbors_within_grid_order`]. Radii up to the cell scan at
-/// most a 3×3 cell window; larger radii stay exact but scan
-/// proportionally more cells.
+/// **Buckets.** The cells of a fixed window — the field
+/// ([`Self::with_extent`]) or the initial points' bounding box
+/// ([`Self::new`]) — are a flat array; a point outside it is bucketed
+/// in a hash map instead. Each bucket keeps its indices ascending and
+/// queries scan the candidate cell window in the same lexicographic
+/// order as [`crate::SpatialGrid`], so [`Self::within`] returns
+/// byte-for-byte what `SpatialGrid::build(points, rc.max(1.0))
+/// .within(points, center, r)` would, for any radius `r`. Radii up to
+/// the cell scan at most a 3×3 cell window; larger radii stay exact
+/// but scan proportionally more cells.
 ///
 /// **Lists.** Moved sensors are reconciled on the next list query in
-/// three passes: **unlink** (remove each from its old neighbors'
-/// lists), **requery** (fresh grid-order neighborhoods from the
-/// buckets), **relink** (insert each into its new neighbors' lists at
-/// the grid-order position). Untouched lists keep their order;
-/// repaired entries land exactly where a fresh build would put them,
-/// because every list is sorted by the bucket scan key
-/// `(⌊x/cell⌋, ⌊y/cell⌋, index)`.
+/// three passes: **unlink** (drop the moved sensors from their old
+/// neighbors' lists, one filter per list), **requery** (fresh
+/// grid-order neighborhoods from the buckets), **relink** (append each
+/// moved sensor to its new neighbors' lists, then sort each touched
+/// list once). Untouched lists keep their order; repaired lists come
+/// out exactly as a fresh build makes them, because every list is
+/// sorted by the bucket scan key `(⌊x/cell⌋, ⌊y/cell⌋, index)`.
 ///
 /// Range queries sync only the buckets and list queries both levels,
 /// so a scheme that range-queries every tick but reads the graph
@@ -162,15 +333,9 @@ impl DirtySet {
 #[derive(Debug, Clone)]
 pub struct AdjacencyTracker {
     rc: f64,
-    /// Bucket side, `rc.max(1.0)` — the cell [`crate::DiskGraph::build`]
-    /// uses, so the natural bucket scan order *is* the oracle's
-    /// adjacency order.
-    cell: f64,
     /// Latest recorded positions, indexed by sensor.
     points: Vec<Point>,
-    /// Cell `(gx, gy)` holds the indices of the points bucketed inside
-    /// it, sorted ascending.
-    buckets: CellMap,
+    buckets: Buckets,
     /// The cell each point is bucketed under.
     keys: Vec<(i64, i64)>,
     /// Sensors moved since the buckets last synced.
@@ -179,6 +344,8 @@ pub struct AdjacencyTracker {
     adj: Vec<Vec<usize>>,
     /// Sensors moved since the lists last synced.
     list_dirty: DirtySet,
+    /// The lists a repair pass edits (reused scratch).
+    touched: DirtySet,
     /// Reused [`AdjacencyTracker::hop_distance`] scratch.
     hops: HopScratch,
 }
@@ -196,13 +363,38 @@ struct HopScratch {
 
 impl AdjacencyTracker {
     /// Builds the tracker for `positions` and communication range
-    /// `rc`.
+    /// `rc`, with dense cells over the positions' bounding box.
     ///
     /// # Panics
     ///
     /// Panics if `rc` is not strictly positive or a coordinate is not
     /// finite.
     pub fn new(positions: &[Point], rc: f64) -> Self {
+        let bbox = positions.iter().fold(None, |acc: Option<Rect>, &p| {
+            Some(acc.map_or(Rect::from_corners(p, p), |r| {
+                Rect::from_corners(
+                    Point::new(r.min.x.min(p.x), r.min.y.min(p.y)),
+                    Point::new(r.max.x.max(p.x), r.max.y.max(p.y)),
+                )
+            }))
+        });
+        Self::build(positions, rc, bbox)
+    }
+
+    /// Builds the tracker for `positions` and communication range
+    /// `rc`, with dense cells over `extent` — the region the points
+    /// stay in (a simulated fleet's field). Points may leave it; they
+    /// are then bucketed in a slower hash map, with identical answers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rc` is not strictly positive or a coordinate is not
+    /// finite.
+    pub fn with_extent(positions: &[Point], rc: f64, extent: Rect) -> Self {
+        Self::build(positions, rc, Some(extent))
+    }
+
+    fn build(positions: &[Point], rc: f64, extent: Option<Rect>) -> Self {
         assert!(rc > 0.0, "communication range must be positive");
         for (i, p) in positions.iter().enumerate() {
             assert!(p.x.is_finite() && p.y.is_finite(), "non-finite point {i}");
@@ -210,13 +402,13 @@ impl AdjacencyTracker {
         let n = positions.len();
         let mut tracker = AdjacencyTracker {
             rc,
-            cell: rc.max(1.0),
             points: positions.to_vec(),
-            buckets: CellMap::default(),
+            buckets: Buckets::new(rc.max(1.0), extent, n),
             keys: vec![(0, 0); n],
             bucket_dirty: DirtySet::new(n),
             adj: vec![Vec::new(); n],
             list_dirty: DirtySet::new(n),
+            touched: DirtySet::new(n),
             hops: HopScratch::default(),
         };
         tracker.rebuild_buckets();
@@ -267,26 +459,19 @@ impl AdjacencyTracker {
         self.list_dirty.mark(i);
     }
 
-    #[inline]
-    fn key_at(p: Point, cell: f64) -> (i64, i64) {
-        ((p.x / cell).floor() as i64, (p.y / cell).floor() as i64)
-    }
-
-    /// Full bucket reconstruction: every point reinserted in index
-    /// order (which keeps each bucket ascending for free). Buckets are
-    /// emptied in place rather than dropped, so a fleet that mostly
-    /// stays in its cells re-pushes into the previous rebuild's
-    /// allocations; keys left empty are removed afterwards, leaving
-    /// exactly the map a from-scratch build makes.
+    /// Full bucket reconstruction: the cells named by `keys` are
+    /// emptied (never the whole window), then every point is
+    /// reinserted in index order, which keeps each bucket ascending
+    /// for free. A fleet that mostly stays in its cells re-pushes into
+    /// the previous rebuild's allocations.
     fn rebuild_buckets(&mut self) {
         self.bucket_dirty.clear();
-        self.buckets.values_mut().for_each(Vec::clear);
+        self.buckets.clear(&self.keys);
         for (i, &p) in self.points.iter().enumerate() {
-            let key = Self::key_at(p, self.cell);
+            let key = self.buckets.key(p);
             self.keys[i] = key;
-            self.buckets.entry(key).or_default().push(i as u32);
+            self.buckets.get_mut(key).push(i as u32);
         }
-        self.buckets.retain(|_, list| !list.is_empty());
     }
 
     /// Applies pending moves to the buckets: per-point bucket
@@ -306,24 +491,12 @@ impl AdjacencyTracker {
         }
         for &i in dirty {
             let iu = i as usize;
-            let new_key = Self::key_at(self.points[iu], self.cell);
+            let new_key = self.buckets.key(self.points[iu]);
             let old_key = std::mem::replace(&mut self.keys[iu], new_key);
-            if old_key == new_key {
-                continue;
+            if old_key != new_key {
+                msn_obs::counter("pidx.bucket_moves", 1);
+                self.buckets.transfer(i, old_key, new_key);
             }
-            msn_obs::counter("pidx.bucket_moves", 1);
-            let bucket = self.buckets.get_mut(&old_key).expect("point indexed");
-            let at = bucket.binary_search(&i).expect("point in cell");
-            // Vec::remove / sorted insert (not swap_remove + push):
-            // ascending bucket order is what makes query results
-            // identical to SpatialGrid's.
-            bucket.remove(at);
-            if bucket.is_empty() {
-                self.buckets.remove(&old_key);
-            }
-            let bucket = self.buckets.entry(new_key).or_default();
-            let at = bucket.binary_search(&i).expect_err("point was absent");
-            bucket.insert(at, i);
         }
         self.bucket_dirty.clear();
     }
@@ -351,25 +524,8 @@ impl AdjacencyTracker {
     pub fn within(&mut self, center: Point, r: f64) -> Vec<usize> {
         self.sync_buckets();
         let mut out = Vec::with_capacity(16);
-        // Exact cell bounds of the slack-padded reach (the same
-        // minimal-window rule SpatialGrid::within uses).
-        let reach = r + RANGE_EPS;
-        let (cx_lo, cy_lo) =
-            Self::key_at(Point::new(center.x - reach, center.y - reach), self.cell);
-        let (cx_hi, cy_hi) =
-            Self::key_at(Point::new(center.x + reach, center.y + reach), self.cell);
-        for gx in cx_lo..=cx_hi {
-            for gy in cy_lo..=cy_hi {
-                let Some(bucket) = self.buckets.get(&(gx, gy)) else {
-                    continue;
-                };
-                for &j in bucket {
-                    if within_range(self.points[j as usize], center, r) {
-                        out.push(j as usize);
-                    }
-                }
-            }
-        }
+        self.buckets
+            .collect(&self.points, center, r, usize::MAX, &mut out);
         out
     }
 
@@ -377,29 +533,18 @@ impl AdjacencyTracker {
     /// itself — byte-identical, order included, to
     /// `SpatialGrid::build(points, rc.max(1.0)).neighbors(points, i, r)`.
     pub fn neighbors_within(&mut self, i: usize, r: f64) -> Vec<usize> {
-        let mut v = self.within(self.points[i], r);
-        v.retain(|&j| j != i);
-        v
+        let mut out = Vec::with_capacity(16);
+        self.neighbors_within_into(i, r, &mut out);
+        out
     }
 
-    /// Like [`AdjacencyTracker::neighbors_within`], but ordered as a
-    /// `SpatialGrid::build(points, order_cell)` query would order it:
-    /// ascending by `(⌊x/order_cell⌋, ⌊y/order_cell⌋, index)`.
-    ///
-    /// Call sites migrating off a per-tick grid whose cell size
-    /// differs from `rc.max(1.0)` use this to keep tie-breaks (nearest
-    /// neighbor scans, first-minimum folds) byte-identical to the
-    /// grid they replace.
-    pub fn neighbors_within_grid_order(&mut self, i: usize, r: f64, order_cell: f64) -> Vec<usize> {
-        assert!(order_cell > 0.0, "order cell size must be positive");
-        let mut v = self.neighbors_within(i, r);
-        if order_cell != self.cell {
-            v.sort_unstable_by_key(|&j| {
-                let (gx, gy) = Self::key_at(self.points[j], order_cell);
-                (gx, gy, j)
-            });
-        }
-        v
+    /// [`AdjacencyTracker::neighbors_within`] into `out`, replacing its
+    /// contents — no allocation once `out` has grown to the largest
+    /// neighborhood.
+    pub fn neighbors_within_into(&mut self, i: usize, r: f64, out: &mut Vec<usize>) {
+        self.sync_buckets();
+        self.buckets
+            .collect(&self.points, self.points[i], r, i, out);
     }
 
     /// Neighbors of sensor `i` on the current positions — equal to
@@ -453,70 +598,89 @@ impl AdjacencyTracker {
         }
         msn_obs::counter("adj.syncs", 1);
         msn_obs::value("adj.dirty", dirty as f64);
-        if 2 * dirty >= self.adj.len() {
+        let n = self.adj.len();
+        // A rebuild's work grows with the edge count E; a repair edits,
+        // per link of a moved sensor, a list of mean length 2E/n, so
+        // its work grows with (moved sensors' summed degree) · 2E/n.
+        // Rebuild once that degree sum reaches REBUILD_DEGREE · n, or
+        // once half the fleet moved.
+        let moved_degree: usize = self
+            .list_dirty
+            .list
+            .iter()
+            .map(|&i| self.adj[i as usize].len())
+            .sum();
+        if 2 * dirty >= n || moved_degree >= REBUILD_DEGREE * n {
             msn_obs::counter("adj.rebuilds", 1);
             self.rebuild_lists();
             return;
         }
         msn_obs::counter("adj.repairs", 1);
+        self.sync_buckets();
+        let AdjacencyTracker {
+            rc,
+            points,
+            buckets,
+            keys,
+            adj,
+            list_dirty,
+            touched,
+            ..
+        } = self;
         // The moved sensors stay marked until the end: the phases
         // below skip moved neighbors by their mark.
-        let moved = std::mem::take(&mut self.list_dirty.list);
-        let is_moved = &self.list_dirty.marked;
-        // Phase 1: unlink. Drop each moved sensor from its old
-        // neighbors' lists (moved sensors' own lists are replaced
-        // whole in phase 2, so moved-moved edges need no bookkeeping).
-        for &i in &moved {
-            let iu = i as usize;
-            let old = std::mem::take(&mut self.adj[iu]);
-            for &j in &old {
-                if is_moved[j] {
-                    continue;
+        let (moved, is_moved) = (&list_dirty.list, &list_dirty.marked);
+        // Phase 1: unlink. Every list holding a moved sensor belongs
+        // to one of its old neighbors; filter each such list once
+        // (moved sensors' own lists are replaced whole in phase 2, so
+        // moved-moved edges need no bookkeeping).
+        for &i in moved {
+            for &j in &adj[i as usize] {
+                if !is_moved[j] {
+                    touched.mark(j);
                 }
-                let list = &mut self.adj[j];
-                let at = list.iter().position(|&x| x == iu).expect("symmetric edge");
-                list.remove(at);
             }
         }
+        for &j in &touched.list {
+            adj[j as usize].retain(|&m| !is_moved[m]);
+        }
+        touched.clear();
         // Phase 2: requery. Fresh grid-order neighborhoods for the
-        // moved sensors (the buckets sync on the first query).
-        for &i in &moved {
+        // moved sensors, each into its own list.
+        for &i in moved {
             let iu = i as usize;
-            self.adj[iu] = self.neighbors_within(iu, self.rc);
+            buckets.collect(points, points[iu], *rc, iu, &mut adj[iu]);
         }
-        // Phase 3: relink. Insert each moved sensor into its new
-        // neighbors' lists at the position the oracle's scan order
-        // dictates. Keys are unique (the sensor index breaks ties), so the
-        // partition point is exact even when several moved sensors
-        // land in one list.
-        let (points, cell, is_moved) = (&self.points, self.cell, &self.list_dirty.marked);
-        let order_key = |m: usize| {
-            let (gx, gy) = Self::key_at(points[m], cell);
-            (gx, gy, m)
-        };
-        for &i in &moved {
+        // Phase 3: relink. Append each moved sensor to its new
+        // neighbors' lists, then restore the oracle's scan order with
+        // one sort per touched list on the cached (now current) cell
+        // keys. The sensor index breaks ties, so the order is exact
+        // even when several moved sensors land in one list.
+        for &i in moved {
             let iu = i as usize;
-            let ki = order_key(iu);
-            for k in 0..self.adj[iu].len() {
-                let j = self.adj[iu][k];
-                if is_moved[j] {
-                    continue;
+            for k in 0..adj[iu].len() {
+                let j = adj[iu][k];
+                if !is_moved[j] {
+                    adj[j].push(iu);
+                    touched.mark(j);
                 }
-                let list = &mut self.adj[j];
-                let at = list.partition_point(|&m| order_key(m) < ki);
-                list.insert(at, iu);
             }
         }
-        self.list_dirty.list = moved;
-        self.list_dirty.clear();
+        for &j in &touched.list {
+            adj[j as usize].sort_by_key(|&m| (keys[m], m));
+        }
+        touched.clear();
+        list_dirty.clear();
     }
 
     /// Full list reconstruction: every list re-queried from the
-    /// buckets.
+    /// buckets into its own allocation.
     fn rebuild_lists(&mut self) {
         self.list_dirty.clear();
-        for i in 0..self.adj.len() {
-            self.adj[i] = self.neighbors_within(i, self.rc);
+        self.sync_buckets();
+        let (buckets, points, rc) = (&self.buckets, &self.points, self.rc);
+        for (i, list) in self.adj.iter_mut().enumerate() {
+            buckets.collect(points, points[i], rc, i, list);
         }
     }
 }
@@ -660,27 +824,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_order_emulates_other_cell_sizes() {
-        // Two neighbors whose scan order flips between cell sizes:
-        // with cell 40 both share a bucket (ascending index), with
-        // cell 10 the bucket scan meets them in reverse.
-        let pts = vec![
-            Point::new(5.0, 5.0),
-            Point::new(15.0, 5.0), // cell-10 bucket (1,0)
-            Point::new(6.0, 5.0),  // cell-10 bucket (0,0): scanned first
-        ];
-        let mut tracker = AdjacencyTracker::new(&pts, 40.0);
-        assert_eq!(tracker.neighbors_within(0, 12.0), vec![1, 2]);
-        for order_cell in [10.0, 3.0, 40.0] {
-            assert_eq!(
-                tracker.neighbors_within_grid_order(0, 12.0, order_cell),
-                oracle_neighbors(&pts, order_cell, 0, 12.0),
-                "order cell {order_cell}"
-            );
-        }
-    }
-
-    #[test]
     fn duplicates_and_redundant_sets() {
         let pts = vec![Point::new(1.0, 1.0); 4];
         let mut tracker = AdjacencyTracker::new(&pts, 5.0);
@@ -719,6 +862,53 @@ mod tests {
         let report = msn_obs::finish().expect("collector installed");
         assert_eq!(report.counter_total("pidx.syncs"), 0);
         assert_eq!(report.counter_total("adj.syncs"), 0);
+    }
+
+    #[test]
+    fn list_sync_rebuilds_by_the_moved_sensors_summed_degree() {
+        // 7 of 20 sensors move (under half): on a complete graph their
+        // 133 links pass 6 per sensor and the lists rebuild; on a
+        // chain their 14 links do not and the lists are repaired.
+        for (spacing, want_rebuilds) in [(0.1, 1), (9.0, 0)] {
+            let mut pts: Vec<Point> = (0..20)
+                .map(|i| Point::new(spacing * i as f64, 0.0))
+                .collect();
+            let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+            msn_obs::start();
+            for i in 3..10 {
+                pts[i].y = 0.5;
+                tracker.set_sensor(i, pts[i]);
+            }
+            tracker.sync();
+            let report = msn_obs::finish().expect("collector installed");
+            assert_eq!(report.counter_total("adj.rebuilds"), want_rebuilds);
+            assert_eq!(report.counter_total("adj.repairs"), 1 - want_rebuilds);
+            assert_matches(&mut tracker, &pts, 10.0);
+        }
+    }
+
+    #[test]
+    fn oversized_extent_overflows_every_cell() {
+        // a window past max(4n, 4096) cells is not flattened; the map
+        // answers alone, identically
+        let mut pts = vec![
+            Point::new(5.0, 5.0),
+            Point::new(9.0, 5.0),
+            Point::new(60.0, 60.0),
+        ];
+        let extent = Rect::new(0.0, 0.0, 1.0e4, 1.0e4);
+        let mut tracker = AdjacencyTracker::with_extent(&pts, 10.0, extent);
+        assert!(tracker.buckets.dense.is_empty());
+        pts[2] = Point::new(12.0, 8.0);
+        tracker.set_sensor(2, pts[2]);
+        assert_eq!(
+            tracker.neighbors_within(0, 10.0),
+            oracle_neighbors(&pts, 10.0, 0, 10.0)
+        );
+        assert_matches(&mut tracker, &pts, 10.0);
+        let field_sized =
+            AdjacencyTracker::with_extent(&pts, 10.0, Rect::new(0.0, 0.0, 600.0, 600.0));
+        assert_eq!(field_sized.buckets.dense.len(), 61 * 61);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the network substrate.
 
-use msn_geom::Point;
+use msn_geom::{Point, Rect};
 use msn_net::{
     random_walk, AdjacencyTracker, DiskGraph, Neighbors, Parent, SpatialGrid, Tree, RANGE_EPS,
 };
@@ -217,31 +217,60 @@ proptest! {
     }
 
     #[test]
-    fn point_index_grid_order_emulates_any_cell(
-        pts in pts_strategy(),
-        moves in moves_strategy(),
-        rc in 5.0..150.0f64,
-        order_cell in 1.0..200.0f64,
-        r in 5.0..100.0f64,
+    fn dense_window_and_overflow_stay_oracle_exact(
+        pts in pts_fleet_strategy(),
+        (ex, ey, ew, eh) in (-100.0..400.0f64, -100.0..400.0f64, 0.0..300.0f64, 0.0..300.0f64),
+        batches in prop::collection::vec(
+            (
+                1usize..100,
+                prop::collection::vec((0u8..3, 0usize..200, -200.0..700.0f64, -200.0..700.0f64), 100),
+                0u8..2,
+            ),
+            1..6,
+        ),
+        rc in 20.0..200.0f64,
+        r in 5.0..150.0f64,
     ) {
-        // The grid-order query must reproduce the scan order of a
-        // grid built at a *different* cell size — what keeps the
-        // absorb-scan tie-breaks byte-identical after migration.
+        // Dense cells cover a drawn extent that misses part of the
+        // fleet, so points start in and move between the window and
+        // the overflow map. Batches of up to n/2 - 1 movers keep the
+        // lists on the repair path over dense graphs: jitters of a few
+        // metres, jumps anywhere (off the extent included) and jumps
+        // straight back. Every range answer and every list equals its
+        // fresh oracle, order included, whichever level syncs first.
+        let extent = Rect::new(ex, ey, ex + ew, ey + eh);
         let mut pts = pts;
-        let mut tracker = AdjacencyTracker::new(&pts, rc);
-        for round in moves {
-            for (i, x, y) in round {
-                let i = i % pts.len();
-                pts[i] = Point::new(x, y);
-                tracker.set_sensor(i, pts[i]);
+        let n = pts.len();
+        let mut tracker = AdjacencyTracker::with_extent(&pts, rc, extent);
+        let mut buf = vec![usize::MAX; 7];
+        for (count, ops, lists_first) in batches {
+            for &(op, i, x, y) in &ops[..count.min((n / 2).saturating_sub(1).max(1))] {
+                let i = i % n;
+                let p = match op {
+                    0 => Point::new(pts[i].x + (x - 250.0) / 100.0, pts[i].y + (y - 250.0) / 100.0),
+                    1 => Point::new(x, y),
+                    _ => {
+                        tracker.set_sensor(i, Point::new(x, y));
+                        pts[i]
+                    }
+                };
+                pts[i] = p;
+                tracker.set_sensor(i, p);
             }
-            let grid = SpatialGrid::build(&pts, order_cell);
-            for q in 0..pts.len() {
-                prop_assert_eq!(
-                    tracker.neighbors_within_grid_order(q, r, order_cell),
-                    grid.neighbors(&pts, q, r),
-                    "point {} radius {} order cell {}", q, r, order_cell
-                );
+            let g = DiskGraph::build(&pts, rc);
+            if lists_first == 1 {
+                for q in 0..n {
+                    prop_assert_eq!(tracker.neighbors(q), g.neighbors(q), "list {}", q);
+                }
+            }
+            let grid = SpatialGrid::build(&pts, rc.max(1.0));
+            for q in 0..n {
+                prop_assert_eq!(tracker.within(pts[q], r), grid.within(&pts, pts[q], r), "within {}", q);
+                tracker.neighbors_within_into(q, r, &mut buf);
+                prop_assert_eq!(&buf, &grid.neighbors(&pts, q, r), "range {} r {}", q, r);
+            }
+            for q in 0..n {
+                prop_assert_eq!(tracker.neighbors(q), g.neighbors(q), "list {}", q);
             }
         }
     }

@@ -96,7 +96,7 @@ impl World {
             .unwrap_or_else(|| CoverageGrid::new(&field, cfg.coverage_cell));
         World {
             grid,
-            adj: AdjacencyTracker::new(&positions, cfg.rc),
+            adj: AdjacencyTracker::with_extent(&positions, cfg.rc, field.bounds()),
             rng: SmallRng::seed_from_u64(cfg.seed),
             field,
             cfg,
@@ -327,17 +327,10 @@ impl World {
         self.adj.neighbors_within(i, r)
     }
 
-    /// Like [`World::neighbors_tracked`], but ordered as a
-    /// `SpatialGrid::build(positions, order_cell)` query would order
-    /// it — for call sites replacing a per-tick grid whose cell size
-    /// differed from `rc`, whose tie-breaks must stay byte-identical.
-    pub fn neighbors_tracked_grid_order(
-        &mut self,
-        i: usize,
-        r: f64,
-        order_cell: f64,
-    ) -> Vec<usize> {
-        self.adj.neighbors_within_grid_order(i, r, order_cell)
+    /// [`World::neighbors_tracked`] into `out`, replacing its contents
+    /// — for per-tick callers that reuse one buffer.
+    pub fn neighbors_tracked_into(&mut self, i: usize, r: f64, out: &mut Vec<usize>) {
+        self.adj.neighbors_within_into(i, r, out);
     }
 
     /// The maintained `rc`-disk adjacency, synced: neighbor lists
@@ -554,11 +547,9 @@ mod tests {
                     oracle(&w, q, rc, rc.max(1.0)),
                     "sensor {q} at rc"
                 );
-                assert_eq!(
-                    w.neighbors_tracked_grid_order(q, 8.0, 8.0),
-                    oracle(&w, q, 8.0, 8.0),
-                    "sensor {q} at stop-dist order"
-                );
+                let mut buf = vec![usize::MAX; 3];
+                w.neighbors_tracked_into(q, 8.0, &mut buf);
+                assert_eq!(buf, oracle(&w, q, 8.0, rc.max(1.0)), "sensor {q} at 8 m");
             }
         }
         w.teleport(2, Point::new(11.0, 7.0));

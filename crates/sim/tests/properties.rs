@@ -23,7 +23,6 @@ proptest! {
         rounds in rounds_strategy(),
         rc in 15.0..80.0f64,
         r in 5.0..120.0f64,
-        order_cell in 1.0..60.0f64,
         (bx, by) in (0.0..300.0f64, 0.0..300.0f64),
     ) {
         // The tracked mask is a flood cached between changes; every
@@ -51,13 +50,8 @@ proptest! {
             prop_assert_eq!(w.all_connected_tracked(), oracle.iter().all(|&c| c));
             let pts = w.positions().to_vec();
             let grid = SpatialGrid::build(&pts, rc.max(1.0));
-            let order_grid = SpatialGrid::build(&pts, order_cell);
             for i in 0..w.n() {
                 prop_assert_eq!(w.neighbors_tracked(i, r), grid.neighbors(&pts, i, r));
-                prop_assert_eq!(
-                    w.neighbors_tracked_grid_order(i, r, order_cell),
-                    order_grid.neighbors(&pts, i, r)
-                );
             }
         }
     }
