@@ -110,6 +110,17 @@ impl CostMatrix {
         self.data[row * self.cols + col]
     }
 
+    /// The costs of row `row`, one per column.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of range.
+    #[inline]
+    pub fn row(&self, row: usize) -> &[f64] {
+        assert!(row < self.rows, "index out of range");
+        &self.data[row * self.cols..(row + 1) * self.cols]
+    }
+
     /// Total cost of a row-to-column assignment (`assignment[r] = c`).
     ///
     /// # Panics
@@ -151,6 +162,7 @@ mod tests {
         assert_eq!(m.get(1, 1), 4.0);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 2);
+        assert_eq!(m.row(1), &[3.0, 4.0]);
     }
 
     #[test]

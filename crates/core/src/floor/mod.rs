@@ -185,6 +185,8 @@ struct FloorSim<'a> {
     ttl: usize,
     rho: f64,
     stop_dist: f64,
+    /// Reused range-query buffer.
+    nbrs: Vec<usize>,
 }
 
 impl<'a> FloorSim<'a> {
@@ -223,6 +225,7 @@ impl<'a> FloorSim<'a> {
             ttl,
             rho: expansion_radius(cfg.rc, cfg.rs),
             stop_dist: cfg.rc.min(2.0 * cfg.rs),
+            nbrs: Vec::new(),
         }
     }
 
@@ -383,7 +386,7 @@ impl<'a> FloorSim<'a> {
                 // childless newcomer whose disk is already covered by
                 // others joins the movable pool instead of ossifying
                 // where it happens to stand.
-                if Self::exclusive_fraction(world, tree, i) < MOVABLE_THRESHOLD {
+                if Self::exclusive_fraction(world, tree, &mut self.nbrs, i) < MOVABLE_THRESHOLD {
                     tree.detach(i);
                     self.state[i] = FState::Movable;
                     self.waited[i] = 0;
@@ -423,7 +426,9 @@ impl<'a> FloorSim<'a> {
             }
             // (b) first the cheap test: its exclusively covered area
             // must be small, otherwise moving it away costs coverage.
-            if Self::exclusive_fraction(&mut self.world, &self.tree, i) >= MOVABLE_THRESHOLD {
+            if Self::exclusive_fraction(&mut self.world, &self.tree, &mut self.nbrs, i)
+                >= MOVABLE_THRESHOLD
+            {
                 continue;
             }
             // (a) every child must find a loop-free substitute parent
@@ -476,24 +481,22 @@ impl<'a> FloorSim<'a> {
     }
 
     /// Fraction of sensor `i`'s disk covered by no other attached
-    /// sensor, estimated on a fixed sample pattern.
-    fn exclusive_fraction(world: &mut World, tree: &Tree, i: usize) -> f64 {
-        let pos = world.pos(i);
+    /// sensor, estimated on a fixed sample pattern. `nbrs` is a reused
+    /// query buffer.
+    fn exclusive_fraction(world: &mut World, tree: &Tree, nbrs: &mut Vec<usize>, i: usize) -> f64 {
         let rs = world.cfg().rs;
         // 2·rs can exceed the index's rc cell — the query stays exact,
         // it just scans a wider cell window; and the `any` fold below
         // is order-insensitive.
-        let neighbors: Vec<Point> = world
-            .neighbors_tracked(i, 2.0 * rs)
-            .into_iter()
-            .filter(|&j| tree.in_tree(j))
-            .map(|j| world.pos(j))
-            .collect();
+        world.neighbors_tracked_into(i, 2.0 * rs, nbrs);
+        nbrs.retain(|&j| tree.in_tree(j));
+        let positions = world.positions();
+        let pos = positions[i];
         let mut exclusive = 0usize;
         let mut total = 0usize;
         let mut visit = |p: Point| {
             total += 1;
-            if !neighbors.iter().any(|q| q.dist(p) <= rs) {
+            if !nbrs.iter().any(|&q| positions[q].dist(p) <= rs) {
                 exclusive += 1;
             }
         };
@@ -733,13 +736,15 @@ impl<'a> FloorSim<'a> {
         let rs = self.cfg.rs;
         // Local: any fixed neighbor within communication range already
         // covering the point answers for free.
-        for j in self.world.neighbors_tracked(querier, self.cfg.rc) {
-            if self.state[j] == FState::Fixed
+        self.world
+            .neighbors_tracked_into(querier, self.cfg.rc, &mut self.nbrs);
+        let local = self.nbrs.iter().any(|&j| {
+            self.state[j] == FState::Fixed
                 && !exclude.contains(&j)
                 && self.world.pos(j).dist(p) <= rs
-            {
-                return true;
-            }
+        });
+        if local {
+            return true;
         }
         // Remote: ask each floor header whose band could cover p.
         let floors = self.registry.query_floors(p);
@@ -872,8 +877,10 @@ impl<'a> FloorSim<'a> {
             Some(Parent::Node(r.inviter))
         } else {
             self.world
-                .neighbors_tracked(i, self.cfg.rc)
-                .into_iter()
+                .neighbors_tracked_into(i, self.cfg.rc, &mut self.nbrs);
+            self.nbrs
+                .iter()
+                .copied()
                 .filter(|&j| self.tree.in_tree(j) && !self.tree.would_create_loop(i, j))
                 .min_by(|&a, &b| {
                     self.world

@@ -110,7 +110,8 @@ pub(crate) fn flood_attach(
 pub(crate) struct Walkers {
     movers: Vec<Option<LazyMover>>,
     active: Vec<bool>,
-    /// Reused [`absorb`] neighbor-query buffer.
+    /// Reused neighbor-query buffer of [`absorb`] and the planning
+    /// step.
     nbrs: Vec<usize>,
 }
 
@@ -142,7 +143,7 @@ impl Walkers {
     /// its path parent.
     pub(crate) fn plan(&mut self, i: usize, world: &mut World) {
         self.active[i] = self.movers[i].as_ref().is_some_and(|m| !m.route.is_stuck())
-            && lazy_plan_step(i, world, &mut self.movers) == ConnectOutcome::Move;
+            && lazy_plan_step(i, world, &mut self.movers, &mut self.nbrs) == ConnectOutcome::Move;
     }
 
     /// Advances sensor `i` one micro-tick along its route if it moves
@@ -225,33 +226,32 @@ pub(crate) fn absorb(
 /// `movers` exposes every walking sensor's current path parent so the
 /// mutual-adoption rule and loop probes can follow chains. Range
 /// queries answer from the world's adjacency buckets
-/// ([`World::neighbors_tracked`]). Returns whether the sensor should
-/// move this period, updates `movers[i]`'s lazy state and records
-/// message costs on the world's counter.
-fn lazy_plan_step(i: usize, world: &mut World, movers: &mut [Option<LazyMover>]) -> ConnectOutcome {
+/// ([`World::neighbors_tracked_into`], into the reused buffer `nbrs`).
+/// Returns whether the sensor should move this period, updates
+/// `movers[i]`'s lazy state and records message costs on the world's
+/// counter.
+fn lazy_plan_step(
+    i: usize,
+    world: &mut World,
+    movers: &mut [Option<LazyMover>],
+    nbrs: &mut Vec<usize>,
+) -> ConnectOutcome {
     let rc = world.cfg().rc;
     let now = world.time();
-    // Split-borrow dance: extract what we need from mover i first.
-    let (target, backoff_until, blacklist) = {
-        let m = movers[i].as_ref().expect("lazy_plan_step on non-mover");
-        (
-            m.route.current_target(),
-            m.backoff_until,
-            m.blacklist.clone(),
-        )
-    };
-    if now < backoff_until {
+    let me = movers[i].as_ref().expect("lazy_plan_step on non-mover");
+    let target = me.route.current_target();
+    if now < me.backoff_until {
         return ConnectOutcome::BackOff;
     }
     // Find the nearest neighbor strictly ahead of us (closer to our
     // current destination), not blacklisted, and not adopting us.
     let candidate: Option<(usize, f64)> = {
-        let nbrs = world.neighbors_tracked(i, rc);
+        world.neighbors_tracked_into(i, rc, nbrs);
         let positions = world.positions();
         let my_dist = positions[i].dist(target);
         let mut best: Option<(usize, f64)> = None;
-        for j in nbrs {
-            if blacklist.contains(&j) {
+        for &j in nbrs.iter() {
+            if me.blacklist.contains(&j) {
                 continue;
             }
             // Only walking sensors can serve as path parents; a
@@ -391,7 +391,7 @@ mod tests {
     fn no_neighbors_means_move() {
         let positions = vec![Point::new(100.0, 100.0)];
         let (mut world, mut movers) = setup(&positions);
-        let out = lazy_plan_step(0, &mut world, &mut movers);
+        let out = lazy_plan_step(0, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(out, ConnectOutcome::Move);
         assert_eq!(world.msgs_ref().total(), 0);
     }
@@ -401,11 +401,11 @@ mod tests {
         // sensor 1 is closer to the origin: sensor 0 adopts it and waits.
         let positions = vec![Point::new(100.0, 0.0), Point::new(80.0, 0.0)];
         let (mut world, mut movers) = setup(&positions);
-        let out = lazy_plan_step(0, &mut world, &mut movers);
+        let out = lazy_plan_step(0, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(out, ConnectOutcome::Wait);
         assert_eq!(movers[0].as_ref().unwrap().path_parent, Some(1));
         // and sensor 1 moves (sensor 0 is behind it)
-        let out1 = lazy_plan_step(1, &mut world, &mut movers);
+        let out1 = lazy_plan_step(1, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(out1, ConnectOutcome::Move);
     }
 
@@ -415,7 +415,7 @@ mod tests {
         let (mut world, mut movers) = setup(&positions);
         // Pretend 1 already adopted 0 (contrived, as 0 is behind).
         movers[1].as_mut().unwrap().path_parent = Some(0);
-        let out = lazy_plan_step(0, &mut world, &mut movers);
+        let out = lazy_plan_step(0, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(
             out,
             ConnectOutcome::Move,
@@ -429,10 +429,10 @@ mod tests {
         let (mut world, mut movers) = setup(&positions);
         movers[0].as_mut().unwrap().backoff_until = 5.0;
         warp(&mut world, 1.0);
-        let out = lazy_plan_step(0, &mut world, &mut movers);
+        let out = lazy_plan_step(0, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(out, ConnectOutcome::BackOff);
         warp(&mut world, 6.0);
-        let out2 = lazy_plan_step(0, &mut world, &mut movers);
+        let out2 = lazy_plan_step(0, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(out2, ConnectOutcome::Move);
     }
 
@@ -451,7 +451,7 @@ mod tests {
         movers[2].as_mut().unwrap().path_parent = Some(0);
         movers[0].as_mut().unwrap().idle_periods = INQUIRY_AFTER_IDLE - 1;
         // sensor 0 adopts 1 (ahead), probes: 0 -> 1 -> 2 -> 0: loop!
-        let out = lazy_plan_step(0, &mut world, &mut movers);
+        let out = lazy_plan_step(0, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(out, ConnectOutcome::Move, "loop must break the wait");
         assert!(movers[0].as_ref().unwrap().blacklist.contains(&1));
         assert!(world.msgs_ref().count(MsgKind::PathParentInquiry) >= 3);
@@ -462,7 +462,7 @@ mod tests {
         let positions = vec![Point::new(100.0, 0.0), Point::new(80.0, 0.0)];
         let (mut world, mut movers) = setup(&positions);
         movers[0].as_mut().unwrap().blacklist.push(1);
-        let out = lazy_plan_step(0, &mut world, &mut movers);
+        let out = lazy_plan_step(0, &mut world, &mut movers, &mut Vec::new());
         assert_eq!(out, ConnectOutcome::Move);
     }
 

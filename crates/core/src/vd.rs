@@ -5,9 +5,11 @@
 //! construct its cell from the neighbors it *hears* — those within
 //! `rc` — so with a small `rc/rs` the cells are wrong (Figure 1) and
 //! the movement targets are bogus; the run is then annotated
-//! `Incorrect VD`. Neither scheme considers connectivity, so the final
-//! network may be partitioned (`Disconn.`), exactly as Figure 10
-//! reports.
+//! `Incorrect VD`. The true cells serve only that flag, which never
+//! clears, so a run computes them only until the first restricted cell
+//! differs from its true cell. Neither scheme considers connectivity,
+//! so the final network may be partitioned (`Disconn.`), exactly as
+//! Figure 10 reports.
 //!
 //! For the clustered initial distribution the paper first "explodes"
 //! the cluster into a uniform random layout, charging the *minimum
@@ -23,7 +25,7 @@ use msn_field::{scatter_uniform, CoverageGrid, Field};
 use msn_geom::Point;
 use msn_net::Neighbors;
 use msn_sim::{RunResult, SimConfig, World};
-use msn_voronoi::{cells_match, restricted_cell, VoronoiDiagram};
+use msn_voronoi::{cells_match, restricted_cell, voronoi_cell};
 
 /// Which Voronoi movement rule to apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,8 +78,11 @@ impl Default for VdParams {
 /// `cfg.coverage_cell` (the batch runner caches one per fixed field
 /// layout); `None` rasterizes a fresh grid. The returned
 /// [`RunResult`] carries the `Disconn.` / `Incorrect VD` flags of
-/// Figure 10 when they apply. Message accounting is not modeled (the
-/// paper does not report it for these baselines).
+/// Figure 10 when they apply. Sensors move on their restricted cells;
+/// each sensor's true cell ([`voronoi_cell`]) is computed only while
+/// `Incorrect VD` is still unset, since it serves only that flag.
+/// Message accounting is not modeled (the paper does not report it for
+/// these baselines).
 ///
 /// # Examples
 ///
@@ -133,11 +138,12 @@ pub fn run(
         let voronoi = msn_obs::span("vd.voronoi");
         let adj = world.adjacency();
         let positions = adj.points();
-        let full = VoronoiDiagram::compute(positions, bounds);
         let mut targets: Vec<Option<Point>> = vec![None; n];
         for i in 0..n {
             let cell = restricted_cell(i, positions, adj.neighbors_of(i), bounds);
-            if !cells_match(&cell, full.cell(i), 1e-3) {
+            // The flag is sticky, so true cells are needed only until
+            // the first mismatch.
+            if !incorrect_vd && !cells_match(&cell, &voronoi_cell(i, positions, bounds), 1e-3) {
                 incorrect_vd = true;
             }
             let Some(farthest) = cell.farthest_vertex() else {
@@ -278,6 +284,31 @@ mod tests {
             None,
         );
         assert!(r.flags.iter().any(|f| f == "Incorrect VD"));
+    }
+
+    #[test]
+    fn incorrect_vd_flag_follows_rc() {
+        let field = paper_field();
+        let initial = clustered(60, 7);
+        let flagged = |variant, rc| {
+            run(
+                &field,
+                &initial,
+                variant,
+                &VdParams::default(),
+                &cfg(rc, 60.0),
+                None,
+            )
+            .flags
+            .iter()
+            .any(|f| f == "Incorrect VD")
+        };
+        for variant in [VdVariant::Vor, VdVariant::Minimax] {
+            // rc beyond the 1 km field's diagonal: every sensor hears
+            // every other, so each restricted cell is its true cell.
+            assert!(!flagged(variant, 1500.0), "{variant:?} at rc = 1500");
+            assert!(flagged(variant, 48.0), "{variant:?} at rc = 48");
+        }
     }
 
     #[test]

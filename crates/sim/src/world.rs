@@ -29,7 +29,7 @@ struct PosChange {
 /// [`AdjacencyTracker`] that holds the sensor positions and answers
 /// every scheme's per-tick questions: who reaches the base
 /// ([`World::connected_tracked`]), who is near whom
-/// ([`World::neighbors_tracked`], [`World::adjacency`]) and how many
+/// ([`World::neighbors_tracked_into`], [`World::adjacency`]) and how many
 /// hops apart ([`World::hop_distance`]). How much is covered
 /// ([`World::coverage`]) is counted from scratch on the raster at each
 /// sample.
@@ -319,16 +319,12 @@ impl World {
     }
 
     /// Sensors within `r` of sensor `i` (excluding `i`), from the
-    /// maintained buckets — byte-identical, order included, to
+    /// maintained buckets, into `out` (its contents replaced, so a
+    /// per-tick caller reuses one buffer) — byte-identical, order
+    /// included, to
     /// `SpatialGrid::build(positions, rc.max(1.0)).neighbors(positions, i, r)`,
     /// but `O(moved sensors)` reconciliation per query round instead
     /// of an `O(N)` rebuild.
-    pub fn neighbors_tracked(&mut self, i: usize, r: f64) -> Vec<usize> {
-        self.adj.neighbors_within(i, r)
-    }
-
-    /// [`World::neighbors_tracked`] into `out`, replacing its contents
-    /// — for per-tick callers that reuse one buffer.
     pub fn neighbors_tracked_into(&mut self, i: usize, r: f64, out: &mut Vec<usize>) {
         self.adj.neighbors_within_into(i, r, out);
     }
@@ -535,6 +531,11 @@ mod tests {
             let pts = w.positions();
             SpatialGrid::build(pts, cell).neighbors(pts, i, r)
         };
+        let tracked = |w: &mut World, i: usize, r: f64| {
+            let mut out = Vec::new();
+            w.neighbors_tracked_into(i, r, &mut out);
+            out
+        };
         for (i, p) in [
             (0, Point::new(70.0, 30.0)),
             (3, Point::new(12.0, 6.0)),
@@ -543,7 +544,7 @@ mod tests {
             w.set_pos(i, p);
             for q in 0..w.n() {
                 assert_eq!(
-                    w.neighbors_tracked(q, rc),
+                    tracked(&mut w, q, rc),
                     oracle(&w, q, rc, rc.max(1.0)),
                     "sensor {q} at rc"
                 );
@@ -553,7 +554,7 @@ mod tests {
             }
         }
         w.teleport(2, Point::new(11.0, 7.0));
-        assert_eq!(w.neighbors_tracked(2, rc), oracle(&w, 2, rc, rc.max(1.0)));
+        assert_eq!(tracked(&mut w, 2, rc), oracle(&w, 2, rc, rc.max(1.0)));
     }
 
     #[test]

@@ -50,8 +50,10 @@ proptest! {
             prop_assert_eq!(w.all_connected_tracked(), oracle.iter().all(|&c| c));
             let pts = w.positions().to_vec();
             let grid = SpatialGrid::build(&pts, rc.max(1.0));
+            let mut nbrs = Vec::new();
             for i in 0..w.n() {
-                prop_assert_eq!(w.neighbors_tracked(i, r), grid.neighbors(&pts, i, r));
+                w.neighbors_tracked_into(i, r, &mut nbrs);
+                prop_assert_eq!(&nbrs, &grid.neighbors(&pts, i, r));
             }
         }
     }

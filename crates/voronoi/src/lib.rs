@@ -7,8 +7,10 @@
 //! may be strictly larger than the true cell when `rc` is small
 //! (Figure 1 of the paper). This crate provides both:
 //!
-//! * [`VoronoiDiagram::compute`] — the exact diagram, every cell clipped
-//!   to a bounding rectangle;
+//! * [`voronoi_cell`] — the exact cell of one site against every other
+//!   site, clipped to a bounding rectangle;
+//! * [`VoronoiDiagram::compute`] — the exact diagram, [`voronoi_cell`]
+//!   for every site;
 //! * [`restricted_cell`] — the cell a sensor would compute from a given
 //!   neighbor subset;
 //! * [`VoronoiCell::farthest_vertex`] / [`VoronoiCell::minimax_point`] —
@@ -17,6 +19,8 @@
 //! Cells are computed by iterative half-plane clipping of the bounding
 //! rectangle: `O(k)` clips per cell for `k` sites considered, `O(n²)`
 //! for the full diagram — ample for the few hundred sensors simulated.
+//! A caller that needs only some true cells asks [`voronoi_cell`] for
+//! those and skips the rest of the diagram.
 //!
 //! # Examples
 //!
@@ -62,7 +66,7 @@ impl VoronoiDiagram {
     pub fn compute(sites: &[Point], bounds: Rect) -> Self {
         assert!(!sites.is_empty(), "at least one site required");
         let cells = (0..sites.len())
-            .map(|i| cell_of(i, sites, (0..sites.len()).filter(|&j| j != i), bounds))
+            .map(|i| voronoi_cell(i, sites, bounds))
             .collect();
         VoronoiDiagram { cells, bounds }
     }
@@ -97,6 +101,35 @@ impl VoronoiDiagram {
     pub fn is_empty(&self) -> bool {
         self.cells.is_empty()
     }
+}
+
+/// The exact Voronoi cell of `sites[site_idx]`: `bounds` clipped by the
+/// bisector with every other site, in index order. This is cell
+/// `site_idx` of [`VoronoiDiagram::compute`], without the other cells.
+///
+/// A duplicate site keeps its cell only as its lowest-index copy.
+///
+/// # Panics
+///
+/// Panics if `site_idx` is out of range.
+///
+/// # Examples
+///
+/// ```
+/// use msn_geom::{Point, Rect};
+/// use msn_voronoi::voronoi_cell;
+///
+/// let sites = vec![Point::new(25.0, 50.0), Point::new(75.0, 50.0)];
+/// let cell = voronoi_cell(1, &sites, Rect::new(0.0, 0.0, 100.0, 100.0));
+/// assert!((cell.area() - 5000.0).abs() < 1e-6);
+/// ```
+pub fn voronoi_cell(site_idx: usize, sites: &[Point], bounds: Rect) -> VoronoiCell {
+    cell_of(
+        site_idx,
+        sites,
+        (0..sites.len()).filter(|&j| j != site_idx),
+        bounds,
+    )
 }
 
 /// Computes the Voronoi cell of `sites[site_idx]` against an iterator of

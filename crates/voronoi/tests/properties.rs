@@ -1,7 +1,7 @@
 //! Property-based tests for Voronoi cells.
 
 use msn_geom::{Point, Rect};
-use msn_voronoi::{cells_match, restricted_cell, VoronoiDiagram};
+use msn_voronoi::{cells_match, restricted_cell, voronoi_cell, VoronoiDiagram};
 use proptest::prelude::*;
 
 fn sites_strategy() -> impl Strategy<Value = Vec<Point>> {
@@ -14,6 +14,20 @@ fn bounds() -> Rect {
 }
 
 proptest! {
+    #[test]
+    fn single_cell_equals_diagram_cell(sites in sites_strategy(), dup in 0usize..25) {
+        // A duplicate of some site too: only its lower index keeps a cell.
+        let mut sites = sites;
+        sites.push(sites[dup % sites.len()]);
+        let vd = VoronoiDiagram::compute(&sites, bounds());
+        for i in 0..sites.len() {
+            let cell = voronoi_cell(i, &sites, bounds());
+            prop_assert_eq!(cell.site(), vd.cell(i).site());
+            prop_assert_eq!(cell.vertices(), vd.cell(i).vertices(),
+                "cell {} must equal the diagram's, vertex for vertex", i);
+        }
+    }
+
     #[test]
     fn cells_tile_the_bounds(sites in sites_strategy()) {
         let vd = VoronoiDiagram::compute(&sites, bounds());
