@@ -1,8 +1,8 @@
 //! Criterion micro-benchmarks of the computational kernels every
 //! experiment leans on: Voronoi cell construction, Hungarian matching,
-//! minimum enclosing circles, coverage rasters (the row-span count and
-//! the per-cell-test oracle mask), BUG2 navigation, field motion
-//! sweeps and disk-graph construction.
+//! minimum enclosing circles, coverage rasters (their build, the
+//! row-span count and the per-cell-test oracle mask), BUG2
+//! navigation, field motion sweeps and disk-graph construction.
 //!
 //! Besides printing per-iteration times, the harness exports the
 //! measurements as a machine-readable perf record: `BENCH.json` in
@@ -55,6 +55,17 @@ fn bench_hungarian(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // The instance OPT and the VD explosion solve: a fleet packed into
+    // one quarter of the field matched onto targets spread over all of
+    // it, whose long augmenting paths the uniform instance above lacks.
+    let packed: Vec<Point> = sites(240).into_iter().map(|p| p * 0.5).collect();
+    c.bench_function("hungarian_240x240_clustered", |b| {
+        b.iter_batched(
+            || CostMatrix::euclidean(&packed, &dst),
+            |m| hungarian(black_box(&m)),
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_mec(c: &mut Criterion) {
@@ -73,6 +84,12 @@ fn bench_coverage(c: &mut Criterion) {
     });
     c.bench_function("covered_mask_240_sensors_rs40", |b| {
         b.iter(|| grid.covered_mask(black_box(&pts), 40.0))
+    });
+    // The raster build itself, on the paper's two-obstacle field at the
+    // batch runner's 2.5 m cell.
+    let field = two_obstacle_field();
+    c.bench_function("coverage_grid_build_two_obstacle", |b| {
+        b.iter(|| CoverageGrid::new(black_box(&field), 2.5))
     });
 }
 
@@ -424,12 +441,14 @@ fn bench_point_index(c: &mut Criterion) {
     let mut pts = orig.clone();
     let mut index = AdjacencyTracker::new(&pts, r);
     let mut step = 0u64;
+    let mut out = Vec::new();
     c.bench_function("point_index_move_one_and_requery", |b| {
         b.iter(|| {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
             index.set_sensor(i, p);
-            black_box(index.neighbors_within(i, r).len())
+            index.neighbors_within_into(i, r, &mut out);
+            black_box(out.len())
         })
     });
     // Overhead guard for the observability probes: the identical
@@ -445,7 +464,8 @@ fn bench_point_index(c: &mut Criterion) {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
             index.set_sensor(i, p);
-            black_box(index.neighbors_within(i, r).len())
+            index.neighbors_within_into(i, r, &mut out);
+            black_box(out.len())
         })
     });
     black_box(msn_obs::finish());
@@ -488,12 +508,14 @@ fn bench_scale_10k(c: &mut Criterion) {
     let mut pts = orig.clone();
     let mut index = AdjacencyTracker::new(&pts, rc);
     let mut step = 0u64;
+    let mut out = Vec::new();
     c.bench_function("point_index_move_one_10k", |b| {
         b.iter(|| {
             step = step.wrapping_add(1);
             let (i, p) = wobble(&mut pts, step);
             index.set_sensor(i, p);
-            black_box(index.neighbors_within(i, rc).len())
+            index.neighbors_within_into(i, rc, &mut out);
+            black_box(out.len())
         })
     });
     let mut pts = orig.clone();

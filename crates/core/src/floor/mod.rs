@@ -23,6 +23,7 @@
 
 mod expand;
 mod lines;
+mod reach;
 mod registry;
 
 pub use expand::{
@@ -38,6 +39,7 @@ use msn_geom::Point;
 use msn_nav::{Hand, MultiLegPlan, NavContext, Navigator};
 use msn_net::{random_walk, MsgKind, Neighbors, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
+use reach::StaticReach;
 use std::sync::Arc;
 
 /// Invitations a movable sensor collects before committing.
@@ -187,6 +189,8 @@ struct FloorSim<'a> {
     stop_dist: f64,
     /// Reused range-query buffer.
     nbrs: Vec<usize>,
+    /// §4.1's base-connectivity certificate for movables.
+    static_reach: StaticReach,
 }
 
 impl<'a> FloorSim<'a> {
@@ -226,6 +230,7 @@ impl<'a> FloorSim<'a> {
             rho: expansion_radius(cfg.rc, cfg.rs),
             stop_dist: cfg.rc.min(2.0 * cfg.rs),
             nbrs: Vec::new(),
+            static_reach: StaticReach::new(n),
         }
     }
 
@@ -256,7 +261,7 @@ impl<'a> FloorSim<'a> {
                         // itself cut off from the base — it must walk
                         // back in (otherwise no invitation can ever
                         // reach its separated component).
-                        if !self.world.connected_tracked(i) {
+                        if !self.static_reach.connected(i, &mut self.world, &self.state) {
                             self.disconnected_periods[i] += 1;
                             if self.disconnected_periods[i] >= 5 {
                                 self.restart_walk(i);
@@ -335,6 +340,7 @@ impl<'a> FloorSim<'a> {
     fn restart_walk(&mut self, i: usize) {
         let route = self.algorithm1_route(self.world.pos(i));
         self.state[i] = FState::Walking;
+        self.static_reach.leave(i, &mut self.world, &self.state);
         self.inbox[i].clear();
         self.waited[i] = 0;
         self.disconnected_periods[i] = 0;
@@ -376,6 +382,7 @@ impl<'a> FloorSim<'a> {
             self.stop_dist,
             |i, world, tree| {
                 self.state[i] = FState::Fixed;
+                self.static_reach.join(i, world, &self.state);
                 let depth = tree.depth(i).expect("attached") as u64;
                 world.msgs().record(MsgKind::Report, depth);
                 world.msgs().record(MsgKind::AncestorList, depth);
@@ -853,6 +860,7 @@ impl<'a> FloorSim<'a> {
             inviter: best.inviter,
         });
         self.state[i] = FState::Relocating;
+        self.static_reach.leave(i, &mut self.world, &self.state);
         self.inbox[i].clear();
         self.waited[i] = 0;
         // The inviter is free to pursue its next EP.
@@ -867,6 +875,7 @@ impl<'a> FloorSim<'a> {
         self.tips.retain(|t| t.recruit != i);
         let pos = self.world.pos(i);
         self.state[i] = FState::Fixed;
+        self.static_reach.join(i, &mut self.world, &self.state);
         self.registry.fulfill_virtual(r.token, i, pos);
         // Parent: the inviter if possible, otherwise the nearest
         // attached sensor in range.
@@ -913,6 +922,7 @@ impl<'a> FloorSim<'a> {
         self.tips.retain(|t| t.recruit != i);
         self.registry.release_virtual(r.token);
         self.state[i] = FState::Movable;
+        self.static_reach.join(i, &mut self.world, &self.state);
         self.waited[i] = 0;
     }
 }

@@ -50,25 +50,47 @@ impl CoverageGrid {
         let nx = (b.width() / cell).ceil() as usize;
         let ny = (b.height() / cell).ceil() as usize;
         let words = nx.div_ceil(64);
-        let mut free = Vec::with_capacity(ny * words);
-        let mut free_count = 0;
-        for iy in 0..ny {
-            let mut bits = 0u64;
-            for ix in 0..nx {
-                let p = Point::new(
-                    b.min.x + (ix as f64 + 0.5) * cell,
-                    b.min.y + (iy as f64 + 0.5) * cell,
-                );
-                if field.is_free(p) {
-                    bits |= 1 << (ix % 64);
-                }
-                if ix % 64 == 63 || ix + 1 == nx {
-                    free.push(bits);
-                    free_count += bits.count_ones() as usize;
-                    bits = 0;
+        // Cell-center coordinates, ascending.
+        let xs: Vec<f64> = (0..nx)
+            .map(|ix| b.min.x + (ix as f64 + 0.5) * cell)
+            .collect();
+        let ys: Vec<f64> = (0..ny)
+            .map(|iy| b.min.y + (iy as f64 + 0.5) * cell)
+            .collect();
+        // `Field::is_free` is the bounds test and no obstacle. The
+        // bounds test is separable (`Rect::contains` tests x and y
+        // apart, and the center passes both): one row mask of the
+        // columns whose center x passes, copied into every row whose
+        // center y does.
+        let mid = b.center();
+        let mut row = vec![0u64; words];
+        for (ix, &x) in xs.iter().enumerate() {
+            if b.contains(Point::new(x, mid.y)) {
+                row[ix / 64] |= 1 << (ix % 64);
+            }
+        }
+        let mut free = vec![0u64; ny * words];
+        for (iy, &y) in ys.iter().enumerate() {
+            if b.contains(Point::new(mid.x, y)) {
+                free[iy * words..(iy + 1) * words].copy_from_slice(&row);
+            }
+        }
+        // An obstacle contains no point outside its padded box, so only
+        // the centers inside the box are tested against the polygon.
+        let span = |cs: &[f64], min: f64, max: f64| {
+            cs.partition_point(|&c| c < min)..cs.partition_point(|&c| c <= max)
+        };
+        for (obstacle, bx) in field.obstacles().iter().zip(&field.boxes) {
+            let cols = span(&xs, bx.min.x, bx.max.x);
+            for iy in span(&ys, bx.min.y, bx.max.y) {
+                for ix in cols.clone() {
+                    if obstacle.contains(Point::new(xs[ix], ys[iy])) {
+                        free[iy * words + ix / 64] &= !(1 << (ix % 64));
+                    }
                 }
             }
         }
+        let free_count = free.iter().map(|w| w.count_ones() as usize).sum();
         CoverageGrid {
             origin: b.min,
             cell,
@@ -310,9 +332,38 @@ impl CoverageGrid {
 }
 
 #[cfg(test)]
+impl CoverageGrid {
+    /// The free-cell bitmap built by one [`Field::is_free`] test per
+    /// cell center, the oracle of [`CoverageGrid::new`]'s property test.
+    fn free_bits_per_cell(field: &Field, cell: f64) -> Vec<u64> {
+        let b = field.bounds();
+        let nx = (b.width() / cell).ceil() as usize;
+        let ny = (b.height() / cell).ceil() as usize;
+        let words = nx.div_ceil(64);
+        let mut free = vec![0u64; ny * words];
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let p = Point::new(
+                    b.min.x + (ix as f64 + 0.5) * cell,
+                    b.min.y + (iy as f64 + 0.5) * cell,
+                );
+                if field.is_free(p) {
+                    free[iy * words + ix / 64] |= 1 << (ix % 64);
+                }
+            }
+        }
+        free
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use msn_geom::Rect;
+    use crate::{random_obstacle_field, RandomObstacleParams};
+    use msn_geom::{Polygon, Rect};
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
 
     #[test]
     fn empty_sensor_set_covers_nothing() {
@@ -464,6 +515,49 @@ mod tests {
                     let c = g.cell_center(ix, iy);
                     assert!(f.in_bounds(c) && f.is_free(c));
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn raster_matches_the_per_cell_build(
+            rects in prop::collection::vec(
+                (-20.0..300.0f64, -20.0..300.0f64, 0.5..120.0f64, 0.5..120.0f64),
+                0..5,
+            ),
+            tri in (0.0..300.0f64, 0.0..300.0f64, 1.0..80.0f64),
+            seed in 0u64..1000,
+            cell in 0.7..23.0f64,
+        ) {
+            // Rectangles (some past the border), a triangle whose
+            // slanted edges cut cells, and a random obstacle field, at
+            // odd cell sizes: the box-restricted build must set exactly
+            // the bits the per-cell `is_free` test sets.
+            let (tx, ty, ts) = tri;
+            let mut obstacles: Vec<Polygon> = rects
+                .iter()
+                .map(|&(x, y, w, h)| Rect::new(x, y, x + w, y + h).to_polygon())
+                .collect();
+            obstacles.push(Polygon::new(vec![
+                Point::new(tx, ty),
+                Point::new(tx + ts, ty + 0.3 * ts),
+                Point::new(tx + 0.4 * ts, ty + ts),
+            ]));
+            let params = RandomObstacleParams {
+                width: 300.0,
+                height: 260.0,
+                side: (20.0, 120.0),
+                base_clearance: 20.0,
+                ..RandomObstacleParams::default()
+            };
+            let random = random_obstacle_field(&params, &mut SmallRng::seed_from_u64(seed));
+            for field in [Field::with_obstacles(280.0, 250.0, obstacles), random] {
+                let grid = CoverageGrid::new(&field, cell);
+                let oracle = CoverageGrid::free_bits_per_cell(&field, cell);
+                prop_assert_eq!(&grid.free, &oracle, "cell {}", cell);
+                let count: usize = oracle.iter().map(|w| w.count_ones() as usize).sum();
+                prop_assert_eq!(grid.free_count, count);
             }
         }
     }

@@ -30,8 +30,9 @@ pub struct Field {
     bounds: Rect,
     obstacles: Vec<Polygon>,
     /// `boxes[i]` is `obstacles[i]`'s bounding box grown by [`PAD`]:
-    /// the cheap reject the motion and force queries test first.
-    boxes: Vec<Rect>,
+    /// the cheap reject the motion, force and raster queries test
+    /// first. No point outside it lies in the obstacle.
+    pub(crate) boxes: Vec<Rect>,
 }
 
 /// Padding of the per-obstacle boxes (m).
@@ -190,7 +191,34 @@ impl Field {
     /// ignored so that a sensor standing against a wall can slide away
     /// from it; callers moving *along* walls use the boundary-following
     /// machinery in `msn-nav` instead.
+    ///
+    /// A segment more than `PAD` inside every wall and apart from
+    /// every padded obstacle box touches nothing; that test runs first,
+    /// so a sweep far from walls costs a few comparisons.
     pub fn first_hit(&self, seg: &Segment) -> Option<(f64, Hit)> {
+        let reach = segment_box(seg);
+        let deep_inside = self.deep_inside(&reach);
+        if deep_inside && self.boxes.iter().all(|bx| disjoint(bx, &reach)) {
+            return None;
+        }
+        self.sweep(seg, &reach, deep_inside)
+    }
+
+    /// Whether `reach` lies more than [`PAD`] inside every wall, so no
+    /// segment inside it can touch the outer boundary.
+    #[inline]
+    fn deep_inside(&self, reach: &Rect) -> bool {
+        let b = self.bounds;
+        reach.min.x - PAD > b.min.x
+            && reach.max.x + PAD < b.max.x
+            && reach.min.y - PAD > b.min.y
+            && reach.max.y + PAD < b.max.y
+    }
+
+    /// The sweep behind [`Field::first_hit`]: the walls unless
+    /// `deep_inside`, then every obstacle whose padded box meets
+    /// `reach` (the segment's bounding box).
+    fn sweep(&self, seg: &Segment, reach: &Rect, deep_inside: bool) -> Option<(f64, Hit)> {
         let mut best: Option<(f64, Hit)> = None;
         let start_tol = 1e-7 / seg.length().max(EPS);
         let mut consider = |t: f64, hit: Hit| {
@@ -201,14 +229,8 @@ impl Field {
                 best = Some((t, hit));
             }
         };
-        let reach = segment_box(seg);
-        // Outer boundary: hitting it from inside. A segment more than
-        // PAD inside every wall cannot touch one.
+        // Outer boundary: hitting it from inside.
         let b = self.bounds;
-        let deep_inside = reach.min.x - PAD > b.min.x
-            && reach.max.x + PAD < b.max.x
-            && reach.min.y - PAD > b.min.y
-            && reach.max.y + PAD < b.max.y;
         if !deep_inside {
             for (i, edge) in b.edges().iter().enumerate() {
                 if let Some(t) = seg.first_hit(edge) {
@@ -223,7 +245,7 @@ impl Field {
             }
         }
         for (oi, (obstacle, bx)) in self.obstacles.iter().zip(&self.boxes).enumerate() {
-            if disjoint(bx, &reach) {
+            if disjoint(bx, reach) {
                 continue;
             }
             if let Some((t, ei)) = obstacle.first_boundary_hit(seg) {
@@ -270,8 +292,20 @@ impl fmt::Display for Field {
 }
 
 #[cfg(test)]
+impl Field {
+    /// [`Field::first_hit`] without its early-out: the full sweep on
+    /// every segment, the oracle of the early-out's property test.
+    fn first_hit_swept(&self, seg: &Segment) -> Option<(f64, Hit)> {
+        let reach = segment_box(seg);
+        self.sweep(seg, &reach, self.deep_inside(&reach))
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::f64::consts::TAU;
 
     fn blocked_field() -> Field {
         Field::with_obstacles(
@@ -350,5 +384,61 @@ mod tests {
         assert!(Field::open(10.0, 10.0)
             .nearest_obstacle_point(Point::ORIGIN)
             .is_none());
+    }
+
+    proptest! {
+        #[test]
+        fn early_out_matches_the_full_sweep(
+            rects in prop::collection::vec(
+                (10.0..170.0f64, 10.0..170.0f64, 2.0..40.0f64, 2.0..40.0f64),
+                0..4,
+            ),
+            probes in prop::collection::vec(
+                (0u8..3, 0.0..1.0f64, 0.0..1.0f64, -3.0..3.0f64, 0.0..TAU, 0.0..1.0f64),
+                1..24,
+            ),
+        ) {
+            // Segments anchored within a few PAD of a padded obstacle
+            // box, of the border, or anywhere in the field, at lengths
+            // from zero to tens of meters: the early-out must answer
+            // exactly what the full sweep answers.
+            let obstacles = rects
+                .iter()
+                .map(|&(x, y, w, h)| Rect::new(x, y, x + w, y + h).to_polygon())
+                .collect();
+            let field = Field::with_obstacles(200.0, 200.0, obstacles);
+            let b = field.bounds();
+            for &(kind, u, v, off, ang, len) in &probes {
+                let rect = match kind {
+                    0 if !field.boxes.is_empty() => {
+                        field.boxes[(u * field.boxes.len() as f64) as usize % field.boxes.len()]
+                    }
+                    1 => b.inflated(-PAD),
+                    _ => b,
+                };
+                // a point on `rect`'s rim (kinds 0 and 1, nudged by
+                // `off` PAD) or inside the field (kind 2)
+                let a = if kind == 2 {
+                    Point::new(b.min.x + u * b.width(), b.min.y + v * b.height())
+                } else {
+                    let t = v * 4.0;
+                    let side = t as usize % 4;
+                    let f = t.fract();
+                    let (x, y) = match side {
+                        0 => (rect.min.x + f * rect.width(), rect.min.y - off * PAD),
+                        1 => (rect.max.x + off * PAD, rect.min.y + f * rect.height()),
+                        2 => (rect.min.x + f * rect.width(), rect.max.y + off * PAD),
+                        _ => (rect.min.x - off * PAD, rect.min.y + f * rect.height()),
+                    };
+                    Point::new(x, y)
+                };
+                // lengths from a micrometer-scale step to 40 m
+                let len = if len < 0.2 { len * 1e-4 } else { len * 40.0 };
+                let end = a + Point::from_angle(ang) * len;
+                for seg in [Segment::new(a, end), Segment::new(end, a)] {
+                    prop_assert_eq!(field.first_hit(&seg), field.first_hit_swept(&seg));
+                }
+            }
+        }
     }
 }

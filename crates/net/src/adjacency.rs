@@ -530,17 +530,11 @@ impl AdjacencyTracker {
     }
 
     /// Indices of all points within `r` of point `i`, excluding `i`
-    /// itself — byte-identical, order included, to
+    /// itself, into `out` (its contents replaced, so no allocation once
+    /// `out` has grown to the largest neighborhood) — byte-identical,
+    /// order included, to
     /// `SpatialGrid::build(points, rc.max(1.0)).neighbors(points, i, r)`.
-    pub fn neighbors_within(&mut self, i: usize, r: f64) -> Vec<usize> {
-        let mut out = Vec::with_capacity(16);
-        self.neighbors_within_into(i, r, &mut out);
-        out
-    }
-
-    /// [`AdjacencyTracker::neighbors_within`] into `out`, replacing its
-    /// contents — no allocation once `out` has grown to the largest
-    /// neighborhood.
+    /// Syncs the buckets only.
     pub fn neighbors_within_into(&mut self, i: usize, r: f64, out: &mut Vec<usize>) {
         self.sync_buckets();
         self.buckets
@@ -713,6 +707,13 @@ mod tests {
         }
     }
 
+    /// [`AdjacencyTracker::neighbors_within_into`] into a fresh vector.
+    fn neighbors_within(tracker: &mut AdjacencyTracker, i: usize, r: f64) -> Vec<usize> {
+        let mut out = Vec::new();
+        tracker.neighbors_within_into(i, r, &mut out);
+        out
+    }
+
     fn oracle_neighbors(pts: &[Point], cell: f64, i: usize, r: f64) -> Vec<usize> {
         SpatialGrid::build(pts, cell).neighbors(pts, i, r)
     }
@@ -754,7 +755,7 @@ mod tests {
                 // radii below, at and beyond rc
                 for r in [4.0, 10.0, 30.0] {
                     assert_eq!(
-                        tracker.neighbors_within(q, r),
+                        neighbors_within(&mut tracker, q, r),
                         oracle_neighbors(&pts, 10.0, q, r),
                         "point {q} radius {r}"
                     );
@@ -770,7 +771,7 @@ mod tests {
             .collect();
         let mut tracker = AdjacencyTracker::new(&pts, 10.0);
         assert_eq!(
-            tracker.neighbors_within(4, 45.0),
+            neighbors_within(&mut tracker, 4, 45.0),
             oracle_neighbors(&pts, 10.0, 4, 45.0)
         );
     }
@@ -799,7 +800,7 @@ mod tests {
         }
         for q in 0..pts.len() {
             assert_eq!(
-                tracker.neighbors_within(q, 15.0),
+                neighbors_within(&mut tracker, q, 15.0),
                 oracle_neighbors(&pts, 15.0, q, 15.0)
             );
         }
@@ -828,12 +829,12 @@ mod tests {
         let pts = vec![Point::new(1.0, 1.0); 4];
         let mut tracker = AdjacencyTracker::new(&pts, 5.0);
         assert_eq!(tracker.within(Point::new(1.0, 1.0), 1.0).len(), 4);
-        assert_eq!(tracker.neighbors_within(2, 1.0), vec![0, 1, 3]);
+        assert_eq!(neighbors_within(&mut tracker, 2, 1.0), vec![0, 1, 3]);
         assert_eq!(tracker.neighbors(2), &[0, 1, 3]);
         for _ in 0..3 {
             tracker.set_sensor(1, pts[1]); // no-op moves reconcile cleanly
         }
-        assert_eq!(tracker.neighbors_within(2, 1.0), vec![0, 1, 3]);
+        assert_eq!(neighbors_within(&mut tracker, 2, 1.0), vec![0, 1, 3]);
         assert_eq!(tracker.neighbors(2), &[0, 1, 3]);
         assert_eq!(tracker.len(), 4);
         assert!(!tracker.is_empty());
@@ -857,7 +858,7 @@ mod tests {
                 tracker.set_sensor(i, p);
             }
         }
-        assert_eq!(tracker.neighbors_within(0, 10.0), vec![1]);
+        assert_eq!(neighbors_within(&mut tracker, 0, 10.0), vec![1]);
         assert_eq!(tracker.neighbors(0), &[1]);
         let report = msn_obs::finish().expect("collector installed");
         assert_eq!(report.counter_total("pidx.syncs"), 0);
@@ -902,7 +903,7 @@ mod tests {
         pts[2] = Point::new(12.0, 8.0);
         tracker.set_sensor(2, pts[2]);
         assert_eq!(
-            tracker.neighbors_within(0, 10.0),
+            neighbors_within(&mut tracker, 0, 10.0),
             oracle_neighbors(&pts, 10.0, 0, 10.0)
         );
         assert_matches(&mut tracker, &pts, 10.0);

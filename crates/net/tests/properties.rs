@@ -13,6 +13,13 @@ fn pts_sized(count: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Point>>
         .prop_map(|v| v.into_iter().map(|(x, y)| Point::new(x, y)).collect())
 }
 
+/// `AdjacencyTracker::neighbors_within_into` into a fresh vector.
+fn neighbors_within(tracker: &mut AdjacencyTracker, i: usize, r: f64) -> Vec<usize> {
+    let mut out = Vec::new();
+    tracker.neighbors_within_into(i, r, &mut out);
+    out
+}
+
 fn pts_strategy() -> impl Strategy<Value = Vec<Point>> {
     pts_sized(1..60)
 }
@@ -93,7 +100,7 @@ fn assert_ranges_match_oracle(pts: &[Point], rc: f64, r: f64, tracker: &mut Adja
         );
         for radius in [rc, r] {
             assert_eq!(
-                tracker.neighbors_within(q, radius),
+                neighbors_within(tracker, q, radius),
                 grid.neighbors(pts, q, radius),
                 "range {q} r {radius}"
             );
@@ -208,7 +215,7 @@ proptest! {
             let grid = SpatialGrid::build(&pts, rc.max(1.0));
             for q in 0..pts.len() {
                 prop_assert_eq!(
-                    tracker.neighbors_within(q, r),
+                    neighbors_within(&mut tracker, q, r),
                     grid.neighbors(&pts, q, r),
                     "point {} radius {} rc {}", q, r, rc
                 );
@@ -295,7 +302,7 @@ proptest! {
         let check = |tracker: &mut AdjacencyTracker, pts: &[Point]| {
             let grid = SpatialGrid::build(pts, cell);
             for q in 0..pts.len() {
-                assert_eq!(tracker.neighbors_within(q, r), grid.neighbors(pts, q, r));
+                assert_eq!(neighbors_within(tracker, q, r), grid.neighbors(pts, q, r));
             }
         };
         check(&mut tracker, &pts);
@@ -475,7 +482,7 @@ proptest! {
             let g = DiskGraph::build(&pts, rc);
             for q in 0..pts.len() {
                 prop_assert_eq!(
-                    adj.neighbors_within(q, rc),
+                    neighbors_within(&mut adj, q, rc),
                     grid.neighbors(&pts, q, rc),
                     "buckets {} rc {}", q, rc
                 );
@@ -629,7 +636,7 @@ fn far_off_field_sensors_stay_oracle_exact() {
         let grid = SpatialGrid::build(pts, cell);
         let g = DiskGraph::build(pts, cell);
         for q in 0..pts.len() {
-            assert_eq!(adj.neighbors_within(q, cell), grid.neighbors(pts, q, cell));
+            assert_eq!(neighbors_within(adj, q, cell), grid.neighbors(pts, q, cell));
             assert_eq!(adj.neighbors(q), g.neighbors(q));
         }
     };
@@ -670,14 +677,14 @@ fn scale_tier_10k_scattered_moves_match_oracle() {
         for k in 0..50 {
             let mover = (k * 199 + round * 7) % n;
             assert_eq!(
-                tracker.neighbors_within(mover, cell),
+                neighbors_within(&mut tracker, mover, cell),
                 grid.neighbors(&pts, mover, cell),
                 "mover {mover} round {round}"
             );
         }
         for q in (0..n).step_by(617) {
             assert_eq!(
-                tracker.neighbors_within(q, cell),
+                neighbors_within(&mut tracker, q, cell),
                 grid.neighbors(&pts, q, cell),
                 "sample {q} round {round}"
             );
@@ -710,7 +717,7 @@ fn scale_tier_clustered_churn_matches_oracle() {
     let grid = SpatialGrid::build(&pts, cell);
     for q in (0..n).step_by(97).chain(0..60) {
         assert_eq!(
-            tracker.neighbors_within(q, cell),
+            neighbors_within(&mut tracker, q, cell),
             grid.neighbors(&pts, q, cell),
             "sensor {q}"
         );

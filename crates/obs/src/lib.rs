@@ -26,7 +26,9 @@
 //!   gaps between sibling spans hold only the caller's code.
 //! * [`counter`] bumps a named monotonic counter.
 //! * [`value`] records a sample into a named running statistic
-//!   (count/sum/min/max), e.g. dirty-set sizes or move distances.
+//!   (count/sum/min/max), e.g. dirty-set sizes; [`values`] folds in a
+//!   statistic its caller already aggregated, e.g. a run's move
+//!   distances.
 //!
 //! Reports [`merge`](Report::merge) associatively, so per-run reports
 //! aggregate into per-cell profiles. Names are `&'static str` by
@@ -370,16 +372,28 @@ pub fn counter(name: &'static str, delta: u64) {
 /// collector is installed.
 #[inline]
 pub fn value(name: &'static str, sample: f64) {
+    values(name, 1, sample, sample, sample);
+}
+
+/// Folds `count` samples, already aggregated into their `sum`, `min`
+/// and `max`, into the named value statistic — what `count` calls of
+/// [`value`] record, up to the rounding of the sum. Inert when no
+/// collector is installed or `count` is 0.
+#[inline]
+pub fn values(name: &'static str, count: u64, sum: f64, min: f64, max: f64) {
+    if count == 0 {
+        return;
+    }
     COLLECTOR.with(|slot| {
         if let Some(col) = slot.borrow_mut().as_mut() {
             let entry =
                 col.values
                     .entry(name)
                     .or_insert((0, 0.0, f64::INFINITY, f64::NEG_INFINITY));
-            entry.0 += 1;
-            entry.1 += sample;
-            entry.2 = entry.2.min(sample);
-            entry.3 = entry.3.max(sample);
+            entry.0 += count;
+            entry.1 += sum;
+            entry.2 = entry.2.min(min);
+            entry.3 = entry.3.max(max);
         }
     });
 }
@@ -465,6 +479,23 @@ mod tests {
             assert_eq!((dirty.count, dirty.sum), (2, 14.0));
             assert_eq!((dirty.min, dirty.max), (4.0, 10.0));
             assert_eq!(dirty.mean(), 7.0);
+        }
+
+        #[test]
+        fn pre_aggregated_values_fold_like_samples() {
+            start();
+            value("dist", 2.0);
+            values("dist", 3, 9.0, 1.0, 5.0);
+            values("dist", 0, 0.0, f64::INFINITY, f64::NEG_INFINITY);
+            values("never", 0, 0.0, 0.0, 0.0);
+            let report = finish().unwrap();
+            let dist = report.value_stat("dist").unwrap();
+            assert_eq!((dist.count, dist.sum), (4, 11.0));
+            assert_eq!((dist.min, dist.max), (1.0, 5.0));
+            assert!(
+                report.value_stat("never").is_none(),
+                "empty folds record nothing"
+            );
         }
 
         #[test]

@@ -66,6 +66,10 @@ pub struct World {
     move_count: u64,
     /// Total path length charged through the `set_pos` family.
     move_charged: f64,
+    /// Shortest and longest single charged movement (`±∞` before the
+    /// first), for the `world.move_dist` profile statistic.
+    move_min: f64,
+    move_max: f64,
     time: f64,
     tick: u64,
     rng: SmallRng,
@@ -103,6 +107,8 @@ impl World {
             moved: vec![0.0; n],
             move_count: 0,
             move_charged: 0.0,
+            move_min: f64::INFINITY,
+            move_max: f64::NEG_INFINITY,
             time: 0.0,
             tick: 0,
             msgs: MessageCounter::new(),
@@ -198,10 +204,10 @@ impl World {
     /// positions, so no derived state can miss a move.
     fn apply_change(&mut self, c: PosChange) {
         if c.counted {
-            msn_obs::counter("world.moves", 1);
-            msn_obs::value("world.move_dist", c.charged);
             self.move_count += 1;
             self.move_charged += c.charged;
+            self.move_min = self.move_min.min(c.charged);
+            self.move_max = self.move_max.max(c.charged);
         }
         self.moved[c.i] += c.charged;
         self.adj.set_sensor(c.i, c.p);
@@ -277,6 +283,26 @@ impl World {
     #[inline]
     pub fn move_dist(&self) -> f64 {
         self.move_charged
+    }
+
+    /// Records the run's movement aggregates on the current thread's
+    /// profile collector: the `world.moves` counter and the
+    /// `world.move_dist` statistic (count, sum, min and max of the
+    /// charged movements). Call once per run, at its end — the counts
+    /// are kept natively, so no probe fires per move. A run without a
+    /// counted move records nothing, as no per-move probe would have.
+    pub fn record_moves(&self) {
+        if self.move_count == 0 {
+            return;
+        }
+        msn_obs::counter("world.moves", self.move_count);
+        msn_obs::values(
+            "world.move_dist",
+            self.move_count,
+            self.move_charged,
+            self.move_min,
+            self.move_max,
+        );
     }
 
     /// Connected-to-base mask for the current positions, by full graph
@@ -591,6 +617,13 @@ mod tests {
         let mut w = world_with(2);
         assert_eq!(w.move_count(), 0);
         assert_eq!(w.move_dist(), 0.0);
+        msn_obs::start();
+        w.record_moves();
+        let report = msn_obs::finish().expect("collector installed");
+        assert!(
+            report.counters.is_empty() && report.values.is_empty(),
+            "no move, no record"
+        );
         w.set_pos(0, Point::new(8.0, 9.0)); // 5 m
         w.set_pos_with_distance(1, Point::new(10.0, 8.0), 7.0);
         assert_eq!(w.move_count(), 2);
@@ -601,6 +634,15 @@ mod tests {
         assert_eq!(w.move_count(), 2);
         assert_eq!(w.move_dist(), 12.0);
         assert_eq!(w.total_moved(), 13.5, "total_moved still sees add_distance");
+        msn_obs::start();
+        w.record_moves();
+        let report = msn_obs::finish().expect("collector installed");
+        assert_eq!(report.counter_total("world.moves"), 2);
+        let dist = report.value_stat("world.move_dist").expect("recorded");
+        assert_eq!(
+            (dist.count, dist.sum, dist.min, dist.max),
+            (2, 12.0, 5.0, 7.0)
+        );
     }
 
     #[test]
