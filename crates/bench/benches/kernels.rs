@@ -15,7 +15,7 @@ use criterion::{BatchSize, Criterion};
 use msn_assign::{hungarian, CostMatrix};
 use msn_field::{two_obstacle_field, CoverageGrid, Field, Hit};
 use msn_geom::{min_enclosing_circle, Point, Rect, Segment, EPS};
-use msn_nav::{Hand, NavContext, Navigator};
+use msn_nav::{NavContext, Navigator};
 use msn_net::{AdjacencyTracker, DiskGraph, Neighbors, SpatialGrid};
 use msn_scenario::Json;
 use msn_voronoi::VoronoiDiagram;
@@ -32,6 +32,12 @@ fn sites(n: usize) -> Vec<Point> {
             )
         })
         .collect()
+}
+
+/// The tracked extent of a `side`-metre square field whose sensors
+/// wobble up to 24 m past its edges (the move-one kernels' jitter).
+fn wobble_field(side: f64) -> Rect {
+    Rect::new(-24.0, -24.0, side + 24.0, side + 24.0)
 }
 
 fn bench_voronoi(c: &mut Criterion) {
@@ -104,12 +110,7 @@ fn bench_bug2(c: &mut Criterion) {
     );
     c.bench_function("bug2_full_path_two_obstacles", |b| {
         b.iter(|| {
-            let mut nav = Navigator::new(
-                &field,
-                Point::new(50.0, 500.0),
-                Point::new(950.0, 500.0),
-                Hand::Right,
-            );
+            let mut nav = Navigator::new(&field, Point::new(50.0, 500.0), Point::new(950.0, 500.0));
             while !nav.is_done() && !nav.is_stuck() {
                 nav.advance(10.0);
             }
@@ -190,7 +191,6 @@ fn bench_nav_context(c: &mut Criterion) {
                 ctx.clone(),
                 Point::new(20.0, 15.0),
                 Point::new(980.0, 985.0),
-                Hand::Right,
             );
             while !nav.is_done() && !nav.is_stuck() {
                 nav.advance(10.0);
@@ -336,7 +336,7 @@ fn bench_connectivity(c: &mut Criterion) {
     // The path `World` takes: same move, same question, answered by
     // one base flood over the maintained adjacency.
     let mut pts = orig.clone();
-    let mut adj = AdjacencyTracker::new(&pts, rc);
+    let mut adj = AdjacencyTracker::new(&pts, rc, wobble_field(1000.0));
     let mut step = 0u64;
     c.bench_function("conn_flood_move_one_and_requery", |b| {
         b.iter(|| {
@@ -375,7 +375,7 @@ fn bench_adjacency(c: &mut Criterion) {
     // The incremental path: same move, same read, served from
     // maintained grid-order lists.
     let mut pts = orig.clone();
-    let mut tracker = AdjacencyTracker::new(&pts, rc);
+    let mut tracker = AdjacencyTracker::new(&pts, rc, wobble_field(1000.0));
     let mut step = 0u64;
     c.bench_function("tick_adjacency_move_one", |b| {
         b.iter(|| {
@@ -390,7 +390,7 @@ fn bench_adjacency(c: &mut Criterion) {
     // the rebuild rule's summed-degree bar) steps a few metres away
     // from or back home, then the lists sync.
     let home = fleet(240, 400.0);
-    let mut tracker = AdjacencyTracker::new(&home, rc);
+    let mut tracker = AdjacencyTracker::new(&home, rc, wobble_field(400.0));
     let mut step = 0usize;
     c.bench_function("adjacency_repair_quarter_240_rc60", |b| {
         b.iter(|| {
@@ -439,7 +439,7 @@ fn bench_point_index(c: &mut Criterion) {
     // results, order included; the lists are never read, so only the
     // buckets sync).
     let mut pts = orig.clone();
-    let mut index = AdjacencyTracker::new(&pts, r);
+    let mut index = AdjacencyTracker::new(&pts, r, wobble_field(1000.0));
     let mut step = 0u64;
     let mut out = Vec::new();
     c.bench_function("point_index_move_one_and_requery", |b| {
@@ -456,7 +456,7 @@ fn bench_point_index(c: &mut Criterion) {
     // this within tolerance of the unprobed kernel above, so a probe
     // that grows a syscall or an allocation shows up as a regression.
     let mut pts = orig.clone();
-    let mut index = AdjacencyTracker::new(&pts, r);
+    let mut index = AdjacencyTracker::new(&pts, r, wobble_field(1000.0));
     let mut step = 0u64;
     msn_obs::start();
     c.bench_function("point_index_move_one_probed", |b| {
@@ -506,7 +506,7 @@ fn bench_scale_10k(c: &mut Criterion) {
         (i, p)
     };
     let mut pts = orig.clone();
-    let mut index = AdjacencyTracker::new(&pts, rc);
+    let mut index = AdjacencyTracker::new(&pts, rc, wobble_field(extent));
     let mut step = 0u64;
     let mut out = Vec::new();
     c.bench_function("point_index_move_one_10k", |b| {
@@ -519,7 +519,7 @@ fn bench_scale_10k(c: &mut Criterion) {
         })
     });
     let mut pts = orig.clone();
-    let mut tracker = AdjacencyTracker::new(&pts, rc);
+    let mut tracker = AdjacencyTracker::new(&pts, rc, wobble_field(extent));
     let mut step = 0u64;
     c.bench_function("tick_adjacency_move_one_10k", |b| {
         b.iter(|| {
@@ -533,7 +533,7 @@ fn bench_scale_10k(c: &mut Criterion) {
     // O(neighborhood): every query floods the whole 10k fleet.
     let mut pts = orig.clone();
     let base = Point::new(extent / 2.0, extent / 2.0);
-    let mut adj = AdjacencyTracker::new(&pts, rc);
+    let mut adj = AdjacencyTracker::new(&pts, rc, wobble_field(extent));
     let mut step = 0u64;
     c.bench_function("conn_flood_move_one_10k", |b| {
         b.iter(|| {

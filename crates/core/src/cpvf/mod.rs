@@ -29,7 +29,7 @@ pub use osc::OscillationAvoidance;
 use crate::lazy::{absorb, flood_attach, Timeline, Walkers};
 use msn_field::Field;
 use msn_geom::{Point, Segment, Vec2};
-use msn_nav::{Hand, MultiLegPlan, NavContext};
+use msn_nav::{MultiLegPlan, NavContext};
 use msn_net::{within_range, MsgKind, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
 
@@ -99,8 +99,7 @@ pub fn run(
     let nav_ctx = std::sync::Arc::new(NavContext::new(field));
     let mut walkers = Walkers::new(n);
     for i in (0..n).filter(|&i| !tree.in_tree(i)) {
-        let route =
-            MultiLegPlan::with_context(nav_ctx.clone(), initial[i], vec![cfg.base], Hand::Right);
+        let route = MultiLegPlan::with_context(nav_ctx.clone(), initial[i], vec![cfg.base]);
         walkers.start(i, route, &mut world);
     }
     let mut motions: Vec<Motion> = initial.iter().map(|&p| Motion::still(p)).collect();

@@ -36,7 +36,7 @@ pub use registry::{FloorRegistry, VirtualToken};
 use crate::lazy::{absorb, flood_attach, Timeline, Walkers};
 use msn_field::Field;
 use msn_geom::Point;
-use msn_nav::{Hand, MultiLegPlan, NavContext, Navigator};
+use msn_nav::{MultiLegPlan, NavContext, Navigator};
 use msn_net::{random_walk, MsgKind, Neighbors, Parent, Tree};
 use msn_sim::{RunResult, SimConfig, World};
 use reach::StaticReach;
@@ -114,18 +114,6 @@ struct ActiveEp {
     invites_sent: u32,
 }
 
-/// A virtual fixed node whose recruit is still en route. The paper's
-/// §5.5.2 plants these in the tree immediately on acknowledgment, and
-/// EP discovery "considers the environment consisting of fixed nodes"
-/// — virtual ones included — so the vine tip advances at handshake
-/// speed while recruits travel in parallel.
-#[derive(Debug, Clone, Copy)]
-struct VirtualTip {
-    pos: Point,
-    recruit: usize,
-    owner: usize,
-}
-
 /// Runs FLOOR and reports the standard metrics.
 ///
 /// `grid`, when given, must have been built for `field` at
@@ -180,7 +168,15 @@ struct FloorSim<'a> {
     waited: Vec<u32>,
     reloc: Vec<Option<Reloc>>,
     active_eps: Vec<Vec<ActiveEp>>,
-    tips: Vec<VirtualTip>,
+    /// Virtual fixed nodes whose recruit is still en route, as the
+    /// recruits' indices in acceptance order; each one's position and
+    /// owner are its recruit's [`Reloc`] target and inviter. The
+    /// paper's §5.5.2 plants these in the tree immediately on
+    /// acknowledgment, and EP discovery "considers the environment
+    /// consisting of fixed nodes" — virtual ones included — so the vine
+    /// tip advances at handshake speed while recruits travel in
+    /// parallel.
+    tips: Vec<usize>,
     idle_search: Vec<u32>,
     disconnected_periods: Vec<u32>,
     classified: bool,
@@ -302,7 +298,7 @@ impl<'a> FloorSim<'a> {
             Point::new(self.field.bounds().min.x, fl),
             self.cfg.base,
         ];
-        MultiLegPlan::with_context(self.nav_ctx.clone(), pos, legs, Hand::Right)
+        MultiLegPlan::with_context(self.nav_ctx.clone(), pos, legs)
     }
 
     /// §4.1-style flood at t = 0 over links of at most the stop
@@ -550,13 +546,17 @@ impl<'a> FloorSim<'a> {
             let room = MAX_CONCURRENT_EPS - self.active_eps[i].len();
             let mut fresh = self.discover_eps(i, room);
             if fresh.len() < room {
-                let tips: Vec<VirtualTip> =
-                    self.tips.iter().copied().filter(|t| t.owner == i).collect();
-                for tip in tips {
+                // discovery never plants or drops a tip, so the list
+                // is stable across this loop
+                for k in 0..self.tips.len() {
+                    let recruit = self.tips[k];
+                    if self.tip_reloc(recruit).inviter != i {
+                        continue;
+                    }
                     if fresh.len() >= room {
                         break;
                     }
-                    for ep in self.discover_from_tip(i, tip, room - fresh.len()) {
+                    for ep in self.discover_from_tip(i, recruit, room - fresh.len()) {
                         let dup = fresh
                             .iter()
                             .any(|e: &ExpansionPoint| e.pos.dist(ep.pos) < 0.5 * self.rho)
@@ -609,7 +609,7 @@ impl<'a> FloorSim<'a> {
             if out.len() >= room {
                 return out;
             }
-            if let Some(ep) = self.try_frontier(i, pos, frontier, EpKind::Flg) {
+            if let Some(ep) = self.try_frontier(i, pos, frontier, EpKind::Flg, &[i]) {
                 push(self, &mut out, ep);
             }
         }
@@ -620,7 +620,7 @@ impl<'a> FloorSim<'a> {
                 blg_frontier(pos, rs, field, self.world.rng())
             };
             if let Some(frontier) = frontier {
-                if let Some(ep) = self.try_frontier(i, pos, frontier, EpKind::Blg) {
+                if let Some(ep) = self.try_frontier(i, pos, frontier, EpKind::Blg, &[i]) {
                     push(self, &mut out, ep);
                 }
             }
@@ -655,40 +655,41 @@ impl<'a> FloorSim<'a> {
         out
     }
 
-    /// EP discovery anchored at a virtual fixed node the recruit has
-    /// not reached yet: FLG along the tip's floor line and BLG along
-    /// boundaries in the tip's sensing range.
+    /// The relocation record of a virtual tip's recruit.
+    fn tip_reloc(&self, recruit: usize) -> &Reloc {
+        self.reloc[recruit]
+            .as_ref()
+            .expect("a tip's recruit is relocating")
+    }
+
+    /// EP discovery anchored at the virtual fixed node of `recruit`,
+    /// which has not reached it yet: FLG along the tip's floor line and
+    /// BLG along boundaries in the tip's sensing range.
     fn discover_from_tip(
         &mut self,
         owner: usize,
-        tip: VirtualTip,
+        recruit: usize,
         room: usize,
     ) -> Vec<ExpansionPoint> {
         let rs = self.cfg.rs;
+        let pos = self.tip_reloc(recruit).nav.target();
+        let exclude = [owner, recruit];
         let mut out = Vec::new();
-        for frontier in flg_frontiers(tip.pos, rs, self.registry.lines()) {
+        for frontier in flg_frontiers(pos, rs, self.registry.lines()) {
             if out.len() >= room {
                 return out;
             }
-            if let Some(ep) =
-                self.try_frontier_from(owner, tip.pos, frontier, EpKind::Flg, &[owner, tip.recruit])
-            {
+            if let Some(ep) = self.try_frontier(owner, pos, frontier, EpKind::Flg, &exclude) {
                 out.push(ep);
             }
         }
         if self.params.enable_blg && out.len() < room {
             let frontier = {
                 let field = self.field;
-                blg_frontier(tip.pos, rs, field, self.world.rng())
+                blg_frontier(pos, rs, field, self.world.rng())
             };
             if let Some(frontier) = frontier {
-                if let Some(ep) = self.try_frontier_from(
-                    owner,
-                    tip.pos,
-                    frontier,
-                    EpKind::Blg,
-                    &[owner, tip.recruit],
-                ) {
+                if let Some(ep) = self.try_frontier(owner, pos, frontier, EpKind::Blg, &exclude) {
                     out.push(ep);
                 }
             }
@@ -696,21 +697,11 @@ impl<'a> FloorSim<'a> {
         out
     }
 
-    /// Checks a frontier point and converts it into an EP on the
-    /// expansion circle if it is valid and uncovered.
+    /// Checks a frontier point seen from `origin` (the querier's own
+    /// position, or a virtual tip it planted) and converts it into an
+    /// EP on the expansion circle if it is valid and uncovered by any
+    /// sensor but those in `exclude`.
     fn try_frontier(
-        &mut self,
-        i: usize,
-        pos: Point,
-        frontier: Point,
-        kind: EpKind,
-    ) -> Option<ExpansionPoint> {
-        self.try_frontier_from(i, pos, frontier, kind, &[i])
-    }
-
-    /// Like [`FloorSim::try_frontier`] with an explicit anchor point
-    /// (a virtual tip) and exclusion list.
-    fn try_frontier_from(
         &mut self,
         querier: usize,
         origin: Point,
@@ -842,11 +833,7 @@ impl<'a> FloorSim<'a> {
         }
         self.world.msgs().record(MsgKind::Acknowledge, hops);
         let token = self.registry.add_virtual(best.ep.pos, i);
-        self.tips.push(VirtualTip {
-            pos: best.ep.pos,
-            recruit: i,
-            owner: best.inviter,
-        });
+        self.tips.push(i);
         // The inviter updates its ancestors' location records on behalf
         // of the virtual node.
         if let Some(depth) = self.tree.depth(best.inviter) {
@@ -855,7 +842,7 @@ impl<'a> FloorSim<'a> {
                 .record(MsgKind::LocationUpdate, depth as u64);
         }
         self.reloc[i] = Some(Reloc {
-            nav: Navigator::with_context(self.nav_ctx.clone(), my_pos, best.ep.pos, Hand::Right),
+            nav: Navigator::with_context(self.nav_ctx.clone(), my_pos, best.ep.pos),
             token,
             inviter: best.inviter,
         });
@@ -872,7 +859,7 @@ impl<'a> FloorSim<'a> {
     /// register with the floor header (§5.5.2).
     fn finish_relocation(&mut self, i: usize) {
         let r = self.reloc[i].take().expect("relocating");
-        self.tips.retain(|t| t.recruit != i);
+        self.tips.retain(|&r| r != i);
         let pos = self.world.pos(i);
         self.state[i] = FState::Fixed;
         self.static_reach.join(i, &mut self.world, &self.state);
@@ -919,7 +906,7 @@ impl<'a> FloorSim<'a> {
     /// return to the movable pool.
     fn abort_relocation(&mut self, i: usize) {
         let r = self.reloc[i].take().expect("relocating");
-        self.tips.retain(|t| t.recruit != i);
+        self.tips.retain(|&r| r != i);
         self.registry.release_virtual(r.token);
         self.state[i] = FState::Movable;
         self.static_reach.join(i, &mut self.world, &self.state);

@@ -273,7 +273,7 @@ mod tests {
         let mut world = world(vec![
             Point::new(10.0, 0.0),
             Point::new(20.0, 10.0),
-            Point::new(20.0, -10.0),
+            Point::new(24.0, 0.0),
             Point::new(35.0, 0.0),
         ]);
         // whichever bridge the flood went through, 3 keeps a path

@@ -347,14 +347,10 @@ mod tests {
     use super::*;
     use msn_field::Field;
     use msn_geom::Rect;
-    use msn_nav::Hand;
     use msn_sim::SimConfig;
 
     fn mover_to_origin(field: &Field, from: Point) -> LazyMover {
-        LazyMover::new(
-            MultiLegPlan::new(field, from, vec![Point::ORIGIN], Hand::Right),
-            0.0,
-        )
+        LazyMover::new(MultiLegPlan::new(field, from, vec![Point::ORIGIN]), 0.0)
     }
 
     fn world_at(positions: &[Point]) -> World {
@@ -541,12 +537,8 @@ mod tests {
             100.0,
             vec![Rect::new(40.0, 40.0, 60.0, 60.0).to_polygon()],
         );
-        let mut route = MultiLegPlan::new(
-            &field,
-            Point::new(10.0, 50.0),
-            vec![Point::new(50.0, 50.0)],
-            Hand::Right,
-        );
+        let mut route =
+            MultiLegPlan::new(&field, Point::new(10.0, 50.0), vec![Point::new(50.0, 50.0)]);
         for _ in 0..2000 {
             if route.is_stuck() {
                 break;

@@ -6,22 +6,6 @@ use msn_geom::{Point, Segment};
 use std::fmt;
 use std::sync::Arc;
 
-/// Which hand a sensor keeps on the obstacle while circumnavigating.
-///
-/// With counter-clockwise obstacle polygons, the right-hand rule walks
-/// the boundary clockwise (obstacle to the sensor's right) and the
-/// left-hand rule counter-clockwise. The paper uses the right hand for
-/// connectivity establishment (§3.2) and the left hand during boundary
-/// guided expansion (§5.5.1) "to help sensors disperse into unexplored
-/// areas more quickly".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Hand {
-    /// Keep the right hand on the wall (clockwise around CCW polygons).
-    Right,
-    /// Keep the left hand on the wall (counter-clockwise).
-    Left,
-}
-
 #[derive(Debug, Clone)]
 enum State {
     OnLine,
@@ -51,7 +35,6 @@ pub struct Navigator {
     start: Point,
     target: Point,
     pos: Point,
-    hand: Hand,
     state: State,
     traveled: f64,
     hit_obstacle: bool,
@@ -60,35 +43,15 @@ pub struct Navigator {
 
 impl Navigator {
     /// Plans a path from `start` to `target` through `field` with the
-    /// default wall clearance ([`crate::DEFAULT_CLEARANCE`]).
-    pub fn new(field: &Field, start: Point, target: Point, hand: Hand) -> Self {
-        Navigator::with_clearance(field, start, target, hand, crate::DEFAULT_CLEARANCE)
-    }
-
-    /// Plans a path keeping `clearance` meters from obstacle walls,
-    /// building a private [`NavContext`] for this plan alone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clearance` is negative.
-    pub fn with_clearance(
-        field: &Field,
-        start: Point,
-        target: Point,
-        hand: Hand,
-        clearance: f64,
-    ) -> Self {
-        Navigator::with_context(
-            Arc::new(NavContext::with_clearance(field, clearance)),
-            start,
-            target,
-            hand,
-        )
+    /// default wall clearance ([`crate::DEFAULT_CLEARANCE`]), building a
+    /// private [`NavContext`] for this plan alone.
+    pub fn new(field: &Field, start: Point, target: Point) -> Self {
+        Navigator::with_context(Arc::new(NavContext::new(field)), start, target)
     }
 
     /// Plans a path probing obstacles through a shared, pre-built
     /// context — the cheap constructor every per-run plan should use.
-    pub fn with_context(ctx: Arc<NavContext>, start: Point, target: Point, hand: Hand) -> Self {
+    pub fn with_context(ctx: Arc<NavContext>, start: Point, target: Point) -> Self {
         let _span = msn_obs::span("nav.plan");
         msn_obs::counter("nav.plans", 1);
         let d = start.dist(target);
@@ -105,7 +68,6 @@ impl Navigator {
             start,
             target,
             pos: start,
-            hand,
             state,
             traveled: 0.0,
             hit_obstacle: false,
@@ -158,12 +120,6 @@ impl Navigator {
     #[inline]
     pub fn is_following(&self) -> bool {
         matches!(self.state, State::Following { .. })
-    }
-
-    /// The shared navigation context this plan probes through.
-    #[inline]
-    pub fn context(&self) -> &Arc<NavContext> {
-        &self.ctx
     }
 
     /// Moves up to `max_dist` meters along the BUG2 path and returns
@@ -223,20 +179,16 @@ impl Navigator {
                     hit_dist,
                     mut followed,
                 } => {
-                    let ccw = matches!(self.hand, Hand::Left);
+                    // Right hand on the wall: walk each CCW ring
+                    // clockwise, toward the start of the current edge.
                     let (corner, n) = {
                         let ring = &self.ctx.rings()[poly];
-                        let e = ring.edge(edge);
-                        (if ccw { e.b } else { e.a }, ring.len())
+                        (ring.edge(edge).a, ring.len())
                     };
                     let to_corner = ring_pos.dist(corner);
                     if to_corner <= 1e-9 {
                         // Sitting on the corner: advance to the next edge.
-                        edge = if ccw {
-                            (edge + 1) % n
-                        } else {
-                            (edge + n - 1) % n
-                        };
+                        edge = (edge + n - 1) % n;
                         self.state = State::Following {
                             poly,
                             edge,
@@ -291,11 +243,7 @@ impl Navigator {
                         poly = pj;
                         edge = ej;
                     } else if ring_pos.dist(corner) <= 1e-9 {
-                        edge = if ccw {
-                            (edge + 1) % n
-                        } else {
-                            (edge + n - 1) % n
-                        };
+                        edge = (edge + n - 1) % n;
                     }
                     self.state = State::Following {
                         poly,
@@ -354,12 +302,7 @@ mod tests {
     #[test]
     fn straight_line_in_open_field() {
         let f = Field::open(100.0, 100.0);
-        let mut nav = Navigator::new(
-            &f,
-            Point::new(10.0, 10.0),
-            Point::new(90.0, 90.0),
-            Hand::Right,
-        );
+        let mut nav = Navigator::new(&f, Point::new(10.0, 10.0), Point::new(90.0, 90.0));
         assert!(run(&mut nav, 7.0, 100));
         let d = Point::new(10.0, 10.0).dist(Point::new(90.0, 90.0));
         assert!((nav.traveled() - d).abs() < 1e-6);
@@ -369,7 +312,7 @@ mod tests {
     #[test]
     fn zero_length_plan_is_immediately_done() {
         let f = Field::open(10.0, 10.0);
-        let nav = Navigator::new(&f, Point::new(5.0, 5.0), Point::new(5.0, 5.0), Hand::Right);
+        let nav = Navigator::new(&f, Point::new(5.0, 5.0), Point::new(5.0, 5.0));
         assert!(nav.is_done());
     }
 
@@ -382,7 +325,7 @@ mod tests {
         );
         let start = Point::new(10.0, 50.0);
         let target = Point::new(90.0, 50.0);
-        let mut nav = Navigator::new(&f, start, target, Hand::Right);
+        let mut nav = Navigator::new(&f, start, target);
         assert!(
             run(&mut nav, 3.0, 500),
             "must reach the target, state: {nav}"
@@ -405,12 +348,7 @@ mod tests {
             100.0,
             vec![Rect::new(40.0, 20.0, 60.0, 80.0).to_polygon()],
         );
-        let mut nav = Navigator::new(
-            &f,
-            Point::new(10.0, 50.0),
-            Point::new(90.0, 50.0),
-            Hand::Right,
-        );
+        let mut nav = Navigator::new(&f, Point::new(10.0, 50.0), Point::new(90.0, 50.0));
         // advance until following, then a bit more
         for _ in 0..40 {
             nav.advance(1.0);
@@ -429,35 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn left_hand_goes_counterclockwise() {
-        let f = Field::with_obstacles(
-            100.0,
-            100.0,
-            vec![Rect::new(40.0, 20.0, 60.0, 80.0).to_polygon()],
-        );
-        let mut nav = Navigator::new(
-            &f,
-            Point::new(10.0, 50.0),
-            Point::new(90.0, 50.0),
-            Hand::Left,
-        );
-        for _ in 0..40 {
-            nav.advance(1.0);
-            if nav.is_following() {
-                break;
-            }
-        }
-        assert!(nav.is_following());
-        nav.advance(10.0);
-        assert!(
-            nav.pos().y < 50.0,
-            "left hand should walk down first, at {}",
-            nav.pos()
-        );
-        assert!(run(&mut nav, 3.0, 500));
-    }
-
-    #[test]
     fn figure2_two_obstacles() {
         // Replica of the paper's Figure 2: two obstacles on the way.
         let f = Field::with_obstacles(
@@ -470,7 +379,7 @@ mod tests {
         );
         let start = Point::new(10.0, 50.0);
         let target = Point::new(190.0, 40.0);
-        let mut nav = Navigator::new(&f, start, target, Hand::Right);
+        let mut nav = Navigator::new(&f, start, target);
         assert!(run(&mut nav, 2.0, 1000), "state: {nav}");
         let d = start.dist(target);
         let perims = 2.0 * (30.0 + 40.0) + 2.0 * (30.0 + 40.0);
@@ -489,12 +398,7 @@ mod tests {
             100.0,
             vec![Rect::new(40.0, 40.0, 60.0, 60.0).to_polygon()],
         );
-        let mut nav = Navigator::new(
-            &f,
-            Point::new(10.0, 50.0),
-            Point::new(50.0, 50.0),
-            Hand::Right,
-        );
+        let mut nav = Navigator::new(&f, Point::new(10.0, 50.0), Point::new(50.0, 50.0));
         let done = run(&mut nav, 5.0, 2000);
         assert!(!done);
         assert!(nav.is_stuck());
@@ -513,7 +417,7 @@ mod tests {
         );
         let start = Point::new(10.0, 100.0);
         let target = Point::new(190.0, 100.0);
-        let mut nav = Navigator::new(&f, start, target, Hand::Right);
+        let mut nav = Navigator::new(&f, start, target);
         assert!(run(&mut nav, 2.0, 2000), "state: {nav}");
         assert!(nav.traveled() > 180.0);
     }
@@ -525,12 +429,7 @@ mod tests {
             100.0,
             vec![Rect::new(40.0, 20.0, 60.0, 80.0).to_polygon()],
         );
-        let mut nav = Navigator::new(
-            &f,
-            Point::new(10.0, 50.0),
-            Point::new(90.0, 50.0),
-            Hand::Right,
-        );
+        let mut nav = Navigator::new(&f, Point::new(10.0, 50.0), Point::new(90.0, 50.0));
         while !nav.is_done() && !nav.is_stuck() {
             let p = nav.advance(1.5);
             assert!(
@@ -545,7 +444,7 @@ mod tests {
     #[test]
     fn advance_budget_is_respected() {
         let f = Field::open(100.0, 100.0);
-        let mut nav = Navigator::new(&f, Point::new(0.0, 0.0), Point::new(90.0, 0.0), Hand::Right);
+        let mut nav = Navigator::new(&f, Point::new(0.0, 0.0), Point::new(90.0, 0.0));
         let before = nav.traveled();
         nav.advance(2.0);
         assert!((nav.traveled() - before - 2.0).abs() < 1e-9);
@@ -564,8 +463,8 @@ mod tests {
         let ctx = Arc::new(NavContext::new(&f));
         let start = Point::new(10.0, 50.0);
         let target = Point::new(190.0, 40.0);
-        let mut a = Navigator::new(&f, start, target, Hand::Right);
-        let mut b = Navigator::with_context(ctx, start, target, Hand::Right);
+        let mut a = Navigator::new(&f, start, target);
+        let mut b = Navigator::with_context(ctx, start, target);
         while !a.is_done() && !a.is_stuck() {
             let pa = a.advance(2.0);
             let pb = b.advance(2.0);

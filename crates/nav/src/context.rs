@@ -87,7 +87,6 @@ impl NavScratch {
 pub struct NavContext {
     rings: Vec<Polygon>,
     bounds: Rect,
-    clearance: f64,
     total_perimeter: f64,
     /// Flat edge array over all rings, in (ring, edge) order.
     edges: Vec<Segment>,
@@ -139,7 +138,6 @@ impl NavContext {
         let mut ctx = NavContext {
             rings,
             bounds: field.bounds(),
-            clearance,
             total_perimeter,
             edges,
             edge_ring,
@@ -253,12 +251,6 @@ impl NavContext {
     #[inline]
     pub fn bounds(&self) -> Rect {
         self.bounds
-    }
-
-    /// The wall clearance the rings were offset by.
-    #[inline]
-    pub fn clearance(&self) -> f64 {
-        self.clearance
     }
 
     /// Sum of all ring perimeters (drives BUG2 travel caps).

@@ -2,10 +2,12 @@
 //! the paper).
 //!
 //! Sensors move toward a target along the straight *reference line*
-//! until they hit an obstacle, then follow the obstacle boundary with a
-//! hand rule (right hand for establishing connectivity, left hand for
-//! the BLG coverage expansion of §5.5.1) until they can rejoin the
-//! reference line closer to the target. BUG2 produces a path of length
+//! until they hit an obstacle, then follow the obstacle boundary with
+//! the right hand on the wall (clockwise around each obstacle, §3.2)
+//! until they can rejoin the reference line closer to the target. Every
+//! plan walks right-handed: §5.5.1's left-hand rule for boundary guided
+//! expansion lives in FLOOR's choice of which chord end of a wall to
+//! expand toward (`floor::blg_frontier` in `msn-core`), not here. BUG2 produces a path of length
 //! at most `D + Σ nᵢ·lᵢ/2` for obstacles of perimeter `lᵢ` crossed
 //! `nᵢ` times by the reference line, and is essentially optimal for
 //! convex obstacles.
@@ -25,14 +27,14 @@
 //! ```
 //! use msn_field::Field;
 //! use msn_geom::{Point, Rect};
-//! use msn_nav::{Hand, Navigator};
+//! use msn_nav::Navigator;
 //!
 //! let field = Field::with_obstacles(
 //!     100.0,
 //!     100.0,
 //!     vec![Rect::new(40.0, 20.0, 60.0, 80.0).to_polygon()],
 //! );
-//! let mut nav = Navigator::new(&field, Point::new(10.0, 50.0), Point::new(90.0, 50.0), Hand::Right);
+//! let mut nav = Navigator::new(&field, Point::new(10.0, 50.0), Point::new(90.0, 50.0));
 //! while !nav.is_done() && !nav.is_stuck() {
 //!     nav.advance(5.0);
 //! }
@@ -49,7 +51,7 @@ mod context;
 mod multileg;
 mod offset;
 
-pub use bug2::{Hand, Navigator};
+pub use bug2::Navigator;
 pub use context::{NavContext, NavScratch};
 pub use multileg::MultiLegPlan;
 pub use offset::offset_polygon;

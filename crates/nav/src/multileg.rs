@@ -1,6 +1,6 @@
 //! Multi-leg navigation plans (FLOOR's Algorithm 1).
 
-use crate::{Hand, NavContext, Navigator};
+use crate::{NavContext, Navigator};
 use msn_field::Field;
 use msn_geom::Point;
 use std::fmt;
@@ -20,14 +20,13 @@ use std::sync::Arc;
 /// ```
 /// use msn_field::Field;
 /// use msn_geom::Point;
-/// use msn_nav::{Hand, MultiLegPlan};
+/// use msn_nav::MultiLegPlan;
 ///
 /// let field = Field::open(100.0, 100.0);
 /// let mut plan = MultiLegPlan::new(
 ///     &field,
 ///     Point::new(80.0, 73.0),
 ///     vec![Point::new(80.0, 50.0), Point::new(0.0, 50.0), Point::new(0.0, 0.0)],
-///     Hand::Right,
 /// );
 /// while !plan.is_done() && !plan.is_stuck() {
 ///     plan.advance(10.0);
@@ -41,7 +40,6 @@ pub struct MultiLegPlan {
     legs: Vec<Point>,
     leg_idx: usize,
     nav: Navigator,
-    hand: Hand,
     traveled_before: f64,
 }
 
@@ -52,8 +50,8 @@ impl MultiLegPlan {
     /// # Panics
     ///
     /// Panics if `legs` is empty.
-    pub fn new(field: &Field, start: Point, legs: Vec<Point>, hand: Hand) -> Self {
-        Self::with_context(Arc::new(NavContext::new(field)), start, legs, hand)
+    pub fn new(field: &Field, start: Point, legs: Vec<Point>) -> Self {
+        Self::with_context(Arc::new(NavContext::new(field)), start, legs)
     }
 
     /// Creates a plan whose legs all probe obstacles through a shared,
@@ -62,15 +60,14 @@ impl MultiLegPlan {
     /// # Panics
     ///
     /// Panics if `legs` is empty.
-    pub fn with_context(ctx: Arc<NavContext>, start: Point, legs: Vec<Point>, hand: Hand) -> Self {
+    pub fn with_context(ctx: Arc<NavContext>, start: Point, legs: Vec<Point>) -> Self {
         assert!(!legs.is_empty(), "at least one leg required");
-        let nav = Navigator::with_context(ctx.clone(), start, legs[0], hand);
+        let nav = Navigator::with_context(ctx.clone(), start, legs[0]);
         MultiLegPlan {
             ctx,
             legs,
             leg_idx: 0,
             nav,
-            hand,
             traveled_before: 0.0,
         }
     }
@@ -135,7 +132,6 @@ impl MultiLegPlan {
                     self.ctx.clone(),
                     self.nav.pos(),
                     self.legs[self.leg_idx],
-                    self.hand,
                 );
             } else if self.nav.is_stuck() {
                 break;
@@ -186,7 +182,7 @@ mod tests {
             Point::new(0.0, 50.0),
             Point::new(0.0, 0.0),
         ];
-        let mut plan = MultiLegPlan::new(&f, start, legs, Hand::Right);
+        let mut plan = MultiLegPlan::new(&f, start, legs);
         assert!(run(&mut plan, 5.0, 200));
         // Manhattan-ish path: 23 + 80 + 50
         assert!(
@@ -210,7 +206,7 @@ mod tests {
             Point::new(0.0, 40.0),
             Point::new(0.0, 0.0),
         ];
-        let mut plan = MultiLegPlan::new(&f, start, legs, Hand::Right);
+        let mut plan = MultiLegPlan::new(&f, start, legs);
         assert!(run(&mut plan, 5.0, 400), "state: {plan}");
         assert!(plan.pos().dist(Point::ORIGIN) < 1e-6);
     }
@@ -226,7 +222,7 @@ mod tests {
         );
         let start = Point::new(80.0, 80.0);
         let legs = vec![Point::new(80.0, 25.0), Point::new(0.0, 25.0), Point::ORIGIN];
-        let mut plan = MultiLegPlan::new(&f, start, legs, Hand::Right);
+        let mut plan = MultiLegPlan::new(&f, start, legs);
         assert!(run(&mut plan, 4.0, 500), "state: {plan}");
         assert!(plan.pos().dist(Point::ORIGIN) < 1e-6);
         assert!(
@@ -242,7 +238,6 @@ mod tests {
             &f,
             Point::new(40.0, 40.0),
             vec![Point::new(40.0, 20.0), Point::new(10.0, 20.0)],
-            Hand::Right,
         );
         assert_eq!(plan.leg(), 0);
         plan.advance(25.0);

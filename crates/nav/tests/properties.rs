@@ -2,7 +2,7 @@
 
 use msn_field::Field;
 use msn_geom::{Point, Rect, Segment};
-use msn_nav::{Hand, NavContext, Navigator};
+use msn_nav::{NavContext, Navigator};
 use proptest::prelude::*;
 
 fn single_obstacle_field(ox: f64, oy: f64, w: f64, h: f64) -> Field {
@@ -27,14 +27,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// BUG2 always reaches a reachable target around a single convex
-    /// obstacle, with both hand rules.
+    /// obstacle.
     #[test]
     fn reaches_target_around_convex_obstacle(
         ox in 200.0..600.0f64, oy in 200.0..600.0f64,
         w in 50.0..300.0f64, h in 50.0..300.0f64,
         sx in 0.0..150.0f64, sy in 0.0..1000.0f64,
         tx in 850.0..1000.0f64, ty in 0.0..1000.0f64,
-        hand in prop::bool::ANY,
     ) {
         let field = single_obstacle_field(ox, oy, w, h);
         let start = Point::new(sx, sy);
@@ -42,8 +41,7 @@ proptest! {
         prop_assume!(field.is_free(start) && field.is_free(target));
         prop_assume!(field.nearest_obstacle_dist(start) > 1.0);
         prop_assume!(field.nearest_obstacle_dist(target) > 1.0);
-        let hand = if hand { Hand::Right } else { Hand::Left };
-        let mut nav = Navigator::new(&field, start, target, hand);
+        let mut nav = Navigator::new(&field, start, target);
         prop_assert!(drive(&mut nav, 5.0, 4000), "must reach target, state {nav}");
         prop_assert!(nav.pos().dist(target) < 1e-6);
     }
@@ -60,7 +58,7 @@ proptest! {
         let field = single_obstacle_field(ox, oy, w, h);
         let start = Point::new(20.0, sy);
         let target = Point::new(980.0, ty);
-        let mut nav = Navigator::new(&field, start, target, Hand::Right);
+        let mut nav = Navigator::new(&field, start, target);
         prop_assert!(drive(&mut nav, 5.0, 4000));
         let d = start.dist(target);
         let perimeter = 2.0 * (w + h) + 8.0; // inflated ring
@@ -81,7 +79,7 @@ proptest! {
         let field = single_obstacle_field(ox, oy, 200.0, 200.0);
         let start = Point::new(10.0, sy);
         let target = Point::new(990.0, ty);
-        let mut nav = Navigator::new(&field, start, target, Hand::Right);
+        let mut nav = Navigator::new(&field, start, target);
         for _ in 0..4000 {
             if nav.is_done() || nav.is_stuck() {
                 break;
@@ -105,7 +103,7 @@ proptest! {
         let field = Field::open(1000.0, 1000.0);
         let start = Point::new(sx, sy);
         let target = Point::new(tx, ty);
-        let mut nav = Navigator::new(&field, start, target, Hand::Left);
+        let mut nav = Navigator::new(&field, start, target);
         prop_assert!(drive(&mut nav, 7.0, 1000));
         prop_assert!((nav.traveled() - start.dist(target)).abs() < 1e-6);
     }
@@ -163,7 +161,6 @@ proptest! {
             &field,
             Point::new(10.0, sy),
             Point::new(990.0, ty),
-            Hand::Right,
         );
         for _ in 0..200 {
             let before = nav.traveled();

@@ -11,10 +11,11 @@
 //!   consumers observe it: FLOOR's TTL random walks draw neighbor
 //!   picks from these lists, so list order and length are part of the
 //!   RNG stream. Property-tested in `tests/properties.rs`.
-//! * **Dense cells** — the buckets are a flat array over the cells of
-//!   a fixed window (the field, for a simulated fleet), so a range
-//!   query indexes its cells instead of hashing them. Points outside
-//!   the window fall back to a hash map; both scan in the same order.
+//! * **One dense window** — the buckets are a flat array over the
+//!   cells of a fixed extent (the field, for a simulated fleet), so a
+//!   range query indexes its cells instead of hashing them. Every
+//!   point must stay inside the extent: one outside it panics at the
+//!   build or the next bucket sync, naming the sensor and the point.
 //! * **Lazy dirty sets** — [`AdjacencyTracker::set_sensor`] is
 //!   `O(1)`: it writes the one position array and marks the sensor
 //!   dirty for two levels, the buckets and the lists, each reconciled
@@ -30,56 +31,10 @@
 
 use crate::{within_range, Neighbors, RANGE_EPS};
 use msn_geom::{Point, Rect};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
-/// FxHash-style multiplicative hasher for the `(i64, i64)` keys of the
-/// overflow cells, the ones outside the dense window. SipHash would
-/// dominate the per-query cost of a bucket map this small; a keyed
-/// DoS-resistant hash buys nothing here (cell keys come from simulated
-/// positions, not attacker input), and the map is only ever probed by
-/// key — never iterated — so the hasher cannot influence query
-/// results.
-///
-/// All arithmetic is wrapping on `u64`, so large and negative cell
-/// coordinates (far-off-field sensors saturate the `i64` keys) cannot
-/// overflow. `finish` folds the high half into the low bits: the map
-/// indexes buckets by the *low* bits of the hash, and the low bits of
-/// a wrapping product depend only on the low bits of its inputs — keys
-/// agreeing in their low bits but differing in magnitude would
-/// otherwise share buckets systematically.
-#[derive(Default)]
-struct CellHasher(u64);
-
-impl CellHasher {
-    #[inline]
-    fn add(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for CellHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    #[inline]
-    fn write_i64(&mut self, n: i64) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-}
-
-type CellMap = HashMap<(i64, i64), Vec<u32>, BuildHasherDefault<CellHasher>>;
+/// Cells a tracker's window may span: 2^22 empty buckets take about
+/// 100 MB. The bundled maximum, `scale-50k`, spans 267 × 267 = 71,289.
+const MAX_CELLS: i128 = 1 << 22;
 
 /// Moved sensors' summed degree, per sensor, from which a list sync
 /// rebuilds instead of repairing. Timed per sync on full `paper-field`,
@@ -90,8 +45,10 @@ type CellMap = HashMap<(i64, i64), Vec<u32>, BuildHasherDefault<CellHasher>>;
 const REBUILD_DEGREE: usize = 6;
 
 /// Point indices bucketed by grid cell `(⌊x/cell⌋, ⌊y/cell⌋)`, each
-/// bucket ascending: a flat array over the inclusive cell window
-/// `[x0, x1] × [y0, y1]`, and a hash map for cells outside it.
+/// bucket ascending, in a flat array over the cell window
+/// `x0 ≤ gx < x0 + nx`, `y0 ≤ gy < y0 + ny`. Cell `(gx, gy)` is slot
+/// `(gx - x0) · ny + (gy - y0)`, so slots ascend in the scan order
+/// `(gx, gy)`.
 #[derive(Debug, Clone)]
 struct Buckets {
     /// Cell side, `rc.max(1.0)` — the cell [`crate::DiskGraph::build`]
@@ -99,49 +56,43 @@ struct Buckets {
     /// adjacency order.
     cell: f64,
     x0: i64,
-    x1: i64,
     y0: i64,
-    y1: i64,
-    /// Window cell `(gx, gy)` is `dense[(gx - x0) · ny + (gy - y0)]`.
+    nx: i64,
+    ny: i64,
     dense: Vec<Vec<u32>>,
-    ny: usize,
-    /// Non-empty buckets of the cells outside the window.
-    overflow: CellMap,
 }
 
 impl Buckets {
-    /// Empty buckets whose dense window covers `extent`, unless that
-    /// window would exceed `max(4·n, 4096)` cells (the proportionality
-    /// guard of [`crate::SpatialGrid::build`]); then every cell
-    /// overflows into the map.
-    fn new(cell: f64, extent: Option<Rect>, n: usize) -> Self {
+    /// Empty buckets over the cells of `extent`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window spans more than [`MAX_CELLS`] cells.
+    fn new(cell: f64, extent: Rect, rc: f64) -> Self {
         let mut b = Buckets {
             cell,
             x0: 0,
-            x1: -1,
             y0: 0,
-            y1: -1,
-            dense: Vec::new(),
+            nx: 0,
             ny: 0,
-            overflow: CellMap::default(),
+            dense: Vec::new(),
         };
-        let Some(extent) = extent else {
-            return b;
-        };
-        let (x0, y0) = b.key(extent.min);
-        let (x1, y1) = b.key(extent.max);
-        // i128: saturated i64 keys would overflow the span
+        let ((x0, y0), (x1, y1)) = (b.key(extent.min), b.key(extent.max));
+        // i128: the span of saturated i64 keys does not fit an i64
         let nx = x1 as i128 - x0 as i128 + 1;
         let ny = y1 as i128 - y0 as i128 + 1;
-        let cap = (4 * n as i128).max(4096);
-        if nx > 0 && ny > 0 && nx.checked_mul(ny).is_some_and(|cells| cells <= cap) {
-            (b.x0, b.x1, b.y0, b.y1) = (x0, x1, y0, y1);
-            b.ny = ny as usize;
-            b.dense = vec![Vec::new(); (nx * ny) as usize];
-        }
+        let cells = nx.saturating_mul(ny);
+        assert!(
+            nx > 0 && ny > 0 && cells <= MAX_CELLS,
+            "proximity window over {extent} at rc {rc} spans {nx} x {ny} = {cells} cells, \
+             past the limit of {MAX_CELLS}"
+        );
+        (b.x0, b.y0, b.nx, b.ny) = (x0, y0, nx as i64, ny as i64);
+        b.dense = vec![Vec::new(); cells as usize];
         b
     }
 
+    /// The cell of `p`, unclipped.
     #[inline]
     fn key(&self, p: Point) -> (i64, i64) {
         (
@@ -150,54 +101,39 @@ impl Buckets {
         )
     }
 
-    /// The dense slot of cell `(gx, gy)`, if it lies in the window.
+    /// The slot of sensor `i`'s position `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` lies outside the window.
     #[inline]
-    fn slot(&self, (gx, gy): (i64, i64)) -> Option<usize> {
-        (self.x0 <= gx && gx <= self.x1 && self.y0 <= gy && gy <= self.y1)
-            .then(|| (gx - self.x0) as usize * self.ny + (gy - self.y0) as usize)
+    fn slot(&self, i: usize, p: Point) -> u32 {
+        let (gx, gy) = self.key(p);
+        let (dx, dy) = (gx.wrapping_sub(self.x0), gy.wrapping_sub(self.y0));
+        assert!(
+            (0..self.nx).contains(&dx) && (0..self.ny).contains(&dy),
+            "sensor {i} at {p} lies outside the tracked extent"
+        );
+        (dx * self.ny + dy) as u32
     }
 
-    #[inline]
-    fn get(&self, key: (i64, i64)) -> &[u32] {
-        match self.slot(key) {
-            Some(c) => &self.dense[c],
-            None => self.overflow.get(&key).map_or(&[], Vec::as_slice),
+    /// Empties the buckets of `slots`, keeping their allocations.
+    fn clear(&mut self, slots: &[u32]) {
+        for &c in slots {
+            self.dense[c as usize].clear();
         }
     }
 
-    #[inline]
-    fn get_mut(&mut self, key: (i64, i64)) -> &mut Vec<u32> {
-        match self.slot(key) {
-            Some(c) => &mut self.dense[c],
-            None => self.overflow.entry(key).or_default(),
-        }
-    }
-
-    /// Empties the buckets of `keys`, keeping the dense allocations.
-    fn clear(&mut self, keys: &[(i64, i64)]) {
-        for &key in keys {
-            match self.slot(key) {
-                Some(c) => self.dense[c].clear(),
-                None => {
-                    self.overflow.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Moves point `i` from cell `from` to cell `to`, keeping both
+    /// Moves point `i` from slot `from` to slot `to`, keeping both
     /// buckets ascending.
-    fn transfer(&mut self, i: u32, from: (i64, i64), to: (i64, i64)) {
+    fn transfer(&mut self, i: u32, from: u32, to: u32) {
         // Vec::remove / sorted insert (not swap_remove + push):
         // ascending bucket order is what makes query results
         // identical to SpatialGrid's.
-        let bucket = self.get_mut(from);
+        let bucket = &mut self.dense[from as usize];
         let at = bucket.binary_search(&i).expect("point in cell");
         bucket.remove(at);
-        if bucket.is_empty() && self.slot(from).is_none() {
-            self.overflow.remove(&from);
-        }
-        let bucket = self.get_mut(to);
+        let bucket = &mut self.dense[to as usize];
         let at = bucket.binary_search(&i).expect_err("point was absent");
         bucket.insert(at, i);
     }
@@ -207,38 +143,26 @@ impl Buckets {
     /// bucket ascending.
     fn collect(&self, points: &[Point], center: Point, r: f64, skip: usize, out: &mut Vec<usize>) {
         out.clear();
-        let mut visit = |bucket: &[u32]| {
-            for &j in bucket {
-                let j = j as usize;
-                if j != skip && within_range(points[j], center, r) {
-                    out.push(j);
-                }
-            }
-        };
         // Exact cell bounds of the slack-padded reach (the same
-        // minimal-window rule SpatialGrid::within uses).
+        // minimal-window rule SpatialGrid::within uses), clipped to the
+        // window, which holds every point.
         let reach = r + RANGE_EPS;
         let (gx_lo, gy_lo) = self.key(Point::new(center.x - reach, center.y - reach));
         let (gx_hi, gy_hi) = self.key(Point::new(center.x + reach, center.y + reach));
-        if self.overflow.is_empty() {
-            // Every point lies in the window: scan only its overlap
-            // with the reach, a row of slots per gx.
-            let (xa, xb) = (gx_lo.max(self.x0), gx_hi.min(self.x1));
-            let (ya, yb) = (gy_lo.max(self.y0), gy_hi.min(self.y1));
-            if xa > xb || ya > yb {
-                return;
-            }
-            let (ya, yb) = ((ya - self.y0) as usize, (yb - self.y0) as usize);
-            for gx in xa..=xb {
-                let row = (gx - self.x0) as usize * self.ny;
-                self.dense[row + ya..=row + yb]
-                    .iter()
-                    .for_each(|b| visit(b));
-            }
-        } else {
-            for gx in gx_lo..=gx_hi {
-                for gy in gy_lo..=gy_hi {
-                    visit(self.get((gx, gy)));
+        let (xa, xb) = (gx_lo.max(self.x0), gx_hi.min(self.x0 + self.nx - 1));
+        let (ya, yb) = (gy_lo.max(self.y0), gy_hi.min(self.y0 + self.ny - 1));
+        if xa > xb || ya > yb {
+            return;
+        }
+        let (ya, yb) = ((ya - self.y0) as usize, (yb - self.y0) as usize);
+        for gx in xa..=xb {
+            let row = (gx - self.x0) as usize * self.ny as usize;
+            for bucket in &self.dense[row + ya..=row + yb] {
+                for &j in bucket {
+                    let j = j as usize;
+                    if j != skip && within_range(points[j], center, r) {
+                        out.push(j);
+                    }
                 }
             }
         }
@@ -286,16 +210,15 @@ impl DirtySet {
 /// [`crate::DiskGraph::build`], maintained under sensor moves instead
 /// of rebuilt per tick.
 ///
-/// **Buckets.** The cells of a fixed window — the field
-/// ([`Self::with_extent`]) or the initial points' bounding box
-/// ([`Self::new`]) — are a flat array; a point outside it is bucketed
-/// in a hash map instead. Each bucket keeps its indices ascending and
+/// **Buckets.** The cells of the extent given to [`Self::new`] — a
+/// simulated fleet's field — are a flat array, and every point must
+/// stay inside that extent. Each bucket keeps its indices ascending and
 /// queries scan the candidate cell window in the same lexicographic
-/// order as [`crate::SpatialGrid`], so [`Self::within`] returns
-/// byte-for-byte what `SpatialGrid::build(points, rc.max(1.0))
-/// .within(points, center, r)` would, for any radius `r`. Radii up to
-/// the cell scan at most a 3×3 cell window; larger radii stay exact
-/// but scan proportionally more cells.
+/// order as [`crate::SpatialGrid`], so [`Self::neighbors_within_into`]
+/// returns byte-for-byte what `SpatialGrid::build(points, rc.max(1.0))
+/// .neighbors(points, i, r)` would, for any radius `r`. Radii up to the
+/// cell scan at most a 3×3 cell window; larger radii stay exact but
+/// scan proportionally more cells.
 ///
 /// **Lists.** Moved sensors are reconciled on the next list query in
 /// three passes: **unlink** (drop the moved sensors from their old
@@ -316,11 +239,12 @@ impl DirtySet {
 /// # Examples
 ///
 /// ```
-/// use msn_geom::Point;
+/// use msn_geom::{Point, Rect};
 /// use msn_net::{AdjacencyTracker, DiskGraph, Neighbors};
 ///
+/// let field = Rect::new(0.0, 0.0, 100.0, 100.0);
 /// let mut pts = vec![Point::new(0.0, 0.0), Point::new(8.0, 0.0), Point::new(40.0, 0.0)];
-/// let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+/// let mut tracker = AdjacencyTracker::new(&pts, 10.0, field);
 /// assert_eq!(tracker.neighbors(0), &[1]);
 /// pts[2] = Point::new(16.0, 0.0); // walks into range of sensor 1
 /// tracker.set_sensor(2, pts[2]);
@@ -336,8 +260,9 @@ pub struct AdjacencyTracker {
     /// Latest recorded positions, indexed by sensor.
     points: Vec<Point>,
     buckets: Buckets,
-    /// The cell each point is bucketed under.
-    keys: Vec<(i64, i64)>,
+    /// The bucket slot each point is filed under; slots ascend in the
+    /// scan order, so they are also the lists' sort key.
+    slots: Vec<u32>,
     /// Sensors moved since the buckets last synced.
     bucket_dirty: DirtySet,
     /// Neighbor lists, each in grid scan order.
@@ -363,38 +288,15 @@ struct HopScratch {
 
 impl AdjacencyTracker {
     /// Builds the tracker for `positions` and communication range
-    /// `rc`, with dense cells over the positions' bounding box.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rc` is not strictly positive or a coordinate is not
-    /// finite.
-    pub fn new(positions: &[Point], rc: f64) -> Self {
-        let bbox = positions.iter().fold(None, |acc: Option<Rect>, &p| {
-            Some(acc.map_or(Rect::from_corners(p, p), |r| {
-                Rect::from_corners(
-                    Point::new(r.min.x.min(p.x), r.min.y.min(p.y)),
-                    Point::new(r.max.x.max(p.x), r.max.y.max(p.y)),
-                )
-            }))
-        });
-        Self::build(positions, rc, bbox)
-    }
-
-    /// Builds the tracker for `positions` and communication range
     /// `rc`, with dense cells over `extent` — the region the points
-    /// stay in (a simulated fleet's field). Points may leave it; they
-    /// are then bucketed in a slower hash map, with identical answers.
+    /// stay in (a simulated fleet's field).
     ///
     /// # Panics
     ///
-    /// Panics if `rc` is not strictly positive or a coordinate is not
-    /// finite.
-    pub fn with_extent(positions: &[Point], rc: f64, extent: Rect) -> Self {
-        Self::build(positions, rc, Some(extent))
-    }
-
-    fn build(positions: &[Point], rc: f64, extent: Option<Rect>) -> Self {
+    /// Panics if `rc` is not strictly positive, a coordinate is not
+    /// finite, a point lies outside `extent`, or the window over
+    /// `extent` at cell `rc.max(1.0)` spans more than 2^22 cells.
+    pub fn new(positions: &[Point], rc: f64, extent: Rect) -> Self {
         assert!(rc > 0.0, "communication range must be positive");
         for (i, p) in positions.iter().enumerate() {
             assert!(p.x.is_finite() && p.y.is_finite(), "non-finite point {i}");
@@ -403,8 +305,10 @@ impl AdjacencyTracker {
         let mut tracker = AdjacencyTracker {
             rc,
             points: positions.to_vec(),
-            buckets: Buckets::new(rc.max(1.0), extent, n),
-            keys: vec![(0, 0); n],
+            buckets: Buckets::new(rc.max(1.0), extent, rc),
+            // slot 0 lies in every window and starts empty, so the
+            // first rebuild's clear is a no-op
+            slots: vec![0; n],
             bucket_dirty: DirtySet::new(n),
             adj: vec![Vec::new(); n],
             list_dirty: DirtySet::new(n),
@@ -448,7 +352,8 @@ impl AdjacencyTracker {
     /// # Panics
     ///
     /// Panics if a coordinate is not finite (matching
-    /// [`crate::SpatialGrid::build`]).
+    /// [`crate::SpatialGrid::build`]). A position outside the extent
+    /// panics at the next query, when the buckets sync.
     #[inline]
     pub fn set_sensor(&mut self, i: usize, p: Point) {
         assert!(p.x.is_finite() && p.y.is_finite(), "non-finite point {i}");
@@ -459,18 +364,18 @@ impl AdjacencyTracker {
         self.list_dirty.mark(i);
     }
 
-    /// Full bucket reconstruction: the cells named by `keys` are
+    /// Full bucket reconstruction: the cells named by `slots` are
     /// emptied (never the whole window), then every point is
     /// reinserted in index order, which keeps each bucket ascending
     /// for free. A fleet that mostly stays in its cells re-pushes into
     /// the previous rebuild's allocations.
     fn rebuild_buckets(&mut self) {
         self.bucket_dirty.clear();
-        self.buckets.clear(&self.keys);
+        self.buckets.clear(&self.slots);
         for (i, &p) in self.points.iter().enumerate() {
-            let key = self.buckets.key(p);
-            self.keys[i] = key;
-            self.buckets.get_mut(key).push(i as u32);
+            let slot = self.buckets.slot(i, p);
+            self.slots[i] = slot;
+            self.buckets.dense[slot as usize].push(i as u32);
         }
     }
 
@@ -491,47 +396,20 @@ impl AdjacencyTracker {
         }
         for &i in dirty {
             let iu = i as usize;
-            let new_key = self.buckets.key(self.points[iu]);
-            let old_key = std::mem::replace(&mut self.keys[iu], new_key);
-            if old_key != new_key {
+            let new_slot = self.buckets.slot(iu, self.points[iu]);
+            let old_slot = std::mem::replace(&mut self.slots[iu], new_slot);
+            if old_slot != new_slot {
                 msn_obs::counter("pidx.bucket_moves", 1);
-                self.buckets.transfer(i, old_key, new_key);
+                self.buckets.transfer(i, old_slot, new_slot);
             }
         }
         self.bucket_dirty.clear();
     }
 
-    /// Indices of all points within `r` of `center` (inclusive, under
-    /// the shared [`crate::RANGE_EPS`] slack), including any point
-    /// equal to `center` itself — byte-identical, order included, to
-    /// `SpatialGrid::build(points, rc.max(1.0)).within(points, center, r)`
-    /// on the current points. Syncs the buckets only.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use msn_geom::Point;
-    /// use msn_net::{AdjacencyTracker, SpatialGrid};
-    ///
-    /// let mut pts = vec![Point::new(0.0, 0.0), Point::new(5.0, 0.0), Point::new(50.0, 0.0)];
-    /// let mut tracker = AdjacencyTracker::new(&pts, 10.0);
-    /// assert_eq!(tracker.within(pts[0], 10.0), vec![0, 1]);
-    /// pts[2] = Point::new(8.0, 0.0); // walks into range
-    /// tracker.set_sensor(2, pts[2]);
-    /// let oracle = SpatialGrid::build(&pts, 10.0).within(&pts, pts[0], 10.0);
-    /// assert_eq!(tracker.within(pts[0], 10.0), oracle);
-    /// ```
-    pub fn within(&mut self, center: Point, r: f64) -> Vec<usize> {
-        self.sync_buckets();
-        let mut out = Vec::with_capacity(16);
-        self.buckets
-            .collect(&self.points, center, r, usize::MAX, &mut out);
-        out
-    }
-
-    /// Indices of all points within `r` of point `i`, excluding `i`
-    /// itself, into `out` (its contents replaced, so no allocation once
-    /// `out` has grown to the largest neighborhood) — byte-identical,
+    /// Indices of all points within `r` of point `i` (inclusive, under
+    /// the shared [`crate::RANGE_EPS`] slack), excluding `i` itself,
+    /// into `out` (its contents replaced, so no allocation once `out`
+    /// has grown to the largest neighborhood) — byte-identical,
     /// order included, to
     /// `SpatialGrid::build(points, rc.max(1.0)).neighbors(points, i, r)`.
     /// Syncs the buckets only.
@@ -615,7 +493,7 @@ impl AdjacencyTracker {
             rc,
             points,
             buckets,
-            keys,
+            slots,
             adj,
             list_dirty,
             touched,
@@ -647,8 +525,8 @@ impl AdjacencyTracker {
         }
         // Phase 3: relink. Append each moved sensor to its new
         // neighbors' lists, then restore the oracle's scan order with
-        // one sort per touched list on the cached (now current) cell
-        // keys. The sensor index breaks ties, so the order is exact
+        // one sort per touched list on the cached (now current) bucket
+        // slots. The sensor index breaks ties, so the order is exact
         // even when several moved sensors land in one list.
         for &i in moved {
             let iu = i as usize;
@@ -661,7 +539,7 @@ impl AdjacencyTracker {
             }
         }
         for &j in &touched.list {
-            adj[j as usize].sort_by_key(|&m| (keys[m], m));
+            adj[j as usize].sort_by_key(|&m| (slots[m], m));
         }
         touched.clear();
         list_dirty.clear();
@@ -718,13 +596,18 @@ mod tests {
         SpatialGrid::build(pts, cell).neighbors(pts, i, r)
     }
 
+    /// The extent every test layout below stays in.
+    fn field() -> Rect {
+        Rect::new(-10.0, -10.0, 200.0, 200.0)
+    }
+
     #[test]
     fn single_moves_track_the_oracle() {
         let rc = 10.0;
         let mut pts: Vec<Point> = (0..8)
             .map(|i| Point::new(8.0 * i as f64, 0.5 * i as f64))
             .collect();
-        let mut tracker = AdjacencyTracker::new(&pts, rc);
+        let mut tracker = AdjacencyTracker::new(&pts, rc, field());
         assert_matches(&mut tracker, &pts, rc);
         // walk one sensor across the field in steps
         for step in 0..6 {
@@ -742,7 +625,7 @@ mod tests {
             Point::new(45.0, 45.0),
             Point::new(5.0, 14.0),
         ];
-        let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+        let mut tracker = AdjacencyTracker::new(&pts, 10.0, field());
         for (i, p) in [
             (2, Point::new(8.0, 8.0)),
             (0, Point::new(44.0, 44.0)),
@@ -769,7 +652,7 @@ mod tests {
         let pts: Vec<Point> = (0..9)
             .map(|i| Point::new(20.0 * (i % 3) as f64, 20.0 * (i / 3) as f64))
             .collect();
-        let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+        let mut tracker = AdjacencyTracker::new(&pts, 10.0, field());
         assert_eq!(
             neighbors_within(&mut tracker, 4, 45.0),
             oracle_neighbors(&pts, 10.0, 4, 45.0)
@@ -780,7 +663,7 @@ mod tests {
     fn batched_moves_rebuild_and_stay_exact() {
         let rc = 12.0;
         let mut pts: Vec<Point> = (0..10).map(|i| Point::new(9.0 * i as f64, 0.0)).collect();
-        let mut tracker = AdjacencyTracker::new(&pts, rc);
+        let mut tracker = AdjacencyTracker::new(&pts, rc, field());
         for (i, p) in pts.iter_mut().enumerate() {
             *p = Point::new(p.x, 7.0 * (i % 3) as f64);
             tracker.set_sensor(i, *p);
@@ -793,7 +676,7 @@ mod tests {
         // every sensor moves before the next range query, so the
         // bucket sync rebuilds instead of moving points one by one
         let mut pts: Vec<Point> = (0..12).map(|i| Point::new(7.0 * i as f64, 3.0)).collect();
-        let mut tracker = AdjacencyTracker::new(&pts, 15.0);
+        let mut tracker = AdjacencyTracker::new(&pts, 15.0, field());
         for (i, p) in pts.iter_mut().enumerate() {
             *p = Point::new(80.0 - 7.0 * i as f64, 9.0 * (i % 2) as f64);
             tracker.set_sensor(i, *p);
@@ -816,7 +699,7 @@ mod tests {
             Point::new(0.0, 100.0),
             Point::new(55.0, 50.0),
         ];
-        let mut tracker = AdjacencyTracker::new(&pts, rc);
+        let mut tracker = AdjacencyTracker::new(&pts, rc, field());
         pts[1] = Point::new(46.0, 49.0);
         pts[2] = Point::new(53.0, 54.0);
         tracker.set_sensor(1, pts[1]);
@@ -827,8 +710,7 @@ mod tests {
     #[test]
     fn duplicates_and_redundant_sets() {
         let pts = vec![Point::new(1.0, 1.0); 4];
-        let mut tracker = AdjacencyTracker::new(&pts, 5.0);
-        assert_eq!(tracker.within(Point::new(1.0, 1.0), 1.0).len(), 4);
+        let mut tracker = AdjacencyTracker::new(&pts, 5.0, field());
         assert_eq!(neighbors_within(&mut tracker, 2, 1.0), vec![0, 1, 3]);
         assert_eq!(tracker.neighbors(2), &[0, 1, 3]);
         for _ in 0..3 {
@@ -851,7 +733,7 @@ mod tests {
             Point::new(9.0, 0.0),
             Point::new(50.0, 0.0),
         ];
-        let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+        let mut tracker = AdjacencyTracker::new(&pts, 10.0, field());
         msn_obs::start();
         for _ in 0..3 {
             for (i, &p) in pts.iter().enumerate() {
@@ -874,7 +756,7 @@ mod tests {
             let mut pts: Vec<Point> = (0..20)
                 .map(|i| Point::new(spacing * i as f64, 0.0))
                 .collect();
-            let mut tracker = AdjacencyTracker::new(&pts, 10.0);
+            let mut tracker = AdjacencyTracker::new(&pts, 10.0, field());
             msn_obs::start();
             for i in 3..10 {
                 pts[i].y = 0.5;
@@ -889,40 +771,51 @@ mod tests {
     }
 
     #[test]
-    fn oversized_extent_overflows_every_cell() {
-        // a window past max(4n, 4096) cells is not flattened; the map
-        // answers alone, identically
-        let mut pts = vec![
-            Point::new(5.0, 5.0),
-            Point::new(9.0, 5.0),
-            Point::new(60.0, 60.0),
-        ];
-        let extent = Rect::new(0.0, 0.0, 1.0e4, 1.0e4);
-        let mut tracker = AdjacencyTracker::with_extent(&pts, 10.0, extent);
-        assert!(tracker.buckets.dense.is_empty());
-        pts[2] = Point::new(12.0, 8.0);
-        tracker.set_sensor(2, pts[2]);
-        assert_eq!(
-            neighbors_within(&mut tracker, 0, 10.0),
-            oracle_neighbors(&pts, 10.0, 0, 10.0)
-        );
-        assert_matches(&mut tracker, &pts, 10.0);
-        let field_sized =
-            AdjacencyTracker::with_extent(&pts, 10.0, Rect::new(0.0, 0.0, 600.0, 600.0));
-        assert_eq!(field_sized.buckets.dense.len(), 61 * 61);
+    fn the_window_spans_the_extent_at_cell_rc() {
+        let pts = [Point::new(5.0, 5.0)];
+        let tracker = AdjacencyTracker::new(&pts, 10.0, Rect::new(0.0, 0.0, 600.0, 600.0));
+        assert_eq!(tracker.buckets.dense.len(), 61 * 61);
+        // the cell never drops below 1 m
+        let tracker = AdjacencyTracker::new(&pts, 0.5, Rect::new(0.0, 0.0, 10.0, 10.0));
+        assert_eq!(tracker.buckets.dense.len(), 11 * 11);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the limit")]
+    fn an_oversized_window_is_refused() {
+        // 10,001² cells of 1 m, past the 2^22 limit
+        AdjacencyTracker::new(&[], 1.0, Rect::new(0.0, 0.0, 1.0e4, 1.0e4));
+    }
+
+    #[test]
+    #[should_panic(expected = "sensor 1 at (-15.000, 5.000) lies outside the tracked extent")]
+    fn a_point_outside_the_extent_is_refused_at_build() {
+        let pts = [Point::new(5.0, 5.0), Point::new(-15.0, 5.0)];
+        AdjacencyTracker::new(&pts, 10.0, Rect::new(0.0, 0.0, 100.0, 100.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "sensor 0 at (5.000, 250.000) lies outside the tracked extent")]
+    fn a_move_outside_the_extent_is_refused_at_the_next_sync() {
+        let pts = [Point::new(5.0, 5.0), Point::new(9.0, 5.0)];
+        let mut tracker = AdjacencyTracker::new(&pts, 10.0, Rect::new(0.0, 0.0, 100.0, 100.0));
+        tracker.set_sensor(0, Point::new(5.0, 250.0));
+        tracker.sync();
     }
 
     #[test]
     fn empty_tracker() {
-        let mut tracker = AdjacencyTracker::new(&[], 10.0);
+        let mut tracker = AdjacencyTracker::new(&[], 10.0, field());
         assert!(tracker.is_empty());
         tracker.sync();
     }
 
     #[test]
     fn empty_range_queries() {
-        let mut tracker = AdjacencyTracker::new(&[], 5.0);
-        assert!(tracker.within(Point::ORIGIN, 100.0).is_empty());
+        // a lone sensor finds no one, at any radius
+        let mut tracker = AdjacencyTracker::new(&[Point::ORIGIN], 5.0, field());
+        assert!(neighbors_within(&mut tracker, 0, 100.0).is_empty());
+        assert!(tracker.neighbors(0).is_empty());
     }
 
     #[test]
@@ -933,7 +826,7 @@ mod tests {
         let mut pts: Vec<Point> = (0..12)
             .map(|i| Point::new(7.0 * i as f64, (i % 4) as f64))
             .collect();
-        let mut tracker = AdjacencyTracker::new(&pts, rc);
+        let mut tracker = AdjacencyTracker::new(&pts, rc, field());
         pts[5] = Point::new(40.0, 6.0);
         tracker.set_sensor(5, pts[5]);
         tracker.sync();

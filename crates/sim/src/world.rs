@@ -36,7 +36,10 @@ struct PosChange {
 ///
 /// A `World` models one static fleet: every sensor it holds is alive
 /// for the whole run (the failure engine in `msn-deploy` reruns a
-/// scheme over the survivors instead). All five deployment schemes
+/// scheme over the survivors instead), and every sensor stays on the
+/// field. The adjacency's buckets span the field's cells only, so a
+/// position outside them panics at the next proximity query, naming
+/// the sensor and the point. All five deployment schemes
 /// drive a `World` through their protocol phases, so every move of
 /// every scheme goes through one funnel; the engine itself is
 /// policy-free.
@@ -100,7 +103,7 @@ impl World {
             .unwrap_or_else(|| CoverageGrid::new(&field, cfg.coverage_cell));
         World {
             grid,
-            adj: AdjacencyTracker::with_extent(&positions, cfg.rc, field.bounds()),
+            adj: AdjacencyTracker::new(&positions, cfg.rc, field.bounds()),
             rng: SmallRng::seed_from_u64(cfg.seed),
             field,
             cfg,
@@ -486,6 +489,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "sensor 1 at (-50.000, 50.000) lies outside the tracked extent")]
+    fn a_sensor_teleported_off_its_field_panics_at_the_next_query() {
+        let mut w = world_with(3);
+        w.teleport(1, Point::new(-50.0, 50.0));
+        w.connected_tracked(0);
+    }
+
+    #[test]
     fn coverage_measurement() {
         let w = world_with(1);
         let cov = w.coverage();
@@ -508,7 +519,7 @@ mod tests {
         assert_eq!(shared.coverage(), mask_coverage(&own, &grid));
         for (i, p) in [
             (0, Point::new(70.0, 30.0)),
-            (2, Point::new(-5.0, 50.0)), // off-field clips like the oracle
+            (2, Point::new(0.0, 50.0)), // on the border: clips like the oracle
             (1, Point::new(40.0, 90.0)),
         ] {
             for w in [&mut own, &mut shared] {
